@@ -344,15 +344,6 @@ class DTXSite:
         self.incarnation = 0  # bumped on every recovery; fences stale work
         self.faults = None
         self.logs: dict[str, UpdateLog] = {}
-        # Committed-state shadow copies. The live document of a doc this
-        # site executes writes on can carry *uncommitted* effects of
-        # in-flight transactions; persisting it verbatim would smuggle
-        # those into storage, and a crash+reload would resurrect them. The
-        # stable copy (created from the live tree just before the first
-        # local write) advances only by committed update batches and is
-        # what actually gets persisted. Docs without local writes need no
-        # shadow: their live tree *is* the committed state.
-        self._stable: dict[str, Document] = {}
         self._catchup_gates: dict[str, object] = {}  # doc -> Event while catching up
         self._catchup_waiters: dict[int, object] = {}  # req_id -> Event
         self._catchup_seq = 0
@@ -446,16 +437,13 @@ class DTXSite:
     def drop_document(self, doc_name: str) -> None:
         """Remove this site's copy of ``doc_name`` (migration retire).
 
-        Live tree, persisted state, staged stable copy and update log all
+        Live tree, persisted state, committed shadow and update log all
         go; the protocol's structure summary keeps a stale registration
         that no routed operation will ever touch (the placement no longer
         names this site).
         """
-        self.data_manager.evict(doc_name)
-        if self.data_manager.backend.exists(doc_name):
-            self.data_manager.backend.delete(doc_name)
+        self.data_manager.drop(doc_name)
         self.logs.pop(doc_name, None)
-        self._stable.pop(doc_name, None)
         self.stats.migrations_retired += 1
 
     def has_active_work_on(self, doc_name: str) -> bool:
@@ -601,24 +589,22 @@ class DTXSite:
         return self.faults.incarnation_of(coordinator) == incarnation
 
     # ------------------------------------------------------------------
-    # committed-state (stable) copies and durable writes
+    # durable writes
     # ------------------------------------------------------------------
 
-    def _stable_apply(self, doc_name: str, ops) -> None:
-        """Fold a committed update batch into the stable copy, if one
-        exists (without one, the live tree is the committed state)."""
-        stable = self._stable.get(doc_name)
-        if stable is None:
-            return
-        for op in ops:
-            apply_update(op.payload, stable, None)
+    def _persist_kept(self, ctx: Optional[SiteTxContext], doc_name: str, ops=()) -> int:
+        """Write the committed state of ``doc_name`` through to storage.
 
-    def _persist_committed(self, doc_name: str) -> int:
-        """Write the committed state of ``doc_name`` through to storage."""
-        stable = self._stable.get(doc_name)
-        if stable is None:
-            return self.data_manager.persist(doc_name)
-        return self.data_manager.backend.store(stable)
+        ``ops`` are the updates ``ctx``'s transaction executed on it here,
+        which can no longer be undone: they join the committed state once
+        per transaction, at whichever of the sync record, the commit and
+        the fail gets here first. Returns the bytes persisted.
+        """
+        if ctx is None or doc_name in ctx.stable_applied:
+            ops = ()
+        else:
+            ctx.stable_applied.add(doc_name)
+        return self.data_manager.commit(doc_name, [op.payload for op in ops])
 
     # ------------------------------------------------------------------
     # client entry point
@@ -909,11 +895,7 @@ class DTXSite:
                 return LocalResult(
                     acquired=True, executed=True, result_size=size, cost_ms=cost
                 )
-            if op.doc_name not in self._stable:
-                # First local write on this doc: the live tree still equals
-                # the committed state — snapshot it as the stable copy that
-                # persists will be taken from.
-                self._stable[op.doc_name] = doc.clone()
+            self.data_manager.begin_write(op.doc_name)
             undo_before = len(ctx.undo)
             changes = apply_update(op.payload, doc, ctx.undo, eval_stats)
             self.protocol.after_apply(op.doc_name, changes)
@@ -978,10 +960,7 @@ class DTXSite:
             logged_during_sync = set(ctx.stable_applied)
             persisted = 0
             for name in ctx.touched_doc_names():
-                if name in by_doc and name not in ctx.stable_applied:
-                    self._stable_apply(name, by_doc[name])
-                    ctx.stable_applied.add(name)
-                persisted += self._persist_committed(name)
+                persisted += self._persist_kept(ctx, name, by_doc.get(name, ()))
             cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
             if self.replication.is_lazy:
                 # Log the committed updates of every document this site
@@ -1035,10 +1014,7 @@ class DTXSite:
             by_doc = ctx.executed_updates_by_doc()
             logged_during_sync = set(ctx.stable_applied)
             for name in ctx.touched_doc_names():
-                if name in by_doc and name not in ctx.stable_applied:
-                    self._stable_apply(name, by_doc[name])
-                    ctx.stable_applied.add(name)
-                self._persist_committed(name)
+                self._persist_kept(ctx, name, by_doc.get(name, ()))
             if self.replication.is_lazy:
                 # Kept effects behave like a commit for replication: log
                 # and propagate them, or the secondaries would silently
@@ -1386,12 +1362,9 @@ class DTXSite:
                 )
                 cost += self._apply_log_entry(entry, apply_data=False)
                 # Once synced the batch can only commit or fail-keep, never
-                # undo: fold it into the stable copy and persist, so the
+                # undo: fold it into the committed state and persist, so the
                 # durable log entry and the durable data move together.
-                if doc_name not in ctx.stable_applied:
-                    self._stable_apply(doc_name, ops)
-                    ctx.stable_applied.add(doc_name)
-                persisted = self._persist_committed(doc_name)
+                persisted = self._persist_kept(ctx, doc_name, ops)
                 cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
                 ctx.synced = True  # a dead coordinator now resolves to commit
                 self.stats.replica_syncs_served += 1
@@ -1461,11 +1434,12 @@ class DTXSite:
         """
         cost = 0.0
         if apply_data:
-            doc = self.data_manager.document(entry.doc_name)
             for op in entry.ops:
                 eval_stats = EvalStats()
                 try:
-                    changes = apply_update(op.payload, doc, None, eval_stats)
+                    changes = self.data_manager.apply_replicated(
+                        entry.doc_name, op.payload, eval_stats
+                    )
                 except UpdateError as exc:  # pragma: no cover - replica divergence
                     raise ReproError(
                         f"site {self.site_id}: replica sync of {entry.tid} failed "
@@ -1476,8 +1450,7 @@ class DTXSite:
                     eval_stats.nodes_visited * self.costs.node_visit_ms
                     + max(1, len(changes)) * self.costs.update_apply_ms
                 )
-            self._stable_apply(entry.doc_name, entry.ops)
-            persisted = self._persist_committed(entry.doc_name)
+            persisted = self.data_manager.commit(entry.doc_name)
             cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
         self.log_for(entry.doc_name).record(entry)
         self._offer_view_entry(entry)
@@ -2295,11 +2268,7 @@ class DTXSite:
                     ),
                     apply_data=False,
                 )
-                ctx = self.tx_contexts.get(rec.tid)
-                if ctx is not None and doc_name not in ctx.stable_applied:
-                    self._stable_apply(doc_name, ops)
-                    ctx.stable_applied.add(doc_name)
-                self._persist_committed(doc_name)
+                self._persist_kept(self.tx_contexts.get(rec.tid), doc_name, ops)
                 rec.synced = True
             else:
                 # Remote primary: the LSN is *assigned at the primary*
@@ -2629,11 +2598,7 @@ class DTXSite:
                 )
                 entries.append(entry)
                 self._apply_log_entry(entry, apply_data=False)
-                ctx = self.tx_contexts.get(entry.tid)
-                if ctx is not None and doc_name not in ctx.stable_applied:
-                    self._stable_apply(doc_name, ops)
-                    ctx.stable_applied.add(doc_name)
-                self._persist_committed(doc_name)
+                self._persist_kept(self.tx_contexts.get(entry.tid), doc_name, ops)
                 rec.synced = True
                 primary_ok[entry.tid] = (True, "")
         else:
@@ -2950,6 +2915,10 @@ class DTXSite:
             return
         self.alive = False
         self.stats.crashes += 1
+        # First, while the committed trees are still there: what storage
+        # deferred rendering of becomes durable text. The live documents
+        # stay listed (recover reloads each from storage).
+        self.data_manager.crash()
         # Sever the clients: every in-flight coordinated transaction is
         # ambiguous from the client's point of view. The pending events are
         # triggered so the coordinator generators resume, observe the crash
@@ -3023,7 +2992,6 @@ class DTXSite:
             )
             self._elections.clear()
             self._election_reports.clear()
-        self._stable.clear()  # in-memory staging; its durable form is storage
         self.wfg = WaitForGraph()
         self.lock_manager = LockManager(LockTable(self.protocol.matrix), self.wfg)
         self.inbox.clear()
@@ -3659,10 +3627,8 @@ class DTXSite:
     def _install_snapshot(self, doc_name: str, resp: CatchUpResponse) -> float:
         """Replace the local replica with the primary's serialized state."""
         doc = parse_document(resp.snapshot, name=doc_name)
-        self._stable.pop(doc_name, None)  # live tree is committed state again
-        self.data_manager.replace(doc)
+        persisted = self.data_manager.replace(doc)
         self.protocol.register_document(doc)
-        persisted = self.data_manager.persist(doc_name)
         self.log_for(doc_name).reset_to_snapshot(resp.snapshot_lsn, resp.snapshot_epoch)
         return (
             (len(resp.snapshot) / 1024.0) * self.costs.parse_per_kb_ms
@@ -3767,7 +3733,7 @@ class DTXSite:
             self.log_for(doc_name).record(entry)
             self._offer_view_entry(entry)
             if persist:
-                self._persist_committed(doc_name)
+                self.data_manager.commit(doc_name)
             pending = self._lazy_outboxes.setdefault(doc_name, [])
             pending.append(entry)
             if len(pending) == 1:
@@ -3933,7 +3899,7 @@ class DTXSite:
         """Serve a committed snapshot for a view host's (re)materialization.
 
         Same committed-state source as the catch-up path (the persisted
-        stable copy); refused when this site does not currently lead the
+        committed tree); refused when this site does not currently lead the
         document or its log still has recording holes (a snapshot taken
         then could tear across a racing batch).
         """

@@ -74,8 +74,16 @@ class Operation:
         return self.kind is OpKind.UPDATE
 
     def payload_size(self) -> int:
-        """Rough wire size of the operation (network cost model input)."""
-        return 64 + len(str(self.payload))
+        """Rough wire size of the operation (network cost model input).
+
+        Rendered on the first call and kept: every message carrying the
+        operation asks, and the payload never changes after construction.
+        """
+        try:
+            return self._payload_size
+        except AttributeError:
+            size = self._payload_size = 64 + len(str(self.payload))
+            return size
 
     def __str__(self) -> str:
         return f"[{self.kind.value} {self.doc_name}: {self.payload}]"

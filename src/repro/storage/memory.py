@@ -1,9 +1,13 @@
 """In-memory native XML store — the reproduction's stand-in for Sedna.
 
-Documents are kept *serialized* (as Sedna keeps them paged on disk), so every
-load really parses and every persist really serializes; the DataManager
-charges simulated time proportional to the byte counts this backend reports.
-Write statistics are tracked per document for the experiment reports.
+Documents are kept *serialized* (as Sedna keeps them paged on disk): every
+load really parses, and ``store`` really serializes. A per-commit
+``write_back`` does not: it records which tree holds the committed state and
+the exact byte length the caller reports, and the text is rendered from that
+tree only when the durable form is read (``load``/``raw``) or when ``flush``
+says the memory is going away. The DataManager charges simulated time by the
+byte counts returned here, which are the same either way; ``stats.stores``
+counts persists, ``stats.bytes_written`` the bytes actually rendered.
 """
 
 from __future__ import annotations
@@ -28,48 +32,72 @@ class StoreStats:
 
 class InMemoryStore(StorageBackend):
     def __init__(self) -> None:
-        self._data: dict[str, str] = {}
+        self._data: dict[str, str] = {}  # rendered text; stale while deferred
+        self._sizes: dict[str, int] = {}  # UTF-8 length of the durable form
+        self._deferred: dict[str, Document] = {}  # written back, not rendered
         self.stats = StoreStats()
+
+    def _count_store(self, name: str) -> None:
+        self.stats.stores += 1
+        self.stats.per_document_stores[name] = (
+            self.stats.per_document_stores.get(name, 0) + 1
+        )
 
     def store(self, doc: Document) -> int:
         text = serialize_document(doc)
-        self._data[doc.name] = text
         size = len(text.encode("utf-8"))
-        self.stats.stores += 1
+        self._deferred.pop(doc.name, None)
+        self._data[doc.name] = text
+        self._sizes[doc.name] = size
+        self._count_store(doc.name)
         self.stats.bytes_written += size
-        self.stats.per_document_stores[doc.name] = (
-            self.stats.per_document_stores.get(doc.name, 0) + 1
-        )
         return size
 
+    def write_back(self, doc: Document, size: int) -> int:
+        self._deferred[doc.name] = doc
+        self._sizes[doc.name] = size
+        self._count_store(doc.name)
+        return size
+
+    def rebind(self, doc: Document) -> None:
+        if doc.name in self._deferred:
+            self._deferred[doc.name] = doc
+
+    def flush(self) -> None:
+        for name in list(self._deferred):
+            self.raw(name)
+
     def load(self, name: str) -> Document:
-        try:
-            text = self._data[name]
-        except KeyError:
-            raise StorageError(f"document {name!r} not in store") from None
+        text = self.raw(name)
         self.stats.loads += 1
-        self.stats.bytes_read += len(text.encode("utf-8"))
+        self.stats.bytes_read += self._sizes[name]
         return parse_document(text, name=name)
 
     def exists(self, name: str) -> bool:
-        return name in self._data
+        return name in self._sizes
 
     def delete(self, name: str) -> None:
-        if name not in self._data:
+        if name not in self._sizes:
             raise StorageError(f"document {name!r} not in store")
-        del self._data[name]
+        del self._sizes[name]
+        self._data.pop(name, None)
+        self._deferred.pop(name, None)
 
     def list_documents(self) -> list[str]:
-        return sorted(self._data)
+        return sorted(self._sizes)
 
     def size_bytes(self, name: str) -> int:
         try:
-            return len(self._data[name].encode("utf-8"))
+            return self._sizes[name]
         except KeyError:
             raise StorageError(f"document {name!r} not in store") from None
 
     def raw(self, name: str) -> str:
         """Serialized text as stored (tests compare persisted states)."""
+        doc = self._deferred.pop(name, None)
+        if doc is not None:
+            self._data[name] = serialize_document(doc)
+            self.stats.bytes_written += self._sizes[name]
         try:
             return self._data[name]
         except KeyError:

@@ -3,7 +3,11 @@
 ``apply_update`` evaluates the operation's target path(s), mutates the tree,
 appends inverse entries to the transaction's :class:`~repro.update.undo.UndoLog`
 and returns the list of :class:`~repro.update.operations.AppliedChange`
-records that structural summaries (DataGuide) use to stay in sync.
+records that structural summaries (DataGuide) use to stay in sync. Each record
+also carries ``byte_delta``, by how much that one mutation changed the
+document's serialized length — measured right after the mutation, because
+whether a parent serializes as ``<t/>`` or ``<t></t>`` depends on what else
+is in it at that moment.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from typing import Optional
 
 from ..errors import UpdateError
 from ..xml.model import Document, Element, _clone_subtree
+from ..xml.serializer import own_size, serialized_size
 from ..xpath.evaluator import EvalStats, evaluate
 from .operations import (
     AppliedChange,
@@ -82,19 +87,27 @@ def _apply_insert(
     for target in targets:
         copy = _clone_subtree(op.fragment)
         if op.position is InsertPosition.INTO:
-            target.append(copy)
+            parent = target
+            before = own_size(parent)
+            parent.append(copy)
         else:
             parent = target.parent
             if parent is None:
                 raise UpdateError(
                     f"cannot insert {op.position.name} the document root"
                 )
+            before = own_size(parent)
             idx = parent.child_index(target)
             parent.insert(idx if op.position is InsertPosition.BEFORE else idx + 1, copy)
         if undo is not None:
             undo.record(doc, InsertUndo(copy))
         changes.append(
-            AppliedChange(kind="insert", node=copy, new_label_paths=_subtree_paths(copy))
+            AppliedChange(
+                kind="insert",
+                node=copy,
+                new_label_paths=_subtree_paths(copy),
+                byte_delta=serialized_size(copy) + own_size(parent) - before,
+            )
         )
     return changes
 
@@ -112,10 +125,18 @@ def _apply_remove(
         old_paths = _subtree_paths(target)
         parent = target.parent
         index = parent.child_index(target)
+        before = own_size(parent)
         parent.remove(target)
         if undo is not None:
             undo.record(doc, RemoveUndo(target, parent, index))
-        changes.append(AppliedChange(kind="remove", node=target, old_label_paths=old_paths))
+        changes.append(
+            AppliedChange(
+                kind="remove",
+                node=target,
+                old_label_paths=old_paths,
+                byte_delta=own_size(parent) - before - serialized_size(target),
+            )
+        )
     return changes
 
 
@@ -131,6 +152,7 @@ def _apply_rename(
     for target in targets:
         old_paths = _subtree_paths(target)
         old_name = target.tag
+        before = own_size(target)
         target.tag = op.new_name
         if undo is not None:
             undo.record(doc, RenameUndo(target, old_name))
@@ -140,6 +162,7 @@ def _apply_rename(
                 node=target,
                 old_label_paths=old_paths,
                 new_label_paths=_subtree_paths(target),
+                byte_delta=own_size(target) - before,
             )
         )
     return changes
@@ -152,10 +175,13 @@ def _apply_change(
     changes: list[AppliedChange] = []
     for target in targets:
         old = target.text
+        before = own_size(target)
         target.text = op.new_value
         if undo is not None:
             undo.record(doc, ChangeUndo(target, old))
-        changes.append(AppliedChange(kind="change", node=target))
+        changes.append(
+            AppliedChange(kind="change", node=target, byte_delta=own_size(target) - before)
+        )
     return changes
 
 
@@ -180,8 +206,12 @@ def _apply_transpose(
         old_paths = _subtree_paths(source)
         old_parent = source.parent
         old_index = old_parent.child_index(source)
+        before = own_size(old_parent)
         old_parent.remove(source)
+        delta = own_size(old_parent) - before
+        before = own_size(dest)  # taken now: dest may be old_parent
         dest.append(source)
+        delta += own_size(dest) - before
         if undo is not None:
             undo.record(doc, TransposeUndo(source, old_parent, old_index))
         changes.append(
@@ -190,6 +220,7 @@ def _apply_transpose(
                 node=source,
                 old_label_paths=old_paths,
                 new_label_paths=_subtree_paths(source),
+                byte_delta=delta,
             )
         )
     return changes

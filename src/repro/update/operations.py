@@ -145,3 +145,4 @@ class AppliedChange:
     node: Element  # the affected (inserted / removed / renamed / ...) node
     old_label_paths: list[tuple[str, ...]] = field(default_factory=list)
     new_label_paths: list[tuple[str, ...]] = field(default_factory=list)
+    byte_delta: int = 0  # change of the document's serialized UTF-8 length

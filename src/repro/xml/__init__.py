@@ -7,7 +7,7 @@ on (paper §2: "XML data handling is conducted in the main memory").
 from .builder import E, doc
 from .model import Document, Element
 from .parser import parse_document, parse_fragment
-from .serializer import serialize_document, serialize_element
+from .serializer import serialize_document, serialize_element, serialized_size
 
 __all__ = [
     "Document",
@@ -18,4 +18,5 @@ __all__ = [
     "parse_fragment",
     "serialize_document",
     "serialize_element",
+    "serialized_size",
 ]

@@ -18,6 +18,7 @@ workloads of the paper.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from ..errors import XMLModelError
@@ -270,7 +271,7 @@ class Document:
 
 
 def _clone_subtree(node: Element) -> Element:
-    new = Element(node.tag, dict(node.attrib), node.text)
+    new = Element(node.tag, node.attrib, node.text)  # __init__ copies attrib
     # Iterate the private list: ``children`` allocates a defensive tuple per
     # node, which adds up when cloning replicas on every host_document call.
     for child in node._children:
@@ -284,6 +285,7 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 _NAME_CHARS = _NAME_START | set("0123456789.-")
 
 
+@lru_cache(maxsize=1024)  # a document has few distinct tags, many nodes
 def _is_name(s: str) -> bool:
     """True when ``s`` is a valid (simplified) XML name."""
     if not s or s[0] not in _NAME_START:

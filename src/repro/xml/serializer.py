@@ -49,6 +49,31 @@ def _serialize_compact(root: Element) -> str:
     return "".join(out)
 
 
+def _utf8_len(s: str) -> int:
+    return len(s) if s.isascii() else len(s.encode("utf-8"))
+
+
+def own_size(node: Element) -> int:
+    """UTF-8 bytes ``node`` itself adds to the compact serialization: its
+    tag(s), attributes and text, without its children's subtrees."""
+    tag = _utf8_len(node.tag)
+    size = tag + 3  # <tag/>
+    text = node.text
+    if node._children or text is not None:
+        size += tag + 2  # <tag></tag>
+        if text:
+            size += _utf8_len(_escape_text(text))
+    for k, v in node.attrib.items():
+        size += _utf8_len(k) + _utf8_len(_escape_attr(v)) + 4  # ' k="v"'
+    return size
+
+
+def serialized_size(root: Element) -> int:
+    """Exact ``len(serialize_element(root).encode("utf-8"))`` without
+    building the string (every node contributes its :func:`own_size`)."""
+    return sum(map(own_size, root.iter_subtree()))
+
+
 def serialize_element(elem: Element, indent: int | None = None, _depth: int = 0) -> str:
     """Serialize one element (and subtree).
 

@@ -16,7 +16,8 @@ import os
 import pytest
 from hypothesis import settings as hyp_settings
 
-from repro.xml import E, doc, parse_document
+from repro.storage import InMemoryStore
+from repro.xml import E, doc, parse_document, serialize_document
 
 hyp_settings.register_profile("default", hyp_settings())
 hyp_settings.register_profile("ci", hyp_settings(deadline=None))
@@ -49,6 +50,47 @@ def pytest_configure(config) -> None:
 def example_budget(n: int) -> int:
     """Per-test max_examples, scaled up under the nightly profile."""
     return max(1, int(n * _EXAMPLE_SCALE))
+
+
+class EagerReferenceStore(InMemoryStore):
+    """``InMemoryStore`` checked against the eager store it replaces.
+
+    Every persist also renders the tree it was handed, as
+    ``store(committed tree)`` would have, into ``reference``; the byte count
+    charged must be that text's length. ``check_reads`` then compares what
+    the real store answers (rendered when read) with the reference — which
+    also catches a tree mutated after the store took it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reference: dict[str, str] = {}
+        self.persists = 0
+
+    def store(self, doc):
+        self.reference[doc.name] = serialize_document(doc)
+        return super().store(doc)
+
+    def write_back(self, doc, size):
+        self.reference[doc.name] = serialize_document(doc)
+        assert size == len(self.reference[doc.name].encode("utf-8")), (
+            f"persist of {doc.name!r} charged {size} bytes"
+        )
+        self.persists += 1
+        return super().write_back(doc, size)
+
+    def delete(self, name):
+        super().delete(name)
+        del self.reference[name]
+
+    def check_reads(self) -> None:
+        assert self.list_documents() == sorted(self.reference)
+        for name, text in self.reference.items():
+            assert self.size_bytes(name) == len(text.encode("utf-8"))
+            assert self.raw(name) == text
+            assert serialize_document(self.load(name)) == serialize_document(
+                parse_document(text, name=name)
+            )
 
 
 def make_people_doc(name: str = "d1"):

@@ -1,18 +1,20 @@
 """Fault tolerance: crash/recovery, primary failover, update-log catch-up,
 epoch fencing, lazy propagation, and crash-during-2PC edge cases."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction
 from repro.core.messages import ReplicaSyncRequest
 from repro.distribution import UpdateLog, UpdateLogEntry
 from repro.errors import ConfigError, DistributionError
 from repro.sim.queues import Store
-from repro.update import InsertOp
+from repro.update import ChangeOp, InsertOp, InsertPosition, RemoveOp
 from repro.verify import final_state_serializable
-from repro.xml import serialize_document
+from repro.xml import parse_document, serialize_document
 
-from .conftest import make_people_doc
+from .conftest import EagerReferenceStore, example_budget, make_people_doc
 
 FT = SystemConfig().with_(
     client_think_ms=0.0,
@@ -35,11 +37,12 @@ def ft_cluster(config=FT, n_sites=4, replicate_at=None):
     return cluster
 
 
+def insert_op(marker):
+    return Operation.update("d1", InsertOp(f"<person><id>{marker}</id></person>", "/people"))
+
+
 def insert_tx(marker, label=""):
-    return Transaction(
-        [Operation.update("d1", InsertOp(f"<person><id>{marker}</id></person>", "/people"))],
-        label=label or f"w{marker}",
-    )
+    return Transaction([insert_op(marker)], label=label or f"w{marker}")
 
 
 def doc_at(cluster, site):
@@ -561,6 +564,142 @@ class TestPhantomLsnReuse:
         cluster.recover_site("s1")
         env.run(until=env.now + 120.0)
         assert doc_at(cluster, "s1") == doc_at(cluster, "s3")
+
+
+# ---------------------------------------------------------------------------
+# durability: text rendered when read vs. an eager store at every persist
+# ---------------------------------------------------------------------------
+
+
+def _checked_cluster(config):
+    """``ft_cluster`` on stores that compare every persist and read with an
+    eager ``store(committed tree)`` (see ``EagerReferenceStore``)."""
+    cluster = DTXCluster(protocol="xdgl", config=config, backend_factory=EagerReferenceStore)
+    for i in range(4):
+        cluster.add_site(f"s{i + 1}")
+    cluster.replicate_document(make_people_doc(), ["s1", "s2", "s3"])
+    return cluster
+
+
+def _recover_and_check(cluster, site_id):
+    """Recover ``site_id``: each reloaded tree must be the committed state
+    storage held — an eager rendering of the committed tree, parsed."""
+    site = cluster.site(site_id)
+    durable = dict(site.data_manager.backend.reference)
+    cluster.recover_site(site_id)
+    for name in site.documents_hosted():
+        assert serialize_document(cluster.document_at(site_id, name)) == serialize_document(
+            parse_document(durable[name], name=name)
+        )
+
+
+class TestDeferredDurability:
+    def test_crash_resurrects_no_uncommitted_effect(self):
+        cluster = _checked_cluster(FT)
+        cluster.start()
+        cluster.add_client("c0", "s1", [insert_tx(50)])
+        cluster.env.run(until=40.0)
+        # Two statements: crash the primary once the first has executed.
+        cluster.add_client("c1", "s1", [Transaction([
+            insert_op(900),
+            Operation.update("d1", ChangeOp("/people/person[id=1]/name", "Late")),
+        ])])
+        store = cluster.site("s1").data_manager.backend
+        for _ in range(400):
+            cluster.env.run(until=cluster.env.now + 0.01)
+            if "<id>900</id>" in doc_at(cluster, "s1"):
+                break
+        assert "<id>900</id>" in doc_at(cluster, "s1")
+        assert "<id>900</id>" not in store.raw("d1")
+        cluster.crash_site("s1")
+        store.check_reads()
+        _recover_and_check(cluster, "s1")
+        assert "<id>900</id>" not in doc_at(cluster, "s1")
+        assert "<id>50</id>" in doc_at(cluster, "s1")
+
+    @given(
+        seed=st.integers(0, 2**16),
+        crash_site=st.sampled_from(["s1", "s2"]),
+        crash_at=st.floats(0.5, 12.0),
+        down_ms=st.sampled_from([2.0, 15.0]),
+        migrate_at=st.one_of(st.none(), st.floats(1.0, 12.0)),
+        read_at=st.lists(st.floats(0.1, 40.0), max_size=6),
+    )
+    @settings(
+        max_examples=example_budget(25),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_every_persist_and_read_matches_an_eager_store(
+        self, seed, crash_site, crash_at, down_ms, migrate_at, read_at
+    ):
+        """Committed batches, aborts, replicated entries at the secondaries,
+        a promoted secondary's first own write (its store reference moves to
+        the shadow), catch-up by replay and by snapshot install, migration
+        retire (``drop_document``) and crash + recover, at random times. The
+        stores assert the charged bytes at every persist; read probes and
+        recoveries compare what storage answers with the eager reference."""
+        config = FT.with_(
+            client_think_ms=0.3, seed=seed, lock_wait_timeout_ms=200.0, max_restarts=1
+        )
+        cluster = _checked_cluster(config)
+        for i, site in enumerate(("s1", "s2", "s4")):
+            base = 100 + 10 * i
+            cluster.add_client(f"c{i}", site, [
+                insert_tx(base),
+                Transaction([  # aborts: a sibling insert cannot reach the root
+                    insert_op(base + 1),
+                    Operation.update("d1", InsertOp("<x/>", "/people", InsertPosition.BEFORE)),
+                ], label=f"a{base + 1}"),
+                Transaction([
+                    Operation.update(
+                        "d1", ChangeOp("/people/person[id=4]/name", f"n\u00e9{base} & <co>")
+                    ),
+                    insert_op(base + 2),
+                ], label=f"w{base + 2}"),
+                Transaction([Operation.update("d1", RemoveOp(f"/people/person[id={base}]"))]),
+                insert_tx(base + 3),
+            ])
+        stores = {sid: site.data_manager.backend for sid, site in cluster.sites.items()}
+
+        def probe():
+            for store in stores.values():
+                store.check_reads()
+
+        def crash():
+            cluster.crash_site(crash_site)
+            stores[crash_site].check_reads()
+
+        cluster.env.schedule_call(crash_at, crash)
+        cluster.env.schedule_call(crash_at + down_ms, _recover_and_check, cluster, crash_site)
+        for at in read_at:
+            cluster.env.schedule_call(at, probe)
+        if migrate_at is not None:
+            cluster.schedule_migration("d1", ("s3", "s4"), at_ms=migrate_at)
+
+        result = cluster.run(drain_ms=0.0)
+        deadline = cluster.env.now + 3000.0
+        while (
+            migrate_at is not None
+            and not cluster.migration.quiesced()
+            and cluster.env.now < deadline
+        ):
+            cluster.env.run(until=cluster.env.now + 25.0)
+        cluster.env.run(until=cluster.env.now + 400.0)
+        probe()
+
+        assert any(r.status == "committed" for r in result.records)
+        assert not any(r.label.startswith("a") and r.status == "committed" for r in result.records)
+        assert sum(store.persists for store in stores.values()) > 0
+        texts = {
+            s: doc_at(cluster, s)
+            for s in cluster.catalog.sites_for("d1")
+            if cluster.site(s).alive and not cluster.site(s).holds_placeholder("d1")
+        }
+        assert len(set(texts.values())) == 1, f"replicas diverged: {sorted(texts)}"
+        for s in texts:
+            # Quiesced: what storage holds is what the site serves.
+            assert serialize_document(parse_document(stores[s].raw("d1"))) == texts[s]
 
 
 # ---------------------------------------------------------------------------

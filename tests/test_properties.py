@@ -8,17 +8,28 @@ from repro.dataguide import DataGuide
 from repro.deadlock import WaitForGraph
 from repro.distribution import fragment_document
 from repro.locking import XDGL_MATRIX, LockMode
+from repro.errors import UpdateError
 from repro.update import (
     ChangeOp,
     InsertOp,
+    InsertPosition,
     RemoveOp,
     RenameOp,
+    TransposeOp,
     UndoLog,
     apply_update,
 )
 from repro.verify import final_state_serializable
 from repro.workload import DTXTester, WorkloadSpec
-from repro.xml import Document, E, Element, doc, parse_document, serialize_document
+from repro.xml import (
+    Document,
+    E,
+    Element,
+    doc,
+    parse_document,
+    serialize_document,
+    serialized_size,
+)
 
 from .conftest import example_budget, make_people_doc, make_products_doc
 
@@ -162,6 +173,109 @@ class TestDataGuideProperties:
                 guide.undo_change(c)
         assert serialize_document(document) == before
         guide.validate_against(document)
+
+
+# ---------------------------------------------------------------------------
+# serialized size: the sizing function and the applier's byte deltas
+# ---------------------------------------------------------------------------
+
+# Text that exercises every sizing rule: characters the serializer escapes,
+# multi-byte characters, and the '' / None pair (``<t></t>`` vs ``<t/>``).
+SIZED_TEXTS = st.one_of(
+    st.none(), st.just(""), st.text(alphabet='&<>"\'a é\u65e5\U0001f600', max_size=6)
+)
+SIZED_TAGS = st.sampled_from(["x", "y", "z"])
+
+
+@st.composite
+def sized_elements(draw, depth=3):
+    """Small trees over three tags, so ``//x``-style paths select many
+    nodes, siblings and nested matches included."""
+    attrib = draw(
+        st.dictionaries(st.sampled_from(["k", "id"]), SIZED_TEXTS.map(lambda t: t or ""), max_size=2)
+    )
+    elem = Element(draw(SIZED_TAGS), attrib, draw(SIZED_TEXTS))
+    if depth > 0:
+        for child in draw(st.lists(sized_elements(depth - 1), max_size=3)):
+            elem.append(child)
+    return elem
+
+
+def _real_size(document):
+    return len(serialize_document(document).encode("utf-8"))
+
+
+SIZED_PATHS = st.sampled_from(
+    ["/r", "/r/x", "/r/y", "/r/*", "//x", "//y", "//z", "//x/y", "//y/*", "/r/x[1]", "//q"]
+)
+
+
+@st.composite
+def sized_steps(draw):
+    """An update operation, or ``None`` for 'roll the newest one back'."""
+    kind = draw(st.sampled_from(
+        ["insert", "remove", "rename", "change", "transpose", "rollback"]
+    ))
+    if kind == "rollback":
+        return None
+    if kind == "insert":
+        fragment = Element("x", {"k": draw(SIZED_TEXTS) or ""}, draw(SIZED_TEXTS))
+        if draw(st.booleans()):
+            fragment.append(Element("y", None, draw(SIZED_TEXTS)))
+        return InsertOp(fragment, draw(SIZED_PATHS), draw(st.sampled_from(list(InsertPosition))))
+    if kind == "remove":
+        return RemoveOp(draw(SIZED_PATHS))
+    if kind == "rename":
+        return RenameOp(draw(SIZED_PATHS), draw(st.sampled_from(["q", "x", "longer-name"])))
+    if kind == "change":
+        return ChangeOp(draw(SIZED_PATHS), draw(SIZED_TEXTS) or "")
+    destination = draw(st.sampled_from(["/r", "/r/x[1]", "/r/y[1]", "//z"]))
+    return TransposeOp(draw(SIZED_PATHS), destination)
+
+
+class TestSerializedSizeProperties:
+    @given(sized_elements())
+    @settings(max_examples=example_budget(150))
+    def test_sizing_function_equals_real_length(self, root):
+        assert serialized_size(root) == _real_size(Document("s", root))
+
+    @given(
+        st.lists(sized_elements(2), max_size=4),
+        st.lists(sized_steps(), min_size=1, max_size=12),
+    )
+    @settings(max_examples=example_budget(200), suppress_health_check=[HealthCheck.too_slow])
+    def test_running_count_equals_real_length(self, children, steps):
+        """Seed the count once, then only add the applier's deltas: it stays
+        equal to the real length after *every* mutation. Intermediate states
+        of a multi-target operation are visited by rolling its changes back
+        one at a time, which passes through exactly those states."""
+        root = Element("r")
+        for child in children:
+            root.append(child)
+        document = Document("s", root)
+        count = _real_size(document)
+        undo = UndoLog()
+        applied: list[list] = []  # changes of each operation still in effect
+        for op in steps:
+            if op is None:
+                for change in reversed(applied.pop() if applied else []):
+                    undo.rollback_last(1)
+                    count -= change.byte_delta
+                    assert count == _real_size(document)
+                continue
+            logged = len(undo)
+            try:
+                changes = apply_update(op, document, undo)
+            except UpdateError:
+                # Refused part-way (e.g. a sibling insert reaching the
+                # root): the site would abort; unwind what was done.
+                undo.rollback_last(len(undo) - logged)
+                assert count == _real_size(document)
+                continue
+            assert len(undo) - logged == len(changes)
+            count += sum(change.byte_delta for change in changes)
+            assert count == _real_size(document)
+            applied.append(changes)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,17 @@ class TestElementConstruction:
             Element("1bad")
         with pytest.raises(XMLModelError):
             Element("has space")
+        # Validation is memoised per name: the verdict must not change on
+        # the second ask, for bad and good names alike.
+        with pytest.raises(XMLModelError):
+            Element("has space")
+        assert Element("ok-name").tag == Element("ok-name").tag == "ok-name"
+
+    def test_clone_copies_attributes(self):
+        d = doc("d", E("a", E("b", id="1")))
+        copy = d.clone()
+        copy.root.children[0].attrib["id"] = "2"
+        assert d.root.children[0].attrib == {"id": "1"}
 
     def test_builder_coerces_attribute_values(self):
         e = E("product", id=13)
