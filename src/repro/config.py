@@ -90,7 +90,7 @@ class SystemConfig:
         How many times a client resubmits an aborted transaction before
         giving up (Fig. 12 counts never-completed transactions).
     replication_factor:
-        Copies per document/fragment created by allocation helpers and the
+        Copies per document/fragment created by placement policies and the
         experiment runner (1 = disjoint placement, the paper's partial
         regime).
     replica_read_policy:
@@ -156,13 +156,16 @@ class SystemConfig:
         literal rule) remains the opt-out for paper-faithful wake
         schedules.
     group_commit_window_ms:
-        Group commit for eager replica synchronization. ``0`` (default)
-        sends one ReplicaSyncRequest round per committing transaction, as
-        before. ``> 0`` coalesces the sync batches of transactions that
-        reach commit within the window at the same coordinator into one
-        ReplicaSyncBatch per (primary, document): one batched log append
-        and one ack round per secondary, shared by every transaction in
-        the batch.
+        How long a commit-time sync outbox waits before it flushes — a
+        delay, not a switch: every commit under the eager and quorum
+        regimes stages its per-document batch in the coordinator's
+        (primary, document) outbox, and whatever reached commit by the
+        time the outbox flushes rides one ReplicaSyncBatch per target
+        (one batched log append at the primary and one ack round per
+        secondary, shared by every transaction in the batch). ``0``
+        (default) flushes with no simulated delay, so an uncontended
+        commit is a batch of one; ``> 0`` trades that much commit latency
+        for fewer, larger sync messages.
     spec_cache:
         Reuse an operation's computed LockSpec across wait/retry attempts
         while the protocol's structure summary (e.g. the DataGuide) is

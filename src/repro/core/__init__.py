@@ -4,7 +4,7 @@ distributed commit/abort, deadlock detection, clients and cluster assembly."""
 from .client import Client, ClientTxRecord
 from .cluster import DTXCluster
 from .detector import DeadlockDetector
-from .faults import FaultManager
+from .faults import MembershipService
 from .messages import TxOutcome
 from .results import RunResult
 from .site import DTXSite
@@ -16,7 +16,7 @@ __all__ = [
     "DTXCluster",
     "DTXSite",
     "DeadlockDetector",
-    "FaultManager",
+    "MembershipService",
     "OpKind",
     "Operation",
     "RunResult",

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Callable, Hashable, Optional, Sequence
 
 from ..config import DEFAULT_CONFIG, SystemConfig
-from ..distribution.allocation import Allocation
 from ..distribution.catalog import Catalog, CatalogView
+from ..distribution.placement import Allocation
 from ..distribution.replication import ReplicationPolicy
 from ..errors import ConfigError
 from ..obs import Tracer
@@ -32,7 +32,7 @@ from ..storage.memory import InMemoryStore
 from ..xml.model import Document
 from .client import Client
 from .detector import DeadlockDetector
-from .faults import FaultManager
+from .faults import MembershipService
 from .results import RunResult
 from .messages import MessagePool
 from .site import DTXSite
@@ -57,7 +57,7 @@ class DTXCluster:
         self.sites: dict[Hashable, DTXSite] = {}
         self.clients: list[Client] = []
         self.detector: Optional[DeadlockDetector] = None
-        self.faults = FaultManager(
+        self.faults = MembershipService(
             self.env,
             self.network,
             self.catalog,

@@ -112,17 +112,12 @@ class CoordinatorRecord:
     responses: dict = field(default_factory=dict)
     response_event: Optional[Any] = None
 
-    # ack collection for undo / sync / commit / abort rounds
-    phase: str = ""  # '', 'undo', 'sync', 'commit', 'abort'
+    # ack collection for undo / commit / abort rounds (all-ack, keyed by
+    # site; the commit-time replica sync collects its own acks per batch)
+    phase: str = ""  # '', 'undo', 'commit', 'abort'
     ack_expected: set = field(default_factory=set)
     acks: dict = field(default_factory=dict)
     ack_event: Optional[Any] = None
-    # Quorum-write rounds (replica_write_policy="quorum"): doc_name -> how
-    # many *ok* remote sync acks settle that document. The round fires as
-    # soon as every entry is satisfied — commit latency stops tracking the
-    # slowest replica — or when every expected ack arrived, whichever is
-    # first. Empty for all-ack rounds.
-    ack_quorum: dict = field(default_factory=dict)
     # Documents whose routed secondary refused a read as unboundably stale
     # (max_read_staleness_ms): the retry re-routes these to the primary.
     stale_read_docs: set = field(default_factory=set)
@@ -170,14 +165,9 @@ class CoordinatorRecord:
     wait_span: int = 0
 
     def drop_site_from_acks(self, down) -> bool:
-        """Remove a crashed site's outstanding ack keys; True if any were."""
-        stale = {
-            key
-            for key in self.ack_expected
-            if key not in self.acks
-            and (key == down or (isinstance(key, tuple) and key[0] == down))
-        }
-        if stale:
-            self.ack_expected -= stale
-            self.down_acks.add(down)
-        return bool(stale)
+        """Stop expecting a crashed site's outstanding ack; True if one was."""
+        if down not in self.ack_expected or down in self.acks:
+            return False
+        self.ack_expected.discard(down)
+        self.down_acks.add(down)
+        return True

@@ -182,10 +182,6 @@ class MembershipService:
         self.stats.promotion_log.append((self.env.now, doc_name, old, new, epoch))
 
 
-# The pre-membership name; external code and older tests use it freely.
-FaultManager = MembershipService
-
-
 @dataclass
 class SiteMembership:
     """One site's lease table: what *it* believes about every peer.

@@ -139,68 +139,36 @@ class AbortAck:
 
 
 @dataclass(slots=True)
-class ReplicaSyncRequest:
-    """Apply one committed update batch to a replica of one document.
-
-    Sent during commit under eager primary-copy ROWA (before the primary's
-    locks are released — the primary's lock table therefore orders the sync
-    streams of conflicting writers), or asynchronously from the primary's
-    update log under lazy propagation. ``ops`` preserves transaction order.
-
-    ``lsn``/``epoch`` make the apply idempotent and fenced: a replica skips
-    entries at or below its applied LSN (replaying the same entry twice
-    leaves one copy), pulls missing entries from the primary when it sees a
-    gap, and refuses batches stamped with an epoch older than the current
-    primary election (a deposed primary cannot overwrite the new timeline).
-    ``log_only`` marks the copy sent to the document's *primary* when the
-    coordinator is elsewhere: the primary executed the updates already and
-    only needs the log entry recorded. A ``log_only`` request with
-    ``lsn=0`` asks the primary to *assign* the LSN at record time (the
-    quorum write path): allocation and recording are then atomic at the
-    primary, so a request lost in flight can never orphan an allocated
-    slot and punch a permanent hole into the primary's log.
-    """
-
-    tid: TxId
-    coordinator: Hashable
-    doc_name: str = ""
-    lsn: int = 0
-    epoch: int = 0
-    log_only: bool = False
-    ops: list = field(default_factory=list)  # executed update Operations
-    span: int = 0  # parent span id (repro.obs); never counted in size_bytes
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + 24 + sum(op.payload_size() for op in self.ops)
-
-
-@dataclass(slots=True)
-class ReplicaSyncAck:
-    tid: TxId
-    site: Hashable
-    doc_name: str = ""
-    ok: bool = True
-    reason: str = ""  # 'stale-epoch' | 'refused' | 'gap' when not ok
-    lsn: int = 0  # the recorded LSN (primary-assigned for lsn=0 requests)
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + 9 + len(self.reason)
-
-
-@dataclass(slots=True)
 class ReplicaSyncBatch:
-    """Group commit: several transactions' sync batches in one message.
+    """Record/apply committed update batches at a replica of one document.
 
-    When ``group_commit_window_ms > 0``, a coordinator's per-(primary,
-    document) sync outbox coalesces the ReplicaSyncRequests of transactions
-    that reach commit within the window into one of these: the receiving
-    replica applies every entry (in LSN order, through the same idempotent
-    LSN/epoch machinery as single syncs) and answers with a single
-    :class:`ReplicaSyncBatchAck` — one network round shared by the whole
-    batch instead of one per transaction. ``entries`` are
-    :class:`~repro.distribution.replication.UpdateLogEntry` values;
-    ``log_only`` marks the copy sent to the document's primary, which
-    executed the updates itself and only records the log entries.
+    The one wire format for shipping committed updates to a replica.
+    Sent during commit under the eager and quorum regimes (before the
+    primary's locks are released — the primary's lock table therefore
+    orders the sync streams of conflicting writers): a coordinator's
+    per-(primary, document) sync outbox turns the transactions that reach
+    commit before it flushes into one of these per target, so an
+    uncontended commit is a batch of one and ``group_commit_window_ms``
+    only decides how long the outbox waits for company. Also sent
+    asynchronously from the primary's update log under lazy propagation.
+    The receiving replica ingests every entry in LSN order and answers
+    with a single :class:`ReplicaSyncBatchAck` — one network round shared
+    by the whole batch.
+
+    ``entries`` are :class:`~repro.distribution.replication.UpdateLogEntry`
+    values (``ops`` in transaction order). Their ``lsn``/``epoch`` make
+    the apply idempotent and fenced: a replica skips entries at or below
+    its applied LSN (replaying the same entry twice leaves one copy),
+    pulls missing entries from the primary when it sees a gap, and
+    refuses entries stamped with an epoch older than the current primary
+    election (a deposed primary cannot overwrite the new timeline).
+    ``log_only`` marks the copy sent to the document's *primary* when the
+    coordinator is elsewhere: the primary executed the updates already
+    and only needs the log entries recorded. A ``log_only`` entry with
+    ``lsn=0`` asks the primary to *assign* the LSN at record time:
+    allocation and recording are then atomic at the primary, so a batch
+    lost in flight can never orphan an allocated slot and punch a
+    permanent hole into the primary's log.
     """
 
     coordinator: Hashable
@@ -218,10 +186,11 @@ class ReplicaSyncBatch:
 class ReplicaSyncBatchAck:
     """One ack for a whole ReplicaSyncBatch, with per-transaction results.
 
-    ``results`` maps each entry's tid to ``(ok, reason)`` so the outbox can
-    settle every waiting coordinator individually (one refused entry must
-    not fail its batch-mates). ``assigned`` maps tids to primary-assigned
-    LSNs when the batch carried ``lsn=0`` entries (quorum log-only path).
+    ``results`` maps each entry's tid to ``(ok, reason)`` — reason is
+    'stale-epoch' | 'refused' | 'gap' | 'not-hosted' | 'finished' when not
+    ok — so the outbox can settle every waiting coordinator individually
+    (one refused entry must not fail its batch-mates). ``assigned`` maps
+    tids to primary-assigned LSNs when the batch carried ``lsn=0`` entries.
     """
 
     site: Hashable

@@ -65,10 +65,8 @@ from .messages import (
     ReadRepairNudge,
     RemoteOpRequest,
     RemoteOpResult,
-    ReplicaSyncAck,
     ReplicaSyncBatch,
     ReplicaSyncBatchAck,
-    ReplicaSyncRequest,
     SiteDownNotice,
     SiteUpNotice,
     TxOutcome,
@@ -90,13 +88,14 @@ from .transaction import Operation, OpKind, Transaction, TxId, TxState
 
 @dataclass
 class _SyncOutbox:
-    """Group-commit staging area: one per (primary, document) pair.
+    """Commit-time sync staging area: one per (primary, document) pair.
 
-    Transactions that reach the eager replica-sync step while the window
-    is open enqueue their per-document update batch here instead of
-    sending their own ReplicaSyncRequest round; the flush process turns
-    the whole queue into one ReplicaSyncBatch per target and settles every
-    queued transaction's waiter event with its individual outcome.
+    Every transaction that reaches the replica-sync step of its commit
+    enqueues its per-document update batch here; the flush process the
+    first entry starts waits out ``group_commit_window_ms`` (0 = no
+    simulated delay), turns the whole queue into one ReplicaSyncBatch per
+    target and settles every queued transaction's waiter event with its
+    individual outcome. An uncontended commit is a batch of one.
     """
 
     primary: Hashable
@@ -109,17 +108,18 @@ class _SyncOutbox:
 class _SyncBatchState:
     """Ack collection for one in-flight ReplicaSyncBatch fan-out.
 
-    Under quorum writes ``quorum_needed`` > 0 fires the round early: as
-    soon as every transaction in the batch has that many *ok* remote acks
-    (on top of the coordinator-local durable record), nobody waits for the
-    stragglers.
+    Under quorum writes ``needed`` maps each riding transaction to the
+    *ok* remote acks that settle it (its own W - 1: the per-transaction
+    ``write_quorum_w`` override rides the shared batch). The round fires
+    early as soon as every transaction has its count (on top of the
+    primary's durable record) — nobody waits for the stragglers. Empty
+    means an all-ack round.
     """
 
     expected: set = field(default_factory=set)  # sites still to answer
     acks: dict = field(default_factory=dict)  # site -> ReplicaSyncBatchAck
     event: object = None
-    quorum_needed: int = 0  # ok remote acks per transaction (0 = all-ack)
-    tids: list = field(default_factory=list)  # transactions riding the batch
+    needed: dict = field(default_factory=dict)  # tid -> ok remote acks
 
 
 @dataclass
@@ -168,12 +168,12 @@ class SiteStats:
     wake_notices_sent: int = 0
     waiter_wakes: int = 0  # waiters woken at this site (local + remote)
     spec_cache_hits: int = 0  # retries that reused a cached LockSpec
-    group_batches_sent: int = 0  # ReplicaSyncBatch messages sent from here
-    group_batched_syncs: int = 0  # per-tx sync batches that rode a group batch
+    group_batches_sent: int = 0  # commit-time ReplicaSyncBatch messages sent from here
+    group_batched_syncs: int = 0  # per-tx, per-document syncs shipped at commit time
     undo_ops: int = 0
     coordinated: int = 0
     peak_lock_count: int = 0
-    replica_syncs_served: int = 0  # ReplicaSyncRequests applied at this site
+    replica_syncs_served: int = 0  # sync entries recorded/applied at this site
     reads_routed: int = 0  # queries this coordinator routed to one replica
     crashes: int = 0
     recoveries: int = 0
@@ -311,7 +311,7 @@ class DTXSite:
         # targeted policy cannot lose the wake-up a broadcast would have
         # delivered then.
         self._deferred_wake_keys: dict = {}
-        # Group commit (config.group_commit_window_ms > 0).
+        # Commit-time replica sync: staging outboxes and in-flight rounds.
         self._sync_outboxes: dict[tuple, _SyncOutbox] = {}
         self._sync_batches: dict[int, _SyncBatchState] = {}
         self._batch_seq = 0
@@ -338,7 +338,7 @@ class DTXSite:
         # Fault tolerance. ``alive`` gates every externally visible effect;
         # ``logs`` is the durable per-document update log (survives crashes,
         # like the storage backend); ``faults`` is the cluster's
-        # FaultManager (None for a standalone site: crash/recover degrade
+        # MembershipService (None for a standalone site: crash/recover degrade
         # to local state wipes).
         self.alive = True
         self.incarnation = 0  # bumped on every recovery; fences stale work
@@ -368,8 +368,8 @@ class DTXSite:
         self._heartbeat_seq = 0
         # Lazy-propagation outbox: doc -> pending UpdateLogEntry list; the
         # flush that the first entry schedules ships the whole queue as one
-        # ReplicaSyncBatch per live secondary (the group-commit machinery's
-        # batching, reused on the asynchronous path).
+        # ReplicaSyncBatch per live secondary (the commit-time sync's wire
+        # format, reused on the asynchronous path).
         self._lazy_outboxes: dict[str, list] = {}
         # Materialized views (repro.views). All of it stays empty/None
         # unless a view is registered somewhere: ``_views`` is the lazily
@@ -673,9 +673,6 @@ class DTXSite:
     def _on_undo_request(self, msg: UndoOpRequest) -> None:
         self.env.process(self._handle_undo_request(msg))
 
-    def _on_replica_sync(self, msg: ReplicaSyncRequest) -> None:
-        self.env.process(self._handle_replica_sync(msg))
-
     def _on_replica_sync_batch(self, msg: ReplicaSyncBatch) -> None:
         self.env.process(self._handle_replica_sync_batch(msg))
 
@@ -722,13 +719,11 @@ class DTXSite:
             RemoteOpRequest: self.remote_ops.put,
             RemoteOpResult: self._on_op_result,
             UndoOpRequest: self._on_undo_request,
-            ReplicaSyncRequest: self._on_replica_sync,
             ReplicaSyncBatch: self._on_replica_sync_batch,
             ReplicaSyncBatchAck: self._on_batch_ack,
             CommitRequest: self._on_commit_request,
             AbortRequest: self._on_abort_request,
             UndoOpAck: self._on_ack,
-            ReplicaSyncAck: self._on_ack,
             CommitAck: self._on_ack,
             AbortAck: self._on_ack,
             FailNotice: self._handle_fail_notice,
@@ -1194,46 +1189,15 @@ class DTXSite:
             UndoOpAck(tid=msg.tid, site=self.site_id, op_index=msg.op_index, attempt=msg.attempt),
         )
 
-    def _handle_replica_sync(self, msg: ReplicaSyncRequest):
-        """Record (and, at secondaries, apply) one committed update batch.
-
-        No locks are taken and no undo is recorded: the batch is already
-        committed at the primary, whose lock table ordered conflicting
-        writers. The LSN/epoch checks make the apply idempotent (a
-        replayed entry is skipped — one copy remains), gap-healing (missed
-        entries are pulled from the primary first) and fenced (batches
-        stamped with a pre-promotion epoch are refused). All operations of
-        a batch are applied before any simulated time passes, so a sync is
-        atomic with respect to concurrent local reads.
-        """
-        if self._maybe_crash("sync-recv"):
-            return  # crashed before applying anything
-        if self.should_refuse(msg.tid, self.refuse_sync):
-            self.stats.syncs_refused += 1
-            yield (0)
-            self._send_sync_ack(msg, ok=False, reason="refused")
-            return
-        tr = self.tracer
-        apply_start = self.env.now if tr is not None else 0.0
-        result = yield from self._ingest_sync_entry(
-            msg.doc_name, msg.tid, msg.lsn, msg.epoch, msg.ops, msg.log_only
-        )
-        if tr is not None:
-            tr.add(
-                "sync_apply", "sync", self.site_id, tr.live_parent(msg.span),
-                apply_start, self.env.now,
-                {"doc": msg.doc_name, "site": str(self.site_id)},
-            )
-        if result is None:
-            return  # crashed mid-ingest: no ack (senders recover via site-down)
-        ok, reason, lsn = result
-        self._send_sync_ack(msg, ok=ok, reason=reason, lsn=lsn)
-
     def _handle_replica_sync_batch(self, msg: ReplicaSyncBatch):
-        """Group commit: ingest several transactions' batches, one ack.
+        """Record (and, at secondaries, apply) committed update batches: one
+        entry per riding transaction, one ack for the message.
 
-        Every entry goes through the same idempotent LSN/epoch machinery as
-        a single sync; the per-transaction outcomes are collected into one
+        No locks are taken and no undo is recorded: the entries are
+        already committed at the primary, whose lock table ordered
+        conflicting writers. Every entry goes through the idempotent
+        LSN/epoch machinery of :meth:`_ingest_sync_entry`; the
+        per-transaction outcomes are collected into one
         :class:`ReplicaSyncBatchAck` so a refused entry does not fail its
         batch-mates.
         """
@@ -1260,7 +1224,7 @@ class DTXSite:
             ok, reason, lsn = result
             results[entry.tid] = (ok, reason)
             if ok and entry.lsn == 0:
-                assigned[entry.tid] = lsn  # primary-assigned (quorum path)
+                assigned[entry.tid] = lsn  # primary-assigned
         if tr is not None:
             tr.add(
                 "sync_apply", "sync", self.site_id, tr.live_parent(msg.span),
@@ -1281,18 +1245,18 @@ class DTXSite:
         """Incorporate one committed update batch; ``(ok, reason, lsn)`` or
         ``None`` when the site crashed mid-ingest (the caller must not ack).
 
-        Shared by the single-sync and group-commit paths — the LSN/epoch
-        checks make the apply idempotent (a replayed entry is skipped),
-        gap-healing (missed entries are pulled from the primary first) and
-        fenced (batches stamped with a pre-promotion epoch are refused).
-        All operations of a batch are applied before any simulated time
-        passes, so a sync is atomic with respect to concurrent local reads.
+        The LSN/epoch checks make the apply idempotent (a replayed entry
+        is skipped — one copy remains), gap-healing (missed entries are
+        pulled from the primary first) and fenced (batches stamped with a
+        pre-promotion epoch are refused). All operations of a batch are
+        applied before any simulated time passes, so a sync is atomic with
+        respect to concurrent local reads.
 
-        A ``log_only`` ingest with ``lsn=0`` (the quorum write path)
-        *assigns* the LSN here, after the epoch fence passed: allocation
-        and recording are atomic at the primary, so no slot can be
-        orphaned by a message lost in flight. The assigned LSN rides back
-        in the third tuple element.
+        A ``log_only`` ingest with ``lsn=0`` (a coordinator that is not
+        the primary) *assigns* the LSN here, after the epoch fence passed:
+        allocation and recording are atomic at the primary, so no slot can
+        be orphaned by a message lost in flight. The assigned LSN rides
+        back in the third tuple element.
         """
         # Serialize with an in-flight catch-up on the same document.
         while doc_name in self._catchup_gates:
@@ -1412,18 +1376,6 @@ class DTXSite:
             return None  # crashed after the durable apply, before the ack
         return True, "", lsn
 
-    def _send_sync_ack(
-        self, msg: ReplicaSyncRequest, ok: bool, reason: str = "", lsn: int = 0
-    ) -> None:
-        self.network.send(
-            self.site_id,
-            msg.coordinator,
-            ReplicaSyncAck(
-                tid=msg.tid, site=self.site_id, doc_name=msg.doc_name,
-                ok=ok, reason=reason, lsn=lsn or msg.lsn,
-            ),
-        )
-
     def _apply_log_entry(self, entry: UpdateLogEntry, apply_data: bool = True) -> float:
         """Apply one update batch and record it durably; returns the cost.
 
@@ -1517,20 +1469,16 @@ class DTXSite:
             return
         expected_phase = {
             UndoOpAck: "undo",
-            ReplicaSyncAck: "sync",
             CommitAck: "commit",
             AbortAck: "abort",
         }[type(msg)]
         if rec.phase != expected_phase:
             return
-        # Sync rounds carry one message per (site, document) pair; the
-        # other rounds are keyed by site alone.
-        key = (msg.site, msg.doc_name) if isinstance(msg, ReplicaSyncAck) else msg.site
-        rec.acks[key] = msg
+        rec.acks[msg.site] = msg
         if (
             rec.ack_event is not None
             and not rec.ack_event.triggered
-            and (set(rec.acks) >= rec.ack_expected or self._ack_quorum_met(rec))
+            and set(rec.acks) >= rec.ack_expected
         ):
             rec.ack_event.succeed(dict(rec.acks))
 
@@ -1545,34 +1493,11 @@ class DTXSite:
             degree, rec.tx.read_quorum_r, rec.tx.write_quorum_w
         )
 
-    def _ack_quorum_met(self, rec: CoordinatorRecord) -> bool:
-        """Whether a quorum-write sync round can settle before every ack.
-
-        True when every document in the round has collected its required
-        number of *ok* remote acks — the quorum regime's whole point:
-        stragglers (and everything behind a partition) no longer gate the
-        commit. All-ack rounds (``ack_quorum`` empty) never settle early.
-        """
-        if not rec.ack_quorum:
-            return False
-        for doc_name, needed in rec.ack_quorum.items():
-            got = sum(
-                1
-                for key, ack in rec.acks.items()
-                if isinstance(key, tuple) and key[1] == doc_name and ack.ok
-            )
-            if got < needed:
-                return False
-        return True
-
-    def _collect_acks(
-        self, rec: CoordinatorRecord, phase: str, sites: list, quorum: dict = None
-    ) -> None:
+    def _collect_acks(self, rec: CoordinatorRecord, phase: str, sites: list) -> None:
         rec.phase = phase
         rec.ack_expected = set(sites)
         rec.acks = {}
         rec.down_acks = set()
-        rec.ack_quorum = quorum or {}
         rec.ack_event = self.env.event()
 
     def _round_timeout_ms(self) -> float:
@@ -1596,22 +1521,15 @@ class DTXSite:
         answered are recorded like crashed-mid-round participants
         (``down_acks`` — outcome unknown), which the commit path already
         knows how to degrade safely.
-
-        Quorum-write rounds (``rec.ack_quorum``) are bounded under *both*
-        detectors: the round usually settles early (W ok-acks fire the
-        event), but when a partition keeps W out of reach nothing else
-        would ever fire under the perfect detector — the partitioned
-        peers are alive, so no SiteDownNotice comes.
         """
-        if self.membership is None and not rec.ack_quorum:
+        if self.membership is None:
             acks = yield rec.ack_event
             return acks
         timeout_ev = self.env.timeout(self._round_timeout_ms(), value=None)
         fired = yield self.env.any_of([rec.ack_event, timeout_ev])
         if rec.ack_event in fired:
             return fired[rec.ack_event]
-        for key in set(rec.ack_expected) - set(rec.acks):
-            rec.down_acks.add(key[0] if isinstance(key, tuple) else key)
+        rec.down_acks |= rec.ack_expected - set(rec.acks)
         rec.ack_event = None
         return dict(rec.acks)
 
@@ -2134,99 +2052,22 @@ class DTXSite:
 
         Runs at the top of the commit procedure, while the primary's locks
         are still held — conflicting writers therefore sync in lock-grant
-        order and secondaries apply transactions in commit order. Per
-        document one LSN is allocated; the batch is recorded in the
-        primary's durable log (locally when the coordinator is the
-        primary, via a log-only sync otherwise) and applied at every live
-        secondary. Crashed or refusing secondaries are skipped — they
-        catch the batch up from the log later — so a single dead replica
-        no longer blocks the commit. Under ``replica_write_policy="primary"``
-        the round waits for every live secondary's ack; under ``"quorum"``
-        it settles once W replicas durably hold each batch and the
-        stragglers' acks are ignored (they still apply the batch, late).
-        Returns False when the epoch fence refused the batch (this
-        coordinator acted on a deposed primary) or the durable-copies
-        quorum could not be assembled: the caller must unwind.
+        order and secondaries apply transactions in commit order. Each
+        written document's batch is staged in its (primary, document)
+        outbox and rides the one primary-first batch round of
+        :meth:`_flush_sequenced_batch`, shared with whatever else reached
+        commit before the outbox flushed. Crashed or refusing secondaries
+        are skipped — they catch the batch up from the log later — so a
+        single dead replica does not block the commit. Returns False when
+        the epoch fence refused the batch (this coordinator acted on a
+        deposed primary) or the durable-copies quorum could not be
+        assembled: the caller must unwind.
         """
         per_doc: dict[str, list] = {}
         for op in rec.tx.operations:
             if op.kind is OpKind.UPDATE and op.executed:
                 per_doc.setdefault(op.doc_name, []).append(op)
-        if not per_doc:
-            return True
-        if self.config.group_commit_window_ms > 0 and not rec.tx.write_quorum_w:
-            # A transaction with its own write quorum cannot share the
-            # outbox (a batch settles on *one* W for all its members);
-            # it takes the sequenced per-transaction path below instead.
-            # Group commit: stage each batch in the (primary, doc) outbox
-            # and share the sync rounds with every transaction that
-            # reaches commit within the window. Drain *every* waiter
-            # before deciding: another document's batch may have durably
-            # applied (rec.synced), which turns a failure into
-            # fail-with-state-kept, not abort.
-            group_waits: list = []
-            for doc_name, ops in per_doc.items():
-                rset = self.catalog.replica_set(doc_name)
-                if not rset.is_replicated:
-                    continue  # single copy: commit/abort handle it alone
-                origin = rec.write_sites.get(doc_name, set())
-                if origin != {rset.primary} or any(
-                    not self._peer_up(s) for s in origin
-                ):
-                    rec.abort_reason = "participant-crashed"
-                    return False
-                group_waits.append(self._enqueue_group_sync(rec, doc_name, ops))
-            outcomes = []
-            for waiter in group_waits:
-                outcome = yield waiter
-                self._check_alive()
-                outcomes.append(outcome)
-            failed_reason = ""
-            for outcome in outcomes:
-                if outcome is None:  # outbox wiped by a crash we survived?
-                    failed_reason = failed_reason or "participant-crashed"
-                    continue
-                if outcome["synced"]:
-                    rec.synced = True
-                if not outcome["ok"]:
-                    failed_reason = outcome["reason"] or "sync-failed"
-            if failed_reason:
-                rec.abort_reason = failed_reason
-                return False
-            return True
-        result = yield from self._sync_replicas_sequenced(rec, per_doc)
-        return result
-
-    def _sync_replicas_sequenced(self, rec: CoordinatorRecord, per_doc: dict):
-        """Replica synchronization, primary first: both eager and quorum.
-
-        Two sub-rounds instead of a single fan-out, and the ordering is
-        load-bearing: the batch reaches **the primary's durable log
-        before any secondary sees it**. A secondary can therefore never
-        hold a batch its primary does not — with a parallel fan-out, a
-        coordinator cut off mid-fan could leave a batch applied at a
-        secondary while the primary (which never got its log-only record)
-        orphan-aborts the transaction and undoes the effects: permanent
-        divergence no anti-entropy could repair, because catch-up serves
-        from the primary's log. LSNs are primary-assigned for the same
-        reason (allocation = recording, atomic at the primary): a
-        pre-allocated slot whose record message died in flight would
-        punch a permanent hole into the primary's log and wedge its
-        applied watermark — and every catch-up above it — forever.
-
-        Round 1 records the batch at each document's primary (locally
-        when this coordinator is the primary). Round 2 fans the batch to
-        the live secondaries; under ``"primary"`` (eager) it waits for
-        every live secondary's ack, under ``"quorum"`` it settles as soon
-        as every document has ``W - 1`` ok acks (the primary's record is
-        the W-th copy) — the commit stops tracking the slowest replica.
-        Quorum rounds are timeout-bounded under either detector; eager
-        rounds keep the perfect-mode oracle (SiteDownNotice unsticks) and
-        the lease-mode timeout.
-        """
-        staged: dict[str, tuple] = {}  # doc -> (lsn, epoch, ops)
-        primary_keys: list = []
-        primary_sends: list = []
+        staged: list = []
         for doc_name, ops in per_doc.items():
             rset = self.catalog.replica_set(doc_name)
             if not rset.is_replicated:
@@ -2247,199 +2088,39 @@ class DTXSite:
                 # primary).
                 rec.abort_reason = "participant-crashed"
                 return False
-            # No fail-fast even when too few replicas look reachable to
-            # ever assemble W: the batch must reach the primary's log
-            # first regardless. A hopeless quorum then fails with state
-            # kept *and logged* — an unlogged kept effect at the primary
-            # would be invisible to catch-up and diverge the replicas
-            # permanently.
-            epoch = self.catalog.epoch(doc_name)
-            if rset.primary == self.site_id:
-                # Allocation and record are one atomic step at the
-                # primary: no yield separates them, so no slot can be
-                # orphaned (a permanent hole would wedge the applied
-                # watermark and with it catch-up serving forever).
-                lsn = self.catalog.allocate_lsn(doc_name)
-                staged[doc_name] = (lsn, epoch, ops)
-                self._apply_log_entry(
-                    UpdateLogEntry(
-                        lsn=lsn, epoch=epoch, tid=rec.tid,
-                        doc_name=doc_name, ops=tuple(ops),
-                    ),
-                    apply_data=False,
-                )
-                self._persist_kept(self.tx_contexts.get(rec.tid), doc_name, ops)
-                rec.synced = True
-            else:
-                # Remote primary: the LSN is *assigned at the primary*
-                # when it records (lsn=0 in the request) — a request lost
-                # in flight then orphans nothing.
-                staged[doc_name] = (0, epoch, ops)
-                primary_keys.append((rset.primary, doc_name))
-                primary_sends.append(
-                    (
-                        rset.primary,
-                        ReplicaSyncRequest(
-                            tid=rec.tid, coordinator=self.site_id,
-                            doc_name=doc_name, lsn=0, epoch=epoch,
-                            log_only=True, ops=list(ops),
-                        ),
-                    )
-                )
-        if not staged:
-            return True
-        # Bounded rounds belong to the lease detector (messages can be
-        # silently lost) and to the quorum regime (bounded under either
-        # detector, by design). Eager writes under the perfect detector
-        # keep the oracle contract: the round waits until every ack
-        # arrives or a SiteDownNotice unsticks it — a merely *slow* ack
-        # (e.g. a primary serializing behind its catch-up gate) must not
-        # time a committable transaction out into a permanent failure.
-        bounded = self.membership is not None or self.replication.is_quorum_write
-        if primary_keys:
-            # Round 1: the remote primaries' durable records. One ok ack
-            # per document settles it (early fire through the quorum
-            # machinery; the timeout covers a primary behind a cut).
-            self._collect_acks(
-                rec, "sync", primary_keys,
-                quorum=(
-                    {doc_name: 1 for _, doc_name in primary_keys}
-                    if bounded
-                    else None
-                ),
-            )
-            tr = self.tracer
-            for target, msg in primary_sends:
-                if tr is not None:
-                    msg.span = rec.op_span
-                delay = self.network.send(self.site_id, target, msg)
-                if tr is not None:
-                    tr.add_flight("send", "net", self.site_id, rec.op_span,
-                           self.env.now, self.env.now + delay,
-                           {"dst": str(target)})
-            acks = yield from self._await_acks(rec)
-            rec.phase = ""
+            staged.append((doc_name, ops))
+        # Stage only after every document passed the check: a batch
+        # already in an outbox ships whatever its transaction does next,
+        # and a clean abort must not race a durable record of its effects.
+        waiters = [
+            self._enqueue_group_sync(rec, doc_name, ops) for doc_name, ops in staged
+        ]
+        # Drain *every* waiter before deciding: another document's batch
+        # may have durably applied (rec.synced), which turns a failure
+        # into fail-with-state-kept, not abort.
+        failed_reason = ""
+        for waiter in waiters:
+            outcome = yield waiter
             self._check_alive()
-            if any(a.ok for a in acks.values()):
+            if outcome is None:  # outbox of a crashed, since-restarted life
+                failed_reason = failed_reason or "participant-crashed"
+                continue
+            if outcome["synced"]:
                 rec.synced = True
-            if any(not a.ok and a.reason == "stale-epoch" for a in acks.values()):
-                rec.abort_reason = "stale-epoch"
-                return False
-            for site, doc_name in primary_keys:
-                ack = acks.get((site, doc_name))
-                if ack is None:
-                    if self.membership is None and site in rec.down_acks:
-                        # Perfect detector: the only way an ack goes
-                        # missing is the primary crashing mid-round. The
-                        # failover re-points the catalog and epoch-fences
-                        # whatever the dead primary may have recorded;
-                        # nothing reached a secondary, so unwind cleanly
-                        # (the old single-round path reached the same end
-                        # through its origin check).
-                        rec.abort_reason = "participant-crashed"
-                        return False
-                    # Ambiguous: the request or its ack was lost — the
-                    # primary may well have recorded the batch. A clean
-                    # abort could undo a durable record, so the unwind
-                    # must keep state (``synced``); the primary's own
-                    # record/no-record fact settles the final outcome
-                    # through orphan resolution and kept-effect logging.
-                    rec.synced = True
-                    rec.abort_reason = "sync-quorum-lost"
-                    return False
-                if not ack.ok:
-                    # Explicit refusal: the primary did not record, and
-                    # no secondary has seen the batch — unwinding is
-                    # clean unless another document already synced.
-                    rec.abort_reason = "sync-quorum-lost"
-                    return False
-                lsn, epoch, ops = staged[doc_name]
-                staged[doc_name] = (ack.lsn, epoch, ops)
-        is_quorum = self.replication.is_quorum_write
-        sec_keys: list = []
-        sec_sends: list = []
-        goal: dict = {}
-        for doc_name, (lsn, epoch, ops) in staged.items():
-            rset = self.catalog.replica_set(doc_name)
-            if is_quorum:
-                spec = self._quorum_spec(rec, rset.degree)
-                needed = spec.write_quorum - 1  # the primary's record counts
-                if needed > 0:
-                    goal[doc_name] = needed
-            for target in self.replication.sync_targets(rset):
-                if not self._peer_up(target):
-                    continue  # dead secondary: catches up later
-                sec_keys.append((target, doc_name))
-                sec_sends.append(
-                    (
-                        target,
-                        ReplicaSyncRequest(
-                            tid=rec.tid, coordinator=self.site_id,
-                            doc_name=doc_name, lsn=lsn, epoch=epoch,
-                            ops=list(ops),
-                        ),
-                    )
-                )
-        acks = {}
-        if sec_keys:
-            # Round 2: fan to the secondaries. Quorum: W-1 ok acks per
-            # document settle the round, stragglers apply the batch late.
-            # Eager: every live secondary's ack is awaited (the client
-            # sees the commit only once all of them hold the batch).
-            self._collect_acks(rec, "sync", sec_keys, quorum=goal)
-            tr = self.tracer
-            for target, msg in sec_sends:
-                if tr is not None:
-                    msg.span = rec.op_span
-                delay = self.network.send(self.site_id, target, msg)
-                if tr is not None:
-                    tr.add_flight("send", "net", self.site_id, rec.op_span,
-                           self.env.now, self.env.now + delay,
-                           {"dst": str(target)})
-            acks = yield from self._await_acks(rec)
-            rec.phase = ""
-            self._check_alive()
-            if any(a.ok for a in acks.values()):
-                rec.synced = True
-            if any(not a.ok and a.reason == "stale-epoch" for a in acks.values()):
-                rec.abort_reason = "stale-epoch"
-                return False
-        for doc_name in staged:
-            rset = self.catalog.replica_set(doc_name)
-            remote_ok = sum(
-                1
-                for site in rset.secondaries
-                if (ack := acks.get((site, doc_name))) is not None and ack.ok
-            )
-            if is_quorum:
-                spec = self._quorum_spec(rec, rset.degree)
-                self.stats.sync_acks_awaited += remote_ok
-                if 1 + remote_ok < spec.write_quorum:
-                    rec.abort_reason = "sync-quorum-lost"
-                    return False
-            elif self.membership is not None:
-                # Eager lease-mode sync quorum (PR 4's no-split-brain
-                # rule): a durable majority of the replica set — with the
-                # primary's record, guaranteed by round 1, as one vote. A
-                # primary cut off from its peers, or a coordinator whose
-                # syncs fell into a partition, cannot reach it: the
-                # minority side never commits.
-                if 2 * (1 + remote_ok) <= rset.degree:
-                    rec.abort_reason = "sync-quorum-lost"
-                    return False
+            if not outcome["ok"]:
+                failed_reason = outcome["reason"] or "sync-failed"
+        if failed_reason:
+            rec.abort_reason = failed_reason
+            return False
         return True
-
-    # ------------------------------------------------------------------
-    # group commit (config.group_commit_window_ms > 0)
-    # ------------------------------------------------------------------
 
     def _enqueue_group_sync(self, rec: CoordinatorRecord, doc_name: str, ops):
         """Stage one transaction's per-document batch in the sync outbox.
 
         Returns the event the coordinator must yield on; it fires with the
         transaction's individual outcome dict (``ok``/``synced``/``reason``)
-        once the batch's single ack round completes — or with ``None`` when
-        this site crashed while the batch was pending.
+        once the batch's ack rounds complete — or with ``None`` when this
+        site crashed while the batch was pending.
         """
         rset = self.catalog.replica_set(doc_name)
         key = (rset.primary, doc_name)
@@ -2468,12 +2149,12 @@ class DTXSite:
     def _flush_sync_outbox(self, key, box: _SyncOutbox, incarnation: int):
         """Turn one outbox's queue into one shared (sequenced) sync round.
 
-        After the window closes: re-validate each queued transaction the
-        way the unbatched path would (its executing copy must still be
-        the live primary — a failover or crash during the window fails
-        that transaction, not the whole batch), then run the primary-
-        first batch rounds of :meth:`_flush_sequenced_batch` and settle
-        every waiter from the collected per-transaction ack results.
+        After the window closes: re-validate each queued transaction (its
+        executing copy must still be the live primary — a failover or
+        crash during the window fails that transaction, not the whole
+        batch), then run the primary-first batch rounds of
+        :meth:`_flush_sequenced_batch` and settle every waiter from the
+        collected per-transaction ack results.
         """
         yield (self.config.group_commit_window_ms)
         box.open = False
@@ -2496,39 +2177,44 @@ class DTXSite:
                 )
             else:
                 valid.append((rec, ops, waiter))
-        if not valid or not rset.is_replicated:
+        if not rset.is_replicated:
+            # The replica set shrank to one copy while the batch waited (a
+            # migration drained the other holders): nothing to sync, and
+            # commit handles a single copy alone — exactly what the
+            # enqueue-time check says about a document that never was
+            # replicated.
+            for _, _, waiter in valid:
+                waiter.succeed({"ok": True, "synced": False, "reason": ""})
+            return
+        if not valid:
             return
         self.stats.group_batched_syncs += len(valid)
         yield from self._flush_sequenced_batch(box, incarnation, rset, valid)
 
     def _ship_batch_round(self, doc_name: str, targets: list, entries: list,
-                          quorum_needed: int, bounded: bool = True):
+                          needed: dict, bounded: bool, parent_span: int):
         """Fan one ReplicaSyncBatch to ``targets`` and wait it out.
 
-        The round settles early once every entry's transaction has
-        ``quorum_needed`` ok results (0 = wait for every target), and
-        with ``bounded`` a timeout covers peers behind a cut. Eager
-        rounds under the perfect detector pass ``bounded=False`` to keep
-        the oracle contract: wait for every ack, or for the
-        SiteDownNotice that unsticks the round. Returns the
-        :class:`_SyncBatchState` with whatever acks arrived.
+        The round settles early once every transaction in ``needed`` has
+        its count of ok results (empty = wait for every target), and with
+        ``bounded`` a timeout covers peers behind a cut. Eager rounds
+        under the perfect detector pass ``bounded=False`` to keep the
+        oracle contract: wait for every ack, or for the SiteDownNotice
+        that unsticks the round. Returns the :class:`_SyncBatchState`
+        with whatever acks arrived.
         """
         self._batch_seq += 1
         batch_id = self._batch_seq
         state = _SyncBatchState(
             expected={site for site, _ in targets},
             event=self.env.event(),
-            quorum_needed=quorum_needed,
-            tids=[entry.tid for entry in entries],
+            needed=needed,
         )
         self._sync_batches[batch_id] = state
         tr = self.tracer
-        # A batch round aggregates several transactions' entries, so its
-        # span is a *global* one (parent 0): it cannot belong to any
-        # single transaction's tree.
         batch_span = (
             tr.begin(
-                "batch_round", "sync", self.site_id, 0, self.env.now,
+                "batch_round", "sync", self.site_id, parent_span, self.env.now,
                 {"doc": doc_name, "entries": str(len(entries))},
             )
             if tr is not None
@@ -2558,39 +2244,81 @@ class DTXSite:
 
     def _flush_sequenced_batch(self, box: _SyncOutbox, incarnation: int, rset,
                                valid: list):
-        """Group-commit settlement, primary first (eager and quorum).
+        """Commit-time sync settlement, primary first (eager and quorum).
 
-        The same two-round ordering as :meth:`_sync_replicas_sequenced`,
-        per batch: the whole batch reaches the primary's durable log
-        before any secondary sees any of it (a secondary must never hold
-        a batch its primary does not), then one fan-out to the live
-        secondaries settles each transaction — at ``W - 1`` ok acks on
-        top of the primary's record under quorum writes, at every live
-        secondary's ack under eager writes. LSNs are primary-assigned:
-        allocated with the local append when this coordinator is the
-        primary, or assigned at record time by the remote primary
-        (entries ship with lsn=0) so a batch lost in flight orphans no
-        slot. Entries the primary refused are withheld from the secondary
-        fan-out — shipping them would recreate exactly the divergence the
-        ordering exists to prevent.
+        Two sub-rounds instead of a single fan-out, and the ordering is
+        load-bearing: the whole batch reaches **the primary's durable log
+        before any secondary sees any of it**. A secondary can therefore
+        never hold a batch its primary does not — with a parallel
+        fan-out, a coordinator cut off mid-fan could leave a batch
+        applied at a secondary while the primary (which never got its
+        log-only record) orphan-aborts the transaction and undoes the
+        effects: permanent divergence no anti-entropy could repair,
+        because catch-up serves from the primary's log. LSNs are
+        primary-assigned for the same reason (allocation = recording,
+        atomic at the primary): allocated with the local append when this
+        coordinator is the primary, or assigned at record time by the
+        remote primary (entries ship with lsn=0) — a pre-allocated slot
+        whose record message died in flight would punch a permanent hole
+        into the primary's log and wedge its applied watermark, and every
+        catch-up above it, forever.
+
+        Round 1 records the batch at the primary. Round 2 fans it to the
+        live secondaries and settles each transaction — at its own
+        ``W - 1`` ok acks on top of the primary's record under quorum
+        writes (stragglers apply the batch late; the commit stops
+        tracking the slowest replica), at every live secondary's ack
+        under eager writes. Entries the primary refused are withheld from
+        the secondary fan-out — shipping them would recreate exactly the
+        divergence the ordering exists to prevent.
+
+        There is no fail-fast even when too few replicas look reachable
+        to ever assemble W: the batch must reach the primary's log first
+        regardless. A hopeless quorum then fails with state kept *and
+        logged* — an unlogged kept effect at the primary would be
+        invisible to catch-up and diverge the replicas permanently.
         """
         doc_name = box.doc_name
         is_quorum = self.replication.is_quorum_write
+        # Each transaction settles against its own (N, R, W): a
+        # per-transaction write_quorum_w shares the batch with default-W
+        # batch-mates.
         quorum_w = (
-            self.replication.quorum_for(rset.degree).write_quorum
+            {
+                rec.tid: self._quorum_spec(rec, rset.degree).write_quorum
+                for rec, _, _ in valid
+            }
             if is_quorum
-            else 0
+            else {}
         )
-        # Same boundedness rule as the unbatched path: lease mode and the
-        # quorum regime are timeout-bounded; eager-perfect rounds wait on
-        # the oracle (all acks, or SiteDownNotice).
+        # Bounded rounds belong to the lease detector (messages can be
+        # silently lost) and to the quorum regime (bounded under either
+        # detector, by design: when a partition keeps W out of reach the
+        # partitioned peers are alive, so no SiteDownNotice ever comes).
+        # Eager writes under the perfect detector keep the oracle
+        # contract: the round waits until every ack arrives or a
+        # SiteDownNotice unsticks it — a merely *slow* ack (e.g. a primary
+        # serializing behind its catch-up gate) must not time a
+        # committable transaction out into a permanent failure.
         bounded = self.membership is not None or is_quorum
+        # A round whose entries all belong to one transaction is that
+        # transaction's own work: its span and network flights nest under
+        # the transaction's replica_sync span. A shared round cannot
+        # belong to any single transaction's tree and stays global
+        # (op_span is 0 with tracing off).
+        def round_parent(round_entries: list) -> int:
+            if len(round_entries) != 1:
+                return 0
+            tid = round_entries[0].tid
+            return next(rec.op_span for rec, _, _ in valid if rec.tid == tid)
+
         epoch = self.catalog.epoch(doc_name)
         primary_ok: dict = {}  # tid -> (ok, reason)
         entries: list = []
         if rset.primary == self.site_id:
-            # Batched local log append, exactly like the eager flush;
-            # allocation and record are one atomic step per entry.
+            # Batched local log append; allocation and record are one
+            # atomic step per entry (no yield separates them, so no slot
+            # can be orphaned).
             for rec, ops, _ in valid:
                 entry = UpdateLogEntry(
                     lsn=self.catalog.allocate_lsn(doc_name), epoch=epoch,
@@ -2602,16 +2330,6 @@ class DTXSite:
                 rec.synced = True
                 primary_ok[entry.tid] = (True, "")
         else:
-            if not self.network.is_up(rset.primary):
-                for rec, _, waiter in valid:
-                    waiter.succeed(
-                        {
-                            "ok": False,
-                            "synced": rec.synced,
-                            "reason": "participant-crashed",
-                        }
-                    )
-                return
             entries = [
                 UpdateLogEntry(
                     lsn=0, epoch=epoch, tid=rec.tid,
@@ -2621,7 +2339,7 @@ class DTXSite:
             ]
             state = yield from self._ship_batch_round(
                 doc_name, [(rset.primary, True)], entries,
-                quorum_needed=1, bounded=bounded,
+                needed={}, bounded=bounded, parent_span=round_parent(entries),
             )
             if self._outbox_died(box, incarnation):
                 return
@@ -2674,12 +2392,18 @@ class DTXSite:
             if self._peer_up(target)
         ]
         good_entries = [e for e in entries if primary_ok[e.tid][0]]
+        # The primary's record is one of the W copies; eager rounds leave
+        # ``needed`` empty and wait for every live secondary.
+        needed = (
+            {e.tid: max(1, quorum_w[e.tid] - 1) for e in good_entries}
+            if is_quorum
+            else {}
+        )
         state = None
         if sec_targets and good_entries:
             state = yield from self._ship_batch_round(
-                doc_name, sec_targets, good_entries,
-                quorum_needed=max(1, quorum_w - 1) if quorum_w else 0,
-                bounded=bounded,
+                doc_name, sec_targets, good_entries, needed=needed,
+                bounded=bounded, parent_span=round_parent(good_entries),
             )
             if self._outbox_died(box, incarnation):
                 return
@@ -2700,10 +2424,14 @@ class DTXSite:
             durable += sec_oks
             if is_quorum:
                 self.stats.sync_acks_awaited += sec_oks
-                quorum_lost = durable < quorum_w
+                quorum_lost = durable < quorum_w[rec.tid]
             elif self.membership is not None:
-                # Eager lease rule: durable majority with the primary's
-                # record mandatory (see _sync_replicas_sequenced).
+                # Eager lease-mode sync quorum (the no-split-brain rule):
+                # a durable majority of the replica set, with the
+                # primary's record mandatory. A primary cut off from its
+                # peers, or a coordinator whose syncs fell into a
+                # partition, cannot reach it: the minority side never
+                # commits.
                 quorum_lost = 2 * durable <= rset.degree or not p_ok
             else:
                 # Eager perfect mode: the primary's record is the one
@@ -2734,14 +2462,14 @@ class DTXSite:
         if set(state.acks) >= state.expected:
             state.event.succeed(None)
             return
-        if state.quorum_needed and all(
+        if state.needed and all(
             sum(
                 1
                 for ack in state.acks.values()
                 if ack.results.get(tid, (False, ""))[0]
             )
-            >= state.quorum_needed
-            for tid in state.tids
+            >= count
+            for tid, count in state.needed.items()
         ):
             # Quorum writes: every transaction riding this batch has its W
             # durable copies — settle now, the stragglers apply it late.
@@ -2945,7 +2673,7 @@ class DTXSite:
         self.waiters.clear()
         self._wait_sets.clear()
         self._deferred_wake_keys.clear()
-        # Group-commit state is volatile: pending outboxes and in-flight
+        # Commit-time sync state is volatile: pending outboxes and in-flight
         # batch rounds die with the site. Their waiter events fire with
         # None so the (already-failed) coordinator generators unwind.
         for outbox in list(self._sync_outboxes.values()):
@@ -3099,7 +2827,7 @@ class DTXSite:
                     rec.ack_event.succeed(dict(rec.acks))
             # Any lock the dead site held is gone: retry waiting work.
             self._wake_coordinator(rec.tid)
-        # Group-commit ack rounds waiting on the dead site complete with
+        # Sync batch rounds waiting on the dead site complete with
         # the answers that did arrive (same rule as drop_site_from_acks).
         for state in self._sync_batches.values():
             if down in state.expected and down not in state.acks:
@@ -3702,8 +3430,8 @@ class DTXSite:
         replicated documents whose *current* primary is this site are
         logged. Entries go into a per-document outbox; the first entry
         schedules the flush, and everything settled within the staleness
-        window rides the same :class:`ReplicaSyncBatch` (the group-commit
-        wire format, reused on the asynchronous path), so a burst costs
+        window rides the same :class:`ReplicaSyncBatch` (the commit-time
+        sync's wire format, reused on the asynchronous path), so a burst costs
         one message per secondary instead of one per transaction.
 
         Two callers, two shapes:

@@ -1,15 +1,9 @@
 """Data distribution: fragmentation, allocation, placement catalog, replication."""
 
-from .allocation import (
-    Allocation,
-    allocate_explicit,
-    allocate_partial,
-    allocate_replicated,
-    allocate_total,
-)
 from .catalog import Catalog, CatalogView
 from .migration import Migration, MigrationManager, MigrationStats
 from .placement import (
+    Allocation,
     ExplicitPlacement,
     HashRing,
     HashRingPlacement,
@@ -71,10 +65,6 @@ __all__ = [
     "UpdateLogEntry",
     "VersionVector",
     "WRITE_POLICIES",
-    "allocate_explicit",
-    "allocate_partial",
-    "allocate_replicated",
-    "allocate_total",
     "choose_read_replica",
     "fragment_document",
     "fragment_name",

@@ -1,17 +1,18 @@
-"""Placement policies: one ``place()`` front door for every allocation shape.
+"""Placement policies: one ``place()`` front door for every allocation shape
+(paper Fig. 8).
 
-Six PRs of growth left four ad-hoc allocation helpers with four different
-signatures (``allocate_total`` / ``allocate_replicated`` / ``allocate_partial``
-/ ``allocate_explicit``). This module collapses them behind a single
-:class:`PlacementPolicy` interface::
+Every policy answers the same question — *which sites hold a copy of which
+document, and who is primary* — through a single :class:`PlacementPolicy`
+interface, and returns the same :class:`Allocation`::
 
     alloc = ReplicatedPlacement(factor=2).place(documents, sites)
     cluster = DTXCluster.from_allocation(alloc)
 
-Every policy answers the same question — *which sites hold a copy of which
-document, and who is primary* — and returns the same
-:class:`~repro.distribution.allocation.Allocation`. The old helpers remain
-as thin deprecated aliases over these classes.
+The paper's two regimes (§3.2) are :class:`TotalPlacement` — every
+document copied to every site — and :class:`PartialPlacement` — the
+database is fragmented (one fragment per site by default) and each
+fragment lives on its primary site, optionally with ``replicas - 1`` extra
+copies on the following sites (the bold entries in Fig. 8).
 
 :class:`HashRingPlacement` is the elastic-sharding policy: placement is a
 pure function of a consistent-hash ring over the site set, so adding or
@@ -31,10 +32,28 @@ from typing import Hashable, Mapping, Sequence
 
 from ..errors import DistributionError
 from ..xml.model import Document
-from .allocation import Allocation
 from .catalog import Catalog
-from .fragmentation import fragment_document
+from .fragmentation import FragmentationPlan, fragment_document
 from .replication import replica_placement
+
+
+@dataclass
+class Allocation:
+    """A catalog plus the concrete documents each site must load."""
+
+    catalog: Catalog
+    site_documents: dict[Hashable, list[Document]] = field(default_factory=dict)
+    # Filled by PartialPlacement: one plan per fragmented source document.
+    fragment_plans: list[FragmentationPlan] = field(default_factory=list)
+
+    def documents_for(self, site_id: Hashable) -> list[Document]:
+        return self.site_documents.get(site_id, [])
+
+    def total_bytes_per_site(self) -> dict[Hashable, int]:
+        return {
+            site: sum(d.size_bytes() for d in docs)
+            for site, docs in self.site_documents.items()
+        }
 
 
 class PlacementPolicy(ABC):

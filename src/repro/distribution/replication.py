@@ -105,7 +105,7 @@ class ReplicaSet:
 class ReplicationPolicy:
     """How operations are routed across a document's replicas.
 
-    ``factor`` is the *placement* knob (how many copies allocation helpers
+    ``factor`` is the *placement* knob (how many copies placement policies
     create); ``read_policy``/``write_policy`` are the *routing* knobs. The
     defaults reproduce the paper's behaviour exactly: every operation runs
     at every replica.

@@ -63,8 +63,8 @@ SCHEMA = 1
 
 #: The two canonical feature sets of the hot-path overhaul. ``baseline``
 #: is the pre-optimisation configuration (paper-fidelity broadcast wakes,
-#: per-transaction sync rounds, no LockSpec reuse); ``optimized`` turns
-#: all three config-gated optimisations on. The process-wide XPath parse
+#: a zero sync window — one batch round per transaction — and no LockSpec
+#: reuse); ``optimized`` turns all three config-gated optimisations on. The process-wide XPath parse
 #: memo is structural (not config-gated) and active under both, so
 #: baseline wall numbers are, if anything, flattered — the deltas are
 #: conservative. BENCH_0.json was recorded with ``baseline``,
@@ -423,8 +423,7 @@ def probe_high_write(features: dict, quick: bool = False) -> dict:
     t0 = time.perf_counter()
     result = cluster.run()
     seconds = time.perf_counter() - t0
-    kinds = cluster.network.stats.by_kind
-    sync_messages = kinds.get("ReplicaSyncRequest", 0) + kinds.get("ReplicaSyncBatch", 0)
+    sync_messages = cluster.network.stats.by_kind.get("ReplicaSyncBatch", 0)
     committed = max(1, len(result.committed))
     digest = hashlib.sha256()
     for sid in sites:

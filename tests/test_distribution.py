@@ -4,9 +4,9 @@ import pytest
 
 from repro.distribution import (
     Catalog,
-    allocate_explicit,
-    allocate_partial,
-    allocate_total,
+    ExplicitPlacement,
+    PartialPlacement,
+    TotalPlacement,
     fragment_document,
     fragment_name,
     is_fragment_of,
@@ -126,21 +126,23 @@ class TestCatalog:
 
 class TestAllocation:
     def test_total_replication(self):
-        alloc = allocate_total([make_people_doc(), make_products_doc()], ["s1", "s2", "s3"])
+        alloc = TotalPlacement().place([make_people_doc(), make_products_doc()], ["s1", "s2", "s3"])
         assert alloc.catalog.replication_degree("d1") == 3
+        assert alloc.catalog.sites_for("d1") == ("s1", "s2", "s3")
         for site in ["s1", "s2", "s3"]:
             names = [d.name for d in alloc.documents_for(site)]
             assert names == ["d1", "d2"]
 
     def test_total_replication_copies_are_independent(self):
-        alloc = allocate_total([make_people_doc()], ["s1", "s2"])
+        alloc = TotalPlacement().place([make_people_doc()], ["s1", "s2"])
         c1 = alloc.documents_for("s1")[0]
         c2 = alloc.documents_for("s2")[0]
         c1.root.children[0].child("name").text = "Mutated"
         assert c2.root.children[0].child("name").text == "Carlos"
 
     def test_partial_replication_spreads_fragments(self):
-        alloc, plans = allocate_partial([uneven_doc()], ["s1", "s2", "s3", "s4"])
+        alloc = PartialPlacement().place([uneven_doc()], ["s1", "s2", "s3", "s4"])
+        plans = alloc.fragment_plans
         assert len(plans) == 1
         assert len(plans[0].fragments) == 4
         for i, site in enumerate(["s1", "s2", "s3", "s4"]):
@@ -149,35 +151,43 @@ class TestAllocation:
             assert alloc.catalog.replication_degree(f"base#{i}") == 1
 
     def test_partial_with_replicas(self):
-        alloc, _ = allocate_partial([uneven_doc()], ["s1", "s2", "s3", "s4"], replicas=2)
+        alloc = PartialPlacement(replicas=2).place([uneven_doc()], ["s1", "s2", "s3", "s4"])
         assert alloc.catalog.sites_for("base#0") == ("s1", "s2")
         assert alloc.catalog.sites_for("base#3") == ("s4", "s1")
 
+    def test_partial_fragments_per_doc_overrides_the_site_count(self):
+        alloc = PartialPlacement(replicas=2, fragments_per_doc=2).place(
+            [make_people_doc("d1"), make_products_doc("d2")], ["s1", "s2", "s3"]
+        )
+        assert [p.source_name for p in alloc.fragment_plans] == ["d1", "d2"]
+        assert [len(p.fragments) for p in alloc.fragment_plans] == [2, 2]
+        assert alloc.catalog.sites_for("d1#1") == ("s2", "s3")
+
     def test_partial_sites_have_similar_volume(self):
-        alloc, _ = allocate_partial([uneven_doc(32)], ["s1", "s2", "s3", "s4"])
+        alloc = PartialPlacement().place([uneven_doc(32)], ["s1", "s2", "s3", "s4"])
         volumes = alloc.total_bytes_per_site()
         assert max(volumes.values()) / min(volumes.values()) < 2.5
 
     def test_invalid_replicas(self):
         with pytest.raises(DistributionError):
-            allocate_partial([uneven_doc()], ["s1"], replicas=2)
+            PartialPlacement(replicas=2).place([uneven_doc()], ["s1"])
         with pytest.raises(DistributionError):
-            allocate_partial([uneven_doc()], ["s1"], replicas=0)
+            PartialPlacement(replicas=0).place([uneven_doc()], ["s1"])
 
     def test_no_sites_rejected(self):
         with pytest.raises(DistributionError):
-            allocate_total([make_people_doc()], [])
+            TotalPlacement().place([make_people_doc()], [])
 
     def test_explicit_allocation_paper_scenario(self):
         # §2.4: s1 holds d1; s2 holds d1 and d2.
-        alloc = allocate_explicit(
-            {"d1": ["s1", "s2"], "d2": ["s2"]},
-            {"d1": make_people_doc(), "d2": make_products_doc()},
+        alloc = ExplicitPlacement({"d1": ["s1", "s2"], "d2": ["s2"]}).place(
+            [make_people_doc(), make_products_doc()]
         )
         assert alloc.catalog.sites_for("d1") == ("s1", "s2")
+        assert alloc.catalog.replica_set("d1").primary == "s1"
         assert [d.name for d in alloc.documents_for("s1")] == ["d1"]
         assert sorted(d.name for d in alloc.documents_for("s2")) == ["d1", "d2"]
 
     def test_explicit_allocation_missing_doc(self):
         with pytest.raises(DistributionError):
-            allocate_explicit({"d1": ["s1"]}, {})
+            ExplicitPlacement({"d1": ["s1"]}).place([])

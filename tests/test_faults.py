@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction
-from repro.core.messages import ReplicaSyncRequest
+from repro.core.messages import ReplicaSyncBatch
 from repro.distribution import UpdateLog, UpdateLogEntry
 from repro.errors import ConfigError, DistributionError
 from repro.sim.queues import Store
@@ -14,7 +14,7 @@ from repro.update import ChangeOp, InsertOp, InsertPosition, RemoveOp
 from repro.verify import final_state_serializable
 from repro.xml import parse_document, serialize_document
 
-from .conftest import EagerReferenceStore, example_budget, make_people_doc
+from .conftest import EagerReferenceStore, example_budget, make_people_doc, make_products_doc
 
 FT = SystemConfig().with_(
     client_think_ms=0.0,
@@ -47,6 +47,13 @@ def insert_tx(marker, label=""):
 
 def doc_at(cluster, site):
     return serialize_document(cluster.document_at(site, "d1"))
+
+
+def one_entry_batch(coordinator, tid, lsn, epoch, ops):
+    """A hand-built commit-time sync of one transaction's batch on d1 (its
+    ack names no round in flight at ``coordinator`` and is dropped there)."""
+    entry = UpdateLogEntry(lsn=lsn, epoch=epoch, tid=tid, doc_name="d1", ops=tuple(ops))
+    return ReplicaSyncBatch(coordinator=coordinator, doc_name="d1", batch_id=0, entries=[entry])
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +289,8 @@ class TestFailover:
         before = doc_at(cluster, "s3")
         stale_epoch = cluster.catalog.epoch("d1")
         cluster.catalog.set_primary("d1", "s2")  # bump: fences the old epoch
-        msg = ReplicaSyncRequest(
-            tid="stale-tx", coordinator="s1", doc_name="d1", lsn=1,
-            epoch=stale_epoch,
+        msg = one_entry_batch(
+            "s1", tid="stale-tx", lsn=1, epoch=stale_epoch,
             ops=[Operation.update("d1", InsertOp("<person><id>66</id></person>", "/people"))],
         )
         cluster.network.send("s1", "s3", msg)
@@ -435,9 +441,8 @@ class TestReplayIdempotence:
         assert len(res.committed) == 1
         # Replay the exact committed log entry at a secondary.
         entry = cluster.site("s1").log_for("d1").entries[1]
-        dup = ReplicaSyncRequest(
-            tid=entry.tid, coordinator="s1", doc_name="d1",
-            lsn=entry.lsn, epoch=entry.epoch, ops=list(entry.ops),
+        dup = one_entry_batch(
+            "s1", tid=entry.tid, lsn=entry.lsn, epoch=entry.epoch, ops=entry.ops
         )
         cluster.network.send("s1", "s2", dup)
         cluster.env.run(until=cluster.env.now + 10.0)
@@ -467,6 +472,42 @@ class TestRefusedSyncHeals:
         assert "<id>9</id>" in text and "<id>10</id>" in text
         assert text == doc_at(cluster, "s1")
         assert s3.stats.catchup_entries_replayed >= 1
+
+
+class TestTwoDocumentSync:
+    def test_one_primary_refuses_the_other_documents_record_keeps_state(self):
+        """Each document's batch rides its own outbox and round. d2's
+        primary refuses to record; d1's primary already holds a durable
+        record, so the transaction cannot unwind cleanly: it fails with
+        its effects kept — on *both* documents — and every replica pair
+        is identical once the kept d2 effect has been pushed."""
+        cluster = DTXCluster(protocol="xdgl", config=FT.with_(replication_factor=2))
+        for i in range(4):
+            cluster.add_site(f"s{i + 1}")
+        cluster.replicate_document(make_people_doc(), ["s1", "s3"])
+        cluster.replicate_document(make_products_doc(), ["s2", "s3"])
+        cluster.site("s2").refuse_sync.add("*")  # d2's primary; no d1 copy
+        tx = Transaction(
+            [
+                insert_op(9),
+                Operation.update("d2", InsertOp("<product><id>99</id></product>", "/products")),
+            ]
+        )
+        cluster.add_client("c1", "s4", [tx])
+        res = cluster.run(drain_ms=60.0)
+        (record,) = res.records
+        assert (record.status, record.reason) == ("failed", "sync-quorum-lost")
+        assert cluster.site("s2").stats.syncs_refused == 1
+        texts = {
+            (d, s): serialize_document(cluster.document_at(s, d))
+            for d, sites in (("d1", ("s1", "s3")), ("d2", ("s2", "s3")))
+            for s in sites
+        }
+        assert texts["d1", "s1"] == texts["d1", "s3"]
+        assert texts["d2", "s2"] == texts["d2", "s3"]
+        assert "<id>9</id>" in texts["d1", "s1"] and "<id>99</id>" in texts["d2", "s2"]
+        for site in cluster.sites.values():
+            assert site.lock_manager.table.is_empty()
 
 
 class TestLazyPropagation:
@@ -524,9 +565,8 @@ class TestPhantomLsnReuse:
         epoch0 = cluster.catalog.epoch("d1")
 
         def batch(lsn, marker):
-            return ReplicaSyncRequest(
-                tid=f"race-{lsn}", coordinator="s4", doc_name="d1",
-                lsn=lsn, epoch=epoch0,
+            return one_entry_batch(
+                "s4", tid=f"race-{lsn}", lsn=lsn, epoch=epoch0,
                 ops=[Operation.update(
                     "d1", InsertOp(f"<person><id>{marker}</id></person>", "/people"))],
             )

@@ -297,9 +297,7 @@ class TestGroupCommit:
         assert batches > 0
         kinds_u = cu.network.stats.by_kind
         kinds_b = cb.network.stats.by_kind
-        msgs_u = kinds_u.get("ReplicaSyncRequest", 0) + kinds_u.get("ReplicaSyncBatch", 0)
-        msgs_b = kinds_b.get("ReplicaSyncRequest", 0) + kinds_b.get("ReplicaSyncBatch", 0)
-        assert msgs_b < msgs_u
+        assert kinds_b["ReplicaSyncBatch"] < kinds_u["ReplicaSyncBatch"]
 
     def test_lsn_sequences_stay_contiguous(self):
         cb, _, _ = high_write_cluster(0.75)
@@ -359,11 +357,36 @@ class TestGroupCommit:
             assert site.lock_manager.table.is_empty()
             assert not site._sync_outboxes and not site._sync_batches
 
-    def test_window_zero_sends_no_batches(self):
-        cu, _, _ = high_write_cluster(0.0)
+    def test_window_zero_is_a_batch_of_one_with_no_added_delay(self):
+        """Window 0 is the same path with no wait: one one-entry batch per
+        transaction per target, the first of them sent at the very instant
+        the transaction staged its sync."""
+        cu, _, _ = high_write_cluster(0.0, clients=1, tx_per_client=3)
+        coordinator = cu.site("s2")
+        staged_at, sent = [], []
+        enqueue, send = coordinator._enqueue_group_sync, cu.network.send
+
+        def spy_enqueue(rec, doc_name, ops):
+            staged_at.append(cu.env.now)
+            return enqueue(rec, doc_name, ops)
+
+        def spy_send(src, dst, msg):
+            if type(msg).__name__ == "ReplicaSyncBatch":
+                sent.append((cu.env.now, dst, len(msg.entries)))
+            return send(src, dst, msg)
+
+        coordinator._enqueue_group_sync = spy_enqueue
+        cu.network.send = spy_send
         ru = cu.run()
-        assert sum(s.group_batches_sent for s in ru.site_stats.values()) == 0
-        assert cu.network.stats.by_kind.get("ReplicaSyncBatch", 0) == 0
+        assert len(ru.committed) == 3
+        # Coordinator s2, primary s1: per transaction one record at s1,
+        # then the secondaries — s3 and the coordinator's own copy.
+        assert sorted((dst, n) for _, dst, n in sent) == sorted(
+            [("s1", 1), ("s2", 1), ("s3", 1)] * 3
+        )
+        assert [t for t, dst, _ in sent if dst == "s1"] == staged_at
+        assert sum(s.group_batches_sent for s in ru.site_stats.values()) == 9
+        assert sum(s.group_batched_syncs for s in ru.site_stats.values()) == 3
 
 
 # ---------------------------------------------------------------------------

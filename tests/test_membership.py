@@ -490,6 +490,35 @@ class TestFalseSuspicionRecovery:
         assert s3.stats.catchups >= 1 or s3.stats.replica_syncs_served >= 1
 
 
+class TestCommitSyncConsultsNoOracle:
+    def test_crashed_but_unsuspected_primary_reads_as_a_lost_message(self):
+        """The primary dies after executing the update and before the
+        coordinator ships the sync, well inside its lease. Without the
+        oracle the coordinator cannot know: the record request goes out
+        and is lost, and the round ends ambiguous — the transaction fails
+        with state kept (``sync-quorum-lost``), never a clean abort
+        decided by a peek at the network's physical truth."""
+        cluster = lease_cluster(
+            config=LEASE.with_(group_commit_window_ms=0.5, max_restarts=0)
+        )
+        coordinator = cluster.site("s2")
+        enqueue = coordinator._enqueue_group_sync
+
+        def crash_primary_then_enqueue(rec, doc_name, ops):
+            cluster.crash_site("s1")
+            return enqueue(rec, doc_name, ops)
+
+        coordinator._enqueue_group_sync = crash_primary_then_enqueue
+        cluster.add_client("c1", "s2", [insert_tx(9)])
+        res = cluster.run(drain_ms=100.0)
+        assert coordinator.stats.group_batches_sent == 1  # sent — and lost
+        (record,) = res.records
+        assert (record.status, record.reason) == ("failed", "sync-quorum-lost")
+        for s in ("s2", "s3", "s4"):
+            assert cluster.site(s).lock_manager.table.is_empty()
+        assert doc_at(cluster, "s2") == doc_at(cluster, "s3")
+
+
 # ---------------------------------------------------------------------------
 # lease-mode equivalence under crash-only schedules
 # ---------------------------------------------------------------------------

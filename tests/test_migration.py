@@ -9,16 +9,10 @@ from hypothesis import strategies as st
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction
 from repro.distribution import (
-    ExplicitPlacement,
     HashRing,
     HashRingPlacement,
-    PartialPlacement,
     ReplicatedPlacement,
     TotalPlacement,
-    allocate_explicit,
-    allocate_partial,
-    allocate_replicated,
-    allocate_total,
     ring_rebalance,
 )
 from repro.errors import ConfigError, DistributionError
@@ -155,66 +149,14 @@ class TestHashRing:
 
 
 # ---------------------------------------------------------------------------
-# placement policies vs the deprecated allocate_* aliases
+# placement policies
 # ---------------------------------------------------------------------------
-
-
-def _shape(alloc):
-    """Comparable view: placement + primary per doc, doc names per site."""
-    placements = {
-        name: (
-            tuple(alloc.catalog.sites_for(name)),
-            alloc.catalog.replica_set(name).primary,
-        )
-        for name in alloc.catalog.all_documents()
-    }
-    hosted = {
-        site: sorted(d.name for d in docs)
-        for site, docs in alloc.site_documents.items()
-    }
-    return placements, hosted
 
 
 class TestPlacementPolicies:
     def setup_method(self):
         self.docs = [make_people_doc("d1"), make_products_doc("d2")]
         self.sites = ["s1", "s2", "s3"]
-
-    def test_total_matches_alias(self):
-        new = TotalPlacement().place(self.docs, self.sites)
-        with pytest.warns(DeprecationWarning):
-            old = allocate_total(self.docs, self.sites)
-        assert _shape(new) == _shape(old)
-        assert new.catalog.sites_for("d1") == ("s1", "s2", "s3")
-
-    def test_replicated_matches_alias(self):
-        new = ReplicatedPlacement(factor=2).place(self.docs, self.sites)
-        with pytest.warns(DeprecationWarning):
-            old = allocate_replicated(self.docs, self.sites, factor=2)
-        assert _shape(new) == _shape(old)
-        primaries = {new.catalog.replica_set(n).primary for n in ("d1", "d2")}
-        assert len(primaries) == 2  # round-robin: no single coordinator
-
-    def test_partial_matches_alias(self):
-        new = PartialPlacement(replicas=2, fragments_per_doc=2).place(
-            self.docs, self.sites
-        )
-        with pytest.warns(DeprecationWarning):
-            old, plans = allocate_partial(
-                self.docs, self.sites, replicas=2, fragments_per_doc=2
-            )
-        assert _shape(new) == _shape(old)
-        assert [p.source_name for p in new.fragment_plans] == [
-            p.source_name for p in plans
-        ]
-
-    def test_explicit_matches_alias(self):
-        placements = {"d1": ["s1", "s2"], "d2": ["s2"]}
-        new = ExplicitPlacement(placements=placements).place(self.docs)
-        with pytest.warns(DeprecationWarning):
-            old = allocate_explicit(placements, {d.name: d for d in self.docs})
-        assert _shape(new) == _shape(old)
-        assert new.catalog.replica_set("d1").primary == "s1"
 
     def test_hash_ring_policy_places_by_ring(self):
         policy = HashRingPlacement(factor=2, vnodes=32)
@@ -367,6 +309,28 @@ class TestMigrationBasics:
                 assert text.count(f"<id>{label[1:]}</id>") == 1, (
                     f"committed {label} lost (or duplicated) at {s}"
                 )
+
+    def test_shrink_to_one_copy_settles_the_staged_syncs(self):
+        """The replica set shrinks to a single copy while transactions sit
+        in the sync outbox: nothing is left to sync, and every one of them
+        must still be settled (commit handles a single copy alone) — an
+        unsettled waiter parks its transaction in ``committing`` forever,
+        locks held."""
+        cluster = migration_cluster(config=EAGER.with_(group_commit_window_ms=0.5))
+        for i in range(4):
+            cluster.add_client(
+                f"c{i + 1}", f"s{i + 1}", [insert_tx(100 * (i + 1) + k) for k in range(40)]
+            )
+        cluster.start()
+        cluster.env.run(until=6.3)  # a sync outbox is open when the drain shrinks d1
+        cluster.migration.migrate("d1", ("s1",))
+        cluster.env.run(until=3000.0)
+        result = cluster.collect_results()
+        assert len(result.committed) == 160
+        assert cluster.catalog.sites_for("d1") == ("s1",)
+        for site in cluster.sites.values():
+            assert site.lock_manager.table.is_empty()
+            assert not site.coordinators
 
     def test_lease_mode_cutover_announces_new_primary(self):
         cluster = migration_cluster(config=LEASE)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import DTXCluster, SystemConfig
+from repro import DTXCluster, Operation, SystemConfig, Transaction
 from repro.core.site import SNAPSHOT_STAT_FIELDS, SiteStats, aggregate_site_stats
 from repro.obs import (
     Counter,
@@ -27,8 +27,10 @@ from repro.obs import (
     tx_breakdown,
 )
 from repro.obs.cli import run_traced_workload, trace_main
+from repro.update import InsertOp
 from repro.workload import DTXTester, WorkloadSpec
 from repro.obs.critical_path import PHASES
+from repro.xml.builder import E, doc
 
 from .conftest import make_people_doc
 
@@ -419,6 +421,49 @@ class TestTracedRun:
         assert reg.total("site_commits") >= 1
         assert reg.total("span_total") == len(result.spans)
         assert reg.total("tx_total", protocol="xdgl") == len(result.records)
+
+
+def _batch_round_parents(window_ms):
+    """Traced eager run, four non-conflicting writers coordinated off the
+    primary: (entries label, parent span name or None) per batch round."""
+    cfg = SystemConfig().with_(
+        client_think_ms=0.0, tracing=True, group_commit_window_ms=window_ms,
+        replica_write_policy="primary", replica_read_policy="nearest",
+    )
+    cluster = DTXCluster(protocol="xdgl", config=cfg)
+    for s in ("s1", "s2", "s3"):
+        cluster.add_site(s)
+    cluster.replicate_document(
+        doc("hot", E("hot", *[E(f"c{i}") for i in range(4)])), ["s1", "s2", "s3"]
+    )
+    for i in range(4):
+        tx = Transaction([Operation.update("hot", InsertOp("<e/>", f"/hot/c{i}"))])
+        cluster.add_client(f"cl{i}", "s2", [tx])
+    result = cluster.run()
+    assert len(result.committed) == 4
+    assert span_forest_errors(result.spans) == []
+    by_sid = {sp.sid: sp for sp in result.spans}
+    rounds = [sp for sp in result.spans if sp.name == "batch_round"]
+    flights = [sp for sp in result.spans if sp.name == "send" and sp.parent in by_sid
+               and by_sid[sp.parent].name == "batch_round"]
+    assert len(flights) >= len(rounds)  # the sends nest under their round
+    return [
+        (sp.labels["entries"], by_sid[sp.parent].name if sp.parent else None)
+        for sp in rounds
+    ]
+
+
+class TestSyncRoundAttribution:
+    def test_a_batch_of_one_belongs_to_its_transaction(self):
+        # Window 0, staggered commits: every round carries one entry and
+        # nests (with its flights) under that transaction's replica_sync.
+        rounds = _batch_round_parents(0.0)
+        assert rounds and all(r == ("1", "replica_sync") for r in rounds)
+
+    def test_a_shared_round_stays_global(self):
+        rounds = _batch_round_parents(5.0)
+        shared = [parent for entries, parent in rounds if entries != "1"]
+        assert shared and all(parent is None for parent in shared)
 
 
 # ---------------------------------------------------------------------------

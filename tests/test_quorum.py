@@ -19,6 +19,7 @@ from repro.distribution import (
 from repro.errors import ConfigError
 from repro.update import InsertOp
 from repro.xml import serialize_document
+from repro.xml.builder import E, doc
 
 from .conftest import example_budget, make_people_doc
 
@@ -305,6 +306,51 @@ class TestQuorumWrites:
         for i in range(4):
             assert texts["s1"].count(f"<id>{70 + i}</id>") == 1
         assert stat_sum(cluster, "group_batches_sent") >= 1
+
+    def test_per_transaction_w_rides_the_shared_batch(self):
+        """A transaction with its own ``write_quorum_w`` shares the outbox
+        — and the batch messages — with a default-W batch-mate, and each
+        settles at its own W: with one secondary refusing, W=2 (default)
+        is met and commits, W=3 is not and fails with state kept."""
+        cfg = QUORUM.with_(client_think_ms=0.0, group_commit_window_ms=0.5, max_restarts=0)
+        cluster = DTXCluster(protocol="xdgl", config=cfg)
+        for s in ("s1", "s2", "s3"):
+            cluster.add_site(s)
+        # Disjoint label paths: the two writers hold no conflicting lock,
+        # so both reach commit inside one window.
+        cluster.replicate_document(doc("d1", E("slots", E("a"), E("b"))), ["s1", "s2", "s3"])
+        cluster.site("s3").refuse_sync.add("*")
+
+        def fill(slot, label):
+            return Transaction(
+                [Operation.update("d1", InsertOp(f"<v>{label}</v>", f"/slots/{slot}"))],
+                label=label,
+            )
+
+        strict = fill("b", "strict")
+        strict.read_quorum_r, strict.write_quorum_w = 1, 3
+        cluster.add_client("c0", "s1", [fill("a", "plain")])
+        cluster.add_client("c1", "s1", [strict])
+        batches = []
+        send = cluster.network.send
+
+        def spy(src, dst, msg):
+            if type(msg).__name__ == "ReplicaSyncBatch":
+                batches.append((dst, sorted(e.tid.seq for e in msg.entries)))
+            return send(src, dst, msg)
+
+        cluster.network.send = spy
+        result = cluster.run(drain_ms=60.0)
+        assert batches == [("s2", [1, 2]), ("s3", [1, 2])]  # one shared round
+        assert {r.label: (r.status, r.reason) for r in result.records} == {
+            "plain": ("committed", ""),
+            "strict": ("failed", "sync-quorum-lost"),
+        }
+        # State kept: the W=3 batch is in the primary's log and at the
+        # secondary that took it; the refuser is merely behind.
+        assert doc_at(cluster, "s1") == doc_at(cluster, "s2")
+        assert "strict" in doc_at(cluster, "s1") and "strict" not in doc_at(cluster, "s3")
+        assert cluster.site("s1").log_for("d1").applied_lsn == 2
 
     def test_remote_coordinator_records_at_primary_first(self):
         # Coordinator s4 holds no replica: the batch is recorded at the

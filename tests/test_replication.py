@@ -6,8 +6,8 @@ from repro import DTXCluster, Operation, SystemConfig, Transaction, TxState
 from repro.distribution import (
     Catalog,
     ReplicaSet,
+    ReplicatedPlacement,
     ReplicationPolicy,
-    allocate_replicated,
     replica_placement,
 )
 from repro.errors import ConfigError, DistributionError
@@ -149,9 +149,9 @@ class TestReplicatedAllocation:
         with pytest.raises(DistributionError):
             replica_placement(0, [], 1)
 
-    def test_allocate_replicated_rotates_primaries(self):
+    def test_replicated_placement_rotates_primaries(self):
         docs = [make_people_doc("d1"), make_products_doc("d2")]
-        alloc = allocate_replicated(docs, ["s1", "s2", "s3"], factor=2)
+        alloc = ReplicatedPlacement(factor=2).place(docs, ["s1", "s2", "s3"])
         assert alloc.catalog.replica_set("d1").primary == "s1"
         assert alloc.catalog.replica_set("d2").primary == "s2"
         for name in ("d1", "d2"):
@@ -169,7 +169,7 @@ class TestReplicatedAllocation:
 
     def test_allocated_cluster_runs(self):
         docs = [make_people_doc("d1"), make_products_doc("d2")]
-        alloc = allocate_replicated(docs, ["s1", "s2", "s3"], factor=2)
+        alloc = ReplicatedPlacement(factor=2).place(docs, ["s1", "s2", "s3"])
         cluster = DTXCluster.from_allocation(alloc, protocol="xdgl", config=ROWA)
         tx = Transaction(
             [Operation.update("d1", InsertOp("<person><id>8</id></person>", "/people"))]
@@ -271,7 +271,11 @@ class TestPrimaryCopyIntegration:
         cluster.add_client("c1", "s1", txs)
         res = cluster.run()
         assert len(res.committed) == 3
-        assert cluster.network.stats.by_kind.get("ReplicaSyncRequest") == 6  # 3 tx x 2 secondaries
+        # 3 tx x 2 secondaries, each a batch of one (the primary coordinates,
+        # so its own record is a local append, not a message).
+        assert cluster.network.stats.by_kind.get("ReplicaSyncBatch") == 6
+        assert cluster.site("s1").stats.group_batches_sent == 6
+        assert cluster.site("s1").stats.group_batched_syncs == 3
         assert cluster.site("s2").stats.replica_syncs_served == 3
         assert cluster.site("s3").stats.replica_syncs_served == 3
         assert cluster.site("s1").stats.replica_syncs_served == 0
