@@ -98,11 +98,30 @@ class DataGuide:
 
     @classmethod
     def build(cls, document: Document) -> "DataGuide":
-        """Build the guide of ``document`` in one pass."""
+        """Build the guide of ``document`` in one pre-order descent.
+
+        Each element is handed its parent's guide node, so no label path is
+        recomputed per element; guide nodes are created when first reached,
+        which keeps their children in first-seen order.
+        """
         guide = cls(document.name)
-        if document.root is not None:
-            for node in document.iter():
-                guide.add_document_node(node)
+        if document.root is None:
+            return guide
+        by_path = guide._by_path
+        stack: list[tuple[Element, Optional[DataGuideNode]]] = [(document.root, None)]
+        while stack:
+            element, above = stack.pop()
+            node = guide.root if above is None else above._children.get(element.tag)
+            if node is None:
+                node = DataGuideNode(element.tag, parent=above)
+                node.guide = guide
+                if above is None:
+                    guide.root = node
+                else:
+                    above._children[element.tag] = node
+                by_path[node.label_path()] = node
+            node.targets.add(element.node_id)
+            stack.extend((child, node) for child in reversed(element._children))
         return guide
 
     # -- lookups -----------------------------------------------------------

@@ -153,7 +153,7 @@ def _apply_rename(
         old_paths = _subtree_paths(target)
         old_name = target.tag
         before = own_size(target)
-        target.tag = op.new_name
+        target.rename(op.new_name)
         if undo is not None:
             undo.record(doc, RenameUndo(target, old_name))
         changes.append(

@@ -49,7 +49,7 @@ class RenameUndo:
     old_name: str
 
     def rollback(self, doc: Document) -> None:
-        self.node.tag = self.old_name
+        self.node.rename(self.old_name)
 
 
 @dataclass

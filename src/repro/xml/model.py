@@ -2,14 +2,23 @@
 
 DTX handles XML data in main memory (paper §2): the :class:`Document` /
 :class:`Element` pair here is that representation. Compared to a generic DOM
-it is deliberately lean but adds the two properties the concurrency layer
-needs:
+it is deliberately lean but adds the three properties the concurrency and
+query layers need:
 
 * **stable node identities** — every element attached to a document gets a
   document-unique integer ``node_id`` that survives for the node's lifetime;
   lock tables, undo logs and DataGuide target sets refer to nodes by id;
 * **label paths** — each node knows its root-to-node tag path, the key used
-  to map document nodes onto DataGuide nodes.
+  to map document nodes onto DataGuide nodes;
+* **tag extents** — a document keeps, per tag, the live nodes carrying it
+  (``tag -> {node_id: Element}``), so that a leading ``//name`` is answered
+  from the nodes that match instead of from a walk over all that do not.
+  The extents are unordered: the registry loops that already touch every
+  attached and detached node keep them, :meth:`Element.rename` is the one
+  way to retag a node, and the XPath evaluator recovers document order with
+  one descent pruned to the extent's ancestors. They belong to the document,
+  not to the DataGuide, because queries also run on trees that have no guide
+  (committed shadows, view shadows, the Node2PL and DocLock protocols).
 
 Mixed content is simplified: an element carries a single optional ``text``
 payload plus element children, which covers the XMark-style data-management
@@ -92,6 +101,20 @@ class Element:
         if self.document is not None:
             self.document._unregister_subtree(child)
         return child
+
+    def rename(self, new_tag: str) -> None:
+        """Retag this element, moving it between its document's tag extents."""
+        if not new_tag or not _is_name(new_tag):
+            raise XMLModelError(f"invalid element tag: {new_tag!r}")
+        doc = self.document
+        if doc is not None and new_tag != self.tag:
+            extents = doc._extents
+            old = extents[self.tag]
+            del old[self.node_id]
+            if not old:
+                del extents[self.tag]
+            extents.setdefault(new_tag, {})[self.node_id] = self
+        self.tag = new_tag
 
     def detach(self) -> "Element":
         """Detach this element from its parent; no-op for parentless nodes."""
@@ -180,7 +203,7 @@ class Document:
     never reused, so stale references can be detected).
     """
 
-    __slots__ = ("name", "root", "_nodes", "_next_id")
+    __slots__ = ("name", "root", "_nodes", "_next_id", "_extents")
 
     def __init__(self, name: str, root: Optional[Element] = None):
         if not name:
@@ -189,6 +212,7 @@ class Document:
         self.root: Optional[Element] = None
         self._nodes: dict[int, Element] = {}
         self._next_id = 0
+        self._extents: dict[str, dict[int, Element]] = {}
         if root is not None:
             self.set_root(root)
 
@@ -205,6 +229,7 @@ class Document:
         return root
 
     def _register_subtree(self, node: Element) -> None:
+        nodes, extents = self._nodes, self._extents
         for n in node.iter_subtree():
             if n.document is not None and n.document is not self:
                 raise XMLModelError(
@@ -214,11 +239,20 @@ class Document:
                 n.node_id = self._next_id
                 self._next_id += 1
             n.document = self
-            self._nodes[n.node_id] = n
+            nodes[n.node_id] = n
+            extent = extents.get(n.tag)
+            if extent is None:
+                extent = extents[n.tag] = {}
+            extent[n.node_id] = n
 
     def _unregister_subtree(self, node: Element) -> None:
+        nodes, extents = self._nodes, self._extents
         for n in node.iter_subtree():
-            self._nodes.pop(n.node_id, None)
+            if nodes.pop(n.node_id, None) is not None:
+                extent = extents[n.tag]
+                del extent[n.node_id]
+                if not extent:
+                    del extents[n.tag]
             n.document = None
 
     def node(self, node_id: int) -> Element:
@@ -232,6 +266,11 @@ class Document:
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self._nodes
+
+    def extent(self, tag: str) -> dict[int, Element]:
+        """The live elements tagged ``tag``, by node id, in no particular
+        order (read-only: the registry owns it)."""
+        return self._extents.get(tag) or {}
 
     def __contains__(self, node: Element) -> bool:
         return self._nodes.get(node.node_id) is node

@@ -66,12 +66,17 @@ def parse_document(text: str, name: str = "document", keep_whitespace: bool = Fa
     content) is concatenated into the parent's single ``text`` slot, which is
     sufficient for the data-centric documents used throughout the paper.
     """
+    return Document(name, _parse_root(text, keep_whitespace))
+
+
+def _parse_root(text: str, keep_ws: bool) -> Element:
+    """The one root element of ``text``, between a prolog and trailing misc."""
     sc = _Scanner(text)
     _skip_prolog(sc)
     sc.skip_ws()
     if sc.eof() or sc.peek() != "<":
         raise sc.error("expected root element")
-    root = _parse_element(sc, keep_whitespace)
+    root = _parse_element(sc, keep_ws)
     # Trailing misc: whitespace, comments, PIs only.
     while True:
         sc.skip_ws()
@@ -83,7 +88,7 @@ def parse_document(text: str, name: str = "document", keep_whitespace: bool = Fa
             _skip_pi(sc)
         else:
             raise sc.error("content after document root")
-    return Document(name, root)
+    return root
 
 
 def parse_fragment_prefix(text: str, start: int = 0) -> tuple[Element, int]:
@@ -106,17 +111,10 @@ def parse_fragment(text: str) -> Element:
     """Parse a standalone element (no document wrapper).
 
     Useful for the update language: ``INSERT <product>...</product> INTO ...``
-    carries a fragment, not a document.
+    carries a fragment, not a document. The element comes back detached and
+    unregistered (``node_id`` -1 throughout), ready to be inserted or cloned.
     """
-    doc = parse_document(text, name="__fragment__")
-    root = doc.root
-    assert root is not None
-    doc._unregister_subtree(root)
-    root.parent = None
-    for n in root.iter_subtree():
-        n.node_id = -1
-    doc.root = None
-    return root
+    return _parse_root(text, keep_ws=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Optional, Union
 
 
 class Axis(Enum):
@@ -116,6 +116,9 @@ class LocationPath:
 
     absolute: bool
     steps: tuple[Step, ...] = field(default_factory=tuple)
+    #: Compiled by :mod:`repro.xpath.evaluator` on first evaluation and kept
+    #: here, so a plan lives exactly as long as the parse it was built from.
+    plan: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         parts: list[str] = []

@@ -1,23 +1,46 @@
-"""Evaluation of the XPath subset over XML trees.
+"""Evaluation of the XPath subset over XML trees, by compiled plans.
 
-The evaluator is written against a minimal node protocol (``tag``,
-``children``, ``attrib``, ``text``) so the same machinery evaluates both
-document trees (:class:`repro.xml.model.Element`) and, via
-:mod:`repro.xpath.guide`, DataGuide summaries.
+A parsed :class:`~repro.xpath.ast.LocationPath` is compiled once into a
+*plan* — one small object per step, predicate and operand, each a direct loop
+over ``Element._children`` / ``attrib`` — and the plan is kept on the parsed
+object, so it lives and dies with the parse memo of
+:func:`~repro.xpath.parser.parse_xpath`. Three shapes get more than the plain
+loop:
+
+* a first-step ``//name`` of an absolute path takes the document's **tag
+  extent** (:meth:`repro.xml.model.Document.extent`) and puts it in document
+  order with one descent from the root pruned to the extent's ancestors —
+  the nodes that do not match are never touched;
+* a child step without predicates filters each context's children in place;
+* a predicate operand that is a one-step relative path (``@id``, ``price``,
+  ``text()``) is read off the candidate instead of being evaluated as a path
+  of its own.
+
+Every other shape (``//*``, ``//@attr``, a ``//`` after the first step,
+predicated steps) is a step that materialises its axis and filters, inside
+the same plan. :mod:`repro.verify.xpath_oracle` keeps the interpreter these
+plans replaced, as the differential oracle of the tests.
 
 Node-set semantics follow XPath 1.0: results are in document order without
 duplicates, predicates filter per-context candidate lists in order, and
 comparisons are existential over the operand node-sets.
 
-An :class:`EvalStats` counter can be threaded through to meter how many nodes
-an evaluation touched — the simulation's CPU cost model charges per node
-visited, which is how tree traversal overhead enters the response times.
+**The meter is a model, not the implementation.** ``EvalStats.nodes_visited``
+is what a naive scan of the tree would touch; the simulation's CPU cost model
+charges per node visited, which is how tree traversal overhead enters the
+response times, so every simulated schedule depends on it. A plan therefore
+charges arithmetically what the walk would have counted — ``len`` of a
+context's children per child step, the document's node count for a leading
+``//``, one per attribute or text probe, in the same ``and``/``or``
+short-circuit order and with the same stop at an empty step — however few
+nodes it actually looks at.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+import operator
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 from ..errors import XPathEvalError
 from ..xml.model import Document, Element
@@ -34,6 +57,7 @@ from .ast import (
     PathOperand,
     Position,
     Predicate,
+    Step,
 )
 from .parser import parse_xpath
 
@@ -42,24 +66,12 @@ Scalar = Union[str, float]
 
 @dataclass
 class EvalStats:
-    """Work meter: number of nodes touched during an evaluation.
-
-    With ``collect=True`` the stats also record *which* nodes were examined —
-    navigational lock protocols (Node2PL) lock everything a query traverses,
-    so they need the visited set, not just its size.
-    """
+    """Work meter: number of nodes a walking evaluation would have touched."""
 
     nodes_visited: int = 0
-    collect: bool = False
-    visited: list = field(default_factory=list)
 
     def visit(self, count: int = 1) -> None:
         self.nodes_visited += count
-
-    def visit_nodes(self, nodes: list) -> None:
-        self.nodes_visited += len(nodes)
-        if self.collect:
-            self.visited.extend(nodes)
 
 
 def evaluate(
@@ -75,61 +87,7 @@ def evaluate(
     """
     if isinstance(path, str):
         path = parse_xpath(path)
-    stats = stats if stats is not None else EvalStats()
-
-    if isinstance(context, Document):
-        if context.root is None:
-            return []
-        root = context.root
-        from_document = True
-    else:
-        root = context
-        from_document = False
-
-    if path.absolute:
-        if not from_document:
-            if root.document is None or root.document.root is None:
-                raise XPathEvalError("absolute path evaluated on a detached element")
-            root = root.document.root
-        current: list[Element] = [root]
-        from_document = True
-    else:
-        if from_document:
-            raise XPathEvalError("relative path evaluated on a document; pass an element")
-        current = [root]
-
-    for i, step in enumerate(path.steps):
-        if step.test.kind is not NodeTestKind.NAME and i != len(path.steps) - 1:
-            raise XPathEvalError(f"{step.test} step must be the last step")
-        result: list[Element] = []
-        seen: set[int] = set()
-        for ctx in current:
-            if step.test.kind is NodeTestKind.NAME:
-                candidates = _step_candidates(ctx, step.axis, from_document and i == 0, stats)
-                name = step.test.name
-                candidates = [c for c in candidates if name == "*" or c.tag == name]
-            else:
-                # @attr / text() select content *of* the context node itself
-                # (attribute::/text() axes); `//@attr` widens to descendants.
-                if step.axis is Axis.DESCENDANT or (from_document and i == 0):
-                    candidates = list(ctx.iter_subtree())
-                    stats.visit_nodes(candidates)
-                else:
-                    candidates = [ctx]
-                    stats.visit_nodes(candidates)
-                if step.test.kind is NodeTestKind.ATTRIBUTE:
-                    candidates = [c for c in candidates if step.test.name in c.attrib]
-                else:  # TEXT
-                    candidates = [c for c in candidates if c.text is not None]
-            candidates = _apply_predicates(candidates, step.predicates, stats)
-            for c in candidates:
-                if id(c) not in seen:
-                    seen.add(id(c))
-                    result.append(c)
-        current = result
-        if not current:
-            break
-    return current
+    return _plan_for(path).run(context, stats if stats is not None else EvalStats())
 
 
 def evaluate_values(
@@ -144,7 +102,10 @@ def evaluate_values(
     """
     if isinstance(path, str):
         path = parse_xpath(path)
-    nodes = evaluate(path, context, stats)
+    return _values(path, evaluate(path, context, stats))
+
+
+def _values(path: LocationPath, nodes: list[Element]) -> list[Optional[Scalar]]:
     if not path.steps:
         return []
     last = path.steps[-1].test
@@ -153,72 +114,354 @@ def evaluate_values(
     return [n.typed_value() for n in nodes]
 
 
-# ---------------------------------------------------------------------------
+# -- plans --------------------------------------------------------------------
+#
+# A plan is a tree of small slotted objects, not of closures: the parse memo
+# keeps up to 4,096 paths alive and most differ only in a literal, so what a
+# plan weighs is paid thousands of times over.
 
 
-def _step_candidates(
-    ctx: Element, axis: Axis, at_document: bool, stats: EvalStats
-) -> list[Element]:
-    """Nodes reachable from ``ctx`` along ``axis``.
+def _plan_for(path: LocationPath) -> "_Plan":
+    plan = path.plan
+    if plan is None:
+        last = len(path.steps) - 1
+        plan = _Plan(
+            path.absolute,
+            tuple(
+                _compile_step(step, path.absolute and i == 0, i == last)
+                for i, step in enumerate(path.steps)
+            ),
+        )
+        object.__setattr__(path, "plan", plan)  # LocationPath is frozen
+    return plan
+
+
+@dataclass(slots=True)
+class _Plan:
+    absolute: bool
+    steps: tuple
+
+    def run(self, context: Union[Document, Element], stats: EvalStats) -> list[Element]:
+        if isinstance(context, Document):
+            root = context.root
+            if root is None:
+                return []
+            if not self.absolute:
+                raise XPathEvalError("relative path evaluated on a document; pass an element")
+        elif self.absolute:
+            document = context.document
+            if document is None or document.root is None:
+                raise XPathEvalError("absolute path evaluated on a detached element")
+            root = document.root
+        else:
+            root = context
+        current = [root]
+        for step in self.steps:
+            current = step.run(current, stats)
+            if not current:
+                break
+        return current
+
+
+def _compile_step(step: Step, at_document: bool, is_last: bool):
+    """One step of a plan: contexts in, matches out, the meter charged.
 
     ``at_document`` marks the first step of an absolute path: the context is
     then the (virtual) document node whose only child is the root, so a child
-    step yields the root itself and a descendant step yields every element.
+    step looks at the root itself and a descendant step at every element.
     """
-    if at_document:
-        if axis is Axis.CHILD:
-            stats.visit_nodes([ctx])
-            return [ctx]
-        out = list(ctx.iter_subtree())
-        stats.visit_nodes(out)
+    kind, name = step.test.kind, step.test.name
+    if kind is not NodeTestKind.NAME and not is_last:
+        return _Unsupported(f"{step.test} step must be the last step")
+    filters = tuple(_compile_filter(p) for p in step.predicates)
+    descend = step.axis is Axis.DESCENDANT
+    if kind is NodeTestKind.NAME:
+        if name != "*":
+            if at_document and descend:
+                return _ExtentStep(name, filters)
+            if not at_document and not descend and not filters:
+                return _ChildStep(name)
+        if at_document:
+            expand = _subtree if descend else _self
+        else:
+            expand = _descendants if descend else _children
+    else:
+        # @attr / text() select content *of* the context node itself
+        # (attribute::/text() axes); `//@attr` widens to descendants.
+        expand = _subtree if descend or at_document else _self
+    # Only a `//` below the first step can reach one node from two contexts.
+    return _WalkingStep(expand, kind, name, filters, descend and not at_document)
+
+
+@dataclass(slots=True)
+class _Unsupported:
+    """Stands in for a step or a test outside the subset (``@attr`` / ``text()``
+    before the last step, a positional predicate inside and/or): an error once
+    evaluation reaches it, not before."""
+
+    message: str
+
+    def run(self, current: list[Element], stats: EvalStats) -> list[Element]:
+        raise XPathEvalError(self.message)
+
+    holds = run
+
+
+@dataclass(slots=True)
+class _ChildStep:
+    """``/name`` without predicates: one pass over each context's children."""
+
+    name: str
+
+    def run(self, current: list[Element], stats: EvalStats) -> list[Element]:
+        name = self.name
+        out: list[Element] = []
+        visited = 0
+        for ctx in current:
+            children = ctx._children
+            visited += len(children)
+            for c in children:
+                if c.tag == name:
+                    out.append(c)
+        stats.nodes_visited += visited
         return out
-    if axis is Axis.CHILD:
-        out = list(ctx.children)
-        stats.visit_nodes(out)
-        return out
-    out = list(ctx.descendants())
-    stats.visit_nodes(out)
+
+
+@dataclass(slots=True)
+class _ExtentStep:
+    """A leading ``//name``: the tag extent, charged as the full scan."""
+
+    name: str
+    filters: tuple
+
+    def run(self, current: list[Element], stats: EvalStats) -> list[Element]:
+        root = current[0]
+        document = root.document
+        stats.nodes_visited += len(document)
+        cands = _in_document_order(root, document.extent(self.name))
+        for keep in self.filters:
+            cands = keep.keep(cands, stats)
+        return cands
+
+
+def _in_document_order(root: Element, extent: dict[int, Element]) -> list[Element]:
+    """The extent's elements in pre-order: mark their ancestors, then descend
+    from the root into marked and matching children only."""
+    if len(extent) < 2:
+        return list(extent.values())
+    marked: set[int] = set()
+    for node in extent.values():
+        parent = node.parent
+        while parent is not None and parent.node_id not in marked:
+            marked.add(parent.node_id)
+            parent = parent.parent
+    out: list[Element] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node_id = node.node_id
+        if node_id in extent:
+            out.append(node)
+            if node_id not in marked:
+                continue
+        stack.extend(
+            c for c in reversed(node._children) if c.node_id in extent or c.node_id in marked
+        )
     return out
 
 
-def _apply_predicates(
-    candidates: list[Element], predicates: Iterable[Predicate], stats: EvalStats
-) -> list[Element]:
-    result = candidates
-    for pred in predicates:
-        if isinstance(pred, Position):
-            result = [result[pred.index - 1]] if len(result) >= pred.index else []
-        else:
-            result = [c for c in result if _pred_true(pred, c, stats)]
-    return result
+@dataclass(slots=True)
+class _WalkingStep:
+    """The general step: materialise the axis, charge its length, filter."""
+
+    expand: Callable[[Element], list[Element]]
+    kind: NodeTestKind
+    name: str
+    filters: tuple
+    dedupe: bool
+
+    def run(self, current: list[Element], stats: EvalStats) -> list[Element]:
+        expand, kind, name, filters = self.expand, self.kind, self.name, self.filters
+        out: list[Element] = []
+        for ctx in current:
+            cands = expand(ctx)
+            stats.nodes_visited += len(cands)
+            if kind is NodeTestKind.ATTRIBUTE:
+                cands = [c for c in cands if name in c.attrib]
+            elif kind is NodeTestKind.TEXT:
+                cands = [c for c in cands if c.text is not None]
+            elif name != "*":
+                cands = [c for c in cands if c.tag == name]
+            for keep in filters:
+                cands = keep.keep(cands, stats)
+            out.extend(cands)
+        if self.dedupe and len(current) > 1:
+            out = list(dict.fromkeys(out))  # elements hash by identity
+        return out
 
 
-def _pred_true(pred: Predicate, ctx: Element, stats: EvalStats) -> bool:
+def _self(ctx: Element) -> list[Element]:
+    return [ctx]
+
+
+def _children(ctx: Element) -> list[Element]:
+    return ctx._children  # the live list: steps and filters only read it
+
+
+def _subtree(ctx: Element) -> list[Element]:
+    return list(ctx.iter_subtree())
+
+
+def _descendants(ctx: Element) -> list[Element]:
+    return list(ctx.descendants())
+
+
+# -- predicates ---------------------------------------------------------------
+
+
+def _compile_filter(pred: Predicate):
+    """A top-level predicate, over one context's candidate list."""
+    if isinstance(pred, Position):
+        return _Nth(pred.index - 1)
+    return _Where(_compile_test(pred))
+
+
+@dataclass(slots=True)
+class _Nth:
+    at: int
+
+    def keep(self, cands: list[Element], stats: EvalStats) -> list[Element]:
+        return cands[self.at : self.at + 1]
+
+
+@dataclass(slots=True)
+class _Where:
+    test: object
+
+    def keep(self, cands: list[Element], stats: EvalStats) -> list[Element]:
+        holds = self.test.holds
+        return [c for c in cands if holds(c, stats)]
+
+
+def _compile_test(pred: Predicate):
     if isinstance(pred, Comparison):
-        lvals = _operand_values(pred.left, ctx, stats)
-        rvals = _operand_values(pred.right, ctx, stats)
-        return any(
-            a is not None and b is not None and _compare(a, pred.op, b)
-            for a in lvals
-            for b in rvals
+        return _AnyPair(
+            _operand_values(pred.left), _OPERATORS[pred.op], _operand_values(pred.right)
         )
     if isinstance(pred, Exists):
-        return bool(evaluate(pred.path, ctx, stats))
+        return _NonEmpty(_plan_for(pred.path))
     if isinstance(pred, BoolExpr):
-        if pred.op == "and":
-            return all(_pred_true(p, ctx, stats) for p in pred.operands)
-        return any(_pred_true(p, ctx, stats) for p in pred.operands)
-    if isinstance(pred, Position):  # nested positional (inside and/or): unsupported
-        raise XPathEvalError("positional predicates cannot appear inside and/or")
+        tests = tuple(_compile_test(p) for p in pred.operands)
+        return _Connective(all if pred.op == "and" else any, tests)
+    if isinstance(pred, Position):
+        return _Unsupported("positional predicates cannot appear inside and/or")
     raise XPathEvalError(f"unknown predicate {pred!r}")  # pragma: no cover
 
 
-def _operand_values(op: Operand, ctx: Element, stats: EvalStats) -> list[Optional[Scalar]]:
-    if isinstance(op, Literal):
-        return [op.value]
-    if isinstance(op, PathOperand):
-        return evaluate_values(op.path, ctx, stats)
-    raise XPathEvalError(f"unknown operand {op!r}")  # pragma: no cover
+@dataclass(slots=True)
+class _AnyPair:
+    """A comparison: true when any pair of operand values holds. Both
+    operands are always read (and charged), left first."""
+
+    left: object
+    compare: Callable[[object, object], bool]
+    right: object
+
+    def holds(self, node: Element, stats: EvalStats) -> bool:
+        lvals, rvals = self.left.of(node, stats), self.right.of(node, stats)
+        for a in lvals:
+            if a is not None:
+                for b in rvals:
+                    if b is not None and _compare(a, self.compare, b):
+                        return True
+        return False
+
+
+@dataclass(slots=True)
+class _NonEmpty:
+    plan: _Plan
+
+    def holds(self, node: Element, stats: EvalStats) -> bool:
+        return bool(self.plan.run(node, stats))
+
+
+@dataclass(slots=True)
+class _Connective:
+    """``and`` / ``or``: stops at the first operand that decides."""
+
+    decide: Callable  # all | any
+    tests: tuple
+
+    def holds(self, node: Element, stats: EvalStats) -> bool:
+        return self.decide(t.holds(node, stats) for t in self.tests)
+
+
+# -- predicate operands ---------------------------------------------------------
+
+
+def _operand_values(operand: Operand):
+    """How to read an operand's values off a candidate. A one-step relative
+    path is read inline instead of being evaluated as a path of its own."""
+    if isinstance(operand, Literal):
+        return _Constant([operand.value])
+    if not isinstance(operand, PathOperand):
+        raise XPathEvalError(f"unknown operand {operand!r}")  # pragma: no cover
+    path = operand.path
+    if not path.absolute and len(path.steps) == 1:
+        step = path.steps[0]
+        kind, name = step.test.kind, step.test.name
+        if step.axis is Axis.CHILD and not step.predicates:
+            if kind is NodeTestKind.ATTRIBUTE:
+                return _AttributeValue(name)
+            if kind is NodeTestKind.TEXT:
+                return _TextValue()
+            if name != "*":
+                return _ChildValues(name)
+    return _PathValues(path, _plan_for(path))
+
+
+@dataclass(slots=True)
+class _Constant:
+    values: list
+
+    def of(self, node: Element, stats: EvalStats) -> list:
+        return self.values
+
+
+@dataclass(slots=True)
+class _AttributeValue:
+    name: str
+
+    def of(self, node: Element, stats: EvalStats) -> list:
+        stats.nodes_visited += 1
+        attrib = node.attrib
+        return [_typed(attrib[self.name])] if self.name in attrib else []
+
+
+@dataclass(slots=True)
+class _TextValue:
+    def of(self, node: Element, stats: EvalStats) -> list:
+        stats.nodes_visited += 1
+        return [node.typed_value()] if node.text is not None else []
+
+
+@dataclass(slots=True)
+class _ChildValues:
+    name: str
+
+    def of(self, node: Element, stats: EvalStats) -> list:
+        name, children = self.name, node._children
+        stats.nodes_visited += len(children)
+        return [c.typed_value() for c in children if c.tag == name]
+
+
+@dataclass(slots=True)
+class _PathValues:
+    path: LocationPath
+    plan: _Plan
+
+    def of(self, node: Element, stats: EvalStats) -> list:
+        return _values(self.path, self.plan.run(node, stats))
 
 
 def _typed(raw: str) -> Scalar:
@@ -228,32 +471,27 @@ def _typed(raw: str) -> Scalar:
         return raw
 
 
-def _compare(a: Scalar, op: CompareOp, b: Scalar) -> bool:
-    """Existential comparison with XPath-flavoured coercion.
+def _compare(a: Scalar, holds: Callable[[object, object], bool], b: Scalar) -> bool:
+    """One comparison with XPath-flavoured coercion.
 
     If either side is numeric, try to compare numerically (coercing the other
     side); fall back to string comparison when coercion fails.
     """
     if isinstance(a, float) or isinstance(b, float):
         try:
-            fa = float(a)
-            fb = float(b)
+            fa, fb = float(a), float(b)
         except (TypeError, ValueError):
-            fa, fb = None, None
-        if fa is not None:
-            return _cmp(fa, op, fb)
-    return _cmp(str(a), op, str(b))
+            pass
+        else:
+            return holds(fa, fb)
+    return holds(str(a), str(b))
 
 
-def _cmp(a, op: CompareOp, b) -> bool:
-    if op is CompareOp.EQ:
-        return a == b
-    if op is CompareOp.NEQ:
-        return a != b
-    if op is CompareOp.LT:
-        return a < b
-    if op is CompareOp.LE:
-        return a <= b
-    if op is CompareOp.GT:
-        return a > b
-    return a >= b
+_OPERATORS: dict[CompareOp, Callable[[object, object], bool]] = {
+    CompareOp.EQ: operator.eq,
+    CompareOp.NEQ: operator.ne,
+    CompareOp.LT: operator.lt,
+    CompareOp.LE: operator.le,
+    CompareOp.GT: operator.gt,
+    CompareOp.GE: operator.ge,
+}
