@@ -1,20 +1,15 @@
-"""Event-kernel micro-benchmarks: dispatch, queue churn, message allocation.
+"""Event-kernel micro-benchmarks: dispatch and queue churn.
 
-Conventional pytest-benchmark timings of the hot-path substrates the
-trajectory harness's ``probe_sim_kernel`` / ``probe_kernel`` summarise into
-BENCH_<n>.json numbers: Timeout-object dispatch vs the flat numeric-yield
-timer, :class:`~repro.sim.queues.SchedulerQueue` schedule/cancel/pop churn,
-and RemoteOpResult construction raw vs recycled through a
-:class:`~repro.core.messages.MessagePool`.
+Conventional pytest-benchmark timings of the hot-path substrates:
+Timeout-object dispatch vs the flat numeric-yield timer, and
+:class:`~repro.sim.queues.SchedulerQueue` schedule/cancel/pop churn.
 """
 
-from repro.core.messages import MessagePool, RemoteOpResult
 from repro.sim.environment import Environment
 from repro.sim.queues import SchedulerQueue
 
 N_EVENTS = 20_000
 N_CHURN = 20_000
-N_MSGS = 10_000
 
 
 def _run_lanes(ticker_factory) -> Environment:
@@ -72,28 +67,3 @@ def test_bench_scheduler_queue_churn(benchmark):
     drained = benchmark(churn)
     assert drained > 0
 
-
-def _make_messages(pool):
-    for i in range(N_MSGS):
-        if pool is None:
-            RemoteOpResult(
-                tid="t", site="s", op_index=i, attempt=0,
-                acquired=True, executed=True, deadlock=False, failed=False,
-            )
-        else:
-            msg = pool.acquire(
-                RemoteOpResult,
-                tid="t", site="s", op_index=i, attempt=0,
-                acquired=True, executed=True, deadlock=False, failed=False,
-            )
-            pool.release(msg)
-
-
-def test_bench_message_alloc_raw(benchmark):
-    benchmark(_make_messages, None)
-
-
-def test_bench_message_alloc_pooled(benchmark):
-    pool = MessagePool()
-    benchmark(_make_messages, pool)
-    assert pool.hits > 0

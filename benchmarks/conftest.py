@@ -6,24 +6,24 @@ session by default (``rounds=1``) — the numbers of interest are the
 ``REPRO_FULL=1`` for paper-density sweeps.
 
 ``REPRO_BENCH_ROUNDS`` opts into real wall-clock statistics: it raises the
-pytest-benchmark round count so probes that *do* care about wall time (the
-trajectory harness and ad-hoc investigations) get variance instead of a
-single sample, without slowing the figure sweeps for everyone else.
+pytest-benchmark round count so ad-hoc investigations that *do* care about
+wall time get variance instead of a single sample, without slowing the
+figure sweeps for everyone else.
 """
 
 from __future__ import annotations
 
-from repro.experiments.trajectory import bench_rounds as _bench_rounds
+import os
 
 
 def bench_rounds(default: int = 1) -> int:
-    """Rounds per benchmark: ``REPRO_BENCH_ROUNDS``, floored at ``default``.
-
-    Single source of truth for the env parsing lives with the trajectory
-    harness (which floors at 3 for its wall probes); the figure sweeps
-    floor at 1 so they stay single-shot unless explicitly asked.
-    """
-    return _bench_rounds(minimum=default)
+    """Rounds per benchmark: ``REPRO_BENCH_ROUNDS``, floored at ``default``
+    (a non-integer value counts as unset)."""
+    try:
+        rounds = int(os.environ.get("REPRO_BENCH_ROUNDS", "0"))
+    except ValueError:
+        rounds = 0
+    return max(default, rounds)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -13,8 +13,6 @@ Usage::
     python -m repro quorum                  # (R, W) grid vs eager/lazy under faults
     python -m repro scale                   # hash-ring elasticity: join + decommission
     python -m repro views                   # materialized views vs the locked read path
-    python -m repro bench                   # trajectory harness -> BENCH_<n>.json
-    python -m repro bench --check           # wall-clock regression gate (CI)
     python -m repro trace                   # traced replay -> trace.json + critical path
     python -m repro trace --diff A.json B.json  # compare two traces' breakdowns
 
@@ -476,17 +474,9 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
         help="view staleness bounds (ms) to sweep (default: 2 20)",
     )
 
-    # The bench harness owns its own argparse surface (it is also runnable
-    # as benchmarks/trajectory.py); register a stub for --help discovery
-    # but dispatch before parsing so its flags are defined exactly once.
-    sub.add_parser(
-        "bench",
-        add_help=False,
-        help="run the benchmark trajectory harness (writes BENCH_<n>.json) "
-        "or, with --check, the wall-clock regression gate",
-    )
-
-    # Same pattern for the tracer: repro.obs.cli owns the trace flags.
+    # The tracer owns its own argparse surface (repro.obs.cli); register a
+    # stub for --help discovery but dispatch before parsing so its flags
+    # are defined exactly once.
     sub.add_parser(
         "trace",
         add_help=False,
@@ -496,10 +486,6 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     )
 
     args_list = list(argv) if argv is not None else sys.argv[1:]
-    if args_list[:1] == ["bench"]:
-        from .experiments.trajectory import main as bench_main
-
-        return bench_main(args_list[1:], out=out)
     if args_list[:1] == ["trace"]:
         from .obs.cli import trace_main
 

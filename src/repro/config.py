@@ -23,13 +23,24 @@ class NetworkConfig:
     """Latency model for the simulated 100 Mbit/s switched LAN.
 
     A message of ``n`` bytes from one site to another costs
-    ``latency_ms + (n / 1024) * per_kb_ms`` plus uniform jitter in
-    ``[0, jitter_ms]`` drawn from the experiment RNG. Local (same-site)
-    delivery costs ``local_ms``.
+    ``latency_ms + (n / 1024) * per_kb_ms`` plus jitter.
+
+    Parameters
+    ----------
+    latency_ms:
+        Fixed per-message cost of a hop between two different sites.
+    per_kb_ms:
+        Transfer cost per KB of ``size_bytes`` (~100 Mbit/s full duplex
+        => ~12.5 KB/ms).
+    jitter_ms:
+        Upper end of the uniform ``[0, jitter_ms]`` jitter drawn from the
+        experiment RNG for every remote message.
+    local_ms:
+        Cost of a same-site delivery (no latency, transfer or jitter).
     """
 
     latency_ms: float = 0.25
-    per_kb_ms: float = 0.08  # ~100 Mbit/s full duplex => ~12.5 KB/ms
+    per_kb_ms: float = 0.08
     jitter_ms: float = 0.05
     local_ms: float = 0.01
 
@@ -43,19 +54,36 @@ class NetworkConfig:
 class CostConfig:
     """Per-action CPU cost model, in simulated milliseconds.
 
-    ``lock_op_ms`` is the paper's "lock management overhead": it is charged
-    for every lock-table check/insert/release, so protocols that take many
-    locks (tree locking) pay proportionally more than protocols with a
-    summarized structure (XDGL on the DataGuide).
+    Parameters
+    ----------
+    lock_op_ms:
+        The paper's "lock management overhead": charged for every
+        lock-table check/insert/release, so protocols that take many
+        locks (tree locking) pay proportionally more than protocols with a
+        summarized structure (XDGL on the DataGuide).
+    node_visit_ms:
+        Per document/DataGuide node processed (XPath evaluation and lock
+        spec derivation both report a ``nodes_visited`` meter).
+    update_apply_ms:
+        Per update operation applied to (or rolled back from) a tree.
+    persist_per_kb_ms:
+        DataManager -> storage write-back, per KB persisted at commit.
+    parse_per_kb_ms:
+        Serialized text -> in-memory representation, per KB parsed
+        (catch-up and view snapshots).
+    scheduler_dispatch_ms:
+        Picking one unit of work from a site's queue.
+    wfg_merge_per_edge_ms:
+        Deadlock detector's wait-for-graph union, per edge collected.
     """
 
     lock_op_ms: float = 0.02
-    node_visit_ms: float = 0.002  # per document/DataGuide node processed
-    update_apply_ms: float = 0.05  # per update operation applied to a tree
-    persist_per_kb_ms: float = 0.02  # DataManager -> storage write-back
-    parse_per_kb_ms: float = 0.01  # storage -> in-memory representation
-    scheduler_dispatch_ms: float = 0.01  # picking work from a queue
-    wfg_merge_per_edge_ms: float = 0.005  # deadlock detector union cost
+    node_visit_ms: float = 0.002
+    update_apply_ms: float = 0.05
+    persist_per_kb_ms: float = 0.02
+    parse_per_kb_ms: float = 0.01
+    scheduler_dispatch_ms: float = 0.01
+    wfg_merge_per_edge_ms: float = 0.005
 
     def validate(self) -> None:
         for f in fields(self):
@@ -144,17 +172,6 @@ class SystemConfig:
         How long a recovering or gap-detecting replica waits for the
         primary's catch-up response before giving up and retrying on the
         next trigger.
-    wake_policy:
-        Who gets woken when a transaction ends and its locks release.
-        ``"targeted"`` (default since it soaked across the PR 3-4
-        workloads) wakes only waiters whose recorded wait-set (the lock
-        keys their blocked operation requested) intersects the keys just
-        released — spurious wake-ups and their retry lock-table traffic
-        disappear, at the cost of a per-waiter key-set record. The final
-        committed states are identical either way (a woken waiter that
-        cannot progress simply re-blocks); ``"broadcast"`` (the paper's
-        literal rule) remains the opt-out for paper-faithful wake
-        schedules.
     group_commit_window_ms:
         How long a commit-time sync outbox waits before it flushes — a
         delay, not a switch: every commit under the eager and quorum
@@ -166,18 +183,6 @@ class SystemConfig:
         (default) flushes with no simulated delay, so an uncontended
         commit is a batch of one; ``> 0`` trades that much commit latency
         for fewer, larger sync messages.
-    spec_cache:
-        Reuse an operation's computed LockSpec across wait/retry attempts
-        while the protocol's structure summary (e.g. the DataGuide) is
-        unchanged. Pure wall-clock optimisation: the cached spec retains
-        its ``nodes_visited`` meter, so *simulated* costs and schedules
-        are bit-identical with the cache on or off.
-    message_pool:
-        Recycle the highest-volume message objects (RemoteOpRequest /
-        RemoteOpResult) through a per-site pool instead of allocating one
-        per operation round. Pure wall-clock optimisation: pooled and
-        unpooled runs produce identical schedules and state digests
-        (asserted by tests). Pool hit/miss counts surface in ``SiteStats``.
     failure_detector:
         How the cluster learns about membership. ``"perfect"`` (default,
         the paper's modeling assumption) is the oracle: crashes are
@@ -250,10 +255,7 @@ class SystemConfig:
     lazy_staleness_ms: float = 5.0
     max_read_staleness_ms: float = 0.0
     catchup_timeout_ms: float = 50.0
-    wake_policy: str = "targeted"
     group_commit_window_ms: float = 0.0
-    spec_cache: bool = True
-    message_pool: bool = True
     failure_detector: str = "perfect"
     heartbeat_interval_ms: float = 1.0
     lease_timeout_ms: float = 4.0
@@ -285,10 +287,6 @@ class SystemConfig:
             raise ConfigError("max_read_staleness_ms must be >= 0")
         if self.catchup_timeout_ms <= 0:
             raise ConfigError("catchup_timeout_ms must be > 0")
-        if self.wake_policy not in ("broadcast", "targeted"):
-            raise ConfigError(
-                f"wake_policy must be 'broadcast' or 'targeted', got {self.wake_policy!r}"
-            )
         if self.group_commit_window_ms < 0:
             raise ConfigError("group_commit_window_ms must be >= 0")
         if self.failure_detector not in ("perfect", "lease"):
@@ -312,6 +310,7 @@ class SystemConfig:
 
     def with_(self, **kwargs) -> "SystemConfig":
         """Return a copy with the given top-level fields replaced."""
+        _reject_unknown_fields(kwargs)
         cfg = replace(self, **kwargs)
         cfg.validate()
         return cfg
@@ -319,7 +318,7 @@ class SystemConfig:
     @classmethod
     def preset(cls, name: str, **overrides) -> "SystemConfig":
         """A validated named configuration — the safe front door to the
-        ~20-knob constructor.
+        constructor (whose field count ``tests/test_config_census.py`` pins).
 
         ``"paper"``
             The paper's regime: every operation executes at every replica
@@ -346,10 +345,20 @@ class SystemConfig:
             raise ConfigError(
                 f"unknown preset {name!r}; choose from {sorted(_PRESETS)}"
             ) from None
+        _reject_unknown_fields(overrides)
         base.update(overrides)
         cfg = cls(**base)
         cfg.validate()
         return cfg
+
+
+def _reject_unknown_fields(kwargs) -> None:
+    valid = {f.name for f in fields(SystemConfig)}
+    unknown = sorted(set(kwargs) - valid)
+    if unknown:
+        raise ConfigError(
+            f"unknown SystemConfig field(s) {unknown}; valid fields: {sorted(valid)}"
+        )
 
 
 _PRESETS: dict[str, dict] = {

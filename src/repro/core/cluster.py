@@ -34,7 +34,6 @@ from .client import Client
 from .detector import DeadlockDetector
 from .faults import MembershipService
 from .results import RunResult
-from .messages import MessagePool
 from .site import DTXSite
 from .transaction import Transaction
 
@@ -67,16 +66,11 @@ class DTXCluster:
         self._backend_factory = backend_factory or InMemoryStore
         self._migration = None  # built lazily; absent from default schedules
         self._started = False
-        # One message pool per cluster run: RemoteOpRequests migrate
-        # coordinator -> participant and the results migrate back, so the
-        # recycle loop only closes when all sites of a run share a pool.
-        # Per-run (never global) so pooling cannot couple two runs.
-        self.message_pool = MessagePool() if self.config.message_pool else None
         # One span recorder per cluster run (config.tracing): span ids
         # migrate between sites inside messages, so all sites of a run must
-        # share the tracer — and, like the pool, it is per-run, never
-        # global. ``None`` keeps every instrumentation point a single falsy
-        # attribute check (the zero-allocation off path).
+        # share the tracer — and it is per-run, never global. ``None`` keeps
+        # every instrumentation point a single falsy attribute check (the
+        # zero-allocation off path).
         self.tracer = Tracer() if self.config.tracing else None
 
     # -- construction ------------------------------------------------------
@@ -106,7 +100,6 @@ class DTXCluster:
             catalog=catalog,
             config=self.config,
             replication=self.replication,
-            pool=self.message_pool,
         )
         site.faults = self.faults
         site.tracer = self.tracer

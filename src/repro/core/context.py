@@ -53,8 +53,9 @@ class SiteTxContext:
     stable_applied: set = field(default_factory=set)
     # op.index -> (structure version, LockSpec): the spec a blocked
     # operation computed, reused on retry while the protocol's structure
-    # summary is unchanged (config.spec_cache). The cached spec keeps its
-    # nodes_visited meter, so retries are charged identical simulated cost.
+    # summary is unchanged (same non-None ``structure_version``). The
+    # cached spec keeps its nodes_visited meter, so retries are charged
+    # identical simulated cost.
     spec_cache: dict = field(default_factory=dict)
 
     def touched_doc_names(self) -> list[str]:

@@ -615,67 +615,3 @@ class ViewReadResult:
     def size_bytes(self) -> int:
         return _HEADER_BYTES + 24 + self.result_size + len(self.reason)
 
-
-# ----------------------------------------------------------------------
-# message pooling
-# ----------------------------------------------------------------------
-
-#: Poison value written into every field of a released message (debug mode):
-#: any later read through a stale reference fails loudly instead of silently
-#: observing a recycled message's new contents.
-_POISON = object()
-
-
-class MessagePool:
-    """Explicit-recycle object pool for the highest-volume message types.
-
-    ``RemoteOpRequest`` / ``RemoteOpResult`` dominate allocations (one pair
-    per operation per participant per attempt); sites acquire them here and
-    release them once fully consumed. Releasing is always optional — a
-    message that escapes (dropped by the network, kept for reporting) is
-    simply collected by the GC and the pool misses on a later acquire.
-
-    ``debug=True`` poisons every slot on release and raises on double
-    release, which is what the lifecycle property tests run under. One pool
-    serves one cluster run (requests migrate coordinator → participant and
-    results migrate back, so the recycle loop closes across sites) — never
-    a global, so pooling cannot couple two runs.
-    """
-
-    __slots__ = ("debug", "max_free", "hits", "misses", "_free")
-
-    def __init__(self, debug: bool = False, max_free: int = 1024):
-        self.debug = debug
-        self.max_free = max_free
-        self.hits = 0
-        self.misses = 0
-        self._free: dict[type, list] = {}
-
-    def acquire(self, cls: type, *args: Any, **kwargs: Any) -> Any:
-        """A freshly-(re)initialised ``cls(*args, **kwargs)``."""
-        free = self._free.get(cls)
-        if free:
-            msg = free.pop()
-            msg.__init__(*args, **kwargs)
-            self.hits += 1
-            return msg
-        self.misses += 1
-        return cls(*args, **kwargs)
-
-    def release(self, msg: Any) -> None:
-        """Return ``msg`` to the pool; the caller must hold the last live
-        reference (the pool may hand the object out again immediately)."""
-        cls = msg.__class__
-        free = self._free.get(cls)
-        if free is None:
-            free = self._free[cls] = []
-        if self.debug:
-            if any(getattr(msg, slot) is _POISON for slot in cls.__slots__):
-                raise RuntimeError(f"double release of pooled {cls.__name__}")
-            for slot in cls.__slots__:
-                setattr(msg, slot, _POISON)
-        if len(free) < self.max_free:
-            free.append(msg)
-
-    def free_count(self, cls: type) -> int:
-        return len(self._free.get(cls, ()))

@@ -60,7 +60,6 @@ from .messages import (
     HeartbeatMessage,
     LogTipQuery,
     LogTipReport,
-    MessagePool,
     PrimaryAnnounce,
     ReadRepairNudge,
     RemoteOpRequest,
@@ -206,15 +205,9 @@ class SiteStats:
     # Online migration (distribution.migration.MigrationManager).
     migrations_admitted: int = 0  # placeholder replicas adopted (join phase)
     migrations_retired: int = 0  # replica copies dropped (retire phase)
-    # Message pooling (config.message_pool). The pool is shared by all sites
-    # of a run, so these are *snapshots* of the cluster pool's cumulative
-    # counters as of this site's last pool interaction — read the max across
-    # sites (not the sum) for run totals.
-    pool_hits: int = 0  # acquires served by recycling a released message
-    pool_misses: int = 0  # acquires that had to allocate
-    # XPath parse memo (process-wide LRU, like the pool: snapshots of the
-    # global counters as of this site's last operation — read the max
-    # across sites, not the sum).
+    # XPath parse memo (process-wide LRU): snapshots of the global counters
+    # as of this site's last operation — read the max across sites, not the
+    # sum.
     parse_cache_hits: int = 0
     parse_cache_misses: int = 0
     # Materialized views (repro.views; routed when view_staleness_ms > 0).
@@ -231,13 +224,11 @@ class SiteStats:
     view_staleness_sum_ms: float = 0.0  # summed staleness at serve time
 
 
-#: SiteStats fields that are *snapshots* of process- or cluster-global
-#: counters (the message pool and the XPath parse memo) or high-water
-#: marks: run totals take the max across sites, never the sum.
+#: SiteStats fields that are *snapshots* of process-global counters (the
+#: XPath parse memo) or high-water marks: run totals take the max across
+#: sites, never the sum.
 SNAPSHOT_STAT_FIELDS = frozenset(
     {
-        "pool_hits",
-        "pool_misses",
         "parse_cache_hits",
         "parse_cache_misses",
         "peak_lock_count",
@@ -276,7 +267,6 @@ class DTXSite:
         catalog,
         config: SystemConfig,
         replication: Optional[ReplicationPolicy] = None,
-        pool: Optional[MessagePool] = None,
     ):
         self.env = env
         self.network = network
@@ -296,20 +286,18 @@ class DTXSite:
         self.tx_contexts: dict[TxId, SiteTxContext] = {}
         self.coordinators: dict[TxId, CoordinatorRecord] = {}
         self.finished: set[TxId] = set()
-        self.waiters: dict[TxId, Hashable] = {}  # waiting tid -> coordinator site
-        # Conflict-indexed wait registry (wake_policy="targeted"): the
-        # (key, mode) pairs each blocked operation requested. A release
+        # Conflict-indexed wait registry: waiting tid -> (coordinator site,
+        # the (key, mode) pairs its blocked operation requested). A release
         # wakes only the waiters with a requested pair that is
         # *incompatible* with something actually released — a merely
         # shared key (e.g. the root's intention locks, which every
         # operation touches in compatible modes) wakes nobody.
-        self._wait_sets: dict[TxId, frozenset] = {}
+        self.waiters: dict[TxId, tuple[Hashable, frozenset]] = {}
         # Locks released outside end-of-transaction (single-operation undo
         # backs locks out without waking anyone, per the paper's
         # end-of-transaction wake rule), as key -> set of modes. They are
-        # folded into the *next* end-of-transaction wake sweep so a
-        # targeted policy cannot lose the wake-up a broadcast would have
-        # delivered then.
+        # folded into the *next* end-of-transaction wake sweep so the
+        # wake-up owed for them is not lost.
         self._deferred_wake_keys: dict = {}
         # Commit-time replica sync: staging outboxes and in-flight rounds.
         self._sync_outboxes: dict[tuple, _SyncOutbox] = {}
@@ -326,14 +314,6 @@ class DTXSite:
         # the cluster when config.tracing is on. None keeps every
         # instrumentation point a single falsy attribute check.
         self.tracer = None
-        # Recycle pool for the highest-volume messages, shared by the whole
-        # cluster run (requests and results migrate between sites). A
-        # standalone site gets its own; ``message_pool=False`` disables
-        # pooling entirely.
-        if not config.message_pool:
-            self._pool: Optional[MessagePool] = None
-        else:
-            self._pool = pool if pool is not None else MessagePool()
 
         # Fault tolerance. ``alive`` gates every externally visible effect;
         # ``logs`` is the durable per-document update log (survives crashes,
@@ -839,14 +819,12 @@ class DTXSite:
         # below is identical either way — this is a wall-clock optimisation
         # only, and simulated schedules stay bit-identical.
         spec = None
-        version = None
-        if self.config.spec_cache:
-            version = self.protocol.structure_version(op.doc_name)
-            if version is not None:
-                cached = ctx.spec_cache.get(op.index)
-                if cached is not None and cached[0] == version:
-                    spec = cached[1]
-                    self.stats.spec_cache_hits += 1
+        version = self.protocol.structure_version(op.doc_name)
+        if version is not None:
+            cached = ctx.spec_cache.get(op.index)
+            if cached is not None and cached[0] == version:
+                spec = cached[1]
+                self.stats.spec_cache_hits += 1
         if spec is None:
             if op.kind is OpKind.QUERY:
                 spec = self.protocol.lock_spec_for_query(op.doc_name, op.payload)
@@ -867,11 +845,10 @@ class DTXSite:
             self.stats.ops_blocked += 1
             if outcome.deadlock:
                 self.stats.local_deadlocks += 1
-            # Register the coordinator for a wake notice on the next release,
-            # together with the lock pairs the blocked spec wanted (the
-            # targeted wake policy only fires on a conflicting release).
-            self.waiters[tid] = coordinator
-            self._wait_sets[tid] = outcome.blocked_pairs
+            # Register the coordinator for a wake notice, together with the
+            # lock pairs the blocked spec wanted (only a conflicting release
+            # wakes it).
+            self.waiters[tid] = (coordinator, outcome.blocked_pairs)
             return LocalResult(
                 acquired=False, deadlock=outcome.deadlock, cost_ms=cost
             )
@@ -923,14 +900,10 @@ class DTXSite:
         for key, mode in reversed(entry.lock_pairs):
             self.lock_manager.table.release_one(key, tid, mode)
         # Remember the pairs for the next end-of-transaction wake sweep:
-        # the targeted policy must not lose the wake-up that broadcast's
-        # wake-everyone-at-any-end would eventually deliver for these locks
-        # (they will not appear in the owner's release set any more).
-        # Broadcast wakes everyone regardless, so it never reads — and
-        # must not accumulate — this record.
-        if self.config.wake_policy == "targeted":
-            for key, mode in entry.lock_pairs:
-                self._deferred_wake_keys.setdefault(key, set()).add(mode)
+        # they will not appear in the owner's release set any more, and the
+        # wake-up owed to whoever waits on them must not be lost.
+        for key, mode in entry.lock_pairs:
+            self._deferred_wake_keys.setdefault(key, set()).add(mode)
         cost += len(entry.lock_pairs) * self.costs.lock_op_ms
         self.stats.undo_ops += 1
         # Deliberately NO wake notification here: waiters are woken only when
@@ -976,7 +949,6 @@ class DTXSite:
         cost += lock_ops * self.costs.lock_op_ms
         self.finished.add(tid)
         self.waiters.pop(tid, None)
-        self._wait_sets.pop(tid, None)
         self._notify_lock_release(released)
         return cost
 
@@ -995,7 +967,6 @@ class DTXSite:
         cost += lock_ops * self.costs.lock_op_ms
         self.finished.add(tid)
         self.waiters.pop(tid, None)
-        self._wait_sets.pop(tid, None)
         self._notify_lock_release(released)
         return cost
 
@@ -1026,7 +997,6 @@ class DTXSite:
         released, _ = self.lock_manager.release_transaction(tid)
         self.finished.add(tid)
         self.waiters.pop(tid, None)
-        self._wait_sets.pop(tid, None)
         self.stats.fails += 1
         self._notify_lock_release(released)
 
@@ -1034,40 +1004,31 @@ class DTXSite:
     # wake management
     # ------------------------------------------------------------------
 
-    def _notify_lock_release(self, released_keys=None) -> None:
+    def _notify_lock_release(self, released_keys) -> None:
         """Wake waiting transactions after a transaction ended here.
 
         Paper §2.2: "When a transaction commits, those that entered wait mode
         waiting for the locks of the one that committed, start executing
-        again." Under ``wake_policy="broadcast"`` (the paper's rule) every
-        waiter is woken on any end — waiters re-register if they block
-        again, so spurious wakes are safe, just wasteful. Under
-        ``"targeted"`` only waiters with a requested (key, mode) pair that
-        is *incompatible* with something just released (including locks
-        released earlier by single-operation undo, which wakes nobody at
-        the time) are woken; the others provably could not make progress
-        from this release.
+        again." A waiter is woken when a (key, mode) pair its blocked
+        operation requested is *incompatible* with something just released
+        (including locks released earlier by single-operation undo, which
+        wakes nobody at the time); the others provably could not make
+        progress from this release. A woken waiter that blocks again
+        re-registers.
         """
-        targeted = (
-            self.config.wake_policy == "targeted" and released_keys is not None
-        )
-        if targeted:
-            released = {key: set(modes) for key, modes in released_keys.items()}
-            for key, modes in self._deferred_wake_keys.items():
-                released.setdefault(key, set()).update(modes)
-            self._deferred_wake_keys.clear()
-            matrix = self.lock_manager.table.matrix
-        for tid, coordinator in list(self.waiters.items()):
-            if targeted:
-                wait_set = self._wait_sets.get(tid)
-                if wait_set is not None and not any(
-                    key in released
-                    and not matrix.compatible_with_all(released[key], mode)
-                    for key, mode in wait_set
-                ):
-                    continue
+        released = {key: set(modes) for key, modes in released_keys.items()}
+        for key, modes in self._deferred_wake_keys.items():
+            released.setdefault(key, set()).update(modes)
+        self._deferred_wake_keys.clear()
+        matrix = self.lock_manager.table.matrix
+        for tid, (coordinator, wait_set) in list(self.waiters.items()):
+            if not any(
+                key in released
+                and not matrix.compatible_with_all(released[key], mode)
+                for key, mode in wait_set
+            ):
+                continue
             del self.waiters[tid]
-            self._wait_sets.pop(tid, None)
             self.stats.waiter_wakes += 1
             if coordinator == self.site_id:
                 self._wake_coordinator(tid)
@@ -1099,7 +1060,6 @@ class DTXSite:
     # ------------------------------------------------------------------
 
     def _participant_loop(self):
-        pool = self._pool
         remote_get = self.remote_ops.get
         dispatch_ms = self.costs.scheduler_dispatch_ms
         while True:
@@ -1107,14 +1067,10 @@ class DTXSite:
             yield dispatch_ms
             if not self.alive or req.tid in self.finished:
                 # site crashed / transaction ended while queued
-                if pool is not None:
-                    pool.release(req)
                 continue
             if not self._coordinator_valid(req.coordinator, req.incarnation):
                 # its coordinator died while this was queued: executing now
                 # would leak locks and effects nobody settles
-                if pool is not None:
-                    pool.release(req)
                 continue
             coordinator = req.coordinator
             tr = self.tracer
@@ -1134,43 +1090,18 @@ class DTXSite:
                     "exec", "exec", self.site_id, tr.live_parent(req.span),
                     exec_start, self.env.now, labels,
                 )
-            if pool is None:
-                reply = RemoteOpResult(
-                    tid=req.tid,
-                    site=self.site_id,
-                    op_index=req.op.index,
-                    attempt=req.attempt,
-                    acquired=result.acquired,
-                    executed=result.executed,
-                    deadlock=result.deadlock,
-                    failed=result.failed,
-                    result_size=result.result_size,
-                    stale=result.stale,
-                )
-            else:
-                reply = pool.acquire(
-                    RemoteOpResult,
-                    tid=req.tid,
-                    site=self.site_id,
-                    op_index=req.op.index,
-                    attempt=req.attempt,
-                    acquired=result.acquired,
-                    executed=result.executed,
-                    deadlock=result.deadlock,
-                    failed=result.failed,
-                    result_size=result.result_size,
-                    stale=result.stale,
-                )
-                req_span = req.span
-                pool.release(req)  # fully consumed: recycle (req is dead now)
-                stats = self.stats
-                stats.pool_hits = pool.hits
-                stats.pool_misses = pool.misses
-                delay = self.network.send(self.site_id, coordinator, reply)
-                if tr is not None:
-                    tr.add_flight("reply", "net", self.site_id, tr.live_parent(req_span),
-                           self.env.now, self.env.now + delay)
-                continue
+            reply = RemoteOpResult(
+                tid=req.tid,
+                site=self.site_id,
+                op_index=req.op.index,
+                attempt=req.attempt,
+                acquired=result.acquired,
+                executed=result.executed,
+                deadlock=result.deadlock,
+                failed=result.failed,
+                result_size=result.result_size,
+                stale=result.stale,
+            )
             delay = self.network.send(self.site_id, coordinator, reply)
             if tr is not None:
                 tr.add_flight("reply", "net", self.site_id, tr.live_parent(req.span),
@@ -1450,11 +1381,7 @@ class DTXSite:
     def _on_op_result(self, msg: RemoteOpResult) -> None:
         rec = self.coordinators.get(msg.tid)
         if rec is None or msg.attempt != rec.attempt:
-            # Stale reply from a superseded attempt: nobody will ever read
-            # it, so it can recycle immediately.
-            if self._pool is not None:
-                self._pool.release(msg)
-            return
+            return  # stale reply from a superseded attempt
         rec.responses[msg.site] = msg
         if (
             rec.response_event is not None
@@ -1700,23 +1627,16 @@ class DTXSite:
             rec.expected = set(sites)
             rec.responses = {}
             rec.response_event = self.env.event()
-            pool = self._pool
+            tr = self.tracer
             for site in sites:
-                if pool is None:
-                    req = RemoteOpRequest(
+                delay = self.network.send(
+                    self.site_id, site,
+                    RemoteOpRequest(
                         tid=rec.tid, coordinator=self.site_id, op=op,
                         attempt=rec.attempt, incarnation=self.incarnation,
-                    )
-                else:
-                    req = pool.acquire(
-                        RemoteOpRequest,
-                        tid=rec.tid, coordinator=self.site_id, op=op,
-                        attempt=rec.attempt, incarnation=self.incarnation,
-                    )
-                tr = self.tracer
-                if tr is not None:
-                    req.span = rec.op_span
-                delay = self.network.send(self.site_id, site, req)
+                        span=rec.op_span,
+                    ),
+                )
                 if tr is not None:
                     tr.add_flight("send", "net", self.site_id, rec.op_span,
                            self.env.now, self.env.now + delay,
@@ -1748,15 +1668,6 @@ class DTXSite:
                 for r in results.values()
                 if r.executed and self._peer_up(r.site)
             ]
-            if pool is not None:
-                # Every datum the round needs is extracted above: recycle
-                # the responses. Late same-attempt replies (lease mode)
-                # simply stay un-released and are collected by the GC.
-                for r in results.values():
-                    pool.release(r)
-                stats = self.stats
-                stats.pool_hits = pool.hits
-                stats.pool_misses = pool.misses
 
             if acquired_all and not any_failed and not any_stale:
                 op.executed = True
@@ -1817,7 +1728,7 @@ class DTXSite:
             return (yield from self._wait_for_wake_inner(rec))
         # One lock_wait span per blocked period: the first wait of an
         # operation opens it, and every later wait of the same operation
-        # *extends* it (a broadcast wake that cannot be satisfied is still
+        # *extends* it (a wake that cannot be satisfied is still
         # time spent waiting for the lock — chopping the period into
         # per-wait spans would misread that churn as coordinator work).
         sid = rec.wait_span
@@ -2671,7 +2582,6 @@ class DTXSite:
         self.coordinators.clear()
         self.tx_contexts.clear()
         self.waiters.clear()
-        self._wait_sets.clear()
         self._deferred_wake_keys.clear()
         # Commit-time sync state is volatile: pending outboxes and in-flight
         # batch rounds die with the site. Their waiter events fire with

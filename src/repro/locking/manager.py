@@ -29,11 +29,11 @@ class AcquireOutcome:
     cycle: Optional[list] = None
     lock_ops: int = 0  # table operations performed (cost model input)
     new_pairs: list = field(default_factory=list)  # (key, mode) newly granted
-    # On failure: every (key, mode) the blocked spec requested. A targeted
-    # wake policy wakes the waiter only when a release could actually have
+    # On failure: every (key, mode) the blocked spec requested. The site's
+    # wake sweep wakes the waiter only when a release could actually have
     # unblocked it — some released (key, modes) is incompatible with a
     # requested pair. Recording the full requested set (not just the first
-    # conflicting key) keeps the policy conservative: any released
+    # conflicting key) keeps the sweep conservative: any released
     # conflicting key may change what the retry can acquire.
     blocked_pairs: frozenset = frozenset()
 
@@ -81,7 +81,7 @@ class LockManager:
         """Release all of ``tx``'s locks and drop it from the wait-for graph.
 
         Returns the released locks as ``{key: frozenset(modes)}`` (the
-        targeted wake policy tests waiters' requested pairs against them)
+        site's wake sweep tests waiters' requested pairs against them)
         and the number of table operations (for cost accounting). Called on
         commit and on abort — strict 2PL holds every lock until
         transaction end.

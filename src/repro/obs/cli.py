@@ -6,8 +6,8 @@ the recorded span forest, writes a Chrome-trace-viewer JSON file and
 prints the per-transaction critical-path breakdown.
 
 ``--diff A B`` instead compares the critical-path sections of two
-previously exported trace files (e.g. a broadcast-wake vs a
-targeted-wake run of the same workload).
+previously exported trace files (e.g. an ``xdgl`` vs a ``node2pl`` run
+of the same workload).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ def run_traced_workload(
     tx_per_client: int = 5,
     ops_per_tx: int = 5,
     update_ratio: float = 0.5,
-    wake_policy: str = "broadcast",
     replication_factor: int = 1,
     label: str = "",
     system: Optional[SystemConfig] = None,
@@ -52,7 +51,6 @@ def run_traced_workload(
     if system is None:
         system = SystemConfig(
             seed=seed,
-            wake_policy=wake_policy,
             replication_factor=replication_factor,
             tracing=True,
         )
@@ -93,9 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         help="fraction of update transactions (contention driver)",
-    )
-    parser.add_argument(
-        "--wake-policy", choices=["broadcast", "targeted"], default="broadcast"
     )
     parser.add_argument(
         "--replication-factor",
@@ -147,7 +142,6 @@ def trace_main(argv: Optional[list] = None, out: TextIO = sys.stdout) -> int:
         tx_per_client=args.tx_per_client,
         ops_per_tx=args.ops_per_tx,
         update_ratio=args.update_ratio,
-        wake_policy=args.wake_policy,
         replication_factor=args.replication_factor,
     )
     errors = span_forest_errors(spans)
@@ -162,7 +156,6 @@ def trace_main(argv: Optional[list] = None, out: TextIO = sys.stdout) -> int:
         "clients": args.clients,
         "seed": args.seed,
         "protocol": args.protocol,
-        "wake_policy": args.wake_policy,
         "update_ratio": args.update_ratio,
         "duration_ms": result.duration_ms,
         "spans": len(spans),

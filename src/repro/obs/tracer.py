@@ -11,9 +11,8 @@ The tracer is wall-clock-only instrumentation. It never touches the
 simulation: no messages, no RNG draws, no timeouts. Sites hold
 ``self.tracer = None`` unless ``SystemConfig.tracing`` is on, and every
 instrumentation point is gated by one falsy attribute check — the off
-path allocates nothing and schedules stay byte-identical (the same
-discipline as ``spec_cache`` and the message pool). Span ids ride through
-existing message dataclasses as plain integers excluded from
+path allocates nothing and schedules stay byte-identical. Span ids ride
+through existing message dataclasses as plain integers excluded from
 ``size_bytes()``, so remote work parents correctly without changing any
 modeled wire cost.
 

@@ -2,10 +2,10 @@
 
 Three families:
 
-* **no-lost-wakeup** — under ``wake_policy="targeted"`` every blocked
-  transaction still reaches a terminal state, and (for a commutative
-  workload, where any serial order yields the same bytes) the final
-  committed state matches ``"broadcast"`` for identical seeds;
+* **no-lost-wakeup** — waiters are woken only by a conflicting release,
+  yet every blocked transaction still reaches a terminal state, and (for
+  a commutative workload, where any serial order yields the same bytes)
+  the final committed state matches a one-client serial run;
 * **group-commit equivalence** — batched and unbatched propagation yield
   byte-identical replica documents and the same serializability verdict,
   including under an injected primary crash mid-window (where the states
@@ -18,7 +18,6 @@ Three families:
 
 from __future__ import annotations
 
-import json
 import re
 
 import hypothesis.strategies as st
@@ -26,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import DTXCluster, SystemConfig
+from repro import protocols as protocol_registry
 from repro.config import DEFAULT_CONFIG
 from repro.core.transaction import Operation, Transaction
 from repro.dataguide import DataGuide
@@ -47,7 +47,7 @@ from .conftest import example_budget
 # helpers
 # ---------------------------------------------------------------------------
 
-def contended_cluster(wake_policy: str, seed: int, groups: int = 4,
+def contended_cluster(seed: int, serial: bool = False, groups: int = 4,
                       clients_per_group: int = 3, tx_per_client: int = 2,
                       ops_per_tx: int = 3) -> DTXCluster:
     """Disjoint writer groups on one single-copy document; coordinators remote.
@@ -56,29 +56,72 @@ def contended_cluster(wake_policy: str, seed: int, groups: int = 4,
     cycles: no deadlocks, no timeouts — *every* transaction must commit.
     A lost wake-up therefore cannot hide behind an abort: it starves the
     simulation (clients never finish) and the run fails loudly. The
-    ChangeOp payload is a constant, so the final bytes are identical
-    across wake policies even though schedules differ.
+    ChangeOp payload is a constant, so the final bytes are the same under
+    every schedule — including ``serial``, where one client submits the
+    same transactions one after the other and nothing ever waits.
     """
-    cfg = SystemConfig().with_(client_think_ms=0.0, seed=seed, wake_policy=wake_policy)
+    cfg = SystemConfig().with_(client_think_ms=0.0, seed=seed)
     cluster = DTXCluster(protocol="xdgl", config=cfg)
     hot = doc("hot", E("hot", *[E(f"v{i}", text="0") for i in range(groups)]))
     cluster.add_site("s1", [hot])
     cluster.add_site("s2", [])
     cluster.add_site("s3", [])
-    n = 0
+    per_client = []
     for g in range(groups):
         for c in range(clients_per_group):
-            txs = [
+            per_client.append([
                 Transaction(
                     [Operation.update("hot", ChangeOp(f"/hot/v{g}", "x"))
                      for _ in range(ops_per_tx)],
                     label=f"g{g}c{c}t{t}",
                 )
                 for t in range(tx_per_client)
-            ]
+            ])
+    if serial:
+        cluster.add_client("c0", "s2", [tx for txs in per_client for tx in txs])
+    else:
+        for n, txs in enumerate(per_client):
             cluster.add_client(f"c{n}", "s2" if n % 2 else "s3", txs)
-            n += 1
     return cluster
+
+
+def unversioned(monkeypatch, base: type) -> str:
+    """Register, for this test only, a subclass of ``base`` whose
+    ``structure_version`` is always ``None`` — the protocol contract for
+    "never reuse a spec" — and return its registry name: the
+    recompute-every-retry reference for ``base``."""
+
+    class Unversioned(base):
+        def structure_version(self, doc_name):
+            return None
+
+    monkeypatch.setitem(protocol_registry._REGISTRY, "unversioned", Unversioned)
+    return "unversioned"
+
+
+def retry_run(protocol: str, ops_per_tx: int, tx_per_client: int):
+    """Three writers on one hot leaf, so every operation but the lock
+    holder's blocks and retries. Returns (spec-reuse hits, records)."""
+    cluster = DTXCluster(
+        protocol=protocol, config=SystemConfig().with_(client_think_ms=0.0)
+    )
+    hot = doc("hot", E("hot", E("v", text="0")))
+    cluster.add_site("s1", [hot])
+    for c in range(3):
+        txs = [
+            Transaction(
+                [Operation.update("hot", ChangeOp("/hot/v", "x"))
+                 for _ in range(ops_per_tx)],
+                label=f"c{c}t{t}",
+            )
+            for t in range(tx_per_client)
+        ]
+        cluster.add_client(f"c{c}", "s1", txs)
+    result = cluster.run()
+    hits = sum(s.spec_cache_hits for s in result.site_stats.values())
+    return hits, [
+        (r.label, r.status, r.submitted_ts, r.finished_ts) for r in result.records
+    ]
 
 
 def high_write_cluster(window_ms: float, seed: int = 0xD7C5, clients: int = 8,
@@ -120,28 +163,11 @@ def replica_states(cluster, sites, doc_name="hot") -> dict:
 # ---------------------------------------------------------------------------
 
 class TestConfigKnobs:
-    def test_targeted_wakes_are_the_default_now(self):
-        # Promoted after soaking across the PR 3-4 workloads: final states
-        # are policy-independent (test_targeted_cuts_wake_and_retry_traffic
-        # proves the digests byte-equal across policies), only the wasted
-        # wake-ups differ. The paper's literal rule stays available as the
-        # opt-out, and the BENCH feature sets keep pinning the policy
-        # explicitly so the recorded trajectories stay comparable.
-        assert DEFAULT_CONFIG.wake_policy == "targeted"
-        assert SystemConfig().with_(wake_policy="broadcast").wake_policy == "broadcast"
-        assert DEFAULT_CONFIG.group_commit_window_ms == 0.0
-
-    def test_wake_policy_validated(self):
-        with pytest.raises(ConfigError):
-            SystemConfig().with_(wake_policy="sometimes")
-
     def test_group_commit_window_validated(self):
+        assert DEFAULT_CONFIG.group_commit_window_ms == 0.0
+        assert SystemConfig().with_(group_commit_window_ms=0.5).group_commit_window_ms == 0.5
         with pytest.raises(ConfigError):
             SystemConfig().with_(group_commit_window_ms=-1.0)
-
-    def test_targeted_and_window_accepted(self):
-        cfg = SystemConfig().with_(wake_policy="targeted", group_commit_window_ms=0.5)
-        assert cfg.wake_policy == "targeted"
 
 
 # ---------------------------------------------------------------------------
@@ -188,60 +214,43 @@ class TestBlockedPairs:
 
 
 # ---------------------------------------------------------------------------
-# targeted wake-ups: effectiveness and the no-lost-wakeup property
+# targeted wake-ups: precision and the no-lost-wakeup property
 # ---------------------------------------------------------------------------
 
 class TestTargetedWakeups:
-    def test_targeted_cuts_wake_and_retry_traffic(self):
-        """The BENCH contended probe, in miniature: same seeds, same final
-        bytes, measurably less wake + lock-table traffic per commit."""
-        from repro.experiments.trajectory import FEATURE_SETS, probe_contended
-
-        broadcast = probe_contended(
-            {**FEATURE_SETS["baseline"], "spec_cache": True}, quick=True
-        )
-        targeted = probe_contended(
-            {**FEATURE_SETS["optimized"], "group_commit_window_ms": 0.0}, quick=True
-        )
-        assert targeted["state_digest"] == broadcast["state_digest"]
-        assert targeted["wake_notices"] < 0.75 * broadcast["wake_notices"]
-        assert (
-            targeted["wake_plus_lock_ops_per_commit"]
-            < 0.95 * broadcast["wake_plus_lock_ops_per_commit"]
-        )
-
     def test_intention_lock_overlap_does_not_wake(self):
         """Compatible shared keys must not count as conflicts. t_b commits
         while t_a2 waits on another group's X target: both transactions
-        hold/request IX on the shared root, but IX||IX, so the targeted
-        sweep leaves t_a2 asleep; only t_a1's commit (releasing the X it
-        actually waits for) wakes it. Broadcast wakes it both times."""
-        wakes = {}
-        for policy in ("broadcast", "targeted"):
-            cfg = SystemConfig().with_(client_think_ms=0.0, wake_policy=policy)
-            cluster = DTXCluster(protocol="xdgl", config=cfg)
-            hot = doc("hot", E("hot", E("a", text="0"), E("b", text="0")))
-            cluster.add_site("s1", [hot])
-            t_a1 = Transaction(
-                [Operation.update("hot", ChangeOp("/hot/a", "x")) for _ in range(6)],
-                label="a1",
-            )
-            t_a2 = Transaction(
-                [Operation.update("hot", ChangeOp("/hot/a", "y"))], label="a2"
-            )
-            t_b = Transaction(
-                [Operation.update("hot", ChangeOp("/hot/b", "z")) for _ in range(2)],
-                label="b",
-            )
-            cluster.add_client("c1", "s1", [t_a1])
-            cluster.add_client("c2", "s1", [t_a2])
-            cluster.add_client("c3", "s1", [t_b])
-            result = cluster.run()
-            assert len(result.committed) == 3
-            wakes[policy] = sum(s.waiter_wakes for s in result.site_stats.values())
-        # t_a2 blocks on /hot/a. Broadcast wakes it on t_b's commit AND on
-        # t_a1's; targeted skips the t_b commit (IX overlap only).
-        assert wakes["targeted"] < wakes["broadcast"]
+        hold/request IX on the shared root, but IX||IX, so the wake sweep
+        leaves t_a2 asleep; only t_a1's commit (releasing the X it
+        actually waits for) wakes it."""
+        cfg = SystemConfig().with_(client_think_ms=0.0)
+        cluster = DTXCluster(protocol="xdgl", config=cfg)
+        hot = doc("hot", E("hot", E("a", text="0"), E("b", text="0")))
+        cluster.add_site("s1", [hot])
+        t_a1 = Transaction(
+            [Operation.update("hot", ChangeOp("/hot/a", "x")) for _ in range(6)],
+            label="a1",
+        )
+        t_a2 = Transaction(
+            [Operation.update("hot", ChangeOp("/hot/a", "y"))], label="a2"
+        )
+        t_b = Transaction(
+            [Operation.update("hot", ChangeOp("/hot/b", "z")) for _ in range(2)],
+            label="b",
+        )
+        cluster.add_client("c1", "s1", [t_a1])
+        cluster.add_client("c2", "s1", [t_a2])
+        cluster.add_client("c3", "s1", [t_b])
+        result = cluster.run()
+        assert len(result.committed) == 3
+        done = {r.label: r.finished_ts for r in result.records}
+        # t_a2 waited right through t_b's commit and ran after t_a1's...
+        assert done["b"] < done["a1"] < done["a2"]
+        # ...on one wake in all: it blocked once and retried once. A wake
+        # on t_b's commit would show as a second wake and a third attempt.
+        assert sum(s.waiter_wakes for s in result.site_stats.values()) == 1
+        assert (t_a2.stats.waits, t_a2.stats.op_attempts) == (1, 2)
 
     @settings(
         max_examples=example_budget(8),
@@ -250,22 +259,22 @@ class TestTargetedWakeups:
     )
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_no_lost_wakeups_property(self, seed):
-        """Every blocked transaction eventually wakes or aborts: the run
-        terminates with all transactions in a terminal state, commits as
-        much as broadcast, and reaches the same committed bytes."""
-        rb = contended_cluster("broadcast", seed=seed)
-        rrb = rb.run()
-        rt = contended_cluster("targeted", seed=seed)
-        rrt = rt.run()  # a lost wake-up starves the run -> SimulationError
+        """Every blocked transaction eventually wakes: the run terminates
+        with all transactions committed, no waiter left at any site, and
+        the committed bytes of a serial run of the same transactions."""
         total = 4 * 3 * 2
-        for rr in (rrb, rrt):
-            assert len(rr.records) == total
-            assert len(rr.committed) == total  # chain waits: nothing can abort
-        assert replica_states(rt, ("s1",)) == replica_states(rb, ("s1",))
-        # No waiter left behind at any site.
-        for cluster in (rb, rt):
+        states, blocked = {}, {}
+        for serial in (True, False):
+            cluster = contended_cluster(seed=seed, serial=serial)
+            result = cluster.run()  # a lost wake-up starves the run -> SimulationError
+            assert len(result.records) == total
+            assert len(result.committed) == total  # chain waits: nothing can abort
             for site in cluster.sites.values():
                 assert not site.waiters
+            states[serial] = replica_states(cluster, ("s1",))
+            blocked[serial] = sum(s.ops_blocked for s in result.site_stats.values())
+        assert blocked[True] == 0 < blocked[False]  # the oracle never waited
+        assert states[False] == states[True]
 
 
 # ---------------------------------------------------------------------------
@@ -427,34 +436,16 @@ class TestRetryCaching:
         g2 = DataGuide.build(people_doc)
         assert g1.version != g2.version
 
-    def test_spec_cache_hits_on_retry_and_is_sim_transparent(self):
-        runs = {}
-        for spec_cache in (True, False):
-            cfg = SystemConfig().with_(
-                client_think_ms=0.0, wake_policy="broadcast", spec_cache=spec_cache
-            )
-            cluster = DTXCluster(protocol="xdgl", config=cfg)
-            hot = doc("hot", E("hot", E("v", text="0")))
-            cluster.add_site("s1", [hot])
-            for c in range(3):
-                txs = [
-                    Transaction(
-                        [Operation.update("hot", ChangeOp("/hot/v", "x"))
-                         for _ in range(3)],
-                        label=f"c{c}t{t}",
-                    )
-                    for t in range(2)
-                ]
-                cluster.add_client(f"c{c}", "s1", txs)
-            result = cluster.run()
-            hits = sum(s.spec_cache_hits for s in result.site_stats.values())
-            runs[spec_cache] = (
-                hits,
-                [(r.label, r.status, r.submitted_ts, r.finished_ts) for r in result.records],
-            )
-        assert runs[True][0] > 0  # contended retries reused their specs
-        assert runs[False][0] == 0
-        assert runs[True][1] == runs[False][1]  # bit-identical schedule
+    def test_spec_cache_hits_on_retry_and_is_sim_transparent(self, monkeypatch):
+        from repro.protocols.xdgl import XDGLProtocol
+
+        hits, records = retry_run("xdgl", ops_per_tx=3, tx_per_client=2)
+        ref_hits, ref_records = retry_run(
+            unversioned(monkeypatch, XDGLProtocol), ops_per_tx=3, tx_per_client=2
+        )
+        assert hits > 0  # contended retries reused their specs
+        assert ref_hits == 0
+        assert records == ref_records  # bit-identical schedule
 
     def test_node2pl_version_bumps_on_change_and_rebuild(self, people_doc):
         from repro.protocols.node2pl import Node2PLProtocol
@@ -474,10 +465,10 @@ class TestRetryCaching:
         assert protocol.structure_version("d1") not in (v0, v1)
         assert protocol.structure_version("nope") is None
 
-    def test_node2pl_spec_cache_hits_on_retry_and_is_sim_transparent(self):
-        """PR 3 follow-on: the retry-time LockSpec cache now covers Node2PL
-        through its tree-version clock — same contended workload, cache on
-        vs off, hits recorded and schedules bit-identical.
+    def test_node2pl_spec_cache_hits_on_retry_and_is_sim_transparent(self, monkeypatch):
+        """PR 3 follow-on: the retry-time LockSpec reuse covers Node2PL
+        through its tree-version clock — same contended workload, versioned
+        vs not, hits recorded and schedules bit-identical.
 
         Single-operation writers: Node2PL must bump its version on *every*
         applied change (text edits move predicate matches, unlike the
@@ -485,32 +476,15 @@ class TestRetryCaching:
         survives only when the lock holder applies nothing after the
         waiter blocked — exactly the 1-op shape.
         """
-        runs = {}
-        for spec_cache in (True, False):
-            cfg = SystemConfig().with_(
-                client_think_ms=0.0, wake_policy="broadcast", spec_cache=spec_cache
-            )
-            cluster = DTXCluster(protocol="node2pl", config=cfg)
-            hot = doc("hot", E("hot", E("v", text="0")))
-            cluster.add_site("s1", [hot])
-            for c in range(3):
-                txs = [
-                    Transaction(
-                        [Operation.update("hot", ChangeOp("/hot/v", "x"))],
-                        label=f"c{c}t{t}",
-                    )
-                    for t in range(3)
-                ]
-                cluster.add_client(f"c{c}", "s1", txs)
-            result = cluster.run()
-            hits = sum(s.spec_cache_hits for s in result.site_stats.values())
-            runs[spec_cache] = (
-                hits,
-                [(r.label, r.status, r.submitted_ts, r.finished_ts) for r in result.records],
-            )
-        assert runs[True][0] > 0  # contended retries reused their specs
-        assert runs[False][0] == 0
-        assert runs[True][1] == runs[False][1]  # bit-identical schedule
+        from repro.protocols.node2pl import Node2PLProtocol
+
+        hits, records = retry_run("node2pl", ops_per_tx=1, tx_per_client=3)
+        ref_hits, ref_records = retry_run(
+            unversioned(monkeypatch, Node2PLProtocol), ops_per_tx=1, tx_per_client=3
+        )
+        assert hits > 0  # contended retries reused their specs
+        assert ref_hits == 0
+        assert records == ref_records  # bit-identical schedule
 
     def test_spec_cache_invalidated_by_structure_change(self):
         """A retry that straddles a guide mutation recomputes its spec
@@ -536,32 +510,10 @@ class TestRetryCaching:
 
 
 # ---------------------------------------------------------------------------
-# trajectory harness
+# benchmarks/conftest.py
 # ---------------------------------------------------------------------------
 
-class TestTrajectoryHarness:
-    def test_canonical_file_numbering(self, tmp_path):
-        from repro.experiments import trajectory as tj
-
-        d = str(tmp_path)
-        assert tj.bench_files(d) == []
-        assert tj.latest_bench(d) is None
-        assert tj.next_bench_path(d).endswith("BENCH_0.json")
-        tj.write_bench({"schema": tj.SCHEMA, "wall": {}}, tj.next_bench_path(d))
-        assert tj.next_bench_path(d).endswith("BENCH_1.json")
-        latest = tj.latest_bench(d)
-        assert latest["schema"] == tj.SCHEMA and latest["_path"].endswith("BENCH_0.json")
-
-    def test_bench_rounds_env(self, monkeypatch):
-        from repro.experiments.trajectory import bench_rounds
-
-        monkeypatch.delenv("REPRO_BENCH_ROUNDS", raising=False)
-        assert bench_rounds() == 3  # the harness floor
-        monkeypatch.setenv("REPRO_BENCH_ROUNDS", "7")
-        assert bench_rounds() == 7
-        monkeypatch.setenv("REPRO_BENCH_ROUNDS", "nope")
-        assert bench_rounds() == 3
-
+class TestBenchRounds:
     def test_run_once_honours_rounds_env(self, monkeypatch):
         import importlib.util
         import os
@@ -572,32 +524,19 @@ class TestTrajectoryHarness:
         spec.loader.exec_module(mod)
         monkeypatch.delenv("REPRO_BENCH_ROUNDS", raising=False)
         assert mod.bench_rounds() == 1
+        assert mod.bench_rounds(default=3) == 3
         monkeypatch.setenv("REPRO_BENCH_ROUNDS", "4")
         assert mod.bench_rounds() == 4
+        assert mod.bench_rounds(default=7) == 7  # floored at the default
+        monkeypatch.setenv("REPRO_BENCH_ROUNDS", "nope")
+        assert mod.bench_rounds() == 1
 
-    def test_check_regression_passes_and_fails(self, tmp_path, monkeypatch, capsys):
-        from repro.experiments import trajectory as tj
+        class Bench:
+            def pedantic(self, fn, args, kwargs, rounds, iterations):
+                self.asked = (rounds, iterations)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setenv("REPRO_BENCH_ROUNDS", "1")
-        # Wall numbers from quick probes are noisy under test load; the
-        # pass case only needs "same machine, same order of magnitude".
-        monkeypatch.setenv("REPRO_BENCH_REGRESSION_PCT", "90")
-        data = tj.run_trajectory("optimized", quick=True)
-        assert data["sim"]["contended"]["committed"] > 0
-        assert data["sim"]["high_write"]["committed"] > 0
-        # Against itself (same machine, just measured): must pass.
-        assert tj.check_regression(dict(data)) == 0
-        # Against an impossible baseline: must fail.
-        inflated = json.loads(json.dumps(data))
-        for key in inflated["wall"]:
-            inflated["wall"][key] *= 1000.0
-        assert tj.check_regression(inflated) == 1
-
-    def test_cli_check_skips_without_baseline(self, tmp_path):
-        import io
-
-        from repro.cli import main
-
-        out = io.StringIO()
-        assert main(["bench", "--check", "--dir", str(tmp_path)], out=out) == 0
-        assert "skipped" in out.getvalue()
+        bench = Bench()
+        monkeypatch.setenv("REPRO_BENCH_ROUNDS", "4")
+        assert mod.run_once(bench, lambda x: x + 1, 1) == 2
+        assert bench.asked == (4, 1)

@@ -64,7 +64,7 @@ def _run_on_both(workload):
 
 
 # ---------------------------------------------------------------------------
-# workloads (small shapes of the trajectory probes / fault scenarios)
+# workloads (small contended / high-write / quorum shapes and a fault scenario)
 # ---------------------------------------------------------------------------
 
 

@@ -29,8 +29,7 @@ def message_classes() -> list[type]:
 
 
 def constructed_names() -> set[str]:
-    """Names called — ``Cls(...)`` — or acquired from the message pool —
-    ``pool.acquire(Cls, ...)`` — anywhere under ``src/repro``."""
+    """Names called — ``Cls(...)`` — anywhere under ``src/repro``."""
     names: set[str] = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -41,15 +40,12 @@ def constructed_names() -> set[str]:
                 names.add(func.id)
             elif isinstance(func, ast.Attribute):
                 names.add(func.attr)
-                if func.attr == "acquire" and node.args and isinstance(node.args[0], ast.Name):
-                    names.add(node.args[0].id)
     return names
 
 
 def test_the_walk_sees_the_message_module():
     names = {cls.__name__ for cls in message_classes()}
     assert {"RemoteOpRequest", "ReplicaSyncBatch", "TxOutcome"} <= names
-    assert "MessagePool" not in names  # infrastructure, not a message
 
 
 def test_every_message_class_has_a_receiver():

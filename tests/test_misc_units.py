@@ -50,6 +50,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SystemConfig().with_(**kw)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: SystemConfig().with_(**kw),
+            lambda **kw: SystemConfig.preset("eager", **kw),
+        ],
+        ids=["with_", "preset"],
+    )
+    def test_unknown_field_named_at_the_boundary(self, build):
+        with pytest.raises(ConfigError) as err:
+            build(seed=7, no_such_knob=1)
+        message = str(err.value)
+        assert "no_such_knob" in message  # names the offender...
+        assert "seed" in message and "tracing" in message  # ...lists the valid fields
+        assert build(seed=7).seed == 7
+
     def test_invalid_network(self):
         with pytest.raises(ConfigError):
             SystemConfig().with_(network=NetworkConfig(latency_ms=-1))

@@ -260,18 +260,18 @@ class TestMetrics:
 
 class TestAggregateSiteStats:
     def test_sum_and_snapshot_max(self):
-        a = SiteStats(commits=2, pool_hits=10, peak_lock_count=5)
-        b = SiteStats(commits=3, pool_hits=7, peak_lock_count=9)
+        a = SiteStats(commits=2, parse_cache_hits=10, peak_lock_count=5)
+        b = SiteStats(commits=3, parse_cache_hits=7, peak_lock_count=9)
         totals = aggregate_site_stats([a, b])
         assert totals["commits"] == 5  # counters sum
-        assert totals["pool_hits"] == 10  # shared-pool snapshots take the max
+        assert totals["parse_cache_hits"] == 10  # global-counter snapshots take the max
         assert totals["peak_lock_count"] == 9
         assert SNAPSHOT_STAT_FIELDS <= set(totals)
 
     def test_empty_input(self):
         totals = aggregate_site_stats([])
         assert totals["commits"] == 0
-        assert totals["pool_hits"] == 0
+        assert totals["parse_cache_hits"] == 0
 
 
 # ---------------------------------------------------------------------------

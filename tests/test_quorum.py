@@ -526,30 +526,11 @@ class TestFollowerReadFence:
 
 
 # ---------------------------------------------------------------------------
-# trajectory probe plumbing (BENCH quorum fingerprint)
+# sweep plumbing
 # ---------------------------------------------------------------------------
 
 
 class TestQuorumProbe:
-    def test_probe_converges_and_reports_rates(self):
-        from repro.experiments.trajectory import FEATURE_SETS, probe_quorum
-
-        probe = probe_quorum(dict(FEATURE_SETS["optimized"]), quick=True)
-        assert probe["divergent_replicas"] == 0
-        assert probe["committed"] > 0
-        assert probe["sync_acks_per_commit"] > 0
-        assert probe["read_repairs"] >= 1
-        assert 0 < probe["read_repair_rate"] <= 1.0
-
-    def test_probe_deterministic_across_runs(self):
-        from repro.experiments.trajectory import FEATURE_SETS, probe_quorum
-
-        a = probe_quorum(dict(FEATURE_SETS["optimized"]), quick=True)
-        b = probe_quorum(dict(FEATURE_SETS["optimized"]), quick=True)
-        assert a["state_digest"] == b["state_digest"]
-        assert a["sync_acks_awaited"] == b["sync_acks_awaited"]
-        assert a["read_repairs"] == b["read_repairs"]
-
     def test_quorum_sweep_smoke(self):
         from dataclasses import replace
 

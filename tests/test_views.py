@@ -1,11 +1,10 @@
 """Materialized XPath views: subsumption laws, registration validation,
 read routing (zero locks / zero 2PC), staleness and epoch fencing, crash
-fallback + recovery re-hydration, the bounded parse-cache LRU, the bench
---check guard rails, and a Hypothesis suite asserting every view serve is
-an exact committed-log prefix under random write/fault schedules."""
+fallback + recovery re-hydration, the bounded parse-cache LRU, and a
+Hypothesis suite asserting every view serve is an exact committed-log
+prefix under random write/fault schedules."""
 
 import hashlib
-import io
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -371,50 +370,6 @@ class TestParseCacheLRU:
             assert first is again
         finally:
             xp.clear_parse_cache()
-
-
-# ---------------------------------------------------------------------------
-# bench --check guard rails (satellite: no KeyError, no silent skip)
-# ---------------------------------------------------------------------------
-
-
-class TestBenchCheckGuards:
-    def test_missing_wall_section_fails_with_message(self):
-        from repro.experiments import trajectory
-
-        out = io.StringIO()
-        rc = trajectory.check_regression({"_path": "x.json"}, out=out)
-        assert rc == 1
-        assert "no 'wall' section" in out.getvalue()
-
-    def test_missing_probe_metric_reports_skip(self, monkeypatch):
-        from repro.experiments import trajectory
-
-        monkeypatch.setattr(trajectory, "probe_lock_table", lambda rounds=1: 1.0)
-        monkeypatch.setattr(trajectory, "probe_sim_kernel", lambda rounds=1: 1.0)
-        monkeypatch.setattr(trajectory, "probe_kernel", lambda rounds=1: {"spin": 1.0})
-        monkeypatch.setattr(
-            trajectory, "probe_macro", lambda f, p, rounds=1: {"wall_tx_per_s": 1.0}
-        )
-        monkeypatch.setattr(
-            trajectory, "probe_quorum", lambda f, quick=False: {"wall_tx_per_s": 1.0}
-        )
-        monkeypatch.setattr(
-            trajectory,
-            "probe_views",
-            lambda f, quick=False: {"wall_read_tx_per_s": 1.0},
-        )
-        baseline = {
-            "_path": "old.json",
-            "quick": True,
-            "wall": {"lock_table_ops_per_s": 1.0},
-        }
-        out = io.StringIO()
-        rc = trajectory.check_regression(baseline, out=out)
-        assert rc == 0
-        text = out.getvalue()
-        assert "views_read_tx_per_s: skipped" in text
-        assert "not recorded in old.json" in text
 
 
 # ---------------------------------------------------------------------------
