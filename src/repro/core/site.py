@@ -136,6 +136,9 @@ class _ProbeState:
     event: object = None
 
 
+#: The coordinator round (``CoordinatorRecord.phase``) each ack class settles.
+_ACK_PHASE = {UndoOpAck: "undo", CommitAck: "commit", AbortAck: "abort"}
+
 #: Root element of the placeholder a joining replica hosts until its first
 #: snapshot transfer arrives (never queried: quorum probes rank the empty
 #: log last, and primary-copy routing never prefers a brand-new secondary).
@@ -1392,14 +1395,7 @@ class DTXSite:
 
     def _on_ack(self, msg) -> None:
         rec = self.coordinators.get(msg.tid)
-        if rec is None:
-            return
-        expected_phase = {
-            UndoOpAck: "undo",
-            CommitAck: "commit",
-            AbortAck: "abort",
-        }[type(msg)]
-        if rec.phase != expected_phase:
+        if rec is None or rec.phase != _ACK_PHASE[msg.__class__]:
             return
         rec.acks[msg.site] = msg
         if (

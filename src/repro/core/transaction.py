@@ -7,25 +7,42 @@ operations). Operations execute strictly in order; an operation executes at
 
 Transaction ids order by start timestamp — the distributed deadlock victim
 rule ("the most recent transaction involved in the circle is rolled back")
-is literally ``max(cycle)``.
+is literally ``max(cycle)``. They are tuples, so the lock tables, wait
+registries and wait-for graphs they key hash and compare them in C; their
+``repr`` and their ordering are read by the schedule (see :class:`TxId`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import total_ordering
-from typing import Any, Hashable, Optional, Union
+from typing import Any, Hashable, NamedTuple, Optional, Union
 
 from ..update.operations import UPDATE_OP_TYPES, UpdateOperation
 from ..xpath.ast import LocationPath
 from ..xpath.parser import parse_xpath
 
 
-@total_ordering
-@dataclass(frozen=True)
-class TxId:
-    """Globally unique transaction id, ordered by start time."""
+class TxId(NamedTuple):
+    """Globally unique transaction id, ordered by start time.
+
+    A tuple, not a dataclass: a transaction id keys every lock table, wait
+    registry and wait-for-graph set a transaction touches, so its hash and
+    equality run on every lock event. On a tuple both run in C (and it
+    equals a plain ``(site, seq, start_ts)`` tuple); a frozen dataclass
+    would run a Python frame for each to compute the same
+    ``hash((site, seq, start_ts))``. Two things here are read by the
+    schedule and must not drift:
+
+    * ``repr`` is the generated named-tuple form,
+      ``TxId(site='s3', seq=5, start_ts=1.5)``. The detector's
+      ``find_any_cycle`` orders roots and successors by ``repr``, so it
+      decides which cycle is found and thus the victim.
+    * Order is ``(start_ts, str(site), seq)``, not field order. A tuple
+      subclass inherits all four native comparisons, which would compare
+      ``site`` first; ``functools.total_ordering`` only fills in operators
+      that are *missing*, so each one is defined here.
+    """
 
     site: Hashable
     seq: int
@@ -36,6 +53,15 @@ class TxId:
 
     def __lt__(self, other: "TxId") -> bool:
         return self._key() < other._key()
+
+    def __le__(self, other: "TxId") -> bool:
+        return self._key() <= other._key()
+
+    def __gt__(self, other: "TxId") -> bool:
+        return self._key() > other._key()
+
+    def __ge__(self, other: "TxId") -> bool:
+        return self._key() >= other._key()
 
     def __str__(self) -> str:
         return f"t{self.seq}@{self.site}"

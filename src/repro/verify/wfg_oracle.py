@@ -1,38 +1,30 @@
-"""Wait-for graphs: local conflict tracking and distributed union.
+"""The scanning wait-for graph, kept as a differential oracle.
 
-An edge ``a -> b`` means transaction ``a`` waits for a lock held by ``b``.
-Each DTX site maintains its own graph (modification (ii) of the paper:
-"the lock manager was distributed in each instance"); the distributed
-detector unions all sites' graphs and looks for a cycle (Algorithm 4).
-
-Nodes may be any hashable, ordered values — DTX uses transaction ids ordered
-by start timestamp, so ``max(cycle)`` is the *most recent* transaction, the
-paper's victim rule.
-
-The graph is two adjacency maps that mirror each other: ``_out[a]`` is the
-set of transactions ``a`` waits for, ``_in[b]`` the set of transactions
-waiting for ``b``. Neither map ever holds an empty set, so a node is in the
-graph exactly while it has an edge (:meth:`WaitForGraph.check_consistency`
-asserts both). Every lock event therefore costs what it touches:
-``add_edge`` and ``waits`` are O(1), ``clear_waits`` is O(out-degree),
-``remove_node`` is O(degree), ``find_cycle_from`` visits only what is
-reachable from the requester. Only the detector's periodic
-``find_any_cycle`` (and the inspection helpers) look at the whole graph.
-The single-map graph this one replaced is kept under ``repro.verify`` as
-the reference ``tests/test_wfg_equivalence.py`` compares against.
+This is :class:`~repro.deadlock.wfg.WaitForGraph` as the repository ran it
+until the indexed graph replaced it: one forward map, "does this node still
+have an incoming edge?" answered by scanning every edge, ``remove_node``
+asking that of every source (O(V*E) per finished transaction) and a
+recursive ``find_cycle_from``. One behaviour differs by design: a holder
+whose last waiter calls ``clear_waits`` lingers here as an isolated key of
+``_out`` until the next ``remove_node`` sweeps it, where the indexed graph
+drops it at once. Only ``nodes()`` can see such a node; edges, cycle
+searches and snapshots cannot, and ``tests/test_wfg_equivalence.py`` holds
+the production graph to this one on all of them. A second difference is not
+pinned: this graph enters a holder into ``_out`` at its first ``add_edge``
+and keeps emptied entries in place, the indexed one orders ``_out`` by first
+out-edge, so ``edges()``/``snapshot()`` order and, after removals, which
+cycle ``find_cycle_from`` walks can differ (no consumer reads either). Only
+tests import this module.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Optional
 
-from ..errors import LockError
-
 
 class WaitForGraph:
     def __init__(self) -> None:
-        self._out: dict[Hashable, set[Hashable]] = {}  # waiter -> holders
-        self._in: dict[Hashable, set[Hashable]] = {}  # holder -> waiters
+        self._out: dict[Hashable, set[Hashable]] = {}
 
     # -- mutation -----------------------------------------------------------
 
@@ -40,31 +32,27 @@ class WaitForGraph:
         if waiter == holder:
             return  # a transaction never waits for itself
         self._out.setdefault(waiter, set()).add(holder)
-        self._in.setdefault(holder, set()).add(waiter)
+        self._out.setdefault(holder, set())
 
     def clear_waits(self, waiter: Hashable) -> None:
         """Drop ``waiter``'s outgoing edges (it acquired its locks)."""
-        holders = self._out.pop(waiter, None)
-        if holders is not None:
-            self._unlink(self._in, holders, waiter)
+        if waiter in self._out:
+            self._out[waiter] = set()
+            self._gc(waiter)
 
     def remove_node(self, node: Hashable) -> None:
         """Forget a finished transaction entirely (in- and out-edges)."""
-        self.clear_waits(node)
-        waiting = self._in.pop(node, None)
-        if waiting is not None:
-            self._unlink(self._out, waiting, node)
+        self._out.pop(node, None)
+        for src in list(self._out):
+            self._out[src].discard(node)
+            self._gc(src)
 
-    @staticmethod
-    def _unlink(index: dict, owners: set, node: Hashable) -> None:
-        """Drop ``node`` from ``index[owner]`` for every owner; an entry
-        that empties goes with it (its owner just lost its last edge on
-        that side)."""
-        for owner in owners:
-            peers = index[owner]
-            peers.discard(node)
-            if not peers:
-                del index[owner]
+    def _gc(self, node: Hashable) -> None:
+        if node in self._out and not self._out[node] and not self._has_incoming(node):
+            del self._out[node]
+
+    def _has_incoming(self, node: Hashable) -> bool:
+        return any(node in dsts for src, dsts in self._out.items() if src != node)
 
     # -- inspection -----------------------------------------------------------
 
@@ -75,28 +63,17 @@ class WaitForGraph:
         return frozenset(self._out.get(node, ()))
 
     def nodes(self) -> set:
-        return self._out.keys() | self._in.keys()
+        out = set(self._out)
+        for dsts in self._out.values():
+            out |= dsts
+        return out
 
     @property
     def edge_count(self) -> int:
         return sum(len(d) for d in self._out.values())
 
     def waits(self, waiter: Hashable) -> bool:
-        return waiter in self._out
-
-    def check_consistency(self) -> None:
-        """Assert the two maps mirror each other and hold no empty set
-        (used by tests)."""
-        forward = {(a, b) for a, dsts in self._out.items() for b in dsts}
-        backward = {(a, b) for b, srcs in self._in.items() for a in srcs}
-        if forward != backward:
-            raise LockError(
-                f"wait-for graph maps diverged: {sorted(forward ^ backward, key=repr)}"
-            )
-        for name, index in (("_out", self._out), ("_in", self._in)):
-            empty = [n for n, peers in index.items() if not peers]
-            if empty:
-                raise LockError(f"wait-for graph keeps edgeless {name} entries: {empty}")
+        return bool(self._out.get(waiter))
 
     # -- cycle detection --------------------------------------------------------
 
@@ -105,30 +82,28 @@ class WaitForGraph:
 
         Used at lock-acquisition time (Algorithm 3 line 9): adding the new
         wait edges may have closed a cycle through the requesting
-        transaction. Depth-first over an explicit stack — wait chains grow
-        with the number of clients, and this runs deep inside the kernel's
-        own call stack.
+        transaction.
         """
-        out = self._out
         path: list = [start]
-        # Every node ever entered: on the current path or fully explored
-        # without reaching ``start`` — either way never entered again.
-        seen = {start}
-        stack = [iter(out.get(start, ()))]
-        while stack:
-            for nxt in stack[-1]:
+        on_path = {start}
+        visited: set = set()
+
+        def dfs(node) -> Optional[list]:
+            for nxt in self._out.get(node, ()):
                 if nxt == start:
-                    return path
-                if nxt in seen:
+                    return list(path)
+                if nxt in on_path or nxt in visited:
                     continue
-                seen.add(nxt)
                 path.append(nxt)
-                stack.append(iter(out.get(nxt, ())))
-                break
-            else:
-                stack.pop()
-                path.pop()
-        return None
+                on_path.add(nxt)
+                found = dfs(nxt)
+                if found is not None:
+                    return found
+                on_path.discard(path.pop())
+            visited.add(node)
+            return None
+
+        return dfs(start)
 
     def find_any_cycle(self) -> Optional[list]:
         """Any cycle in the graph (iterative DFS with colouring), or ``None``."""
@@ -186,8 +161,3 @@ class WaitForGraph:
         for a, b in edges:
             g.add_edge(a, b)
         return g
-
-
-def newest_transaction(cycle: Iterable) -> Hashable:
-    """The paper's victim rule: abort the most recently started transaction."""
-    return max(cycle)

@@ -27,7 +27,8 @@ from hypothesis import HealthCheck, given, settings
 from repro import DTXCluster, SystemConfig
 from repro import protocols as protocol_registry
 from repro.config import DEFAULT_CONFIG
-from repro.core.transaction import Operation, Transaction
+from repro.core.messages import WakeNotice
+from repro.core.transaction import Operation, Transaction, TxId
 from repro.dataguide import DataGuide
 from repro.errors import ConfigError
 from repro.locking import XDGL_MATRIX, LockMode
@@ -251,6 +252,84 @@ class TestTargetedWakeups:
         # on t_b's commit would show as a second wake and a third attempt.
         assert sum(s.waiter_wakes for s in result.site_stats.values()) == 1
         assert (t_a2.stats.waits, t_a2.stats.op_attempts) == (1, 2)
+
+    @staticmethod
+    def wake_site(monkeypatch):
+        """A data site whose outgoing messages are recorded, not sent."""
+        cluster = DTXCluster(protocol="xdgl", config=SystemConfig())
+        cluster.add_site("s1", [doc("hot", E("hot", E("a"), E("b"), E("c")))])
+        cluster.add_site("s2")
+        cluster.add_site("s3")
+        sent = []
+        monkeypatch.setattr(
+            cluster.network, "send",
+            lambda src, dst, payload, size_bytes=None: sent.append((dst, payload)) or 0.0,
+        )
+        return cluster.sites["s1"], sent
+
+    def test_wakes_exactly_the_conflicting_waiters_in_registration_order(
+        self, monkeypatch
+    ):
+        """Remote wake notices draw network jitter in send order, so the
+        order of one sweep's wakes is part of the schedule: registration
+        order, whatever order the released keys come in."""
+        site, sent = self.wake_site(monkeypatch)
+        IS, IX, ST, X = LockMode.IS, LockMode.IX, LockMode.ST, LockMode.X
+        t1, t2, t3, t4, t5, t6 = (TxId(f"s{2 + n % 2}", n, float(n)) for n in range(1, 7))
+        for tid, pairs in [
+            (t1, {("root", IX), ("a", X)}),
+            (t2, {("root", IX), ("b", X)}),  # only the deferred key reaches it
+            (t3, {("root", IX), ("a", X)}),
+            (t4, {("root", IS), ("c", ST)}),  # root overlaps compatibly, c is not released
+            (t5, {("root", IX), ("b", X), ("a", IX)}),  # hit through two keys, woken once
+            (t6, {("root", IX), ("c", X)}),
+        ]:
+            site.waiters[tid] = (tid.site, frozenset(pairs))
+        # An earlier single-operation undo gave up X on b without waking anyone.
+        site._deferred_wake_keys["b"] = {X}
+        site._notify_lock_release({"a": frozenset({X}), "root": frozenset({IX})})
+        assert [(dst, n.tid) for dst, n in sent] == [
+            ("s3", t1), ("s2", t2), ("s3", t3), ("s3", t5),
+        ]
+        assert all(isinstance(n, WakeNotice) and n.site == "s1" for _, n in sent)
+        assert list(site.waiters) == [t4, t6] and not site._deferred_wake_keys
+        assert (site.stats.waiter_wakes, site.stats.wake_notices_sent) == (4, 4)
+
+        # A woken waiter that blocks again queues up behind everyone still
+        # asleep; one that re-blocks while still registered (it was woken
+        # at another site) keeps its place and waits for its new pairs.
+        del sent[:]
+        site.waiters[t1] = (t1.site, frozenset({("root", IX), ("a", X)}))
+        site.waiters[t4] = (t4.site, frozenset({("root", IS), ("a", ST)}))
+        assert list(site.waiters) == [t4, t6, t1]
+        site._notify_lock_release({"a": frozenset({X})})
+        assert [n.tid for _, n in sent] == [t4, t1]
+        site._notify_lock_release({"c": frozenset({ST})})  # t4 no longer waits on c
+        assert [n.tid for _, n in sent] == [t4, t1, t6]
+        assert not site.waiters
+
+    @pytest.mark.parametrize("end", ["commit", "abort", "fail", "crash"])
+    def test_ended_waiter_is_forgotten(self, monkeypatch, end):
+        site, sent = self.wake_site(monkeypatch)
+        gone, stays = TxId("s2", 1, 1.0), TxId("s3", 2, 2.0)
+        pairs = frozenset({("root", LockMode.IX), ("a", LockMode.X)})
+        site.waiters[gone] = ("s2", pairs)
+        site.waiters[stays] = ("s3", pairs)
+        if end == "crash":
+            site.crash()
+            assert not site.waiters
+        else:
+            {"commit": site._commit_at_site, "abort": site._abort_at_site,
+             "fail": site._fail_at_site}[end](gone)
+            assert list(site.waiters) == [stays]
+        # It held nothing: nobody is woken...
+        assert not [n for _, n in sent if isinstance(n, WakeNotice)]
+        # ...and a later release of what it waited for passes it by.
+        site._notify_lock_release({"a": frozenset({LockMode.X})})
+        assert [n.tid for _, n in sent if isinstance(n, WakeNotice)] == (
+            [] if end == "crash" else [stays]
+        )
+        assert not site.waiters
 
     @settings(
         max_examples=example_budget(8),

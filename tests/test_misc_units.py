@@ -90,6 +90,62 @@ class TestTxId:
     def test_str(self):
         assert str(TxId("s1", 3, 1.0)) == "t3@s1"
 
+    def test_equal_fields_are_one_key(self):
+        a = TxId("s1", 3, 1.5)
+        b = TxId(site="s1", seq=3, start_ts=1.5)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and {a: "x"}[b] == "x"
+        # The value the frozen dataclass hashed to: sets of ids keep their
+        # iteration order across the change of representation.
+        assert hash(a) == hash(("s1", 3, 1.5))
+        assert a != TxId("s1", 3, 2.5) and a != TxId("s2", 3, 1.5) and a != TxId("s1", 4, 1.5)
+        assert (a.site, a.seq, a.start_ts) == ("s1", 3, 1.5)
+
+    def test_is_a_plain_tuple_to_everything_else(self):
+        # Deliberate consequences of the tuple representation: an id equals
+        # (and is the same dict key as) the bare field tuple, unpacks, and
+        # JSON writes it as a list without consulting ``default=``.
+        import json
+
+        tid = TxId("s1", 1, 0.0)
+        assert tid == ("s1", 1, 0.0) and {tid: "x"}[("s1", 1, 0.0)] == "x"
+        site, seq, start_ts = tid
+        assert (site, seq, start_ts) == ("s1", 1, 0.0)
+        assert json.dumps({"tid": tid}, default=str) == '{"tid": ["s1", 1, 0.0]}'
+
+    def test_all_four_comparisons_follow_start_time(self):
+        # Field order would put "s1" < "s2" first; start time must win.
+        older, newer = TxId("s2", 1, 10.0), TxId("s1", 1, 20.0)
+        assert older < newer and older <= newer
+        assert newer > older and newer >= older
+        assert not (newer < older or newer <= older or older > newer or older >= newer)
+        same = TxId("s2", 1, 10.0)
+        assert older <= same and older >= same and not (older < same or older > same)
+        # Ties on start time: str(site), then seq.
+        assert TxId("s1", 9, 5.0) < TxId("s2", 1, 5.0)
+        assert TxId("s1", 1, 5.0) < TxId("s1", 2, 5.0)
+        assert TxId(2, 1, 5.0) > TxId(10, 1, 5.0)  # "2" > "10": sites compare as text
+        ids = [TxId("s1", 1, 20.0), TxId("s2", 1, 10.0), TxId("s3", 2, 10.0), TxId("s1", 7, 15.0)]
+        assert sorted(ids) == sorted(ids, key=lambda t: (t.start_ts, str(t.site), t.seq))
+
+    def test_newest_transaction_picks_latest_start(self):
+        from repro.deadlock import newest_transaction
+
+        cycle = [TxId("s9", 9, 1.0), TxId("s1", 1, 7.0), TxId("s5", 5, 3.0)]
+        assert newest_transaction(cycle) == TxId("s1", 1, 7.0)
+
+    def test_repr_is_pinned(self):
+        # find_any_cycle orders its search by repr, and the victim comes
+        # out of the cycle it finds: this string is part of the schedule.
+        assert repr(TxId("s3", 5, 1.5)) == "TxId(site='s3', seq=5, start_ts=1.5)"
+        assert repr(TxId(site=2, seq=10, start_ts=0.0)) == "TxId(site=2, seq=10, start_ts=0.0)"
+
+    def test_immutable(self):
+        tid = TxId("s1", 1, 0.0)
+        for name in ("site", "seq", "start_ts", "other"):
+            with pytest.raises(AttributeError):
+                setattr(tid, name, 1)
+
 
 class TestTransactionModel:
     def test_empty_transaction_rejected(self):

@@ -87,6 +87,36 @@ class TestCycles:
         g.remove_node("b")
         assert g.find_any_cycle() is None
 
+    def test_wait_chain_deeper_than_the_recursion_limit(self):
+        # One waiter per client: a chain grows with the client count, and
+        # the search runs under the kernel's own stack. A recursive DFS
+        # raised RecursionError at about a thousand nodes.
+        n = 5000
+        g = WaitForGraph()
+        for i in range(n - 1):
+            g.add_edge(i, i + 1)
+        assert g.find_cycle_from(0) is None
+        assert g.find_any_cycle() is None
+        g.add_edge(n - 1, 0)  # close the ring
+        assert g.find_cycle_from(0) == list(range(n))
+        assert g.find_cycle_from(n // 2) == [*range(n // 2, n), *range(n // 2)]
+        assert len(g.find_any_cycle()) == n
+        g.check_consistency()
+
+    def test_a_node_is_present_exactly_while_it_has_an_edge(self):
+        g = WaitForGraph()
+        g.add_edge("a", "b")
+        g.add_edge("c", "b")
+        g.clear_waits("a")
+        assert g.nodes() == {"b", "c"}
+        g.clear_waits("c")  # b lost its last waiter: gone at once
+        assert g.nodes() == set() and g.edges() == []
+        g.add_edge("a", "b")
+        g.add_edge("b", "c")
+        g.remove_node("b")  # takes both neighbours' last edges with it
+        assert g.nodes() == set()
+        g.check_consistency()
+
 
 class TestUnionAndVictim:
     def test_union_detects_distributed_cycle(self):
