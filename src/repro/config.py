@@ -330,7 +330,7 @@ class SystemConfig:
             locks release; reads at the nearest copy.
         ``"quorum"``
             Versioned quorum reads/writes (majority R and W, factor 3)
-            under the lease detector — the regime of PR 5's evaluation:
+            under the lease detector:
             commit settles at W durable copies, reads probe R versions.
         ``"lazy"``
             Bounded-staleness primary copy at factor 3: commits return

@@ -7,10 +7,10 @@ each operation newly acquired (so a *single* operation can be backed out when
 it fails to lock at a sibling site, per Algorithm 1 l. 16).
 
 A :class:`CoordinatorRecord` exists only at the coordinator site and tracks
-the in-flight protocol state of Algorithm 1: the current attempt number,
-outstanding participant responses, acknowledgement collection for
-undo/commit/abort rounds, and the wake/abort signalling used when the
-transaction is in wait mode.
+the in-flight protocol state of Algorithm 1: the current attempt number, the
+one reply round in flight (an operation's participant responses, or the acks
+of an undo/commit/abort round — a :class:`~repro.core.rounds.Round`), and the
+wake/abort signalling used when the transaction is in wait mode.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Any, Callable, Hashable, Optional
 
 from ..update.operations import AppliedChange
 from ..update.undo import UndoLog
+from .rounds import Round
 from .transaction import Operation, OpKind, Transaction, TxId
 
 
@@ -107,18 +108,14 @@ class CoordinatorRecord:
     abort_requested: bool = False
     abort_reason: str = ""
 
-    # remote-operation response collection
+    # The reply round in flight: an operation's responses (tagged with
+    # its attempt number, which fences replies of superseded attempts) or
+    # an undo / commit / abort round's acks (tagged with that phase). One
+    # at a time, None between rounds; the commit-time replica sync runs
+    # its own rounds per batch.
     attempt: int = 0
-    expected: set = field(default_factory=set)
-    responses: dict = field(default_factory=dict)
-    response_event: Optional[Any] = None
+    round: Optional[Round] = None
 
-    # ack collection for undo / commit / abort rounds (all-ack, keyed by
-    # site; the commit-time replica sync collects its own acks per batch)
-    phase: str = ""  # '', 'undo', 'commit', 'abort'
-    ack_expected: set = field(default_factory=set)
-    acks: dict = field(default_factory=dict)
-    ack_event: Optional[Any] = None
     # Documents whose routed secondary refused a read as unboundably stale
     # (max_read_staleness_ms): the retry re-routes these to the primary.
     stale_read_docs: set = field(default_factory=set)
@@ -152,9 +149,6 @@ class CoordinatorRecord:
     # is pure bookkeeping — no locks to release, no 2PC round to run
     view_served_ops: int = 0
 
-    # sites dropped from the current ack round because they crashed
-    down_acks: set = field(default_factory=set)
-
     # Open span ids at this coordinator (repro.obs, config.tracing): the
     # transaction's root span, the current operation round's span, and the
     # current operation's blocked-period span (one lock_wait span per
@@ -164,11 +158,3 @@ class CoordinatorRecord:
     root_span: int = 0
     op_span: int = 0
     wait_span: int = 0
-
-    def drop_site_from_acks(self, down) -> bool:
-        """Stop expecting a crashed site's outstanding ack; True if one was."""
-        if down not in self.ack_expected or down in self.acks:
-            return False
-        self.ack_expected.discard(down)
-        self.down_acks.add(down)
-        return True

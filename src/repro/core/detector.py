@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..deadlock.wfg import WaitForGraph, newest_transaction
-from .messages import AbortOrder, WfgRequest, WfgResponse
+from .messages import AbortOrder, WfgRequest
+from .rounds import Round
 
 
 @dataclass
@@ -33,73 +34,46 @@ class DeadlockDetector:
         self.all_site_ids = list(all_site_ids)
         self.config = config
         self.stats = DetectorStats()
-        self._collect_event = None
-        self._pending: set = set()
-        self._edges: list = []
+        # The WFG collection in flight (None between sweeps). The site's
+        # listener hands it each WfgResponse; the site's failure handling
+        # drops crashed sites from it.
+        self.round = None
         site.detector = self
         self.process = self.env.process(self._run())
-
-    def on_response(self, msg: WfgResponse) -> None:
-        """Fed by the site's Listener when a WfgResponse arrives."""
-        if self._collect_event is None or msg.site not in self._pending:
-            return
-        self._pending.discard(msg.site)
-        self._edges.extend(msg.edges)
-        if not self._pending and not self._collect_event.triggered:
-            self._collect_event.succeed(None)
-
-    def on_site_down(self, site_id) -> None:
-        """A polled site crashed: stop waiting for its graph this sweep."""
-        if self._collect_event is None or site_id not in self._pending:
-            return
-        self._pending.discard(site_id)
-        if not self._pending and not self._collect_event.triggered:
-            self._collect_event.succeed(None)
 
     def _run(self):
         yield self.env.timeout(self.config.detector_initial_delay_ms)
         while True:
             if self.site.alive:
-                yield from self._sweep()
+                # Sweeps poll every site's wait-for graph: global span.
+                yield from self.site._span(self._sweep(), "detector_sweep", "deadlock")
             yield self.env.timeout(self.config.detector_interval_ms)
 
     def _sweep(self):
-        tr = self.site.tracer
-        if tr is None:
-            return (yield from self._sweep_inner())
-        # Sweeps poll every site's wait-for graph: global span (parent 0).
-        sid = tr.begin(
-            "detector_sweep", "deadlock", self.site.site_id, 0, self.env.now
-        )
-        try:
-            return (yield from self._sweep_inner())
-        finally:
-            tr.end(sid, self.env.now)
-
-    def _sweep_inner(self):
         self.stats.sweeps += 1
         # Local graph is read directly; remote graphs are requested from the
         # *live* sites (Alg. 4 l. 4); a site crashing mid-collection is
-        # dropped via on_site_down, and the interval timeout bounds the
+        # dropped from the round, and the interval timeout bounds the
         # sweep either way (detection pauses rather than wedges while the
         # detector's own site is down).
-        self._edges = list(self.site.wfg.snapshot())
+        edges = list(self.site.wfg.snapshot())
         others = [
             s
             for s in self.all_site_ids
             if s != self.site.site_id and self.network.is_up(s)
         ]
         if others:
-            self._pending = set(others)
-            self._collect_event = self.env.event()
+            rnd = self.round = Round(self.env, "wfg", others)
             for s in others:
                 self.network.send(self.site.site_id, s, WfgRequest(requester=self.site.site_id))
-            deadline = self.env.timeout(self.config.detector_interval_ms)
-            yield self.env.any_of([self._collect_event, deadline])
-            self._collect_event = None
+            yield from rnd.wait(self.config.detector_interval_ms)
+            self.round = None
             if not self.site.alive:
                 return
-        edges = self._edges
+            # A dropped site's late graph is stale: its waits died with it.
+            for site, msg in rnd.replies.items():
+                if site not in rnd.dropped:
+                    edges.extend(msg.edges)
         self.stats.edges_examined += len(edges)
         if edges:
             yield self.env.timeout(len(edges) * self.config.costs.wfg_merge_per_edge_ms)

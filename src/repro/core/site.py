@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from inspect import isgeneratorfunction
+from operator import attrgetter
 from typing import Callable, Hashable, Optional
 
 from ..config import SystemConfig
@@ -82,6 +84,7 @@ from .messages import (
     WfgRequest,
     WfgResponse,
 )
+from .rounds import NEVER, Round
 from .transaction import Operation, OpKind, Transaction, TxId, TxState
 
 
@@ -103,41 +106,19 @@ class _SyncOutbox:
     open: bool = True
 
 
-@dataclass
-class _SyncBatchState:
-    """Ack collection for one in-flight ReplicaSyncBatch fan-out.
-
-    Under quorum writes ``needed`` maps each riding transaction to the
-    *ok* remote acks that settle it (its own W - 1: the per-transaction
-    ``write_quorum_w`` override rides the shared batch). The round fires
-    early as soon as every transaction has its count (on top of the
-    primary's durable record) — nobody waits for the stragglers. Empty
-    means an all-ack round.
-    """
-
-    expected: set = field(default_factory=set)  # sites still to answer
-    acks: dict = field(default_factory=dict)  # site -> ReplicaSyncBatchAck
-    event: object = None
-    needed: dict = field(default_factory=dict)  # tid -> ok remote acks
-
-
-@dataclass
-class _ProbeState:
-    """Report collection for one in-flight version-probe fan-out.
-
-    Probes fan to every live replica but the round settles at ``needed``
-    (= R) reports: a slow or silently-cut replica never gates the read,
-    which is the read-side mirror of the W-ack write quorum.
-    """
-
-    expected: set = field(default_factory=set)  # sites that were probed
-    needed: int = 0  # reports that settle the round (R)
-    reports: dict = field(default_factory=dict)  # site -> VersionReport
-    event: object = None
-
-
-#: The coordinator round (``CoordinatorRecord.phase``) each ack class settles.
+#: The ack round (by its tag) each ack class answers.
 _ACK_PHASE = {UndoOpAck: "undo", CommitAck: "commit", AbortAck: "abort"}
+
+#: Reply classes answered through the site's round registry, with the field
+#: that names their round.
+_ROUND_ID = {
+    ReplicaSyncBatchAck: attrgetter("batch_id"),
+    VersionReport: attrgetter("probe_id"),
+    LogTipReport: attrgetter("election_id"),
+    CatchUpResponse: attrgetter("req_id"),
+    ViewFetchResponse: attrgetter("req_id"),
+    ViewReadResult: attrgetter("read_id"),
+}
 
 #: Root element of the placeholder a joining replica hosts until its first
 #: snapshot transfer arrives (never queried: quorum probes rank the empty
@@ -302,13 +283,14 @@ class DTXSite:
         # folded into the *next* end-of-transaction wake sweep so the
         # wake-up owed for them is not lost.
         self._deferred_wake_keys: dict = {}
-        # Commit-time replica sync: staging outboxes and in-flight rounds.
+        # Commit-time replica sync: staging outboxes.
         self._sync_outboxes: dict[tuple, _SyncOutbox] = {}
-        self._sync_batches: dict[int, _SyncBatchState] = {}
-        self._batch_seq = 0
-        # Quorum reads: in-flight version-probe rounds at this coordinator.
-        self._version_probes: dict[int, _ProbeState] = {}
-        self._probe_seq = 0
+        # In-flight reply rounds other than a coordinator's op/ack round
+        # (that one is ``CoordinatorRecord.round``), by the id their reply
+        # messages carry. One counter numbers them, and the unacknowledged
+        # lazy and view batches too, so no reply can reach a wrong round.
+        self._rounds: dict[int, Round] = {}
+        self._round_seq = 0
         self.remote_ops: Store = Store(env)
         self._tx_seq = 0
         self.stats = SiteStats()
@@ -328,8 +310,6 @@ class DTXSite:
         self.faults = None
         self.logs: dict[str, UpdateLog] = {}
         self._catchup_gates: dict[str, object] = {}  # doc -> Event while catching up
-        self._catchup_waiters: dict[int, object] = {}  # req_id -> Event
-        self._catchup_seq = 0
 
         # Fault-injection hooks for testing the abort/fail/crash paths:
         # tids (or '*') whose commit/abort/replica-sync requests this site
@@ -342,12 +322,9 @@ class DTXSite:
         # Lease-based membership (failure_detector="lease"): this site's
         # own lease table plus election bookkeeping. ``None`` under the
         # perfect detector — no heartbeat processes run, no extra messages
-        # or RNG draws happen, and schedules stay bit-identical to the
-        # oracle-based code.
+        # or RNG draws happen.
         self.membership: Optional[SiteMembership] = None
         self._elections: dict[str, int] = {}  # doc -> active election id
-        self._election_reports: dict[int, dict] = {}  # id -> site -> report
-        self._election_seq = 0
         self._heartbeat_seq = 0
         # Lazy-propagation outbox: doc -> pending UpdateLogEntry list; the
         # flush that the first entry schedules ships the whole queue as one
@@ -358,15 +335,10 @@ class DTXSite:
         # unless a view is registered somewhere: ``_views`` is the lazily
         # built ViewManager of a *hosting* site, ``_view_outboxes`` the
         # primary-side committed-entry queues drained by the per-document
-        # push loops in ``_view_push_docs``, and ``_view_reads`` /
-        # ``_view_fetch_waiters`` the coordinator/host round bookkeeping.
+        # push loops in ``_view_push_docs``.
         self._views = None
         self._view_outboxes: dict[str, list] = {}
         self._view_push_docs: set[str] = set()
-        self._view_reads: dict[int, tuple] = {}  # read_id -> (event, host)
-        self._view_read_seq = 0
-        self._view_fetch_waiters: dict[int, object] = {}
-        self._view_fetch_seq = 0
 
         env.process(self._listener())
         env.process(self._participant_loop())
@@ -523,7 +495,7 @@ class DTXSite:
         """Whether *this site believes* ``site_id`` can currently serve.
 
         Under the perfect detector that is the network's physical truth
-        (the oracle, exactly as before). Under the lease detector it is
+        (the oracle). Under the lease detector it is
         the local lease table — a suspected peer is treated as down even
         if it is merely partitioned away, and routing/commit decisions
         must stay safe under that falseness.
@@ -650,33 +622,6 @@ class DTXSite:
     # listener (Fig. 1: receives requests and inter-scheduler messages)
     # ------------------------------------------------------------------
 
-    def _on_client_request(self, msg: ClientRequest) -> None:
-        self.env.process(self._run_transaction(msg.transaction))
-
-    def _on_undo_request(self, msg: UndoOpRequest) -> None:
-        self.env.process(self._handle_undo_request(msg))
-
-    def _on_replica_sync_batch(self, msg: ReplicaSyncBatch) -> None:
-        self.env.process(self._handle_replica_sync_batch(msg))
-
-    def _on_commit_request(self, msg: CommitRequest) -> None:
-        self.env.process(self._handle_commit_request(msg))
-
-    def _on_abort_request(self, msg: AbortRequest) -> None:
-        self.env.process(self._handle_abort_request(msg))
-
-    def _on_site_down_notice(self, msg: SiteDownNotice) -> None:
-        self._on_site_down(msg.site)
-
-    def _on_site_up_notice(self, msg: SiteUpNotice) -> None:
-        self._on_site_up(msg.site)
-
-    def _on_catchup_request(self, msg: CatchUpRequest) -> None:
-        self.env.process(self._handle_catchup_request(msg))
-
-    def _on_wake_notice(self, msg: WakeNotice) -> None:
-        self._wake_coordinator(msg.tid)
-
     def _on_wfg_request(self, msg: WfgRequest) -> None:
         self.network.send(
             self.site_id, msg.requester,
@@ -684,63 +629,74 @@ class DTXSite:
         )
 
     def _on_wfg_response(self, msg: WfgResponse) -> None:
-        if self.detector is not None:
-            self.detector.on_response(msg)
+        rnd = self.detector.round if self.detector is not None else None
+        if rnd is not None:
+            rnd.reply(msg.site, msg)
 
-    def _on_abort_order(self, msg: AbortOrder) -> None:
-        self._order_abort(msg.tid, msg.reason)
+    def _on_round_reply(self, msg) -> None:
+        rnd = self._rounds.get(_ROUND_ID[msg.__class__](msg))
+        if rnd is not None:
+            # Catch-up and view-fetch responses name no sender: their
+            # round asked one site.
+            rnd.reply(getattr(msg, "site", rnd.sites[0]), msg)
 
     def _dispatch_table(self) -> dict:
-        """Exact-class message dispatch for the listener hot loop.
-
-        Message classes are never subclassed, so one dict lookup on
-        ``msg.__class__`` replaces the 25-branch isinstance chain the
-        listener used to walk per message.
-        """
+        """Exact-class message dispatch (message classes are never
+        subclassed). Generator handlers run as processes of their own."""
         return {
-            ClientRequest: self._on_client_request,
+            ClientRequest: self._run_transaction,
             RemoteOpRequest: self.remote_ops.put,
             RemoteOpResult: self._on_op_result,
-            UndoOpRequest: self._on_undo_request,
-            ReplicaSyncBatch: self._on_replica_sync_batch,
-            ReplicaSyncBatchAck: self._on_batch_ack,
-            CommitRequest: self._on_commit_request,
-            AbortRequest: self._on_abort_request,
+            UndoOpRequest: self._handle_undo_request,
+            ReplicaSyncBatch: self._handle_replica_sync_batch,
+            ReplicaSyncBatchAck: self._on_round_reply,
+            CommitRequest: self._handle_commit_request,
+            AbortRequest: self._handle_abort_request,
             UndoOpAck: self._on_ack,
             CommitAck: self._on_ack,
             AbortAck: self._on_ack,
             FailNotice: self._handle_fail_notice,
-            SiteDownNotice: self._on_site_down_notice,
-            SiteUpNotice: self._on_site_up_notice,
+            SiteDownNotice: self._on_site_down,
+            SiteUpNotice: self._on_site_up,
             HeartbeatMessage: self._on_heartbeat,
             LogTipQuery: self._on_log_tip_query,
-            LogTipReport: self._on_log_tip_report,
+            LogTipReport: self._on_round_reply,
             PrimaryAnnounce: self._on_primary_announce,
-            CatchUpRequest: self._on_catchup_request,
-            CatchUpResponse: self._on_catchup_response,
+            CatchUpRequest: self._handle_catchup_request,
+            CatchUpResponse: self._on_round_reply,
             VersionProbe: self._on_version_probe,
-            VersionReport: self._on_version_report,
+            VersionReport: self._on_round_reply,
             ReadRepairNudge: self._on_read_repair,
-            ViewDeltaBatch: self._on_view_delta,
-            ViewFetchRequest: self._on_view_fetch_request,
-            ViewFetchResponse: self._on_view_fetch_response,
-            ViewReadRequest: self._on_view_read_request,
-            ViewReadResult: self._on_view_read_result,
+            ViewDeltaBatch: self._handle_view_delta,
+            ViewFetchRequest: self._handle_view_fetch_request,
+            ViewFetchResponse: self._on_round_reply,
+            ViewReadRequest: self._handle_view_read,
+            ViewReadResult: self._on_round_reply,
             WakeNotice: self._on_wake_notice,
             WfgRequest: self._on_wfg_request,
             WfgResponse: self._on_wfg_response,
-            AbortOrder: self._on_abort_order,
+            AbortOrder: self._order_abort,
         }
 
     def _listener(self):
         handlers = self._dispatch_table()
+        spawned = {
+            cls: handlers.pop(cls)
+            for cls in list(handlers)
+            if isgeneratorfunction(handlers[cls])
+        }
+        process = self.env.process
         inbox_get = self.inbox.get
         while True:
             msg = yield inbox_get()
             handler = handlers.get(msg.__class__)
-            if handler is None:  # pragma: no cover - defensive
+            if handler is not None:
+                handler(msg)
+                continue
+            spawn = spawned.get(msg.__class__)
+            if spawn is None:  # pragma: no cover - defensive
                 raise ReproError(f"site {self.site_id}: unknown message {msg!r}")
-            handler(msg)
+            process(spawn(msg))
 
     # ------------------------------------------------------------------
     # operation execution against the local lock manager (Algorithm 3 caller)
@@ -763,9 +719,8 @@ class DTXSite:
             # believes it leads the document and holds the primacy lease
             # (a majority of the replica set un-suspected). A deposed
             # primary that already learned of the new epoch, or a
-            # partitioned primary whose lease ran out, refuses — the
-            # oracle used to make this state unreachable; fencing now has
-            # to.
+            # partitioned primary whose lease ran out, refuses: without
+            # the oracle, fencing is what makes this state unreachable.
             rset = self.catalog.replica_set(op.doc_name)
             if rset.is_replicated and (
                 rset.primary != self.site_id or not self._has_lease(op.doc_name)
@@ -1034,29 +989,33 @@ class DTXSite:
             del self.waiters[tid]
             self.stats.waiter_wakes += 1
             if coordinator == self.site_id:
-                self._wake_coordinator(tid)
+                rec = self.coordinators.get(tid)
+                if rec is not None:
+                    self._wake(rec)
             else:
                 self.stats.wake_notices_sent += 1
                 self.network.send(
                     self.site_id, coordinator, WakeNotice(tid=tid, site=self.site_id)
                 )
 
-    def _wake_coordinator(self, tid: TxId) -> None:
-        rec = self.coordinators.get(tid)
-        if rec is None:
-            return
+    def _on_wake_notice(self, msg: WakeNotice) -> None:
+        rec = self.coordinators.get(msg.tid)
+        if rec is not None:
+            self._wake(rec)
+
+    def _wake(self, rec: CoordinatorRecord) -> None:
         rec.wake_pending = True
         if rec.wake_event is not None and not rec.wake_event.triggered:
             rec.wake_event.succeed("wake")
 
-    def _order_abort(self, tid: TxId, reason: str) -> None:
+    def _order_abort(self, msg: AbortOrder) -> None:
         """Deadlock detector chose this coordinator's transaction as victim."""
-        rec = self.coordinators.get(tid)
+        rec = self.coordinators.get(msg.tid)
         if rec is None or rec.tx.done:
             return
         rec.abort_requested = True
-        rec.abort_reason = reason
-        self._wake_coordinator(tid)
+        rec.abort_reason = msg.reason
+        self._wake(rec)
 
     # ------------------------------------------------------------------
     # participant loop (Algorithm 2)
@@ -1230,7 +1189,7 @@ class DTXSite:
             # new primary's tip, so slots can be reused across epochs).
             # The phantom's data is in our document; log replay cannot
             # reconcile that — heal by snapshot transfer first.
-            yield from self._catch_up(doc_name, force_snapshot=True)
+            yield from self._traced_catch_up(doc_name, force_snapshot=True)
             if not self.alive:
                 return None
             log = self.log_for(doc_name)
@@ -1287,7 +1246,7 @@ class DTXSite:
             # response arrived it is safe to apply even if commuting holes
             # remain.
             if self.catalog.replica_set(doc_name).primary != self.site_id:
-                caught_up = yield from self._catch_up(doc_name)
+                caught_up = yield from self._traced_catch_up(doc_name)
                 if not self.alive:
                     return None
                 if log.has(lsn):
@@ -1383,27 +1342,13 @@ class DTXSite:
 
     def _on_op_result(self, msg: RemoteOpResult) -> None:
         rec = self.coordinators.get(msg.tid)
-        if rec is None or msg.attempt != rec.attempt:
-            return  # stale reply from a superseded attempt
-        rec.responses[msg.site] = msg
-        if (
-            rec.response_event is not None
-            and not rec.response_event.triggered
-            and set(rec.responses) >= rec.expected
-        ):
-            rec.response_event.succeed(dict(rec.responses))
+        if rec is not None and rec.round is not None:
+            rec.round.reply(msg.site, msg, msg.attempt)
 
     def _on_ack(self, msg) -> None:
         rec = self.coordinators.get(msg.tid)
-        if rec is None or rec.phase != _ACK_PHASE[msg.__class__]:
-            return
-        rec.acks[msg.site] = msg
-        if (
-            rec.ack_event is not None
-            and not rec.ack_event.triggered
-            and set(rec.acks) >= rec.ack_expected
-        ):
-            rec.ack_event.succeed(dict(rec.acks))
+        if rec is not None and rec.round is not None:
+            rec.round.reply(msg.site, msg, _ACK_PHASE[msg.__class__])
 
     def _quorum_spec(self, rec: CoordinatorRecord, degree: int):
         """The (N, R, W) governing ``rec``'s transaction at ``degree``.
@@ -1416,13 +1361,6 @@ class DTXSite:
             degree, rec.tx.read_quorum_r, rec.tx.write_quorum_w
         )
 
-    def _collect_acks(self, rec: CoordinatorRecord, phase: str, sites: list) -> None:
-        rec.phase = phase
-        rec.ack_expected = set(sites)
-        rec.acks = {}
-        rec.down_acks = set()
-        rec.ack_event = self.env.event()
-
     def _round_timeout_ms(self) -> float:
         """Upper bound on a lease-mode protocol round.
 
@@ -1433,34 +1371,44 @@ class DTXSite:
         """
         return 2 * self.config.lease_timeout_ms + self.config.election_timeout_ms
 
-    def _await_acks(self, rec: CoordinatorRecord):
-        """Wait out the current ack round; bounded under the lease detector.
+    def _new_round_id(self) -> int:
+        self._round_seq += 1
+        return self._round_seq
 
-        The perfect detector guarantees every ack arrives or a
+    def _open_round(self, kind: str, sites, need=None) -> tuple[int, Round]:
+        """Register a fresh round; its id goes out on the request."""
+        round_id = self._new_round_id()
+        rnd = self._rounds[round_id] = Round(self.env, kind, sites, need)
+        return round_id, rnd
+
+    def _await_coordinator_round(self, rec: CoordinatorRecord):
+        """Wait out ``rec``'s op or ack round; the replies it settled with.
+
+        The perfect detector guarantees every reply arrives or a
         SiteDownNotice unsticks the round. Without the oracle a message
         lost to a partition *shorter than the lease* has no such backstop
-        — nobody gets suspected, so nothing would ever fire. On timeout
-        the round settles with the acks that did arrive; peers that never
-        answered are recorded like crashed-mid-round participants
-        (``down_acks`` — outcome unknown), which the commit path already
-        knows how to degrade safely.
+        — nobody gets suspected, so nothing would ever fire: the wait is
+        bounded, and on timeout the round settles with what did arrive.
+        Peers that never answered stay in ``round.pending``; the op path
+        retries them, the ack paths treat them like crashed-mid-round
+        participants (outcome unknown), which they know how to degrade
+        safely.
         """
-        if self.membership is None:
-            acks = yield rec.ack_event
-            return acks
-        timeout_ev = self.env.timeout(self._round_timeout_ms(), value=None)
-        fired = yield self.env.any_of([rec.ack_event, timeout_ev])
-        if rec.ack_event in fired:
-            return fired[rec.ack_event]
-        rec.down_acks |= rec.ack_expected - set(rec.acks)
-        rec.ack_event = None
-        return dict(rec.acks)
+        rnd = rec.round
+        replies = yield from rnd.wait(
+            None if self.membership is None else self._round_timeout_ms()
+        )
+        rec.round = None
+        if replies is None:
+            replies = dict(rnd.replies)
+        return replies
 
     # ------------------------------------------------------------------
     # coordinator (Algorithm 1 + commit/abort procedures, Algorithms 5-6)
     # ------------------------------------------------------------------
 
-    def _run_transaction(self, tx: Transaction):
+    def _run_transaction(self, req: ClientRequest):
+        tx: Transaction = req.transaction
         self._tx_seq += 1
         tid = TxId(site=self.site_id, seq=self._tx_seq, start_ts=self.env.now)
         tx.tid = tid
@@ -1479,9 +1427,14 @@ class DTXSite:
         try:
             try:
                 for op in tx.operations:
-                    yield from self._run_operation(rec, op)
+                    yield from self._span(
+                        self._run_operation(rec, op), "op", "op",
+                        rec.root_span, rec, op,
+                    )
                 tx.state = TxState.COMMITTING
-                committed = yield from self._commit_transaction(rec)
+                committed = yield from self._span(
+                    self._commit_transaction(rec), "commit", "2pc", rec.root_span, rec
+                )
                 if not committed:
                     raise _AbortTx(rec.abort_reason or "commit-refused")
                 tx.state = TxState.COMMITTED
@@ -1490,7 +1443,9 @@ class DTXSite:
                 reason = abort.reason
                 tx.state = TxState.ABORTING
                 tx.abort_reason = reason
-                aborted_ok = yield from self._abort_transaction(rec)
+                aborted_ok = yield from self._span(
+                    self._abort_transaction(rec), "abort", "2pc", rec.root_span, rec
+                )
                 if aborted_ok:
                     tx.state = TxState.ABORTED
                     status = "aborted"
@@ -1516,24 +1471,50 @@ class DTXSite:
             )
         )
 
-    def _run_operation(self, rec: CoordinatorRecord, op: Operation):
+    def _span(self, gen, name: str, cat: str, parent: int = 0, rec=None, about=None):
+        """``gen`` inside a tracer span, or ``gen`` itself with tracing off.
+
+        With ``rec`` the span becomes the record's ``op_span`` while it is
+        open, so the sends and sub-spans of the wrapped work nest under it.
+        ``about`` labels the span: a document name, or an operation (its
+        document, index and kind). The span closes on every exit,
+        ``_AbortTx`` and ``_SiteCrashed`` unwinds included.
+        """
         tr = self.tracer
         if tr is None:
-            return (yield from self._run_operation_rounds(rec, op))
-        # One span per client operation, covering every retry round; the
-        # try/finally closes it on _AbortTx/_SiteCrashed unwinds too.
-        rec.op_span = tr.begin(
-            "op", "op", self.site_id, rec.root_span, self.env.now,
-            {"doc": op.doc_name, "index": str(op.index), "kind": op.kind.name},
-        )
-        try:
-            return (yield from self._run_operation_rounds(rec, op))
-        finally:
-            tr.end(rec.op_span, self.env.now)
-            rec.op_span = 0
-            rec.wait_span = 0
+            return gen
+        return self._spanned(tr, gen, name, cat, parent, rec, about)
 
-    def _run_operation_rounds(self, rec: CoordinatorRecord, op: Operation):
+    def _send_in_span(self, dst: Hashable, span: int, msg) -> None:
+        """Send one request of a round; with tracing on, record its flight
+        under ``span``."""
+        delay = self.network.send(self.site_id, dst, msg)
+        tr = self.tracer
+        if tr is not None:
+            now = self.env.now
+            tr.add_flight("send", "net", self.site_id, span, now, now + delay,
+                          {"dst": str(dst)})
+
+    def _spanned(self, tr, gen, name, cat, parent, rec, about):
+        if about is None:
+            labels = None
+        elif isinstance(about, Operation):
+            labels = {"doc": about.doc_name, "index": str(about.index),
+                      "kind": about.kind.name}
+        else:
+            labels = {"doc": about}
+        sid = tr.begin(name, cat, self.site_id, parent, self.env.now, labels)
+        if rec is not None:
+            saved = rec.op_span
+            rec.op_span = sid
+        try:
+            return (yield from gen)
+        finally:
+            tr.end(sid, self.env.now)
+            if rec is not None:
+                rec.op_span = saved
+
+    def _run_operation(self, rec: CoordinatorRecord, op: Operation):
         tx = rec.tx
         while True:
             self._check_alive()
@@ -1553,7 +1534,10 @@ class DTXSite:
                     and self.catalog.has_views(op.doc_name)
                     and not tx.is_update_transaction
                 ):
-                    served = yield from self._try_view_read(rec, op, view_bound)
+                    served = yield from self._span(
+                        self._try_view_read(rec, op, view_bound), "view_read",
+                        "view", rec.op_span, rec, op.doc_name,
+                    )
                     if served:
                         op.executed = True
                         rec.view_served_ops += 1
@@ -1620,34 +1604,17 @@ class DTXSite:
             # through the same participant path, which keeps replicas
             # byte-identical.
             rec.attempt += 1
-            rec.expected = set(sites)
-            rec.responses = {}
-            rec.response_event = self.env.event()
-            tr = self.tracer
+            rec.round = Round(self.env, "op", sites, tag=rec.attempt)
             for site in sites:
-                delay = self.network.send(
-                    self.site_id, site,
-                    RemoteOpRequest(
-                        tid=rec.tid, coordinator=self.site_id, op=op,
-                        attempt=rec.attempt, incarnation=self.incarnation,
-                        span=rec.op_span,
-                    ),
-                )
-                if tr is not None:
-                    tr.add_flight("send", "net", self.site_id, rec.op_span,
-                           self.env.now, self.env.now + delay,
-                           {"dst": str(site)})
-            if self.membership is None:
-                results = yield rec.response_event
-            else:
-                # Bounded in lease mode: a response lost to a short cut
-                # must not wait on a suspicion that will never come. The
-                # never-answering sites flow into ``missing`` below, and
-                # the retry re-ships the operation (attempt-fenced).
-                timeout_ev = self.env.timeout(self._round_timeout_ms(), value=None)
-                fired = yield self.env.any_of([rec.response_event, timeout_ev])
-                results = fired.get(rec.response_event, dict(rec.responses))
-            rec.response_event = None
+                self._send_in_span(site, rec.op_span, RemoteOpRequest(
+                    tid=rec.tid, coordinator=self.site_id, op=op,
+                    attempt=rec.attempt, incarnation=self.incarnation,
+                    span=rec.op_span,
+                ))
+            # Never-answering sites (crashed, or lost to a short cut in
+            # lease mode) flow into ``missing`` below, and the retry
+            # re-ships the operation (attempt-fenced).
+            results = yield from self._await_coordinator_round(rec)
             self._check_alive()
             tx.stats.op_attempts += 1
 
@@ -1677,7 +1644,7 @@ class DTXSite:
 
             # Back out sites where the operation did execute (Alg. 1 l. 16).
             if executed_sites:
-                self._collect_acks(rec, "undo", executed_sites)
+                rec.round = Round(self.env, "undo", executed_sites, tag="undo")
                 for site in executed_sites:
                     self.network.send(
                         self.site_id,
@@ -1688,8 +1655,7 @@ class DTXSite:
                             span=rec.op_span,
                         ),
                     )
-                yield from self._await_acks(rec)
-                rec.phase = ""
+                yield from self._await_coordinator_round(rec)
                 self._check_alive()
 
             if any_failed:
@@ -1727,6 +1693,7 @@ class DTXSite:
         # *extends* it (a wake that cannot be satisfied is still
         # time spent waiting for the lock — chopping the period into
         # per-wait spans would misread that churn as coordinator work).
+        # Reopening an existing span is why this does not use _span.
         sid = rec.wait_span
         if not sid or tr.get(sid).parent != rec.op_span:
             op_span = tr.get(rec.op_span) if rec.op_span else None
@@ -1794,8 +1761,6 @@ class DTXSite:
             candidates = [s for s in order if s not in excluded and self._peer_up(s)]
             if len(candidates) < spec.read_quorum:
                 raise _AbortTx("no-read-quorum")
-            self._probe_seq += 1
-            probe_id = self._probe_seq
             # Speculative fan-out (the Dynamo-family read discipline):
             # probe *every* live replica, settle on the first R reports.
             # A replica that is believed live but actually behind a cut
@@ -1804,24 +1769,17 @@ class DTXSite:
             # is what keeps read repair finding stragglers. R remains the
             # consistency knob: it is the number of *answers* that gate
             # the read, not the number of probes.
-            targets = candidates
-            state = _ProbeState(
-                expected=set(targets),
-                needed=spec.read_quorum,
-                event=self.env.event(),
-            )
-            self._version_probes[probe_id] = state
+            probe_id, rnd = self._open_round("probe", candidates, spec.read_quorum)
             probe = VersionProbe(
                 doc_name=doc_name, reader=self.site_id, probe_id=probe_id
             )
-            for target in targets:
+            for target in candidates:
                 self.network.send(self.site_id, target, probe)
                 self.stats.version_probes_sent += 1
             # Bounded under both detectors: a probe lost to a cut has no
             # SiteDownNotice backstop (the peer is alive).
-            timeout_ev = self.env.timeout(self._round_timeout_ms(), value=None)
-            yield self.env.any_of([state.event, timeout_ev])
-            self._version_probes.pop(probe_id, None)
+            yield from rnd.wait(self._round_timeout_ms())
+            self._rounds.pop(probe_id, None)
             self._check_alive()
             reports = {
                 site: VersionVector(
@@ -1830,12 +1788,12 @@ class DTXSite:
                     applied_lsn=msg.applied_lsn,
                     max_recorded_lsn=msg.max_recorded_lsn,
                 )
-                for site, msg in state.reports.items()
+                for site, msg in rnd.replies.items()
             }
             if len(reports) < spec.read_quorum:
                 # Crashed or partitioned-away responders: strike them from
                 # the candidate pool and re-probe over the rest.
-                excluded |= set(targets) - set(reports)
+                excluded |= set(candidates) - set(reports)
                 self.stats.quorum_read_retries += 1
                 continue
             winner, laggards = choose_read_replica(
@@ -1906,21 +1864,6 @@ class DTXSite:
             ),
         )
 
-    def _on_version_report(self, msg: VersionReport) -> None:
-        state = self._version_probes.get(msg.probe_id)
-        if state is None:
-            return  # round already settled (timeout / crash): stale report
-        state.reports[msg.site] = msg
-        if (
-            state.event is not None
-            and not state.event.triggered
-            and (
-                len(state.reports) >= state.needed
-                or set(state.reports) >= state.expected
-            )
-        ):
-            state.event.succeed(None)
-
     def _on_read_repair(self, msg: ReadRepairNudge) -> None:
         """A quorum read observed this replica behind the frontier: heal.
 
@@ -1939,22 +1882,6 @@ class DTXSite:
             self.nudge_catch_up(msg.doc_name)
 
     def _sync_replicas(self, rec: CoordinatorRecord):
-        tr = self.tracer
-        if tr is None:
-            return (yield from self._sync_replicas_inner(rec))
-        saved = rec.op_span
-        sid = tr.begin(
-            "replica_sync", "sync", self.site_id,
-            rec.op_span or rec.root_span, self.env.now,
-        )
-        rec.op_span = sid  # nested sync sends parent here
-        try:
-            return (yield from self._sync_replicas_inner(rec))
-        finally:
-            tr.end(sid, self.env.now)
-            rec.op_span = saved
-
-    def _sync_replicas_inner(self, rec: CoordinatorRecord):
         """Commit-time replica synchronization (eager and quorum regimes).
 
         Runs at the top of the commit procedure, while the primary's locks
@@ -2107,17 +2034,11 @@ class DTXSite:
         ``bounded`` a timeout covers peers behind a cut. Eager rounds
         under the perfect detector pass ``bounded=False`` to keep the
         oracle contract: wait for every ack, or for the SiteDownNotice
-        that unsticks the round. Returns the :class:`_SyncBatchState`
-        with whatever acks arrived.
+        that unsticks the round. Returns the acks that arrived, by site.
         """
-        self._batch_seq += 1
-        batch_id = self._batch_seq
-        state = _SyncBatchState(
-            expected={site for site, _ in targets},
-            event=self.env.event(),
-            needed=needed,
+        batch_id, rnd = self._open_round(
+            "sync", [site for site, _ in targets], needed or None
         )
-        self._sync_batches[batch_id] = state
         tr = self.tracer
         batch_span = (
             tr.begin(
@@ -2128,26 +2049,17 @@ class DTXSite:
             else 0
         )
         for site, log_only in targets:
-            msg = ReplicaSyncBatch(
+            self._send_in_span(site, batch_span, ReplicaSyncBatch(
                 coordinator=self.site_id, doc_name=doc_name,
                 batch_id=batch_id, log_only=log_only, entries=list(entries),
                 span=batch_span,
-            )
-            delay = self.network.send(self.site_id, site, msg)
-            if tr is not None:
-                tr.add_flight("send", "net", self.site_id, batch_span,
-                       self.env.now, self.env.now + delay,
-                       {"dst": str(site)})
+            ))
             self.stats.group_batches_sent += 1
-        if bounded:
-            timeout_ev = self.env.timeout(self._round_timeout_ms(), value=None)
-            yield self.env.any_of([state.event, timeout_ev])
-        else:
-            yield state.event
+        yield from rnd.wait(self._round_timeout_ms() if bounded else None)
         if tr is not None:
             tr.end(batch_span, self.env.now)
-        self._sync_batches.pop(batch_id, None)
-        return state
+        self._rounds.pop(batch_id, None)
+        return rnd.replies
 
     def _flush_sequenced_batch(self, box: _SyncOutbox, incarnation: int, rset,
                                valid: list):
@@ -2244,13 +2156,13 @@ class DTXSite:
                 )
                 for rec, ops, _ in valid
             ]
-            state = yield from self._ship_batch_round(
+            acks = yield from self._ship_batch_round(
                 doc_name, [(rset.primary, True)], entries,
                 needed={}, bounded=bounded, parent_span=round_parent(entries),
             )
             if self._outbox_died(box, incarnation):
                 return
-            ack = state.acks.get(rset.primary)
+            ack = acks.get(rset.primary)
             if ack is None:
                 if self.membership is None and not self.network.is_up(rset.primary):
                     # Perfect detector: the primary crashed mid-round —
@@ -2306,9 +2218,9 @@ class DTXSite:
             if is_quorum
             else {}
         )
-        state = None
+        acks = {}
         if sec_targets and good_entries:
-            state = yield from self._ship_batch_round(
+            acks = yield from self._ship_batch_round(
                 doc_name, sec_targets, good_entries, needed=needed,
                 bounded=bounded, parent_span=round_parent(good_entries),
             )
@@ -2319,15 +2231,14 @@ class DTXSite:
             durable = 1 if p_ok else 0
             sec_oks = 0
             stale = p_reason == "stale-epoch"
-            if state is not None:
-                for ack in state.acks.values():
-                    result = ack.results.get(rec.tid)
-                    if result is None:
-                        continue
-                    if result[0]:
-                        sec_oks += 1
-                    elif result[1] == "stale-epoch":
-                        stale = True
+            for ack in acks.values():
+                result = ack.results.get(rec.tid)
+                if result is None:
+                    continue
+                if result[0]:
+                    sec_oks += 1
+                elif result[1] == "stale-epoch":
+                    stale = True
             durable += sec_oks
             if is_quorum:
                 self.stats.sync_acks_awaited += sec_oks
@@ -2359,45 +2270,7 @@ class DTXSite:
                 }
             )
 
-    def _on_batch_ack(self, msg: ReplicaSyncBatchAck) -> None:
-        state = self._sync_batches.get(msg.batch_id)
-        if state is None:
-            return
-        state.acks[msg.site] = msg
-        if state.event.triggered:
-            return
-        if set(state.acks) >= state.expected:
-            state.event.succeed(None)
-            return
-        if state.needed and all(
-            sum(
-                1
-                for ack in state.acks.values()
-                if ack.results.get(tid, (False, ""))[0]
-            )
-            >= count
-            for tid, count in state.needed.items()
-        ):
-            # Quorum writes: every transaction riding this batch has its W
-            # durable copies — settle now, the stragglers apply it late.
-            state.event.succeed(None)
-
     def _commit_transaction(self, rec: CoordinatorRecord):
-        tr = self.tracer
-        if tr is None:
-            return (yield from self._commit_transaction_inner(rec))
-        saved = rec.op_span
-        sid = tr.begin(
-            "commit", "2pc", self.site_id, rec.root_span, self.env.now
-        )
-        rec.op_span = sid  # commit-round sends and the sync nest here
-        try:
-            return (yield from self._commit_transaction_inner(rec))
-        finally:
-            tr.end(sid, self.env.now)
-            rec.op_span = saved
-
-    def _commit_transaction_inner(self, rec: CoordinatorRecord):
         """Algorithm 5. Returns True on commit, False to fall into abort."""
         self._check_alive()
         if rec.abort_requested:
@@ -2409,7 +2282,10 @@ class DTXSite:
             self.finished.add(rec.tid)
             return True
         if self.replication.syncs_at_commit:
-            synced_ok = yield from self._sync_replicas(rec)
+            synced_ok = yield from self._span(
+                self._sync_replicas(rec), "replica_sync", "sync",
+                rec.op_span or rec.root_span, rec,
+            )
             if not synced_ok:
                 return False
         # sites_involved is a set: iterate it in sorted order so the send
@@ -2425,28 +2301,19 @@ class DTXSite:
             rec.abort_reason = rec.abort_reason or "participant-crashed"
             return False
         if live:
-            self._collect_acks(rec, "commit", live)
-            tr = self.tracer
+            rnd = rec.round = Round(self.env, "commit", live, tag="commit")
             for site in live:
-                delay = self.network.send(
-                    self.site_id, site,
-                    CommitRequest(
-                        tid=rec.tid, coordinator=self.site_id,
-                        span=rec.op_span,
-                    ),
-                )
-                if tr is not None:
-                    tr.add_flight("send", "net", self.site_id, rec.op_span,
-                           self.env.now, self.env.now + delay,
-                           {"dst": str(site)})
+                self._send_in_span(site, rec.op_span, CommitRequest(
+                    tid=rec.tid, coordinator=self.site_id, span=rec.op_span,
+                ))
             if self._maybe_crash("commit-request-sent"):
                 raise _SiteCrashed()
-            acks = yield from self._await_acks(rec)
-            rec.phase = ""
+            acks = yield from self._await_coordinator_round(rec)
             self._check_alive()
             ok_acks = [a for a in acks.values() if a.ok]
             refused = [a for a in acks.values() if not a.ok]
-            ambiguous = bool(rec.down_acks)  # crashed mid-round: unknown
+            # Crashed mid-round or never answered: outcome unknown.
+            ambiguous = bool(rnd.dropped or rnd.pending)
             if refused or (ambiguous and not rec.synced):
                 if ok_acks or ambiguous:
                     # Participants commit on receipt: those that acked ok
@@ -2464,21 +2331,6 @@ class DTXSite:
         return True
 
     def _abort_transaction(self, rec: CoordinatorRecord):
-        tr = self.tracer
-        if tr is None:
-            return (yield from self._abort_transaction_inner(rec))
-        saved = rec.op_span
-        sid = tr.begin(
-            "abort", "2pc", self.site_id, rec.root_span, self.env.now
-        )
-        rec.op_span = sid
-        try:
-            return (yield from self._abort_transaction_inner(rec))
-        finally:
-            tr.end(sid, self.env.now)
-            rec.op_span = saved
-
-    def _abort_transaction_inner(self, rec: CoordinatorRecord):
         """Algorithm 6. Returns True when the abort executed everywhere;
         False means the transaction *failed* (fail notices were sent)."""
         self._check_alive()
@@ -2503,22 +2355,12 @@ class DTXSite:
             self._fail_at_site(rec.tid, persist=True)
             return False
         if live:
-            self._collect_acks(rec, "abort", live)
-            tr = self.tracer
+            rec.round = Round(self.env, "abort", live, tag="abort")
             for site in live:
-                delay = self.network.send(
-                    self.site_id, site,
-                    AbortRequest(
-                        tid=rec.tid, coordinator=self.site_id,
-                        span=rec.op_span,
-                    ),
-                )
-                if tr is not None:
-                    tr.add_flight("send", "net", self.site_id, rec.op_span,
-                           self.env.now, self.env.now + delay,
-                           {"dst": str(site)})
-            acks = yield from self._await_acks(rec)
-            rec.phase = ""
+                self._send_in_span(site, rec.op_span, AbortRequest(
+                    tid=rec.tid, coordinator=self.site_id, span=rec.op_span,
+                ))
+            acks = yield from self._await_coordinator_round(rec)
             self._check_alive()
             if not all(a.ok for a in acks.values()):
                 for site in live:
@@ -2572,50 +2414,39 @@ class DTXSite:
             )
             self.finished.add(tid)
             self.stats.fails += 1
-            for ev in (rec.response_event, rec.ack_event, rec.wake_event):
-                if ev is not None and not ev.triggered:
-                    ev.succeed({})
+            if rec.round is not None:
+                rec.round.cancel()
+            if rec.wake_event is not None and not rec.wake_event.triggered:
+                rec.wake_event.succeed({})
         self.coordinators.clear()
         self.tx_contexts.clear()
         self.waiters.clear()
         self._deferred_wake_keys.clear()
-        # Commit-time sync state is volatile: pending outboxes and in-flight
-        # batch rounds die with the site. Their waiter events fire with
-        # None so the (already-failed) coordinator generators unwind.
+        # Commit-time sync state is volatile: pending outboxes die with the
+        # site. Their waiter events fire with None so the (already-failed)
+        # coordinator generators unwind.
         for outbox in list(self._sync_outboxes.values()):
             outbox.open = False
             for _, _, waiter in outbox.queue:
                 if not waiter.triggered:
                     waiter.succeed(None)
         self._sync_outboxes.clear()
-        for state in list(self._sync_batches.values()):
-            if state.event is not None and not state.event.triggered:
-                state.event.succeed(None)
-        self._sync_batches.clear()
-        # In-flight version-probe rounds die with their coordinators; the
-        # events fire so the (already-failed) read generators unwind.
-        for probe_state in list(self._version_probes.values()):
-            if probe_state.event is not None and not probe_state.event.triggered:
-                probe_state.event.succeed(None)
-        self._version_probes.clear()
+        # Every in-flight round dies with the site; its waiter resumes,
+        # sees the crash and unwinds (view reads fall back to the locked
+        # path). The kinds settle in a fixed order, catch-up after the
+        # catch-up gates: it is the order the waiters resume in.
+        for kind in ("sync", "probe", "view_read", "view_fetch"):
+            for rnd in self._rounds_of(kind):
+                rnd.cancel()
         # Pending lazy flushes die with the site (their entries are in the
         # durable log; whether they survive depends on who gets promoted —
-        # the lazy regime's documented loss window).
+        # the lazy regime's documented loss window). Materialized-view
+        # state is all volatile: the primary-side push outboxes die (hosts
+        # detect the watermark gap and re-hydrate), and a hosting site's
+        # shadows are wiped (recovery re-hydrates them from the current
+        # primaries).
         self._lazy_outboxes.clear()
-        # Materialized-view state is all volatile: the primary-side push
-        # outboxes die (hosts detect the watermark gap and re-hydrate),
-        # in-flight view rounds fire with None so their waiters fall back
-        # to the locked path, and a hosting site's shadows are wiped
-        # (recovery re-hydrates them from the current primaries).
         self._view_outboxes.clear()
-        for waiter, _host in list(self._view_reads.values()):
-            if not waiter.triggered:
-                waiter.succeed(None)
-        self._view_reads.clear()
-        for waiter in list(self._view_fetch_waiters.values()):
-            if not waiter.triggered:
-                waiter.succeed(None)
-        self._view_fetch_waiters.clear()
         if self._views is not None:
             self._views.wipe()
         if self.membership is not None:
@@ -2625,7 +2456,6 @@ class DTXSite:
                 lease_timeout_ms=self.config.lease_timeout_ms
             )
             self._elections.clear()
-            self._election_reports.clear()
         self.wfg = WaitForGraph()
         self.lock_manager = LockManager(LockTable(self.protocol.matrix), self.wfg)
         self.inbox.clear()
@@ -2634,14 +2464,16 @@ class DTXSite:
             if not gate.triggered:
                 gate.succeed(None)
         self._catchup_gates.clear()
-        for waiter in list(self._catchup_waiters.values()):
-            if not waiter.triggered:
-                waiter.succeed(None)
-        self._catchup_waiters.clear()
+        for rnd in self._rounds_of("catchup"):
+            rnd.cancel()
+        self._rounds.clear()
         if self.faults is not None:
             self.faults.on_site_crashed(self.site_id)
         else:
             self.network.set_down(self.site_id)
+
+    def _rounds_of(self, kind: str) -> list[Round]:
+        return [rnd for rnd in self._rounds.values() if rnd.kind == kind]
 
     def recover(self) -> None:
         """Restart after a crash: reload persisted state and catch up.
@@ -2682,7 +2514,7 @@ class DTXSite:
             # in-flight log holes): retry a few times rather than staying
             # stale until the next sync happens to trigger gap healing.
             for _ in range(4):
-                caught_up = yield from self._catch_up(name)
+                caught_up = yield from self._traced_catch_up(name)
                 if caught_up or not self.alive:
                     break
                 yield (self.config.catchup_timeout_ms / 4)
@@ -2699,8 +2531,9 @@ class DTXSite:
                     return
                 yield from self._view_fetch(doc_name)
 
-    def _on_site_down(self, down: Hashable) -> None:
-        """React to the failure monitor's crash announcement.
+    def _on_site_down(self, msg: SiteDownNotice) -> None:
+        """React to the failure monitor's crash announcement (or, in lease
+        mode, to this site's own suspicion of the peer).
 
         Three duties: void coordinated transactions that executed state at
         the dead site (their locks and effects died with it), unstick
@@ -2709,58 +2542,28 @@ class DTXSite:
         their updates were already replicated (an undo would diverge from
         the synced secondaries), abort otherwise.
         """
+        down = msg.site
         if not self.alive or down == self.site_id:
             return
-        if self.detector is not None:
-            self.detector.on_site_down(down)
+        detector = self.detector
+        if detector is not None and detector.round is not None:
+            detector.round.drop(down)
         for rec in list(self.coordinators.values()):
             if down in rec.executed_sites and not rec.tx.done:
                 rec.abort_requested = True
                 rec.abort_reason = rec.abort_reason or "participant-crashed"
-            if (
-                rec.response_event is not None
-                and down in rec.expected
-                and down not in rec.responses
-            ):
-                rec.expected.discard(down)
-                if (
-                    not rec.response_event.triggered
-                    and set(rec.responses) >= rec.expected
-                ):
-                    rec.response_event.succeed(dict(rec.responses))
-            if rec.ack_event is not None and rec.drop_site_from_acks(down):
-                if not rec.ack_event.triggered and set(rec.acks) >= rec.ack_expected:
-                    rec.ack_event.succeed(dict(rec.acks))
+            if rec.round is not None:
+                rec.round.drop(down)
             # Any lock the dead site held is gone: retry waiting work.
-            self._wake_coordinator(rec.tid)
-        # Sync batch rounds waiting on the dead site complete with
-        # the answers that did arrive (same rule as drop_site_from_acks).
-        for state in self._sync_batches.values():
-            if down in state.expected and down not in state.acks:
-                state.expected.discard(down)
-                if (
-                    state.event is not None
-                    and not state.event.triggered
-                    and set(state.acks) >= state.expected
-                ):
-                    state.event.succeed(None)
-        # Version-probe rounds waiting on the dead site settle with the
-        # reports that arrived; the read path excludes it and re-probes.
-        for probe_state in self._version_probes.values():
-            if down in probe_state.expected and down not in probe_state.reports:
-                probe_state.expected.discard(down)
-                if (
-                    probe_state.event is not None
-                    and not probe_state.event.triggered
-                    and set(probe_state.reports) >= probe_state.expected
-                ):
-                    probe_state.event.succeed(None)
-        # View-read rounds aimed at the dead host fire with None now, so
-        # their coordinators fall back to the locked path immediately
-        # instead of riding out the round timeout.
-        for waiter, host in list(self._view_reads.values()):
-            if host == down and not waiter.triggered:
-                waiter.succeed(None)
+            self._wake(rec)
+        # Sync, probe and view-read rounds waiting on the dead site settle
+        # with the answers that did arrive: the sync path lets it catch up
+        # later, the read path re-probes without it, a view read falls back
+        # to the locked path at once. Catch-up and view fetches ride out
+        # their timeouts.
+        for kind in ("sync", "probe", "view_read"):
+            for rnd in self._rounds_of(kind):
+                rnd.drop(down)
         for tid, ctx in list(self.tx_contexts.items()):
             if ctx.coordinator != down or tid in self.coordinators:
                 continue
@@ -2770,9 +2573,10 @@ class DTXSite:
                 self._abort_at_site(tid)
             self.stats.orphans_resolved += 1
 
-    def _on_site_up(self, up: Hashable) -> None:
+    def _on_site_up(self, msg: SiteUpNotice) -> None:
         """A site recovered: if it leads a document we replicate, nudge our
         catch-up — its outage may have swallowed our earlier attempts."""
+        up = msg.site
         if not self.alive or up == self.site_id:
             return
         for name in self.data_manager.live_documents():
@@ -2865,7 +2669,7 @@ class DTXSite:
         # suspicion false? The experiment sweeps report it.
         if self.faults is not None and self.faults.sites[peer].alive:
             self.stats.false_suspicions += 1
-        self._on_site_down(peer)
+        self._on_site_down(SiteDownNotice(site=peer))
         for name in sorted(self.data_manager.live_documents()):
             if not self.catalog.has_document(name):
                 continue
@@ -2903,7 +2707,7 @@ class DTXSite:
             # is talking again. Re-run the perfect detector's up-notice
             # duties — if it leads documents we host, our catch-up attempts
             # may have been swallowed while we thought it dead.
-            self._on_site_up(msg.sender)
+            self._on_site_up(SiteUpNotice(site=msg.sender))
         self._compact_leading_logs(msg.watermarks)
 
     def _compact_leading_logs(self, advertised: dict) -> None:
@@ -2976,11 +2780,6 @@ class DTXSite:
             ),
         )
 
-    def _on_log_tip_report(self, msg: LogTipReport) -> None:
-        reports = self._election_reports.get(msg.election_id)
-        if reports is not None:
-            reports[msg.site] = msg
-
     def _maybe_start_election(self, doc_name: str) -> None:
         if not self.alive or doc_name in self._elections:
             return
@@ -2989,24 +2788,13 @@ class DTXSite:
             return
         if rset.primary == self.site_id or self.membership.is_live(rset.primary):
             return
-        self.env.process(self._run_election(doc_name))
-
-    def _run_election(self, doc_name: str):
-        tr = self.tracer
-        if tr is None:
-            return (yield from self._run_election_inner(doc_name))
         # Elections serve the whole replica set, not one transaction:
         # global span (parent 0).
-        sid = tr.begin(
-            "election", "election", self.site_id, 0, self.env.now,
-            {"doc": doc_name},
-        )
-        try:
-            return (yield from self._run_election_inner(doc_name))
-        finally:
-            tr.end(sid, self.env.now)
+        self.env.process(self._span(
+            self._run_election(doc_name), "election", "election", about=doc_name
+        ))
 
-    def _run_election_inner(self, doc_name: str):
+    def _run_election(self, doc_name: str):
         """Elect a new primary for ``doc_name`` over the wire.
 
         One round: query every replica's log tip, wait
@@ -3023,8 +2811,7 @@ class DTXSite:
         election). A report from the suspected primary itself cancels the
         round: it is alive, we were wrong.
         """
-        self._election_seq += 1
-        eid = self._election_seq
+        eid = self._new_round_id()
         self._elections[doc_name] = eid
         self.stats.elections_started += 1
         try:
@@ -3035,31 +2822,31 @@ class DTXSite:
                     return  # the world moved on: re-elected, or falsely suspected
                 epoch = self.catalog.epoch(doc_name)
                 own_log = self.log_for(doc_name)
-                reports: dict = {
-                    self.site_id: LogTipReport(
-                        doc_name=doc_name,
-                        site=self.site_id,
-                        election_id=eid,
-                        applied_lsn=own_log.applied_lsn,
-                        max_recorded_lsn=own_log.max_recorded_lsn,
-                        epoch=epoch,
+                candidates = [c for c in rset.all_sites if c != self.site_id]
+                # Every try of one election answers to the same id.
+                rnd = self._rounds[eid] = Round(self.env, "election", candidates, NEVER)
+                reports = rnd.replies
+                reports[self.site_id] = LogTipReport(
+                    doc_name=doc_name,
+                    site=self.site_id,
+                    election_id=eid,
+                    applied_lsn=own_log.applied_lsn,
+                    max_recorded_lsn=own_log.max_recorded_lsn,
+                    epoch=epoch,
+                )
+                for candidate in candidates:
+                    self.network.send(
+                        self.site_id,
+                        candidate,
+                        LogTipQuery(
+                            doc_name=doc_name,
+                            elector=self.site_id,
+                            election_id=eid,
+                            epoch=epoch,
+                        ),
                     )
-                }
-                self._election_reports[eid] = reports
-                for candidate in rset.all_sites:
-                    if candidate != self.site_id:
-                        self.network.send(
-                            self.site_id,
-                            candidate,
-                            LogTipQuery(
-                                doc_name=doc_name,
-                                elector=self.site_id,
-                                election_id=eid,
-                                epoch=epoch,
-                            ),
-                        )
-                yield (self.config.election_timeout_ms)
-                self._election_reports.pop(eid, None)
+                yield from rnd.wait(self.config.election_timeout_ms)
+                self._rounds.pop(eid, None)
                 if not self.alive:
                     return
                 if suspect in reports or self.membership.is_live(suspect):
@@ -3093,7 +2880,7 @@ class DTXSite:
                 self._assume_primacy(doc_name, suspect)
                 return
         finally:
-            self._election_reports.pop(eid, None)
+            self._rounds.pop(eid, None)
             if self._elections.get(doc_name) == eid:
                 del self._elections[doc_name]
 
@@ -3142,26 +2929,18 @@ class DTXSite:
         def _run():
             yield (self.costs.scheduler_dispatch_ms)
             if self.alive:
-                yield from self._catch_up(doc_name)
+                yield from self._traced_catch_up(doc_name)
         self.env.process(_run())
 
-    def _catch_up(self, doc_name: str, force_snapshot: bool = False):
-        tr = self.tracer
-        if tr is None:
-            return (yield from self._catch_up_inner(doc_name, force_snapshot))
+    def _traced_catch_up(self, doc_name: str, force_snapshot: bool = False):
         # Anti-entropy repair is lazy background work shared by many
         # transactions: global span (parent 0), so a committed tree's
         # "ends after all children" invariant never depends on it.
-        sid = tr.begin(
-            "catch_up", "sync", self.site_id, 0, self.env.now,
-            {"doc": doc_name},
+        return self._span(
+            self._catch_up(doc_name, force_snapshot), "catch_up", "sync", about=doc_name
         )
-        try:
-            return (yield from self._catch_up_inner(doc_name, force_snapshot))
-        finally:
-            tr.end(sid, self.env.now)
 
-    def _catch_up_inner(self, doc_name: str, force_snapshot: bool = False):
+    def _catch_up(self, doc_name: str, force_snapshot: bool = False):
         """Close this replica's log gap from the current primary.
 
         Sends a CatchUpRequest describing the local log tip and applies
@@ -3199,10 +2978,7 @@ class DTXSite:
         try:
             for _ in range(2):  # second round only to escalate to snapshot
                 log = self.log_for(doc_name)
-                self._catchup_seq += 1
-                req_id = self._catchup_seq
-                waiter = self.env.event()
-                self._catchup_waiters[req_id] = waiter
+                req_id, rnd = self._open_round("catchup", (primary,))
                 self.network.send(
                     self.site_id,
                     primary,
@@ -3216,14 +2992,13 @@ class DTXSite:
                         last_epoch=-1 if force_snapshot else log.last_epoch,
                     ),
                 )
-                timeout_ev = self.env.timeout(self.config.catchup_timeout_ms, value=None)
-                fired = yield self.env.any_of([waiter, timeout_ev])
-                self._catchup_waiters.pop(req_id, None)
+                got = yield from rnd.wait(self.config.catchup_timeout_ms)
+                self._rounds.pop(req_id, None)
                 if not self.alive:
                     return False
                 if not self.data_manager.is_loaded(doc_name):
                     return False  # retired while the request was in flight
-                resp = fired.get(waiter)
+                resp = got.get(primary) if got else None
                 if resp is None or not resp.ok:
                     return False  # timed out / primary mid-election: retry later
                 cost = self.costs.scheduler_dispatch_ms
@@ -3316,11 +3091,6 @@ class DTXSite:
             )
         self.network.send(self.site_id, msg.requester, resp)
 
-    def _on_catchup_response(self, msg: CatchUpResponse) -> None:
-        waiter = self._catchup_waiters.pop(msg.req_id, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(msg)
-
     # ------------------------------------------------------------------
     # lazy propagation (replica_write_policy="lazy")
     # ------------------------------------------------------------------
@@ -3395,8 +3165,7 @@ class DTXSite:
         entries = [e for e in entries if e.epoch >= epoch]
         if not entries:
             return
-        self._batch_seq += 1
-        batch_id = self._batch_seq  # no ack collection: acks are ignored
+        batch_id = self._new_round_id()  # no round: the acks find none
         for target in rset.secondaries:
             if not self._peer_up(target):
                 continue
@@ -3503,8 +3272,7 @@ class DTXSite:
                 if e.epoch >= epoch
             ]
             watermark = self.log_for(doc_name).applied_lsn
-            self._batch_seq += 1
-            batch_id = self._batch_seq
+            batch_id = self._new_round_id()
             sent = 0
             for host in sorted({v.host for v in views}, key=str):
                 if host != self.site_id and not self._peer_up(host):
@@ -3525,9 +3293,6 @@ class DTXSite:
             if sent:
                 self.stats.view_delta_batches += sent
                 self.stats.view_deltas_coalesced += sent * len(entries)
-
-    def _on_view_fetch_request(self, msg: ViewFetchRequest) -> None:
-        self.env.process(self._handle_view_fetch_request(msg))
 
     def _handle_view_fetch_request(self, msg: ViewFetchRequest):
         """Serve a committed snapshot for a view host's (re)materialization.
@@ -3565,9 +3330,6 @@ class DTXSite:
 
     # -- host side: maintenance and serving --------------------------------
 
-    def _on_view_delta(self, msg: ViewDeltaBatch) -> None:
-        self.env.process(self._handle_view_delta(msg))
-
     def _handle_view_delta(self, msg: ViewDeltaBatch):
         if not self.alive or self._views is None:
             return
@@ -3577,11 +3339,6 @@ class DTXSite:
             return
         if need_fetch:
             yield from self._view_fetch(msg.doc_name)
-
-    def _on_view_fetch_response(self, msg: ViewFetchResponse) -> None:
-        waiter = self._view_fetch_waiters.pop(msg.req_id, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(msg)
 
     def _view_fetch(self, doc_name: str):
         """(Re)materialize one hosted shadow from the current primary.
@@ -3619,10 +3376,7 @@ class DTXSite:
                 return
             if not self._peer_up(primary):
                 return
-            self._view_fetch_seq += 1
-            req_id = self._view_fetch_seq
-            waiter = self.env.event()
-            self._view_fetch_waiters[req_id] = waiter
+            req_id, rnd = self._open_round("view_fetch", (primary,))
             self.network.send(
                 self.site_id,
                 primary,
@@ -3630,12 +3384,11 @@ class DTXSite:
                     doc_name=doc_name, requester=self.site_id, req_id=req_id
                 ),
             )
-            timeout_ev = self.env.timeout(self.config.catchup_timeout_ms, value=None)
-            fired = yield self.env.any_of([waiter, timeout_ev])
-            self._view_fetch_waiters.pop(req_id, None)
+            got = yield from rnd.wait(self.config.catchup_timeout_ms)
+            self._rounds.pop(req_id, None)
             if not self.alive:
                 return
-            resp = fired.get(waiter)
+            resp = got.get(primary) if got else None
             if resp is None or not resp.ok:
                 return
             cost = mgr.install_snapshot(
@@ -3644,9 +3397,6 @@ class DTXSite:
             yield (cost)
         finally:
             state.fetching = False
-
-    def _on_view_read_request(self, msg: ViewReadRequest) -> None:
-        self.env.process(self._handle_view_read(msg))
 
     def _handle_view_read(self, msg: ViewReadRequest):
         """Serve one routed read from the local shadow — no locks, no tx.
@@ -3691,13 +3441,6 @@ class DTXSite:
 
     # -- coordinator side: routing -----------------------------------------
 
-    def _on_view_read_result(self, msg: ViewReadResult) -> None:
-        entry = self._view_reads.get(msg.read_id)
-        if entry is not None:
-            waiter, _host = entry
-            if not waiter.triggered:
-                waiter.succeed(msg)
-
     def _try_view_read(self, rec: CoordinatorRecord, op: Operation, bound_ms: float):
         """Try to answer a read-only query from a registered view host.
 
@@ -3707,23 +3450,6 @@ class DTXSite:
         zero 2PC participation for this read). False when every candidate
         refused or timed out: the caller falls back to the locked path.
         """
-        tr = self.tracer
-        if tr is None:
-            return (yield from self._try_view_read_inner(rec, op, bound_ms))
-        sid = tr.begin(
-            "view_read", "view", self.site_id, rec.op_span, self.env.now,
-            {"doc": op.doc_name},
-        )
-        saved = rec.op_span
-        rec.op_span = sid
-        try:
-            return (yield from self._try_view_read_inner(rec, op, bound_ms))
-        finally:
-            tr.end(sid, self.env.now)
-            rec.op_span = saved
-
-    def _try_view_read_inner(self, rec: CoordinatorRecord, op: Operation,
-                             bound_ms: float):
         epoch = self.catalog.epoch(op.doc_name)
         tried: set = set()
         for view in self.catalog.views_for(op.doc_name):
@@ -3735,35 +3461,17 @@ class DTXSite:
             tried.add(host)
             if not self._peer_up(host):
                 continue
-            self._view_read_seq += 1
-            read_id = self._view_read_seq
-            waiter = self.env.event()
-            self._view_reads[read_id] = (waiter, host)
-            tr = self.tracer
-            delay = self.network.send(
-                self.site_id,
-                host,
-                ViewReadRequest(
-                    tid=rec.tid,
-                    coordinator=self.site_id,
-                    op=op,
-                    read_id=read_id,
-                    epoch=epoch,
-                    bound_ms=bound_ms,
-                    span=rec.op_span,
-                ),
-            )
-            if tr is not None:
-                tr.add_flight("send", "net", self.site_id, rec.op_span,
-                       self.env.now, self.env.now + delay,
-                       {"dst": str(host)})
-            timeout_ev = self.env.timeout(self.config.catchup_timeout_ms, value=None)
-            fired = yield self.env.any_of([waiter, timeout_ev])
-            self._view_reads.pop(read_id, None)
+            read_id, rnd = self._open_round("view_read", (host,))
+            self._send_in_span(host, rec.op_span, ViewReadRequest(
+                tid=rec.tid, coordinator=self.site_id, op=op, read_id=read_id,
+                epoch=epoch, bound_ms=bound_ms, span=rec.op_span,
+            ))
+            got = yield from rnd.wait(self.config.catchup_timeout_ms)
+            self._rounds.pop(read_id, None)
             self._check_alive()
             if rec.abort_requested:
                 raise _AbortTx(rec.abort_reason or "abort-ordered")
-            resp = fired.get(waiter)
+            resp = got.get(host) if got else None
             if resp is not None and resp.ok:
                 return True
         return False

@@ -5,7 +5,8 @@ a document's placement was fixed at allocation time until now; the
 :class:`MigrationManager` moves it — grow the replica set, catch the new
 copies up, cut the primary over, retire the old copies — without stopping
 client traffic. No new consistency machinery is introduced: every phase
-leans on the epoch/LSN substrate PRs 2/4/5 built.
+leans on the epoch/LSN substrate of failover, catch-up and quorum
+replication.
 
 Phases (per migration)::
 

@@ -1,7 +1,7 @@
 """Quorum replication (R+W > N): the regime between eager and lazy.
 
 The paper's scheduler relies on every copy of a document exposing a single
-update timeline; PR 1-4 achieved that either by paying the slowest replica
+update timeline; the other regimes achieve that either by paying the slowest replica
 on every commit (eager primary-copy: the commit waits for *all* live
 secondaries) or by giving up commit-time freshness altogether (lazy
 propagation). Quorum intersection buys back most of both: a write is
@@ -24,8 +24,8 @@ Concretely, with ``replica_write_policy="quorum"``:
   stragglers apply the batch late or converge through the existing
   catch-up / heartbeat-watermark anti-entropy paths;
 * ``W > N/2`` keeps any two write quorums (and every lease-mode election
-  majority) overlapping, so the epoch fencing of PR 2-4 carries over
-  unchanged.
+  majority) overlapping, so the epoch fencing of failover carries
+  over unchanged.
 
 With ``replica_read_policy="quorum"`` a query fans a version probe
 (per-document applied LSN + election epoch) to ``R`` replicas, executes at

@@ -72,3 +72,29 @@ class TestFigureSmoke:
         b = fig9(TINY)
         for series in a.series_names():
             assert a.value(series, 4) == b.value(series, 4)
+
+
+class TestShapeCheckGate:
+    """``python -m repro figures`` exits with the number of failed checks."""
+
+    @staticmethod
+    def _run(monkeypatch, check):
+        import io
+
+        from repro import cli
+
+        monkeypatch.setitem(cli._FIGURES, "fig8", (lambda: object(), check, None))
+        out = io.StringIO()
+        return cli._run_figures(["fig8"], full=False, out=out), out.getvalue()
+
+    def test_a_failing_check_makes_the_command_fail(self, monkeypatch):
+        def bent(result):
+            raise AssertionError("XDGL above Node2PL")
+
+        failures, text = self._run(monkeypatch, bent)
+        assert failures == 1
+        assert "SHAPE CHECK FAILED: XDGL above Node2PL" in text
+
+    def test_holding_checks_exit_zero(self, monkeypatch):
+        failures, text = self._run(monkeypatch, lambda result: ["holds"])
+        assert failures == 0 and "holds" in text
