@@ -90,8 +90,11 @@ class DataGuide:
         self._by_path: dict[LabelPath, DataGuideNode] = {}
         # Bumped on every structural mutation (_add_path/_remove_path, which
         # apply_change/undo_change funnel through). Cached lock specs are
-        # keyed against it: unchanged version => unchanged guide => the
-        # spec a blocked operation computed is still exact on retry.
+        # keyed against it: unchanged version => unchanged guide => a spec
+        # computed against it is still exact. Two caches rely on this: the
+        # spec a blocked operation computed, reused on its retry
+        # (SiteTxContext.spec_cache), and XDGLProtocol's memo of query specs
+        # per path shape, shared by every query of that shape.
         self.version = next(_VERSION_CLOCK)
 
     # -- construction -----------------------------------------------------
@@ -148,10 +151,6 @@ class DataGuide:
 
     # -- incremental maintenance -------------------------------------------
 
-    def add_document_node(self, element: Element) -> DataGuideNode:
-        """Record one document node (creating its guide path if needed)."""
-        return self._add_path(element.label_path(), element.node_id)
-
     def _add_path(self, path: LabelPath, target_id: int) -> DataGuideNode:
         if not path:
             raise ReproError("empty label path")
@@ -178,10 +177,6 @@ class DataGuide:
         node.targets.add(target_id)
         return node
 
-    def remove_document_node(self, element: Element) -> None:
-        """Forget one document node; prunes drained guide branches."""
-        self._remove_path(element.label_path(), element.node_id)
-
     def _remove_path(self, path: LabelPath, target_id: int) -> None:
         node = self._by_path.get(tuple(path))
         if node is None:
@@ -207,34 +202,27 @@ class DataGuide:
     def apply_change(self, change: AppliedChange) -> None:
         """Sync the guide with one applied (or undone) document mutation.
 
-        For structural changes the applier records the affected subtree's old
-        and new label paths; the guide re-registers target ids accordingly.
-        ``change.node`` and its descendants are *live* for inserts/renames/
-        transposes and *detached* for removes, so the node walk used here
-        relies only on the recorded paths plus the subtree's current ids.
+        For structural changes the applier records the affected subtree's
+        nodes with their old and new label paths, as they were at that
+        mutation; the guide re-registers the nodes' ids accordingly. Replaying
+        an operation's records in order is exact even when a later record
+        moves part of an earlier one's subtree away (nested transposes).
         """
         kind = change.kind
         if kind == "change":
             return  # text-only: no structural effect
-        subtree = list(change.node.iter_subtree())
         if kind == "insert":
-            for el in subtree:
-                self.add_document_node(el)
+            for path, el in zip(change.new_label_paths, change.nodes):
+                self._add_path(path, el.node_id)
             return
         if kind == "remove":
-            if len(change.old_label_paths) != len(subtree):
-                raise ReproError("remove change record is inconsistent")
-            for path, el in zip(change.old_label_paths, subtree):
+            for path, el in zip(change.old_label_paths, change.nodes):
                 self._remove_path(path, el.node_id)
             return
         if kind in ("rename", "transpose"):
-            if len(change.old_label_paths) != len(subtree) or len(
-                change.new_label_paths
-            ) != len(subtree):
-                raise ReproError(f"{kind} change record is inconsistent")
-            for path, el in zip(change.old_label_paths, subtree):
+            for path, el in zip(change.old_label_paths, change.nodes):
                 self._remove_path(path, el.node_id)
-            for path, el in zip(change.new_label_paths, subtree):
+            for path, el in zip(change.new_label_paths, change.nodes):
                 self._add_path(path, el.node_id)
             return
         raise ReproError(f"unknown change kind {kind!r}")
@@ -242,27 +230,25 @@ class DataGuide:
     def undo_change(self, change: AppliedChange) -> None:
         """Sync the guide with the rollback of ``change``.
 
-        Contract: call this immediately after the *data* rollback of the same
-        operation, unwinding operations newest-first — the method reads the
-        live subtree under ``change.node``, so guide and document must be
-        unwound in lockstep (this is what ``DTXSite._abort_at_site`` does).
+        Contract: unwind records newest-first, across and within operations
+        (this is what ``DTXSite._abort_at_site`` does); each record is
+        inverted from its recorded nodes and paths alone.
         """
         kind = change.kind
         if kind == "change":
             return
-        subtree = list(change.node.iter_subtree())
         if kind == "insert":
-            for path, el in zip(change.new_label_paths, subtree):
+            for path, el in zip(change.new_label_paths, change.nodes):
                 self._remove_path(path, el.node_id)
             return
         if kind == "remove":
-            for el in subtree:
-                self.add_document_node(el)
+            for path, el in zip(change.old_label_paths, change.nodes):
+                self._add_path(path, el.node_id)
             return
         if kind in ("rename", "transpose"):
-            for path, el in zip(change.new_label_paths, subtree):
+            for path, el in zip(change.new_label_paths, change.nodes):
                 self._remove_path(path, el.node_id)
-            for path, el in zip(change.old_label_paths, subtree):
+            for path, el in zip(change.old_label_paths, change.nodes):
                 self._add_path(path, el.node_id)
             return
         raise ReproError(f"unknown change kind {kind!r}")

@@ -10,7 +10,7 @@ charges CPU time for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Sequence
 
 #: A lock key identifies one lockable structure node. Protocols choose the
 #: key space: XDGL uses ``(doc_name, label_path)``, Node2PL uses
@@ -37,7 +37,11 @@ class LockSpec:
     work by the cost model but are not retained, so they never block.
     """
 
-    requests: list[LockRequest] = field(default_factory=list)
+    #: A list while the protocol builds the spec; a tuple on the
+    #: deduplicated copy, which is shared — by retries of a blocked
+    #: operation and, under XDGL, by every query of the same shape — and so
+    #: must never change.
+    requests: Sequence[LockRequest] = field(default_factory=list)
     nodes_visited: int = 0
     transient_ops: int = 0
     # Memoized deduplicated() result — specs are computed once and then
@@ -66,7 +70,7 @@ class LockSpec:
                 seen.add(marker)
                 out.append(req)
         memo = LockSpec(
-            requests=out,
+            requests=tuple(out),
             nodes_visited=self.nodes_visited,
             transient_ops=self.transient_ops,
         )

@@ -18,6 +18,15 @@ Lock rules (paper §2, reconstructed details in DESIGN.md):
 
 Lock keys are ``(doc_name, label_path)`` — stable across guide-node pruning
 and re-creation, so a lock can name a path that does not exist yet (inserts).
+
+A query's lock spec depends on the guide and on the query's *structure*
+only: predicate literals and positional indexes name no guide node. So the
+protocol memoises query specs by ``(doc_name, path.shape)``, each stamped
+with the :attr:`DataGuide.version` it was computed against, in an LRU of
+:data:`QUERY_SPEC_MEMO_MAX` entries. The version comes from one process-wide
+clock and is bumped by every guide mutation, so an entry whose stamp still
+equals the guide's version is exactly what a fresh match would compute —
+``nodes_visited`` included, which keeps the simulated CPU charge unchanged.
 """
 
 from __future__ import annotations
@@ -42,7 +51,11 @@ from ..xml.model import Document
 from ..xpath.ast import LocationPath
 from ..xpath.evaluator import EvalStats
 from ..xpath.guide import GuideMatch, match_structure
+from ..xpath.parser import parse_xpath
 from .base import ConcurrencyProtocol
+
+#: Bound on the query-spec memo, over all documents: the parse memo's.
+QUERY_SPEC_MEMO_MAX = 4096
 
 
 class XDGLProtocol(ConcurrencyProtocol):
@@ -50,6 +63,9 @@ class XDGLProtocol(ConcurrencyProtocol):
 
     def __init__(self) -> None:
         self._guides: dict[str, DataGuide] = {}
+        # (doc_name, shape) -> (guide version, deduplicated LockSpec), least
+        # recently used first.
+        self._query_specs: dict[tuple[str, str], tuple[int, LockSpec]] = {}
 
     @property
     def matrix(self) -> CompatibilityMatrix:
@@ -58,10 +74,17 @@ class XDGLProtocol(ConcurrencyProtocol):
     # -- structure management ------------------------------------------------
 
     def register_document(self, doc: Document) -> None:
+        self._forget_query_specs(doc.name)
         self._guides[doc.name] = DataGuide.build(doc)
 
     def drop_document(self, doc_name: str) -> None:
+        self._forget_query_specs(doc_name)
         self._guides.pop(doc_name, None)
+
+    def _forget_query_specs(self, doc_name: str) -> None:
+        memo = self._query_specs
+        for key in [key for key in memo if key[0] == doc_name]:
+            del memo[key]
 
     def guide(self, doc_name: str) -> DataGuide:
         try:
@@ -92,12 +115,24 @@ class XDGLProtocol(ConcurrencyProtocol):
         self, doc_name: str, path: Union[str, LocationPath]
     ) -> LockSpec:
         guide = self.guide(doc_name)
+        if isinstance(path, str):
+            path = parse_xpath(path)
+        memo = self._query_specs
+        key = (doc_name, path.shape)
+        entry = memo.pop(key, None)
+        if entry is not None and entry[0] == guide.version:
+            memo[key] = entry  # re-insert at the back: most recent
+            return entry[1]
         stats = EvalStats()
         match = match_structure(path, guide.root, stats)
         spec = LockSpec(nodes_visited=stats.nodes_visited)
         self._shared_tree_locks(spec, doc_name, match.targets)
         self._shared_tree_locks(spec, doc_name, match.predicate_targets)
-        return spec.deduplicated()
+        spec = spec.deduplicated()
+        if len(memo) >= QUERY_SPEC_MEMO_MAX:
+            del memo[next(iter(memo))]  # evict the least recently used
+        memo[key] = (guide.version, spec)
+        return spec
 
     def lock_spec_for_update(self, doc_name: str, op: UpdateOperation) -> LockSpec:
         guide = self.guide(doc_name)

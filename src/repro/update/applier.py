@@ -105,6 +105,7 @@ def _apply_insert(
             AppliedChange(
                 kind="insert",
                 node=copy,
+                nodes=list(copy.iter_subtree()),
                 new_label_paths=_subtree_paths(copy),
                 byte_delta=serialized_size(copy) + own_size(parent) - before,
             )
@@ -133,6 +134,7 @@ def _apply_remove(
             AppliedChange(
                 kind="remove",
                 node=target,
+                nodes=list(target.iter_subtree()),
                 old_label_paths=old_paths,
                 byte_delta=own_size(parent) - before - serialized_size(target),
             )
@@ -160,6 +162,7 @@ def _apply_rename(
             AppliedChange(
                 kind="rename",
                 node=target,
+                nodes=list(target.iter_subtree()),
                 old_label_paths=old_paths,
                 new_label_paths=_subtree_paths(target),
                 byte_delta=own_size(target) - before,
@@ -218,6 +221,7 @@ def _apply_transpose(
             AppliedChange(
                 kind="transpose",
                 node=source,
+                nodes=list(source.iter_subtree()),
                 old_label_paths=old_paths,
                 new_label_paths=_subtree_paths(source),
                 byte_delta=delta,

@@ -143,6 +143,11 @@ class AppliedChange:
 
     kind: str  # 'insert' | 'remove' | 'rename' | 'change' | 'transpose'
     node: Element  # the affected (inserted / removed / renamed / ...) node
+    #: ``node``'s subtree in pre-order, taken when the record was made; the
+    #: label-path lists run parallel to it. A later mutation of the same
+    #: operation may move part of the subtree away (a transpose whose
+    #: sources nest), so the live subtree is not a substitute.
+    nodes: list[Element] = field(default_factory=list)
     old_label_paths: list[tuple[str, ...]] = field(default_factory=list)
     new_label_paths: list[tuple[str, ...]] = field(default_factory=list)
     byte_delta: int = 0  # change of the document's serialized UTF-8 length

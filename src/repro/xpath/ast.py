@@ -8,7 +8,8 @@ tests and positional indexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Union
 
@@ -119,19 +120,75 @@ class LocationPath:
     #: Compiled by :mod:`repro.xpath.evaluator` on first evaluation and kept
     #: here, so a plan lives exactly as long as the parse it was built from.
     plan: Optional[object] = field(default=None, init=False, repr=False, compare=False)
+    #: ``str(self)`` and :attr:`shape`, each computed on first use and kept
+    #: the same way: every message carrying an operation sizes it by its
+    #: text, and every XDGL query looks its lock spec up by its shape.
+    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _shape: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for i, step in enumerate(self.steps):
-            if i == 0:
-                if self.absolute:
+        text = self._text
+        if text is None:
+            parts: list[str] = []
+            for i, step in enumerate(self.steps):
+                if i == 0:
+                    if self.absolute:
+                        parts.append("//" if step.axis is Axis.DESCENDANT else "/")
+                    elif step.axis is Axis.DESCENDANT:
+                        parts.append(".//")
+                else:
                     parts.append("//" if step.axis is Axis.DESCENDANT else "/")
-                elif step.axis is Axis.DESCENDANT:
-                    parts.append(".//")
-            else:
-                parts.append("//" if step.axis is Axis.DESCENDANT else "/")
-            parts.append(str(step))
-        return "".join(parts)
+                parts.append(str(step))
+            text = "".join(parts)
+            object.__setattr__(self, "_text", text)  # frozen
+        return text
+
+    @property
+    def shape(self) -> str:
+        """The path with every predicate literal and position erased.
+
+        Two paths have the same shape exactly when they differ only in the
+        values of literals and positional indexes — which are the only
+        parts of a path that structural matching
+        (:func:`repro.xpath.guide.match_structure`) never reads. It is the
+        ``repr`` of the erased path (injective over the AST), interned, so
+        equal shapes are one string object however many parses share it.
+        """
+        shape = self._shape
+        if shape is None:
+            shape = sys.intern(repr(_erase_path(self)))
+            object.__setattr__(self, "_shape", shape)
+        return shape
+
+
+_ANY_LITERAL = Literal("")
+_ANY_POSITION = Position(0)
+
+
+def _erase_path(path: LocationPath) -> LocationPath:
+    return replace(
+        path,
+        steps=tuple(
+            replace(step, predicates=tuple(map(_erase_predicate, step.predicates)))
+            for step in path.steps
+        ),
+    )
+
+
+def _erase_predicate(pred: Predicate) -> Predicate:
+    if isinstance(pred, Comparison):
+        return Comparison(_erase_operand(pred.left), pred.op, _erase_operand(pred.right))
+    if isinstance(pred, Exists):
+        return Exists(_erase_path(pred.path))
+    if isinstance(pred, Position):
+        return _ANY_POSITION
+    return BoolExpr(pred.op, tuple(map(_erase_predicate, pred.operands)))
+
+
+def _erase_operand(operand: Operand) -> Operand:
+    if isinstance(operand, Literal):
+        return _ANY_LITERAL
+    return PathOperand(_erase_path(operand.path))
 
 
 def _operand_str(o: Operand) -> str:

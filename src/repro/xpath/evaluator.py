@@ -345,9 +345,13 @@ class _Where:
 
 def _compile_test(pred: Predicate):
     if isinstance(pred, Comparison):
-        return _AnyPair(
-            _operand_values(pred.left), _OPERATORS[pred.op], _operand_values(pred.right)
-        )
+        left, right = _operand_values(pred.left), _operand_values(pred.right)
+        if pred.op in (CompareOp.EQ, CompareOp.NEQ):
+            if isinstance(left, _Constant):
+                left, right = right, left  # = and != are symmetric
+            if isinstance(left, _AttributeValue) and _non_numeric(right):
+                return _AttributeIs(left.name, right.values[0], pred.op is CompareOp.EQ)
+        return _AnyPair(left, _OPERATORS[pred.op], right)
     if isinstance(pred, Exists):
         return _NonEmpty(_plan_for(pred.path))
     if isinstance(pred, BoolExpr):
@@ -375,6 +379,39 @@ class _AnyPair:
                     if b is not None and _compare(a, self.compare, b):
                         return True
         return False
+
+
+def _non_numeric(operand) -> bool:
+    """A string literal ``float()`` rejects."""
+    if not isinstance(operand, _Constant) or not isinstance(operand.values[0], str):
+        return False
+    try:
+        float(operand.values[0])
+    except ValueError:
+        return True
+    return False
+
+
+@dataclass(slots=True)
+class _AttributeIs:
+    """``@name = "lit"`` / ``@name != "lit"`` for a literal ``float()``
+    rejects: a comparison of raw strings, charged 1 per candidate as the
+    attribute probe is.
+
+    It answers what :class:`_AnyPair` would. A value that parses as a
+    number is compared as ``str(float(value))``, and that text always parses
+    again, so it can never equal the literal; neither can the raw value
+    itself. Without the attribute there is no pair, so both tests are false.
+    """
+
+    name: str
+    literal: str
+    equal: bool
+
+    def holds(self, node: Element, stats: EvalStats) -> bool:
+        stats.nodes_visited += 1
+        value = node.attrib.get(self.name)
+        return value is not None and (value == self.literal) is self.equal
 
 
 @dataclass(slots=True)

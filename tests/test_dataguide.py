@@ -134,6 +134,23 @@ class TestIncrementalMaintenance:
         assert ("lib", "archive", "item") not in guide
         guide.validate_against(d)
 
+    def test_transpose_of_nested_sources_and_its_undo(self):
+        # //b selects b1 and the b2 inside it: b1 moves with b2, then b2 moves
+        # out of b1, so b1's record no longer describes b1's live subtree.
+        d = doc("d", E("r", E("a", E("b", E("b", E("c")))), E("x")))
+        guide = DataGuide.build(d)
+        undo = UndoLog()
+        changes = apply_update(TransposeOp("//b", "/r/x"), d, undo)
+        assert len(changes) == 2
+        for c in changes:
+            guide.apply_change(c)
+        guide.validate_against(d)
+        assert ("r", "x", "b", "c") in guide and ("r", "a", "b") not in guide
+        undo.rollback()
+        for c in reversed(changes):
+            guide.undo_change(c)
+        guide.validate_against(d)
+
     def test_undo_change_restores_guide(self, products_doc):
         guide = self._synced(products_doc)
         undo = UndoLog()
@@ -165,7 +182,7 @@ class TestIncrementalMaintenance:
     def test_root_mismatch_rejected(self, people_doc, products_doc):
         guide = DataGuide.build(people_doc)
         with pytest.raises(ReproError):
-            guide.add_document_node(products_doc.root)
+            guide._add_path(products_doc.root.label_path(), products_doc.root.node_id)
 
     def test_remove_unknown_path_rejected(self, people_doc):
         guide = DataGuide.build(people_doc)

@@ -154,8 +154,7 @@ class TestDataGuideProperties:
     @settings(max_examples=example_budget(60), suppress_health_check=[HealthCheck.too_slow])
     def test_rollback_restores_document_and_guide(self, ops):
         # Mirrors DTXSite._abort_at_site: each operation's data rollback is
-        # immediately followed by its guide re-sync (undo_change inspects the
-        # live tree, so data and guide must be unwound in lockstep).
+        # immediately followed by its guide re-sync, newest operation first.
         document = _base_doc()
         before = serialize_document(document)
         guide = DataGuide.build(document)

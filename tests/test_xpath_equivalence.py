@@ -11,6 +11,8 @@ and interleaved updates and rollbacks; the table pins today's meter on one
 document so that a deliberate change to it shows as a diff here.
 """
 
+from dataclasses import replace
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -74,7 +76,8 @@ def assert_same_evaluation(path, document):
         values = evaluate_values(parsed, contexts[0], stats)
     except XPathEvalError:
         return
-    assert values == xpath_oracle.evaluate_values(parsed, contexts[0], oracle_stats)
+    expected = xpath_oracle.evaluate_values(parsed, contexts[0], oracle_stats)
+    assert list(map(repr, values)) == list(map(repr, expected))  # nan != nan
     assert stats.nodes_visited == oracle_stats.nodes_visited
 
 
@@ -96,7 +99,10 @@ def assert_extents_match_walk(document):
 
 TAGS = ["a", "b", "c", "d"]
 ATTRS = ["id", "k"]
-VALUES = ["1", "2", "10", "1.0", "x", "y", ""]
+# Beside plain numbers and words: strings float() accepts oddly ("nan",
+# "inf", "-0", " 1", "1e1", "1_0"), which a raw-string fast path for
+# `@attr = "lit"` must never treat as non-numeric.
+VALUES = ["1", "2", "10", "1.0", "x", "y", "", "nan", "inf", "-0", " 1", "1e1", "1_0"]
 
 tags = st.sampled_from(TAGS)
 
@@ -117,7 +123,10 @@ documents = elements().map(lambda root: Document("d", root))
 node_tests = st.one_of(tags, tags, st.just("*"))
 last_only_tests = st.one_of(st.sampled_from(ATTRS).map("@{}".format), st.just("text()"))
 separators = st.sampled_from(["/", "/", "//"])
-literals = st.sampled_from(["1", "2", "10", '"x"', '"1"', '"1.0"', '""', "1.5"])
+LITERALS = ["1", "2", "10", '"x"', '"1"', '"1.0"', '""', "1.5"] + [
+    '"nan"', '"inf"', '"-0"', '" 1"', '"1e1"', '"1_0"', '"10"', '"1x"'
+]
+literals = st.sampled_from(LITERALS)
 compare_ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 
 
@@ -150,12 +159,24 @@ def operands(draw, depth):
 
 
 @st.composite
+def attribute_tests(draw):
+    """``@attr = lit`` / ``@attr != lit``, either way round: the form the
+    compiled evaluator answers by comparing raw strings."""
+    sides = [draw(st.sampled_from(ATTRS).map("@{}".format)), draw(literals)]
+    if draw(st.booleans()):
+        sides.reverse()
+    return draw(st.sampled_from(["=", "!="])).join(sides)
+
+
+@st.composite
 def atoms(draw, depth):
     kind = draw(st.integers(0, 9))
     if kind == 0:
         return str(draw(st.integers(1, 3)))  # positional
     if kind <= 2:
         return draw(relative_paths(depth, max_steps=2))  # existence
+    if kind == 3:
+        return draw(attribute_tests())
     return f"{draw(operands(depth))}{draw(compare_ops)}{draw(operands(depth))}"
 
 
@@ -251,6 +272,28 @@ class TestCompiledPlansEqualOracle:
         assert plan is not None
         evaluate('//a[@id="1"]/b', document)  # the parse memo hands back the same object
         assert parse_xpath('//a[@id="1"]/b').plan is plan
+
+    def test_the_text_is_rendered_once_and_exactly(self):
+        """``str(path)`` sizes every message carrying the query, so the kept
+        rendering must be what a fresh, uncached copy renders."""
+        parsed = parse_xpath('//a[@id="1" and b[2]]/c[d>=1.5 or text()!="x"]//@k')
+        text = str(parsed)
+        assert str(parsed) is text
+        assert text == str(replace(parsed)) == '//a[@id="1" and b[2]]/c[d>=1.5 or text()!="x"]//@k'
+
+    @pytest.mark.parametrize("op", ["=", "!="])
+    def test_every_attribute_value_against_every_literal(self, op):
+        """The raw-string test for ``@id = "lit"`` must agree with the
+        coercing comparison on every value the strategies know, including
+        the ones ``float()`` accepts oddly ("nan", " 1", "1_0", ...)."""
+        root = Element("r")
+        for value in VALUES:
+            root.append(Element("a", {"id": value}))
+        root.append(Element("a"))  # no attribute: no pair, so both ops fail
+        document = Document("d", root)
+        for literal in LITERALS:
+            assert_same_evaluation(f"//a[@id{op}{literal}]", document)
+            assert_same_evaluation(f"/r/a[{literal}{op}@id]", document)
 
 
 # ---------------------------------------------------------------------------
