@@ -775,10 +775,10 @@ class DTXSite:
         # the protocol's structure summary is unchanged. The cached spec
         # keeps its nodes_visited meter, so the *simulated* cost charged
         # below is identical either way — this is a wall-clock optimisation
-        # only, and simulated schedules stay bit-identical. For an XDGL query
-        # it adds only the count (spec_cache_hits): the protocol's own memo,
-        # by path shape and guide version, would serve the retry as well. It
-        # still saves the recomputation for updates and for Node2PL.
+        # only, and simulated schedules stay bit-identical. For any XDGL
+        # operation it adds only the count (spec_cache_hits): the protocol's
+        # own memo, by operation key and guide version, would serve the retry
+        # as well. It still saves the recomputation for Node2PL.
         spec = None
         version = self.protocol.structure_version(op.doc_name)
         if version is not None:

@@ -88,13 +88,18 @@ class DataGuide:
         self.doc_name = doc_name
         self.root: Optional[DataGuideNode] = None
         self._by_path: dict[LabelPath, DataGuideNode] = {}
-        # Bumped on every structural mutation (_add_path/_remove_path, which
-        # apply_change/undo_change funnel through). Cached lock specs are
-        # keyed against it: unchanged version => unchanged guide => a spec
-        # computed against it is still exact. Two caches rely on this: the
-        # spec a blocked operation computed, reused on its retry
-        # (SiteTxContext.spec_cache), and XDGLProtocol's memo of query specs
-        # per path shape, shared by every query of that shape.
+        # Bumped only when a guide node is created (_add_path) or pruned
+        # (_prune): the guide's *shape* — its label paths, their parents and
+        # child order — is all an XDGL lock rule reads (match_structure looks
+        # at tags and children, and nodes_visited counts candidates, never
+        # targets). Adding an id to, or dropping one from, an existing label
+        # path leaves it alone. A node pruned and re-created moves to the end
+        # of its parent's children, and both events bump. So unchanged
+        # version => unchanged shape => a lock spec computed against it is
+        # still exact. Two caches rely on this: the spec a blocked operation
+        # computed, reused on its retry (SiteTxContext.spec_cache), and
+        # XDGLProtocol's memo of query and update specs. A rule that read
+        # target sets would need another stamp.
         self.version = next(_VERSION_CLOCK)
 
     # -- construction -----------------------------------------------------
@@ -154,8 +159,8 @@ class DataGuide:
     def _add_path(self, path: LabelPath, target_id: int) -> DataGuideNode:
         if not path:
             raise ReproError("empty label path")
-        self.version = next(_VERSION_CLOCK)
         if self.root is None:
+            self.version = next(_VERSION_CLOCK)
             self.root = DataGuideNode(path[0])
             self.root.guide = self
             self._by_path[(path[0],)] = self.root
@@ -169,6 +174,7 @@ class DataGuide:
             tag = path[depth]
             nxt = node._children.get(tag)
             if nxt is None:
+                self.version = next(_VERSION_CLOCK)
                 nxt = DataGuideNode(tag, parent=node)
                 nxt.guide = self
                 node._children[tag] = nxt
@@ -181,13 +187,13 @@ class DataGuide:
         node = self._by_path.get(tuple(path))
         if node is None:
             raise ReproError(f"label path {'/'.join(path)} not in guide")
-        self.version = next(_VERSION_CLOCK)
         node.targets.discard(target_id)
         self._prune(node)
 
     def _prune(self, node: DataGuideNode) -> None:
         """Remove ``node`` (and drained ancestors) once nothing targets it."""
         while node is not None and not node.targets and not node._children:
+            self.version = next(_VERSION_CLOCK)
             parent = node.parent
             if parent is None:
                 self.root = None

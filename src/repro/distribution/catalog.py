@@ -18,6 +18,9 @@ from .replication import ReplicaSet
 class Catalog:
     def __init__(self) -> None:
         self._placement: dict[str, tuple[Hashable, ...]] = {}
+        # The placement as a frozen ReplicaSet, shared by every lookup:
+        # rebuilt by the placement's only two writers, add and set_primary.
+        self._replica_sets: dict[str, ReplicaSet] = {}
         # Primary-election epoch per document: bumped on every primary
         # change, carried by replica-sync traffic, and used to fence
         # deposed primaries (a sync stamped with an older epoch is refused).
@@ -50,7 +53,13 @@ class Catalog:
             raise DistributionError(f"document {doc_name!r} must live somewhere")
         if len(set(sites)) != len(sites):
             raise DistributionError(f"duplicate sites in placement of {doc_name!r}")
+        self._place(doc_name, sites)
+
+    def _place(self, doc_name: str, sites: tuple[Hashable, ...]) -> None:
         self._placement[doc_name] = sites
+        self._replica_sets[doc_name] = ReplicaSet(
+            doc_name=doc_name, primary=sites[0], secondaries=sites[1:]
+        )
 
     def sites_for(self, doc_name: str) -> tuple[Hashable, ...]:
         try:
@@ -78,9 +87,12 @@ class Catalog:
         return self.sites_for(doc_name)[0]
 
     def replica_set(self, doc_name: str) -> ReplicaSet:
-        """The placement as a :class:`ReplicaSet` (primary = first site)."""
-        sites = self.sites_for(doc_name)
-        return ReplicaSet(doc_name=doc_name, primary=sites[0], secondaries=sites[1:])
+        """The placement as a :class:`ReplicaSet` (primary = first site);
+        the same object until the placement next changes."""
+        try:
+            return self._replica_sets[doc_name]
+        except KeyError:
+            raise DistributionError(f"document {doc_name!r} not in catalog") from None
 
     def set_primary(self, doc_name: str, site_id: Hashable) -> None:
         """Promote ``site_id`` to primary by reordering the placement.
@@ -93,10 +105,7 @@ class Catalog:
             raise DistributionError(
                 f"site {site_id!r} holds no replica of {doc_name!r}"
             )
-        self._placement[doc_name] = (
-            site_id,
-            *[s for s in sites if s != site_id],
-        )
+        self._place(doc_name, (site_id, *[s for s in sites if s != site_id]))
         self._epochs[doc_name] = self.epoch(doc_name) + 1
 
     # -- epochs and log sequence numbers -----------------------------------
@@ -242,7 +251,6 @@ class CatalogView:
     # -- membership facts: view-local ---------------------------------------
 
     def replica_set(self, doc_name: str) -> ReplicaSet:
-        sites = self._shared.sites_for(doc_name)
         override = self._overrides.get(doc_name)
         if override is None or override[1] <= self._shared.epoch(doc_name):
             return self._shared.replica_set(doc_name)
@@ -250,7 +258,9 @@ class CatalogView:
         return ReplicaSet(
             doc_name=doc_name,
             primary=primary,
-            secondaries=tuple(s for s in sites if s != primary),
+            secondaries=tuple(
+                s for s in self._shared.sites_for(doc_name) if s != primary
+            ),
         )
 
     def epoch(self, doc_name: str) -> int:

@@ -19,14 +19,27 @@ Lock rules (paper §2, reconstructed details in DESIGN.md):
 Lock keys are ``(doc_name, label_path)`` — stable across guide-node pruning
 and re-creation, so a lock can name a path that does not exist yet (inserts).
 
-A query's lock spec depends on the guide and on the query's *structure*
-only: predicate literals and positional indexes name no guide node. So the
-protocol memoises query specs by ``(doc_name, path.shape)``, each stamped
-with the :attr:`DataGuide.version` it was computed against, in an LRU of
-:data:`QUERY_SPEC_MEMO_MAX` entries. The version comes from one process-wide
-clock and is bumped by every guide mutation, so an entry whose stamp still
-equals the guide's version is exactly what a fresh match would compute —
-``nodes_visited`` included, which keeps the simulated CPU charge unchanged.
+Every rule reads the guide's *shape* (label paths, parents, child order),
+never a target set, and of the operation only its paths' structure and a
+few fields: predicate literals and positional indexes name no guide node.
+So the protocol memoises each deduplicated spec under
+``(doc_name, op_key)`` in one LRU of :data:`SPEC_MEMO_MAX` entries, where
+``op_key`` holds exactly what the rule reads — ``path.shape`` for a query,
+and for updates:
+
+* ``("insert", target.shape, position, fragment.tag)``
+* ``("remove", target.shape)``
+* ``("rename", target.shape, new_name)``
+* ``("change", target.shape)``
+* ``("transpose", source.shape, destination.shape)``
+
+A change's new value and an inserted fragment below its root tag are not
+part of the key: no rule reads them. Each entry is stamped with the
+:attr:`DataGuide.version` it was computed against. The version comes from one
+process-wide clock and is bumped whenever a guide node is created or pruned,
+so an entry whose stamp still equals the guide's version is exactly what a
+fresh match would compute — ``nodes_visited`` included, which keeps the
+simulated CPU charge unchanged.
 """
 
 from __future__ import annotations
@@ -54,8 +67,28 @@ from ..xpath.guide import GuideMatch, match_structure
 from ..xpath.parser import parse_xpath
 from .base import ConcurrencyProtocol
 
-#: Bound on the query-spec memo, over all documents: the parse memo's.
-QUERY_SPEC_MEMO_MAX = 4096
+#: Bound on the spec memo, queries and updates together, over all
+#: documents: the parse memo's.
+SPEC_MEMO_MAX = 4096
+
+
+def _update_key(op: UpdateOperation) -> tuple:
+    """What the update rule reads of ``op``: its memo key (see module doc).
+
+    Mirrors :meth:`XDGLProtocol._compute_update_spec` field for field: a
+    field a branch there starts to read must join that kind's key here, or
+    the memo serves one spec to operations the rule tells apart."""
+    if isinstance(op, InsertOp):
+        return ("insert", op.target.shape, op.position, op.fragment.tag)
+    if isinstance(op, RemoveOp):
+        return ("remove", op.target.shape)
+    if isinstance(op, RenameOp):
+        return ("rename", op.target.shape, op.new_name)
+    if isinstance(op, ChangeOp):
+        return ("change", op.target.shape)
+    if isinstance(op, TransposeOp):
+        return ("transpose", op.source.shape, op.destination.shape)
+    raise TypeError(f"unknown update operation {op!r}")
 
 
 class XDGLProtocol(ConcurrencyProtocol):
@@ -63,9 +96,9 @@ class XDGLProtocol(ConcurrencyProtocol):
 
     def __init__(self) -> None:
         self._guides: dict[str, DataGuide] = {}
-        # (doc_name, shape) -> (guide version, deduplicated LockSpec), least
-        # recently used first.
-        self._query_specs: dict[tuple[str, str], tuple[int, LockSpec]] = {}
+        # (doc_name, shape | update key) -> (guide version, deduplicated
+        # LockSpec), least recently used first.
+        self._specs: dict[tuple[str, object], tuple[int, LockSpec]] = {}
 
     @property
     def matrix(self) -> CompatibilityMatrix:
@@ -74,15 +107,15 @@ class XDGLProtocol(ConcurrencyProtocol):
     # -- structure management ------------------------------------------------
 
     def register_document(self, doc: Document) -> None:
-        self._forget_query_specs(doc.name)
+        self._forget_specs(doc.name)
         self._guides[doc.name] = DataGuide.build(doc)
 
     def drop_document(self, doc_name: str) -> None:
-        self._forget_query_specs(doc_name)
+        self._forget_specs(doc_name)
         self._guides.pop(doc_name, None)
 
-    def _forget_query_specs(self, doc_name: str) -> None:
-        memo = self._query_specs
+    def _forget_specs(self, doc_name: str) -> None:
+        memo = self._specs
         for key in [key for key in memo if key[0] == doc_name]:
             del memo[key]
 
@@ -117,24 +150,48 @@ class XDGLProtocol(ConcurrencyProtocol):
         guide = self.guide(doc_name)
         if isinstance(path, str):
             path = parse_xpath(path)
-        memo = self._query_specs
         key = (doc_name, path.shape)
-        entry = memo.pop(key, None)
-        if entry is not None and entry[0] == guide.version:
-            memo[key] = entry  # re-insert at the back: most recent
-            return entry[1]
-        stats = EvalStats()
-        match = match_structure(path, guide.root, stats)
-        spec = LockSpec(nodes_visited=stats.nodes_visited)
-        self._shared_tree_locks(spec, doc_name, match.targets)
-        self._shared_tree_locks(spec, doc_name, match.predicate_targets)
-        spec = spec.deduplicated()
-        if len(memo) >= QUERY_SPEC_MEMO_MAX:
-            del memo[next(iter(memo))]  # evict the least recently used
-        memo[key] = (guide.version, spec)
+        spec = self._recall(key, guide.version)
+        if spec is None:
+            stats = EvalStats()
+            match = match_structure(path, guide.root, stats)
+            spec = LockSpec(nodes_visited=stats.nodes_visited)
+            self._shared_tree_locks(spec, doc_name, match.targets)
+            self._shared_tree_locks(spec, doc_name, match.predicate_targets)
+            spec = self._remember(key, guide.version, spec.deduplicated())
         return spec
 
     def lock_spec_for_update(self, doc_name: str, op: UpdateOperation) -> LockSpec:
+        guide = self.guide(doc_name)
+        key = (doc_name, _update_key(op))
+        spec = self._recall(key, guide.version)
+        if spec is None:
+            spec = self._remember(
+                key, guide.version, self._compute_update_spec(doc_name, op)
+            )
+        return spec
+
+    def _recall(self, key: tuple, version: int) -> "LockSpec | None":
+        """The memoised spec under ``key`` if computed at ``version``."""
+        memo = self._specs
+        entry = memo.pop(key, None)
+        if entry is not None and entry[0] == version:
+            memo[key] = entry  # re-insert at the back: most recent
+            return entry[1]
+        return None
+
+    def _remember(self, key: tuple, version: int, spec: LockSpec) -> LockSpec:
+        memo = self._specs
+        if len(memo) >= SPEC_MEMO_MAX:
+            del memo[next(iter(memo))]  # evict the least recently used
+        memo[key] = (version, spec)
+        return spec
+
+    def _compute_update_spec(self, doc_name: str, op: UpdateOperation) -> LockSpec:
+        """The update rule computed from scratch against the current guide.
+
+        Reads of ``op`` only what :func:`_update_key` keys on; any further
+        field a branch reads must be added to that kind's key."""
         guide = self.guide(doc_name)
         stats = EvalStats()
         spec = LockSpec()

@@ -6,6 +6,7 @@ from repro.distribution import (
     Catalog,
     ExplicitPlacement,
     PartialPlacement,
+    ReplicaSet,
     TotalPlacement,
     fragment_document,
     fragment_name,
@@ -122,6 +123,24 @@ class TestCatalog:
         cat.add("d2", ["s1"])
         text = cat.describe()
         assert "*d1*" in text and "d2" in text
+
+    def test_replica_set_is_one_object_until_the_placement_changes(self):
+        cat = Catalog()
+        cat.add("d", ["s1", "s2", "s3"])
+        rset = cat.replica_set("d")
+        assert rset == ReplicaSet("d", "s1", ("s2", "s3"))
+        cat.add("e", ["s2"])
+        cat.allocate_lsn("d")
+        assert cat.replica_set("d") is rset  # nothing about d's placement moved
+        cat.set_primary("d", "s2")
+        promoted = cat.replica_set("d")
+        assert promoted is not rset
+        assert promoted == ReplicaSet("d", "s2", ("s1", "s3"))
+        assert cat.replica_set("d") is promoted
+        cat.add("d", ["s3", "s1"])  # a migration's new placement
+        assert cat.replica_set("d") == ReplicaSet("d", "s3", ("s1",))
+        with pytest.raises(DistributionError):
+            cat.replica_set("ghost")
 
 
 class TestAllocation:

@@ -36,7 +36,7 @@ from repro.locking.manager import LockManager
 from repro.locking.requests import LockSpec
 from repro.locking.table import LockTable
 from repro.deadlock import WaitForGraph
-from repro.update import ChangeOp, InsertOp
+from repro.update import ChangeOp, InsertOp, RemoveOp
 from repro.verify import final_state_serializable
 from repro.xml import E, doc, serialize_document
 from repro.xpath.parser import clear_parse_cache, parse_cache_stats, parse_xpath
@@ -490,25 +490,42 @@ class TestRetryCaching:
         hits, misses = parse_cache_stats()
         assert hits >= 1 and misses >= 1
 
-    def test_guide_version_bumps_on_change_and_undo(self, people_doc):
+    def test_guide_version_moves_with_label_paths_only(self, people_doc):
+        """Only a guide node's creation or pruning bumps the version: an
+        insert or remove under a label path that already exists leaves it
+        alone; a new label path, a prune, and the undo of either each move
+        it to a version never seen before."""
         from repro.protocols.xdgl import XDGLProtocol
         from repro.update.applier import apply_update
         from repro.update.undo import UndoLog
 
         protocol = XDGLProtocol()
         protocol.register_document(people_doc)
-        v0 = protocol.structure_version("d1")
-        assert v0 is not None
-        undo = UndoLog()
-        changes = apply_update(
-            InsertOp("<person><id>99</id></person>", "/people"), people_doc, undo
-        )
-        protocol.after_apply("d1", changes)
-        v1 = protocol.structure_version("d1")
-        assert v1 != v0
-        undo.rollback_last(len(undo))
-        protocol.after_undo("d1", changes)
-        assert protocol.structure_version("d1") not in (v0, v1)
+        seen = [protocol.structure_version("d1")]
+        assert seen[0] is not None
+
+        def step(op):
+            """Apply ``op`` and then undo it; the version after each."""
+            undo = UndoLog()
+            changes = apply_update(op, people_doc, undo)
+            protocol.after_apply("d1", changes)
+            applied = protocol.structure_version("d1")
+            undo.rollback_last(len(undo))
+            protocol.after_undo("d1", changes)
+            return applied, protocol.structure_version("d1")
+
+        # target-only: one more (or one fewer) id under existing label paths
+        assert step(InsertOp("<person><id>99</id></person>", "/people")) == (seen[0], seen[0])
+        assert step(RemoveOp("/people/person[2]")) == (seen[0], seen[0])
+        assert step(ChangeOp("/people/person/name", "x")) == (seen[0], seen[0])
+        # a new label path (/people/person/email) and its undo, a prune; the
+        # prune of /people/person/name and its undo, a re-creation
+        for op in (InsertOp("<email/>", "/people/person[1]"), RemoveOp("/people/person/name")):
+            applied, undone = step(op)
+            assert applied not in seen
+            assert undone not in seen + [applied]
+            seen += [applied, undone]
+        protocol.guide("d1").validate_against(people_doc)
 
     def test_guide_rebuild_never_reuses_a_version(self, people_doc):
         g1 = DataGuide.build(people_doc)

@@ -2,18 +2,26 @@
 network partitions, split-brain prevention, view dissemination, and the
 heartbeat-watermark log compaction."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction
 from repro.core.faults import SiteMembership
-from repro.distribution import Catalog, CatalogView, UpdateLog, UpdateLogEntry
+from repro.distribution import (
+    Catalog,
+    CatalogView,
+    ReplicaSet,
+    UpdateLog,
+    UpdateLogEntry,
+)
 from repro.errors import ConfigError, SimulationError
 from repro.sim.environment import Environment
 from repro.sim.network import Network
 from repro.update import InsertOp
 from repro.xml import serialize_document
 
-from .conftest import make_people_doc
+from .conftest import example_budget, make_people_doc
 
 LEASE = SystemConfig().with_(
     client_think_ms=2.0,
@@ -158,6 +166,45 @@ class TestNetworkPartitions:
         assert net.send("b", "a", object(), size_bytes=8) > 0.0
 
 
+PLACED = ("d", "e")
+PLACEMENT_SITES = ("s1", "s2", "s3", "s4")
+placement_sites = st.sampled_from(PLACEMENT_SITES)
+placement_actions = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.sampled_from(PLACED),
+        st.permutations(PLACEMENT_SITES).flatmap(
+            lambda sites: st.integers(1, len(sites)).map(lambda n: tuple(sites[:n]))
+        ),
+    ),
+    st.tuples(st.just("set_primary"), st.sampled_from(PLACED), placement_sites),
+    st.tuples(
+        st.just("apply_primary"),
+        st.sampled_from(PLACED),
+        st.integers(0, 1),
+        placement_sites,
+        st.integers(0, 8),
+    ),
+)
+
+
+def fresh_replica_set(catalog, doc_name):
+    """The placement as a ReplicaSet, built from scratch."""
+    sites = catalog.sites_for(doc_name)
+    return ReplicaSet(doc_name=doc_name, primary=sites[0], secondaries=sites[1:])
+
+
+def fresh_view_replica_set(view, doc_name):
+    """A view's set, built from scratch: its override while that is newer
+    than the shared catalog's epoch, the shared placement otherwise."""
+    override = view._overrides.get(doc_name)
+    if override is None or override[1] <= view._shared.epoch(doc_name):
+        return fresh_replica_set(view._shared, doc_name)
+    primary = override[0]
+    secondaries = tuple(s for s in view.sites_for(doc_name) if s != primary)
+    return ReplicaSet(doc_name=doc_name, primary=primary, secondaries=secondaries)
+
+
 class TestCatalogView:
     def shared(self):
         catalog = Catalog()
@@ -218,6 +265,55 @@ class TestCatalogView:
         view = CatalogView(self.shared())
         with pytest.raises(DistributionError):
             view.apply_primary("d", "s9", epoch=9)
+
+    def test_replica_set_under_override_stale_and_newer(self):
+        shared = self.shared()
+        view = CatalogView(shared)
+        assert view.replica_set("d") is shared.replica_set("d")  # no override
+        assert view.apply_primary("d", "s2", epoch=2)
+        assert view.replica_set("d") == ReplicaSet("d", "s2", ("s1", "s3"))
+        # stale: the shared catalog's own elections caught up with epoch 2
+        shared.set_primary("d", "s3")
+        shared.set_primary("d", "s3")
+        assert view.replica_set("d") is shared.replica_set("d")
+        assert view.replica_set("d") == ReplicaSet("d", "s3", ("s1", "s2"))
+        # a newer override, then a new placement beneath it
+        assert view.apply_primary("d", "s1", epoch=5)
+        assert view.replica_set("d") == ReplicaSet("d", "s1", ("s3", "s2"))
+        shared.add("d", ("s2", "s1"))
+        assert view.replica_set("d") == ReplicaSet("d", "s1", ("s2",))
+
+    @settings(max_examples=example_budget(100), deadline=None)
+    @given(st.lists(placement_actions, max_size=25))
+    def test_cached_sets_equal_fresh_constructions(self, steps):
+        from repro.errors import DistributionError
+
+        shared = Catalog()
+        for doc_name in PLACED:
+            shared.add(doc_name, PLACEMENT_SITES)
+        views = [CatalogView(shared), CatalogView(shared)]
+        for step in steps:
+            kind, doc_name = step[0], step[1]
+            try:
+                if kind == "add":
+                    shared.add(doc_name, step[2])
+                elif kind == "set_primary":
+                    shared.set_primary(doc_name, step[2])
+                else:
+                    views[step[2]].apply_primary(doc_name, step[3], step[4])
+            except DistributionError:
+                pass  # a primary the placement no longer holds
+            for doc_name in PLACED:
+                rset = shared.replica_set(doc_name)
+                assert rset == fresh_replica_set(shared, doc_name)
+                assert shared.replica_set(doc_name) is rset
+                for view in views:
+                    assert view.replica_set(doc_name) == fresh_view_replica_set(
+                        view, doc_name
+                    )
+                    if view.epoch(doc_name) == shared.epoch(doc_name):
+                        # no newer override: the shared placement's one set
+                        assert view.replica_set(doc_name) is rset
 
 
 class TestSiteMembership:
