@@ -69,8 +69,8 @@ class CostConfig:
     persist_per_kb_ms:
         DataManager -> storage write-back, per KB persisted at commit.
     parse_per_kb_ms:
-        Serialized text -> in-memory representation, per KB parsed
-        (catch-up and view snapshots).
+        Materialising a snapshot (catch-up install, view hydration) as a
+        site's in-memory representation, per KB of its serialized size.
     scheduler_dispatch_ms:
         Picking one unit of work from a site's queue.
     wfg_merge_per_edge_ms:

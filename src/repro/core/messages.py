@@ -362,16 +362,20 @@ class CatchUpResponse:
     doc_name: str
     req_id: int
     entries: list = field(default_factory=list)  # UpdateLogEntry, LSN order
-    snapshot: Any = None  # serialized document text, when diverged
+    # When diverged: a private copy of the primary's committed tree
+    # (``DataManager.snapshot``) and its serialized length in bytes, which
+    # is what the wire carries and the receiver is charged for.
+    snapshot: Any = None  # Document
+    snapshot_size: int = 0
     snapshot_lsn: int = 0
     snapshot_epoch: int = 0
     ok: bool = True  # False: requester should retry later (e.g. mid-election)
 
     def size_bytes(self) -> int:
-        size = _HEADER_BYTES + 16 + sum(e.payload_size() for e in self.entries)
-        if self.snapshot is not None:
-            size += len(self.snapshot)
-        return size
+        return (
+            _HEADER_BYTES + 16 + self.snapshot_size
+            + sum(e.payload_size() for e in self.entries)
+        )
 
 
 @dataclass(slots=True)
@@ -551,7 +555,7 @@ class ViewFetchRequest:
 
 @dataclass(slots=True)
 class ViewFetchResponse:
-    """Primary -> view host: serialized committed state + its log position.
+    """Primary -> view host: committed state + its log position.
 
     ``ok=False`` when the responder no longer leads the document (or holds
     recording gaps); the host simply retries on the next delta that needs
@@ -562,13 +566,14 @@ class ViewFetchResponse:
 
     doc_name: str
     req_id: int
-    snapshot: Any = None  # serialized document text
+    snapshot: Any = None  # Document: a private copy, as in CatchUpResponse
+    snapshot_size: int = 0  # its serialized length in bytes
     snapshot_lsn: int = 0
     snapshot_epoch: int = 0
     ok: bool = True
 
     def size_bytes(self) -> int:
-        return _HEADER_BYTES + 16 + (len(self.snapshot) if self.snapshot else 0)
+        return _HEADER_BYTES + 16 + self.snapshot_size
 
 
 @dataclass(slots=True)

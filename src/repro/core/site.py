@@ -42,9 +42,11 @@ from ..sim.rng import substream
 from ..storage.base import StorageBackend
 from ..storage.datamanager import DataManager
 from ..update.applier import apply_update
-from ..xml.model import Document
-from ..xml.parser import parse_document
-from ..xml.serializer import serialize_document
+from ..xml.model import Document, Element
+
+# Not called here. Kept as a module global because the dtxbench span
+# harness's self-test rebinds and calls it through this module.
+from ..xml.serializer import serialize_document  # noqa: F401
 from ..xpath.evaluator import EvalStats, evaluate
 from ..xpath.parser import parse_cache_stats
 from .context import CoordinatorRecord, OpEntry, SiteTxContext, _AbortTx, _SiteCrashed
@@ -373,7 +375,7 @@ class DTXSite:
         """
         if self.data_manager.is_loaded(doc_name):
             return
-        self.host_document(parse_document(f"<{MIGRATION_PLACEHOLDER}/>", name=doc_name))
+        self.host_document(Document(doc_name, Element(MIGRATION_PLACEHOLDER)))
         self.stats.migrations_admitted += 1
 
     def holds_placeholder(self, doc_name: str) -> bool:
@@ -3037,13 +3039,16 @@ class DTXSite:
                 gate.succeed(None)
 
     def _install_snapshot(self, doc_name: str, resp: CatchUpResponse) -> float:
-        """Replace the local replica with the primary's serialized state."""
-        doc = parse_document(resp.snapshot, name=doc_name)
+        """Replace the local replica with the primary's committed state.
+
+        The snapshot is the message's own copy of the tree, adopted as it
+        is; materialising it is charged on its serialized size."""
+        doc = resp.snapshot
         persisted = self.data_manager.replace(doc)
         self.protocol.register_document(doc)
         self.log_for(doc_name).reset_to_snapshot(resp.snapshot_lsn, resp.snapshot_epoch)
         return (
-            (len(resp.snapshot) / 1024.0) * self.costs.parse_per_kb_ms
+            (resp.snapshot_size / 1024.0) * self.costs.parse_per_kb_ms
             + (persisted / 1024.0) * self.costs.persist_per_kb_ms
         )
 
@@ -3083,12 +3088,14 @@ class DTXSite:
             # The requester's log tip is not on this primary's timeline
             # (phantom entries applied under a deposed primary, or a tip
             # older than this log's own snapshot base): ship full state —
-            # the *persisted* state, i.e. exactly the committed batches
-            # this hole-free log covers.
+            # the committed state, i.e. exactly the committed batches this
+            # hole-free log covers.
+            snapshot, size = self.data_manager.snapshot(doc_name)
             resp = CatchUpResponse(
                 doc_name=doc_name,
                 req_id=msg.req_id,
-                snapshot=serialize_document(self.data_manager.backend.load(doc_name)),
+                snapshot=snapshot,
+                snapshot_size=size,
                 snapshot_lsn=log.applied_lsn,
                 snapshot_epoch=log.last_epoch,
             )
@@ -3300,10 +3307,10 @@ class DTXSite:
     def _handle_view_fetch_request(self, msg: ViewFetchRequest):
         """Serve a committed snapshot for a view host's (re)materialization.
 
-        Same committed-state source as the catch-up path (the persisted
-        committed tree); refused when this site does not currently lead the
-        document or its log still has recording holes (a snapshot taken
-        then could tear across a racing batch).
+        Same committed-state source as the catch-up path
+        (``DataManager.snapshot``); refused when this site does not
+        currently lead the document or its log still has recording holes
+        (a snapshot taken then could tear across a racing batch).
         """
         if not self.alive:
             return
@@ -3322,10 +3329,12 @@ class DTXSite:
         if not ok:
             resp = ViewFetchResponse(doc_name=doc_name, req_id=msg.req_id, ok=False)
         else:
+            snapshot, size = self.data_manager.snapshot(doc_name)
             resp = ViewFetchResponse(
                 doc_name=doc_name,
                 req_id=msg.req_id,
-                snapshot=serialize_document(self.data_manager.backend.load(doc_name)),
+                snapshot=snapshot,
+                snapshot_size=size,
                 snapshot_lsn=log.applied_lsn,
                 snapshot_epoch=self.catalog.epoch(doc_name),
             )
@@ -3368,11 +3377,9 @@ class DTXSite:
                 log = self.log_for(doc_name)
                 if log.applied_lsn != log.max_recorded_lsn:
                     return  # racing batches in flight; retry later
-                snapshot = serialize_document(
-                    self.data_manager.backend.load(doc_name)
-                )
+                snapshot, size = self.data_manager.snapshot(doc_name)
                 cost = mgr.install_snapshot(
-                    doc_name, snapshot, log.applied_lsn,
+                    doc_name, snapshot, size, log.applied_lsn,
                     self.catalog.epoch(doc_name),
                 )
                 yield (cost)
@@ -3395,7 +3402,8 @@ class DTXSite:
             if resp is None or not resp.ok:
                 return
             cost = mgr.install_snapshot(
-                doc_name, resp.snapshot, resp.snapshot_lsn, resp.snapshot_epoch
+                doc_name, resp.snapshot, resp.snapshot_size,
+                resp.snapshot_lsn, resp.snapshot_epoch,
             )
             yield (cost)
         finally:

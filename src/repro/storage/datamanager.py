@@ -12,7 +12,8 @@ committed batch costs, not what the document costs: the DataManager keeps the
 exact serialized length of every committed tree current from the byte deltas
 the update applier reports, and hands the backend the tree and that length
 (``StorageBackend.write_back``). ``load``/``install``/``commit`` return byte
-counts so the site can charge parse/persist time in the cost model.
+counts so the site can charge parse/persist time in the cost model, and
+``snapshot`` hands over a clone of the committed tree with its length.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class DataManager:
         # Exact serialized byte length of each document's committed tree
         # (the shadow where there is one, else the live tree): what
         # ``backend.store`` reported for it, moved by the applier's byte
-        # deltas since. Only a backend that puts rendering off reads it
-        # (``FileStore`` renders per write-back and counts for itself).
+        # deltas since. A backend that puts rendering off reads it
+        # (``FileStore`` renders per write-back and counts for itself), and
+        # so does a snapshot's size.
         self._sizes: dict[str, int] = {}
 
     # -- loading -----------------------------------------------------------
@@ -120,6 +122,19 @@ class DataManager:
                     c.byte_delta for c in apply_update(update, tree)
                 )
         return self.backend.write_back(tree, self._sizes[name])
+
+    def snapshot(self, name: str) -> tuple[Document, int]:
+        """A private copy of the committed state of ``name`` and its exact
+        serialized byte length, for handing the state to another site.
+
+        The clone numbers its nodes in pre-order from 0, as a parse of the
+        persisted text does, but keeps the tree as it is: rendering and
+        parsing back would normalise text (surrounding whitespace, ``''``).
+        """
+        tree = self._committed.get(name)
+        if tree is None:
+            tree = self.document(name)
+        return tree.clone(), self._sizes[name]
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from typing import Hashable, Sequence
 
 from .errors import ConfigError, UpdateError
 from .update.applier import apply_update
-from .xml.parser import parse_document
+from .xml.model import Document
 from .xml.serializer import serialize_document
 from .xpath.ast import Axis, LocationPath, NodeTest, NodeTestKind, Step
 from .xpath.evaluator import EvalStats, evaluate
@@ -56,16 +56,14 @@ def _test_subsumes(vt: NodeTest, qt: NodeTest) -> bool:
 def _step_subsumes(v: Step, q: Step) -> bool:
     """One view step covers one query step: test covers, predicates weaker.
 
-    A view step with *fewer* predicates selects a superset; predicate sets
-    compare by their canonical string form (the AST round-trips through
-    ``__str__``), so ``[id=4]`` matches ``[id=4]`` regardless of object
-    identity.
+    A view step whose predicates are a subset of the query step's selects a
+    superset. Predicates are frozen dataclasses and compare by value (a
+    path's plan and cached text are not part of its equality), so
+    ``[id=4]`` matches ``[id=4]`` regardless of object identity.
     """
     if not _test_subsumes(v.test, q.test):
         return False
-    vpreds = {str(p) for p in v.predicates}
-    qpreds = {str(p) for p in q.predicates}
-    return vpreds <= qpreds
+    return all(p in q.predicates for p in v.predicates)
 
 
 def _covers(vsteps: tuple, qsteps: tuple) -> bool:
@@ -184,11 +182,15 @@ class ViewManager:
     # -- maintenance -------------------------------------------------------
 
     def install_snapshot(
-        self, doc_name: str, snapshot: str, lsn: int, epoch: int
+        self, doc_name: str, snapshot: Document, size: int, lsn: int, epoch: int
     ) -> float:
-        """(Re)materialize one shadow from a primary snapshot; returns cost."""
+        """(Re)materialize one shadow from a primary snapshot; returns cost.
+
+        ``snapshot`` is a private copy of the committed tree and becomes the
+        shadow as it is; ``size`` is its serialized length in bytes, which
+        materialising it is charged on."""
         state = self.add_doc(doc_name)
-        state.doc = parse_document(snapshot, name=doc_name)
+        state.doc = snapshot
         state.applied_lsn = lsn
         state.epoch = epoch
         state.pending = {
@@ -196,7 +198,7 @@ class ViewManager:
         }
         state.synced_at = self.site.env.now
         self.site.stats.view_hydrations += 1
-        return (len(snapshot) / 1024.0) * self.site.costs.parse_per_kb_ms
+        return (size / 1024.0) * self.site.costs.parse_per_kb_ms
 
     def ingest_delta(self, msg) -> tuple[float, bool]:
         """Apply one ``ViewDeltaBatch``; returns ``(cost_ms, need_hydrate)``.

@@ -9,7 +9,7 @@ tests and positional indexes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
@@ -148,47 +148,74 @@ class LocationPath:
         """The path with every predicate literal and position erased.
 
         Two paths have the same shape exactly when they differ only in the
-        values of literals and positional indexes — which are the only
-        parts of a path that structural matching
-        (:func:`repro.xpath.guide.match_structure`) never reads. It is the
-        ``repr`` of the erased path (injective over the AST), interned, so
-        equal shapes are one string object however many parses share it.
+        values (and types) of literals and positional indexes — which are
+        the only parts of a path that structural matching
+        (:func:`repro.xpath.guide.match_structure`) never reads. It is
+        rendered in one pass like ``__str__``, with ``?`` for every literal
+        and ``#`` for every position; every ``and``/``or`` group is
+        parenthesised and an empty path is ``/`` or ``.``, so the mapping is
+        one-to-one for any AST whose names are XML names (or ``*``). It is
+        interned, so equal shapes are one string object however many
+        parses share it.
         """
         shape = self._shape
         if shape is None:
-            shape = sys.intern(repr(_erase_path(self)))
+            out: list[str] = []
+            _path_shape(self, out)
+            shape = sys.intern("".join(out))
             object.__setattr__(self, "_shape", shape)
         return shape
 
 
-_ANY_LITERAL = Literal("")
-_ANY_POSITION = Position(0)
+def _path_shape(path: LocationPath, out: list) -> None:
+    steps = path.steps
+    if not steps:
+        out.append("/" if path.absolute else ".")
+        return
+    for i, step in enumerate(steps):
+        descendant = step.axis is Axis.DESCENDANT
+        if i or path.absolute:
+            out.append("//" if descendant else "/")
+        elif descendant:
+            out.append(".//")
+        test = step.test
+        kind = test.kind
+        if kind is NodeTestKind.NAME:
+            out.append(test.name)
+        elif kind is NodeTestKind.ATTRIBUTE:
+            out.append(f"@{test.name}")
+        else:
+            out.append(f"text({test.name})")
+        for pred in step.predicates:
+            out.append("[")
+            _predicate_shape(pred, out)
+            out.append("]")
 
 
-def _erase_path(path: LocationPath) -> LocationPath:
-    return replace(
-        path,
-        steps=tuple(
-            replace(step, predicates=tuple(map(_erase_predicate, step.predicates)))
-            for step in path.steps
-        ),
-    )
+def _predicate_shape(pred: Predicate, out: list) -> None:
+    cls = pred.__class__
+    if cls is Comparison:
+        _operand_shape(pred.left, out)
+        out.append(pred.op.value)
+        _operand_shape(pred.right, out)
+    elif cls is Exists:
+        _path_shape(pred.path, out)
+    elif cls is Position:
+        out.append("#")
+    else:
+        out.append("(")
+        for i, operand in enumerate(pred.operands):
+            if i:
+                out.append(f" {pred.op} ")
+            _predicate_shape(operand, out)
+        out.append(")")
 
 
-def _erase_predicate(pred: Predicate) -> Predicate:
-    if isinstance(pred, Comparison):
-        return Comparison(_erase_operand(pred.left), pred.op, _erase_operand(pred.right))
-    if isinstance(pred, Exists):
-        return Exists(_erase_path(pred.path))
-    if isinstance(pred, Position):
-        return _ANY_POSITION
-    return BoolExpr(pred.op, tuple(map(_erase_predicate, pred.operands)))
-
-
-def _erase_operand(operand: Operand) -> Operand:
-    if isinstance(operand, Literal):
-        return _ANY_LITERAL
-    return PathOperand(_erase_path(operand.path))
+def _operand_shape(operand: Operand, out: list) -> None:
+    if operand.__class__ is Literal:
+        out.append("?")
+    else:
+        _path_shape(operand.path, out)
 
 
 def _operand_str(o: Operand) -> str:

@@ -104,6 +104,19 @@ def make_people_doc(name: str = "d1"):
     return doc(name, root)
 
 
+def make_unnormalised_people_doc(name: str = "d1"):
+    """``make_people_doc`` holding text that a parse of its own rendering
+    does not give back: the parser strips the whitespace around Carlos and
+    reads the empty note's ``''`` as no text (``<note/>``)."""
+    root = E(
+        "people",
+        E("person", E("id", text="1"), E("name", text="  Carlos  "), E("note", text="")),
+        E("person", E("id", text="4"), E("name", text="Maria")),
+        E("person", E("id", text="7"), E("name", text="Joao")),
+    )
+    return doc(name, root)
+
+
 def make_products_doc(name: str = "d2"):
     """Paper §2.4 document d2: products with product{id,description,price}."""
     root = E(

@@ -19,7 +19,12 @@ from repro.errors import ConfigError, DistributionError
 from repro.update import InsertOp
 from repro.xml import serialize_document
 
-from .conftest import example_budget, make_people_doc, make_products_doc
+from .conftest import (
+    example_budget,
+    make_people_doc,
+    make_products_doc,
+    make_unnormalised_people_doc,
+)
 
 # ---------------------------------------------------------------------------
 # configs
@@ -61,12 +66,12 @@ def insert_tx(marker, label=""):
     )
 
 
-def migration_cluster(config=EAGER, n_sites=4, replicate_at=("s1", "s2")):
+def migration_cluster(config=EAGER, n_sites=4, replicate_at=("s1", "s2"), document=None):
     """d1 replicated at ``replicate_at`` (s1 primary); spare sites empty."""
     cluster = DTXCluster(protocol="xdgl", config=config)
     for i in range(n_sites):
         cluster.add_site(f"s{i + 1}")
-    cluster.replicate_document(make_people_doc(), list(replicate_at))
+    cluster.replicate_document(document or make_people_doc(), list(replicate_at))
     return cluster
 
 
@@ -290,6 +295,23 @@ class TestMigrationBasics:
         }
         assert len(set(texts.values())) == 1
         assert "Maria" in texts["s3"]  # the payload survived the move
+
+    def test_migrated_replica_is_byte_identical_to_the_primary(self):
+        """The joining site installs a clone of the primary's committed tree
+        as it is. Rendered and parsed back, Carlos would lose his padding
+        and the empty note would come back as ``<note/>``. (Crash recovery
+        still reloads through the parser and so still normalises: that is
+        the storage format's business, not the handover's.)"""
+        cluster = migration_cluster(document=make_unnormalised_people_doc())
+        cluster.schedule_migration("d1", ("s1", "s3"), at_ms=3.0)
+        cluster.start()
+        cluster.env.run(until=5.0)
+        settle_migrations(cluster, drain_ms=50.0)
+        assert cluster.migration.history[-1].ok
+        assert cluster.catalog.sites_for("d1") == ("s1", "s3")
+        primary = serialize_document(cluster.document_at("s1", "d1"))
+        assert "<name>  Carlos  </name>" in primary and "<note></note>" in primary
+        assert serialize_document(cluster.document_at("s3", "d1")) == primary
 
     def test_migration_under_live_writes_keeps_every_commit(self):
         cluster = migration_cluster()

@@ -12,8 +12,11 @@ positions, new values and fragment contents, and with updates whose keys
 differ in one part, on two documents at once, under interleaved updates,
 undos, drops and re-registrations. A third property pins the version law the
 stamps rely on: the version moves exactly when a guide node is created or
-pruned. The unit tests pin the key, the cap, the eviction order and that a
-shared spec cannot be changed by the lock manager.
+pruned. A fourth pins the query key itself: two paths, parsed or built by
+hand, share a ``shape`` exactly when they are equal with their literals and
+positions erased (the erasure is kept here as the oracle). The unit tests
+pin the key, the cap, the eviction order and that a shared spec cannot be
+changed by the lock manager.
 """
 
 import random
@@ -44,6 +47,7 @@ from repro.xpath import EvalStats, parse_xpath
 from repro.xpath.ast import (
     Axis,
     BoolExpr,
+    CompareOp,
     Comparison,
     Exists,
     Literal,
@@ -520,6 +524,148 @@ class TestMemoBounds:
         assert protocol.lock_spec_for_update("d", op) is spec
         with pytest.raises(AttributeError):
             spec.add(("d", ("r",)), spec.requests[0].mode)
+
+
+# ---------------------------------------------------------------------------
+# the shape key: one-to-one over ASTs with literals and positions erased
+# ---------------------------------------------------------------------------
+
+_ANY_LITERAL = Literal("")
+_ANY_POSITION = Position(0)
+
+
+def erase(path):
+    """The oracle: ``path`` with every literal and every position replaced by
+    one constant. Two paths must share a shape exactly when these are equal."""
+    return replace(
+        path,
+        steps=tuple(
+            replace(step, predicates=tuple(map(_erase_predicate, step.predicates)))
+            for step in path.steps
+        ),
+    )
+
+
+def _erase_predicate(pred):
+    if isinstance(pred, Comparison):
+        return Comparison(_erase_operand(pred.left), pred.op, _erase_operand(pred.right))
+    if isinstance(pred, Exists):
+        return Exists(erase(pred.path))
+    if isinstance(pred, Position):
+        return _ANY_POSITION
+    return BoolExpr(pred.op, tuple(map(_erase_predicate, pred.operands)))
+
+
+def _erase_operand(operand):
+    if isinstance(operand, Literal):
+        return _ANY_LITERAL
+    return PathOperand(erase(operand.path))
+
+
+def regroup(path):
+    """The same path with each step's predicates wrapped in a one-operand
+    ``and``: another tree, which reads the same if groups go undelimited."""
+    return replace(
+        path,
+        steps=tuple(
+            replace(step, predicates=tuple(BoolExpr("and", (p,)) for p in step.predicates))
+            for step in path.steps
+        ),
+    )
+
+
+def _parsed(text):
+    try:
+        return parse_xpath(text)
+    except ReproError:
+        return None
+
+
+parsed_paths = paths().map(_parsed).filter(lambda p: p is not None)
+
+# Hand-built ASTs reach what the parser never builds: relative paths inside
+# predicates that start with '//' or have no step at all, empty absolute
+# paths, one-operand and nested and/or groups, predicates on text() and @
+# steps, integral and fractional numbers beside strings.
+hand_tests = st.one_of(
+    st.sampled_from(["a", "b", "*"]).map(lambda n: NodeTest(NodeTestKind.NAME, n)),
+    st.sampled_from(["id", "k"]).map(lambda n: NodeTest(NodeTestKind.ATTRIBUTE, n)),
+    st.just(NodeTest(NodeTestKind.TEXT, "")),
+)
+hand_literals = st.sampled_from(["x", "1", "", 1.0, 2.5]).map(Literal)
+
+
+def _hand_paths(absolute):
+    steps = st.builds(
+        Step,
+        st.sampled_from(Axis),
+        hand_tests,
+        st.lists(hand_predicates, max_size=2).map(tuple),
+    )
+    return st.builds(LocationPath, absolute, st.lists(steps, max_size=3).map(tuple))
+
+
+hand_relative = st.deferred(lambda: _hand_paths(st.just(False)))
+hand_operands = st.one_of(hand_literals, st.builds(PathOperand, hand_relative))
+hand_predicates = st.deferred(
+    lambda: st.one_of(
+        st.integers(1, 3).map(Position),
+        st.builds(Exists, hand_relative),
+        st.builds(Comparison, hand_operands, st.sampled_from(CompareOp), hand_operands),
+        st.builds(
+            BoolExpr,
+            st.sampled_from(["and", "or"]),
+            st.lists(hand_predicates, min_size=1, max_size=3).map(tuple),
+        ),
+    )
+)
+hand_paths = _hand_paths(st.booleans())
+
+
+class TestShapeOracle:
+    @settings(
+        max_examples=example_budget(100),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        st.lists(st.one_of(parsed_paths, hand_paths), min_size=1, max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    def test_equal_shapes_exactly_when_the_erased_asts_are_equal(self, group, rng):
+        """Each path is joined by a respelling (same erased tree, other
+        values) and a regrouping (another tree, same text without groups)."""
+        group = group + [respell(p, rng) for p in group] + [regroup(p) for p in group]
+        for a in group:
+            for b in group:
+                assert (a.shape == b.shape) == (erase(a) == erase(b)), (a, b)
+
+    def test_groups_are_delimited(self):
+        """Trees that read the same with the grouping left out."""
+
+        def step(name, *predicates):
+            return Step(Axis.CHILD, NodeTest(NodeTestKind.NAME, name), predicates)
+
+        def group(op, *operands):
+            return BoolExpr(op, operands)
+
+        def on_r(pred):
+            return LocationPath(True, (step("r", pred),))
+
+        a, b, c = (Exists(LocationPath(False, (step(name),))) for name in "abc")
+        distinct = [
+            (group("or", group("and", a, b), c), group("and", a, group("or", b, c))),
+            (group("and", group("and", a, b), c), group("and", a, group("and", b, c))),
+            (group("and", a), a),
+        ]
+        for left, right in distinct:
+            assert erase(on_r(left)) != erase(on_r(right))
+            assert on_r(left).shape != on_r(right).shape
+        assert LocationPath(True, ()).shape != LocationPath(False, ()).shape
+
+    def test_literals_and_positions_do_not_show(self):
+        assert parse_xpath('//a[@id="1"][2]').shape == parse_xpath("//a[@id=7][3]").shape
+        assert parse_xpath('//a[@id="1"][2]').shape is parse_xpath('//a[@id="x"][1]').shape
 
 
 def test_respell_keeps_the_shape_and_changes_the_text():

@@ -5,6 +5,7 @@ Hypothesis suite asserting every view serve is an exact committed-log
 prefix under random write/fault schedules."""
 
 import hashlib
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,11 +15,14 @@ from repro import DTXCluster, Operation, SystemConfig, Transaction
 from repro.errors import ConfigError, ReproError
 from repro.update import ChangeOp, InsertOp
 from repro.update.applier import apply_update
+from repro import views
 from repro.views import ViewDefinition, subsumes
 from repro.xml import parse_document, serialize_document
 from repro.xpath import EvalStats, evaluate, parse_xpath
+from repro.xpath.parser import _Parser
+from repro.xpath.tokens import tokenize
 
-from .conftest import example_budget, make_people_doc
+from .conftest import example_budget, make_people_doc, make_unnormalised_people_doc
 
 VIEWS = SystemConfig().with_(
     client_think_ms=0.0,
@@ -32,12 +36,12 @@ VIEWS = SystemConfig().with_(
 )
 
 
-def views_cluster(config=VIEWS, pattern="//person"):
+def views_cluster(config=VIEWS, pattern="//person", document=None):
     """d1 replicated at s1 (primary) + s2; the view hosted at s3."""
     cluster = DTXCluster(protocol="xdgl", config=config)
     for s in ("s1", "s2", "s3"):
         cluster.add_site(s)
-    cluster.replicate_document(make_people_doc(), ["s1", "s2"])
+    cluster.replicate_document(document or make_people_doc(), ["s1", "s2"])
     cluster.register_view("v-people", pattern, ["d1"], host="s3")
     return cluster
 
@@ -259,6 +263,21 @@ class TestMaintenance:
             for s in cluster.sites.values()
         )
 
+    def test_hydrated_view_is_byte_identical_to_the_primary(self):
+        """The host adopts a clone of the primary's committed tree as it is.
+        Rendered and parsed back, Carlos would lose his padding and the
+        empty note would come back as ``<note/>``. (Crash recovery still
+        reloads through the parser and so still normalises: that is the
+        storage format's business, not the handover's.)"""
+        cluster = views_cluster(document=make_unnormalised_people_doc())
+        cluster.start()
+        cluster.env.run(until=10.0)
+        host = cluster.sites["s3"]
+        assert host.stats.view_hydrations == 1
+        primary = doc_at(cluster, "s1")
+        assert "<name>  Carlos  </name>" in primary and "<note></note>" in primary
+        assert serialize_document(host.views.states["d1"].doc) == primary
+
     def test_stale_view_falls_back_to_locked_path(self):
         # Refresh far apart: by read time the shadow's last proof of
         # freshness exceeds the 0.5 ms bound and the host refuses.
@@ -416,6 +435,55 @@ def test_subsumption_is_sound(vp, qp):
     vres = {id(n) for n in evaluate(view, _SOUNDNESS_DOC, EvalStats())}
     qres = {id(n) for n in evaluate(query, _SOUNDNESS_DOC, EvalStats())}
     assert qres <= vres
+
+
+def _fresh_parse(text):
+    """A parse of its own (the memo would hand back the same objects), so
+    equal predicates are equal by value, not by identity."""
+    return _Parser(tokenize(text), text).parse_path()
+
+
+def _str_set_step_subsumes(v, q):
+    """The step rule as it was: predicate sets compared by their ``str``."""
+    return views._test_subsumes(v.test, q.test) and (
+        {str(p) for p in v.predicates} <= {str(p) for p in q.predicates}
+    )
+
+
+_PREDICATES = [
+    "id=4", "id=4.0", '@id="4"', "name", "2", "id=4 and name", "price>1.5",
+    '@id="x" or name', 'name="Ana"',
+]
+_STEPS = st.tuples(
+    st.sampled_from(["/", "//"]),
+    st.sampled_from(["people", "person", "name", "*"]),
+    st.lists(st.sampled_from(_PREDICATES), max_size=2),
+)
+
+
+def _render(steps):
+    return "".join(axis + name + "".join(f"[{p}]" for p in preds) for axis, name, preds in steps)
+
+
+@settings(max_examples=example_budget(150), deadline=None)
+@given(data=st.data())
+def test_coverage_by_predicate_equality_matches_the_string_sets(data):
+    """Views cover a query step when their predicates are among its own;
+    comparing the frozen predicates by value gives the verdict comparing
+    their ``str`` gave. A query is drawn on its own or as the view with
+    predicates added to its steps."""
+    view = data.draw(st.lists(_STEPS, min_size=1, max_size=3), label="view")
+    if data.draw(st.booleans(), label="derived"):
+        query = [
+            (axis, name, preds + data.draw(st.lists(st.sampled_from(_PREDICATES), max_size=2)))
+            for axis, name, preds in view
+        ]
+    else:
+        query = data.draw(st.lists(_STEPS, min_size=1, max_size=3), label="query")
+    v, q = _fresh_parse(_render(view)), _fresh_parse(_render(query))
+    verdict = subsumes(v, q)
+    with mock.patch.object(views, "_step_subsumes", _str_set_step_subsumes):
+        assert verdict is subsumes(v, q)
 
 
 def _replay_digest(initial_text, log, lsn):
