@@ -1,1 +1,1 @@
-"""Benchmark package marker: enables ``from .conftest import run_once``."""
+"""Benchmark package marker: makes ``python -m benchmarks.dtxbench`` importable."""

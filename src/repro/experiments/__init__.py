@@ -1,11 +1,6 @@
-"""The paper's evaluation: experiment runner, per-figure sweeps, checks."""
+"""The paper's evaluation: experiment runner, per-figure sweeps, checks,
+and one grid runner for the experiments beyond the figures."""
 
-from .availability import (
-    AvailabilitySweepParams,
-    AvailabilitySweepResult,
-    availability_sweep,
-    check_availability_sweep,
-)
 from .figures import (
     BASE_DB_BYTES,
     SCALE,
@@ -19,71 +14,41 @@ from .figures import (
     fig11b,
     fig12,
 )
-from .partitions import (
-    PartitionSweepParams,
-    PartitionSweepResult,
-    check_partition_sweep,
-    partition_sweep,
+from .report import (
+    check_fig9,
+    check_fig10,
+    check_fig11a,
+    check_fig11b,
+    check_fig12,
+    check_granularity,
+    granularity,
 )
-from .quorum import (
-    QuorumSweepParams,
-    QuorumSweepResult,
-    check_quorum_sweep,
-    quorum_sweep,
-)
-from .replication import (
-    ReplicationSweepParams,
-    ReplicationSweepResult,
-    check_replication_sweep,
-    replication_sweep,
-)
-from .report import check_fig9, check_fig10, check_fig11a, check_fig11b, check_fig12
 from .runner import ExperimentConfig, build_cluster, run_experiment
-from .scale import (
-    ScaleSweepParams,
-    ScaleSweepResult,
-    check_scale_sweep,
-    scale_sweep,
-)
+from .sweeps import SWEEPS, Sweep, run_sweep
 
 __all__ = [
-    "AvailabilitySweepParams",
-    "AvailabilitySweepResult",
     "BASE_DB_BYTES",
     "ExperimentConfig",
-    "availability_sweep",
-    "check_availability_sweep",
     "Fig12Result",
     "Fig8Result",
     "FigureParams",
-    "PartitionSweepParams",
-    "PartitionSweepResult",
-    "QuorumSweepParams",
-    "QuorumSweepResult",
-    "ReplicationSweepParams",
-    "ReplicationSweepResult",
-    "ScaleSweepParams",
-    "ScaleSweepResult",
-    "check_partition_sweep",
-    "check_scale_sweep",
-    "scale_sweep",
-    "check_quorum_sweep",
-    "partition_sweep",
-    "quorum_sweep",
     "SCALE",
+    "SWEEPS",
+    "Sweep",
     "build_cluster",
-    "check_replication_sweep",
     "check_fig10",
     "check_fig11a",
     "check_fig11b",
     "check_fig12",
     "check_fig9",
+    "check_granularity",
     "fig10",
     "fig11a",
     "fig11b",
     "fig12",
     "fig8",
     "fig9",
-    "replication_sweep",
+    "granularity",
     "run_experiment",
+    "run_sweep",
 ]

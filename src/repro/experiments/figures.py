@@ -1,19 +1,18 @@
 """The paper's evaluation, figure by figure (experiments E1-E6).
 
 Every public ``fig*`` function reproduces one figure of §3 and returns the
-measured data; benchmarks and EXPERIMENTS.md are generated from these.
+measured data; ``python -m repro figures`` renders each and runs its check.
 
 Scaling: the paper ran a 40-200 MB XMark database on eight physical PCs; we
 run KB-scale databases on a discrete-event simulator. ``FigureParams.quick()``
-(default, CI-friendly) and ``FigureParams.paper()`` (full sweep: every
+(default, CI-friendly) and ``FigureParams.paper()`` (``--full``: every
 client count and size point of the paper, scaled 400:1 by bytes) control the
 sweep density — the *shapes* are the reproduction target, not absolute
-numbers (see EXPERIMENTS.md).
+numbers.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 from ..config import SystemConfig
@@ -57,11 +56,6 @@ class FigureParams:
             db_scales=(1.25, 2.5, 3.75, 5.0),
             site_counts=(2, 3, 4, 5, 6, 7, 8),
         )
-
-    @classmethod
-    def from_env(cls) -> "FigureParams":
-        """``REPRO_FULL=1`` selects the paper-density sweeps."""
-        return cls.paper() if os.environ.get("REPRO_FULL") == "1" else cls.quick()
 
 
 def _workload(params: FigureParams, n_clients: int, update_ratio: float) -> WorkloadSpec:
@@ -111,7 +105,7 @@ def fig8(db_bytes: int = BASE_DB_BYTES) -> Fig8Result:
 
 def fig9(params: FigureParams | None = None) -> FigureData:
     """Read-only clients sweep: XDGL vs Node2PL x partial vs total."""
-    params = params or FigureParams.from_env()
+    params = params or FigureParams.quick()
     fig = FigureData("fig9", "response time vs number of clients", "clients")
     for protocol in PROTOCOLS:
         for replication in ("partial", "total"):
@@ -136,7 +130,7 @@ def fig9(params: FigureParams | None = None) -> FigureData:
 
 def fig10(params: FigureParams | None = None) -> FigureData:
     """50 clients; update-transaction percentage swept 20-60 %."""
-    params = params or FigureParams.from_env()
+    params = params or FigureParams.quick()
     fig = FigureData("fig10", "response time / deadlocks vs update %", "update %")
     for protocol in PROTOCOLS:
         for ratio in params.update_ratios:
@@ -159,7 +153,7 @@ def fig10(params: FigureParams | None = None) -> FigureData:
 
 
 def fig11a(params: FigureParams | None = None) -> FigureData:
-    params = params or FigureParams.from_env()
+    params = params or FigureParams.quick()
     fig = FigureData("fig11a", "response time / deadlocks vs base size", "size (scaled MB)")
     for protocol in PROTOCOLS:
         for scale in params.db_scales:
@@ -183,7 +177,7 @@ def fig11a(params: FigureParams | None = None) -> FigureData:
 
 
 def fig11b(params: FigureParams | None = None) -> FigureData:
-    params = params or FigureParams.from_env()
+    params = params or FigureParams.quick()
     fig = FigureData("fig11b", "response time vs number of sites", "sites")
     for protocol in PROTOCOLS:
         for n_sites in params.site_counts:
@@ -237,7 +231,7 @@ class Fig12Result:
 
 def fig12(params: FigureParams | None = None, n_buckets: int = 20) -> Fig12Result:
     """250 transactions (50 clients x 5 tx), 20 % updates, 4 sites."""
-    params = params or FigureParams.from_env()
+    params = params or FigureParams.quick()
     out = Fig12Result()
     for protocol in PROTOCOLS:
         cfg = ExperimentConfig(

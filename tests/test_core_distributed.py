@@ -4,6 +4,7 @@ distributed deadlock detection, commit/abort/fail messaging."""
 import pytest
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction
+from repro.config import NetworkConfig
 from repro.update import ChangeOp, InsertOp, RemoveOp, TransposeOp
 from repro.xml import serialize_document
 
@@ -166,12 +167,17 @@ class TestDistributedDeadlock:
                 site.protocol.guide(name).validate_against(site.data_manager.document(name))
 
     def test_detector_sweeps_counted(self):
-        cluster = two_site_cluster()
-        cluster.add_client(
-            "c1", "s1", [Transaction([Operation.query("d1", "/people")])]
-        )
-        res = cluster.run(until=500.0)
-        assert res.detector_sweeps >= 5
+        def sweeps(config):
+            cluster = two_site_cluster(config=config)
+            cluster.add_client(
+                "c1", "s1", [Transaction([Operation.query("d1", "/people")])]
+            )
+            return cluster.run(until=500.0).detector_sweeps
+
+        assert sweeps(CFG) >= 5
+        # A faster detector sweeps more.
+        slow = CFG.with_(detector_interval_ms=200.0, detector_initial_delay_ms=100.0)
+        assert sweeps(CFG) > sweeps(slow) >= 1
 
     def test_aborted_victim_can_be_resubmitted(self):
         # Client think time gives the survivor room to finish; with zero
@@ -244,8 +250,11 @@ class TestManySites:
         assert len(texts) == 1  # all eight replicas identical
 
     def test_more_replicas_cost_more_time(self):
-        def run(n_sites):
-            cluster = DTXCluster(protocol="xdgl", config=CFG)
+        def run(n_sites, latency_ms=None):
+            config = CFG
+            if latency_ms is not None:
+                config = CFG.with_(network=NetworkConfig(latency_ms=latency_ms))
+            cluster = DTXCluster(protocol="xdgl", config=config)
             doc = make_people_doc()
             for i in range(n_sites):
                 cluster.add_site(f"s{i}")
@@ -257,3 +266,8 @@ class TestManySites:
             return cluster.run().mean_response_ms()
 
         assert run(8) > run(2)
+        # Response time grows with network latency; WAN-scale latency gives
+        # more than 5x the LAN response.
+        resp = [run(4, latency) for latency in (0.25, 1.0, 5.0, 20.0)]
+        assert resp == sorted(resp), f"response should grow with latency: {resp}"
+        assert resp[-1] > 5 * resp[0]

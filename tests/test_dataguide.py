@@ -13,6 +13,7 @@ from repro.update import (
     UndoLog,
     apply_update,
 )
+from repro.workload import generate_xmark
 from repro.xml import E, doc
 
 
@@ -35,6 +36,10 @@ class TestBuild:
     def test_guide_much_smaller_than_document(self, catalog_doc):
         guide = DataGuide.build(catalog_doc)
         assert guide.node_count() < len(catalog_doc)
+        # The whole point of XDGL: on XMark data the guide is a small
+        # fraction of the document it summarises.
+        xmark, _ = generate_xmark(60_000)
+        assert DataGuide.build(xmark).node_count() < len(xmark) / 10
 
     def test_empty_document(self):
         from repro.xml.model import Document

@@ -138,9 +138,3 @@ class TestFigureParams:
         q, p = FigureParams.quick(), FigureParams.paper()
         assert len(p.client_counts) > len(q.client_counts)
         assert len(p.site_counts) > len(q.site_counts)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert FigureParams.from_env() == FigureParams.quick()
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert FigureParams.from_env() == FigureParams.paper()

@@ -749,25 +749,21 @@ class TestDeferredDurability:
 
 class TestAvailabilitySweep:
     def test_tiny_sweep_runs_and_checks(self):
-        from repro.experiments.availability import (
-            AvailabilitySweepParams,
-            availability_sweep,
-            check_availability_sweep,
-        )
+        from repro.experiments import run_sweep
 
-        params = AvailabilitySweepParams(
-            crash_counts=(0, 1),
-            n_sites=3,
+        result = run_sweep(
+            "availability",
+            crashes=(0, 1),
+            sites=3,
             replication_factor=2,
-            n_clients=4,
+            clients=4,
             tx_per_client=2,
             ops_per_tx=2,
             db_bytes=8_000,
             drain_ms=60.0,
         )
-        result = availability_sweep(params)
         assert len(result.cells) == 4  # 2 modes x 2 crash counts
-        notes = check_availability_sweep(result)
+        notes = result.sweep.check(result)
         assert any("cells" in n for n in notes)
         table = result.render("committed", "{:9.0f}")
         assert "eager" in table and "lazy" in table

@@ -1,9 +1,10 @@
 """Smoke tests for the figure experiments at miniature scale.
 
-The real sweeps (and their shape assertions) run in ``benchmarks/``; these
-tests only verify that every figure function executes end-to-end and
-produces well-formed data, using a tiny database and few clients so the
-whole module runs in seconds.
+The full-size figures and their shape checks run in ``python -m repro
+figures`` (CI's paper-shape step); these tests verify that every figure
+function executes end-to-end and produces well-formed data, using a tiny
+database and few clients so the whole module runs in seconds, and that a
+failed check fails the command.
 """
 
 import pytest
@@ -98,3 +99,16 @@ class TestShapeCheckGate:
     def test_holding_checks_exit_zero(self, monkeypatch):
         failures, text = self._run(monkeypatch, lambda result: ["holds"])
         assert failures == 0 and "holds" in text
+
+    def test_the_granularity_ablation_is_a_holding_check(self):
+        import io
+
+        from repro import cli
+        from repro.experiments import check_granularity
+
+        assert cli._FIGURES["granularity"][1] is check_granularity
+        out = io.StringIO()
+        assert cli._run_figures(["granularity"], full=False, out=out) == 0
+        text = out.getvalue()
+        assert "lock granularity ablation" in text
+        assert text.count("  granularity: ") == 3

@@ -603,36 +603,3 @@ class TestRetryCaching:
         assert {r.status for r in result.records} == {"committed"}
         text = serialize_document(cluster.document_at("s1", "hot"))
         assert "<w" in text
-
-
-# ---------------------------------------------------------------------------
-# benchmarks/conftest.py
-# ---------------------------------------------------------------------------
-
-class TestBenchRounds:
-    def test_run_once_honours_rounds_env(self, monkeypatch):
-        import importlib.util
-        import os
-
-        path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "conftest.py")
-        spec = importlib.util.spec_from_file_location("bench_conftest", os.path.normpath(path))
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        monkeypatch.delenv("REPRO_BENCH_ROUNDS", raising=False)
-        assert mod.bench_rounds() == 1
-        assert mod.bench_rounds(default=3) == 3
-        monkeypatch.setenv("REPRO_BENCH_ROUNDS", "4")
-        assert mod.bench_rounds() == 4
-        assert mod.bench_rounds(default=7) == 7  # floored at the default
-        monkeypatch.setenv("REPRO_BENCH_ROUNDS", "nope")
-        assert mod.bench_rounds() == 1
-
-        class Bench:
-            def pedantic(self, fn, args, kwargs, rounds, iterations):
-                self.asked = (rounds, iterations)
-                return fn(*args, **kwargs)
-
-        bench = Bench()
-        monkeypatch.setenv("REPRO_BENCH_ROUNDS", "4")
-        assert mod.run_once(bench, lambda x: x + 1, 1) == 2
-        assert bench.asked == (4, 1)

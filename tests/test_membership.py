@@ -743,26 +743,22 @@ class TestLazyBatching:
 
 class TestPartitionSweep:
     def test_tiny_sweep_runs_and_checks(self):
-        from repro.experiments.partitions import (
-            PartitionSweepParams,
-            check_partition_sweep,
-            partition_sweep,
-        )
+        from repro.experiments import run_sweep
 
-        params = PartitionSweepParams(
-            lease_timeouts=(3.0, 12.0),
-            n_sites=3,
+        result = run_sweep(
+            "partitions",
+            lease_timeout_ms=(3.0, 12.0),
+            sites=3,
             replication_factor=3,
-            n_clients=4,
+            clients=4,
             tx_per_client=2,
             ops_per_tx=2,
             db_bytes=8_000,
             partition_ms=25.0,
             drain_ms=120.0,
         )
-        result = partition_sweep(params)
         assert len(result.cells) == 2
-        notes = check_partition_sweep(result)
+        notes = result.sweep.check(result)
         assert any("no split-brain" in n for n in notes)
         table = result.render("committed", "{:9.0f}")
         assert "lease_timeout_ms" in table

@@ -2,6 +2,9 @@
 behaviour, detector wiring and the CLI."""
 
 import io
+import json
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.core.transaction import Operation as Op
 from repro.core.transaction import Transaction as Tx
 from repro.core.transaction import TxId
 from repro.errors import ConfigError
+from repro.experiments import SWEEPS, FigureParams
 from repro.update import ChangeOp
 
 from .conftest import make_people_doc
@@ -359,3 +363,65 @@ class TestCLI:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["figures", "--only", "fig99"], out=io.StringIO())
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_every_sweep_runs_a_one_cell_grid_as_json(self, name, monkeypatch):
+        sweep = SWEEPS[name]
+        one = replace(sweep, params={
+            n: replace(p, quick=p.quick[:1]) if n in sweep.axes else p
+            for n, p in sweep.params.items()
+        })
+        monkeypatch.setitem(SWEEPS, name, one)
+        buf = io.StringIO()
+        assert cli_main([name, "--json"], out=buf) == 0
+        payload = json.loads(buf.getvalue())
+        assert payload["sweep"] == name and payload["ok"] is True
+        assert payload["check_notes"]
+        axes = [payload["params"][a] for a in sweep.axes]
+        if sweep.phases:
+            axes.append(list(sweep.phases))
+        assert [tuple(c["cell"]) for c in payload["cells"]] == list(product(*axes))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quorum", "--rw", "2x2"],
+            ["availability", "--sites", "3", "4"],
+            ["availability", "--crashes", "-1"],
+            ["views", "--clients", "0"],
+            ["scale", "--sites", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_sweep_input_exits_2_before_any_cell_runs(self, argv, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        for name, sweep in SWEEPS.items():
+            monkeypatch.setitem(SWEEPS, name, replace(sweep, run_cell=no_cell))
+        buf = io.StringIO()
+        assert cli_main(argv, out=buf) == 2
+        assert buf.getvalue().startswith("error: ")
+
+    def test_full_selects_the_dense_grid(self, monkeypatch):
+        from repro import cli
+
+        class Ran(Exception):
+            pass
+
+        def first_cell(params, *key):
+            raise Ran(params)
+
+        for name, sweep in SWEEPS.items():
+            monkeypatch.setitem(SWEEPS, name, replace(sweep, run_cell=first_cell))
+            for argv, dense in (([name], False), ([name, "--full"], True)):
+                with pytest.raises(Ran) as ran:
+                    cli_main(argv, out=io.StringIO())
+                for n, p in sweep.params.items():
+                    want = p.dense if dense and p.dense is not None else p.quick
+                    assert getattr(ran.value.args[0], n) == want, (name, n, dense)
+        seen = []
+        monkeypatch.setitem(cli._FIGURES, "fig9", (seen.append, None, None))
+        cli._run_figures(["fig9"], full=False, out=io.StringIO())
+        cli._run_figures(["fig9"], full=True, out=io.StringIO())
+        assert seen == [FigureParams.quick(), FigureParams.paper()]

@@ -532,24 +532,16 @@ class TestFollowerReadFence:
 
 class TestQuorumProbe:
     def test_quorum_sweep_smoke(self):
-        from dataclasses import replace
+        from repro.experiments import run_sweep
 
-        from repro.experiments.quorum import (
-            QuorumSweepParams,
-            check_quorum_sweep,
-            quorum_sweep,
-        )
-
-        params = replace(
-            QuorumSweepParams(),
-            rw_grid=((2, 2),),
-            baselines=("eager",),
-            faults=("partition",),
-            n_clients=6,
+        result = run_sweep(
+            "quorum",
+            regime=("eager", "quorum-r2w2"),
+            fault=("partition",),
+            clients=6,
             tx_per_client=3,
         )
-        result = quorum_sweep(params)
-        notes = check_quorum_sweep(result)
+        notes = result.sweep.check(result)
         assert any("partition" in note for note in notes)
 
 
