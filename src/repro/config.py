@@ -156,8 +156,13 @@ class SystemConfig:
         cost from writers to readers.
     lazy_staleness_ms:
         Upper bound on how long a committed update may sit in the primary's
-        log before asynchronous propagation to the secondaries starts
-        (``replica_write_policy="lazy"`` only).
+        lazy outbox before it is pushed to the secondaries: the first entry
+        staged starts the delay, and everything staged before it ends
+        ships as one ReplicaSyncBatch per live secondary. The outbox holds
+        the entries no sync round ships: every commit under
+        ``replica_write_policy="lazy"``, and under the eager and quorum
+        regimes the effects a failed transaction kept (or an orphan
+        committed) that the sync rounds never logged.
     max_read_staleness_ms:
         Follower-read fence for lease-mode secondary reads (``0`` = off,
         the pre-existing behaviour). A secondary serving a read under
@@ -175,9 +180,11 @@ class SystemConfig:
     group_commit_window_ms:
         How long a commit-time sync outbox waits before it flushes — a
         delay, not a switch: every commit under the eager and quorum
-        regimes stages its per-document batch in the coordinator's
-        (primary, document) outbox, and whatever reached commit by the
-        time the outbox flushes rides one ReplicaSyncBatch per target
+        regimes stages its per-document batch in the coordinator's sync
+        outbox for the (document, primary) pair (one kind in the site's
+        single outbox table, beside the lazy and view outboxes), and
+        whatever reached commit by the time the outbox flushes rides one
+        ReplicaSyncBatch per target
         (one batched log append at the primary and one ack round per
         secondary, shared by every transaction in the batch). ``0``
         (default) flushes with no simulated delay, so an uncontended
@@ -218,12 +225,12 @@ class SystemConfig:
         any refusal, epoch change or view-host crash falls back to the
         normal locked read path, so correctness never depends on a view.
     view_refresh_ms:
-        Period of the primary's view-delta push loop. Each tick ships the
-        committed log entries accumulated since the last one as a single
-        ``ViewDeltaBatch`` per view host (an empty batch is a freshness
-        beacon for idle documents). The effective view lag is roughly one
-        period plus network latency, so ``view_staleness_ms`` should
-        comfortably exceed this.
+        Period of the primary's view push. Every log entry the primary
+        records is staged in the document's view outbox; each tick drains
+        it into a single ``ViewDeltaBatch`` per view host (an empty batch
+        is a freshness beacon for idle documents). The effective view lag
+        is roughly one period plus network latency, so
+        ``view_staleness_ms`` should comfortably exceed this.
     tracing:
         Record causally-linked spans (``repro.obs``) across the whole
         transaction lifecycle: client submit, per-operation coordinator

@@ -298,10 +298,11 @@ class DTXCluster:
         host_site = self.sites[host]
         for doc_name in view.doc_names:
             host_site.host_view(doc_name)
-            # Arm the push loop at every replica-set member: any of them
-            # may be (or become) the document's primary.
+            # Open the view outbox, and with it the push loop, at every
+            # replica-set member: any of them may be (or become) the
+            # document's primary.
             for sid in self.catalog.sites_for(doc_name):
-                self.sites[sid]._ensure_view_push(doc_name)
+                self.sites[sid]._stage("view", doc_name)
             host_site.hydrate_view(doc_name)
         return view
 

@@ -142,18 +142,21 @@ class AbortAck:
 class ReplicaSyncBatch:
     """Record/apply committed update batches at a replica of one document.
 
-    The one wire format for shipping committed updates to a replica.
-    Sent during commit under the eager and quorum regimes (before the
-    primary's locks are released — the primary's lock table therefore
-    orders the sync streams of conflicting writers): a coordinator's
-    per-(primary, document) sync outbox turns the transactions that reach
-    commit before it flushes into one of these per target, so an
-    uncontended commit is a batch of one and ``group_commit_window_ms``
-    only decides how long the outbox waits for company. Also sent
-    asynchronously from the primary's update log under lazy propagation.
+    The one wire format for shipping committed updates to a replica,
+    built in one place (``DTXSite._sync_batch``). Sent during commit under
+    the eager and quorum regimes (before the primary's locks are released
+    — the primary's lock table therefore orders the sync streams of
+    conflicting writers): a coordinator's sync outbox for a (document,
+    primary) pair turns the transactions that reach commit before it
+    flushes into one of these per target, so an uncontended commit is a
+    batch of one and ``group_commit_window_ms`` only decides how long the
+    outbox waits for company. Also pushed off the primary's update stream
+    to the live secondaries, ``lazy_staleness_ms`` after the first entry
+    of a burst, for the entries no sync round ships: lazy commits, and
+    effects kept or orphan-committed under the eager and quorum regimes.
     The receiving replica ingests every entry in LSN order and answers
     with a single :class:`ReplicaSyncBatchAck` — one network round shared
-    by the whole batch.
+    by the whole batch (the lazy push registers no round for it).
 
     ``entries`` are :class:`~repro.distribution.replication.UpdateLogEntry`
     values (``ops`` in transaction order). Their ``lsn``/``epoch`` make
@@ -522,12 +525,17 @@ class TxOutcome:
 class ViewDeltaBatch:
     """Primary -> view host: committed log entries since the last push.
 
-    The view-host analogue of :class:`ReplicaSyncBatch`: entries are
-    committed ``UpdateLogEntry`` objects in LSN order, ``watermark`` is the
+    The view host's share of the primary's update stream, sent every
+    ``view_refresh_ms`` by the same push that ships the lazy
+    :class:`ReplicaSyncBatch` (``DTXSite._push``): entries are committed
+    ``UpdateLogEntry`` objects in LSN order, ``watermark`` is the
     primary's gapless ``applied_lsn`` at push time. An *empty* batch is a
     freshness beacon — it proves the host's shadow still matches the
     primary up to ``watermark``, so idle documents stay serveable within
     the staleness bound. ``epoch`` fences pushes from deposed primaries.
+    The two fields are why this stays its own class: it is 8 bytes longer
+    on the wire than a replica batch, so folding the two is a framing
+    change that moves schedules.
     """
 
     primary: Hashable

@@ -91,21 +91,21 @@ from .transaction import Operation, OpKind, Transaction, TxId, TxState
 
 
 @dataclass
-class _SyncOutbox:
-    """Commit-time sync staging area: one per (primary, document) pair.
+class _Outbox:
+    """One staging area of the update stream (``DTXSite._outboxes``).
 
-    Every transaction that reaches the replica-sync step of its commit
-    enqueues its per-document update batch here; the flush process the
-    first entry starts waits out ``group_commit_window_ms`` (0 = no
-    simulated delay), turns the whole queue into one ReplicaSyncBatch per
-    target and settles every queued transaction's waiter event with its
-    individual outcome. An uncontended commit is a batch of one.
+    ``kind`` is ``"sync"`` (a coordinator's commit-time batch for one
+    (document, primary) pair, items ``(rec, ops, waiter)``), ``"lazy"``
+    (committed entries no sync round ships, for the secondaries) or
+    ``"view"`` (committed entries for the view hosts). A sync or lazy box
+    is flushed, and closed, once after its kind's delay; a view box lives
+    as long as the push loop that drains it.
     """
 
-    primary: Hashable
+    kind: str
     doc_name: str
-    queue: list = field(default_factory=list)  # (rec, ops, waiter Event)
-    open: bool = True
+    primary: Hashable
+    items: list = field(default_factory=list)
 
 
 #: The ack round (by its tag) each ack class answers.
@@ -167,7 +167,7 @@ class SiteStats:
     catchup_snapshots: int = 0  # divergent logs healed by state transfer
     syncs_refused: int = 0  # stale-epoch / fault-hook sync refusals served
     lazy_batches_propagated: int = 0  # lazy ReplicaSyncBatch messages sent
-    lazy_entries_coalesced: int = 0  # log entries that rode a lazy batch
+    lazy_entries_coalesced: int = 0  # log entries x lazy batches that carried them
     orphans_resolved: int = 0  # transactions of dead coordinators settled
     # Lease-mode membership (failure_detector="lease").
     heartbeats_sent: int = 0
@@ -285,8 +285,9 @@ class DTXSite:
         # folded into the *next* end-of-transaction wake sweep so the
         # wake-up owed for them is not lost.
         self._deferred_wake_keys: dict = {}
-        # Commit-time replica sync: staging outboxes.
-        self._sync_outboxes: dict[tuple, _SyncOutbox] = {}
+        # The update stream's staging areas, every kind in one table keyed
+        # by (kind, document, primary): see _Outbox and _stage.
+        self._outboxes: dict[tuple, _Outbox] = {}
         # In-flight reply rounds other than a coordinator's op/ack round
         # (that one is ``CoordinatorRecord.round``), by the id their reply
         # messages carry. One counter numbers them, and the unacknowledged
@@ -328,19 +329,9 @@ class DTXSite:
         self.membership: Optional[SiteMembership] = None
         self._elections: dict[str, int] = {}  # doc -> active election id
         self._heartbeat_seq = 0
-        # Lazy-propagation outbox: doc -> pending UpdateLogEntry list; the
-        # flush that the first entry schedules ships the whole queue as one
-        # ReplicaSyncBatch per live secondary (the commit-time sync's wire
-        # format, reused on the asynchronous path).
-        self._lazy_outboxes: dict[str, list] = {}
-        # Materialized views (repro.views). All of it stays empty/None
-        # unless a view is registered somewhere: ``_views`` is the lazily
-        # built ViewManager of a *hosting* site, ``_view_outboxes`` the
-        # primary-side committed-entry queues drained by the per-document
-        # push loops in ``_view_push_docs``.
+        # Materialized views (repro.views): the ViewManager of a *hosting*
+        # site, built on first use (None everywhere else).
         self._views = None
-        self._view_outboxes: dict[str, list] = {}
-        self._view_push_docs: set[str] = set()
 
         env.process(self._listener())
         env.process(self._participant_loop())
@@ -408,12 +399,12 @@ class DTXSite:
 
         Migration retire waits for quiescence before dropping the data:
         an active participant context means locks are held (or a commit/
-        abort round is still due) against this copy, and a non-empty lazy
+        abort round is still due) against this copy, and an open lazy
         outbox holds committed batches not yet pushed to the secondaries
         (dropping the copy would lose them — the new primary serves
         catch-up from *its* log).
         """
-        if self._lazy_outboxes.get(doc_name):
+        if ("lazy", doc_name, self.site_id) in self._outboxes:
             return True
         for ctx in self.tx_contexts.values():
             for entry in ctx.op_entries.values():
@@ -893,20 +884,8 @@ class DTXSite:
             for name in ctx.touched_doc_names():
                 persisted += self._persist_kept(ctx, name, by_doc.get(name, ()))
             cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
-            if self.replication.is_lazy:
-                # Log the committed updates of every document this site
-                # leads *before* the locks release (log order = commit
-                # order) and queue their asynchronous propagation.
-                self._log_and_queue_lazy(tid, ctx)
-            elif self.replication.syncs_at_commit:
-                # An orphan can resolve to commit with only part of its
-                # batches in the log (one document's log-only sync
-                # arrived, another's was lost to the same cut): record the
-                # missing ones now, or the committed effects would be
-                # invisible to catch-up and diverge the replicas.
-                self._log_and_queue_lazy(
-                    tid, ctx, already_logged=logged_during_sync, persist=True
-                )
+            # Before the locks release, so log order = commit order.
+            self._log_and_queue_lazy(tid, ctx, logged_during_sync)
             ctx.undo.clear()
         released, lock_ops = self.lock_manager.release_transaction(tid)
         cost += lock_ops * self.costs.lock_op_ms
@@ -944,19 +923,8 @@ class DTXSite:
             logged_during_sync = set(ctx.stable_applied)
             for name in ctx.touched_doc_names():
                 self._persist_kept(ctx, name, by_doc.get(name, ()))
-            if self.replication.is_lazy:
-                # Kept effects behave like a commit for replication: log
-                # and propagate them, or the secondaries would silently
-                # diverge from the primary that kept them.
-                self._log_and_queue_lazy(tid, ctx)
-            elif self.replication.syncs_at_commit:
-                # Same rule for eager/quorum failures: any kept batch this
-                # site leads that never made the log during the sync
-                # rounds is recorded (and pushed) now — kept-but-unlogged
-                # effects would be invisible to catch-up, permanently.
-                self._log_and_queue_lazy(
-                    tid, ctx, already_logged=logged_during_sync, persist=True
-                )
+            # Kept effects behave like a commit for replication.
+            self._log_and_queue_lazy(tid, ctx, logged_during_sync)
         released, _ = self.lock_manager.release_transaction(tid)
         self.finished.add(tid)
         self.waiters.pop(tid, None)
@@ -1209,6 +1177,10 @@ class DTXSite:
             # Duplicate delivery or replayed log entry: idempotent no-op.
             yield (cost)
             return True, "", lsn
+        entry = UpdateLogEntry(
+            lsn=lsn, epoch=epoch, tid=tid,
+            doc_name=doc_name, ops=tuple(ops),
+        )
         if log_only:
             # This site is the document's primary and executed the updates
             # itself, so only the log entry is recorded — together with a
@@ -1218,11 +1190,7 @@ class DTXSite:
             # this transaction could even lock): safe to record over.
             ctx = self.tx_contexts.get(tid)
             if ctx is not None:
-                entry = UpdateLogEntry(
-                    lsn=lsn, epoch=epoch, tid=tid,
-                    doc_name=doc_name, ops=tuple(ops),
-                )
-                cost += self._apply_log_entry(entry, apply_data=False)
+                self._record(entry)
                 # Once synced the batch can only commit or fail-keep, never
                 # undo: fold it into the committed state and persist, so the
                 # durable log entry and the durable data move together.
@@ -1263,10 +1231,6 @@ class DTXSite:
                     # or recovery trigger retries.
                     self.stats.syncs_refused += 1
                     return False, "gap", 0
-        entry = UpdateLogEntry(
-            lsn=lsn, epoch=epoch, tid=tid,
-            doc_name=doc_name, ops=tuple(ops),
-        )
         cost += self._apply_log_entry(entry)
         self.stats.replica_syncs_served += 1
         yield (cost)
@@ -1274,37 +1238,51 @@ class DTXSite:
             return None  # crashed after the durable apply, before the ack
         return True, "", lsn
 
-    def _apply_log_entry(self, entry: UpdateLogEntry, apply_data: bool = True) -> float:
+    def _apply_log_entry(self, entry: UpdateLogEntry) -> float:
         """Apply one update batch and record it durably; returns the cost.
 
-        ``apply_data=False`` is the primary's path: it executed the
-        transaction itself, so only the log entry needs recording. The data
-        mutation, persist and log append happen without yielding, so the
-        batch is atomic even against a concurrently scheduled crash.
+        The data mutation, persist and log append happen without yielding,
+        so the batch is atomic even against a concurrently scheduled crash.
         """
         cost = 0.0
-        if apply_data:
-            for op in entry.ops:
-                eval_stats = EvalStats()
-                try:
-                    changes = self.data_manager.apply_replicated(
-                        entry.doc_name, op.payload, eval_stats
-                    )
-                except UpdateError as exc:  # pragma: no cover - replica divergence
-                    raise ReproError(
-                        f"site {self.site_id}: replica sync of {entry.tid} failed "
-                        f"on {entry.doc_name!r}: {exc}"
-                    ) from exc
-                self.protocol.after_apply(entry.doc_name, changes)
-                cost += (
-                    eval_stats.nodes_visited * self.costs.node_visit_ms
-                    + max(1, len(changes)) * self.costs.update_apply_ms
+        for op in entry.ops:
+            eval_stats = EvalStats()
+            try:
+                changes = self.data_manager.apply_replicated(
+                    entry.doc_name, op.payload, eval_stats
                 )
-            persisted = self.data_manager.commit(entry.doc_name)
-            cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
-        self.log_for(entry.doc_name).record(entry)
-        self._offer_view_entry(entry)
+            except UpdateError as exc:  # pragma: no cover - replica divergence
+                raise ReproError(
+                    f"site {self.site_id}: replica sync of {entry.tid} failed "
+                    f"on {entry.doc_name!r}: {exc}"
+                ) from exc
+            self.protocol.after_apply(entry.doc_name, changes)
+            cost += (
+                eval_stats.nodes_visited * self.costs.node_visit_ms
+                + max(1, len(changes)) * self.costs.update_apply_ms
+            )
+        persisted = self.data_manager.commit(entry.doc_name)
+        cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
+        self._record(entry)
         return cost
+
+    def _record(self, entry: UpdateLogEntry, lazy: bool = False, persist: bool = False) -> None:
+        """Record a committed entry in this site's log and offer it to the
+        subscribers: view hosts get every entry the current primary
+        records, the secondaries (``lazy``) only what no sync round ships.
+        The order is schedule: the view stage may start the push loop, the
+        lazy stage the flush."""
+        doc_name = entry.doc_name
+        self.log_for(doc_name).record(entry)
+        if (
+            self.catalog.has_views(doc_name)
+            and self.catalog.replica_set(doc_name).primary == self.site_id
+        ):
+            self._stage("view", doc_name, entry)
+        if persist:
+            self.data_manager.commit(doc_name)
+        if lazy:
+            self._stage("lazy", doc_name, entry)
 
     def _handle_commit_request(self, msg: CommitRequest):
         if not self.alive:
@@ -1911,20 +1889,7 @@ class DTXSite:
             rset = self.catalog.replica_set(doc_name)
             if not rset.is_replicated:
                 continue  # single copy: commit/abort handle it alone
-            origin = rec.write_sites.get(doc_name, set())
-            if origin != {rset.primary} or any(
-                not self._peer_up(s) for s in origin
-            ):
-                # The document's updates must all have executed at the
-                # *current* primary — and nowhere else. A crash mid-flight
-                # means the executing copy's uncommitted effects died with
-                # it; a primacy handoff mid-transaction (migration cutover,
-                # or a false suspicion deposing a live primary) splits the
-                # effects across two primaries' live trees, and committing
-                # such a batch would durably record operations the new
-                # primary's own copy never executed. Either way: unwind
-                # (the client restart re-executes wholly under the new
-                # primary).
+            if not self._wrote_at(rec, doc_name, rset.primary):
                 rec.abort_reason = "participant-crashed"
                 return False
             staged.append((doc_name, ops))
@@ -1953,69 +1918,88 @@ class DTXSite:
             return False
         return True
 
+    def _wrote_at(self, rec: CoordinatorRecord, doc_name: str, primary) -> bool:
+        """Whether ``rec``'s updates of ``doc_name`` all executed at the live
+        ``primary`` and nowhere else (checked at staging and at flush).
+
+        Otherwise the transaction unwinds: a crashed executing copy took
+        its uncommitted effects with it, and after a primacy handoff
+        mid-transaction (migration cutover, or a false suspicion deposing
+        a live primary) committing the batch would durably record
+        operations the new primary's own copy never executed.
+        """
+        return rec.write_sites.get(doc_name, set()) == {primary} and self._peer_up(primary)
+
     def _enqueue_group_sync(self, rec: CoordinatorRecord, doc_name: str, ops):
-        """Stage one transaction's per-document batch in the sync outbox.
+        """Stage one transaction's per-document batch in its sync outbox.
 
         Returns the event the coordinator must yield on; it fires with the
         transaction's individual outcome dict (``ok``/``synced``/``reason``)
         once the batch's ack rounds complete — or with ``None`` when this
         site crashed while the batch was pending.
         """
-        rset = self.catalog.replica_set(doc_name)
-        key = (rset.primary, doc_name)
-        box = self._sync_outboxes.get(key)
-        if box is None or not box.open:
-            box = _SyncOutbox(primary=rset.primary, doc_name=doc_name)
-            self._sync_outboxes[key] = box
-            self.env.process(self._flush_sync_outbox(key, box, self.incarnation))
         waiter = self.env.event()
-        box.queue.append((rec, ops, waiter))
+        primary = self.catalog.replica_set(doc_name).primary
+        self._stage("sync", doc_name, (rec, ops, waiter), primary)
         return waiter
 
-    def _outbox_died(self, box: _SyncOutbox, incarnation: int) -> bool:
-        """Whether this flush belongs to a crashed (or crashed-and-restarted)
-        incarnation of the site. ``crash()`` already settled the waiters and
-        failed the queued transactions' clients; a flush that resumes after
+    def _stage(self, kind: str, doc_name: str, item=None, primary=None) -> None:
+        """Append ``item`` (if any) to this site's ``kind`` outbox for
+        ``doc_name``, shipping for ``primary`` (default: this site). The
+        first stage opens the box and starts what drains it: one
+        :meth:`_flush_outbox` for sync and lazy, :meth:`_view_push_loop`
+        for view."""
+        key = (kind, doc_name, self.site_id if primary is None else primary)
+        box = self._outboxes.get(key)
+        if box is None:
+            box = self._outboxes[key] = _Outbox(*key)
+            if kind == "view":
+                self.env.process(self._view_push_loop(box))
+            else:
+                self.env.process(self._flush_outbox(key, box, self.incarnation))
+        if item is not None:
+            box.items.append(item)
+
+    def _outbox_died(self, box: _Outbox, incarnation: int) -> bool:
+        """Whether this sync box belongs to a crashed (or crashed-and-
+        restarted) incarnation of the site; if so its unsettled waiters
+        fire with None. ``crash()`` settles every box through here and
+        fails the queued transactions' clients; a flush that resumes after
         a recover must do nothing — replicating now would ship effects of
         transactions already reported failed."""
         if self.alive and self.incarnation == incarnation:
             return False
-        for _, _, waiter in box.queue:
+        for _, _, waiter in box.items:
             if not waiter.triggered:
                 waiter.succeed(None)
         return True
 
-    def _flush_sync_outbox(self, key, box: _SyncOutbox, incarnation: int):
-        """Turn one outbox's queue into one shared (sequenced) sync round.
-
-        After the window closes: re-validate each queued transaction (its
-        executing copy must still be the live primary — a failover or
-        crash during the window fails that transaction, not the whole
-        batch), then run the primary-first batch rounds of
-        :meth:`_flush_sequenced_batch` and settle every waiter from the
-        collected per-transaction ack results.
-        """
-        yield (self.config.group_commit_window_ms)
-        box.open = False
-        if self._sync_outboxes.get(key) is box:
-            del self._sync_outboxes[key]
+    def _flush_outbox(self, key, box: _Outbox, incarnation: int):
+        """Close a sync or lazy box after ``group_commit_window_ms`` or
+        ``lazy_staleness_ms`` and ship what it holds. A lazy box goes
+        through :meth:`_push`; a sync box's transactions are re-validated
+        one by one (a failover or crash during the window fails that
+        transaction, not the batch) and the rest ride
+        :meth:`_flush_sequenced_batch`, which settles every waiter."""
+        sync = box.kind == "sync"
+        yield (self.config.group_commit_window_ms if sync else self.config.lazy_staleness_ms)
+        if self._outboxes.get(key) is box:
+            del self._outboxes[key]
+        if not sync:
+            self._push(box, incarnation)
+            return
         if self._outbox_died(box, incarnation):
             return
         doc_name = box.doc_name
         rset = self.catalog.replica_set(doc_name)
         valid: list = []
-        for rec, ops, waiter in box.queue:
-            origin = rec.write_sites.get(doc_name, set())
-            if (
-                rset.primary != box.primary
-                or origin != {rset.primary}
-                or any(not self._peer_up(s) for s in origin)
-            ):
+        for rec, ops, waiter in box.items:
+            if rset.primary == box.primary and self._wrote_at(rec, doc_name, rset.primary):
+                valid.append((rec, ops, waiter))
+            else:
                 waiter.succeed(
                     {"ok": False, "synced": False, "reason": "participant-crashed"}
                 )
-            else:
-                valid.append((rec, ops, waiter))
         if not rset.is_replicated:
             # The replica set shrank to one copy while the batch waited (a
             # migration drained the other holders): nothing to sync, and
@@ -2029,6 +2013,15 @@ class DTXSite:
             return
         self.stats.group_batched_syncs += len(valid)
         yield from self._flush_sequenced_batch(box, incarnation, rset, valid)
+
+    def _sync_batch(self, doc_name: str, batch_id: int, entries: list,
+                    log_only: bool = False, span: int = 0) -> ReplicaSyncBatch:
+        """The replica wire format, built here for the commit-time rounds
+        and the lazy push alike."""
+        return ReplicaSyncBatch(
+            coordinator=self.site_id, doc_name=doc_name, batch_id=batch_id,
+            log_only=log_only, entries=list(entries), span=span,
+        )
 
     def _ship_batch_round(self, doc_name: str, targets: list, entries: list,
                           needed: dict, bounded: bool, parent_span: int):
@@ -2054,10 +2047,8 @@ class DTXSite:
             else 0
         )
         for site, log_only in targets:
-            self._send_in_span(site, batch_span, ReplicaSyncBatch(
-                coordinator=self.site_id, doc_name=doc_name,
-                batch_id=batch_id, log_only=log_only, entries=list(entries),
-                span=batch_span,
+            self._send_in_span(site, batch_span, self._sync_batch(
+                doc_name, batch_id, entries, log_only, batch_span,
             ))
             self.stats.group_batches_sent += 1
         yield from rnd.wait(self._round_timeout_ms() if bounded else None)
@@ -2066,7 +2057,7 @@ class DTXSite:
         self._rounds.pop(batch_id, None)
         return rnd.replies
 
-    def _flush_sequenced_batch(self, box: _SyncOutbox, incarnation: int, rset,
+    def _flush_sequenced_batch(self, box: _Outbox, incarnation: int, rset,
                                valid: list):
         """Commit-time sync settlement, primary first (eager and quorum).
 
@@ -2149,7 +2140,7 @@ class DTXSite:
                     tid=rec.tid, doc_name=doc_name, ops=tuple(ops),
                 )
                 entries.append(entry)
-                self._apply_log_entry(entry, apply_data=False)
+                self._record(entry)
                 self._persist_kept(self.tx_contexts.get(entry.tid), doc_name, ops)
                 rec.synced = True
                 primary_ok[entry.tid] = (True, "")
@@ -2200,10 +2191,7 @@ class DTXSite:
             for entry in entries:
                 primary_ok[entry.tid] = ack.results.get(entry.tid, (False, ""))
             entries = [
-                UpdateLogEntry(
-                    lsn=ack.assigned[e.tid], epoch=e.epoch, tid=e.tid,
-                    doc_name=e.doc_name, ops=e.ops,
-                )
+                dataclasses.replace(e, lsn=ack.assigned[e.tid])
                 for e in entries
                 if primary_ok[e.tid][0] and e.tid in ack.assigned
             ]
@@ -2427,15 +2415,18 @@ class DTXSite:
         self.tx_contexts.clear()
         self.waiters.clear()
         self._deferred_wake_keys.clear()
-        # Commit-time sync state is volatile: pending outboxes die with the
-        # site. Their waiter events fire with None so the (already-failed)
-        # coordinator generators unwind.
-        for outbox in list(self._sync_outboxes.values()):
-            outbox.open = False
-            for _, _, waiter in outbox.queue:
-                if not waiter.triggered:
-                    waiter.succeed(None)
-        self._sync_outboxes.clear()
+        # Outboxes are volatile: a sync batch's waiter fires with None so
+        # its (already-failed) coordinator unwinds; lazy entries are lost
+        # (the lazy regime's documented loss window); view hosts see the
+        # watermark gap and re-hydrate. A view box stays, emptied, for its
+        # push loop.
+        for key, box in list(self._outboxes.items()):
+            if box.kind == "view":
+                box.items.clear()
+                continue
+            del self._outboxes[key]
+            if box.kind == "sync":
+                self._outbox_died(box, self.incarnation)
         # Every in-flight round dies with the site; its waiter resumes,
         # sees the crash and unwinds (view reads fall back to the locked
         # path). The kinds settle in a fixed order, catch-up after the
@@ -2443,15 +2434,8 @@ class DTXSite:
         for kind in ("sync", "probe", "view_read", "view_fetch"):
             for rnd in self._rounds_of(kind):
                 rnd.cancel()
-        # Pending lazy flushes die with the site (their entries are in the
-        # durable log; whether they survive depends on who gets promoted —
-        # the lazy regime's documented loss window). Materialized-view
-        # state is all volatile: the primary-side push outboxes die (hosts
-        # detect the watermark gap and re-hydrate), and a hosting site's
-        # shadows are wiped (recovery re-hydrates them from the current
-        # primaries).
-        self._lazy_outboxes.clear()
-        self._view_outboxes.clear()
+        # A hosting site's view shadows are volatile too: recovery
+        # re-hydrates them from the current primaries.
         if self._views is not None:
             self._views.wipe()
         if self.membership is not None:
@@ -3079,58 +3063,66 @@ class DTXSite:
                 req_id=msg.req_id,
                 entries=list(log.contiguous_entries_after(msg.after_lsn)),
             )
-        elif log.applied_lsn != log.max_recorded_lsn:
-            # Divergence calls for a snapshot, but with in-flight holes the
-            # persisted state has no single LSN to stamp it with. Holes
-            # close within a round trip; the requester retries.
+        elif (snap := self._committed_snapshot(doc_name)) is None:
+            # Divergence calls for a snapshot, but the log has in-flight
+            # holes; the requester retries.
             resp = CatchUpResponse(doc_name=doc_name, req_id=msg.req_id, ok=False)
         else:
             # The requester's log tip is not on this primary's timeline
             # (phantom entries applied under a deposed primary, or a tip
-            # older than this log's own snapshot base): ship full state —
-            # the committed state, i.e. exactly the committed batches this
-            # hole-free log covers.
-            snapshot, size = self.data_manager.snapshot(doc_name)
+            # older than this log's own snapshot base): ship full state.
+            snapshot, size, lsn = snap
             resp = CatchUpResponse(
                 doc_name=doc_name,
                 req_id=msg.req_id,
                 snapshot=snapshot,
                 snapshot_size=size,
-                snapshot_lsn=log.applied_lsn,
+                snapshot_lsn=lsn,
                 snapshot_epoch=log.last_epoch,
             )
         self.network.send(self.site_id, msg.requester, resp)
 
+    def _committed_snapshot(self, doc_name: str):
+        """``(tree, size, lsn)`` of this site's committed state of
+        ``doc_name``, for catch-up and view hydration (each caller stamps
+        its own epoch); None unless this site leads and hosts the document
+        with a hole-free log (with holes the state has no single LSN to
+        stamp it with; they close within a round trip)."""
+        if (
+            not self.catalog.has_document(doc_name)
+            or self.catalog.replica_set(doc_name).primary != self.site_id
+            or not self.data_manager.is_loaded(doc_name)
+        ):
+            return None
+        log = self.log_for(doc_name)
+        if log.applied_lsn != log.max_recorded_lsn:
+            return None
+        snapshot, size = self.data_manager.snapshot(doc_name)
+        return snapshot, size, log.applied_lsn
+
     # ------------------------------------------------------------------
-    # lazy propagation (replica_write_policy="lazy")
+    # asynchronous subscribers: lazy secondaries and view hosts
     # ------------------------------------------------------------------
 
     def _log_and_queue_lazy(self, tid: TxId, ctx: SiteTxContext,
-                            already_logged: set = frozenset(),
-                            persist: bool = False) -> None:
-        """Log this site's kept/committed updates and queue their push.
-
-        The shared logging step of the asynchronous propagation paths.
-        Called while the transaction's locks are still held (commit) or
-        at fail time, so per-document log order equals settle order. Only
-        replicated documents whose *current* primary is this site are
-        logged. Entries go into a per-document outbox; the first entry
-        schedules the flush, and everything settled within the staleness
-        window rides the same :class:`ReplicaSyncBatch` (the commit-time
-        sync's wire format, reused on the asynchronous path), so a burst costs
-        one message per secondary instead of one per transaction.
-
-        Two callers, two shapes:
-
-        * lazy commits (``replica_write_policy="lazy"``): every document,
-          no persist here (the commit fold handles it);
-        * kept effects / orphan commits under the commit-sync regimes:
-          ``already_logged`` is ``ctx.stable_applied`` as of before the
-          commit/fail fold — exactly the documents whose batches the
-          sync rounds already recorded — and the fresh records persist
-          immediately (an unlogged kept effect would be invisible to
-          catch-up and diverge the replicas permanently).
+                            logged_during_sync: set) -> None:
+        """Record the updates of ``tid`` that no sync round shipped, on the
+        replicated documents this site leads, and stage them for the
+        secondaries. Called before the locks release (commit) or at fail
+        time, so log order = settle order. Lazy commits: every document, no
+        persist (the commit fold does it). Commit-sync regimes (kept
+        effects, orphan commits): only documents missing from
+        ``logged_during_sync`` (``ctx.stable_applied`` before the fold; an
+        orphan can commit with one log-only sync arrived and another lost),
+        persisted at once — an unlogged kept effect would be invisible to
+        catch-up and diverge the replicas for good.
         """
+        if self.replication.is_lazy:
+            already_logged, persist = frozenset(), False
+        elif self.replication.syncs_at_commit:
+            already_logged, persist = logged_during_sync, True
+        else:
+            return
         for doc_name, ops in ctx.executed_updates_by_doc().items():
             rset = self.catalog.replica_set(doc_name)
             if rset.primary != self.site_id or not rset.is_replicated:
@@ -3144,53 +3136,61 @@ class DTXSite:
                 doc_name=doc_name,
                 ops=tuple(ops),
             )
-            self.log_for(doc_name).record(entry)
-            self._offer_view_entry(entry)
-            if persist:
-                self.data_manager.commit(doc_name)
-            pending = self._lazy_outboxes.setdefault(doc_name, [])
-            pending.append(entry)
-            if len(pending) == 1:
-                self.env.process(self._flush_lazy_outbox(doc_name, self.incarnation))
+            self._record(entry, lazy=True, persist=persist)
 
-    def _flush_lazy_outbox(self, doc_name: str, incarnation: int):
-        """Ship a document's pending lazy entries as one batch per target.
+    def _push(self, box: _Outbox, incarnation: int) -> None:
+        """Ship a lazy or view box's entries, one batch per live target.
 
-        Fire-and-forget after the staleness delay (entries queued behind
-        the first one ship *earlier* than their own deadline — the bound
-        is an upper bound): a secondary that misses the batch (down, or
-        refusing) heals through gap catch-up; a crash of this primary
-        inside the delay is the lazy regime's documented loss window (the
-        log survives on disk, but the promoted successor does not have
-        the batch).
+        Fire-and-forget and fenced: only while alive in the staging
+        incarnation and still leading the document, and only entries of
+        the current epoch. Lazy: a :class:`ReplicaSyncBatch` per secondary,
+        only when non-empty (a secondary that misses it heals through gap
+        catch-up). View: a :class:`ViewDeltaBatch` per view host, this site
+        included, in ``str`` order, with the log's gapless watermark — even
+        empty, as the freshness beacon that keeps an idle document
+        serveable. Both count entries × batches sent.
         """
-        yield (self.config.lazy_staleness_ms)
         if not self.alive or self.incarnation != incarnation:
             return
-        entries = self._lazy_outboxes.pop(doc_name, [])
+        entries, box.items = box.items, []
+        doc_name = box.doc_name
         rset = self.catalog.replica_set(doc_name)
-        epoch = self.catalog.epoch(doc_name)
         if rset.primary != self.site_id:
-            return  # deposed while the batch waited: fenced
+            return  # deposed while the entries waited: fenced
+        epoch = self.catalog.epoch(doc_name)
         entries = [e for e in entries if e.epoch >= epoch]
-        if not entries:
+        lazy = box.kind == "lazy"
+        if lazy and not entries:
             return
+        if lazy:
+            targets = rset.secondaries
+        else:
+            targets = sorted({v.host for v in self.catalog.views_for(doc_name)}, key=str)
+            watermark = self.log_for(doc_name).applied_lsn
+        live = [target for target in targets if self._peer_up(target)]
         batch_id = self._new_round_id()  # no round: the acks find none
-        for target in rset.secondaries:
-            if not self._peer_up(target):
-                continue
-            self.network.send(
-                self.site_id,
-                target,
-                ReplicaSyncBatch(
-                    coordinator=self.site_id,
-                    doc_name=doc_name,
-                    batch_id=batch_id,
-                    entries=list(entries),
-                ),
-            )
-            self.stats.lazy_batches_propagated += 1
-        self.stats.lazy_entries_coalesced += len(entries)
+        for target in live:
+            self.network.send(self.site_id, target, (
+                self._sync_batch(doc_name, batch_id, entries) if lazy
+                else ViewDeltaBatch(
+                    primary=self.site_id, doc_name=doc_name, batch_id=batch_id,
+                    epoch=epoch, watermark=watermark, entries=list(entries),
+                )
+            ))
+        if lazy:
+            self.stats.lazy_batches_propagated += len(live)
+            self.stats.lazy_entries_coalesced += len(live) * len(entries)
+        else:
+            self.stats.view_delta_batches += len(live)
+            self.stats.view_deltas_coalesced += len(live) * len(entries)
+
+    def _view_push_loop(self, box: _Outbox):
+        """Push ``box`` every ``view_refresh_ms``, for good: the loop
+        survives crashes (heartbeat-loop idiom), and :meth:`_push` keeps
+        it quiet while this site is down or does not lead."""
+        while True:
+            yield (self.config.view_refresh_ms)
+            self._push(box, self.incarnation)
 
     # ------------------------------------------------------------------
     # materialized views (repro.views)
@@ -3222,120 +3222,29 @@ class DTXSite:
         if self.alive:
             yield from self._view_fetch(doc_name)
 
-    # -- primary side: committed-entry push --------------------------------
-
-    def _offer_view_entry(self, entry: UpdateLogEntry) -> None:
-        """Queue a freshly recorded committed entry for the view hosts.
-
-        Called at every log-record choke point. Only the document's
-        *current* primary feeds its view outbox (a deposed site's entries
-        are fenced by epoch at the host anyway); without registered views
-        this is a single dict miss, so default schedules pay nothing.
-        """
-        if not self.catalog.has_views(entry.doc_name):
-            return
-        if self.catalog.replica_set(entry.doc_name).primary != self.site_id:
-            return
-        self._view_outboxes.setdefault(entry.doc_name, []).append(entry)
-        self._ensure_view_push(entry.doc_name)
-
-    def _ensure_view_push(self, doc_name: str) -> None:
-        """Run the per-document view push loop at this (potential) primary.
-
-        The cluster starts one at every replica-set member when a view is
-        registered — any of them may be elected primary later — and
-        ``_offer_view_entry`` backstops sites that joined the set after
-        registration (e.g. by migration).
-        """
-        if doc_name in self._view_push_docs:
-            return
-        self._view_push_docs.add(doc_name)
-        self.env.process(self._view_push_loop(doc_name))
-
-    def _view_push_loop(self, doc_name: str):
-        """Ship committed log entries (and freshness beacons) to view hosts.
-
-        Every ``view_refresh_ms`` the outbox drains into one
-        :class:`ViewDeltaBatch` per live host. An *empty* batch still
-        ships: its watermark proves the host's shadow current, keeping an
-        idle document serveable within the staleness bound. The loop
-        survives crashes (heartbeat-loop idiom) and goes quiet whenever
-        this site does not currently lead the document.
-        """
-        while True:
-            yield (self.config.view_refresh_ms)
-            if not self.alive:
-                continue
-            views = self.catalog.views_for(doc_name)
-            if not views:  # pragma: no cover - views are never unregistered
-                return
-            rset = self.catalog.replica_set(doc_name)
-            if rset.primary != self.site_id:
-                # Not (or no longer) the primary: any queued entries are
-                # from a fenced regime; the current primary pushes its own.
-                self._view_outboxes.pop(doc_name, None)
-                continue
-            epoch = self.catalog.epoch(doc_name)
-            entries = [
-                e
-                for e in self._view_outboxes.pop(doc_name, ())
-                if e.epoch >= epoch
-            ]
-            watermark = self.log_for(doc_name).applied_lsn
-            batch_id = self._new_round_id()
-            sent = 0
-            for host in sorted({v.host for v in views}, key=str):
-                if host != self.site_id and not self._peer_up(host):
-                    continue
-                self.network.send(
-                    self.site_id,
-                    host,
-                    ViewDeltaBatch(
-                        primary=self.site_id,
-                        doc_name=doc_name,
-                        batch_id=batch_id,
-                        epoch=epoch,
-                        watermark=watermark,
-                        entries=list(entries),
-                    ),
-                )
-                sent += 1
-            if sent:
-                self.stats.view_delta_batches += sent
-                self.stats.view_deltas_coalesced += sent * len(entries)
+    # -- primary side: hydration snapshots ---------------------------------
 
     def _handle_view_fetch_request(self, msg: ViewFetchRequest):
-        """Serve a committed snapshot for a view host's (re)materialization.
-
-        Same committed-state source as the catch-up path
-        (``DataManager.snapshot``); refused when this site does not
-        currently lead the document or its log still has recording holes
-        (a snapshot taken then could tear across a racing batch).
-        """
+        """Serve a committed snapshot for a view host's (re)materialization,
+        stamped with the catalog's current epoch; ``ok=False`` when
+        :meth:`_committed_snapshot` refuses."""
         if not self.alive:
             return
         yield (self.costs.scheduler_dispatch_ms)
         if not self.alive:
             return
         doc_name = msg.doc_name
-        ok = (
-            self.catalog.has_document(doc_name)
-            and self.catalog.replica_set(doc_name).primary == self.site_id
-            and self.data_manager.is_loaded(doc_name)
-        )
-        log = self.log_for(doc_name) if ok else None
-        if ok and log.applied_lsn != log.max_recorded_lsn:
-            ok = False
-        if not ok:
+        snap = self._committed_snapshot(doc_name)
+        if snap is None:
             resp = ViewFetchResponse(doc_name=doc_name, req_id=msg.req_id, ok=False)
         else:
-            snapshot, size = self.data_manager.snapshot(doc_name)
+            snapshot, size, lsn = snap
             resp = ViewFetchResponse(
                 doc_name=doc_name,
                 req_id=msg.req_id,
                 snapshot=snapshot,
                 snapshot_size=size,
-                snapshot_lsn=log.applied_lsn,
+                snapshot_lsn=lsn,
                 snapshot_epoch=self.catalog.epoch(doc_name),
             )
         self.network.send(self.site_id, msg.requester, resp)
@@ -3372,16 +3281,10 @@ class DTXSite:
                 return
             primary = self.catalog.replica_set(doc_name).primary
             if primary == self.site_id:
-                if not self.data_manager.is_loaded(doc_name):
-                    return
-                log = self.log_for(doc_name)
-                if log.applied_lsn != log.max_recorded_lsn:
+                snap = self._committed_snapshot(doc_name)
+                if snap is None:
                     return  # racing batches in flight; retry later
-                snapshot, size = self.data_manager.snapshot(doc_name)
-                cost = mgr.install_snapshot(
-                    doc_name, snapshot, size, log.applied_lsn,
-                    self.catalog.epoch(doc_name),
-                )
+                cost = mgr.install_snapshot(doc_name, *snap, self.catalog.epoch(doc_name))
                 yield (cost)
                 return
             if not self._peer_up(primary):

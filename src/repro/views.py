@@ -4,10 +4,11 @@ A :class:`ViewDefinition` names an XPath pattern over one or more documents
 and a hosting site. The host's :class:`ViewManager` materializes each source
 document from a primary snapshot and then maintains it incrementally by
 consuming committed :class:`~repro.replication.log.UpdateLogEntry` batches
-pushed off the primary (``ViewDeltaBatch`` — a view host is a log subscriber
-next to the secondaries, fed by the same outbox discipline as lazy
-replication). A coordinator routes a read-only query to a view host when a
-registered view's pattern *subsumes* the query and the view's freshness is
+pushed off the primary (``ViewDeltaBatch`` — a view host is one more
+subscriber of the primary's update stream, next to the secondaries, and is
+pushed to by the same code as lazy replication). A coordinator routes a
+read-only query to a view host when a registered view's pattern
+*subsumes* the query and the view's freshness is
 within the transaction's staleness bound; the served read takes no locks and
 joins no 2PC round.
 

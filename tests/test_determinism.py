@@ -1,12 +1,19 @@
-"""Hash-seed determinism: the schedule must not depend on PYTHONHASHSEED.
+"""Schedule determinism: hash-seed independence and pinned deliveries.
 
 Python randomises ``str``/``bytes`` hashes per interpreter process, so any
 accidental iteration over an unordered ``set``/``dict``-keyed-by-hash on the
 hot path shows up as run-to-run schedule drift between interpreters even
 with a fixed simulation seed. In-process tests cannot catch this (the hash
-seed is fixed at startup), so this test runs the same contended scenario in
+seed is fixed at startup), so one test runs the same contended scenario in
 subprocesses under three different ``PYTHONHASHSEED`` values and asserts the
 final state digest *and* the simulated duration are identical.
+
+The other pins the message schedule of four small sweeps: per cluster, the
+number and SHA-256 of the ``Network._deliver`` items of its dispatch trace
+(time, source, destination, message class). Unlike a full trace these
+name no process, so renaming or merging generators leaves them alone while
+any moved, added or dropped message changes them — the check for a
+refactor that must keep every schedule.
 """
 
 from __future__ import annotations
@@ -15,6 +22,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from repro.experiments import run_sweep
+from repro.sim.environment import Environment
+from repro.verify import TraceRecorder, trace_digest
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -75,3 +88,44 @@ def test_schedule_is_hash_seed_independent():
     # Sanity: the scenario actually committed work.
     committed = next(iter(digests)).rsplit(" ", 1)[1]
     assert int(committed) == 12
+
+
+#: sweep, overrides -> one (deliveries, digest) per cluster the sweep built.
+_PINNED_DELIVERIES = [
+    ("availability", dict(mode=("lazy",), crashes=(1,)), [
+        (327, "c814ad2450e9d97b490827eea5d378af6cdd19373d2fd0f82b1047d2c392326c"),
+    ]),
+    ("quorum", dict(regime=("quorum-r2w2",), fault=("crash",)), [
+        (3709, "8638dd861b495a162865832799a8915033009e5f55a4fc93fdff5e6897731f55"),
+    ]),
+    ("views", {}, [
+        (440, "349a63863f597a47e3c018b92eb2378050a5445abc9a21c14d9a7cbdf3959100"),
+        (604, "dc07a0e6b7d0ebe2fd94d9175066d04f92407afbe233a16f8121c10deac7485d"),
+        (600, "7f3196c6acd1b11cc005ae8a5afff6c9f2cbd964e214cd7babc6cb5664eb67c3"),
+    ]),
+    ("replication", dict(factor=(2,), update_ratio=(0.5,)), [
+        (797, "803326570034737df855b8a58d4b086a6e4505b6dda2207b6d97909becf7967e"),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "sweep, overrides, pinned", _PINNED_DELIVERIES, ids=[p[0] for p in _PINNED_DELIVERIES]
+)
+def test_delivery_fingerprints_are_pinned(monkeypatch, sweep, overrides, pinned):
+    recorders = []
+    init = Environment.__init__
+
+    def recording_init(env, *args, **kwargs):
+        init(env, *args, **kwargs)
+        recorders.append(TraceRecorder().attach(env))
+
+    monkeypatch.setattr(Environment, "__init__", recording_init)
+    run_sweep(sweep, **overrides)
+    fingerprints = []
+    for recorder in recorders:
+        deliveries = [
+            item for item in recorder.entries if item[1].startswith("call:Network._deliver:")
+        ]
+        fingerprints.append((len(deliveries), trace_digest(deliveries)))
+    assert fingerprints == pinned

@@ -719,11 +719,25 @@ class TestLazyBatching:
         cluster.run(drain_ms=40.0)
         s1 = cluster.sites["s1"]
         assert s1.stats.lazy_batches_propagated == 2  # one per secondary
-        assert s1.stats.lazy_entries_coalesced == 2  # both entries rode it
+        assert s1.stats.lazy_entries_coalesced == 4  # both entries, in each
         for s in ("s2", "s3"):
             text = doc_at(cluster, s)
             assert "<id>21</id>" in text and "<id>22</id>" in text
             assert cluster.sites[s].log_for("d1").applied_lsn == 2
+
+    def test_no_live_secondary_coalesces_nothing(self):
+        """Entries count once per batch that carried them (as view deltas
+        do): with every secondary down no batch leaves, so none counts."""
+        cluster = lease_cluster(config=self.LAZY)
+        cluster.crash_site("s2")
+        cluster.crash_site("s3")
+        cluster.add_client("c1", "s1", [insert_tx(21)])
+        cluster.add_client("c2", "s1", [insert_tx(22)])
+        cluster.run(drain_ms=40.0)
+        s1 = cluster.sites["s1"]
+        assert s1.log_for("d1").applied_lsn == 2
+        assert s1.stats.lazy_batches_propagated == 0
+        assert s1.stats.lazy_entries_coalesced == 0
 
     def test_windows_apart_ship_separately(self):
         cluster = lease_cluster(config=self.LAZY)

@@ -96,7 +96,9 @@ def recorder(monkeypatch):
 
     def checked_snapshot(self, name):
         clone, size = snapshot(self, name)
-        rec.check_snapshot(self, name, clone, size, sys._getframe(1).f_code.co_name)
+        # Named by who asked the site's one snapshot server for it.
+        producer = sys._getframe(2).f_code.co_name
+        rec.check_snapshot(self, name, clone, size, producer)
         return clone, size
 
     def checked_install_replica(self, doc_name, resp):
