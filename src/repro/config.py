@@ -9,6 +9,11 @@ evaluation (Figs. 9-12) emerge from structural asymmetries between protocols
 (XDGL touches O(depth) DataGuide nodes per operation, Node2PL touches
 O(subtree) document nodes) rather than from per-protocol fudge factors: every
 protocol is charged through the same knobs.
+
+Four protocol timings are module constants rather than fields, because
+no experiment varies them: the lazy-outbox delay, the catch-up timeout,
+the heartbeat period and the election window (``LAZY_STALENESS_MS``,
+``CATCHUP_TIMEOUT_MS``, ``HEARTBEAT_INTERVAL_MS``, ``ELECTION_TIMEOUT_MS``).
 """
 
 from __future__ import annotations
@@ -91,6 +96,29 @@ class CostConfig:
                 raise ConfigError(f"CostConfig.{f.name} must be >= 0")
 
 
+#: Upper bound on how long a committed update sits in the primary's lazy
+#: outbox before it is pushed to the secondaries: the first entry staged
+#: starts the delay, and everything staged before it ends ships as one
+#: ReplicaSyncBatch per live secondary. The outbox holds the entries no
+#: sync round ships: every commit under ``replica_write_policy="lazy"``,
+#: and under the eager and quorum regimes the effects a failed transaction
+#: kept (or an orphan committed) that the sync rounds never logged.
+LAZY_STALENESS_MS = 5.0
+
+#: How long a recovering or gap-detecting replica waits for the primary's
+#: catch-up response before giving up and retrying on the next trigger;
+#: view hydration fetches and view reads wait as long.
+CATCHUP_TIMEOUT_MS = 50.0
+
+#: Period of each site's heartbeat broadcast (``failure_detector="lease"``
+#: only). ``SystemConfig.lease_timeout_ms`` must exceed it.
+HEARTBEAT_INTERVAL_MS = 1.0
+
+#: How long an election waits for LogTipReports before deciding (or giving
+#: up for lack of a majority) (``failure_detector="lease"`` only).
+ELECTION_TIMEOUT_MS = 4.0
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Top-level configuration of a DTX cluster simulation.
@@ -118,9 +146,9 @@ class SystemConfig:
         How many times a client resubmits an aborted transaction before
         giving up (Fig. 12 counts never-completed transactions).
     replication_factor:
-        Copies per document/fragment created by placement policies and the
-        experiment runner (1 = disjoint placement, the paper's partial
-        regime).
+        Copies per fragment the experiment runner places (1 = disjoint
+        placement, the paper's partial regime), and the ring factor of the
+        ``scale`` sweep.
     replica_read_policy:
         Where queries lock and execute: ``"all"`` replicas (the paper's
         behaviour), the ``"primary"``, a ``"random"`` replica, the
@@ -138,7 +166,7 @@ class SystemConfig:
         secondaries before the primary's locks are released (primary-copy
         ROWA); ``"lazy"`` also locks at the primary only but commits
         immediately and propagates asynchronously after
-        ``lazy_staleness_ms`` (bounded-staleness primary copy);
+        ``LAZY_STALENESS_MS`` (bounded-staleness primary copy);
         ``"quorum"`` locks and executes at the primary like ``"primary"``
         but acknowledges the commit as soon as ``write_quorum_w`` replicas
         (the primary's durable log record included) hold the batch —
@@ -154,15 +182,6 @@ class SystemConfig:
         eager regime (reads are free, commits pay every replica),
         ``W=majority, R=majority`` balances both, larger ``R`` shifts
         cost from writers to readers.
-    lazy_staleness_ms:
-        Upper bound on how long a committed update may sit in the primary's
-        lazy outbox before it is pushed to the secondaries: the first entry
-        staged starts the delay, and everything staged before it ends
-        ships as one ReplicaSyncBatch per live secondary. The outbox holds
-        the entries no sync round ships: every commit under
-        ``replica_write_policy="lazy"``, and under the eager and quorum
-        regimes the effects a failed transaction kept (or an orphan
-        committed) that the sync rounds never logged.
     max_read_staleness_ms:
         Follower-read fence for lease-mode secondary reads (``0`` = off,
         the pre-existing behaviour). A secondary serving a read under
@@ -173,10 +192,6 @@ class SystemConfig:
         coordinator re-routes the read to the primary instead of serving
         possibly-ancient data. Quorum reads carry their own freshness
         proof and are exempt.
-    catchup_timeout_ms:
-        How long a recovering or gap-detecting replica waits for the
-        primary's catch-up response before giving up and retrying on the
-        next trigger.
     group_commit_window_ms:
         How long a commit-time sync outbox waits before it flushes — a
         delay, not a switch: every commit under the eager and quorum
@@ -197,23 +212,19 @@ class SystemConfig:
         candidates' log tips directly — schedules are bit-identical to
         the pre-membership-refactor code. ``"lease"`` removes the oracle:
         every membership fact travels as a message — sites heartbeat each
-        other, a peer is *suspected* only when its lease expires, primary
-        election is a LogTipQuery/LogTipReport exchange requiring reports
-        from a majority of the replica set, and the winner's epoch-bumped
+        other every ``HEARTBEAT_INTERVAL_MS``, a peer is *suspected* only
+        when its lease expires, primary election is a
+        LogTipQuery/LogTipReport exchange requiring reports from a
+        majority of the replica set, and the winner's epoch-bumped
         PrimaryAnnounce (plus heartbeat-carried views) re-points each
         site's own catalog view. Under ``"lease"`` network partitions and
         false suspicion become survivable: split-brain is prevented by
         epoch fencing and the commit-time sync quorum, not by the oracle.
-    heartbeat_interval_ms:
-        Period of each site's heartbeat broadcast (``"lease"`` only).
     lease_timeout_ms:
         A peer is suspected once nothing was heard from it for this long
         (``"lease"`` only). Must comfortably exceed
-        ``heartbeat_interval_ms`` plus network jitter, or live sites get
+        ``HEARTBEAT_INTERVAL_MS`` plus network jitter, or live sites get
         falsely suspected under load.
-    election_timeout_ms:
-        How long an election waits for LogTipReports before deciding (or
-        giving up for lack of a majority) (``"lease"`` only).
     view_staleness_ms:
         Default staleness bound for materialized-view reads (``0`` = view
         routing off, the default). When positive and a registered view's
@@ -259,14 +270,10 @@ class SystemConfig:
     replica_write_policy: str = "all"
     read_quorum_r: int = 0
     write_quorum_w: int = 0
-    lazy_staleness_ms: float = 5.0
     max_read_staleness_ms: float = 0.0
-    catchup_timeout_ms: float = 50.0
     group_commit_window_ms: float = 0.0
     failure_detector: str = "perfect"
-    heartbeat_interval_ms: float = 1.0
     lease_timeout_ms: float = 4.0
-    election_timeout_ms: float = 4.0
     view_staleness_ms: float = 0.0
     view_refresh_ms: float = 2.0
     tracing: bool = False
@@ -288,12 +295,8 @@ class SystemConfig:
             raise ConfigError("lock_wait_timeout_ms must be >= 0")
         if self.max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
-        if self.lazy_staleness_ms < 0:
-            raise ConfigError("lazy_staleness_ms must be >= 0")
         if self.max_read_staleness_ms < 0:
             raise ConfigError("max_read_staleness_ms must be >= 0")
-        if self.catchup_timeout_ms <= 0:
-            raise ConfigError("catchup_timeout_ms must be > 0")
         if self.group_commit_window_ms < 0:
             raise ConfigError("group_commit_window_ms must be >= 0")
         if self.failure_detector not in ("perfect", "lease"):
@@ -301,15 +304,12 @@ class SystemConfig:
                 f"failure_detector must be 'perfect' or 'lease', "
                 f"got {self.failure_detector!r}"
             )
-        if self.heartbeat_interval_ms <= 0:
-            raise ConfigError("heartbeat_interval_ms must be > 0")
-        if self.lease_timeout_ms <= self.heartbeat_interval_ms:
+        if self.lease_timeout_ms <= HEARTBEAT_INTERVAL_MS:
             raise ConfigError(
-                "lease_timeout_ms must exceed heartbeat_interval_ms "
-                "(a lease shorter than one heartbeat suspects everyone)"
+                f"lease_timeout_ms must exceed the {HEARTBEAT_INTERVAL_MS} ms "
+                "heartbeat interval (a lease shorter than one heartbeat "
+                "suspects everyone)"
             )
-        if self.election_timeout_ms <= 0:
-            raise ConfigError("election_timeout_ms must be > 0")
         if self.view_staleness_ms < 0:
             raise ConfigError("view_staleness_ms must be >= 0")
         if self.view_refresh_ms <= 0:
@@ -380,9 +380,7 @@ _PRESETS: dict[str, dict] = {
         "replica_write_policy": "quorum",
         "replica_read_policy": "quorum",
         "failure_detector": "lease",
-        "heartbeat_interval_ms": 1.0,
         "lease_timeout_ms": 4.0,
-        "election_timeout_ms": 4.0,
     },
     "lazy": {
         "replication_factor": 3,

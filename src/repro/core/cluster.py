@@ -20,7 +20,6 @@ from typing import Callable, Hashable, Optional, Sequence
 
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..distribution.catalog import Catalog, CatalogView
-from ..distribution.placement import Allocation
 from ..distribution.replication import ReplicationPolicy
 from ..errors import ConfigError
 from ..obs import Tracer
@@ -99,9 +98,9 @@ class DTXCluster:
             backend=self._backend_factory(),
             catalog=catalog,
             config=self.config,
+            faults=self.faults,
             replication=self.replication,
         )
-        site.faults = self.faults
         site.tracer = self.tracer
         self.sites[site_id] = site
         for doc in documents:
@@ -129,25 +128,6 @@ class DTXCluster:
         for site_id in site_ids:
             self.host_document(site_id, doc)
         self.catalog.set_primary(doc.name, site_ids[0])
-
-    @classmethod
-    def from_allocation(
-        cls,
-        allocation: Allocation,
-        protocol: str = "xdgl",
-        config: Optional[SystemConfig] = None,
-    ) -> "DTXCluster":
-        """Build a cluster directly from an :class:`Allocation`."""
-        cluster = cls(protocol=protocol, config=config)
-        for site_id in sorted(allocation.site_documents, key=str):
-            cluster.add_site(site_id)
-        # Adopt the allocation's catalog wholesale (placement is authoritative).
-        for site_id, docs in allocation.site_documents.items():
-            for doc in docs:
-                cluster.sites[site_id].host_document(doc.clone())
-        for doc_name in allocation.catalog.all_documents():
-            cluster.catalog.add(doc_name, allocation.catalog.sites_for(doc_name))
-        return cluster
 
     def add_client(
         self, client_id: Hashable, site_id: Hashable, transactions: list[Transaction]

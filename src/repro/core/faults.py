@@ -21,13 +21,13 @@ for the election round trip. Recovery is the inverse (rejoin + a
 
 **"lease"**. The oracle is gone: every membership fact travels as a
 message over :class:`~repro.sim.network.Network`. Each site heartbeats
-every other site (``heartbeat_interval_ms``); a peer becomes *suspected*
-only when its lease expires (nothing heard for ``lease_timeout_ms``) —
-which a crash, a partition, or plain message loss can all cause, so
-suspicion can be **false**. A site that suspects the primary of a document
-it hosts runs an election over the wire (:class:`LogTipQuery` /
-:class:`LogTipReport`, requiring reports from a **majority** of the
-replica set), and the winner announces itself with an epoch-bumped
+every other site (every ``repro.config.HEARTBEAT_INTERVAL_MS``); a peer
+becomes *suspected* only when its lease expires (nothing heard for
+``lease_timeout_ms``) — which a crash, a partition, or plain message loss
+can all cause, so suspicion can be **false**. A site that suspects the
+primary of a document it hosts runs an election over the wire
+(:class:`LogTipQuery` / :class:`LogTipReport`, requiring reports from a
+**majority** of the replica set), and the winner announces itself with an epoch-bumped
 :class:`PrimaryAnnounce` applied at each receiver's own
 :class:`~repro.distribution.catalog.CatalogView`. Nothing here mutates
 the shared catalog; split-brain is prevented by epoch fencing and the

@@ -151,7 +151,7 @@ class ReplicaSyncBatch:
     flushes into one of these per target, so an uncontended commit is a
     batch of one and ``group_commit_window_ms`` only decides how long the
     outbox waits for company. Also pushed off the primary's update stream
-    to the live secondaries, ``lazy_staleness_ms`` after the first entry
+    to the live secondaries, ``LAZY_STALENESS_MS`` after the first entry
     of a burst, for the entries no sync round ships: lazy commits, and
     effects kept or orphan-committed under the eager and quorum regimes.
     The receiving replica ingests every entry in LSN order and answers

@@ -56,16 +56,17 @@ class Round:
                and for quorum writes; none for
                eager writes, perfect detector
     probe      the round bound                  ``drop``, ``cancel``
-    view_read  ``catchup_timeout_ms``           ``drop`` of the host,
+    view_read  ``CATCHUP_TIMEOUT_MS``           ``drop`` of the host,
                                                 ``cancel``
-    view_fetch ``catchup_timeout_ms``           ``cancel``
-    catchup    ``catchup_timeout_ms``           ``cancel``
-    election   ``election_timeout_ms`` window   (never settles on replies)
+    view_fetch ``CATCHUP_TIMEOUT_MS``           ``cancel``
+    catchup    ``CATCHUP_TIMEOUT_MS``           ``cancel``
+    election   ``ELECTION_TIMEOUT_MS`` window   (never settles on replies)
     wfg        ``detector_interval_ms``         ``drop``
     ========== ================================ ===========================
 
     The round bound is ``DTXSite._round_timeout_ms`` (2 x lease timeout +
-    election timeout). The unbounded waits are the perfect detector's
+    election timeout); the two upper-case constants live in
+    :mod:`repro.config`. The unbounded waits are the perfect detector's
     oracle contract: a peer that never answers has crashed, and the
     ``SiteDownNotice`` every live site receives drops it from the round.
     """

@@ -27,7 +27,13 @@ from inspect import isgeneratorfunction
 from operator import attrgetter
 from typing import Callable, Hashable, Optional
 
-from ..config import SystemConfig
+from ..config import (
+    CATCHUP_TIMEOUT_MS,
+    ELECTION_TIMEOUT_MS,
+    HEARTBEAT_INTERVAL_MS,
+    LAZY_STALENESS_MS,
+    SystemConfig,
+)
 from ..deadlock.wfg import WaitForGraph
 from ..distribution.quorum import VersionVector, choose_read_replica, version_frontier
 from ..distribution.replication import ReplicationPolicy, UpdateLog, UpdateLogEntry
@@ -50,7 +56,7 @@ from ..xml.serializer import serialize_document  # noqa: F401
 from ..xpath.evaluator import EvalStats, evaluate
 from ..xpath.parser import parse_cache_stats
 from .context import CoordinatorRecord, OpEntry, SiteTxContext, _AbortTx, _SiteCrashed
-from .faults import SiteMembership
+from .faults import MembershipService, SiteMembership
 from .messages import (
     AbortAck,
     AbortOrder,
@@ -252,6 +258,7 @@ class DTXSite:
         backend: StorageBackend,
         catalog,
         config: SystemConfig,
+        faults: MembershipService,
         replication: Optional[ReplicationPolicy] = None,
     ):
         self.env = env
@@ -306,11 +313,10 @@ class DTXSite:
         # Fault tolerance. ``alive`` gates every externally visible effect;
         # ``logs`` is the durable per-document update log (survives crashes,
         # like the storage backend); ``faults`` is the cluster's
-        # MembershipService (None for a standalone site: crash/recover degrade
-        # to local state wipes).
+        # MembershipService.
         self.alive = True
         self.incarnation = 0  # bumped on every recovery; fences stale work
-        self.faults = None
+        self.faults = faults
         self.logs: dict[str, UpdateLog] = {}
         self._catchup_gates: dict[str, object] = {}  # doc -> Event while catching up
 
@@ -532,8 +538,6 @@ class DTXSite:
             return self.membership.incarnation_of(coordinator) <= incarnation
         if not self.network.is_up(coordinator):
             return False
-        if self.faults is None:
-            return True  # standalone site: no membership view to consult
         return self.faults.incarnation_of(coordinator) == incarnation
 
     # ------------------------------------------------------------------
@@ -1352,7 +1356,7 @@ class DTXSite:
         message was simply lost to a cut shorter than the lease — either
         way, waiting longer cannot help.
         """
-        return 2 * self.config.lease_timeout_ms + self.config.election_timeout_ms
+        return 2 * self.config.lease_timeout_ms + ELECTION_TIMEOUT_MS
 
     def _new_round_id(self) -> int:
         self._round_seq += 1
@@ -1976,13 +1980,13 @@ class DTXSite:
 
     def _flush_outbox(self, key, box: _Outbox, incarnation: int):
         """Close a sync or lazy box after ``group_commit_window_ms`` or
-        ``lazy_staleness_ms`` and ship what it holds. A lazy box goes
+        ``LAZY_STALENESS_MS`` and ship what it holds. A lazy box goes
         through :meth:`_push`; a sync box's transactions are re-validated
         one by one (a failover or crash during the window fails that
         transaction, not the batch) and the rest ride
         :meth:`_flush_sequenced_batch`, which settles every waiter."""
         sync = box.kind == "sync"
-        yield (self.config.group_commit_window_ms if sync else self.config.lazy_staleness_ms)
+        yield (self.config.group_commit_window_ms if sync else LAZY_STALENESS_MS)
         if self._outboxes.get(key) is box:
             del self._outboxes[key]
         if not sync:
@@ -2456,10 +2460,7 @@ class DTXSite:
         for rnd in self._rounds_of("catchup"):
             rnd.cancel()
         self._rounds.clear()
-        if self.faults is not None:
-            self.faults.on_site_crashed(self.site_id)
-        else:
-            self.network.set_down(self.site_id)
+        self.faults.on_site_crashed(self.site_id)
 
     def _rounds_of(self, kind: str) -> list[Round]:
         return [rnd for rnd in self._rounds.values() if rnd.kind == kind]
@@ -2483,10 +2484,7 @@ class DTXSite:
         for name in self.data_manager.live_documents():
             doc, _ = self.data_manager.reload(name)
             self.protocol.register_document(doc)
-        if self.faults is not None:
-            self.faults.on_site_recovered(self.site_id)
-        else:
-            self.network.set_up(self.site_id)
+        self.faults.on_site_recovered(self.site_id)
         self.env.process(self._recovery_catchup())
 
     def _recovery_catchup(self):
@@ -2506,7 +2504,7 @@ class DTXSite:
                 caught_up = yield from self._traced_catch_up(name)
                 if caught_up or not self.alive:
                     break
-                yield (self.config.catchup_timeout_ms / 4)
+                yield (CATCHUP_TIMEOUT_MS / 4)
                 if not self.alive:
                     return
                 rset = self.catalog.replica_set(name)
@@ -2594,9 +2592,8 @@ class DTXSite:
         results keep disseminating after the one-shot announce). A dead
         site simply skips its beats — silence *is* the failure signal.
         """
-        interval = self.config.heartbeat_interval_ms
         while True:
-            yield (interval)
+            yield (HEARTBEAT_INTERVAL_MS)
             if not self.alive:
                 continue
             watermarks: dict = {}
@@ -2607,7 +2604,7 @@ class DTXSite:
                 if not self.catalog.replica_set(name).is_replicated:
                     continue
                 watermarks[name] = self.log_for(name).applied_lsn
-                views[name] = self._view_of(name)
+                views[name] = self.catalog.view_of(name)
             self._heartbeat_seq += 1
             beat = HeartbeatMessage(
                 sender=self.site_id,
@@ -2620,19 +2617,11 @@ class DTXSite:
                 self.network.send(self.site_id, peer, beat)
                 self.stats.heartbeats_sent += 1
 
-    def _view_of(self, doc_name: str) -> tuple:
-        """This site's ``(epoch, primary)`` belief for ``doc_name``."""
-        view_of = getattr(self.catalog, "view_of", None)
-        if view_of is not None:
-            return view_of(doc_name)
-        return self.catalog.epoch(doc_name), self.catalog.replica_set(doc_name).primary
-
     def _lease_check_loop(self):
         """Expire peers' leases; suspicion is the lease-mode 'down' event."""
-        interval = self.config.heartbeat_interval_ms
         while True:
             self.membership.grace(self._membership_peers(), self.env.now)
-            yield (interval)
+            yield (HEARTBEAT_INTERVAL_MS)
             if not self.alive:
                 continue
             for peer in self._membership_peers():
@@ -2656,7 +2645,7 @@ class DTXSite:
         self.stats.suspicions += 1
         # Oracle read for *statistics only* (never behaviour): was this
         # suspicion false? The experiment sweeps report it.
-        if self.faults is not None and self.faults.sites[peer].alive:
+        if self.faults.sites[peer].alive:
             self.stats.false_suspicions += 1
         self._on_site_down(SiteDownNotice(site=peer))
         for name in sorted(self.data_manager.live_documents()):
@@ -2727,10 +2716,9 @@ class DTXSite:
 
     def _adopt_view(self, doc_name: str, primary: Hashable, epoch: int) -> None:
         """Apply a newer (epoch, primary) fact to this site's catalog view."""
-        apply_primary = getattr(self.catalog, "apply_primary", None)
-        if apply_primary is None or not self.catalog.has_document(doc_name):
+        if not self.catalog.has_document(doc_name):
             return
-        if not apply_primary(doc_name, primary, epoch):
+        if not self.catalog.apply_primary(doc_name, primary, epoch):
             return  # stale fact: an older election we already know about
         self.stats.announces_applied += 1
         # A view change can moot a running election (someone already won).
@@ -2787,7 +2775,7 @@ class DTXSite:
         """Elect a new primary for ``doc_name`` over the wire.
 
         One round: query every replica's log tip, wait
-        ``election_timeout_ms``, then decide. Deciding requires reports
+        ``ELECTION_TIMEOUT_MS``, then decide. Deciding requires reports
         from a **majority** of the replica set (the elector's own tip
         included) — the minority side of a partition can suspect all it
         wants, it can never elect, which is half of the no-split-brain
@@ -2834,7 +2822,7 @@ class DTXSite:
                             epoch=epoch,
                         ),
                     )
-                yield from rnd.wait(self.config.election_timeout_ms)
+                yield from rnd.wait(ELECTION_TIMEOUT_MS)
                 self._rounds.pop(eid, None)
                 if not self.alive:
                     return
@@ -2894,8 +2882,7 @@ class DTXSite:
         # (fenced) epoch and cannot punch holes in the new timeline.
         self.catalog.reset_lsn(doc_name, log.max_recorded_lsn)
         self.stats.elections_won += 1
-        if self.faults is not None:
-            self.faults.record_promotion(doc_name, deposed, self.site_id, new_epoch)
+        self.faults.record_promotion(doc_name, deposed, self.site_id, new_epoch)
         announce = PrimaryAnnounce(
             doc_name=doc_name,
             primary=self.site_id,
@@ -2939,7 +2926,7 @@ class DTXSite:
         escalates to it on its own when it finds a *phantom* (a local
         entry whose LSN the new timeline reused under a newer epoch).
         Serialized per document through ``_catchup_gates``; bounded by
-        ``config.catchup_timeout_ms`` so a primary crashing mid-catch-up
+        ``CATCHUP_TIMEOUT_MS`` so a primary crashing mid-catch-up
         cannot wedge this site. Returns True when a primary response was
         received and fully processed (the log may still have commuting
         holes).
@@ -2981,7 +2968,7 @@ class DTXSite:
                         last_epoch=-1 if force_snapshot else log.last_epoch,
                     ),
                 )
-                got = yield from rnd.wait(self.config.catchup_timeout_ms)
+                got = yield from rnd.wait(CATCHUP_TIMEOUT_MS)
                 self._rounds.pop(req_id, None)
                 if not self.alive:
                     return False
@@ -3297,7 +3284,7 @@ class DTXSite:
                     doc_name=doc_name, requester=self.site_id, req_id=req_id
                 ),
             )
-            got = yield from rnd.wait(self.config.catchup_timeout_ms)
+            got = yield from rnd.wait(CATCHUP_TIMEOUT_MS)
             self._rounds.pop(req_id, None)
             if not self.alive:
                 return
@@ -3380,7 +3367,7 @@ class DTXSite:
                 tid=rec.tid, coordinator=self.site_id, op=op, read_id=read_id,
                 epoch=epoch, bound_ms=bound_ms, span=rec.op_span,
             ))
-            got = yield from rnd.wait(self.config.catchup_timeout_ms)
+            got = yield from rnd.wait(CATCHUP_TIMEOUT_MS)
             self._rounds.pop(read_id, None)
             self._check_alive()
             if rec.abort_requested:

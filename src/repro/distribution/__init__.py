@@ -1,25 +1,9 @@
-"""Data distribution: fragmentation, allocation, placement catalog, replication."""
+"""Data distribution: placement catalog, replication, quorums, hash-ring
+placement and online migration."""
 
 from .catalog import Catalog, CatalogView
 from .migration import Migration, MigrationManager, MigrationStats
-from .placement import (
-    Allocation,
-    ExplicitPlacement,
-    HashRing,
-    HashRingPlacement,
-    PartialPlacement,
-    PlacementPolicy,
-    ReplicatedPlacement,
-    TotalPlacement,
-    ring_rebalance,
-)
-from .fragmentation import (
-    Fragment,
-    FragmentationPlan,
-    fragment_document,
-    fragment_name,
-    is_fragment_of,
-)
+from .placement import HashRing, ring_rebalance
 from .quorum import (
     QuorumSpec,
     VersionVector,
@@ -40,35 +24,23 @@ from .replication import (
 )
 
 __all__ = [
-    "Allocation",
     "COMMIT_SYNC_POLICIES",
     "Catalog",
     "CatalogView",
-    "ExplicitPlacement",
-    "Fragment",
-    "FragmentationPlan",
     "HashRing",
-    "HashRingPlacement",
     "Migration",
     "MigrationManager",
     "MigrationStats",
     "PRIMARY_COPY_POLICIES",
-    "PartialPlacement",
-    "PlacementPolicy",
     "QuorumSpec",
     "READ_POLICIES",
     "ReplicaSet",
-    "ReplicatedPlacement",
     "ReplicationPolicy",
-    "TotalPlacement",
     "UpdateLog",
     "UpdateLogEntry",
     "VersionVector",
     "WRITE_POLICIES",
     "choose_read_replica",
-    "fragment_document",
-    "fragment_name",
-    "is_fragment_of",
     "majority",
     "replica_placement",
     "ring_rebalance",

@@ -369,10 +369,7 @@ class MigrationManager:
                     epoch = self.catalog.epoch(doc)
                     mig.cutover_epoch = epoch
                     self.stats.cutovers += 1
-                    if self.cluster.faults is not None:
-                        self.cluster.faults.record_promotion(
-                            doc, old, new_primary, epoch
-                        )
+                    self.cluster.faults.record_promotion(doc, old, new_primary, epoch)
                     # Anti-entropy: survivors of the old regime may trail
                     # the new primary; nudge them like failover does.
                     for s in self.catalog.sites_for(doc):

@@ -35,9 +35,9 @@ A third write regime, ``write_policy="lazy"``, commits at the primary
 *without* waiting for the secondaries: the primary appends the committed
 updates to its durable :class:`UpdateLog` while its locks are still held
 (so log order equals commit order) and propagates them asynchronously
-after a configurable staleness delay. Lazy replication trades the eager
+after a fixed staleness delay. Lazy replication trades the eager
 regime's freshness for availability and commit latency: secondary reads may
-be stale by up to ``lazy_staleness_ms`` plus a network hop, and a primary
+be stale by up to ``LAZY_STALENESS_MS`` plus a network hop, and a primary
 crash can lose the committed-but-unpropagated tail of the log — the
 tradeoff the ``availability`` experiment measures.
 
@@ -105,8 +105,8 @@ class ReplicaSet:
 class ReplicationPolicy:
     """How operations are routed across a document's replicas.
 
-    ``factor`` is the *placement* knob (how many copies placement policies
-    create); ``read_policy``/``write_policy`` are the *routing* knobs. The
+    ``factor`` is the *placement* knob (how many copies the experiment
+    runner places); ``read_policy``/``write_policy`` are the *routing* knobs. The
     defaults reproduce the paper's behaviour exactly: every operation runs
     at every replica.
     """

@@ -109,7 +109,7 @@ class StorageError(ReproError):
 
 
 class DistributionError(ReproError):
-    """Raised by fragmentation/allocation/catalog components."""
+    """Raised by placement, catalog, replication and migration components."""
 
 
 class ConfigError(ReproError):

@@ -41,7 +41,7 @@ from ..config import SystemConfig
 from ..core.cluster import DTXCluster
 from ..core.site import aggregate_site_stats
 from ..core.transaction import Operation, Transaction
-from ..distribution.placement import HashRingPlacement, ring_rebalance
+from ..distribution.placement import HashRing, ring_rebalance
 from ..errors import ConfigError
 from ..sim.rng import substream
 from ..update.operations import ChangeOp, InsertOp
@@ -320,18 +320,30 @@ def _replication_cell(p, factor: int, update_ratio: float) -> dict:
 
 
 def _check_replication(result) -> list[str]:
-    """Replication must help pure reads and corrupt nothing."""
+    """Replication must not slow pure reads, and must corrupt nothing.
+
+    Reads at the primary or the nearest copy stay within 5 % of factor 1.
+    A ``random`` read lands on a remote replica more often as the factor
+    grows, so it may cost up to one more network round trip,
+    2 x (latency + jitter)."""
     p, cells = result.params, result.cells
     notes = []
     lo, hi = min(p.factor), max(p.factor)
     if 0.0 in p.update_ratio and lo == 1 and hi > 1:
         base, repl = cells[(lo, 0.0)]["response_ms"], cells[(hi, 0.0)]["response_ms"]
-        assert repl <= base * 1.05, (
+        bound, rule = base * 1.05, ""
+        if p.read_policy == "random":
+            net = SystemConfig().network
+            round_trip = 2 * (net.latency_ms + net.jitter_ms)
+            bound = base + round_trip
+            rule = f"; random reads may add one round trip ({round_trip:.2f} ms)"
+        assert repl <= bound, (
             f"read-only response time worsened under replication: "
-            f"factor {lo} -> {base:.2f} ms, factor {hi} -> {repl:.2f} ms"
+            f"factor {lo} -> {base:.2f} ms, factor {hi} -> {repl:.2f} ms{rule}"
         )
         notes.append(
             f"read-only mean response: {base:.2f} ms (factor {lo}) -> {repl:.2f} ms (factor {hi})"
+            + rule
         )
     for cell in cells.values():
         _assert_accounted(cell, p.clients * p.tx_per_client)
@@ -348,7 +360,7 @@ def _availability_cell(p, mode: str, crashes: int) -> dict:
     ranking) and recovers it ``outage_ms`` later; the monitor promotes the
     most caught-up live secondary and the recovered site catches up."""
     system = _fault_system(
-        p, replica_read_policy=p.read_policy, lazy_staleness_ms=p.lazy_staleness_ms,
+        p, replica_read_policy=p.read_policy,
         replica_write_policy={"eager": "primary", "lazy": "lazy"}[mode],
     )
     cfg = _experiment(p, system, f"availability/{mode}/c{crashes}", p.update_ratio)
@@ -415,8 +427,7 @@ def _partitions_cell(p, lease_timeout: float) -> dict:
     heal."""
     system = _fault_system(
         p, replica_read_policy=p.read_policy, replica_write_policy="primary",
-        failure_detector="lease", heartbeat_interval_ms=p.heartbeat_interval_ms,
-        lease_timeout_ms=lease_timeout, election_timeout_ms=p.election_timeout_ms,
+        failure_detector="lease", lease_timeout_ms=lease_timeout,
     )
     cfg = _experiment(p, system, f"partitions/lease{lease_timeout}", p.update_ratio)
     cluster, _ = build_cluster(cfg)
@@ -508,9 +519,7 @@ def _quorum_cell(p, regime: str, fault: str) -> dict:
             replica_write_policy="primary" if regime == "eager" else "lazy",
         )
     system = _fault_system(
-        p, failure_detector="lease", heartbeat_interval_ms=p.heartbeat_interval_ms,
-        lease_timeout_ms=p.lease_timeout_ms, election_timeout_ms=p.election_timeout_ms,
-        lazy_staleness_ms=p.lazy_staleness_ms, **policy,
+        p, failure_detector="lease", lease_timeout_ms=p.lease_timeout_ms, **policy,
     )
     cfg = _experiment(
         p, system, f"quorum/{regime}/{fault}", p.update_ratio, update_op_ratio=p.update_op_ratio
@@ -646,8 +655,7 @@ def _scale_cell(p, n_sites: int, n_clients: int) -> dict:
     cluster = DTXCluster(protocol=p.protocol, config=system)
     for sid in (*initial, spare):
         cluster.add_site(sid)  # the spare starts empty (sites are fixed at start)
-    policy = HashRingPlacement(factor=p.replication_factor, vnodes=p.vnodes)
-    ring = policy.ring(initial)
+    ring = HashRing(initial, vnodes=p.vnodes)
     fragments = xmark_fragments(base_doc, n_sites)
     doc_names = [frag.name for frag in fragments]
     for frag in fragments:
@@ -660,9 +668,10 @@ def _scale_cell(p, n_sites: int, n_clients: int) -> dict:
     for client_idx, sid in tester.assign_clients_to_sites(initial).items():
         cluster.add_client(f"c{client_idx}", sid, tester.transactions_for_client(client_idx))
 
-    grown = [*initial, spare]
-    join_moves = ring_rebalance(policy, doc_names, initial, grown)
-    leave_moves = ring_rebalance(policy, doc_names, grown, [s for s in grown if s != leaver])
+    grown = HashRing([*initial, spare], vnodes=p.vnodes)
+    shrunk = HashRing([s for s in grown.sites if s != leaver], vnodes=p.vnodes)
+    join_moves = ring_rebalance(ring, grown, doc_names, p.replication_factor)
+    leave_moves = ring_rebalance(grown, shrunk, doc_names, p.replication_factor)
     cluster.env.schedule_call(p.join_at_ms, _issue_rebalance, cluster, join_moves, "join")
     cluster.env.schedule_call(p.leave_at_ms, _issue_rebalance, cluster, leave_moves, "leave")
 
@@ -985,7 +994,7 @@ SWEEPS = {
                     help="crash counts to sweep (default: 0 1 2)",
                 ),
                 **_FAULT_WORKLOAD,
-                read_policy="nearest", lazy_staleness_ms=5.0,
+                read_policy="nearest",
                 # Crash k fires at first + k * spacing and lasts outage_ms;
                 # drain_ms lets catch-up and the lazy tail settle.
                 first_crash_ms=6.0, crash_spacing_ms=8.0, outage_ms=12.0, drain_ms=80.0,
@@ -1011,7 +1020,7 @@ SWEEPS = {
                     help="lease timeouts (ms) to sweep (default: 2 4 8 16)",
                 ),
                 **_FAULT_WORKLOAD,
-                read_policy="nearest", heartbeat_interval_ms=1.0, election_timeout_ms=4.0,
+                read_policy="nearest",
                 # The cut starts at partition_at_ms and lasts partition_ms;
                 # drain_ms lets elections and catch-up settle.
                 partition_at_ms=6.0, partition_ms=30.0, drain_ms=150.0,
@@ -1057,9 +1066,7 @@ SWEEPS = {
                 # fault_ms. Suspicion is deliberately slow: between the cut
                 # and the lease expiry is where the regimes differ (the
                 # partitions sweep measures what a hair-trigger lease costs).
-                fault_at_ms=6.0, fault_ms=30.0, lease_timeout_ms=12.0,
-                heartbeat_interval_ms=1.0, election_timeout_ms=4.0, lazy_staleness_ms=5.0,
-                drain_ms=200.0,
+                fault_at_ms=6.0, fault_ms=30.0, lease_timeout_ms=12.0, drain_ms=200.0,
             ),
             run_cell=_quorum_cell,
             check=_check_quorum,

@@ -51,7 +51,7 @@ def documented_fields(cls) -> set[str]:
 
 
 def test_system_config_field_count_is_pinned():
-    assert len(dataclasses.fields(SystemConfig)) == 24
+    assert len(dataclasses.fields(SystemConfig)) == 20
 
 
 @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)

@@ -8,7 +8,7 @@ seed is fixed at startup), so one test runs the same contended scenario in
 subprocesses under three different ``PYTHONHASHSEED`` values and asserts the
 final state digest *and* the simulated duration are identical.
 
-The other pins the message schedule of four small sweeps: per cluster, the
+The other pins the message schedule of five small sweeps: per cluster, the
 number and SHA-256 of the ``Network._deliver`` items of its dispatch trace
 (time, source, destination, message class). Unlike a full trace these
 name no process, so renaming or merging generators leaves them alone while
@@ -105,6 +105,11 @@ _PINNED_DELIVERIES = [
     ]),
     ("replication", dict(factor=(2,), update_ratio=(0.5,)), [
         (797, "803326570034737df855b8a58d4b086a6e4505b6dda2207b6d97909becf7967e"),
+    ]),
+    # Hash-ring placement plus its join and leave rebalances: 3 migrations,
+    # 2 cutovers.
+    ("scale", dict(sites=(3,), clients=(6,)), [
+        (250, "a3ced450654067e57eac7048b706ca4af0c1a4a32e5235cb803a43e3009cba53"),
     ]),
 ]
 

@@ -1,97 +1,73 @@
-"""Unit tests for fragmentation, allocation and the catalog."""
+"""Unit tests for the catalog, the fragmenter and the placement the cluster
+is built with: ``xmark_fragments`` on any two-level tree, and the runner's
+total and partial regimes (``replica_placement`` behind both)."""
 
 import pytest
 
-from repro.distribution import (
-    Catalog,
-    ExplicitPlacement,
-    PartialPlacement,
-    ReplicaSet,
-    TotalPlacement,
-    fragment_document,
-    fragment_name,
-    is_fragment_of,
-)
-from repro.errors import DistributionError
-from repro.xml import E, doc
+from repro import DTXCluster, SystemConfig
+from repro.distribution import Catalog, HashRing, ReplicaSet, replica_placement
+from repro.errors import ConfigError, DistributionError
+from repro.experiments.runner import ExperimentConfig, build_cluster
+from repro.workload import WorkloadSpec, xmark_fragments
+from repro.xml import E, doc, serialize_document, serialize_element
 
 from .conftest import make_people_doc, make_products_doc
 
 
 def uneven_doc(n=12):
-    """A document whose subtrees differ in size (harder to balance)."""
-    root = E("site")
+    """A two-level document whose entities differ in size (harder to
+    balance): ``n`` records alternating between two containers. Sizes
+    cycle with period 3, so they do not line up with a round-robin deal
+    into 2 or 4 fragments (XMark's sizes are random)."""
+    containers = [E("items"), E("people")]
     for i in range(n):
-        item = E("item", E("id", text=str(i)))
-        for j in range(i % 4 + 1):
-            item.append(E("data", text="x" * (20 * (j + 1))))
-        root.append(item)
-    return doc("base", root)
+        record = E("rec", E("id", text=str(i)))
+        for j in range(i % 3 + 1):
+            record.append(E("data", text="x" * (20 * (j + 1))))
+        containers[i % 2].append(record)
+    return doc("base", E("site", *containers))
+
+
+def records(document):
+    """id -> serialized record, over every container of ``document``."""
+    return {
+        rec.child("id").text: serialize_element(rec)
+        for container in document.root.children
+        for rec in container.children
+    }
 
 
 class TestFragmentation:
     def test_fragment_count_and_names(self):
-        plan = fragment_document(uneven_doc(), 4)
-        assert len(plan.fragments) == 4
-        assert plan.names == ["base#0", "base#1", "base#2", "base#3"]
+        frags = xmark_fragments(uneven_doc(), 4)
+        assert [f.name for f in frags] == ["base#0", "base#1", "base#2", "base#3"]
 
     def test_fragments_partition_children(self):
-        d = uneven_doc()
-        plan = fragment_document(d, 3)
-        covered = []
-        for f in plan.fragments:
-            a, b = f.child_range
-            covered.extend(range(a, b))
-        assert covered == list(range(len(d.root.children)))
+        frags = xmark_fragments(uneven_doc(), 3)
+        ids = [rid for f in frags for rid in records(f)]
+        assert sorted(ids, key=int) == [str(i) for i in range(12)]
 
     def test_fragments_preserve_content(self):
         d = uneven_doc()
-        plan = fragment_document(d, 3)
-        total_items = sum(len(f.document.root.children) for f in plan.fragments)
-        assert total_items == len(d.root.children)
-        ids = [
-            item.child("id").text
-            for f in plan.fragments
-            for item in f.document.root.children
-        ]
-        assert ids == [str(i) for i in range(12)]
+        merged = {}
+        for f in xmark_fragments(d, 3):
+            merged.update(records(f))
+        assert merged == records(d)
 
     def test_fragments_share_root_tag(self):
-        plan = fragment_document(uneven_doc(), 2)
-        assert all(f.document.root.tag == "site" for f in plan.fragments)
+        for f in xmark_fragments(uneven_doc(), 2):
+            assert f.root.tag == "site"
+            assert [c.tag for c in f.root.children] == ["items", "people"]
 
     def test_balance_is_reasonable(self):
-        plan = fragment_document(uneven_doc(24), 4)
-        assert plan.balance_ratio() < 2.0  # similar sizes, paper's contract
+        sizes = [f.size_bytes() for f in xmark_fragments(uneven_doc(24), 4)]
+        assert max(sizes) / min(sizes) < 2.0  # similar sizes, paper's contract
 
     def test_single_fragment_is_a_copy(self):
-        d = make_people_doc()
-        plan = fragment_document(d, 1)
-        assert len(plan.fragments) == 1
-        assert plan.fragments[0].name == "d1#0"
-        assert len(plan.fragments[0].document) == len(d)
-
-    def test_too_many_fragments_rejected(self):
-        with pytest.raises(DistributionError):
-            fragment_document(make_people_doc(), 10)
-
-    def test_empty_document_rejected(self):
-        from repro.xml.model import Document
-
-        with pytest.raises(DistributionError):
-            fragment_document(Document("empty"), 2)
-
-    def test_describe_mentions_every_fragment(self):
-        plan = fragment_document(uneven_doc(), 3)
-        text = plan.describe()
-        for name in plan.names:
-            assert name in text
-
-    def test_fragment_name_helpers(self):
-        assert fragment_name("xmark", 2) == "xmark#2"
-        assert is_fragment_of("xmark#2", "xmark")
-        assert not is_fragment_of("xmark", "xmark")
-        assert not is_fragment_of("other#1", "xmark")
+        d = uneven_doc()
+        (only,) = xmark_fragments(d, 1)
+        assert only.name == "base#0"
+        assert serialize_document(only) == serialize_document(d)
 
 
 class TestCatalog:
@@ -143,70 +119,79 @@ class TestCatalog:
             cat.replica_set("ghost")
 
 
+def runner_cluster(replication, n_sites, factor=1):
+    cfg = ExperimentConfig(
+        n_sites=n_sites, replication=replication, db_bytes=20_000,
+        workload=WorkloadSpec(n_clients=1, tx_per_client=1, ops_per_tx=1),
+        system=SystemConfig().with_(replication_factor=factor),
+    )
+    cluster, _ = build_cluster(cfg)
+    return cluster
+
+
+def hosted(cluster, site):
+    return cluster.site(site).documents_hosted()
+
+
 class TestAllocation:
     def test_total_replication(self):
-        alloc = TotalPlacement().place([make_people_doc(), make_products_doc()], ["s1", "s2", "s3"])
-        assert alloc.catalog.replication_degree("d1") == 3
-        assert alloc.catalog.sites_for("d1") == ("s1", "s2", "s3")
+        cluster = runner_cluster("total", 3)
+        assert cluster.catalog.replication_degree("xmark") == 3
+        assert cluster.catalog.sites_for("xmark") == ("s1", "s2", "s3")
         for site in ["s1", "s2", "s3"]:
-            names = [d.name for d in alloc.documents_for(site)]
-            assert names == ["d1", "d2"]
+            assert hosted(cluster, site) == ["xmark"]
 
     def test_total_replication_copies_are_independent(self):
-        alloc = TotalPlacement().place([make_people_doc()], ["s1", "s2"])
-        c1 = alloc.documents_for("s1")[0]
-        c2 = alloc.documents_for("s2")[0]
-        c1.root.children[0].child("name").text = "Mutated"
-        assert c2.root.children[0].child("name").text == "Carlos"
+        cluster = runner_cluster("total", 2)
+        name = cluster.document_at("s1", "xmark").root.child("people").children[0].child("name")
+        original = name.text
+        name.text = "Mutated"
+        other = cluster.document_at("s2", "xmark").root.child("people").children[0]
+        assert other.child("name").text == original != "Mutated"
 
     def test_partial_replication_spreads_fragments(self):
-        alloc = PartialPlacement().place([uneven_doc()], ["s1", "s2", "s3", "s4"])
-        plans = alloc.fragment_plans
-        assert len(plans) == 1
-        assert len(plans[0].fragments) == 4
+        cluster = runner_cluster("partial", 4)
         for i, site in enumerate(["s1", "s2", "s3", "s4"]):
-            names = [d.name for d in alloc.documents_for(site)]
-            assert names == [f"base#{i}"]
-            assert alloc.catalog.replication_degree(f"base#{i}") == 1
+            assert hosted(cluster, site) == [f"xmark#{i}"]
+            assert cluster.catalog.replication_degree(f"xmark#{i}") == 1
 
     def test_partial_with_replicas(self):
-        alloc = PartialPlacement(replicas=2).place([uneven_doc()], ["s1", "s2", "s3", "s4"])
-        assert alloc.catalog.sites_for("base#0") == ("s1", "s2")
-        assert alloc.catalog.sites_for("base#3") == ("s4", "s1")
-
-    def test_partial_fragments_per_doc_overrides_the_site_count(self):
-        alloc = PartialPlacement(replicas=2, fragments_per_doc=2).place(
-            [make_people_doc("d1"), make_products_doc("d2")], ["s1", "s2", "s3"]
-        )
-        assert [p.source_name for p in alloc.fragment_plans] == ["d1", "d2"]
-        assert [len(p.fragments) for p in alloc.fragment_plans] == [2, 2]
-        assert alloc.catalog.sites_for("d1#1") == ("s2", "s3")
+        cluster = runner_cluster("partial", 4, factor=2)
+        assert cluster.catalog.sites_for("xmark#0") == ("s1", "s2")
+        assert cluster.catalog.sites_for("xmark#3") == ("s4", "s1")
 
     def test_partial_sites_have_similar_volume(self):
-        alloc = PartialPlacement().place([uneven_doc(32)], ["s1", "s2", "s3", "s4"])
-        volumes = alloc.total_bytes_per_site()
-        assert max(volumes.values()) / min(volumes.values()) < 2.5
+        cluster = runner_cluster("partial", 4)
+        volumes = [
+            sum(cluster.document_at(s, name).size_bytes() for name in hosted(cluster, s))
+            for s in cluster.sites
+        ]
+        assert max(volumes) / min(volumes) < 2.5
 
     def test_invalid_replicas(self):
         with pytest.raises(DistributionError):
-            PartialPlacement(replicas=2).place([uneven_doc()], ["s1"])
+            replica_placement(0, ["s1"], 2)
         with pytest.raises(DistributionError):
-            PartialPlacement(replicas=0).place([uneven_doc()], ["s1"])
+            replica_placement(0, ["s1"], 0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(
+                n_sites=1, system=SystemConfig().with_(replication_factor=2)
+            ).validate()
 
     def test_no_sites_rejected(self):
         with pytest.raises(DistributionError):
-            TotalPlacement().place([make_people_doc()], [])
+            replica_placement(0, [], 1)
+        with pytest.raises(DistributionError):
+            HashRing([])
+        with pytest.raises(ConfigError):
+            ExperimentConfig(n_sites=0).validate()
 
     def test_explicit_allocation_paper_scenario(self):
         # §2.4: s1 holds d1; s2 holds d1 and d2.
-        alloc = ExplicitPlacement({"d1": ["s1", "s2"], "d2": ["s2"]}).place(
-            [make_people_doc(), make_products_doc()]
-        )
-        assert alloc.catalog.sites_for("d1") == ("s1", "s2")
-        assert alloc.catalog.replica_set("d1").primary == "s1"
-        assert [d.name for d in alloc.documents_for("s1")] == ["d1"]
-        assert sorted(d.name for d in alloc.documents_for("s2")) == ["d1", "d2"]
-
-    def test_explicit_allocation_missing_doc(self):
-        with pytest.raises(DistributionError):
-            ExplicitPlacement({"d1": ["s1"]}).place([])
+        cluster = DTXCluster()
+        cluster.add_site("s1", [make_people_doc()])
+        cluster.add_site("s2", [make_people_doc(), make_products_doc()])
+        assert cluster.catalog.sites_for("d1") == ("s1", "s2")
+        assert cluster.catalog.replica_set("d1").primary == "s1"
+        assert hosted(cluster, "s1") == ["d1"]
+        assert hosted(cluster, "s2") == ["d1", "d2"]

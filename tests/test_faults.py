@@ -24,7 +24,7 @@ FT = SystemConfig().with_(
     replica_read_policy="nearest",
     replica_write_policy="primary",
 )
-LAZY = FT.with_(replica_write_policy="lazy", lazy_staleness_ms=5.0)
+LAZY = FT.with_(replica_write_policy="lazy")
 
 
 def ft_cluster(config=FT, n_sites=4, replicate_at=None):

@@ -31,9 +31,7 @@ LEASE = SystemConfig().with_(
     replica_read_policy="nearest",
     replica_write_policy="primary",
     failure_detector="lease",
-    heartbeat_interval_ms=1.0,
     lease_timeout_ms=4.0,
-    election_timeout_ms=4.0,
     lock_wait_timeout_ms=100.0,
     max_restarts=3,
 )
@@ -95,13 +93,15 @@ class TestConfigValidation:
 
     def test_lease_must_exceed_heartbeat(self):
         with pytest.raises(ConfigError):
-            SystemConfig().with_(heartbeat_interval_ms=5.0, lease_timeout_ms=5.0)
+            SystemConfig().with_(lease_timeout_ms=1.0)
 
     def test_timer_positivity(self):
-        with pytest.raises(ConfigError):
-            SystemConfig().with_(heartbeat_interval_ms=0.0)
-        with pytest.raises(ConfigError):
-            SystemConfig().with_(election_timeout_ms=0.0)
+        for knob in ("lease_timeout_ms", "detector_interval_ms", "view_refresh_ms"):
+            with pytest.raises(ConfigError):
+                SystemConfig().with_(**{knob: 0.0})
+        # The heartbeat period and election window are constants, not knobs.
+        with pytest.raises(ConfigError, match="unknown SystemConfig field"):
+            SystemConfig().with_(heartbeat_interval_ms=1.0)
 
 
 class TestNetworkPartitions:
@@ -706,7 +706,6 @@ class TestLazyBatching:
         replication_factor=3,
         replica_read_policy="nearest",
         replica_write_policy="lazy",
-        lazy_staleness_ms=5.0,
     )
 
     def test_burst_coalesces_into_one_batch_per_target(self):

@@ -1,4 +1,4 @@
-"""Placement policies, hash-ring laws, config presets, per-transaction
+"""Hash-ring laws, config presets, per-transaction
 quorums, and online migration — including the property suite: committed
 writes survive random crash + partition schedules interleaved with live
 migrations, and replicas never diverge after settle."""
@@ -8,23 +8,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction
-from repro.distribution import (
-    HashRing,
-    HashRingPlacement,
-    ReplicatedPlacement,
-    TotalPlacement,
-    ring_rebalance,
-)
+from repro.distribution import HashRing, ring_rebalance
 from repro.errors import ConfigError, DistributionError
 from repro.update import InsertOp
 from repro.xml import serialize_document
 
-from .conftest import (
-    example_budget,
-    make_people_doc,
-    make_products_doc,
-    make_unnormalised_people_doc,
-)
+from .conftest import example_budget, make_people_doc, make_unnormalised_people_doc
 
 # ---------------------------------------------------------------------------
 # configs
@@ -43,9 +32,7 @@ EAGER = SystemConfig().with_(
 
 LEASE = EAGER.with_(
     failure_detector="lease",
-    heartbeat_interval_ms=1.0,
     lease_timeout_ms=4.0,
-    election_timeout_ms=4.0,
     lock_wait_timeout_ms=100.0,
 )
 
@@ -135,10 +122,9 @@ class TestHashRing:
         lists exactly the keys whose placement changed."""
         old = [f"s{i}" for i in range(1, n_sites + 1)]
         new = old[:-1] if leave else [*old, "s-new"]
-        policy = HashRingPlacement(factor=factor, vnodes=vnodes)
         docs = [f"doc-{k}" for k in range(30)]
-        old_ring, new_ring = policy.ring(old), policy.ring(new)
-        moves = ring_rebalance(policy, docs, old, new)
+        old_ring, new_ring = HashRing(old, vnodes=vnodes), HashRing(new, vnodes=vnodes)
+        moves = ring_rebalance(old_ring, new_ring, docs, factor)
         for name in docs:
             before = old_ring.placement(name, factor)
             after = new_ring.placement(name, factor)
@@ -151,31 +137,6 @@ class TestHashRing:
             assert (name in moves) == (before != after)
             if name in moves:
                 assert moves[name] == after
-
-
-# ---------------------------------------------------------------------------
-# placement policies
-# ---------------------------------------------------------------------------
-
-
-class TestPlacementPolicies:
-    def setup_method(self):
-        self.docs = [make_people_doc("d1"), make_products_doc("d2")]
-        self.sites = ["s1", "s2", "s3"]
-
-    def test_hash_ring_policy_places_by_ring(self):
-        policy = HashRingPlacement(factor=2, vnodes=32)
-        alloc = policy.place(self.docs, self.sites)
-        ring = policy.ring(self.sites)
-        for doc in self.docs:
-            assert tuple(alloc.catalog.sites_for(doc.name)) == ring.placement(
-                doc.name, 2
-            )
-
-    def test_policies_reject_empty_sites(self):
-        for policy in (TotalPlacement(), ReplicatedPlacement(), HashRingPlacement()):
-            with pytest.raises(DistributionError):
-                policy.place(self.docs, [])
 
 
 # ---------------------------------------------------------------------------

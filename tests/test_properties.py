@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from repro import DTXCluster, SystemConfig, TxState, available_protocols
 from repro.dataguide import DataGuide
 from repro.deadlock import WaitForGraph
-from repro.distribution import fragment_document
 from repro.locking import XDGL_MATRIX, LockMode
 from repro.errors import UpdateError
 from repro.update import (
@@ -20,7 +19,7 @@ from repro.update import (
     apply_update,
 )
 from repro.verify import final_state_serializable
-from repro.workload import DTXTester, WorkloadSpec
+from repro.workload import DTXTester, WorkloadSpec, xmark_fragments
 from repro.xml import (
     Document,
     E,
@@ -350,15 +349,15 @@ class TestWfgProperties:
 
 
 @st.composite
-def flat_documents(draw):
-    n = draw(st.integers(2, 20))
-    root = E("base")
-    for i in range(n):
-        child = E("rec", E("id", text=str(i)))
+def two_level_documents(draw):
+    """``site`` over one to three containers of id-numbered records."""
+    containers = [E(f"c{j}") for j in range(draw(st.integers(1, 3)))]
+    for i in range(draw(st.integers(2, 20))):
+        rec = E("rec", E("id", text=str(i)))
         for _ in range(draw(st.integers(0, 4))):
-            child.append(E("pad", text="x" * draw(st.integers(1, 30))))
-        root.append(child)
-    return Document("fr", root)
+            rec.append(E("pad", text="x" * draw(st.integers(1, 30))))
+        draw(st.sampled_from(containers)).append(rec)
+    return Document("fr", E("site", *containers))
 
 
 class TestReplicatedSerializability:
@@ -472,9 +471,7 @@ class TestPartitionProperties:
             replica_read_policy="nearest",
             replica_write_policy="primary",
             failure_detector="lease",
-            heartbeat_interval_ms=1.0,
             lease_timeout_ms=lease_timeout,
-            election_timeout_ms=4.0,
             lock_wait_timeout_ms=100.0,
             max_restarts=2,
             seed=seed,
@@ -530,19 +527,23 @@ class TestPartitionProperties:
 
 
 class TestFragmentationProperties:
-    @given(flat_documents(), st.integers(1, 5))
+    @given(two_level_documents(), st.integers(1, 5))
     @settings(max_examples=example_budget(60))
     def test_fragments_partition_without_loss(self, document, k):
-        n_children = len(document.root.children)
-        if k > n_children:
-            k = n_children
-        plan = fragment_document(document, k)
-        ids = [
-            rec.child("id").text
-            for frag in plan.fragments
-            for rec in frag.document.root.children
-        ]
-        assert ids == [str(i) for i in range(n_children)]
-        total = sum(len(f.document.root.children) for f in plan.fragments)
-        assert total == n_children
-        assert all(len(f.document.root.children) >= 1 for f in plan.fragments)
+        """Every record lands in exactly one fragment, in document order
+        within its container; every fragment keeps the whole skeleton, and
+        the record counts differ by at most one (a round-robin deal)."""
+
+        def ids(container):
+            return [int(rec.child("id").text) for rec in container.children]
+
+        skeleton = [c.tag for c in document.root.children]
+        frags = xmark_fragments(document, k)
+        assert len(frags) == k
+        assert all([c.tag for c in frag.root.children] == skeleton for frag in frags)
+        for j, container in enumerate(document.root.children):
+            dealt = [ids(frag.root.children[j]) for frag in frags]
+            assert all(mine == sorted(mine) for mine in dealt)
+            assert sorted(i for mine in dealt for i in mine) == ids(container)
+        counts = [sum(len(c.children) for c in frag.root.children) for frag in frags]
+        assert max(counts) - min(counts) <= 1

@@ -34,9 +34,7 @@ QUORUM = SystemConfig().with_(
 
 LEASE_QUORUM = QUORUM.with_(
     failure_detector="lease",
-    heartbeat_interval_ms=1.0,
     lease_timeout_ms=4.0,
-    election_timeout_ms=4.0,
     lock_wait_timeout_ms=100.0,
     max_restarts=2,
 )
@@ -468,9 +466,7 @@ class TestFollowerReadFence:
         replica_read_policy="nearest",
         replica_write_policy="primary",
         failure_detector="lease",
-        heartbeat_interval_ms=1.0,
         lease_timeout_ms=8.0,
-        election_timeout_ms=4.0,
         lock_wait_timeout_ms=100.0,
         max_read_staleness_ms=2.0,
     )

@@ -1,16 +1,19 @@
 """Replication layer: replica sets, primary-copy ROWA routing, sync-on-commit."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction, TxState
 from repro.distribution import (
     Catalog,
     ReplicaSet,
-    ReplicatedPlacement,
     ReplicationPolicy,
     replica_placement,
 )
 from repro.errors import ConfigError, DistributionError
+from repro.experiments import run_sweep
 from repro.sim.rng import substream
 from repro.update import ChangeOp, InsertOp, TransposeOp
 from repro.verify import final_state_serializable
@@ -137,6 +140,17 @@ class TestReplicationPolicy:
             SystemConfig().with_(replication_factor=0)
 
 
+def allocated_cluster():
+    """d1 and d2 at factor 2 over three sites, primaries rotating."""
+    sites = ["s1", "s2", "s3"]
+    cluster = DTXCluster(protocol="xdgl", config=ROWA)
+    for s in sites:
+        cluster.add_site(s)
+    for i, doc in enumerate([make_people_doc("d1"), make_products_doc("d2")]):
+        cluster.replicate_document(doc, replica_placement(i, sites, 2))
+    return cluster
+
+
 class TestReplicatedAllocation:
     def test_replica_placement_round_robin(self):
         sites = ["s1", "s2", "s3"]
@@ -150,12 +164,11 @@ class TestReplicatedAllocation:
             replica_placement(0, [], 1)
 
     def test_replicated_placement_rotates_primaries(self):
-        docs = [make_people_doc("d1"), make_products_doc("d2")]
-        alloc = ReplicatedPlacement(factor=2).place(docs, ["s1", "s2", "s3"])
-        assert alloc.catalog.replica_set("d1").primary == "s1"
-        assert alloc.catalog.replica_set("d2").primary == "s2"
+        cluster = allocated_cluster()
+        assert cluster.catalog.replica_set("d1").primary == "s1"
+        assert cluster.catalog.replica_set("d2").primary == "s2"
         for name in ("d1", "d2"):
-            assert alloc.catalog.replication_degree(name) == 2
+            assert cluster.catalog.replication_degree(name) == 2
 
     def test_replicate_document_elects_primary_over_existing_placement(self):
         cluster = DTXCluster(protocol="xdgl", config=ROWA)
@@ -168,9 +181,7 @@ class TestReplicatedAllocation:
         assert set(cluster.catalog.sites_for("d1")) == {"s1", "s2", "s3"}
 
     def test_allocated_cluster_runs(self):
-        docs = [make_people_doc("d1"), make_products_doc("d2")]
-        alloc = ReplicatedPlacement(factor=2).place(docs, ["s1", "s2", "s3"])
-        cluster = DTXCluster.from_allocation(alloc, protocol="xdgl", config=ROWA)
+        cluster = allocated_cluster()
         tx = Transaction(
             [Operation.update("d1", InsertOp("<person><id>8</id></person>", "/people"))]
         )
@@ -180,6 +191,35 @@ class TestReplicatedAllocation:
         assert serialize_document(cluster.document_at("s1", "d1")) == serialize_document(
             cluster.document_at("s2", "d1")
         )
+
+
+class TestReplicationSweepCheck:
+    """The sweep's read-only bound: 5 % over factor 1 for ``primary`` and
+    ``nearest`` reads, one network round trip (0.6 ms at the default
+    latency and jitter) for ``random`` reads, which go remote more often as
+    the factor grows."""
+
+    @pytest.fixture(scope="class")
+    def random_grid(self):
+        return run_sweep("replication", read_policy="random", clients=6)
+
+    def test_random_reads_on_six_clients_pass(self, random_grid):
+        notes = random_grid.sweep.check(random_grid)
+        assert notes[0].endswith("random reads may add one round trip (0.60 ms)")
+
+    def test_an_inflated_cell_fails(self, random_grid):
+        cells = {key: dict(cell) for key, cell in random_grid.cells.items()}
+        grid = replace(random_grid, cells=cells)
+        base = cells[(1, 0.0)]["response_ms"]
+        cells[(4, 0.0)]["response_ms"] = base + 0.61
+        with pytest.raises(AssertionError, match="one round trip"):
+            grid.sweep.check(grid)
+        # Within one round trip but more than 5 % over: only random passes.
+        cells[(4, 0.0)]["response_ms"] = base + 0.59
+        grid.sweep.check(grid)
+        grid.params = SimpleNamespace(**{**vars(grid.params), "read_policy": "nearest"})
+        with pytest.raises(AssertionError, match="worsened under replication"):
+            grid.sweep.check(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,7 @@ PERFECT = SystemConfig().with_(
     replica_write_policy="primary",
 )
 LEASE = PERFECT.with_(
-    failure_detector="lease", heartbeat_interval_ms=1.0, lease_timeout_ms=4.0,
-    election_timeout_ms=4.0, lock_wait_timeout_ms=100.0,
+    failure_detector="lease", lease_timeout_ms=4.0, lock_wait_timeout_ms=100.0,
 )
 QUORUM = PERFECT.with_(replica_read_policy="quorum", replica_write_policy="quorum")
 VIEWS = PERFECT.with_(

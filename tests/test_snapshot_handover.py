@@ -194,7 +194,7 @@ def deposed_primary_heals(document):
     off the new timeline and only a snapshot can heal it."""
     config = BASE.with_(
         replication_factor=3, replica_read_policy="nearest",
-        replica_write_policy="lazy", lazy_staleness_ms=5.0,
+        replica_write_policy="lazy",
     )
     cluster = _cluster(config, 3, document, ["s1", "s2", "s3"])
     cluster.add_client("c1", "s1", writes(100)[:2])

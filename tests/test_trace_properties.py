@@ -53,9 +53,7 @@ def scenarios(draw):
         if lease:
             config.update(
                 failure_detector="lease",
-                heartbeat_interval_ms=1.0,
                 lease_timeout_ms=draw(st.sampled_from([3.0, 5.0, 8.0])),
-                election_timeout_ms=4.0,
             )
     workload = WorkloadSpec(
         n_clients=draw(st.integers(min_value=2, max_value=5)),

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.dataguide import DataGuide
-from repro.distribution import fragment_document
 from repro.errors import ReproError, XPathEvalError
 from repro.update import (
     ChangeOp,
@@ -31,6 +30,7 @@ from repro.update import (
     apply_update,
 )
 from repro.verify import xpath_oracle
+from repro.workload import xmark_fragments
 from repro.xml import (
     Document,
     Element,
@@ -253,8 +253,7 @@ class TestCompiledPlansEqualOracle:
     @given(documents, st.lists(paths(), min_size=1, max_size=4), fragments, st.integers(1, 3))
     def test_on_every_way_a_document_is_made(self, document, queries, fragment, k):
         made = [document.clone(), parse_document(serialize_document(document), "p")]
-        if len(document.root) >= k:
-            made.extend(f.document for f in fragment_document(document, k).fragments)
+        made.extend(xmark_fragments(document, k))
         grown = document.clone("g")
         grown.root.append(parse_fragment(fragment))
         made.append(grown)
