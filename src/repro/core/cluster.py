@@ -29,6 +29,7 @@ from ..sim.network import Network
 from ..storage.base import StorageBackend
 from ..storage.memory import InMemoryStore
 from ..xml.model import Document
+from ..xml.serializer import serialize_document
 from .client import Client
 from .detector import DeadlockDetector
 from .faults import MembershipService
@@ -109,24 +110,30 @@ class DTXCluster:
 
     def host_document(self, site_id: Hashable, doc: Document) -> None:
         """Place a copy of ``doc`` at ``site_id`` and update the catalog."""
-        site = self.sites[site_id]
-        site.host_document(doc.clone())
-        if self.catalog.has_document(doc.name):
-            existing = self.catalog.sites_for(doc.name)
-            if site_id not in existing:
-                self.catalog.add(doc.name, (*existing, site_id))
-        else:
-            self.catalog.add(doc.name, (site_id,))
+        self.place_document(doc, (site_id,))
+
+    def place_document(self, doc: Document, site_ids: Sequence[Hashable]) -> None:
+        """Place a copy of ``doc`` at each of ``site_ids`` in turn, appending
+        each to the document's placement (a new document's first site is its
+        primary). ``doc`` is rendered once: every store keeps that text."""
+        text = serialize_document(doc)
+        for site_id in site_ids:
+            self.sites[site_id].host_document(doc.clone(), text)
+            if self.catalog.has_document(doc.name):
+                existing = self.catalog.sites_for(doc.name)
+                if site_id not in existing:
+                    self.catalog.add(doc.name, (*existing, site_id))
+            else:
+                self.catalog.add(doc.name, (site_id,))
 
     def replicate_document(self, doc: Document, site_ids: Sequence[Hashable]) -> None:
         """Place copies of ``doc`` at each of ``site_ids`` (first = primary).
 
         The primary election holds even when the document already had a
-        placement (``host_document`` appends to it, so the pre-existing
+        placement (``place_document`` appends to it, so the pre-existing
         site would otherwise stay first).
         """
-        for site_id in site_ids:
-            self.host_document(site_id, doc)
+        self.place_document(doc, site_ids)
         self.catalog.set_primary(doc.name, site_ids[0])
 
     def add_client(

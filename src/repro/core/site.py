@@ -350,9 +350,10 @@ class DTXSite:
     # document loading
     # ------------------------------------------------------------------
 
-    def host_document(self, doc: Document) -> None:
-        """Install a document copy at this site (storage + memory + protocol)."""
-        self.data_manager.install(doc)
+    def host_document(self, doc: Document, text: Optional[str] = None) -> None:
+        """Install a document copy at this site (storage + memory + protocol);
+        ``text`` is its rendering, if the caller has one."""
+        self.data_manager.install(doc, text)
         self.protocol.register_document(doc)
 
     def documents_hosted(self) -> list[str]:

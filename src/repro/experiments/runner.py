@@ -60,8 +60,7 @@ def build_cluster(cfg: ExperimentConfig) -> tuple[DTXCluster, DTXTester]:
 
     if cfg.replication == "total":
         documents = [base_doc]
-        for sid in site_ids:
-            cluster.host_document(sid, base_doc)
+        cluster.place_document(base_doc, site_ids)
     else:
         fragments = xmark_fragments(base_doc, cfg.n_sites)
         documents = fragments
@@ -69,8 +68,9 @@ def build_cluster(cfg: ExperimentConfig) -> tuple[DTXCluster, DTXTester]:
         # consecutive sites (primary first), opening the replicated
         # read-one-write-all axis for every figure sweep.
         for i, frag in enumerate(fragments):
-            for site in replica_placement(i, site_ids, cfg.system.replication_factor):
-                cluster.host_document(site, frag)
+            cluster.place_document(
+                frag, replica_placement(i, site_ids, cfg.system.replication_factor)
+            )
 
     tester = DTXTester(cfg.workload, documents)
     placement = tester.assign_clients_to_sites(site_ids)

@@ -138,11 +138,12 @@ class DataManager:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def install(self, doc: Document) -> int:
-        """Adopt a new document: register live and persist it."""
+    def install(self, doc: Document, text: Optional[str] = None) -> int:
+        """Adopt a new document: register live and persist it (``text`` is
+        its rendering, if the caller has one)."""
         if doc.name in self._live:
             raise StorageError(f"document {doc.name!r} already loaded")
-        return self._adopt(doc)
+        return self._adopt(doc, text)
 
     def replace(self, doc: Document) -> int:
         """Swap in and persist a new live instance of an already-hosted
@@ -153,9 +154,9 @@ class DataManager:
         self._committed.pop(doc.name, None)
         return self._adopt(doc)
 
-    def _adopt(self, doc: Document) -> int:
+    def _adopt(self, doc: Document, text: Optional[str] = None) -> int:
         self._live[doc.name] = doc
-        size = self._sizes[doc.name] = self.backend.store(doc)
+        size = self._sizes[doc.name] = self.backend.store(doc, text)
         return size
 
     def evict(self, name: str) -> None:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import os
 import re
+from typing import Optional
 
 from ..errors import StorageError
 from ..xml.model import Document
 from ..xml.parser import parse_document
-from ..xml.serializer import serialize_document
+from ..xml.serializer import XML_DECLARATION, serialize_document
 from .base import StorageBackend
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]")
@@ -30,8 +31,8 @@ class FileStore(StorageBackend):
         safe = _SAFE.sub("_", name)
         return os.path.join(self.base_dir, f"{safe}.xml")
 
-    def store(self, doc: Document) -> int:
-        text = serialize_document(doc, declaration=True)
+    def store(self, doc: Document, text: Optional[str] = None) -> int:
+        text = XML_DECLARATION + (serialize_document(doc) if text is None else text)
         path = self._path(doc.name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

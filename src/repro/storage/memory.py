@@ -1,18 +1,21 @@
 """In-memory native XML store — the reproduction's stand-in for Sedna.
 
 Documents are kept *serialized* (as Sedna keeps them paged on disk): every
-load really parses, and ``store`` really serializes. A per-commit
-``write_back`` does not: it records which tree holds the committed state and
-the exact byte length the caller reports, and the text is rendered from that
-tree only when the durable form is read (``load``/``raw``) or when ``flush``
-says the memory is going away. The DataManager charges simulated time by the
-byte counts returned here, which are the same either way; ``stats.stores``
-counts persists, ``stats.bytes_written`` the bytes actually rendered.
+load really parses, and ``store`` keeps the document's text — the caller's
+rendering when it passes one (the same immutable string may then sit in
+several stores), its own otherwise. A per-commit ``write_back`` does not
+render: it records which tree holds the committed state and the exact byte
+length the caller reports, and the text is rendered from that tree only when
+the durable form is read (``load``/``raw``) or when ``flush`` says the
+memory is going away. The DataManager charges simulated time by the byte
+counts returned here, which are the same either way; ``stats.stores`` counts
+persists, ``stats.bytes_written`` the bytes stored or rendered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..errors import StorageError
 from ..xml.model import Document
@@ -43,8 +46,9 @@ class InMemoryStore(StorageBackend):
             self.stats.per_document_stores.get(name, 0) + 1
         )
 
-    def store(self, doc: Document) -> int:
-        text = serialize_document(doc)
+    def store(self, doc: Document, text: Optional[str] = None) -> int:
+        if text is None:
+            text = serialize_document(doc)
         size = len(text.encode("utf-8"))
         self._deferred.pop(doc.name, None)
         self._data[doc.name] = text

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import UpdateError
-from ..xml.model import Document, Element, _clone_subtree
+from ..xml.model import Document, Element
 from ..xml.serializer import own_size, serialized_size
 from ..xpath.evaluator import EvalStats, evaluate
 from .operations import (
@@ -85,11 +85,10 @@ def _apply_insert(
     targets = evaluate(op.target, doc, stats)
     changes: list[AppliedChange] = []
     for target in targets:
-        copy = _clone_subtree(op.fragment)
         if op.position is InsertPosition.INTO:
             parent = target
             before = own_size(parent)
-            parent.append(copy)
+            copy = doc.graft(op.fragment, parent)
         else:
             parent = target.parent
             if parent is None:
@@ -98,7 +97,9 @@ def _apply_insert(
                 )
             before = own_size(parent)
             idx = parent.child_index(target)
-            parent.insert(idx if op.position is InsertPosition.BEFORE else idx + 1, copy)
+            copy = doc.graft(
+                op.fragment, parent, idx if op.position is InsertPosition.BEFORE else idx + 1
+            )
         if undo is not None:
             undo.record(doc, InsertUndo(copy))
         changes.append(

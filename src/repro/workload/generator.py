@@ -20,7 +20,7 @@ from ..core.transaction import Operation, Transaction
 from ..errors import ConfigError
 from ..sim.rng import substream
 from ..xml.model import Document
-from .queries import QUERY_TEMPLATES, UPDATE_TEMPLATES, UPDATE_WEIGHTS
+from .queries import QUERY_TEMPLATES, UPDATE_TEMPLATES, UPDATE_WEIGHTS, IdPools
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,11 @@ class WorkloadSpec:
 
 
 class DTXTester:
-    """Generates per-client transaction streams over a set of documents."""
+    """Generates per-client transaction streams over a set of documents.
+
+    The documents' id pools are drawn once per document and tester
+    (:class:`IdPools`): generate the streams before the documents change.
+    """
 
     def __init__(self, spec: WorkloadSpec, documents: Sequence[Document]):
         spec.validate()
@@ -52,6 +56,7 @@ class DTXTester:
         self.spec = spec
         self.documents = {d.name: d for d in documents}
         self._doc_names = sorted(self.documents)
+        self._pools = {name: IdPools(d) for name, d in self.documents.items()}
 
     def transactions_for_client(self, client_index: int) -> list[Transaction]:
         """The deterministic transaction stream of one client."""
@@ -67,20 +72,20 @@ class DTXTester:
                 if guard > 200 * spec.ops_per_tx:  # pragma: no cover - safety
                     raise ConfigError("workload generation failed to produce operations")
                 doc_name = rng.choice(self._doc_names)
-                doc = self.documents[doc_name]
+                pools = self._pools[doc_name]
                 make_update = is_update_tx and rng.random() < spec.update_op_ratio
                 if make_update:
                     template = rng.choices(UPDATE_TEMPLATES, weights=UPDATE_WEIGHTS)[0]
                 else:
                     template = rng.choice(QUERY_TEMPLATES)
-                op = template(rng, doc_name, doc)
+                op = template(rng, doc_name, pools)
                 if op is not None:
                     ops.append(op)
             # An "update transaction" must contain at least one update op
             # (the ratios are per-op probabilities, paper §3.2.2).
             if is_update_tx and not any(o.is_update for o in ops):
                 doc_name = rng.choice(self._doc_names)
-                doc = self.documents[doc_name]
+                pools = self._pools[doc_name]
                 replacement = None
                 guard = 0
                 while replacement is None:
@@ -88,7 +93,7 @@ class DTXTester:
                     if guard > 500:  # pragma: no cover - safety
                         break
                     template = rng.choices(UPDATE_TEMPLATES, weights=UPDATE_WEIGHTS)[0]
-                    replacement = template(rng, doc_name, doc)
+                    replacement = template(rng, doc_name, pools)
                 if replacement is not None:
                     ops[-1] = replacement
             tx = Transaction(ops, label=f"c{client_index}-t{t}")

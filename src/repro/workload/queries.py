@@ -7,9 +7,9 @@ range scans, structural scans) and add the update mix (inserts of bids,
 items and persons; price/phone changes; closed-auction removals; an
 occasional item transposition between regions).
 
-Each template is a callable ``(rng, doc_name, doc) -> Operation``; the
-document is inspected for live ids so operations reference data that exists
-in that fragment.
+Each template is a callable ``(rng, doc_name, pools) -> Operation``, where
+``pools`` are the :class:`IdPools` of the document: operations reference ids
+that exist in that fragment.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from ..core.transaction import Operation
 from ..update.operations import ChangeOp, InsertOp, RemoveOp, TransposeOp
 from ..xml.model import Document
 from .xmark import REGIONS
-
-TemplateFn = Callable[[random.Random, str, Document], Optional[Operation]]
 
 
 def _ids(doc: Document, container: str, tag: str) -> list[str]:
@@ -38,6 +36,30 @@ def _ids(doc: Document, container: str, tag: str) -> list[str]:
     return [e.attrib["id"] for e in cont.children if e.tag == tag and "id" in e.attrib]
 
 
+class IdPools:
+    """The entity ids of one document, by container, in document order.
+
+    Each pool is drawn from the tree on its first use and kept, so a
+    document is scanned once per container however many operations pick
+    from it: the pools see the tree as it was then, which is what the
+    templates want while a workload is generated and nothing runs.
+    """
+
+    def __init__(self, doc: Document):
+        self.doc = doc
+        self._pools: dict[tuple[str, str], list[str]] = {}
+
+    def ids(self, container: str, tag: str) -> list[str]:
+        key = (container, tag)
+        pool = self._pools.get(key)
+        if pool is None:
+            pool = self._pools[key] = _ids(self.doc, container, tag)
+        return pool
+
+
+TemplateFn = Callable[[random.Random, str, IdPools], Optional[Operation]]
+
+
 def _pick(rng: random.Random, pool: list[str]) -> Optional[str]:
     return rng.choice(pool) if pool else None
 
@@ -45,49 +67,49 @@ def _pick(rng: random.Random, pool: list[str]) -> Optional[str]:
 # -- queries (XMark-flavoured, XPath subset) --------------------------------
 
 
-def q_person_name(rng, doc_name, doc):
-    pid = _pick(rng, _ids(doc, "people", "person"))
+def q_person_name(rng, doc_name, pools):
+    pid = _pick(rng, pools.ids("people", "person"))
     if pid is None:
         return None
     return Operation.query(doc_name, f'/site/people/person[@id="{pid}"]/name')
 
 
-def q_open_auction_current(rng, doc_name, doc):
-    aid = _pick(rng, _ids(doc, "open_auctions", "open_auction"))
+def q_open_auction_current(rng, doc_name, pools):
+    aid = _pick(rng, pools.ids("open_auctions", "open_auction"))
     if aid is None:
         return None
     return Operation.query(doc_name, f'/site/open_auctions/open_auction[@id="{aid}"]/current')
 
 
-def q_region_items(rng, doc_name, doc):
+def q_region_items(rng, doc_name, pools):
     region = rng.choice(REGIONS)
     return Operation.query(doc_name, f"/site/regions/{region}/item/name")
 
 
-def q_items_anywhere(rng, doc_name, doc):
+def q_items_anywhere(rng, doc_name, pools):
     return Operation.query(doc_name, "//item/name")
 
 
-def q_expensive_closed(rng, doc_name, doc):
+def q_expensive_closed(rng, doc_name, pools):
     threshold = rng.randint(20, 150)
     return Operation.query(
         doc_name, f"/site/closed_auctions/closed_auction[price>={threshold}]"
     )
 
 
-def q_categories(rng, doc_name, doc):
+def q_categories(rng, doc_name, pools):
     return Operation.query(doc_name, "/site/categories/category/name")
 
 
-def q_person_city(rng, doc_name, doc):
-    pid = _pick(rng, _ids(doc, "people", "person"))
+def q_person_city(rng, doc_name, pools):
+    pid = _pick(rng, pools.ids("people", "person"))
     if pid is None:
         return None
     return Operation.query(doc_name, f'/site/people/person[@id="{pid}"]/address/city')
 
 
-def q_auction_bidders(rng, doc_name, doc):
-    aid = _pick(rng, _ids(doc, "open_auctions", "open_auction"))
+def q_auction_bidders(rng, doc_name, pools):
+    aid = _pick(rng, pools.ids("open_auctions", "open_auction"))
     if aid is None:
         return None
     return Operation.query(
@@ -110,9 +132,9 @@ QUERY_TEMPLATES: list[TemplateFn] = [
 # -- updates ------------------------------------------------------------------
 
 
-def u_new_bid(rng, doc_name, doc):
-    aid = _pick(rng, _ids(doc, "open_auctions", "open_auction"))
-    pid = _pick(rng, _ids(doc, "people", "person")) or "person0"
+def u_new_bid(rng, doc_name, pools):
+    aid = _pick(rng, pools.ids("open_auctions", "open_auction"))
+    pid = _pick(rng, pools.ids("people", "person")) or "person0"
     if aid is None:
         return None
     frag = (
@@ -124,8 +146,8 @@ def u_new_bid(rng, doc_name, doc):
     )
 
 
-def u_change_current(rng, doc_name, doc):
-    aid = _pick(rng, _ids(doc, "open_auctions", "open_auction"))
+def u_change_current(rng, doc_name, pools):
+    aid = _pick(rng, pools.ids("open_auctions", "open_auction"))
     if aid is None:
         return None
     return Operation.update(
@@ -137,7 +159,7 @@ def u_change_current(rng, doc_name, doc):
     )
 
 
-def u_new_item(rng, doc_name, doc):
+def u_new_item(rng, doc_name, pools):
     region = rng.choice(REGIONS)
     new_id = f"itemN{rng.randrange(10_000_000)}"
     frag = (
@@ -147,7 +169,7 @@ def u_new_item(rng, doc_name, doc):
     return Operation.update(doc_name, InsertOp(frag, f"/site/regions/{region}"))
 
 
-def u_new_person(rng, doc_name, doc):
+def u_new_person(rng, doc_name, pools):
     new_id = f"personN{rng.randrange(10_000_000)}"
     frag = (
         f'<person id="{new_id}"><name>New Person</name>'
@@ -156,8 +178,8 @@ def u_new_person(rng, doc_name, doc):
     return Operation.update(doc_name, InsertOp(frag, "/site/people"))
 
 
-def u_change_phone(rng, doc_name, doc):
-    pid = _pick(rng, _ids(doc, "people", "person"))
+def u_change_phone(rng, doc_name, pools):
+    pid = _pick(rng, pools.ids("people", "person"))
     if pid is None:
         return None
     return Operation.update(
@@ -169,8 +191,8 @@ def u_change_phone(rng, doc_name, doc):
     )
 
 
-def u_remove_closed(rng, doc_name, doc):
-    aid = _pick(rng, _ids(doc, "closed_auctions", "closed_auction"))
+def u_remove_closed(rng, doc_name, pools):
+    aid = _pick(rng, pools.ids("closed_auctions", "closed_auction"))
     if aid is None:
         return None
     return Operation.update(
@@ -178,8 +200,8 @@ def u_remove_closed(rng, doc_name, doc):
     )
 
 
-def u_transpose_item(rng, doc_name, doc):
-    iid = _pick(rng, _ids(doc, "regions", "item"))
+def u_transpose_item(rng, doc_name, pools):
+    iid = _pick(rng, pools.ids("regions", "item"))
     if iid is None:
         return None
     dest = rng.choice(REGIONS)

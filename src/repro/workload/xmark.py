@@ -216,7 +216,6 @@ def xmark_fragments(doc: Document, k: int) -> list[Document]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    from ..xml.model import _clone_subtree
 
     frags: list[Document] = []
     skeletons: list[dict[tuple[str, ...], Element]] = []
@@ -236,16 +235,16 @@ def xmark_fragments(doc: Document, k: int) -> list[Document]:
         skeletons.append(containers)
 
     counter = 0
-    for top in doc.root.children:
+    for top in doc.root:
         if top.tag == "regions":
-            for region in top.children:
-                for item in region.children:
-                    dest = skeletons[counter % k][(top.tag, region.tag)]
-                    dest.append(_clone_subtree(item))
+            for region in top:
+                for item in region:
+                    i = counter % k
+                    frags[i].graft(item, skeletons[i][(top.tag, region.tag)])
                     counter += 1
         else:
-            for entity in top.children:
-                dest = skeletons[counter % k][(top.tag,)]
-                dest.append(_clone_subtree(entity))
+            for entity in top:
+                i = counter % k
+                frags[i].graft(entity, skeletons[i][(top.tag,)])
                 counter += 1
     return frags

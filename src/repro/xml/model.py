@@ -299,25 +299,69 @@ class Document:
         return total
 
     def clone(self, name: Optional[str] = None) -> "Document":
-        """Deep copy with fresh node ids (a replica at another site)."""
+        """Deep copy numbered in pre-order from 0 (a replica at another site)."""
         copy = Document(name or self.name)
         if self.root is not None:
-            copy.set_root(_clone_subtree(self.root))
+            copy.graft(self.root)
         return copy
+
+    def graft(
+        self, source: Element, parent: Optional[Element] = None, index: Optional[int] = None
+    ) -> Element:
+        """Attach a copy of the subtree at ``source`` (from any document, or
+        none) under ``parent`` of this document — at ``index`` among its
+        children, last by default — or as the root when ``parent`` is None.
+
+        One pass builds the copy and registers it: its nodes take the next
+        ids in pre-order, as attaching a copy with :meth:`Element.insert`
+        would give them, and no attribute dict is shared with ``source``.
+        Returns the copy of ``source``.
+        """
+        if parent is None:
+            if self.root is not None:
+                raise XMLModelError(f"document {self.name!r} already has a root")
+        elif parent.document is not self:
+            raise XMLModelError(f"<{parent.tag}> is not in document {self.name!r}")
+        nodes, extents = self._nodes, self._extents
+        next_id = self._next_id
+        new = Element.__new__  # no __init__: the source's tags are valid names
+        top: Optional[Element] = None
+        stack = [(source, parent)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            original, up = pop()
+            node = new(Element)
+            node.tag = tag = original.tag
+            node.attrib = original.attrib.copy()
+            node.text = original.text
+            node._children = []
+            node.parent = up
+            node.node_id = next_id
+            node.document = self
+            nodes[next_id] = node
+            extent = extents.get(tag)
+            if extent is None:
+                extent = extents[tag] = {}
+            extent[next_id] = node
+            next_id += 1
+            if top is None:
+                top = node
+            else:
+                up._children.append(node)
+            children = original._children
+            for i in range(len(children) - 1, -1, -1):
+                push((children[i], node))
+        self._next_id = next_id
+        if parent is None:
+            self.root = top
+        elif index is None:
+            parent._children.append(top)
+        else:
+            parent._children.insert(index, top)
+        return top
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Document {self.name!r} nodes={len(self._nodes)}>"
-
-
-def _clone_subtree(node: Element) -> Element:
-    new = Element(node.tag, node.attrib, node.text)  # __init__ copies attrib
-    # Iterate the private list: ``children`` allocates a defensive tuple per
-    # node, which adds up when cloning replicas on every host_document call.
-    for child in node._children:
-        copy = _clone_subtree(child)
-        copy.parent = new
-        new._children.append(copy)
-    return new
 
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")

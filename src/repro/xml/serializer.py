@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from .model import Document, Element
 
+#: What ``serialize_document(..., declaration=True)`` puts before the root.
+XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
+
 
 def _escape_text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -106,6 +109,4 @@ def serialize_document(doc: Document, indent: int | None = None, declaration: bo
     if doc.root is None:
         raise ValueError(f"document {doc.name!r} has no root")
     body = serialize_element(doc.root, indent)
-    if declaration:
-        return '<?xml version="1.0" encoding="UTF-8"?>\n' + body
-    return body
+    return XML_DECLARATION + body if declaration else body

@@ -34,112 +34,131 @@ from .ast import (
     Predicate,
     Step,
 )
-from .tokens import Token, TokenType, tokenize
+from .tokens import DIGITS, KEYWORDS, NAME_START, lex, positions, token_type, token_value
 
 _CMP_OPS = {
-    TokenType.EQ: CompareOp.EQ,
-    TokenType.NEQ: CompareOp.NEQ,
-    TokenType.LT: CompareOp.LT,
-    TokenType.LE: CompareOp.LE,
-    TokenType.GT: CompareOp.GT,
-    TokenType.GE: CompareOp.GE,
+    "=": CompareOp.EQ,
+    "!=": CompareOp.NEQ,
+    "<": CompareOp.LT,
+    "<=": CompareOp.LE,
+    ">": CompareOp.GT,
+    ">=": CompareOp.GE,
 }
+#: What a positional index may be followed by: ``[2]``, ``[2 and x]``.
+_AFTER_POSITION = ("]", "and", "or")
+_ANY_NAME = NodeTest(NodeTestKind.NAME, "*")
+_TEXT = NodeTest(NodeTestKind.TEXT, "")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the lexemes of :func:`repro.xpath.tokens.lex`.
+
+    ``tokens`` ends with ``""``, the end of input; ``pos`` indexes it.
+    """
+
+    def __init__(self, source: str):
         self.source = source
+        self.tokens = lex(source)
+        self.tokens.append("")
+        self.pos = 0
 
     # -- token plumbing --------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int) -> XPathSyntaxError:
+        return XPathSyntaxError(message, position=positions(self.source)[index])
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def found(self, index: int) -> str:
+        return f"{token_type(self.tokens[index]).name} in {self.source!r}"
+
+    def expect(self, lexeme: str, expected: str) -> None:
+        if self.tokens[self.pos] != lexeme:
+            raise self.error(f"expected {expected} but found {self.found(self.pos)}", self.pos)
         self.pos += 1
-        return tok
 
-    def expect(self, ttype: TokenType) -> Token:
-        tok = self.peek()
-        if tok.type is not ttype:
-            raise XPathSyntaxError(
-                f"expected {ttype.name} but found {tok.type.name} in {self.source!r}",
-                position=tok.position,
-            )
-        return self.next()
+    def is_name(self, lexeme: str) -> bool:
+        return lexeme[:1] in NAME_START and lexeme not in KEYWORDS
 
-    def accept(self, ttype: TokenType) -> Token | None:
-        if self.peek().type is ttype:
-            return self.next()
-        return None
+    def node_test(self, kind: NodeTestKind, name: str) -> NodeTest:
+        """The one NodeTest of ``kind`` and ``name`` (see ``_NODE_TESTS``)."""
+        key = name if kind is NodeTestKind.NAME else "@" + name
+        test = _NODE_TESTS.get(key)
+        if test is None:
+            if len(_NODE_TESTS) >= _PARSE_CACHE_MAX:
+                _NODE_TESTS.clear()
+            test = _NODE_TESTS[key] = NodeTest(kind, name)
+        return test
 
     # -- grammar ----------------------------------------------------------
 
     def parse_path(self) -> LocationPath:
-        absolute = False
-        first_axis = Axis.CHILD
-        if self.accept(TokenType.SLASH):
-            absolute = True
-        elif self.accept(TokenType.DSLASH):
-            absolute = True
-            first_axis = Axis.DESCENDANT
-        path = self._rel_path(first_axis, absolute)
-        tok = self.peek()
-        if tok.type is not TokenType.EOF:
-            raise XPathSyntaxError(
-                f"trailing input at {tok.value!r} in {self.source!r}", position=tok.position
+        first = self.tokens[0]
+        absolute = first == "/" or first == "//"
+        if absolute:
+            self.pos = 1
+        path = self._rel_path(Axis.DESCENDANT if first == "//" else Axis.CHILD, absolute)
+        tok = self.tokens[self.pos]
+        if tok:
+            raise self.error(
+                f"trailing input at {token_value(tok)!r} in {self.source!r}", self.pos
             )
         return path
 
     def _rel_path(self, first_axis: Axis, absolute: bool) -> LocationPath:
+        tokens = self.tokens
         steps = [self._step(first_axis)]
         while True:
-            if self.accept(TokenType.SLASH):
+            tok = tokens[self.pos]
+            if tok == "/":
+                self.pos += 1
                 steps.append(self._step(Axis.CHILD))
-            elif self.accept(TokenType.DSLASH):
+            elif tok == "//":
+                self.pos += 1
                 steps.append(self._step(Axis.DESCENDANT))
             else:
                 break
         return LocationPath(absolute=absolute, steps=tuple(steps))
 
     def _step(self, axis: Axis) -> Step:
-        tok = self.peek()
-        if tok.type is TokenType.STAR:
-            self.next()
-            test = NodeTest(NodeTestKind.NAME, "*")
-        elif tok.type is TokenType.AT:
-            self.next()
-            name = self.expect(TokenType.NAME)
-            test = NodeTest(NodeTestKind.ATTRIBUTE, name.value)
-        elif tok.type is TokenType.NAME:
-            self.next()
-            if tok.value == "text" and self.peek().type is TokenType.LPAREN:
-                self.next()
-                self.expect(TokenType.RPAREN)
-                test = NodeTest(NodeTestKind.TEXT, "")
+        tokens = self.tokens
+        start = self.pos
+        tok = tokens[start]
+        if tok == "*":
+            self.pos += 1
+            test = _ANY_NAME
+        elif tok == "@":
+            self.pos += 1
+            name = tokens[self.pos]
+            if not self.is_name(name):
+                raise self.error(
+                    f"expected NAME but found {self.found(self.pos)}", self.pos
+                )
+            self.pos += 1
+            test = self.node_test(NodeTestKind.ATTRIBUTE, name)
+        elif self.is_name(tok):
+            self.pos += 1
+            if tok == "text" and tokens[self.pos] == "(":
+                self.pos += 1
+                self.expect(")", "RPAREN")
+                test = _TEXT
             else:
-                test = NodeTest(NodeTestKind.NAME, tok.value)
+                test = self.node_test(NodeTestKind.NAME, tok)
         else:
-            raise XPathSyntaxError(
-                f"expected a step but found {tok.type.name} in {self.source!r}",
-                position=tok.position,
-            )
+            raise self.error(f"expected a step but found {self.found(start)}", start)
+        if tokens[self.pos] != "[":
+            return Step(axis, test)
         predicates: list[Predicate] = []
-        while self.accept(TokenType.LBRACKET):
+        while tokens[self.pos] == "[":
+            self.pos += 1
             predicates.append(self._or_expr())
-            self.expect(TokenType.RBRACKET)
-        if test.kind in (NodeTestKind.ATTRIBUTE, NodeTestKind.TEXT) and predicates:
-            raise XPathSyntaxError(
-                f"predicates are not supported on {test} steps", position=tok.position
-            )
-        return Step(axis=axis, test=test, predicates=tuple(predicates))
+            self.expect("]", "RBRACKET")
+        if test.kind is not NodeTestKind.NAME:
+            raise self.error(f"predicates are not supported on {test} steps", start)
+        return Step(axis, test, tuple(predicates))
 
     def _or_expr(self) -> Predicate:
         parts = [self._and_expr()]
-        while self.accept(TokenType.OR):
+        while self.tokens[self.pos] == "or":
+            self.pos += 1
             parts.append(self._and_expr())
         if len(parts) == 1:
             return parts[0]
@@ -147,57 +166,47 @@ class _Parser:
 
     def _and_expr(self) -> Predicate:
         parts = [self._atom()]
-        while self.accept(TokenType.AND):
+        while self.tokens[self.pos] == "and":
+            self.pos += 1
             parts.append(self._atom())
         if len(parts) == 1:
             return parts[0]
         return BoolExpr("and", tuple(parts))
 
     def _atom(self) -> Predicate:
-        tok = self.peek()
+        tokens = self.tokens
+        start = self.pos
+        tok = tokens[start]
         # A bare number predicate is positional: person[2]
-        if tok.type is TokenType.NUMBER:
-            nxt = self.tokens[self.pos + 1]
-            if nxt.type in (TokenType.RBRACKET, TokenType.AND, TokenType.OR):
-                self.next()
-                if "." in tok.value:
-                    raise XPathSyntaxError(
-                        f"positional index must be an integer: [{tok.value}]",
-                        position=tok.position,
-                    )
-                index = int(tok.value)
-                if index < 1:
-                    raise XPathSyntaxError(
-                        f"positional index must be >= 1: [{tok.value}]", position=tok.position
-                    )
-                return Position(index)
+        if tok[:1] in DIGITS and tokens[start + 1] in _AFTER_POSITION:
+            self.pos += 1
+            if "." in tok:
+                raise self.error(f"positional index must be an integer: [{tok}]", start)
+            index = int(tok)
+            if index < 1:
+                raise self.error(f"positional index must be >= 1: [{tok}]", start)
+            return Position(index)
         left = self._operand()
-        op_tok = self.peek()
-        if op_tok.type in _CMP_OPS:
-            self.next()
-            right = self._operand()
-            return Comparison(left, _CMP_OPS[op_tok.type], right)
+        op = _CMP_OPS.get(tokens[self.pos])
+        if op is not None:
+            self.pos += 1
+            return Comparison(left, op, self._operand())
         if isinstance(left, PathOperand):
             return Exists(left.path)
-        raise XPathSyntaxError(
-            f"a bare literal is not a predicate in {self.source!r}", position=op_tok.position
-        )
+        raise self.error(f"a bare literal is not a predicate in {self.source!r}", self.pos)
 
     def _operand(self) -> Operand:
-        tok = self.peek()
-        if tok.type is TokenType.STRING:
-            self.next()
-            return Literal(tok.value)
-        if tok.type is TokenType.NUMBER:
-            self.next()
-            return Literal(float(tok.value))
-        if tok.type in (TokenType.NAME, TokenType.AT, TokenType.STAR):
-            path = self._rel_path(Axis.CHILD, absolute=False)
-            return PathOperand(path)
-        raise XPathSyntaxError(
-            f"expected an operand but found {tok.type.name} in {self.source!r}",
-            position=tok.position,
-        )
+        tok = self.tokens[self.pos]
+        first = tok[:1]
+        if first == '"' or first == "'":
+            self.pos += 1
+            return Literal(tok[1:-1])
+        if first in DIGITS:
+            self.pos += 1
+            return Literal(float(tok))
+        if first == "@" or first == "*" or self.is_name(tok):
+            return PathOperand(self._rel_path(Axis.CHILD, absolute=False))
+        raise self.error(f"expected an operand but found {self.found(self.pos)}", self.pos)
 
 
 # Parsed-expression memo. Workloads re-submit the same path strings over
@@ -209,6 +218,11 @@ class _Parser:
 # entry instead of dumping the whole working set.
 _PARSE_CACHE: dict[str, LocationPath] = {}
 _PARSE_CACHE_MAX = 4096
+# Part of the memo: the NodeTests of the paths parsed since it was last
+# emptied, one per distinct name (keyed ``name`` or ``@name``), so that equal
+# node tests in memoised paths are one object. Emptied with the memo, and
+# whenever it reaches the memo's bound.
+_NODE_TESTS: dict[str, NodeTest] = {}
 _parse_cache_hits = 0
 _parse_cache_misses = 0
 
@@ -221,6 +235,7 @@ def parse_cache_stats() -> tuple[int, int]:
 def clear_parse_cache() -> None:
     global _parse_cache_hits, _parse_cache_misses
     _PARSE_CACHE.clear()
+    _NODE_TESTS.clear()
     _parse_cache_hits = 0
     _parse_cache_misses = 0
 
@@ -239,7 +254,7 @@ def parse_xpath(expr: str) -> LocationPath:
         return cached
     if not expr or not expr.strip():
         raise XPathSyntaxError("empty XPath expression")
-    path = _Parser(tokenize(expr), expr).parse_path()
+    path = _Parser(expr).parse_path()
     _parse_cache_misses += 1
     if len(_PARSE_CACHE) >= _PARSE_CACHE_MAX:
         del _PARSE_CACHE[next(iter(_PARSE_CACHE))]  # evict least recent

@@ -4,12 +4,21 @@ The subset (paper §2: "XDGL uses a subset of the XPath language") covers
 absolute/relative location paths with ``/`` and ``//`` steps, name tests,
 ``*`` wildcards, attribute tests (``@name``), ``text()``, and predicates with
 comparisons, ``and``/``or`` and positional indexes.
+
+One compiled regular expression splits an expression into its lexemes, the
+token texts in order without the whitespace between them. The parser reads
+that list of strings as it is: a lexeme's first character tells its
+:class:`TokenType`, and positions are worked out only to report an error.
+:func:`tokenize` gives the same lexemes as :class:`Token` objects. Digits
+are XPath 1.0's ``[0-9]``, names are ASCII, whitespace is space, tab, CR and
+LF; any other character is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from typing import NamedTuple
 
 from ..errors import XPathSyntaxError
 
@@ -37,94 +46,105 @@ class TokenType(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.type.name}, {self.value!r}@{self.position})"
 
+_SCANNER = re.compile(
+    r"""[ \t\r\n]*                 # whitespace separates tokens
+    (   //|!=|<=|>=|[/\[\]()@*=<>]  # operators and punctuation
+      | '[^']*'|"[^"]*"             # string literals
+      | [0-9][0-9.]*                # numbers (more than one '.' is an error)
+      | [A-Za-z_][A-Za-z0-9_.:-]*   # names, and the keywords 'and'/'or'
+      | [^ \t\r\n]                  # any other character: an error
+    )""",
+    re.VERBOSE,
+)
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789.-:")
-_PUNCT = {
+#: Lexemes whose type their text fixes: operators, punctuation, keywords.
+_FIXED = {
+    "/": TokenType.SLASH,
+    "//": TokenType.DSLASH,
+    "*": TokenType.STAR,
+    "@": TokenType.AT,
     "[": TokenType.LBRACKET,
     "]": TokenType.RBRACKET,
     "(": TokenType.LPAREN,
     ")": TokenType.RPAREN,
-    "@": TokenType.AT,
-    "*": TokenType.STAR,
     "=": TokenType.EQ,
+    "!=": TokenType.NEQ,
+    "<": TokenType.LT,
+    "<=": TokenType.LE,
+    ">": TokenType.GT,
+    ">=": TokenType.GE,
+    "and": TokenType.AND,
+    "or": TokenType.OR,
 }
+KEYWORDS = frozenset(("and", "or"))
+NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+DIGITS = frozenset("0123456789")
+#: First characters of lexemes that are valid whatever follows.
+_SAFE_START = NAME_START | frozenset("/[]()@*=<>")
+
+
+def lex(expr: str) -> list[str]:
+    """The lexemes of ``expr`` in order; the first lexical error raises
+    :class:`XPathSyntaxError` at its position."""
+    lexemes = _SCANNER.findall(expr)
+    for index, lexeme in enumerate(lexemes):
+        first = lexeme[0]
+        if first in _SAFE_START:
+            continue
+        if first in DIGITS:
+            if lexeme.count(".") < 2:
+                continue
+            message = f"bad number literal {lexeme!r}"
+        elif first == "'" or first == '"':
+            if len(lexeme) > 1:
+                continue
+            message = "unterminated string literal"
+        elif lexeme == "!=":
+            continue
+        elif first == "!":
+            message = "expected '!=' "
+        else:
+            message = f"unexpected character {first!r}"
+        raise XPathSyntaxError(message, position=positions(expr)[index])
+    return lexemes
+
+
+def positions(expr: str) -> list[int]:
+    """Where each lexeme of ``expr`` starts, then ``len(expr)`` (the end)."""
+    starts = [match.start(1) for match in _SCANNER.finditer(expr)]
+    starts.append(len(expr))
+    return starts
+
+
+def token_type(lexeme: str) -> TokenType:
+    """The type of a valid lexeme; the empty string is the end."""
+    if not lexeme:
+        return TokenType.EOF
+    ttype = _FIXED.get(lexeme)
+    if ttype is not None:
+        return ttype
+    first = lexeme[0]
+    if first == "'" or first == '"':
+        return TokenType.STRING
+    return TokenType.NUMBER if first in DIGITS else TokenType.NAME
+
+
+def token_value(lexeme: str) -> str:
+    """A lexeme's value: a string literal loses its quotes."""
+    return lexeme[1:-1] if token_type(lexeme) is TokenType.STRING else lexeme
 
 
 def tokenize(expr: str) -> list[Token]:
     """Convert ``expr`` to a token list ending with an EOF token."""
-    tokens: list[Token] = []
-    i, n = 0, len(expr)
-    while i < n:
-        c = expr[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "/":
-            if expr.startswith("//", i):
-                tokens.append(Token(TokenType.DSLASH, "//", i))
-                i += 2
-            else:
-                tokens.append(Token(TokenType.SLASH, "/", i))
-                i += 1
-        elif c == "!":
-            if expr.startswith("!=", i):
-                tokens.append(Token(TokenType.NEQ, "!=", i))
-                i += 2
-            else:
-                raise XPathSyntaxError("expected '!=' ", position=i)
-        elif c == "<":
-            if expr.startswith("<=", i):
-                tokens.append(Token(TokenType.LE, "<=", i))
-                i += 2
-            else:
-                tokens.append(Token(TokenType.LT, "<", i))
-                i += 1
-        elif c == ">":
-            if expr.startswith(">=", i):
-                tokens.append(Token(TokenType.GE, ">=", i))
-                i += 2
-            else:
-                tokens.append(Token(TokenType.GT, ">", i))
-                i += 1
-        elif c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, i))
-            i += 1
-        elif c in ("'", '"'):
-            end = expr.find(c, i + 1)
-            if end < 0:
-                raise XPathSyntaxError("unterminated string literal", position=i)
-            tokens.append(Token(TokenType.STRING, expr[i + 1 : end], i))
-            i = end + 1
-        elif c.isdigit():
-            start = i
-            while i < n and (expr[i].isdigit() or expr[i] == "."):
-                i += 1
-            lit = expr[start:i]
-            if lit.count(".") > 1:
-                raise XPathSyntaxError(f"bad number literal {lit!r}", position=start)
-            tokens.append(Token(TokenType.NUMBER, lit, start))
-        elif c in _NAME_START:
-            start = i
-            while i < n and expr[i] in _NAME_CHARS:
-                i += 1
-            name = expr[start:i]
-            if name == "and":
-                tokens.append(Token(TokenType.AND, name, start))
-            elif name == "or":
-                tokens.append(Token(TokenType.OR, name, start))
-            else:
-                tokens.append(Token(TokenType.NAME, name, start))
-        else:
-            raise XPathSyntaxError(f"unexpected character {c!r}", position=i)
-    tokens.append(Token(TokenType.EOF, "", n))
-    return tokens
+    lexemes = lex(expr)
+    lexemes.append("")
+    return [
+        Token(token_type(lexeme), token_value(lexeme), start)
+        for lexeme, start in zip(lexemes, positions(expr))
+    ]

@@ -67,9 +67,12 @@ class EagerReferenceStore(InMemoryStore):
         self.reference: dict[str, str] = {}
         self.persists = 0
 
-    def store(self, doc):
+    def store(self, doc, text=None):
         self.reference[doc.name] = serialize_document(doc)
-        return super().store(doc)
+        assert text is None or text == self.reference[doc.name], (
+            f"store of {doc.name!r} handed a stale rendering"
+        )
+        return super().store(doc, text)
 
     def write_back(self, doc, size):
         self.reference[doc.name] = serialize_document(doc)

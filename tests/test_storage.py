@@ -113,6 +113,54 @@ class TestInMemoryStore:
         assert c2.root.children[0].child("name").text == "Carlos"
 
 
+class TestRenderOnce:
+    """A document placed on several sites is rendered once: every store
+    keeps that one string, with the counters a render of its own gives."""
+
+    def test_store_keeps_the_text_it_is_handed(self):
+        d = make_people_doc()
+        text = serialize_document(d)
+        handed, rendered = InMemoryStore(), InMemoryStore()
+        assert handed.store(d, text) == rendered.store(d) == len(text.encode())
+        assert handed.raw("d1") is text
+        assert handed.stats == rendered.stats
+
+    def test_file_store_writes_the_text_it_is_handed(self, tmp_path):
+        d = make_people_doc()
+        handed, rendered = FileStore(str(tmp_path / "h")), FileStore(str(tmp_path / "r"))
+        assert handed.store(d, serialize_document(d)) == rendered.store(d)
+        with open(handed._path("d1")) as h, open(rendered._path("d1")) as r:
+            assert h.read() == r.read()
+
+    def test_a_placement_renders_once(self, monkeypatch):
+        import repro.core.cluster
+        import repro.storage.memory
+        from repro import DTXCluster
+
+        renders = []
+
+        def counted(document, *args, **kwargs):
+            renders.append(document.name)
+            return serialize_document(document, *args, **kwargs)
+
+        monkeypatch.setattr(repro.core.cluster, "serialize_document", counted)
+        monkeypatch.setattr(repro.storage.memory, "serialize_document", counted)
+        cluster = DTXCluster()
+        for site in ("s1", "s2", "s3"):
+            cluster.add_site(site)
+        d = make_people_doc()
+        cluster.place_document(d, ["s2", "s1", "s3"])
+        assert renders == ["d1"]
+        assert cluster.catalog.sites_for("d1") == ("s2", "s1", "s3")
+        stores = [cluster.site(s).data_manager.backend for s in ("s1", "s2", "s3")]
+        text = stores[0].raw("d1")
+        assert text == serialize_document(d)
+        for store in stores:
+            assert store.raw("d1") is text
+            assert store.stats.stores == 1
+            assert store.stats.bytes_written == store.size_bytes("d1") == len(text.encode())
+
+
 class TestFileStore:
     def test_roundtrip(self, tmp_path):
         store = FileStore(str(tmp_path))

@@ -20,7 +20,6 @@ from repro.views import ViewDefinition, subsumes
 from repro.xml import parse_document, serialize_document
 from repro.xpath import EvalStats, evaluate, parse_xpath
 from repro.xpath.parser import _Parser
-from repro.xpath.tokens import tokenize
 
 from .conftest import example_budget, make_people_doc, make_unnormalised_people_doc
 
@@ -440,7 +439,7 @@ def test_subsumption_is_sound(vp, qp):
 def _fresh_parse(text):
     """A parse of its own (the memo would hand back the same objects), so
     equal predicates are equal by value, not by identity."""
-    return _Parser(tokenize(text), text).parse_path()
+    return _Parser(text).parse_path()
 
 
 def _str_set_step_subsumes(v, q):

@@ -1,16 +1,19 @@
 """Unit tests for the XMark generator, templates and DTXTester."""
 
+import hashlib
+
 import pytest
 
 from repro.core.transaction import OpKind
 from repro.errors import ConfigError
+from repro.experiments import ExperimentConfig, build_cluster
 from repro.workload import (
     DTXTester,
     WorkloadSpec,
     generate_xmark,
     xmark_fragments,
 )
-from repro.workload.queries import QUERY_TEMPLATES, UPDATE_TEMPLATES
+from repro.workload.queries import QUERY_TEMPLATES, UPDATE_TEMPLATES, IdPools
 from repro.sim.rng import substream
 from repro.xml import serialize_document
 from repro.xpath import evaluate
@@ -65,8 +68,9 @@ class TestXMarkGenerator:
     def test_queries_parse_and_run_against_xmark(self):
         doc, _ = generate_xmark(40_000)
         rng = substream(1, "t")
+        pools = IdPools(doc)
         for template in QUERY_TEMPLATES:
-            op = template(rng, "xmark", doc)
+            op = template(rng, "xmark", pools)
             assert op is not None
             assert op.kind is OpKind.QUERY
             evaluate(op.payload, doc)  # must not raise
@@ -178,6 +182,45 @@ class TestDTXTester:
         from repro.update import apply_update
 
         for template in UPDATE_TEMPLATES:
-            op = template(rng, "xmark", doc)
+            op = template(rng, "xmark", IdPools(doc))
             assert op is not None
             apply_update(op.payload, doc)  # must not raise
+
+
+#: One fixed build: 4 fragments of a 60 KB database, 6 clients, half the
+#: transactions updating.
+PINNED_CONFIG = ExperimentConfig(
+    db_bytes=60_000,
+    workload=WorkloadSpec(n_clients=6, tx_per_client=10, update_tx_ratio=0.5, seed=11),
+)
+
+
+class TestPinnedStreams:
+    """What DTXTester generates and what it generates it over, pinned: a
+    change to the generator, its id pools, the fragmenter or the tree copy
+    that moves one operation, byte or node id shows here."""
+
+    def test_transactions(self):
+        _, tester = build_cluster(PINNED_CONFIG)
+        digest = hashlib.sha256()
+        for txs in tester.all_transactions().values():
+            for tx in txs:
+                line = ";".join(str(op) for op in tx.operations)
+                digest.update(f"{tx.label}:{line}\n".encode())
+        assert digest.hexdigest() == (
+            "ccfcb883628c8d69af37899a787afb8fec66f7de896949c1cb1c91649a5cd1ee"
+        )
+
+    def test_fragments(self):
+        _, tester = build_cluster(PINNED_CONFIG)
+        texts, ids = hashlib.sha256(), hashlib.sha256()
+        for name in sorted(tester.documents):
+            fragment = tester.documents[name]
+            texts.update(serialize_document(fragment).encode())
+            ids.update(repr([(n.node_id, n.tag) for n in fragment.iter()]).encode())
+        assert texts.hexdigest() == (
+            "889f4f33f4eaaf7e628bc13ca019c41e084aba572fadd68d79eb072e142a50da"
+        )
+        assert ids.hexdigest() == (
+            "85ad389b4d9116a31239139ed6832427b998104e7261548ba231db5174038a46"
+        )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import XMLModelError
-from repro.xml import Document, E, Element, doc
+from repro.xml import Document, E, Element, doc, parse_fragment, serialize_element
 
 
 class TestElementConstruction:
@@ -225,6 +225,103 @@ class TestClone:
         c = d.clone()
         assert len(c) == 2
         assert c.node(c.root.node_id) is c.root
+
+
+def _walk_extents(document):
+    fresh = {}
+    for node in document.iter():
+        fresh.setdefault(node.tag, {})[node.node_id] = node
+    return fresh
+
+
+def _shaped_source():
+    """A document whose ids are no longer pre-order: a removal leaves a
+    gap and a late insert takes the next id in the middle of the tree."""
+    d = doc("d", E("a", E("b", E("c", k="1"), text="x"), E("b", E("d")), E("e")))
+    d.root.remove(d.root.children[1])
+    d.root.children[0].insert(0, E("f", E("g", k="2", j="3")))
+    return d
+
+
+class TestGraft:
+    """The one tree-copy routine: ``clone``, the fragmenter, the applier's
+    insert copy, write shadows and snapshots all go through it."""
+
+    def test_clone_numbers_in_preorder_from_zero(self):
+        source = _shaped_source()
+        copy = source.clone()
+        nodes = list(copy.iter())
+        assert [n.node_id for n in nodes] == list(range(len(source)))
+        assert copy._nodes == {n.node_id: n for n in nodes}
+        assert copy._next_id == len(copy) == len(source)
+        assert copy._extents == _walk_extents(copy)
+        assert [(n.tag, n.attrib, n.text) for n in nodes] == [
+            (n.tag, n.attrib, n.text) for n in source.iter()
+        ]
+
+    def test_links_and_ownership(self):
+        source = _shaped_source()
+        copy = source.clone()
+        assert copy.root.parent is None
+        for original, node in zip(source.iter(), copy.iter()):
+            assert node is not original and node.document is copy
+            assert node.attrib is not original.attrib  # empty dicts too
+            assert node._children is not original._children
+            for child in node:
+                assert child.parent is node
+        copy.root.children[0].children[0].attrib["k"] = "changed"
+        assert source.root.children[0].children[0].attrib == {}
+
+    def test_empty_document(self):
+        copy = Document("e").clone("f")
+        assert (copy.name, copy.root, len(copy), copy._next_id, copy._extents) == (
+            "f", None, 0, 0, {}
+        )
+
+    def test_graft_takes_the_next_ids_in_preorder(self):
+        """As attaching a copy with ``insert`` would: the copy's nodes are
+        numbered from the document's next id, in pre-order."""
+        target = _shaped_source()
+        expected = _shaped_source()
+        source = _shaped_source().root.children[0]
+        copy = target.graft(source, target.root, 1)
+        expected.root.insert(1, parse_fragment(serialize_element(source)))
+        assert [(n.node_id, n.tag) for n in target.iter()] == [
+            (n.node_id, n.tag) for n in expected.iter()
+        ]
+        assert target._next_id == expected._next_id
+        assert target._extents == _walk_extents(target)
+        assert copy.parent is target.root and target.root.children[1] is copy
+        assert source.document is not target and source.parent is not None
+
+    def test_graft_rejects_a_foreign_parent_and_a_second_root(self):
+        d, other = doc("d", E("a")), doc("o", E("a"))
+        with pytest.raises(XMLModelError):
+            d.graft(E("x"), other.root)
+        with pytest.raises(XMLModelError):
+            d.graft(E("x"))
+
+    def test_an_insert_fragment_is_copied_once_per_replica(self):
+        from repro.update import InsertOp, apply_update
+
+        source = _shaped_source()
+        replicas = [source.clone(), source.clone()]
+        op = InsertOp("<n k='v'><m/></n>", "/a/e")
+        copies = []
+        for replica in replicas:
+            (change,) = apply_update(op, replica)
+            copies.append(change.node)
+            assert len(replica) == len(source) + 2
+            assert replica._extents == _walk_extents(replica)
+        first, second = copies
+        assert first is not second and op.fragment not in (first, second)
+        assert first.attrib is not second.attrib is not op.fragment.attrib
+        assert (op.fragment.parent, op.fragment.document, op.fragment.node_id) == (
+            None, None, -1
+        )
+        assert [(n.node_id, n.tag) for n in replicas[0].iter()] == [
+            (n.node_id, n.tag) for n in replicas[1].iter()
+        ]
 
 
 class TestSizeBytes:

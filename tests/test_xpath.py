@@ -13,6 +13,33 @@ from repro.xpath import (
 )
 
 
+#: Every kind of XPathSyntaxError, with its exact message and position.
+SYNTAX_ERRORS = [
+    ("", "empty XPath expression", -1),
+    ("   ", "empty XPath expression", -1),
+    ("/", "expected a step but found EOF in '/'", 1),
+    ("/a[", "expected an operand but found EOF in '/a['", 3),
+    ("/a[]", "expected an operand but found RBRACKET in '/a[]'", 3),
+    ("/a]b", "trailing input at ']' in '/a]b'", 2),
+    ("/a[1.5]", "positional index must be an integer: [1.5]", 3),
+    ("/a[0]", "positional index must be >= 1: [0]", 3),
+    ("/a[-1]", "unexpected character '-'", 3),
+    ("/a[='x']", "expected an operand but found EQ in \"/a[='x']\"", 3),
+    ("a b", "trailing input at 'b' in 'a b'", 2),
+    ("a[b!c]", "expected '!=' ", 3),
+    ('/a[b="x]', "unterminated string literal", 5),
+    ("/a[1..2]", "bad number literal '1..2'", 3),
+    ("/a['x']", "a bare literal is not a predicate in \"/a['x']\"", 6),
+    ("/a[b]c", "trailing input at 'c' in '/a[b]c'", 5),
+    ("/a/@id[1]", "predicates are not supported on @id steps", 3),
+    ("/a/text()[1]", "predicates are not supported on text() steps", 3),
+    ("/a[b='x'", "expected RBRACKET but found EOF in \"/a[b='x'\"", 8),
+    ("/a/text(]", "expected RPAREN but found RBRACKET in '/a/text(]'", 8),
+    ("/a[@]", "expected NAME but found RBRACKET in '/a[@]'", 4),
+    ("a # b", "unexpected character '#'", 2),
+]
+
+
 class TestLexer:
     def test_simple_path(self):
         types = [t.type for t in tokenize("/people/person")]
@@ -77,12 +104,24 @@ class TestParser:
         assert str(p) == "/a[b=1 and c=2 or d]"
 
     @pytest.mark.parametrize(
-        "bad",
-        ["", "   ", "/", "/a[", "/a[]", "/a]b", "/a[1.5]", "/a[0]", "/a[-1]", "/a[='x']", "a b"],
+        "bad, message, position", [pytest.param(*row, id=row[0]) for row in SYNTAX_ERRORS]
     )
-    def test_syntax_errors(self, bad):
-        with pytest.raises(XPathSyntaxError):
+    def test_syntax_errors(self, bad, message, position):
+        with pytest.raises(XPathSyntaxError) as caught:
             parse_xpath(bad)
+        assert (str(caught.value), caught.value.position) == (message, position)
+
+    @pytest.mark.parametrize(
+        "bad, position", [("a[\u00b2]", 2), ("a[x=\u00b2]", 4), ("a[\u0663]", 2)]
+    )
+    def test_digits_are_ascii(self, bad, position):
+        """XPath 1.0 digits are [0-9]: a superscript two or an Arabic-Indic
+        three is an unexpected character, not a number (nor a ValueError
+        from ``int``/``float`` escaping the syntax boundary)."""
+        with pytest.raises(XPathSyntaxError) as caught:
+            parse_xpath(bad)
+        assert str(caught.value) == f"unexpected character {bad[position]!r}"
+        assert caught.value.position == position
 
     def test_attribute_step_with_predicate_rejected(self):
         with pytest.raises(XPathSyntaxError):

@@ -11,14 +11,17 @@ and interleaved updates and rollbacks; the table pins today's meter on one
 document so that a deliberate change to it shows as a diff here.
 """
 
+import hashlib
 from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.config import SystemConfig
 from repro.dataguide import DataGuide
 from repro.errors import ReproError, XPathEvalError
+from repro.experiments import ExperimentConfig, build_cluster
 from repro.update import (
     ChangeOp,
     InsertOp,
@@ -30,7 +33,7 @@ from repro.update import (
     apply_update,
 )
 from repro.verify import xpath_oracle
-from repro.workload import xmark_fragments
+from repro.workload import WorkloadSpec, xmark_fragments
 from repro.xml import (
     Document,
     Element,
@@ -40,7 +43,8 @@ from repro.xml import (
     serialize_element,
     serialized_size,
 )
-from repro.xpath import EvalStats, evaluate, evaluate_values, parse_xpath
+from repro.xpath import EvalStats, LocationPath, evaluate, evaluate_values, parse_xpath
+from repro.xpath.parser import _Parser
 
 from .conftest import example_budget
 
@@ -293,6 +297,108 @@ class TestCompiledPlansEqualOracle:
         for literal in LITERALS:
             assert_same_evaluation(f"//a[@id{op}{literal}]", document)
             assert_same_evaluation(f"/r/a[{literal}{op}@id]", document)
+
+
+# ---------------------------------------------------------------------------
+# the parser: rendering round-trips, and the workloads' paths pinned
+# ---------------------------------------------------------------------------
+
+
+def _fresh_parse(text):
+    """A parse of its own, past the memo (which would hand back the object
+    it already holds)."""
+    return _Parser(text).parse_path()
+
+
+def _eager_rowa(**settings):
+    return SystemConfig().with_(
+        replication_factor=2,
+        replica_read_policy="nearest",
+        replica_write_policy="primary",
+        **settings,
+    )
+
+
+#: The five dtxbench workload shapes as ``build_cluster`` configurations
+#: (contended, which writes one hot document, becomes an all-update
+#: workload on a small totally replicated database with 128 clients).
+WORKLOAD_SHAPES = {
+    "mixed": ExperimentConfig(
+        system=_eager_rowa(seed=7, group_commit_window_ms=0.5),
+        workload=WorkloadSpec(n_clients=12, tx_per_client=50, update_tx_ratio=0.3, seed=7),
+    ),
+    "read_scan": ExperimentConfig(
+        db_bytes=240_000,
+        system=SystemConfig().with_(seed=7),
+        workload=WorkloadSpec(n_clients=12, tx_per_client=50, seed=7),
+    ),
+    "write_heavy": ExperimentConfig(
+        system=_eager_rowa(seed=7),
+        workload=WorkloadSpec(
+            n_clients=12, tx_per_client=25, ops_per_tx=2,
+            update_tx_ratio=1.0, update_op_ratio=1.0, seed=7,
+        ),
+    ),
+    "contended": ExperimentConfig(
+        n_sites=3,
+        replication="total",
+        db_bytes=5_000,
+        system=SystemConfig().with_(seed=7),
+        workload=WorkloadSpec(
+            n_clients=128, tx_per_client=5, ops_per_tx=8,
+            update_tx_ratio=1.0, update_op_ratio=1.0, seed=7,
+        ),
+    ),
+    "regimes": ExperimentConfig(
+        system=SystemConfig.preset("quorum", seed=7),
+        workload=WorkloadSpec(n_clients=12, tx_per_client=45, update_tx_ratio=0.3, seed=7),
+    ),
+}
+#: sha256 over the ``repr`` of the fresh parse of every distinct path the
+#: shapes generate, one per line in sorted order: a change here is a change
+#: of some AST a workload runs.
+WORKLOAD_PATHS = 1173
+WORKLOAD_AST_DIGEST = "f3e8ca8ee730a4a89c51abfa130026811f285272606fb2541f8f52f4dabaef2b"
+
+
+def _workload_paths():
+    texts = set()
+    for config in WORKLOAD_SHAPES.values():
+        cluster, _ = build_cluster(config)
+        for client in cluster.clients:
+            for tx in client.transactions:
+                for op in tx.operations:
+                    payload = op.payload
+                    if isinstance(payload, LocationPath):
+                        texts.add(str(payload))
+                    else:
+                        texts.update(
+                            str(value) for value in vars(payload).values()
+                            if isinstance(value, LocationPath)
+                        )
+    return sorted(texts)
+
+
+class TestParseRoundTrip:
+    @settings(max_examples=example_budget(150), deadline=None)
+    @given(paths())
+    def test_rendering_parses_back(self, text):
+        """The grammar generates canonical text: it renders back as it was
+        written, and the rendering parses to an equal AST."""
+        parsed = _fresh_parse(text)
+        assert str(parsed) == text
+        assert parse_xpath(str(parsed)) == parsed
+        assert _fresh_parse(str(parsed)) == parsed
+
+    def test_every_path_the_workloads_generate(self):
+        texts = _workload_paths()
+        assert len(texts) == WORKLOAD_PATHS
+        parsed = [_fresh_parse(text) for text in texts]
+        for text, path in zip(texts, parsed):
+            assert str(path) == text
+            assert _fresh_parse(str(path)) == path
+        digest = hashlib.sha256("\n".join(map(repr, parsed)).encode()).hexdigest()
+        assert digest == WORKLOAD_AST_DIGEST
 
 
 # ---------------------------------------------------------------------------
