@@ -8,7 +8,7 @@ Run:  python examples/xmark_tour.py
 """
 
 from repro.dataguide import DataGuide
-from repro.update import UndoLog, apply_update, parse_update
+from repro.update import apply_update, parse_update, revert
 from repro.workload import generate_xmark, xmark_fragments
 from repro.xpath import evaluate, evaluate_values
 from repro.xml import serialize_document
@@ -41,19 +41,17 @@ def main() -> None:
     person = evaluate_values('/site/people/person[@id="person0"]/name', doc)
     print(f"  person0 name: {person[0]!r}")
 
-    # 4. The update language, with undo.
-    undo = UndoLog()
+    # 4. The update language, with undo: each change record reverts itself.
     stmt = ('INSERT <item id="tour-item"><location>Brazil</location>'
             "<quantity>1</quantity><name>tour special</name></item> "
             "INTO /site/regions/samerica")
-    changes = apply_update(parse_update(stmt), doc, undo)
+    changes = apply_update(parse_update(stmt), doc)
     for c in changes:
         guide.apply_change(c)
     print(f"\napplied: {stmt[:60]}...")
     print(f"  samerica now has {len(evaluate('/site/regions/samerica/item', doc))} items")
-    undo.rollback()
     for c in reversed(changes):
-        guide.undo_change(c)
+        guide.apply_change(revert(c))
     guide.validate_against(doc)
     print("  rolled back; DataGuide re-validated against the document")
 

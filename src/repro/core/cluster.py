@@ -26,7 +26,6 @@ from ..obs import Tracer
 from ..protocols import ConcurrencyProtocol, make_protocol
 from ..sim.environment import Environment
 from ..sim.network import Network
-from ..storage.base import StorageBackend
 from ..storage.memory import InMemoryStore
 from ..xml.model import Document
 from ..xml.serializer import serialize_document
@@ -44,7 +43,7 @@ class DTXCluster:
         protocol: str = "xdgl",
         config: Optional[SystemConfig] = None,
         env: Optional[Environment] = None,
-        backend_factory: Optional[Callable[[], StorageBackend]] = None,
+        backend_factory: Optional[Callable[[], InMemoryStore]] = None,
     ):
         self.config = config or DEFAULT_CONFIG
         self.config.validate()

@@ -1,10 +1,11 @@
 """Per-site, per-transaction bookkeeping.
 
 A :class:`SiteTxContext` exists at every site where a transaction has
-executed at least one operation: it owns the undo log, the per-operation
-applied-change records (for DataGuide re-sync on rollback) and the lock pairs
-each operation newly acquired (so a *single* operation can be backed out when
-it fails to lock at a sibling site, per Algorithm 1 l. 16).
+executed at least one operation: it owns, per operation, the change records
+it made (the DataManager reverts them on rollback, and the reverse records
+re-sync the DataGuide) and the lock pairs it newly acquired (so a *single*
+operation can be backed out when it fails to lock at a sibling site, per
+Algorithm 1 l. 16).
 
 A :class:`CoordinatorRecord` exists only at the coordinator site and tracks
 the in-flight protocol state of Algorithm 1: the current attempt number, the
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
 
 from ..update.operations import AppliedChange
-from ..update.undo import UndoLog
 from .rounds import Round
 from .transaction import Operation, OpKind, Transaction, TxId
 
@@ -29,8 +29,7 @@ class OpEntry:
     """What one executed operation did at this site."""
 
     doc_name: str
-    undo_count: int = 0  # undo-log entries appended by this operation
-    changes: list[AppliedChange] = field(default_factory=list)
+    changes: list[AppliedChange] = field(default_factory=list)  # in order made
     lock_pairs: list = field(default_factory=list)  # (key, mode) newly granted
     executed: bool = False
     op: Optional[Operation] = None  # the operation itself (update logging)
@@ -41,16 +40,14 @@ class OpEntry:
 class SiteTxContext:
     tid: TxId
     coordinator: Hashable
-    undo: UndoLog = field(default_factory=UndoLog)
     op_entries: dict[int, OpEntry] = field(default_factory=dict)
     # Set when this site learned the transaction's updates were replicated
     # to the secondaries (it received the log-entry record): if the
     # coordinator then dies, the orphan resolves to commit, never to an
     # undo that would diverge from the already-synced secondaries.
     synced: bool = False
-    # Documents whose updates were already folded into this site's stable
-    # (committed-state) copy during the replica sync — the commit must not
-    # fold them twice.
+    # Documents whose changes were already settled into this site's
+    # committed state during the replica sync — the commit only persists.
     stable_applied: set = field(default_factory=set)
     # op.index -> (structure version, LockSpec): the spec a blocked
     # operation computed, reused on retry while the protocol's structure
@@ -64,9 +61,18 @@ class SiteTxContext:
         out: list[str] = []
         for idx in sorted(self.op_entries):
             entry = self.op_entries[idx]
-            if entry.undo_count and entry.doc_name not in out:
+            if entry.changes and entry.doc_name not in out:
                 out.append(entry.doc_name)
         return out
+
+    def changes_on(self, doc_name: str) -> list[AppliedChange]:
+        """The change records this transaction made on ``doc_name`` here."""
+        return [
+            change
+            for entry in self.op_entries.values()
+            if entry.doc_name == doc_name
+            for change in entry.changes
+        ]
 
     def executed_updates_by_doc(self) -> dict[str, list[Operation]]:
         """Executed update operations at this site, per document, in order."""

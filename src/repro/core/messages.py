@@ -210,9 +210,10 @@ class ReplicaSyncBatchAck:
 class FailNotice:
     """Coordinator -> all involved sites: transaction failed (Alg. 6 l. 7).
 
-    ``persist`` is set when the failure happened *after* the replica sync:
-    the receiving site must write its (kept) effects through to storage so
-    primary and secondaries stay durably identical.
+    A receiving site that still holds the transaction keeps its effects
+    and writes them through to storage. ``persist`` is set when the
+    failure happened *after* the replica sync: the site then also logs
+    them, so primary and secondaries stay durably identical.
     """
 
     tid: TxId

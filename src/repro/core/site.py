@@ -45,9 +45,8 @@ from ..sim.environment import Environment
 from ..sim.network import Network
 from ..sim.queues import Store
 from ..sim.rng import substream
-from ..storage.base import StorageBackend
 from ..storage.datamanager import DataManager
-from ..update.applier import apply_update
+from ..storage.memory import InMemoryStore
 from ..xml.model import Document, Element
 
 # Not called here. Kept as a module global because the dtxbench span
@@ -255,7 +254,7 @@ class DTXSite:
         network: Network,
         site_id: Hashable,
         protocol: ConcurrencyProtocol,
-        backend: StorageBackend,
+        backend: InMemoryStore,
         catalog,
         config: SystemConfig,
         faults: MembershipService,
@@ -392,10 +391,10 @@ class DTXSite:
     def drop_document(self, doc_name: str) -> None:
         """Remove this site's copy of ``doc_name`` (migration retire).
 
-        Live tree, persisted state, committed shadow and update log all
-        go; the protocol's structure summary keeps a stale registration
-        that no routed operation will ever touch (the placement no longer
-        names this site).
+        Live tree, its in-flight change records, persisted state and
+        update log all go; the protocol's structure summary keeps a stale
+        registration that no routed operation will ever touch (the
+        placement no longer names this site).
         """
         self.data_manager.drop(doc_name)
         self.logs.pop(doc_name, None)
@@ -545,19 +544,18 @@ class DTXSite:
     # durable writes
     # ------------------------------------------------------------------
 
-    def _persist_kept(self, ctx: Optional[SiteTxContext], doc_name: str, ops=()) -> int:
+    def _persist_kept(self, ctx: Optional[SiteTxContext], doc_name: str) -> int:
         """Write the committed state of ``doc_name`` through to storage.
 
-        ``ops`` are the updates ``ctx``'s transaction executed on it here,
-        which can no longer be undone: they join the committed state once
-        per transaction, at whichever of the sync record, the commit and
-        the fail gets here first. Returns the bytes persisted.
+        The changes ``ctx``'s transaction made on it here can no longer be
+        undone: they are settled into the committed state once per
+        transaction, at whichever of the sync record, the commit and the
+        fail gets here first. Returns the bytes persisted.
         """
-        if ctx is None or doc_name in ctx.stable_applied:
-            ops = ()
-        else:
+        if ctx is not None and doc_name not in ctx.stable_applied:
             ctx.stable_applied.add(doc_name)
-        return self.data_manager.commit(doc_name, [op.payload for op in ops])
+            self.data_manager.settle(doc_name, ctx.changes_on(doc_name))
+        return self.data_manager.commit(doc_name)
 
     # ------------------------------------------------------------------
     # client entry point
@@ -826,11 +824,8 @@ class DTXSite:
                 return LocalResult(
                     acquired=True, executed=True, result_size=size, cost_ms=cost
                 )
-            self.data_manager.begin_write(op.doc_name)
-            undo_before = len(ctx.undo)
-            changes = apply_update(op.payload, doc, ctx.undo, eval_stats)
+            changes = self.data_manager.write(op.doc_name, op.payload, eval_stats)
             self.protocol.after_apply(op.doc_name, changes)
-            entry.undo_count = len(ctx.undo) - undo_before
             entry.changes = changes
             entry.executed = True
             cost += (
@@ -851,11 +846,7 @@ class DTXSite:
         if ctx is None or op_index not in ctx.op_entries:
             return 0.0
         entry = ctx.op_entries.pop(op_index)
-        cost = 0.0
-        if entry.undo_count:
-            ctx.undo.rollback_last(entry.undo_count)
-            self.protocol.after_undo(entry.doc_name, entry.changes)
-            cost += entry.undo_count * self.costs.update_apply_ms
+        cost = self._revert(entry)
         for key, mode in reversed(entry.lock_pairs):
             self.lock_manager.table.release_one(key, tid, mode)
         # Remember the pairs for the next end-of-transaction wake sweep:
@@ -874,6 +865,15 @@ class DTXSite:
         # detector resolves the resulting wait cycle instead.
         return cost
 
+    def _revert(self, entry: OpEntry) -> float:
+        """Revert one operation's changes and re-sync the protocol's
+        structure from the reverse records; returns the simulated cost."""
+        if not entry.changes:
+            return 0.0
+        reverses = self.data_manager.revert(entry.doc_name, entry.changes)
+        self.protocol.after_apply(entry.doc_name, reverses)
+        return len(entry.changes) * self.costs.update_apply_ms
+
     # ------------------------------------------------------------------
     # transaction end at this site (participant side of Algorithms 5 and 6)
     # ------------------------------------------------------------------
@@ -883,15 +883,13 @@ class DTXSite:
         ctx = self.tx_contexts.pop(tid, None)
         cost = 0.0
         if ctx is not None:
-            by_doc = ctx.executed_updates_by_doc()
             logged_during_sync = set(ctx.stable_applied)
             persisted = 0
             for name in ctx.touched_doc_names():
-                persisted += self._persist_kept(ctx, name, by_doc.get(name, ()))
+                persisted += self._persist_kept(ctx, name)
             cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
             # Before the locks release, so log order = commit order.
             self._log_and_queue_lazy(tid, ctx, logged_during_sync)
-            ctx.undo.clear()
         released, lock_ops = self.lock_manager.release_transaction(tid)
         cost += lock_ops * self.costs.lock_op_ms
         self.finished.add(tid)
@@ -905,11 +903,7 @@ class DTXSite:
         cost = 0.0
         if ctx is not None:
             for op_index in sorted(ctx.op_entries, reverse=True):
-                entry = ctx.op_entries[op_index]
-                if entry.undo_count:
-                    ctx.undo.rollback_last(entry.undo_count)
-                    self.protocol.after_undo(entry.doc_name, entry.changes)
-                    cost += entry.undo_count * self.costs.update_apply_ms
+                cost += self._revert(ctx.op_entries[op_index])
         released, lock_ops = self.lock_manager.release_transaction(tid)
         cost += lock_ops * self.costs.lock_op_ms
         self.finished.add(tid)
@@ -918,18 +912,20 @@ class DTXSite:
         return cost
 
     def _fail_at_site(self, tid: TxId, persist: bool = False) -> None:
-        """Transaction failed: drop state without undoing (paper: the
-        application is alerted; recovery is future work). ``persist``
-        write-backs the kept effects first (post-sync failures must leave
-        primary and secondaries durably identical)."""
+        """Transaction failed: keep its effects without undoing (paper: the
+        application is alerted; recovery is future work). They are
+        committed state here from now on — later transactions build on
+        them — so they are written through. ``persist`` also logs them
+        (post-sync failures must leave primary and secondaries durably
+        identical)."""
         ctx = self.tx_contexts.pop(tid, None)
-        if persist and ctx is not None:
-            by_doc = ctx.executed_updates_by_doc()
+        if ctx is not None:
             logged_during_sync = set(ctx.stable_applied)
             for name in ctx.touched_doc_names():
-                self._persist_kept(ctx, name, by_doc.get(name, ()))
-            # Kept effects behave like a commit for replication.
-            self._log_and_queue_lazy(tid, ctx, logged_during_sync)
+                self._persist_kept(ctx, name)
+            if persist:
+                # Kept effects behave like a commit for replication.
+                self._log_and_queue_lazy(tid, ctx, logged_during_sync)
         released, _ = self.lock_manager.release_transaction(tid)
         self.finished.add(tid)
         self.waiters.pop(tid, None)
@@ -1197,9 +1193,9 @@ class DTXSite:
             if ctx is not None:
                 self._record(entry)
                 # Once synced the batch can only commit or fail-keep, never
-                # undo: fold it into the committed state and persist, so the
-                # durable log entry and the durable data move together.
-                persisted = self._persist_kept(ctx, doc_name, ops)
+                # undo: settle it into the committed state and persist, so
+                # the durable log entry and the durable data move together.
+                persisted = self._persist_kept(ctx, doc_name)
                 cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
                 ctx.synced = True  # a dead coordinator now resolves to commit
                 self.stats.replica_syncs_served += 1
@@ -2146,7 +2142,7 @@ class DTXSite:
                 )
                 entries.append(entry)
                 self._record(entry)
-                self._persist_kept(self.tx_contexts.get(entry.tid), doc_name, ops)
+                self._persist_kept(self.tx_contexts.get(entry.tid), doc_name)
                 rec.synced = True
                 primary_ok[entry.tid] = (True, "")
         else:
@@ -2390,9 +2386,10 @@ class DTXSite:
             return
         self.alive = False
         self.stats.crashes += 1
-        # First, while the committed trees are still there: what storage
-        # deferred rendering of becomes durable text. The live documents
-        # stay listed (recover reloads each from storage).
+        # First, while the in-flight change records are still there to
+        # derive the committed state from: what storage deferred rendering
+        # of becomes durable text. The live documents stay listed (recover
+        # reloads each from storage).
         self.data_manager.crash()
         # Sever the clients: every in-flight coordinated transaction is
         # ambiguous from the client's point of view. The pending events are

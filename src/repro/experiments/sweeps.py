@@ -282,7 +282,10 @@ def _rank_primaries(cluster) -> list:
 
 
 def _divergent_pairs(cluster) -> int:
-    """Replicas whose serialized document differs from their primary's."""
+    """Replicas whose serialized document differs from their primary's: the
+    one with the highest epoch in the live sites' own catalog views (under
+    the lease detector ``cluster.catalog`` never learns of an election)."""
+    views = [site.catalog for site in cluster.sites.values() if site.alive]
     divergent = 0
     for doc_name in cluster.catalog.all_documents():
         rset = cluster.catalog.replica_set(doc_name)
@@ -292,7 +295,8 @@ def _divergent_pairs(cluster) -> int:
             site: serialize_document(cluster.document_at(site, doc_name))
             for site in rset.all_sites
         }
-        reference = texts[rset.primary]
+        newest = max(views or [cluster.catalog], key=lambda view: view.epoch(doc_name))
+        reference = texts[newest.replica_set(doc_name).primary]
         divergent += sum(1 for text in texts.values() if text != reference)
     return divergent
 

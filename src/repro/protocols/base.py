@@ -57,10 +57,8 @@ class ConcurrencyProtocol(ABC):
         """Locks needed to execute one update operation."""
 
     def after_apply(self, doc_name: str, changes: list[AppliedChange]) -> None:
-        """Sync the representation structure after changes were applied."""
-
-    def after_undo(self, doc_name: str, changes: list[AppliedChange]) -> None:
-        """Sync the representation structure after changes were rolled back."""
+        """Sync the representation structure after changes were applied
+        (a rollback hands over the reverse records it made)."""
 
     def structure_node_count(self, doc_name: str) -> int:
         """Size of the lock representation structure (0 if none)."""

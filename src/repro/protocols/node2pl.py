@@ -89,10 +89,6 @@ class Node2PLProtocol(ConcurrencyProtocol):
         if changes:
             self._versions[doc_name] = next(_VERSION_CLOCK)
 
-    def after_undo(self, doc_name: str, changes) -> None:
-        if changes:
-            self._versions[doc_name] = next(_VERSION_CLOCK)
-
     def structure_version(self, doc_name: str) -> "int | None":
         """Same version => the tree is unchanged => ``lock_spec_for_*``
         would recompute the identical spec — retries may reuse it (the

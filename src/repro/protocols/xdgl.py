@@ -130,11 +130,6 @@ class XDGLProtocol(ConcurrencyProtocol):
         for change in changes:
             guide.apply_change(change)
 
-    def after_undo(self, doc_name: str, changes: list[AppliedChange]) -> None:
-        guide = self.guide(doc_name)
-        for change in reversed(changes):
-            guide.undo_change(change)
-
     def structure_node_count(self, doc_name: str) -> int:
         return self.guide(doc_name).node_count()
 

@@ -1,8 +1,6 @@
-"""Storage backends and the per-site DataManager."""
+"""The document store and the per-site DataManager."""
 
-from .base import StorageBackend
 from .datamanager import DataManager
-from .filestore import FileStore
 from .memory import InMemoryStore
 
-__all__ = ["DataManager", "FileStore", "InMemoryStore", "StorageBackend"]
+__all__ = ["DataManager", "InMemoryStore"]

@@ -1,27 +1,30 @@
 """In-memory native XML store — the reproduction's stand-in for Sedna.
 
-Documents are kept *serialized* (as Sedna keeps them paged on disk): every
-load really parses, and ``store`` keeps the document's text — the caller's
-rendering when it passes one (the same immutable string may then sit in
-several stores), its own otherwise. A per-commit ``write_back`` does not
-render: it records which tree holds the committed state and the exact byte
-length the caller reports, and the text is rendered from that tree only when
+DTX "recovers the XML documents from a storage structure, carries out the
+necessary processing, and then updates the modifications in the storage
+structure. The storage structures of these documents are independent" (paper
+§2). Documents are kept *serialized* (as Sedna keeps them paged on disk):
+every load really parses, and ``store`` keeps the document's text — the
+caller's rendering when it passes one (the same immutable string may then
+sit in several stores), its own otherwise. A per-commit ``write_back`` does
+not render: it keeps the caller's renderer of the committed state and the
+exact byte length the caller reports (the DataManager keeps it current from
+the byte deltas of the change records), and the text is rendered only when
 the durable form is read (``load``/``raw``) or when ``flush`` says the
 memory is going away. The DataManager charges simulated time by the byte
-counts returned here, which are the same either way; ``stats.stores`` counts
-persists, ``stats.bytes_written`` the bytes stored or rendered.
+counts returned here, which are the same either way; ``stats.stores``
+counts persists, ``stats.bytes_written`` the bytes stored or rendered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import StorageError
 from ..xml.model import Document
 from ..xml.parser import parse_document
 from ..xml.serializer import serialize_document
-from .base import StorageBackend
 
 
 @dataclass
@@ -33,11 +36,14 @@ class StoreStats:
     per_document_stores: dict[str, int] = field(default_factory=dict)
 
 
-class InMemoryStore(StorageBackend):
+class InMemoryStore:
+    """Named, serialized XML document store (the Sedna role)."""
+
     def __init__(self) -> None:
         self._data: dict[str, str] = {}  # rendered text; stale while deferred
         self._sizes: dict[str, int] = {}  # UTF-8 length of the durable form
-        self._deferred: dict[str, Document] = {}  # written back, not rendered
+        # written back, not rendered: the renderer of the committed state
+        self._deferred: dict[str, Callable[[], str]] = {}
         self.stats = StoreStats()
 
     def _count_store(self, name: str) -> None:
@@ -47,6 +53,9 @@ class InMemoryStore(StorageBackend):
         )
 
     def store(self, doc: Document, text: Optional[str] = None) -> int:
+        """Persist ``doc`` under its name; returns the serialized size in
+        bytes. ``text``, when given, is ``serialize_document(doc)``, which
+        is not rendered again."""
         if text is None:
             text = serialize_document(doc)
         size = len(text.encode("utf-8"))
@@ -57,21 +66,26 @@ class InMemoryStore(StorageBackend):
         self.stats.bytes_written += size
         return size
 
-    def write_back(self, doc: Document, size: int) -> int:
-        self._deferred[doc.name] = doc
-        self._sizes[doc.name] = size
-        self._count_store(doc.name)
+    def write_back(self, name: str, size: int, render: Callable[[], str]) -> int:
+        """Persist the committed state of ``name``, whose serialization the
+        caller knows to be ``size`` bytes long; returns the bytes to charge.
+        ``render()`` returns that text: it renders the committed state as it
+        is when called, and the caller moves that state only together with
+        the next write-back, so it is kept and called when the durable form
+        is read."""
+        self._deferred[name] = render
+        self._sizes[name] = size
+        self._count_store(name)
         return size
 
-    def rebind(self, doc: Document) -> None:
-        if doc.name in self._deferred:
-            self._deferred[doc.name] = doc
-
     def flush(self) -> None:
+        """Render everything put off (the memory holding the trees is about
+        to be lost)."""
         for name in list(self._deferred):
             self.raw(name)
 
     def load(self, name: str) -> Document:
+        """Load and parse the document called ``name``."""
         text = self.raw(name)
         self.stats.loads += 1
         self.stats.bytes_read += self._sizes[name]
@@ -98,9 +112,9 @@ class InMemoryStore(StorageBackend):
 
     def raw(self, name: str) -> str:
         """Serialized text as stored (tests compare persisted states)."""
-        doc = self._deferred.pop(name, None)
-        if doc is not None:
-            self._data[name] = serialize_document(doc)
+        render = self._deferred.pop(name, None)
+        if render is not None:
+            self._data[name] = render()
             self.stats.bytes_written += self._sizes[name]
         try:
             return self._data[name]

@@ -1,6 +1,6 @@
-"""The XDGL update language: operations, applier, undo log, textual parser."""
+"""The XDGL update language: operations, applier and its reversal, textual parser."""
 
-from .applier import apply_update
+from .applier import apply_update, revert
 from .language import parse_update
 from .operations import (
     UPDATE_OP_TYPES,
@@ -13,7 +13,6 @@ from .operations import (
     TransposeOp,
     UpdateOperation,
 )
-from .undo import UndoLog
 
 __all__ = [
     "UPDATE_OP_TYPES",
@@ -24,8 +23,8 @@ __all__ = [
     "RemoveOp",
     "RenameOp",
     "TransposeOp",
-    "UndoLog",
     "UpdateOperation",
     "apply_update",
     "parse_update",
+    "revert",
 ]

@@ -1,13 +1,19 @@
-"""Application of update operations to documents, with undo recording.
+"""Application of update operations to documents, and their reversal.
 
-``apply_update`` evaluates the operation's target path(s), mutates the tree,
-appends inverse entries to the transaction's :class:`~repro.update.undo.UndoLog`
+``apply_update`` evaluates the operation's target path(s), mutates the tree
 and returns the list of :class:`~repro.update.operations.AppliedChange`
-records that structural summaries (DataGuide) use to stay in sync. Each record
-also carries ``byte_delta``, by how much that one mutation changed the
-document's serialized length — measured right after the mutation, because
-whether a parent serializes as ``<t/>`` or ``<t></t>`` depends on what else
-is in it at that moment.
+records, one per mutation. A record is all there is of a mutation: the
+structural summaries (DataGuide) stay in sync from it, and :func:`revert`
+undoes it. Each record also carries ``byte_delta``, by how much that one
+mutation changed the document's serialized length — measured right after
+the mutation, because whether a parent serializes as ``<t/>`` or ``<t></t>``
+depends on what else is in it at that moment.
+
+DTX applies updates to the in-memory tree as soon as an operation's locks
+are granted; aborting a transaction must "undo all its effects on the
+required data" (paper §2). Reverting its records newest first restores the
+tree byte for byte, node identities included: a removed subtree keeps its
+ids and regains them when reattached.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import UpdateError
-from ..xml.model import Document, Element
+from ..xml.model import Document, Element, _is_name
 from ..xml.serializer import own_size, serialized_size
 from ..xpath.evaluator import EvalStats, evaluate
 from .operations import (
@@ -28,40 +34,89 @@ from .operations import (
     TransposeOp,
     UpdateOperation,
 )
-from .undo import (
-    ChangeUndo,
-    InsertUndo,
-    RemoveUndo,
-    RenameUndo,
-    TransposeUndo,
-    UndoLog,
-)
 
 
 def apply_update(
-    op: UpdateOperation,
-    doc: Document,
-    undo: Optional[UndoLog] = None,
-    stats: Optional[EvalStats] = None,
+    op: UpdateOperation, doc: Document, stats: Optional[EvalStats] = None
 ) -> list[AppliedChange]:
     """Apply ``op`` to ``doc``; return the concrete changes (may be empty).
 
     An operation whose target path selects nothing is a no-op (it "affected
     zero nodes"), mirroring how an SQL UPDATE with an empty WHERE result
-    behaves; callers that require a match should check the result.
+    behaves; callers that require a match should check the result. An
+    operation refused part-way (:class:`UpdateError`) leaves nothing behind:
+    the mutations it made are reverted before the error propagates.
     """
     stats = stats if stats is not None else EvalStats()
-    if isinstance(op, InsertOp):
-        return _apply_insert(op, doc, undo, stats)
-    if isinstance(op, RemoveOp):
-        return _apply_remove(op, doc, undo, stats)
-    if isinstance(op, RenameOp):
-        return _apply_rename(op, doc, undo, stats)
-    if isinstance(op, ChangeOp):
-        return _apply_change(op, doc, undo, stats)
-    if isinstance(op, TransposeOp):
-        return _apply_transpose(op, doc, undo, stats)
-    raise UpdateError(f"unknown update operation {op!r}")
+    changes: list[AppliedChange] = []
+    try:
+        if isinstance(op, InsertOp):
+            _apply_insert(op, doc, stats, changes)
+        elif isinstance(op, RemoveOp):
+            _apply_remove(op, doc, stats, changes)
+        elif isinstance(op, RenameOp):
+            _apply_rename(op, doc, stats, changes)
+        elif isinstance(op, ChangeOp):
+            _apply_change(op, doc, stats, changes)
+        elif isinstance(op, TransposeOp):
+            _apply_transpose(op, doc, stats, changes)
+        else:
+            raise UpdateError(f"unknown update operation {op!r}")
+    except UpdateError:
+        for change in reversed(changes):
+            revert(change)
+        raise
+    return changes
+
+
+def revert(change: AppliedChange) -> AppliedChange:
+    """Undo ``change`` in its document and return the reverse record.
+
+    The document must be as ``change`` left it, so a run of records is
+    reverted newest first; a record whose node would go back under its own
+    subtree raises ``UpdateError`` before anything moves. The reverse record
+    is a record like any other: syncing a DataGuide with it undoes the
+    guide's sync with ``change``, its ``byte_delta`` is measured (it sums
+    with ``change``'s to 0), and reverting it redoes ``change`` — the same
+    nodes, ids and bytes.
+    """
+    node, kind = change.node, change.kind
+    if kind == "change":
+        before, text = own_size(node), node.text
+        node.text = change.old_text
+        return AppliedChange(
+            "change", node, byte_delta=own_size(node) - before, old_text=text
+        )
+    if kind == "rename":
+        before, tag = own_size(node), node.tag
+        node.rename(change.old_tag)
+        return AppliedChange(
+            "rename", node, change.nodes, change.new_label_paths,
+            change.old_label_paths, own_size(node) - before, old_tag=tag,
+        )
+    # insert, remove, transpose: move the node back to where it sat (out of
+    # the tree, for an insert), and record where it is taken from.
+    old_parent = change.old_parent
+    if old_parent is not None and (
+        old_parent is node or any(a is node for a in old_parent.ancestors())
+    ):  # refused before anything moves
+        raise UpdateError("cannot move a node back under its own subtree")
+    parent, index, delta = node.parent, 0, 0
+    subtree = 0 if kind == "transpose" else serialized_size(node)
+    if parent is not None:
+        index = parent.child_index(node)
+        before = own_size(parent)
+        parent.remove(node)
+        delta = own_size(parent) - before - subtree
+    if old_parent is not None:
+        before = own_size(old_parent)  # after the detach: it may be parent
+        old_parent.insert(change.old_index, node)
+        delta += own_size(old_parent) - before + subtree
+    return AppliedChange(
+        {"insert": "remove", "remove": "insert"}.get(kind, kind), node, change.nodes,
+        change.new_label_paths, change.old_label_paths, delta,
+        old_parent=parent, old_index=index,
+    )
 
 
 def _subtree_paths(node: Element) -> list[tuple[str, ...]]:
@@ -80,11 +135,9 @@ def _subtree_paths(node: Element) -> list[tuple[str, ...]]:
 
 
 def _apply_insert(
-    op: InsertOp, doc: Document, undo: Optional[UndoLog], stats: EvalStats
-) -> list[AppliedChange]:
-    targets = evaluate(op.target, doc, stats)
-    changes: list[AppliedChange] = []
-    for target in targets:
+    op: InsertOp, doc: Document, stats: EvalStats, changes: list[AppliedChange]
+) -> None:
+    for target in evaluate(op.target, doc, stats):
         if op.position is InsertPosition.INTO:
             parent = target
             before = own_size(parent)
@@ -100,8 +153,6 @@ def _apply_insert(
             copy = doc.graft(
                 op.fragment, parent, idx if op.position is InsertPosition.BEFORE else idx + 1
             )
-        if undo is not None:
-            undo.record(doc, InsertUndo(copy))
         changes.append(
             AppliedChange(
                 kind="insert",
@@ -111,15 +162,12 @@ def _apply_insert(
                 byte_delta=serialized_size(copy) + own_size(parent) - before,
             )
         )
-    return changes
 
 
 def _apply_remove(
-    op: RemoveOp, doc: Document, undo: Optional[UndoLog], stats: EvalStats
-) -> list[AppliedChange]:
-    targets = evaluate(op.target, doc, stats)
-    changes: list[AppliedChange] = []
-    for target in targets:
+    op: RemoveOp, doc: Document, stats: EvalStats, changes: list[AppliedChange]
+) -> None:
+    for target in evaluate(op.target, doc, stats):
         if target.parent is None:
             raise UpdateError("cannot remove the document root")
         if target.document is None:
@@ -129,8 +177,6 @@ def _apply_remove(
         index = parent.child_index(target)
         before = own_size(parent)
         parent.remove(target)
-        if undo is not None:
-            undo.record(doc, RemoveUndo(target, parent, index))
         changes.append(
             AppliedChange(
                 kind="remove",
@@ -138,27 +184,22 @@ def _apply_remove(
                 nodes=list(target.iter_subtree()),
                 old_label_paths=old_paths,
                 byte_delta=own_size(parent) - before - serialized_size(target),
+                old_parent=parent,
+                old_index=index,
             )
         )
-    return changes
 
 
 def _apply_rename(
-    op: RenameOp, doc: Document, undo: Optional[UndoLog], stats: EvalStats
-) -> list[AppliedChange]:
-    from ..xml.model import _is_name
-
+    op: RenameOp, doc: Document, stats: EvalStats, changes: list[AppliedChange]
+) -> None:
     if not _is_name(op.new_name):
         raise UpdateError(f"invalid element name {op.new_name!r}")
-    targets = evaluate(op.target, doc, stats)
-    changes: list[AppliedChange] = []
-    for target in targets:
+    for target in evaluate(op.target, doc, stats):
         old_paths = _subtree_paths(target)
         old_name = target.tag
         before = own_size(target)
         target.rename(op.new_name)
-        if undo is not None:
-            undo.record(doc, RenameUndo(target, old_name))
         changes.append(
             AppliedChange(
                 kind="rename",
@@ -167,31 +208,29 @@ def _apply_rename(
                 old_label_paths=old_paths,
                 new_label_paths=_subtree_paths(target),
                 byte_delta=own_size(target) - before,
+                old_tag=old_name,
             )
         )
-    return changes
 
 
 def _apply_change(
-    op: ChangeOp, doc: Document, undo: Optional[UndoLog], stats: EvalStats
-) -> list[AppliedChange]:
-    targets = evaluate(op.target, doc, stats)
-    changes: list[AppliedChange] = []
-    for target in targets:
+    op: ChangeOp, doc: Document, stats: EvalStats, changes: list[AppliedChange]
+) -> None:
+    for target in evaluate(op.target, doc, stats):
         old = target.text
         before = own_size(target)
         target.text = op.new_value
-        if undo is not None:
-            undo.record(doc, ChangeUndo(target, old))
         changes.append(
-            AppliedChange(kind="change", node=target, byte_delta=own_size(target) - before)
+            AppliedChange(
+                kind="change", node=target, byte_delta=own_size(target) - before,
+                old_text=old,
+            )
         )
-    return changes
 
 
 def _apply_transpose(
-    op: TransposeOp, doc: Document, undo: Optional[UndoLog], stats: EvalStats
-) -> list[AppliedChange]:
+    op: TransposeOp, doc: Document, stats: EvalStats, changes: list[AppliedChange]
+) -> None:
     sources = evaluate(op.source, doc, stats)
     destinations = evaluate(op.destination, doc, stats)
     if len(destinations) != 1:
@@ -199,7 +238,6 @@ def _apply_transpose(
             f"transpose destination must select exactly one node, got {len(destinations)}"
         )
     dest = destinations[0]
-    changes: list[AppliedChange] = []
     for source in sources:
         if source.parent is None:
             raise UpdateError("cannot transpose the document root")
@@ -216,8 +254,6 @@ def _apply_transpose(
         before = own_size(dest)  # taken now: dest may be old_parent
         dest.append(source)
         delta += own_size(dest) - before
-        if undo is not None:
-            undo.record(doc, TransposeUndo(source, old_parent, old_index))
         changes.append(
             AppliedChange(
                 kind="transpose",
@@ -226,6 +262,7 @@ def _apply_transpose(
                 old_label_paths=old_paths,
                 new_label_paths=_subtree_paths(source),
                 byte_delta=delta,
+                old_parent=old_parent,
+                old_index=old_index,
             )
         )
-    return changes

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Optional, Union
 
 from ..errors import UpdateError
 from ..xml.model import Element
@@ -133,12 +133,14 @@ UpdateOperation = Union[InsertOp, RemoveOp, RenameOp, ChangeOp, TransposeOp]
 UPDATE_OP_TYPES = (InsertOp, RemoveOp, RenameOp, ChangeOp, TransposeOp)
 
 
-@dataclass
+@dataclass(eq=False)  # a record is one mutation: equal only to itself
 class AppliedChange:
     """One concrete tree mutation produced by applying an operation.
 
-    The locking and DataGuide layers consume these records to keep the
-    structural summaries in sync with the document.
+    It is the one record of that mutation: the DataGuide and the protocols
+    sync from it, the DataManager keeps it while the writing transaction is
+    in flight, and :func:`~repro.update.applier.revert` undoes it from its
+    own fields (the ``old_*`` ones say what the mutation overwrote).
     """
 
     kind: str  # 'insert' | 'remove' | 'rename' | 'change' | 'transpose'
@@ -151,3 +153,9 @@ class AppliedChange:
     old_label_paths: list[tuple[str, ...]] = field(default_factory=list)
     new_label_paths: list[tuple[str, ...]] = field(default_factory=list)
     byte_delta: int = 0  # change of the document's serialized UTF-8 length
+    #: Where a removed or transposed ``node`` sat: its parent (None for an
+    #: insert — the node was in no tree) and its index among the children.
+    old_parent: Optional[Element] = None
+    old_index: int = 0
+    old_tag: str = ""  # rename: the tag before
+    old_text: Optional[str] = None  # change: the text before

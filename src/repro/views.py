@@ -248,7 +248,7 @@ class ViewManager:
         for op in entry.ops:
             eval_stats = EvalStats()
             try:
-                changes = apply_update(op.payload, state.doc, None, eval_stats)
+                changes = apply_update(op.payload, state.doc, eval_stats)
             except UpdateError:
                 # The shadow diverged (lost the replay invariant): drop it
                 # and re-hydrate rather than ever serving a wrong answer.

@@ -7,7 +7,8 @@ query layers need:
 
 * **stable node identities** — every element attached to a document gets a
   document-unique integer ``node_id`` that survives for the node's lifetime;
-  lock tables, undo logs and DataGuide target sets refer to nodes by id;
+  lock tables, change records and DataGuide target sets refer to nodes by
+  id, and a node detached by a remove keeps its id for a revert;
 * **label paths** — each node knows its root-to-node tag path, the key used
   to map document nodes onto DataGuide nodes;
 * **tag extents** — a document keeps, per tag, the live nodes carrying it
@@ -18,7 +19,7 @@ query layers need:
   way to retag a node, and the XPath evaluator recovers document order with
   one descent pruned to the extent's ancestors. They belong to the document,
   not to the DataGuide, because queries also run on trees that have no guide
-  (committed shadows, view shadows, the Node2PL and DocLock protocols).
+  (view shadows, snapshots, the Node2PL and DocLock protocols).
 
 Mixed content is simplified: an element carries a single optional ``text``
 payload plus element children, which covers the XMark-style data-management

@@ -55,11 +55,11 @@ def example_budget(n: int) -> int:
 class EagerReferenceStore(InMemoryStore):
     """``InMemoryStore`` checked against the eager store it replaces.
 
-    Every persist also renders the tree it was handed, as
-    ``store(committed tree)`` would have, into ``reference``; the byte count
-    charged must be that text's length. ``check_reads`` then compares what
-    the real store answers (rendered when read) with the reference — which
-    also catches a tree mutated after the store took it.
+    Every persist also renders the committed state it was handed at once,
+    as ``store(committed tree)`` would have, into ``reference``; the byte
+    count charged must be that text's length. ``check_reads`` then compares
+    what the real store answers (rendered when read) with the reference —
+    which also catches a committed state that moved without a persist.
     """
 
     def __init__(self) -> None:
@@ -74,13 +74,13 @@ class EagerReferenceStore(InMemoryStore):
         )
         return super().store(doc, text)
 
-    def write_back(self, doc, size):
-        self.reference[doc.name] = serialize_document(doc)
-        assert size == len(self.reference[doc.name].encode("utf-8")), (
-            f"persist of {doc.name!r} charged {size} bytes"
+    def write_back(self, name, size, render):
+        self.reference[name] = render()
+        assert size == len(self.reference[name].encode("utf-8")), (
+            f"persist of {name!r} charged {size} bytes"
         )
         self.persists += 1
-        return super().write_back(doc, size)
+        return super().write_back(name, size, render)
 
     def delete(self, name):
         super().delete(name)

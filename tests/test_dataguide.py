@@ -10,8 +10,8 @@ from repro.update import (
     RemoveOp,
     RenameOp,
     TransposeOp,
-    UndoLog,
     apply_update,
+    revert,
 )
 from repro.workload import generate_xmark
 from repro.xml import E, doc
@@ -144,44 +144,37 @@ class TestIncrementalMaintenance:
         # out of b1, so b1's record no longer describes b1's live subtree.
         d = doc("d", E("r", E("a", E("b", E("b", E("c")))), E("x")))
         guide = DataGuide.build(d)
-        undo = UndoLog()
-        changes = apply_update(TransposeOp("//b", "/r/x"), d, undo)
+        changes = apply_update(TransposeOp("//b", "/r/x"), d)
         assert len(changes) == 2
         for c in changes:
             guide.apply_change(c)
         guide.validate_against(d)
         assert ("r", "x", "b", "c") in guide and ("r", "a", "b") not in guide
-        undo.rollback()
         for c in reversed(changes):
-            guide.undo_change(c)
+            guide.apply_change(revert(c))
         guide.validate_against(d)
 
     def test_undo_change_restores_guide(self, products_doc):
         guide = self._synced(products_doc)
-        undo = UndoLog()
         changes = apply_update(
             InsertOp("<product><id>13</id><stock>5</stock></product>", "/products"),
             products_doc,
-            undo,
         )
         for c in changes:
             guide.apply_change(c)
-        undo.rollback()
         for c in reversed(changes):
-            guide.undo_change(c)
+            guide.apply_change(revert(c))
         assert ("products", "product", "stock") not in guide
         guide.validate_against(products_doc)
 
     def test_undo_remove_restores_guide(self, people_doc):
         guide = self._synced(people_doc)
-        undo = UndoLog()
-        changes = apply_update(RemoveOp("/people/person"), people_doc, undo)
+        changes = apply_update(RemoveOp("/people/person"), people_doc)
         for c in changes:
             guide.apply_change(c)
         assert guide.paths() == [("people",)]
-        undo.rollback()
         for c in reversed(changes):
-            guide.undo_change(c)
+            guide.apply_change(revert(c))
         guide.validate_against(people_doc)
 
     def test_root_mismatch_rejected(self, people_doc, products_doc):

@@ -14,10 +14,18 @@ number and SHA-256 of the ``Network._deliver`` items of its dispatch trace
 name no process, so renaming or merging generators leaves them alone while
 any moved, added or dropped message changes them — the check for a
 refactor that must keep every schedule.
+
+The last pins what storage holds at the end of three runs: per site, the
+text ``InMemoryStore.raw`` gives back for every document and the store's
+counters. A crash flush with transactions in flight, a view hydration from
+a snapshot taken while writes were in flight, and many commits of a
+write-only workload each reach the committed state a different way; a
+refactor of how it is kept must leave all three unchanged.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,9 +33,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import run_sweep
+from repro import DTXCluster, SystemConfig
+from repro.experiments import ExperimentConfig, build_cluster, run_sweep
 from repro.sim.environment import Environment
 from repro.verify import TraceRecorder, trace_digest
+from repro.workload import WorkloadSpec
+
+from .conftest import make_people_doc
+from .test_snapshot_handover import views_under_faults
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -134,3 +147,69 @@ def test_delivery_fingerprints_are_pinned(monkeypatch, sweep, overrides, pinned)
         ]
         fingerprints.append((len(deliveries), trace_digest(deliveries)))
     assert fingerprints == pinned
+
+
+def _write_heavy():
+    """dtxbench's ``write_heavy`` shape, smaller: 4 sites, factor 2, every
+    operation an update, 2 per transaction, no group commit."""
+    system = SystemConfig().with_(
+        seed=11, replication_factor=2, replica_read_policy="nearest",
+        replica_write_policy="primary", group_commit_window_ms=0.0,
+    )
+    workload = WorkloadSpec(
+        n_clients=12, seed=11, tx_per_client=4, ops_per_tx=2,
+        update_tx_ratio=1.0, update_op_ratio=1.0,
+    )
+    cluster, _ = build_cluster(
+        ExperimentConfig(n_sites=4, db_bytes=30_000, workload=workload, system=system)
+    )
+    cluster.run()
+
+
+#: run -> sha256 of every store's texts and counters, per cluster it built.
+_PINNED_STORES = [
+    # The crashed primary's flush renders with a transaction in flight, and
+    # a catch-up snapshot is taken while another is.
+    ("availability", lambda: run_sweep("availability", mode=("eager",), crashes=(1,)), [
+        "1cf8a8d5c2a88c5963b9b7a4d3468c5f85cfc1179695f055ae14b88ab701412f",
+    ]),
+    # No views sweep cell hydrates while writes are in flight (hydration
+    # settles before the first write); here a view re-hydrates after a
+    # host crash while a write is in flight.
+    ("views", lambda: views_under_faults(make_people_doc()), [
+        "281348939e9a36a78334e4008404bbe39f1f4f2113a5adbd2740e579ae42b5df",
+    ]),
+    ("write_heavy", _write_heavy, [
+        "603bea9fd0a1d0a7f0e5057ddceb2c7d1d94c97f0987d551d1bc7315978cbd8f",
+    ]),
+]
+
+
+def _store_fingerprint(cluster) -> str:
+    digest = hashlib.sha256()
+    for sid in sorted(cluster.sites, key=str):
+        store = cluster.site(sid).data_manager.backend
+        for name in store.list_documents():
+            digest.update(f"{sid}/{name}\n".encode())
+            digest.update(store.raw(name).encode())
+        stats = store.stats
+        digest.update(repr((
+            stats.stores, stats.bytes_written, sorted(stats.per_document_stores.items()),
+        )).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "run, pinned", [p[1:] for p in _PINNED_STORES], ids=[p[0] for p in _PINNED_STORES]
+)
+def test_persisted_state_is_pinned(monkeypatch, run, pinned):
+    clusters = []
+    init = DTXCluster.__init__
+
+    def recording_init(cluster, *args, **kwargs):
+        init(cluster, *args, **kwargs)
+        clusters.append(cluster)
+
+    monkeypatch.setattr(DTXCluster, "__init__", recording_init)
+    run()
+    assert [_store_fingerprint(cluster) for cluster in clusters] == pinned

@@ -178,9 +178,8 @@ class TestCrashBasics:
         res = cluster.run()
         assert len(res.committed) == 1
         site = cluster.site("s1")
-        # Mutate the live document *without* committing, then crash.
-        doc = site.data_manager.document("d1")
-        doc.root.attrib["dirty"] = "yes"
+        # Write the live document *without* committing, then crash.
+        site.data_manager.write("d1", InsertOp("<dirty/>", "/people"))
         site.crash()
         assert not site.alive
         assert site.lock_manager.table.is_empty()
@@ -740,6 +739,45 @@ class TestDeferredDurability:
         for s in texts:
             # Quiesced: what storage holds is what the site serves.
             assert serialize_document(parse_document(stores[s].raw("d1"))) == texts[s]
+
+
+class TestFailKeepsState:
+    def test_a_refused_abort_keeps_its_effects_as_committed_state(self):
+        """The abort round of ``V`` is refused, so it fails without
+        ``persist`` at both sites and they keep its effects. A later
+        committed write on the same node must persist as committed, with
+        the bytes it charges, and come back after crash + recover."""
+        config = SystemConfig().with_(client_think_ms=0.0)  # both copies written
+        cluster = DTXCluster(protocol="xdgl", config=config, backend_factory=EagerReferenceStore)
+        cluster.add_site("s1", [make_people_doc()])
+        cluster.add_site("s2", [make_people_doc()])
+        refusing = cluster.site("s2")
+        refusing.refuse_commit.add("*")
+        refusing.refuse_abort.add("*")
+
+        def rename(text):
+            return Transaction(
+                [Operation.update("d1", ChangeOp("/people/person[id=1]/name", text))], label=text
+            )
+
+        cluster.add_client("c0", "s1", [rename("V")])
+        cluster.run()
+        refusing.refuse_commit.clear()
+        refusing.refuse_abort.clear()
+        cluster.add_client("c1", "s1", [rename("Longer")])
+        result = cluster.run()
+        assert [(r.label, r.status) for r in result.records] == [
+            ("V", "failed"), ("Longer", "committed"),
+        ]
+        for site_id in ("s1", "s2"):
+            store = cluster.site(site_id).data_manager.backend
+            store.check_reads()
+            assert "<name>Longer</name>" in store.raw("d1")
+            assert store.raw("d1") == doc_at(cluster, site_id)
+            cluster.crash_site(site_id)
+            store.check_reads()
+            _recover_and_check(cluster, site_id)
+            assert "<name>Longer</name>" in doc_at(cluster, site_id)
 
 
 # ---------------------------------------------------------------------------

@@ -496,8 +496,7 @@ class TestRetryCaching:
         alone; a new label path, a prune, and the undo of either each move
         it to a version never seen before."""
         from repro.protocols.xdgl import XDGLProtocol
-        from repro.update.applier import apply_update
-        from repro.update.undo import UndoLog
+        from repro.update.applier import apply_update, revert
 
         protocol = XDGLProtocol()
         protocol.register_document(people_doc)
@@ -506,12 +505,10 @@ class TestRetryCaching:
 
         def step(op):
             """Apply ``op`` and then undo it; the version after each."""
-            undo = UndoLog()
-            changes = apply_update(op, people_doc, undo)
+            changes = apply_update(op, people_doc)
             protocol.after_apply("d1", changes)
             applied = protocol.structure_version("d1")
-            undo.rollback_last(len(undo))
-            protocol.after_undo("d1", changes)
+            protocol.after_apply("d1", [revert(c) for c in reversed(changes)])
             return applied, protocol.structure_version("d1")
 
         # target-only: one more (or one fewer) id under existing label paths

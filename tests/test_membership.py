@@ -16,6 +16,7 @@ from repro.distribution import (
     UpdateLogEntry,
 )
 from repro.errors import ConfigError, SimulationError
+from repro.experiments.sweeps import _divergent_pairs
 from repro.sim.environment import Environment
 from repro.sim.network import Network
 from repro.update import InsertOp
@@ -450,6 +451,23 @@ class TestElection:
         # The shared catalog never moved: membership travelled as messages.
         assert cluster.catalog.replica_set("d1").primary == "s1"
         assert cluster.faults.stats.promotions == 1
+
+    def test_sweeps_count_divergence_against_the_elected_primary(self):
+        """The shared catalog still names s1 after the election, so the
+        elected primary is altered by hand: both other replicas differ
+        from it, which is two divergent replicas, not one."""
+        cluster = lease_cluster()
+        cluster.start()
+        cluster.env.run(until=5.0)
+        cluster.crash_site("s1")
+        cluster.env.run(until=cluster.env.now + 30.0)
+        cluster.recover_site("s1")
+        cluster.env.run(until=cluster.env.now + 30.0)
+        elected = cluster.sites["s2"].catalog.replica_set("d1").primary
+        assert elected != "s1" == cluster.catalog.replica_set("d1").primary
+        assert _divergent_pairs(cluster) == 0
+        cluster.document_at(elected, "d1").root.attrib["altered"] = "by hand"
+        assert _divergent_pairs(cluster) == 2
 
     def test_writes_reroute_to_elected_primary(self):
         cluster = lease_cluster()

@@ -15,8 +15,8 @@ from repro.update import (
     RemoveOp,
     RenameOp,
     TransposeOp,
-    UndoLog,
     apply_update,
+    revert,
 )
 from repro.verify import final_state_serializable
 from repro.workload import DTXTester, WorkloadSpec, xmark_fragments
@@ -137,6 +137,37 @@ def update_ops(draw):
     return ChangeOp(target, draw(st.text(max_size=8).map(lambda s: s.replace("\x00", "x"))))
 
 
+def revertible_ops():
+    """``update_ops`` plus the sibling inserts and transposes it leaves
+    out; some of these are refused part-way."""
+    sibling_inserts = st.builds(
+        InsertOp,
+        st.sampled_from(["<tag/>", "<book><title>s</title></book>"]),
+        st.sampled_from(["//book", "/lib/bin", "//title", "/lib"]),
+        st.sampled_from([InsertPosition.BEFORE, InsertPosition.AFTER]),
+    )
+    transposes = st.builds(
+        TransposeOp,
+        st.sampled_from(["//book", "//title", "/lib/bin", "//price", "/lib/shelf"]),
+        st.sampled_from(["/lib/bin", "/lib/shelf[1]", "/lib/shelf[2]/book", "//price"]),
+    )
+    return st.one_of(update_ops(), sibling_inserts, transposes)
+
+
+def _revert_state(document, guide):
+    """What a revert must give back: the document's bytes, its node ids
+    in pre-order and registered, its tag extents as id sets, its
+    serialized size; the guide's label paths and their target sets."""
+    return (
+        serialize_document(document),
+        [n.node_id for n in document.iter()],
+        sorted(document._nodes),
+        {tag: set(extent) for tag, extent in document._extents.items()},
+        serialized_size(document.root),
+        {path: set(guide.node_for_path(path).targets) for path in guide.paths()},
+    )
+
+
 class TestDataGuideProperties:
     @given(st.lists(update_ops(), min_size=1, max_size=8))
     @settings(max_examples=example_budget(60), suppress_health_check=[HealthCheck.too_slow])
@@ -149,27 +180,46 @@ class TestDataGuideProperties:
                 guide.apply_change(c)
         guide.validate_against(document)
 
-    @given(st.lists(update_ops(), min_size=1, max_size=8))
+    @given(st.lists(revertible_ops(), min_size=1, max_size=8))
     @settings(max_examples=example_budget(60), suppress_health_check=[HealthCheck.too_slow])
     def test_rollback_restores_document_and_guide(self, ops):
-        # Mirrors DTXSite._abort_at_site: each operation's data rollback is
-        # immediately followed by its guide re-sync, newest operation first.
+        """The revert law. Mirrors DTXSite._abort_at_site: every change
+        record is reverted newest first and the guide synced with the
+        reverse record. That restores the document (bytes, every node id,
+        the tag extents, the serialized size) and the guide; each reverse
+        record's byte delta cancels its record's; and reverting the reverse
+        records, oldest first, redoes every change byte for byte."""
         document = _base_doc()
-        before = serialize_document(document)
         guide = DataGuide.build(document)
-        undo = UndoLog()
-        per_op: list[tuple[int, list]] = []
+        before = _revert_state(document, guide)
+        changes: list = []
         for op in ops:
-            n_before = len(undo)
-            changes = apply_update(op, document, undo)
-            for c in changes:
+            prior = _revert_state(document, guide)
+            try:
+                made = apply_update(op, document)
+            except UpdateError:
+                # Refused part-way: nothing is left behind.
+                assert _revert_state(document, guide) == prior
+                continue
+            for c in made:
                 guide.apply_change(c)
-            per_op.append((len(undo) - n_before, changes))
-        for undo_count, changes in reversed(per_op):
-            undo.rollback_last(undo_count)
-            for c in reversed(changes):
-                guide.undo_change(c)
-        assert serialize_document(document) == before
+            changes += made
+        after = _revert_state(document, guide)
+        reverses = []
+        for change in reversed(changes):
+            reverse = revert(change)
+            guide.apply_change(reverse)
+            assert change.byte_delta + reverse.byte_delta == 0
+            reverses.append(reverse)
+        assert _revert_state(document, guide) == before
+        guide.validate_against(document)
+        for reverse, change in zip(reversed(reverses), changes):
+            redo = revert(reverse)
+            guide.apply_change(redo)
+            assert (redo.kind, redo.node, redo.byte_delta) == (
+                change.kind, change.node, change.byte_delta
+            )
+        assert _revert_state(document, guide) == after
         guide.validate_against(document)
 
 
@@ -252,25 +302,21 @@ class TestSerializedSizeProperties:
             root.append(child)
         document = Document("s", root)
         count = _real_size(document)
-        undo = UndoLog()
         applied: list[list] = []  # changes of each operation still in effect
         for op in steps:
             if op is None:
                 for change in reversed(applied.pop() if applied else []):
-                    undo.rollback_last(1)
+                    revert(change)
                     count -= change.byte_delta
                     assert count == _real_size(document)
                 continue
-            logged = len(undo)
             try:
-                changes = apply_update(op, document, undo)
+                changes = apply_update(op, document)
             except UpdateError:
                 # Refused part-way (e.g. a sibling insert reaching the
-                # root): the site would abort; unwind what was done.
-                undo.rollback_last(len(undo) - logged)
+                # root): the applier unwinds what it did.
                 assert count == _real_size(document)
                 continue
-            assert len(undo) - logged == len(changes)
             count += sum(change.byte_delta for change in changes)
             assert count == _real_size(document)
             applied.append(changes)

@@ -125,15 +125,13 @@ class TestXDGLUpdateLocks:
         self.proto.guide("d2").validate_against(products_doc)
 
     def test_after_undo_restores_guide(self, products_doc):
-        from repro.update import UndoLog
+        from repro.update import revert
 
         self.proto.register_document(products_doc)
-        undo = UndoLog()
         op = InsertOp("<product><stock>2</stock></product>", "/products")
-        changes = apply_update(op, products_doc, undo)
+        changes = apply_update(op, products_doc)
         self.proto.after_apply("d2", changes)
-        undo.rollback()
-        self.proto.after_undo("d2", changes)
+        self.proto.after_apply("d2", [revert(c) for c in reversed(changes)])
         self.proto.guide("d2").validate_against(products_doc)
 
     def test_structure_size_is_guide_size(self, products_doc):

@@ -9,8 +9,7 @@ replica's timeline — and at every call checks that
 
 * the clone renders to exactly what storage holds (``backend.raw``): the
   committed tree, not a live tree carrying in-flight effects;
-* it is private: neither the live tree nor a shadow the producing site
-  keeps;
+* it is private: neither the live tree nor any node of it;
 * the size is the UTF-8 length of that text (not its character count) and
   ``serialized_size`` of the clone;
 * on a document the parser gives back unchanged, it numbers its nodes as
@@ -74,7 +73,7 @@ class Recorder:
         assert serialize_document(clone) == raw, producer
         assert size == len(raw.encode("utf-8")) == serialized_size(clone.root), producer
         assert clone is not dm.document(name), producer
-        assert all(clone is not tree for tree in dm._committed.values()), producer
+        assert all(n.document is clone for n in clone.iter()), producer
         parsed = parse_document(raw, name=name)
         if serialize_document(parsed) == raw:
             assert _node_ids(clone) == _node_ids(parsed) == list(range(len(parsed)))

@@ -39,8 +39,8 @@ from repro.update import (
     RemoveOp,
     RenameOp,
     TransposeOp,
-    UndoLog,
     apply_update,
+    revert,
 )
 from repro.xml import Document, Element, parse_document, serialize_element
 from repro.xpath import EvalStats, parse_xpath
@@ -194,14 +194,13 @@ def drive(roots, steps, check):
     protocol = XDGLProtocol()
     for document in documents.values():
         protocol.register_document(document)
-    applied: list = []  # (doc_name, undo log, changes), newest last
+    applied: list = []  # (doc_name, changes), newest last
     check(protocol)
     for step in steps:
         if step == "undo":
             if applied:
-                doc_name, undo, changes = applied.pop()
-                undo.rollback()
-                protocol.after_undo(doc_name, changes)
+                doc_name, changes = applied.pop()
+                protocol.after_apply(doc_name, [revert(c) for c in reversed(changes)])
         elif step[0] in ("drop", "rebuild"):
             kind, doc_name = step
             if kind == "drop":
@@ -209,14 +208,12 @@ def drive(roots, steps, check):
             protocol.register_document(documents[doc_name])
         else:
             doc_name, op = step
-            undo = UndoLog()
             try:
-                changes = apply_update(op, documents[doc_name], undo)
+                changes = apply_update(op, documents[doc_name])
             except ReproError:
-                undo.rollback()  # e.g. removing the root: leave no partial apply
-                continue
+                continue  # e.g. removing the root: the applier unwinds itself
             protocol.after_apply(doc_name, changes)
-            applied.append((doc_name, undo, changes))
+            applied.append((doc_name, changes))
         check(protocol)
 
 
@@ -290,8 +287,8 @@ class TestStructuralVersion:
     @GATE
     @given(elements(), st.lists(st.one_of(updates, updates, st.just("undo")), max_size=10))
     def test_the_version_moves_exactly_when_a_guide_node_comes_or_goes(self, root, steps):
-        """Synced one change record at a time, as ``after_apply`` /
-        ``after_undo`` do: the version is unchanged exactly when the guide's
+        """Synced one change record at a time, as ``after_apply`` does
+        (an undo syncs the reverse records): the version is unchanged exactly when the guide's
         pre-order list of label paths is unchanged *node for node*. Nodes are
         compared by identity because a record may prune a label path and
         re-create it (a rename to the tag a node already has): the re-created
@@ -301,7 +298,7 @@ class TestStructuralVersion:
         protocol = XDGLProtocol()
         protocol.register_document(document)
         guide = protocol.guide("d")
-        applied: list = []  # (undo log, changes), newest last
+        applied: list = []  # changes of each operation, newest last
 
         def sync(sync_one, records):
             for change in records:
@@ -315,18 +312,15 @@ class TestStructuralVersion:
         for step in steps:
             if step == "undo":
                 if applied:
-                    undo, changes = applied.pop()
-                    undo.rollback()
-                    sync(guide.undo_change, reversed(changes))
+                    changes = applied.pop()
+                    sync(guide.apply_change, [revert(c) for c in reversed(changes)])
             else:
-                undo = UndoLog()
                 try:
-                    changes = apply_update(step, document, undo)
+                    changes = apply_update(step, document)
                 except ReproError:
-                    undo.rollback()
                     continue
                 sync(guide.apply_change, changes)
-                applied.append((undo, changes))
+                applied.append(changes)
             guide.validate_against(document)
 
 
@@ -390,13 +384,11 @@ class TestMemoRules:
         protocol.register_document(document)
         assert _lock_paths(assert_memo_is_fresh(protocol, "d", "//b")) == set()
 
-        undo = UndoLog()
-        changes = apply_update(InsertOp("<b/>", "/r", InsertPosition.INTO), document, undo)
+        changes = apply_update(InsertOp("<b/>", "/r", InsertPosition.INTO), document)
         protocol.after_apply("d", changes)
         assert ("r", "b") in _lock_paths(assert_memo_is_fresh(protocol, "d", "//b"))
 
-        undo.rollback()
-        protocol.after_undo("d", changes)
+        protocol.after_apply("d", [revert(c) for c in reversed(changes)])
         assert _lock_paths(assert_memo_is_fresh(protocol, "d", "//b")) == set()
 
     def test_a_target_only_change_keeps_every_entry(self):

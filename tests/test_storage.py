@@ -4,9 +4,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import StorageError
-from repro.storage import DataManager, FileStore, InMemoryStore
-from repro.update import ChangeOp, InsertOp, RemoveOp, RenameOp, UndoLog, apply_update
+from repro.errors import StorageError, UpdateError
+from repro.storage import DataManager, InMemoryStore
+from repro.update import ChangeOp, InsertOp, RemoveOp, RenameOp, TransposeOp, apply_update
 from repro.xml import E, doc, parse_document, serialize_document
 
 from .conftest import EagerReferenceStore, example_budget, make_people_doc
@@ -69,7 +69,7 @@ class TestInMemoryStore:
         before = store.raw("d1")
         apply_update(ChangeOp("/people/person[id=1]/name", "Zo\u00eb"), d)
         size = len(serialize_document(d).encode("utf-8"))
-        assert store.write_back(d, size) == size
+        assert store.write_back("d1", size, lambda: serialize_document(d)) == size
         # Charged and counted as a persist, but nothing rendered yet.
         assert store.stats.stores == 2
         assert store.stats.per_document_stores["d1"] == 2
@@ -81,28 +81,32 @@ class TestInMemoryStore:
         store.raw("d1")
         assert store.stats.bytes_written == first + size  # rendered once
 
-    def test_rebind_flush_store_and_delete_settle_a_deferred_tree(self):
+    def test_flush_store_and_delete_settle_a_deferred_render(self):
         store = InMemoryStore()
         d = make_people_doc()
         store.store(d)
         committed = serialize_document(d)
-        store.write_back(d, len(committed.encode("utf-8")))
-        shadow = d.clone()
-        store.rebind(shadow)  # d is about to take uncommitted writes
-        apply_update(ChangeOp("//name", "uncommitted"), d)
-        store.flush()
-        apply_update(ChangeOp("//name", "later"), shadow)  # after the flush: not seen
+        renders = []
+
+        def render():
+            renders.append(d.name)
+            return serialize_document(d)
+
+        store.write_back("d1", len(committed.encode("utf-8")), render)
+        store.flush()  # the memory is about to go: rendered now
+        apply_update(ChangeOp("//name", "later"), d)  # after the flush: not seen
         assert store.raw("d1") == committed
         # An eager store supersedes whatever was deferred.
-        store.write_back(shadow, len(serialize_document(shadow).encode("utf-8")))
+        store.write_back("d1", 1, render)
         store.store(d)
-        assert "uncommitted" in store.raw("d1")
-        store.write_back(shadow, 1)
+        assert "later" in store.raw("d1")
+        store.write_back("d1", 1, render)
         store.delete("d1")
         assert not store.exists("d1") and store.list_documents() == []
         store.flush()
         with pytest.raises(StorageError):
             store.raw("d1")
+        assert renders == ["d1"]
 
     def test_loaded_copies_are_independent(self):
         store = InMemoryStore()
@@ -124,13 +128,6 @@ class TestRenderOnce:
         assert handed.store(d, text) == rendered.store(d) == len(text.encode())
         assert handed.raw("d1") is text
         assert handed.stats == rendered.stats
-
-    def test_file_store_writes_the_text_it_is_handed(self, tmp_path):
-        d = make_people_doc()
-        handed, rendered = FileStore(str(tmp_path / "h")), FileStore(str(tmp_path / "r"))
-        assert handed.store(d, serialize_document(d)) == rendered.store(d)
-        with open(handed._path("d1")) as h, open(rendered._path("d1")) as r:
-            assert h.read() == r.read()
 
     def test_a_placement_renders_once(self, monkeypatch):
         import repro.core.cluster
@@ -159,41 +156,6 @@ class TestRenderOnce:
             assert store.raw("d1") is text
             assert store.stats.stores == 1
             assert store.stats.bytes_written == store.size_bytes("d1") == len(text.encode())
-
-
-class TestFileStore:
-    def test_roundtrip(self, tmp_path):
-        store = FileStore(str(tmp_path))
-        d = make_people_doc()
-        store.store(d)
-        loaded = store.load("d1")
-        assert serialize_document(loaded) == serialize_document(d)
-
-    def test_fragment_names_sanitized(self, tmp_path):
-        store = FileStore(str(tmp_path))
-        store.store(doc("xmark#2", E("site")))
-        assert store.exists("xmark#2")
-        assert store.load("xmark#2").root.tag == "site"
-
-    def test_missing_operations_raise(self, tmp_path):
-        store = FileStore(str(tmp_path))
-        with pytest.raises(StorageError):
-            store.load("nope")
-        with pytest.raises(StorageError):
-            store.delete("nope")
-        with pytest.raises(StorageError):
-            store.size_bytes("nope")
-
-    def test_delete(self, tmp_path):
-        store = FileStore(str(tmp_path))
-        store.store(doc("a", E("r")))
-        store.delete("a")
-        assert not store.exists("a")
-
-    def test_size_bytes_positive(self, tmp_path):
-        store = FileStore(str(tmp_path))
-        store.store(doc("a", E("r", text="x" * 100)))
-        assert store.size_bytes("a") > 100
 
 
 class TestDataManager:
@@ -229,11 +191,10 @@ class TestDataManager:
     def test_commit_persists_committed_state_only(self):
         dm, store = self.make()
         live, _ = dm.load("d1")
-        kept = ChangeOp("/people/person[id=1]/name", "Kept")
-        for update in (kept, ChangeOp("/people/person[id=4]/name", "InFlight")):
-            dm.begin_write("d1")
-            apply_update(update, live)
-        written = dm.commit("d1", [kept])
+        kept = dm.write("d1", ChangeOp("/people/person[id=1]/name", "Kept"))
+        dm.write("d1", ChangeOp("/people/person[id=4]/name", "InFlight"))
+        dm.settle("d1", kept)
+        written = dm.commit("d1")
         text = store.raw("d1")
         assert written == len(text.encode("utf-8"))
         assert "Kept" in text and "InFlight" not in text
@@ -243,11 +204,63 @@ class TestDataManager:
         dm, store = self.make()
         live, _ = dm.load("d1")
         dm.apply_replicated("d1", InsertOp("<person><id>9</id></person>", "/people"))
-        dm.commit("d1")  # the store now refers to the live tree, unrendered
+        dm.commit("d1")  # storage renders the committed state when read
         committed = serialize_document(live)
-        dm.begin_write("d1")
-        apply_update(RemoveOp("/people/person[id=1]"), live)
+        dm.write("d1", RemoveOp("/people/person[id=1]"))
+        in_flight = serialize_document(live)
         assert store.raw("d1") == committed
+        assert serialize_document(live) == in_flight  # given back as it was
+
+    def test_snapshot_is_the_committed_tree_and_the_live_one_comes_back(self):
+        dm, _ = self.make()
+        live, _ = dm.load("d1")
+        committed = serialize_document(live)
+        dm.write("d1", InsertOp("<person><id>9</id></person>", "/people"))
+        dm.write("d1", RemoveOp("/people/person[id=1]"))
+        dm.write("d1", RenameOp("//name", "label"))
+        state = _tree_state(live)
+        clone, size = dm.snapshot("d1")
+        assert serialize_document(clone) == committed
+        assert size == len(committed.encode("utf-8"))
+        assert _tree_state(live) == state
+
+    def test_revert_restores_the_tree_and_its_size(self):
+        dm, store = self.make()
+        live, _ = dm.load("d1")
+        before = _tree_state(live)
+        changes = dm.write("d1", RemoveOp("/people/person[id=4]"))
+        changes += dm.write("d1", ChangeOp("//name", "x"))
+        reverses = dm.revert("d1", changes)
+        assert [r.kind for r in reverses] == ["change", "change", "insert"]
+        assert _tree_state(live) == before
+        assert dm.commit("d1") == len(store.raw("d1").encode("utf-8"))
+
+    def test_revert_leaves_settled_changes(self):
+        dm, store = self.make()
+        live, _ = dm.load("d1")
+        settled = dm.write("d1", ChangeOp("/people/person[id=1]/name", "Kept"))
+        dm.settle("d1", settled)
+        changes = settled + dm.write("d1", ChangeOp("/people/person[id=4]/name", "Gone"))
+        assert [r.kind for r in dm.revert("d1", changes)] == ["change"]
+        text = serialize_document(live)
+        assert "Kept" in text and "Gone" not in text
+        assert dm.commit("d1") == len(store.raw("d1").encode("utf-8"))
+        assert store.raw("d1") == text
+
+    def test_a_derivation_that_is_refused_leaves_the_live_tree_as_it_was(self):
+        """A committed transpose moved ``p`` under ``a`` after a pending one
+        took ``a`` out of ``p``: that record can no longer be reverted. The
+        rename reverted before it is redone, and nothing else moved."""
+        dm = DataManager(InMemoryStore())
+        dm.install(doc("d", E("r", E("p", E("a")), E("q"))))
+        live = dm.document("d")
+        dm.write("d", TransposeOp("/r/p/a", "/r/q"))
+        dm.apply_replicated("d", TransposeOp("/r/p", "/r/q/a"))
+        dm.write("d", RenameOp("/r/q", "z"))
+        state = _tree_state(live)
+        with pytest.raises(UpdateError):
+            dm.snapshot("d")
+        assert _tree_state(live) == state
 
     def test_crash_renders_then_reload_measures_the_parsed_tree(self):
         store = InMemoryStore()
@@ -267,16 +280,15 @@ class TestDataManager:
 
     def test_replace_and_drop(self):
         dm, store = self.make()
-        live, _ = dm.load("d1")
-        dm.begin_write("d1")
-        apply_update(ChangeOp("//name", "uncommitted"), live)
+        dm.load("d1")
+        dm.write("d1", ChangeOp("//name", "uncommitted"))
         with pytest.raises(StorageError):
             dm.replace(doc("other", E("r")))
         snapshot = parse_document("<people><person><id>1</id></person></people>", name="d1")
         assert dm.replace(snapshot) == store.size_bytes("d1")
         assert dm.document("d1") is snapshot
-        # The shadow of the replaced instance is gone: the snapshot itself
-        # is the committed state now.
+        # The records pending on the replaced instance went with it: the
+        # snapshot itself is the committed state now.
         dm.apply_replicated("d1", RenameOp("/people/person/id", "key"))
         assert dm.commit("d1") == len(store.raw("d1"))
         assert store.raw("d1") == serialize_document(snapshot)
@@ -342,28 +354,26 @@ class TestDeferredRenderingDifferential:
         dm = DataManager(store)
         dm.install(make_people_doc())
         model = make_people_doc()
-        undo, open_tx = UndoLog(), []
+        open_tx, open_changes = [], []  # the open transaction's updates, records
 
         def persisted_is_model():
             assert store.reference["d1"] == serialize_document(model)
 
         for kind, update in steps:
-            live = dm.document("d1")
             if kind == "write":
-                dm.begin_write("d1")
-                apply_update(update, live, undo)
+                open_changes += dm.write("d1", update)
                 open_tx.append(update)
             elif kind == "commit":
-                written = dm.commit("d1", open_tx)
+                dm.settle("d1", open_changes)
+                written = dm.commit("d1")
                 for done in open_tx:
                     apply_update(done, model)
-                open_tx = []
-                undo.clear()
+                open_tx, open_changes = [], []
                 persisted_is_model()
                 assert written == len(store.reference["d1"].encode("utf-8"))
             elif kind == "abort":
-                undo.rollback()
-                open_tx = []
+                dm.revert("d1", open_changes)
+                open_tx, open_changes = [], []
             elif kind == "read":
                 store.check_reads()
                 # Up to what parsing normalises: since a crash the model is
@@ -371,7 +381,7 @@ class TestDeferredRenderingDifferential:
                 assert _parsed(store.reference["d1"]) == _parsed(serialize_document(model))
             elif kind == "crash":
                 dm.crash()  # takes the open transaction's writes with it
-                undo, open_tx = UndoLog(), []
+                open_tx, open_changes = [], []
                 store.check_reads()
                 dm.reload("d1")
                 model = parse_document(serialize_document(model), name="d1")
@@ -393,6 +403,15 @@ class TestDeferredRenderingDifferential:
                 dm.install(model.clone())
             assert serialize_document(dm.document("d1")) == _with(model, open_tx)
         store.check_reads()
+
+
+def _tree_state(document):
+    """Bytes, node ids in pre-order and tag extents of ``document``."""
+    return (
+        serialize_document(document),
+        [n.node_id for n in document.iter()],
+        {tag: set(extent) for tag, extent in document._extents.items()},
+    )
 
 
 def _parsed(text):

@@ -1,4 +1,4 @@
-"""Unit tests for the update language: operations, applier, undo, parser."""
+"""Unit tests for the update language: operations, applier, revert, parser."""
 
 import pytest
 
@@ -10,9 +10,9 @@ from repro.update import (
     RemoveOp,
     RenameOp,
     TransposeOp,
-    UndoLog,
     apply_update,
     parse_update,
+    revert,
 )
 from repro.xml import E, doc, serialize_document
 
@@ -163,60 +163,85 @@ class TestTranspose:
             apply_update(TransposeOp("/lib", "/lib/active"), d)
 
 
+def _revert_all(changes):
+    """Revert ``changes`` newest first, as an abort does."""
+    for change in reversed(changes):
+        revert(change)
+
+
 class TestUndo:
     def test_insert_undo(self, products_doc):
         before = serialize_document(products_doc)
-        undo = UndoLog()
-        apply_update(InsertOp("<product><id>13</id></product>", "/products"), products_doc, undo)
-        assert len(undo) == 1
-        undo.rollback()
+        changes = apply_update(
+            InsertOp("<product><id>13</id></product>", "/products"), products_doc
+        )
+        assert len(changes) == 1
+        _revert_all(changes)
         assert serialize_document(products_doc) == before
 
     def test_remove_undo_restores_position_and_ids(self, people_doc):
         before = serialize_document(people_doc)
         target = people_doc.root.children[1]
         old_id = target.node_id
-        undo = UndoLog()
-        apply_update(RemoveOp("/people/person[id=4]"), people_doc, undo)
-        undo.rollback()
+        changes = apply_update(RemoveOp("/people/person[id=4]"), people_doc)
+        _revert_all(changes)
         assert serialize_document(people_doc) == before
         assert people_doc.node(old_id) is target
 
     def test_multi_op_rollback_order(self, products_doc):
         before = serialize_document(products_doc)
-        undo = UndoLog()
-        apply_update(InsertOp("<product><id>13</id></product>", "/products"), products_doc, undo)
-        apply_update(ChangeOp("/products/product[id=13]/id", "20"), products_doc, undo)
-        apply_update(RemoveOp("/products/product[id=20]"), products_doc, undo)
-        apply_update(RenameOp("/products/product[id=4]", "gadget"), products_doc, undo)
-        assert len(undo) == 4
-        undo.rollback()
+        changes = []
+        for op in (
+            InsertOp("<product><id>13</id></product>", "/products"),
+            ChangeOp("/products/product[id=13]/id", "20"),
+            RemoveOp("/products/product[id=20]"),
+            RenameOp("/products/product[id=4]", "gadget"),
+        ):
+            changes += apply_update(op, products_doc)
+        assert len(changes) == 4
+        _revert_all(changes)
         assert serialize_document(products_doc) == before
 
     def test_rollback_last_partial(self, products_doc):
-        undo = UndoLog()
-        apply_update(ChangeOp("/products/product[id=4]/price", "1"), products_doc, undo)
-        apply_update(ChangeOp("/products/product[id=14]/price", "2"), products_doc, undo)
-        undone = undo.rollback_last(1)
-        assert undone == 1
+        apply_update(ChangeOp("/products/product[id=4]/price", "1"), products_doc)
+        last = apply_update(ChangeOp("/products/product[id=14]/price", "2"), products_doc)
+        _revert_all(last)
         assert products_doc.root.children[1].child("price").text == "35.50"
         assert products_doc.root.children[0].child("price").text == "1"
 
     def test_transpose_undo(self):
         d = doc("d", E("lib", E("archive", E("item", text="x"), E("item", text="y")), E("active")))
         before = serialize_document(d)
-        undo = UndoLog()
-        apply_update(TransposeOp("/lib/archive/item[2]", "/lib/active"), d, undo)
-        undo.rollback()
+        _revert_all(apply_update(TransposeOp("/lib/archive/item[2]", "/lib/active"), d))
         assert serialize_document(d) == before
 
     def test_touched_documents(self, products_doc, people_doc):
-        undo = UndoLog()
-        apply_update(ChangeOp("/products/product[id=4]/price", "1"), products_doc, undo)
-        apply_update(ChangeOp("/people/person[id=4]/name", "Z"), people_doc, undo)
-        assert undo.touched_documents == [products_doc, people_doc]
-        undo.clear()
-        assert len(undo) == 0
+        """Each record reverts in the document it was made in."""
+        before = serialize_document(products_doc), serialize_document(people_doc)
+        changes = apply_update(ChangeOp("/products/product[id=4]/price", "1"), products_doc)
+        changes += apply_update(ChangeOp("/people/person[id=4]/name", "Z"), people_doc)
+        assert [c.node.document for c in changes] == [products_doc, people_doc]
+        _revert_all(changes)
+        assert (serialize_document(products_doc), serialize_document(people_doc)) == before
+
+    def test_reverting_the_reverse_redoes_the_change(self, people_doc):
+        (change,) = apply_update(RemoveOp("/people/person[id=4]"), people_doc)
+        after = serialize_document(people_doc)
+        reverse = revert(change)
+        assert (reverse.kind, reverse.byte_delta) == ("insert", -change.byte_delta)
+        redo = revert(reverse)
+        assert serialize_document(people_doc) == after
+        assert (redo.kind, redo.byte_delta, redo.node) == ("remove", change.byte_delta, change.node)
+        assert (redo.old_parent, redo.old_index) == (change.old_parent, change.old_index)
+
+    def test_an_operation_refused_part_way_leaves_nothing_behind(self):
+        # //item selects both items; the first moves, then the second is
+        # refused (the destination lies inside it): the first moves back.
+        d = doc("d", E("lib", E("item", text="x"), E("item", E("box")), E("shelf")))
+        before = serialize_document(d)
+        with pytest.raises(UpdateError):
+            apply_update(TransposeOp("//item", "/lib/item[2]/box"), d)
+        assert serialize_document(d) == before
 
 
 class TestUpdateLanguage:

@@ -490,7 +490,7 @@ def _replay_digest(initial_text, log, lsn):
     docm = parse_document(initial_text, name="d1")
     for n in range(1, lsn + 1):
         for op in log.entries[n].ops:
-            apply_update(op.payload, docm, None, EvalStats())
+            apply_update(op.payload, docm, EvalStats())
     return hashlib.sha256(serialize_document(docm).encode()).hexdigest()
 
 

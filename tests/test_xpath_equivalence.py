@@ -29,8 +29,8 @@ from repro.update import (
     RemoveOp,
     RenameOp,
     TransposeOp,
-    UndoLog,
     apply_update,
+    revert,
 )
 from repro.verify import xpath_oracle
 from repro.workload import WorkloadSpec, xmark_fragments
@@ -231,26 +231,30 @@ class TestCompiledPlansEqualOracle:
     )
     @given(documents, st.lists(paths(), min_size=1, max_size=4), st.lists(actions, max_size=6))
     def test_under_updates_and_rollbacks(self, document, queries, steps):
-        undo = UndoLog()
+        log: list = []  # change records still in effect, newest last
 
         def check():
             assert_extents_match_walk(document)
             for query in queries:
                 assert_same_evaluation(query, document)
 
+        def rollback(n):
+            for _ in range(min(n, len(log))):
+                revert(log.pop())
+
         check()
         for step in steps:
             if step == "rollback":
-                undo.rollback()
+                rollback(len(log))
             elif isinstance(step, tuple):
-                undo.rollback_last(step[1])
+                rollback(step[1])
             else:
                 try:
-                    apply_update(step, document, undo)
+                    log += apply_update(step, document)
                 except ReproError:
-                    pass  # e.g. removing the root: what was applied so far stays logged
+                    pass  # e.g. removing the root: the applier unwinds itself
             check()
-        undo.rollback()
+        rollback(len(log))
         check()
 
     @settings(max_examples=example_budget(40), deadline=None)
@@ -529,29 +533,27 @@ class TestRename:
         op = RenameOp("//a", "item")
 
         def apply():
-            undo = UndoLog()
-            changes = apply_update(op, document, undo)
+            changes = apply_update(op, document)
             for change in changes:
                 guide.apply_change(change)
-            return undo, changes
+            return changes
 
-        undo, changes = apply()
+        changes = apply()
         assert sum(c.byte_delta for c in changes) == serialized_size(document.root) - size
         assert_extents_match_walk(document)
         guide.validate_against(document)
         after = serialize_document(document)
         assert evaluate("//a", document) == [] and len(evaluate("//item", document)) == 3
 
-        undo.rollback()
         for change in reversed(changes):
-            guide.undo_change(change)
+            guide.apply_change(revert(change))
         assert serialize_document(document) == before
         assert serialized_size(document.root) == size
         assert_extents_match_walk(document)
         guide.validate_against(document)
         assert len(evaluate("//a", document)) == 3
 
-        _, redone = apply()
+        redone = apply()
         assert serialize_document(document) == after
         assert [c.byte_delta for c in redone] == [c.byte_delta for c in changes]
         assert [c.node for c in redone] == [c.node for c in changes]
