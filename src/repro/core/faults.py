@@ -7,16 +7,19 @@ to the pre-membership code). The cluster owns one omniscient monitor: when
 a site crashes it
 
 1. partitions the site off the network (its sends and deliveries drop);
-2. promotes a new primary for every document the dead site led, choosing
-   the **most-caught-up live secondary** (highest applied LSN in its
-   durable update log; placement order breaks ties deterministically) and
-   bumping the document's election epoch so the deposed primary is fenced;
+2. for every document the dead site led, picks the **most-caught-up live
+   secondary** (highest applied LSN in its durable update log; placement
+   order breaks ties deterministically — the rule the lease election
+   applies too) and has it promote itself through
+   :meth:`~repro.core.site.DTXSite.assume_primacy`, which bumps the
+   document's election epoch so the deposed primary is fenced;
 3. broadcasts a :class:`~repro.core.messages.SiteDownNotice` to every live
    site so in-flight coordinators stop waiting on the dead participant.
 
 The monitor reads the candidates' log tips directly off the in-process
-site objects and mutates the *shared* catalog — the in-process stand-in
-for the election round trip. Recovery is the inverse (rejoin + a
+site objects, and the winner's promotion lands in the *shared* catalog
+every site reads — the in-process stand-in for the election round trip
+and its announcement. Recovery is the inverse (rejoin + a
 :class:`~repro.core.messages.SiteUpNotice` broadcast).
 
 **"lease"**. The oracle is gone: every membership fact travels as a
@@ -27,7 +30,8 @@ becomes *suspected* only when its lease expires (nothing heard for
 can all cause, so suspicion can be **false**. A site that suspects the
 primary of a document it hosts runs an election over the wire
 (:class:`LogTipQuery` / :class:`LogTipReport`, requiring reports from a
-**majority** of the replica set), and the winner announces itself with an epoch-bumped
+**majority** of the replica set), and the winner promotes itself through
+the same ``assume_primacy`` and announces itself with an epoch-bumped
 :class:`PrimaryAnnounce` applied at each receiver's own
 :class:`~repro.distribution.catalog.CatalogView`. Nothing here mutates
 the shared catalog; split-brain is prevented by epoch fencing and the
@@ -59,12 +63,12 @@ class FaultStats:
 
 
 class MembershipService:
-    """Cluster-level membership authority (and, in lease mode, scorekeeper).
+    """Cluster-level membership authority and promotion scorekeeper.
 
     In perfect mode this *is* the failure monitor. In lease mode it only
     flips the physical network state on crash/recovery — detection,
-    election and dissemination all run at the sites — and aggregates the
-    promotion statistics the sites report via :meth:`record_promotion`.
+    election and dissemination all run at the sites. In both it aggregates
+    the promotions the sites report via :meth:`record_promotion`.
     """
 
     def __init__(
@@ -113,41 +117,10 @@ class MembershipService:
                 # 'no-live-replica' in the meantime).
                 self.stats.orphaned_docs += 1
                 continue
-            order = list(rset.secondaries)
-            best = min(
-                live,
-                key=lambda s: (-self._applied_lsn(s, doc_name), order.index(s)),
+            best = rset.most_caught_up(
+                {s: self.sites[s].log_for(doc_name).applied_lsn for s in live}
             )
-            self.catalog.set_primary(doc_name, best)  # bumps the epoch
-            new_log = self.sites[best].log_for(doc_name)
-            if new_log.applied_lsn != new_log.max_recorded_lsn:
-                # A hole inherited at promotion can never fill: its batch
-                # died with the old primary. Compact the log to a snapshot
-                # base at the tip — the data of every recorded entry is
-                # already applied here — so catch-up serving keeps working
-                # (replicas below the base are healed by state transfer).
-                new_log.reset_to_snapshot(
-                    new_log.max_recorded_lsn, self.catalog.epoch(doc_name)
-                )
-            # New allocations continue above everything the new primary has
-            # recorded (including what the compaction just folded into the
-            # base), so no LSN is re-allocated under the new epoch at the
-            # serving primary.
-            self.catalog.reset_lsn(doc_name, new_log.max_recorded_lsn)
-            self.stats.promotions += 1
-            self.stats.promotion_log.append(
-                (self.env.now, doc_name, down, best, self.catalog.epoch(doc_name))
-            )
-            # Anti-entropy: the election chose the most-caught-up replica,
-            # so the other survivors may lag — and under lazy propagation
-            # the batch that would re-trigger their healing may have died
-            # with the old primary. Nudge them to reconcile now.
-            for secondary in live:
-                if secondary != best:
-                    self.sites[secondary].nudge_catch_up(doc_name)
-
-    def _applied_lsn(self, site_id: Hashable, doc_name: str) -> int:
-        return self.sites[site_id].log_for(doc_name).applied_lsn
+            self.sites[best].assume_primacy(doc_name)
 
     def incarnation_of(self, site_id: Hashable) -> int:
         """Current restart count of ``site_id`` (the perfect-mode oracle
@@ -171,13 +144,13 @@ class MembershipService:
             if other_id != site_id and other.alive:
                 self.network.send(MONITOR_ID, other_id, SiteUpNotice(site=site_id))
 
-    # -- lease-mode reporting ----------------------------------------------
+    # -- reporting ---------------------------------------------------------
 
     def record_promotion(
         self, doc_name: str, old: Hashable, new: Hashable, epoch: int
     ) -> None:
-        """A site won an over-the-wire election; keep the cluster tallies
-        (``RunResult.promotions``, the demo's promotion log) meaningful."""
+        """A site assumed primacy; keep the cluster tallies
+        (``RunResult.promotions``, the demo's promotion log)."""
         self.stats.promotions += 1
         self.stats.promotion_log.append((self.env.now, doc_name, old, new, epoch))
 

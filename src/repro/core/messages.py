@@ -13,7 +13,7 @@ plausible transfer times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Hashable, Optional
 
 from .transaction import Operation, TxId
 
@@ -341,27 +341,32 @@ class SiteUpNotice:
 
 @dataclass(slots=True)
 class CatchUpRequest:
-    """Recovering/lagging replica -> primary: send me what I missed.
+    """Replica or view host -> primary: send me what I missed.
 
-    ``after_lsn``/``last_epoch`` describe the requester's log tip. The
+    A replica describes its log tip (``after_lsn``/``last_epoch``). The
     primary answers with the missing log entries, or with a full snapshot
     when the requester's tip is not on the primary's timeline (it applied
     writes of a deposed primary) or predates the primary's own log base.
+    A view host keeps no log and names no tip (``after_lsn`` None, 8 bytes
+    fewer on the wire): it always gets the snapshot, to (re)materialize its
+    shadow.
     """
 
     doc_name: str
     requester: Hashable
     req_id: int
-    after_lsn: int
-    last_epoch: int
+    after_lsn: Optional[int] = None
+    last_epoch: int = 0
 
     def size_bytes(self) -> int:
-        return _HEADER_BYTES + 24
+        return _HEADER_BYTES + (16 if self.after_lsn is None else 24)
 
 
 @dataclass(slots=True)
 class CatchUpResponse:
-    """Primary -> recovering replica: log suffix or full snapshot."""
+    """Primary -> replica or view host: log suffix or full snapshot;
+    ``ok=False`` (the responder does not lead, or its log has holes in
+    flight) asks the requester to retry later."""
 
     doc_name: str
     req_id: int
@@ -536,7 +541,9 @@ class ViewDeltaBatch:
     the staleness bound. ``epoch`` fences pushes from deposed primaries.
     The two fields are why this stays its own class: it is 8 bytes longer
     on the wire than a replica batch, so folding the two is a framing
-    change that moves schedules.
+    change that moves schedules. The host's initial state and every
+    re-hydration come the way a replica's do, by a tip-less
+    :class:`CatchUpRequest`.
     """
 
     primary: Hashable
@@ -548,41 +555,6 @@ class ViewDeltaBatch:
 
     def size_bytes(self) -> int:
         return _HEADER_BYTES + 24 + sum(e.payload_size() for e in self.entries)
-
-
-@dataclass(slots=True)
-class ViewFetchRequest:
-    """View host -> primary: send me a committed snapshot to (re)materialize."""
-
-    doc_name: str
-    requester: Hashable
-    req_id: int
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + 16
-
-
-@dataclass(slots=True)
-class ViewFetchResponse:
-    """Primary -> view host: committed state + its log position.
-
-    ``ok=False`` when the responder no longer leads the document (or holds
-    recording gaps); the host simply retries on the next delta that needs
-    hydration. ``snapshot_epoch`` is the primary's *current* epoch for the
-    document, so subsequent same-epoch deltas apply without a spurious
-    re-hydration cycle.
-    """
-
-    doc_name: str
-    req_id: int
-    snapshot: Any = None  # Document: a private copy, as in CatchUpResponse
-    snapshot_size: int = 0  # its serialized length in bytes
-    snapshot_lsn: int = 0
-    snapshot_epoch: int = 0
-    ok: bool = True
-
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES + 16 + self.snapshot_size
 
 
 @dataclass(slots=True)

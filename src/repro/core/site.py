@@ -83,8 +83,6 @@ from .messages import (
     VersionProbe,
     VersionReport,
     ViewDeltaBatch,
-    ViewFetchRequest,
-    ViewFetchResponse,
     ViewReadRequest,
     ViewReadResult,
     WakeNotice,
@@ -123,7 +121,6 @@ _ROUND_ID = {
     VersionReport: attrgetter("probe_id"),
     LogTipReport: attrgetter("election_id"),
     CatchUpResponse: attrgetter("req_id"),
-    ViewFetchResponse: attrgetter("req_id"),
     ViewReadResult: attrgetter("read_id"),
 }
 
@@ -419,40 +416,67 @@ class DTXSite:
         return False
 
     def request_primacy(self, doc_name: str, goal_lsn: int):
-        """Administrative promotion (migration cutover, lease mode only).
+        """Migration cutover under the lease detector, run as a process:
+        one dispatch later, :meth:`assume_primacy` with the manager's goal
+        (batches may land in between). False tells the caller to retry."""
+        yield (self.costs.scheduler_dispatch_ms)
+        return self.alive and self.assume_primacy(doc_name, goal_lsn)
 
-        Spawns a process that assumes primacy for ``doc_name`` iff this
-        site is alive, still hosts the document, and its durable log is
-        contiguous and caught up to ``goal_lsn`` — the manager's fencing
-        precondition, re-checked here at execution time because batches
-        may land between the manager's poll and this process running.
-        Returns an event firing ``True`` on promotion (or if this site
-        already leads), ``False`` when the caller should retry later.
+    def assume_primacy(self, doc_name: str, goal_lsn: Optional[int] = None) -> bool:
+        """Make this site the primary of ``doc_name`` — the one promotion
+        step of failover, the lease election and migration cutover — in
+        one event, so no commit lands between the checks and the turn.
+
+        With ``goal_lsn`` (cutover): True at once if this site already
+        leads; False unless it is alive and holds a real copy (not the
+        migration placeholder) whose log is contiguous and reaches the goal.
+
+        The epoch is *claimed*: concurrent electors that both reached a
+        majority (asymmetric loss, degree >= 5) get distinct epochs, so the
+        loser is fenceable. Under the perfect detector the shared catalog is
+        the announcement, and the other live holders are nudged to catch up
+        (they may trail the winner); under the lease detector every peer
+        gets a :class:`PrimaryAnnounce`.
         """
-        done = self.env.event()
-
-        def _run():
-            yield (self.costs.scheduler_dispatch_ms)
+        old = self.catalog.replica_set(doc_name).primary
+        if goal_lsn is not None:
+            if old == self.site_id:
+                return True
             if (
                 not self.alive
                 or not self.data_manager.is_loaded(doc_name)
                 or self.holds_placeholder(doc_name)
             ):
-                done.succeed(False)
-                return
-            rset = self.catalog.replica_set(doc_name)
-            if rset.primary == self.site_id:
-                done.succeed(True)  # already elected (e.g. by failover)
-                return
+                return False
             log = self.log_for(doc_name)
             if log.applied_lsn != log.max_recorded_lsn or log.applied_lsn < goal_lsn:
-                done.succeed(False)
-                return
-            self._assume_primacy(doc_name, deposed=rset.primary)
-            done.succeed(True)
-
-        self.env.process(_run())
-        return done
+                return False
+        epoch = self.catalog.claim_epoch(doc_name)
+        log = self.log_for(doc_name)
+        if log.applied_lsn != log.max_recorded_lsn:
+            # A hole inherited at promotion can never fill: its batch died
+            # with (or is fenced away from) the old primary. Compact to a
+            # snapshot base at the tip so catch-up serving keeps working.
+            log.reset_to_snapshot(log.max_recorded_lsn, epoch)
+        self.catalog.apply_primary(doc_name, self.site_id, epoch)
+        # The new epoch's LSNs continue above everything recorded here;
+        # allocations a deposed primary keeps making live under its own
+        # (fenced) epoch and cannot punch holes in the new timeline.
+        self.catalog.reset_lsn(doc_name, log.max_recorded_lsn)
+        self.faults.record_promotion(doc_name, old, self.site_id, epoch)
+        if self.membership is None:
+            for site_id in self.catalog.sites_for(doc_name):
+                other = self.faults.sites[site_id]
+                if site_id != self.site_id and other.alive:
+                    other.nudge_catch_up(doc_name)
+            return True
+        self.stats.elections_won += 1
+        announce = PrimaryAnnounce(
+            doc_name=doc_name, primary=self.site_id, epoch=epoch, announcer=self.site_id,
+        )
+        for peer in self._membership_peers():
+            self.network.send(self.site_id, peer, announce)
+        return True
 
     def log_for(self, doc_name: str) -> UpdateLog:
         """The durable update log of ``doc_name`` at this site."""
@@ -632,8 +656,8 @@ class DTXSite:
     def _on_round_reply(self, msg) -> None:
         rnd = self._rounds.get(_ROUND_ID[msg.__class__](msg))
         if rnd is not None:
-            # Catch-up and view-fetch responses name no sender: their
-            # round asked one site.
+            # Catch-up responses name no sender: their round asked one
+            # site.
             rnd.reply(getattr(msg, "site", rnd.sites[0]), msg)
 
     def _dispatch_table(self) -> dict:
@@ -664,8 +688,6 @@ class DTXSite:
             VersionReport: self._on_round_reply,
             ReadRepairNudge: self._on_read_repair,
             ViewDeltaBatch: self._handle_view_delta,
-            ViewFetchRequest: self._handle_view_fetch_request,
-            ViewFetchResponse: self._on_round_reply,
             ViewReadRequest: self._handle_view_read,
             ViewReadResult: self._on_round_reply,
             WakeNotice: self._on_wake_notice,
@@ -2841,54 +2863,21 @@ class DTXSite:
                     self.stats.elections_no_quorum += 1
                     yield (self.config.lease_timeout_ms)
                     continue
-                order = list(rset.all_sites)
-                winner = min(
-                    reports.values(),
-                    key=lambda r: (-r.applied_lsn, order.index(r.site)),
-                ).site
+                winner = rset.most_caught_up(
+                    {site: r.applied_lsn for site, r in reports.items()}
+                )
                 if winner != self.site_id:
                     # The winner reported, so it is live on our side; its
                     # own election will promote it. Re-check later in case
                     # that never happens (e.g. its suspicion lags ours).
                     yield (self.config.lease_timeout_ms)
                     continue
-                self._assume_primacy(doc_name, suspect)
+                self.assume_primacy(doc_name)
                 return
         finally:
             self._rounds.pop(eid, None)
             if self._elections.get(doc_name) == eid:
                 del self._elections[doc_name]
-
-    def _assume_primacy(self, doc_name: str, deposed: Hashable) -> None:
-        """This site won the election: fence, fix the log, announce.
-
-        The epoch is *claimed*, not computed: concurrent electors that
-        both reached a majority (asymmetric loss, degree >= 5) receive
-        distinct epochs, so the loser is fenceable — two primaries can
-        never serve the same epoch.
-        """
-        new_epoch = self.catalog.claim_epoch(doc_name)
-        log = self.log_for(doc_name)
-        if log.applied_lsn != log.max_recorded_lsn:
-            # A hole inherited at promotion can never fill: its batch died
-            # with (or is fenced away from) the old primary. Compact to a
-            # snapshot base at the tip so catch-up serving keeps working.
-            log.reset_to_snapshot(log.max_recorded_lsn, new_epoch)
-        self.catalog.apply_primary(doc_name, self.site_id, new_epoch)
-        # The new epoch's LSNs continue above everything recorded here;
-        # allocations the deposed primary keeps making live under its own
-        # (fenced) epoch and cannot punch holes in the new timeline.
-        self.catalog.reset_lsn(doc_name, log.max_recorded_lsn)
-        self.stats.elections_won += 1
-        self.faults.record_promotion(doc_name, deposed, self.site_id, new_epoch)
-        announce = PrimaryAnnounce(
-            doc_name=doc_name,
-            primary=self.site_id,
-            epoch=new_epoch,
-            announcer=self.site_id,
-        )
-        for peer in self._membership_peers():
-            self.network.send(self.site_id, peer, announce)
 
     # ------------------------------------------------------------------
     # update-log catch-up (recovery and gap healing)
@@ -3028,16 +3017,16 @@ class DTXSite:
         if not self.alive:
             return
         doc_name = msg.doc_name
-        log = self.log_for(doc_name)
-        known_epoch = log.epoch_at(msg.after_lsn)
+        # A view host keeps no log and names no tip: it takes the snapshot.
+        log = None if msg.after_lsn is None else self.log_for(doc_name)
         if self.catalog.replica_set(doc_name).primary != self.site_id:
             # Mid-failover race: the requester asked a site that is not
             # (or no longer) the primary. Tell it to retry later.
             resp = CatchUpResponse(doc_name=doc_name, req_id=msg.req_id, ok=False)
         elif (
-            log.can_serve_after(msg.after_lsn)
-            and known_epoch is not None
-            and known_epoch == msg.last_epoch
+            log is not None
+            and log.can_serve_after(msg.after_lsn)
+            and log.epoch_at(msg.after_lsn) == msg.last_epoch
         ):
             # Same timeline: serve the gapless run directly above the
             # requester's tip. Entries past this log's own first hole (a
@@ -3049,13 +3038,15 @@ class DTXSite:
                 entries=list(log.contiguous_entries_after(msg.after_lsn)),
             )
         elif (snap := self._committed_snapshot(doc_name)) is None:
-            # Divergence calls for a snapshot, but the log has in-flight
-            # holes; the requester retries.
+            # A snapshot is due, but the log has in-flight holes; the
+            # requester retries.
             resp = CatchUpResponse(doc_name=doc_name, req_id=msg.req_id, ok=False)
         else:
-            # The requester's log tip is not on this primary's timeline
-            # (phantom entries applied under a deposed primary, or a tip
-            # older than this log's own snapshot base): ship full state.
+            # A view host, or a replica whose log tip is not on this
+            # primary's timeline (phantom entries applied under a deposed
+            # primary, or a tip older than this log's own snapshot base):
+            # ship full state, stamped with the epoch the receiver's next
+            # entries are fenced against.
             snapshot, size, lsn = snap
             resp = CatchUpResponse(
                 doc_name=doc_name,
@@ -3063,7 +3054,9 @@ class DTXSite:
                 snapshot=snapshot,
                 snapshot_size=size,
                 snapshot_lsn=lsn,
-                snapshot_epoch=log.last_epoch,
+                snapshot_epoch=(
+                    self.catalog.epoch(doc_name) if log is None else log.last_epoch
+                ),
             )
         self.network.send(self.site_id, msg.requester, resp)
 
@@ -3207,33 +3200,6 @@ class DTXSite:
         if self.alive:
             yield from self._view_fetch(doc_name)
 
-    # -- primary side: hydration snapshots ---------------------------------
-
-    def _handle_view_fetch_request(self, msg: ViewFetchRequest):
-        """Serve a committed snapshot for a view host's (re)materialization,
-        stamped with the catalog's current epoch; ``ok=False`` when
-        :meth:`_committed_snapshot` refuses."""
-        if not self.alive:
-            return
-        yield (self.costs.scheduler_dispatch_ms)
-        if not self.alive:
-            return
-        doc_name = msg.doc_name
-        snap = self._committed_snapshot(doc_name)
-        if snap is None:
-            resp = ViewFetchResponse(doc_name=doc_name, req_id=msg.req_id, ok=False)
-        else:
-            snapshot, size, lsn = snap
-            resp = ViewFetchResponse(
-                doc_name=doc_name,
-                req_id=msg.req_id,
-                snapshot=snapshot,
-                snapshot_size=size,
-                snapshot_lsn=lsn,
-                snapshot_epoch=self.catalog.epoch(doc_name),
-            )
-        self.network.send(self.site_id, msg.requester, resp)
-
     # -- host side: maintenance and serving --------------------------------
 
     def _handle_view_delta(self, msg: ViewDeltaBatch):
@@ -3278,9 +3244,7 @@ class DTXSite:
             self.network.send(
                 self.site_id,
                 primary,
-                ViewFetchRequest(
-                    doc_name=doc_name, requester=self.site_id, req_id=req_id
-                ),
+                CatchUpRequest(doc_name=doc_name, requester=self.site_id, req_id=req_id),
             )
             got = yield from rnd.wait(CATCHUP_TIMEOUT_MS)
             self._rounds.pop(req_id, None)

@@ -19,7 +19,7 @@ class Catalog:
     def __init__(self) -> None:
         self._placement: dict[str, tuple[Hashable, ...]] = {}
         # The placement as a frozen ReplicaSet, shared by every lookup:
-        # rebuilt by the placement's only two writers, add and set_primary.
+        # rebuilt by the placement's only two writers, add and apply_primary.
         self._replica_sets: dict[str, ReplicaSet] = {}
         # Primary-election epoch per document: bumped on every primary
         # change, carried by replica-sync traffic, and used to fence
@@ -34,7 +34,7 @@ class Catalog:
         # allocate independently, so a fenced stale primary cannot punch
         # holes into the new timeline's LSN sequence.
         self._epoch_lsn: dict[tuple[str, int], int] = {}
-        # Highest election epoch ever *claimed* per document (lease mode).
+        # Highest election epoch ever *claimed* per document.
         # Claiming is the uniqueness RPC: no two election winners can be
         # handed the same epoch, so equal-epoch split-brain (two primaries
         # whose batches both pass the `epoch < current` fence) is
@@ -95,18 +95,25 @@ class Catalog:
             raise DistributionError(f"document {doc_name!r} not in catalog") from None
 
     def set_primary(self, doc_name: str, site_id: Hashable) -> None:
-        """Promote ``site_id`` to primary by reordering the placement.
+        """Promote ``site_id`` under the next epoch (placement time and tests;
+        a running cluster promotes through ``DTXSite.assume_primacy``)."""
+        self.apply_primary(doc_name, site_id, self.claim_epoch(doc_name))
 
-        Every primary change increments the document's epoch — the
-        deterministic fencing rule replica-sync traffic is checked against.
-        """
+    def apply_primary(self, doc_name: str, primary: Hashable, epoch: int) -> bool:
+        """Make ``primary`` lead under ``epoch``, the fence replica-sync
+        traffic is checked against; False when the epoch is stale. The
+        contract of :meth:`CatalogView.apply_primary`, so a promotion makes
+        one call under either detector."""
+        if epoch <= self.epoch(doc_name):
+            return False
         sites = self.sites_for(doc_name)
-        if site_id not in sites:
+        if primary not in sites:
             raise DistributionError(
-                f"site {site_id!r} holds no replica of {doc_name!r}"
+                f"site {primary!r} holds no replica of {doc_name!r}"
             )
-        self._place(doc_name, (site_id, *[s for s in sites if s != site_id]))
-        self._epochs[doc_name] = self.epoch(doc_name) + 1
+        self._place(doc_name, (primary, *[s for s in sites if s != primary]))
+        self._epochs[doc_name] = epoch
+        return True
 
     # -- epochs and log sequence numbers -----------------------------------
 
@@ -117,9 +124,10 @@ class Catalog:
     def claim_epoch(self, doc_name: str, at_least: int = 0) -> int:
         """Hand out the next election epoch — unique across all claimants.
 
-        The lease-mode election winner's "epoch RPC" (a stand-in for an
-        epoch CAS at a coordination service, the same way ``allocate_lsn``
-        stands in for the primary's LSN counter). Two concurrent electors
+        Every promotion's "epoch RPC" (a stand-in for an epoch CAS at a
+        coordination service, the same way ``allocate_lsn`` stands in for
+        the primary's LSN counter); under the perfect detector it is simply
+        the next epoch. Under the lease detector two concurrent electors
         that both reach a majority — possible under asymmetric message
         loss with replica degree >= 5 — receive *different* epochs, so
         the lower one is fenced on first contact with any site that
@@ -205,9 +213,6 @@ class Catalog:
     def views_for(self, doc_name: str) -> tuple:
         """Views spanning ``doc_name``, in registration order."""
         return self._views_by_doc.get(doc_name, ())
-
-    def all_views(self) -> list:
-        return list(self._views.values())
 
     def __len__(self) -> int:
         return len(self._placement)
@@ -295,15 +300,6 @@ class CatalogView:
     def has_document(self, doc_name: str) -> bool:
         return self._shared.has_document(doc_name)
 
-    def documents_at(self, site_id: Hashable) -> list[str]:
-        return self._shared.documents_at(site_id)
-
-    def all_documents(self) -> list[str]:
-        return self._shared.all_documents()
-
-    def all_sites(self) -> list:
-        return self._shared.all_sites()
-
     def allocate_lsn(self, doc_name: str) -> int:
         # The allocation RPC goes to the primary *this view believes in*:
         # keyed by the view's epoch, so a deposed view's allocations stay
@@ -313,17 +309,8 @@ class CatalogView:
     def reset_lsn(self, doc_name: str, from_lsn: int) -> None:
         self._shared.reset_lsn(doc_name, from_lsn, self.epoch(doc_name))
 
-    def replication_degree(self, doc_name: str) -> int:
-        return self._shared.replication_degree(doc_name)
-
-    def register_view(self, view) -> None:
-        self._shared.register_view(view)
-
     def has_views(self, doc_name: str) -> bool:
         return self._shared.has_views(doc_name)
 
     def views_for(self, doc_name: str) -> tuple:
         return self._shared.views_for(doc_name)
-
-    def all_views(self) -> list:
-        return self._shared.all_views()

@@ -30,19 +30,20 @@ anti-entropy path (:meth:`DTXSite.nudge_catch_up`) each round — crashes
 and partitions during the window only delay the poll, they cannot corrupt
 it, because catch-up is idempotent and epoch-fenced.
 
-**CUTOVER** (only when the primary moves). The readiness check and the
-promotion happen in one simulation event, so no commit can slip between
-them. Under the perfect detector the manager mutates the shared catalog
-(the same oracle stand-in the failure monitor uses): ``set_primary`` bumps
-the document's election epoch, so any in-flight sync stamped by the old
-primary is refused as ``stale-epoch`` and its transaction unwinds — the
-fencing rule that already guards failover guards cutover. Under the lease
-detector the cutover travels as messages: the manager asks the *target* to
-assume primacy (:meth:`DTXSite.request_primacy`), which claims a unique
-epoch and broadcasts a ``PrimaryAnnounce`` exactly like an election
-winner. Cutover requires the target's log contiguous **and** at the goal
-LSN, re-checked atomically at promotion time: a committed write can
-therefore never sit above the new primary's tip when the epoch turns.
+**CUTOVER** (only when the primary moves). The target checks its own
+readiness and promotes itself in one simulation event
+(:meth:`DTXSite.assume_primacy` with the goal LSN — the promotion step
+failover and the lease election use too), so no commit can slip between
+the check and the turn: its log must be contiguous **and** at the goal,
+so a committed write can never sit above the new primary's tip when the
+epoch turns. The promotion claims the next epoch, so any in-flight sync
+stamped by the old primary is refused as ``stale-epoch`` and its
+transaction unwinds — the fencing rule that already guards failover
+guards cutover. Under the perfect detector the manager calls the target
+directly and the shared catalog is the announcement; under the lease
+detector the request reaches the target one dispatch later
+(:meth:`DTXSite.request_primacy`) and the target broadcasts a
+``PrimaryAnnounce`` exactly like an election winner.
 
 **DRAIN / RETIRE.** The placement shrinks first (new operations stop
 routing to the leavers), then a drain window lets in-flight requests
@@ -58,7 +59,7 @@ with or without it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Sequence
 
 from ..errors import ConfigError, DistributionError
 
@@ -102,10 +103,10 @@ class MigrationStats:
 class MigrationManager:
     """Moves documents' replica sets online, one process per migration.
 
-    Cluster-level, like the failure monitor: under the perfect detector it
-    reads log tips and mutates the shared catalog directly (the in-process
-    stand-in for the admin RPCs of a real deployment); under the lease
-    detector promotions travel as messages through the target site.
+    Cluster-level, like the failure monitor: it reads log tips and grows or
+    shrinks the shared placement directly (the in-process stand-in for the
+    admin RPCs of a real deployment). The promotion itself runs at the
+    target site, reached by a message under the lease detector.
 
     Parameters
     ----------
@@ -146,10 +147,6 @@ class MigrationManager:
         self.stats = MigrationStats()
         self.active: dict[str, Migration] = {}  # doc -> in-flight migration
         self.history: list[Migration] = []
-
-    @property
-    def _lease(self) -> bool:
-        return self.cluster.config.failure_detector == "lease"
 
     # -- public API --------------------------------------------------------
 
@@ -323,62 +320,35 @@ class MigrationManager:
         return False
 
     def _current_primary_in(self, doc: str, targets: tuple) -> bool:
-        if not self._lease:
-            return self.catalog.replica_set(doc).primary in targets
-        # Lease mode: the authoritative belief is the target primary's own
-        # view (the announce it broadcast); the shared catalog only holds
-        # the placement.
+        # The authoritative belief is the target primary's own view: the
+        # shared catalog under the perfect detector, the announce it
+        # broadcast under the lease detector.
         return self.sites[targets[0]].catalog.replica_set(doc).primary in targets
 
     def _cutover(self, mig: Migration, new_primary):
         """Promote ``new_primary`` once it provably holds every committed
-        write. Readiness and promotion share one event turn, so no commit
-        can land in between."""
+        write. The target checks readiness and promotes in one event
+        (:meth:`~repro.core.site.DTXSite.assume_primacy`), so no commit
+        can land in between; under the lease detector the request travels
+        to it first."""
         doc = mig.doc_name
+        target = self.sites[new_primary]
         for _ in range(self.max_poll_rounds):
-            target = self.sites[new_primary]
-            if self._lease:
-                if target.alive:
-                    # The target re-checks readiness itself (atomically, in
-                    # its own event) and runs the election winner's path:
-                    # claim a unique epoch, announce, fence the old primary.
-                    promoted = yield target.request_primacy(
-                        doc, self._live_recorded_tip(doc)
-                    )
-                    if promoted:
-                        mig.cutover_epoch = target.catalog.epoch(doc)
-                        self.stats.cutovers += 1
-                        return True
+            goal = self._live_recorded_tip(doc)
+            epoch = target.catalog.epoch(doc)
+            if self.cluster.config.failure_detector == "lease":
+                promoted = target.alive and (
+                    yield self.env.process(target.request_primacy(doc, goal))
+                )
             else:
-                rset = self.catalog.replica_set(doc)
-                if rset.primary == new_primary:
-                    return True  # already leads (no-op or failover got there)
-                log = target.log_for(doc)
-                goal = self._live_recorded_tip(doc)
-                if (
-                    target.alive
-                    and target.data_manager.is_loaded(doc)
-                    and not target.holds_placeholder(doc)
-                    and log.applied_lsn == log.max_recorded_lsn
-                    and log.applied_lsn >= goal
-                ):
-                    # Atomic with the check above: same event turn, no yield.
-                    old = rset.primary
-                    self.catalog.set_primary(doc, new_primary)  # bumps epoch
-                    self.catalog.reset_lsn(doc, log.max_recorded_lsn)
-                    epoch = self.catalog.epoch(doc)
-                    mig.cutover_epoch = epoch
+                promoted = target.assume_primacy(doc, goal)
+            if promoted:
+                if target.catalog.epoch(doc) != epoch:  # not a leader already
+                    mig.cutover_epoch = target.catalog.epoch(doc)
                     self.stats.cutovers += 1
-                    self.cluster.faults.record_promotion(doc, old, new_primary, epoch)
-                    # Anti-entropy: survivors of the old regime may trail
-                    # the new primary; nudge them like failover does.
-                    for s in self.catalog.sites_for(doc):
-                        other = self.sites[s]
-                        if s != new_primary and other.alive:
-                            other.nudge_catch_up(doc)
-                    return True
-            if self.sites[new_primary].alive:
-                self.sites[new_primary].nudge_catch_up(doc)
+                return True
+            if target.alive:
+                target.nudge_catch_up(doc)
             yield (self.poll_interval_ms)
         return False
 

@@ -96,6 +96,13 @@ class ReplicaSet:
     def __contains__(self, site_id: Hashable) -> bool:
         return site_id == self.primary or site_id in self.secondaries
 
+    def most_caught_up(self, applied: dict) -> Hashable:
+        """The promotion winner among ``applied`` (site -> applied LSN):
+        the highest applied LSN, placement order breaking ties. Failover
+        and the lease election both pick by this rule."""
+        order = self.all_sites
+        return min(applied, key=lambda s: (-applied[s], order.index(s)))
+
     def __str__(self) -> str:
         sites = ", ".join(str(s) for s in self.secondaries)
         return f"{self.doc_name}@{self.primary}" + (f"+[{sites}]" if sites else "")

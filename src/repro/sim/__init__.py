@@ -1,9 +1,9 @@
 """Discrete-event simulation substrate (the paper's cluster, in software)."""
 
-from .environment import Environment, RealtimeEnvironment
+from .environment import Environment
 from .events import AllOf, AnyOf, Event, Process, Timeout
 from .network import Network, NetworkStats
-from .queues import SchedulerQueue, Store
+from .queues import Store
 from .rng import substream
 
 __all__ = [
@@ -14,8 +14,6 @@ __all__ = [
     "Network",
     "NetworkStats",
     "Process",
-    "RealtimeEnvironment",
-    "SchedulerQueue",
     "Store",
     "Timeout",
     "substream",

@@ -18,15 +18,10 @@ between the two on full DTX workloads.
 Queue items are either :class:`Event` objects or flat ``(fn, arg)`` tuples —
 the allocation-free path used for network message delivery (see
 :meth:`Environment._schedule_flat`).
-
-A :class:`RealtimeEnvironment` subclass runs the same programs against the
-wall clock (scaled), so demos can watch a DTX cluster "live" while every test
-and benchmark uses pure virtual time.
 """
 
 from __future__ import annotations
 
-import time as _time
 from heapq import heappop, heappush
 from math import inf as _INF
 from typing import Any, Callable, Iterable, Optional
@@ -37,10 +32,6 @@ from .events import AllOf, AnyOf, Event, Process, Timeout
 
 class Environment:
     """Execution environment: virtual clock plus the pending-event queue."""
-
-    #: Subclasses that must dispatch item-at-a-time (realtime pacing) set
-    #: this; an attached ``_tracer`` forces the same step-wise driver.
-    _STEPWISE = False
 
     #: The flat-timer path in :meth:`Process._resume` writes tick events
     #: straight into ``_times``/``_buckets`` (one method call saved on the
@@ -161,7 +152,7 @@ class Environment:
         to that time) or an :class:`Event` (run until it fires; its value is
         returned, or its exception raised).
         """
-        if self._tracer is not None or self._STEPWISE:
+        if self._tracer is not None:
             return self._run_stepwise(until)
         if until is None:
             self._drain(_INF)
@@ -258,7 +249,7 @@ class Environment:
             buckets[t] = rest + cur
 
     def _run_stepwise(self, until: Optional[Any] = None) -> Any:
-        """Item-at-a-time driver used when tracing or pacing in real time.
+        """Item-at-a-time driver used when a tracer is attached.
 
         Dispatch order is identical to the fast drain loops; only the loop
         granularity differs (every item goes through :meth:`step`).
@@ -286,39 +277,3 @@ class Environment:
             self.step()
         self._now = horizon
         return None
-
-
-class RealtimeEnvironment(Environment):
-    """Run the same event programs against the wall clock.
-
-    ``factor`` maps simulated units to wall seconds (``factor=0.001`` runs
-    one simulated millisecond per real millisecond). ``strict=False`` lets
-    slow callbacks overrun without raising.
-    """
-
-    _STEPWISE = True
-
-    __slots__ = ("factor", "strict", "_real_start", "_sim_start")
-
-    def __init__(self, initial_time: float = 0.0, factor: float = 0.001, strict: bool = False):
-        super().__init__(initial_time)
-        if factor <= 0:
-            raise SimulationError("factor must be > 0")
-        self.factor = factor
-        self.strict = strict
-        self._real_start = _time.monotonic()
-        self._sim_start = initial_time
-
-    def step(self) -> None:
-        if not self._times:
-            raise SimulationError("step on an empty event queue")
-        sim_due = self._times[0]
-        real_due = self._real_start + (sim_due - self._sim_start) * self.factor
-        delay = real_due - _time.monotonic()
-        if delay > 0:
-            _time.sleep(delay)
-        elif self.strict and delay < -self.factor:
-            raise SimulationError(
-                f"real-time simulation fell behind by {-delay:.3f}s"
-            )
-        super().step()

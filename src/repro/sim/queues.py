@@ -1,21 +1,14 @@
-"""FIFO message stores and scheduling queues for the simulation substrate.
+"""FIFO message stores for the simulation substrate.
 
 A :class:`Store` is the mailbox abstraction DTX sites use: the Listener
 process ``get``\\ s from its inbox; the network ``put``\\ s delivered messages
 into it. Unbounded, FIFO, with FIFO-ordered waiters.
-
-A :class:`SchedulerQueue` is the standalone, handle-based form of the indexed
-bucket queue the :class:`~repro.sim.environment.Environment` inlines: items
-pop in ``(time, schedule order)`` — exactly a classic ``(time, seq)`` heap's
-order — without a heap operation per item, and entries can be cancelled or
-rescheduled in O(1) via tombstones.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from typing import Any, Iterator, Optional
+from typing import Any
 
 from .environment import Environment
 from .events import Event
@@ -60,116 +53,3 @@ class Store:
     @property
     def waiting_getters(self) -> int:
         return len(self._getters)
-
-
-#: Tombstone left in a bucket slot by :meth:`SchedulerQueue.cancel`.
-_CANCELLED = object()
-
-
-class SchedulerQueue:
-    """Indexed bucket priority queue with O(1) cancel and reschedule.
-
-    Structure: a min-heap of distinct times plus ``time -> bucket`` where a
-    bucket is the FIFO list of items scheduled for that time and a cursor
-    marks how far it has been consumed. ``schedule`` returns an opaque
-    handle; ``cancel`` tombstones the slot in place (pop skips tombstones);
-    ``reschedule`` is cancel-then-schedule, keeping the item's identity but
-    giving it a fresh (younger) position at its new time.
-
-    Pop order is ``(time, schedule order)``: identical to pushing
-    ``(time, seq)`` tuples on one big heap, which is what the
-    Hypothesis model test in ``tests/test_sim_kernel.py`` checks against.
-    """
-
-    __slots__ = ("_times", "_buckets", "_heads", "_size")
-
-    def __init__(self) -> None:
-        self._times: list[float] = []  # min-heap of distinct bucket times
-        self._buckets: dict[float, list] = {}
-        self._heads: dict[float, int] = {}  # per-bucket consume cursor
-        self._size = 0
-
-    def __len__(self) -> int:
-        """Number of live (scheduled, not yet popped or cancelled) entries."""
-        return self._size
-
-    def schedule(self, time: float, item: Any) -> tuple:
-        """Queue ``item`` at ``time``; returns a handle for cancel/reschedule."""
-        b = self._buckets.get(time)
-        if b is None:
-            heappush(self._times, time)
-            b = self._buckets[time] = []
-            self._heads[time] = 0
-        b.append(item)
-        self._size += 1
-        return (time, b, len(b) - 1, item)
-
-    def cancel(self, handle: tuple) -> bool:
-        """Tombstone the handle's entry. Returns False if it already left
-        the queue (popped, cancelled, or its bucket fully drained)."""
-        time, b, idx, _item = handle
-        if self._buckets.get(time) is not b:
-            return False  # bucket drained and discarded
-        if idx < self._heads[time]:
-            return False  # already popped
-        if b[idx] is _CANCELLED:
-            return False  # already cancelled
-        b[idx] = _CANCELLED
-        self._size -= 1
-        return True
-
-    def reschedule(self, handle: tuple, new_time: float) -> Optional[tuple]:
-        """Move the handle's item to ``new_time`` (as the youngest entry
-        there). Returns the new handle, or ``None`` if the entry had
-        already fired or been cancelled."""
-        if not self.cancel(handle):
-            return None
-        return self.schedule(new_time, handle[3])
-
-    def peek(self) -> Optional[tuple]:
-        """``(time, item)`` of the next live entry without removing it."""
-        entry = self._advance()
-        if entry is None:
-            return None
-        t, b, i = entry
-        return (t, b[i])
-
-    def pop(self) -> Optional[tuple]:
-        """Remove and return ``(time, item)`` for the earliest live entry,
-        or ``None`` when the queue is empty."""
-        entry = self._advance()
-        if entry is None:
-            return None
-        t, b, i = entry
-        item = b[i]
-        self._heads[t] = i + 1
-        self._size -= 1
-        return (t, item)
-
-    def _advance(self) -> Optional[tuple]:
-        """Skip tombstones and exhausted buckets to the next live slot."""
-        times = self._times
-        buckets = self._buckets
-        heads = self._heads
-        while times:
-            t = times[0]
-            b = buckets[t]
-            i = heads[t]
-            n = len(b)
-            while i < n and b[i] is _CANCELLED:
-                i += 1
-            if i < n:
-                heads[t] = i
-                return (t, b, i)
-            heappop(times)
-            del buckets[t]
-            del heads[t]
-        return None
-
-    def drain(self) -> Iterator[tuple]:
-        """Pop everything, yielding ``(time, item)`` pairs in order."""
-        while True:
-            nxt = self.pop()
-            if nxt is None:
-                return
-            yield nxt

@@ -2,7 +2,9 @@
 
 A :class:`ViewDefinition` names an XPath pattern over one or more documents
 and a hosting site. The host's :class:`ViewManager` materializes each source
-document from a primary snapshot and then maintains it incrementally by
+document from a primary snapshot — pulled the way a lagging replica pulls
+one, by a :class:`~repro.core.messages.CatchUpRequest` that names no log
+tip — and then maintains it incrementally by
 consuming committed :class:`~repro.replication.log.UpdateLogEntry` batches
 pushed off the primary (``ViewDeltaBatch`` — a view host is one more
 subscriber of the primary's update stream, next to the secondaries, and is

@@ -8,9 +8,11 @@ seed is fixed at startup), so one test runs the same contended scenario in
 subprocesses under three different ``PYTHONHASHSEED`` values and asserts the
 final state digest *and* the simulated duration are identical.
 
-The other pins the message schedule of five small sweeps: per cluster, the
+The other pins the message schedule of seven small runs: per cluster, the
 number and SHA-256 of the ``Network._deliver`` items of its dispatch trace
-(time, source, destination, message class). Unlike a full trace these
+(time, source, destination, message class). Five are one-cell sweeps; the
+other two cover the lease-mode promotions, an election under a partition
+and a migration cutover with writers. Unlike a full trace these
 name no process, so renaming or merging generators leaves them alone while
 any moved, added or dropped message changes them — the check for a
 refactor that must keep every schedule.
@@ -40,6 +42,7 @@ from repro.verify import TraceRecorder, trace_digest
 from repro.workload import WorkloadSpec
 
 from .conftest import make_people_doc
+from .test_migration import LEASE, insert_tx, migration_cluster, settle_migrations
 from .test_snapshot_handover import views_under_faults
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -103,34 +106,63 @@ def test_schedule_is_hash_seed_independent():
     assert int(committed) == 12
 
 
-#: sweep, overrides -> one (deliveries, digest) per cluster the sweep built.
+def _sweep(name, **overrides):
+    return lambda: run_sweep(name, **overrides)
+
+
+def _partition_election():
+    """One partitions cell: the busiest primary is cut off and the majority
+    side elects over the wire (lease mode)."""
+    result = run_sweep("partitions", lease_timeout_ms=(4.0,))
+    assert all(cell["elections_won"] > 0 for cell in result.cells.values())
+
+
+def _lease_cutover():
+    """A lease-mode migration with writers at both old replicas: the target
+    assumes primacy on request and announces it."""
+    cluster = migration_cluster(config=LEASE)
+    cluster.add_client("c1", "s1", [insert_tx(200 + k) for k in range(4)])
+    cluster.add_client("c2", "s2", [insert_tx(300 + k) for k in range(4)])
+    cluster.schedule_migration("d1", ("s4", "s3"), at_ms=3.0)
+    cluster.run(drain_ms=80.0)
+    settle_migrations(cluster, drain_ms=80.0)
+    assert cluster.migration.history[-1].cutover_epoch > 0
+
+
+#: run -> one (deliveries, digest) per cluster it built.
 _PINNED_DELIVERIES = [
-    ("availability", dict(mode=("lazy",), crashes=(1,)), [
+    ("availability", _sweep("availability", mode=("lazy",), crashes=(1,)), [
         (327, "c814ad2450e9d97b490827eea5d378af6cdd19373d2fd0f82b1047d2c392326c"),
     ]),
-    ("quorum", dict(regime=("quorum-r2w2",), fault=("crash",)), [
+    ("quorum", _sweep("quorum", regime=("quorum-r2w2",), fault=("crash",)), [
         (3709, "8638dd861b495a162865832799a8915033009e5f55a4fc93fdff5e6897731f55"),
     ]),
-    ("views", {}, [
+    ("views", _sweep("views"), [
         (440, "349a63863f597a47e3c018b92eb2378050a5445abc9a21c14d9a7cbdf3959100"),
-        (604, "dc07a0e6b7d0ebe2fd94d9175066d04f92407afbe233a16f8121c10deac7485d"),
-        (600, "7f3196c6acd1b11cc005ae8a5afff6c9f2cbd964e214cd7babc6cb5664eb67c3"),
+        (604, "9f6748cc1b600bb09a7d811a7a575bc34775914d68307799355365aec159021d"),
+        (600, "a6cbde64f78d070deea4a9816df7894392ad266a46df5a960a5d9af0397e928f"),
     ]),
-    ("replication", dict(factor=(2,), update_ratio=(0.5,)), [
+    ("replication", _sweep("replication", factor=(2,), update_ratio=(0.5,)), [
         (797, "803326570034737df855b8a58d4b086a6e4505b6dda2207b6d97909becf7967e"),
     ]),
     # Hash-ring placement plus its join and leave rebalances: 3 migrations,
     # 2 cutovers.
-    ("scale", dict(sites=(3,), clients=(6,)), [
+    ("scale", _sweep("scale", sites=(3,), clients=(6,)), [
         (250, "a3ced450654067e57eac7048b706ca4af0c1a4a32e5235cb803a43e3009cba53"),
+    ]),
+    ("partitions", _partition_election, [
+        (2427, "5412c7a2e930becf2fc86b04a7828f5b7cc351ec8f1e663e7bfbcd5ff806243c"),
+    ]),
+    ("lease-cutover", _lease_cutover, [
+        (2288, "e4e7a97f4d9985f78ff11adb467197db0f3d8909367153f43da64fa13b72443e"),
     ]),
 ]
 
 
 @pytest.mark.parametrize(
-    "sweep, overrides, pinned", _PINNED_DELIVERIES, ids=[p[0] for p in _PINNED_DELIVERIES]
+    "run, pinned", [p[1:] for p in _PINNED_DELIVERIES], ids=[p[0] for p in _PINNED_DELIVERIES]
 )
-def test_delivery_fingerprints_are_pinned(monkeypatch, sweep, overrides, pinned):
+def test_delivery_fingerprints_are_pinned(monkeypatch, run, pinned):
     recorders = []
     init = Environment.__init__
 
@@ -139,7 +171,7 @@ def test_delivery_fingerprints_are_pinned(monkeypatch, sweep, overrides, pinned)
         recorders.append(TraceRecorder().attach(env))
 
     monkeypatch.setattr(Environment, "__init__", recording_init)
-    run_sweep(sweep, **overrides)
+    run()
     fingerprints = []
     for recorder in recorders:
         deliveries = [

@@ -605,6 +605,56 @@ class TestPhantomLsnReuse:
         assert doc_at(cluster, "s1") == doc_at(cluster, "s3")
 
 
+class TestWhatAPromotionLeavesBehind:
+    @pytest.mark.parametrize("detector", ["perfect", "lease"])
+    def test_winner_with_an_inherited_hole(self, detector):
+        """Perfect failover and a lease election leave the same state: the
+        winner's log compacted to its tip, the next write one LSN above it
+        under the new epoch, one promotion row, and the other survivor
+        converged byte for byte."""
+        config = FT
+        if detector == "lease":
+            config = FT.with_(
+                failure_detector="lease", lease_timeout_ms=4.0, lock_wait_timeout_ms=100.0
+            )
+        cluster = ft_cluster(config=config)
+        cluster.start()
+        env = cluster.env
+        cluster.add_client("c0", "s1", [insert_tx(50 + k) for k in range(4)])
+        env.run(until=40.0)
+        s2 = cluster.site("s2")
+        epoch0 = s2.catalog.epoch("d1")
+        # LSN 6 reaches s2 and LSN 5 never does: s2 records above a hole.
+        # It ties with s3 on the applied LSN (4) and wins on placement order.
+        cluster.network.send("s4", "s2", one_entry_batch(
+            "s4", tid="race-6", lsn=6, epoch=epoch0, ops=[insert_op(666)],
+        ))
+        env.run(until=env.now + 5.0)
+        log = s2.log_for("d1")
+        assert (log.applied_lsn, log.max_recorded_lsn) == (4, 6)
+        assert cluster.site("s3").log_for("d1").applied_lsn == 4
+
+        rows = len(cluster.faults.stats.promotion_log)
+        crashed_at = env.now
+        cluster.crash_site("s1")
+        env.run(until=env.now + 30.0)  # lease mode: suspicion and election
+        epoch = s2.catalog.epoch("d1")
+        assert epoch > epoch0
+        new_rows = cluster.faults.stats.promotion_log[rows:]
+        assert [row[1:] for row in new_rows] == [("d1", "s1", "s2", epoch)]
+        assert new_rows[0][0] >= crashed_at
+        log = s2.log_for("d1")
+        assert (log.base_lsn, log.applied_lsn, log.max_recorded_lsn) == (6, 6, 6)
+
+        cluster.add_client("c1", "s4", [insert_tx(777)])
+        env.run(until=env.now + 80.0)
+        log = s2.log_for("d1")
+        assert log.max_recorded_lsn == 7
+        assert log.entries[7].epoch == epoch
+        assert "<id>777</id>" in doc_at(cluster, "s2")
+        assert doc_at(cluster, "s3") == doc_at(cluster, "s2")
+
+
 # ---------------------------------------------------------------------------
 # durability: text rendered when read vs. an eager store at every persist
 # ---------------------------------------------------------------------------

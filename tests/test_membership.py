@@ -229,6 +229,14 @@ class TestCatalogView:
         assert view.replica_set("d").primary == "s2"
         assert view.view_of("d") == (3, "s2")
 
+    def test_shared_catalog_has_the_same_apply_contract(self):
+        shared = self.shared()
+        assert shared.apply_primary("d", "s2", epoch=3)
+        assert shared.sites_for("d") == ("s2", "s1", "s3")
+        assert not shared.apply_primary("d", "s3", epoch=3)  # stale
+        shared.set_primary("d", "s3")  # under the next epoch
+        assert (shared.epoch("d"), shared.replica_set("d").primary) == (4, "s3")
+
     def test_views_at_two_sites_can_disagree(self):
         shared = self.shared()
         v1, v2 = CatalogView(shared), CatalogView(shared)

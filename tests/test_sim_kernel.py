@@ -446,188 +446,3 @@ class TestStore:
         store.put(2)
         assert len(store) == 2
         assert store.waiting_getters == 0
-
-
-class NaiveQueueModel:
-    """Sorted-list oracle for SchedulerQueue: one (time, seq) entry per item."""
-
-    def __init__(self):
-        self.entries = []  # list of [time, seq, item, live]
-        self.seq = 0
-
-    def schedule(self, time, item):
-        handle = [time, self.seq, item, True]
-        self.seq += 1
-        self.entries.append(handle)
-        return handle
-
-    def cancel(self, handle):
-        if not handle[3]:
-            return False
-        handle[3] = False
-        return True
-
-    def reschedule(self, handle, new_time):
-        if not self.cancel(handle):
-            return None
-        return self.schedule(new_time, handle[2])
-
-    def pop(self):
-        live = [e for e in self.entries if e[3]]
-        if not live:
-            return None
-        e = min(live, key=lambda e: (e[0], e[1]))
-        e[3] = False
-        return (e[0], e[2])
-
-    def __len__(self):
-        return sum(1 for e in self.entries if e[3])
-
-
-class TestSchedulerQueue:
-    def test_pop_orders_by_time_then_fifo(self):
-        from repro.sim import SchedulerQueue
-
-        q = SchedulerQueue()
-        q.schedule(5.0, "a")
-        q.schedule(1.0, "b")
-        q.schedule(5.0, "c")
-        q.schedule(1.0, "d")
-        assert [q.pop() for _ in range(4)] == [(1.0, "b"), (1.0, "d"), (5.0, "a"), (5.0, "c")]
-        assert q.pop() is None
-
-    def test_cancel_removes_entry(self):
-        from repro.sim import SchedulerQueue
-
-        q = SchedulerQueue()
-        h1 = q.schedule(1.0, "a")
-        q.schedule(1.0, "b")
-        assert q.cancel(h1) is True
-        assert q.cancel(h1) is False  # idempotent
-        assert q.pop() == (1.0, "b")
-        assert len(q) == 0
-
-    def test_cancel_after_pop_reports_false(self):
-        from repro.sim import SchedulerQueue
-
-        q = SchedulerQueue()
-        h = q.schedule(1.0, "a")
-        assert q.pop() == (1.0, "a")
-        assert q.cancel(h) is False
-
-    def test_reschedule_moves_item(self):
-        from repro.sim import SchedulerQueue
-
-        q = SchedulerQueue()
-        h = q.schedule(9.0, "late")
-        q.schedule(5.0, "mid")
-        assert q.reschedule(h, 1.0) is not None
-        assert q.pop() == (1.0, "late")
-        assert q.pop() == (5.0, "mid")
-
-    def test_peek_does_not_consume(self):
-        from repro.sim import SchedulerQueue
-
-        q = SchedulerQueue()
-        q.schedule(2.0, "x")
-        assert q.peek() == (2.0, "x")
-        assert q.peek() == (2.0, "x")
-        assert q.pop() == (2.0, "x")
-        assert q.peek() is None
-
-
-class TestSchedulerQueueProperties:
-    """Random interleaved schedule/cancel/reschedule/pop against the model."""
-
-    @staticmethod
-    def _run_ops(ops):
-        from repro.sim import SchedulerQueue
-
-        real, model = SchedulerQueue(), NaiveQueueModel()
-        real_handles, model_handles = [], []
-        popped_real, popped_model = [], []
-        item_counter = 0
-        for kind, a, b in ops:
-            if kind == "schedule":
-                item = f"item{item_counter}"
-                item_counter += 1
-                real_handles.append(real.schedule(a, item))
-                model_handles.append(model.schedule(a, item))
-            elif kind == "cancel" and real_handles:
-                idx = a % len(real_handles)
-                assert real.cancel(real_handles[idx]) == model.cancel(model_handles[idx])
-            elif kind == "reschedule" and real_handles:
-                idx = a % len(real_handles)
-                nh_real = real.reschedule(real_handles[idx], b)
-                nh_model = model.reschedule(model_handles[idx], b)
-                assert (nh_real is None) == (nh_model is None)
-                if nh_real is not None:
-                    real_handles.append(nh_real)
-                    model_handles.append(nh_model)
-            elif kind == "pop":
-                popped_real.append(real.pop())
-                popped_model.append(model.pop())
-            assert len(real) == len(model)
-        assert popped_real == popped_model
-        # Drain both: no lost or duplicated events.
-        rest_real = list(real.drain())
-        rest_model = []
-        while True:
-            nxt = model.pop()
-            if nxt is None:
-                break
-            rest_model.append(nxt)
-        assert rest_real == rest_model
-        assert len(real) == 0
-
-    def test_known_interleaving(self):
-        self._run_ops(
-            [
-                ("schedule", 3.0, None),
-                ("schedule", 1.0, None),
-                ("pop", 0, None),
-                ("schedule", 1.0, None),
-                ("cancel", 0, None),
-                ("reschedule", 2, 0.5),
-                ("pop", 0, None),
-                ("pop", 0, None),
-            ]
-        )
-
-    def test_property_random_interleavings(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        times = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5, 7.0])
-        op = st.one_of(
-            st.tuples(st.just("schedule"), times, st.none()),
-            st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63), st.none()),
-            st.tuples(st.just("reschedule"), st.integers(min_value=0, max_value=63), times),
-            st.tuples(st.just("pop"), st.just(0), st.none()),
-        )
-
-        @given(ops=st.lists(op, max_size=60))
-        @settings(deadline=None)
-        def check(ops):
-            self._run_ops(ops)
-
-        check()
-
-
-class TestRealtime:
-    def test_realtime_roughly_tracks_wall_clock(self):
-        import time
-
-        from repro.sim import RealtimeEnvironment
-
-        env = RealtimeEnvironment(factor=0.001)  # 1 sim unit = 1 ms
-
-        def proc():
-            yield env.timeout(30)
-
-        p = env.process(proc())
-        start = time.monotonic()
-        env.run(until=p)
-        elapsed = time.monotonic() - start
-        assert elapsed >= 0.02  # at least ~20ms of real waiting happened

@@ -19,8 +19,9 @@ replica's timeline — and at every call checks that
 The consumers are wrapped too: what a catch-up install or a view hydration
 is charged is ``serialized_size`` of the tree it adopts. Each scenario runs
 on a plain, a non-ASCII and an unnormalised document, and the suite asserts
-that the three producers ran and that some snapshot was taken while the
-live tree was ahead of the committed one.
+that the three producers ran (a replica's catch-up, a view host's tip-less
+catch-up, a primary hydrating its own view) and that some snapshot was
+taken while the live tree was ahead of the committed one.
 """
 
 import sys
@@ -95,8 +96,13 @@ def recorder(monkeypatch):
 
     def checked_snapshot(self, name):
         clone, size = snapshot(self, name)
-        # Named by who asked the site's one snapshot server for it.
-        producer = sys._getframe(2).f_code.co_name
+        # Named by who asked the site's one snapshot server for it; the
+        # catch-up handler also serves view hosts (tip-less requests).
+        caller = sys._getframe(2)
+        producer = caller.f_code.co_name
+        request = caller.f_locals.get("msg")
+        if request is not None and request.after_lsn is None:
+            producer += "/view-host"
         rec.check_snapshot(self, name, clone, size, producer)
         return clone, size
 
@@ -240,6 +246,6 @@ def test_the_scenarios_reach_every_producer_with_the_live_tree_ahead(recorder):
         for make in DOCUMENTS.values():
             scenario(make())
     assert set(recorder.producers) == {
-        "_handle_catchup_request", "_handle_view_fetch_request", "_view_fetch",
+        "_handle_catchup_request", "_handle_catchup_request/view-host", "_view_fetch",
     }
     assert recorder.live_ahead > 0
