@@ -1370,10 +1370,13 @@ class DTXSite:
     def _round_timeout_ms(self) -> float:
         """Upper bound on a lease-mode protocol round.
 
-        By this long, a peer that stayed silent either had its lease
-        expire (suspicion unstuck the round already) or is alive and the
-        message was simply lost to a cut shorter than the lease — either
-        way, waiting longer cannot help.
+        By this long, a peer that stayed silent had its lease expire
+        (suspicion unstuck the round already), is alive and the message
+        was simply lost to a cut shorter than the lease, or is alive and
+        slow — its queue or the operation itself took longer. Waiting
+        longer cannot help the first two. In the third the peer did
+        execute and holds the operation's locks: the round settles
+        without it, and the caller must still settle that site.
         """
         return 2 * self.config.lease_timeout_ms + ELECTION_TIMEOUT_MS
 
@@ -2291,10 +2294,13 @@ class DTXSite:
         self._check_alive()
         if rec.abort_requested:
             return False
-        if rec.view_served_ops and rec.view_served_ops == len(rec.tx.operations):
-            # Every operation was answered by a view host: no site — this
-            # one included — holds any state for the transaction, so there
-            # are no locks to release, nothing to sync and no 2PC round.
+        if (rec.view_served_ops and rec.view_served_ops == len(rec.tx.operations)
+                and not rec.tx.sites_involved):
+            # Every operation was answered by a view host and no attempt
+            # was routed to a site (one that fell back and timed out may
+            # still have executed there): no site holds any state for the
+            # transaction, so there are no locks to release, nothing to
+            # sync and no 2PC round.
             self.finished.add(rec.tid)
             return True
         if self.replication.syncs_at_commit:

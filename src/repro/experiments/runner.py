@@ -21,7 +21,8 @@ from ..core.results import RunResult
 from ..distribution.replication import replica_placement
 from ..errors import ConfigError
 from ..workload.generator import DTXTester, WorkloadSpec
-from ..workload.xmark import generate_xmark, xmark_fragments
+from ..workload.xmark import deal_xmark, xmark_tree
+from ..xml.model import Document
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,9 @@ class ExperimentConfig:
 def build_cluster(cfg: ExperimentConfig) -> tuple[DTXCluster, DTXTester]:
     """Assemble (but do not run) the cluster + workload for ``cfg``."""
     cfg.validate()
-    base_doc, _ = generate_xmark(cfg.db_bytes, seed=cfg.system.seed)
+    # The generated tree is never registered and copied: it becomes the one
+    # document, or its entities are moved into the fragments.
+    tree, _ = xmark_tree(cfg.db_bytes, seed=cfg.system.seed)
     site_ids = [f"s{i + 1}" for i in range(cfg.n_sites)]
 
     cluster = DTXCluster(protocol=cfg.protocol, config=cfg.system)
@@ -59,10 +62,11 @@ def build_cluster(cfg: ExperimentConfig) -> tuple[DTXCluster, DTXTester]:
         cluster.add_site(sid)
 
     if cfg.replication == "total":
+        base_doc = Document("xmark", tree)
         documents = [base_doc]
         cluster.place_document(base_doc, site_ids)
     else:
-        fragments = xmark_fragments(base_doc, cfg.n_sites)
+        fragments = deal_xmark(tree, cfg.n_sites)
         documents = fragments
         # replication_factor > 1 places each fragment on that many
         # consecutive sites (primary first), opening the replicated

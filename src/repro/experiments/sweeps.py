@@ -46,7 +46,7 @@ from ..errors import ConfigError
 from ..sim.rng import substream
 from ..update.operations import ChangeOp, InsertOp
 from ..workload.generator import DTXTester, WorkloadSpec
-from ..workload.xmark import generate_xmark, xmark_fragments
+from ..workload.xmark import deal_xmark, xmark_tree
 from ..xml.parser import parse_document
 from ..xml.serializer import serialize_document
 from .runner import ExperimentConfig, build_cluster, run_experiment
@@ -653,14 +653,14 @@ def _scale_cell(p, n_sites: int, n_clients: int) -> dict:
     decommissioned at ``leave_at_ms``, and each rebalance migrates only the
     documents whose replica set changed."""
     system = _fault_system(p, replica_read_policy="nearest", replica_write_policy="primary")
-    base_doc, _ = generate_xmark(p.db_bytes, seed=system.seed)
+    tree, _ = xmark_tree(p.db_bytes, seed=system.seed)
     initial = [f"s{i + 1}" for i in range(n_sites)]
     spare, leaver = f"s{n_sites + 1}", initial[0]
     cluster = DTXCluster(protocol=p.protocol, config=system)
     for sid in (*initial, spare):
         cluster.add_site(sid)  # the spare starts empty (sites are fixed at start)
     ring = HashRing(initial, vnodes=p.vnodes)
-    fragments = xmark_fragments(base_doc, n_sites)
+    fragments = deal_xmark(tree, n_sites)
     doc_names = [frag.name for frag in fragments]
     for frag in fragments:
         cluster.replicate_document(frag, ring.placement(frag.name, p.replication_factor))

@@ -20,7 +20,9 @@ from ..core.transaction import Operation, Transaction
 from ..errors import ConfigError
 from ..sim.rng import substream
 from ..xml.model import Document
-from .queries import QUERY_TEMPLATES, UPDATE_TEMPLATES, UPDATE_WEIGHTS, IdPools
+from .queries import (
+    QUERY_TEMPLATES, UPDATE_TEMPLATES, UPDATE_WEIGHTS, IdPools, TemplatePaths,
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,8 @@ class DTXTester:
 
     The documents' id pools are drawn once per document and tester
     (:class:`IdPools`): generate the streams before the documents change.
+    The pools share one :class:`TemplatePaths`, so each template path is
+    parsed once per tester and each distinct path built once.
     """
 
     def __init__(self, spec: WorkloadSpec, documents: Sequence[Document]):
@@ -56,7 +60,8 @@ class DTXTester:
         self.spec = spec
         self.documents = {d.name: d for d in documents}
         self._doc_names = sorted(self.documents)
-        self._pools = {name: IdPools(d) for name, d in self.documents.items()}
+        paths = TemplatePaths()
+        self._pools = {name: IdPools(d, paths) for name, d in self.documents.items()}
 
     def transactions_for_client(self, client_index: int) -> list[Transaction]:
         """The deterministic transaction stream of one client."""

@@ -19,12 +19,21 @@ The paper fragments the database at root-child granularity; this schema has
 six fine-grained region/entity containers under a two-level root, so for
 fragmentation we also provide :func:`xmark_fragments`, which splits by
 *entity groups* keeping every fragment a valid ``site`` document.
+
+Fragmenting is one dealing rule (``_deal``) with two ways to hand an entity
+to its fragment. :func:`xmark_fragments` copies it out of a document, which
+stays whole (Fig. 8 deals one base three times). :func:`deal_xmark` moves
+it out of the detached tree :func:`xmark_tree` generates, which is what a
+cluster build does: the generated tree is never registered as a document
+nor copied, and the fragments come out with the same texts and node ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
+from ..errors import XMLModelError
 from ..sim.rng import substream
 from ..xml.builder import E
 from ..xml.model import Document, Element
@@ -74,6 +83,16 @@ def generate_xmark(
     target_bytes: int = 200_000, seed: int = 7, name: str = "xmark"
 ) -> tuple[Document, XMarkStats]:
     """Generate an XMark-schema document of roughly ``target_bytes``."""
+    root, stats = xmark_tree(target_bytes, seed, name)
+    return Document(name, root), stats
+
+
+def xmark_tree(
+    target_bytes: int = 200_000, seed: int = 7, name: str = "xmark"
+) -> tuple[Element, XMarkStats]:
+    """The tree :func:`generate_xmark` wraps, detached and unnumbered:
+    what :func:`deal_xmark` splits without copying. ``name`` seeds the
+    generator, as it names the document there."""
     if target_bytes < 5_000:
         raise ValueError("target_bytes too small for the XMark schema (min 5000)")
     rng = substream(seed, "xmark", name)
@@ -202,7 +221,7 @@ def generate_xmark(
         stats.closed_ids.append(aid)
     stats.closed_auctions = n_closed
 
-    return Document(name, root), stats
+    return root, stats
 
 
 def xmark_fragments(doc: Document, k: int) -> list[Document]:
@@ -212,39 +231,68 @@ def xmark_fragments(doc: Document, k: int) -> list[Document]:
     round-robin into ``k`` documents that all keep the full container
     skeleton, so every fragment answers the same structural paths — the
     Kurita-style "structure and size" fragmentation the paper uses, adapted
-    to XMark's two-level containers.
+    to XMark's two-level containers. ``doc`` is left as it was: each
+    fragment holds copies of its entities.
     """
+    return _deal(doc.root, doc.name, k, Document.graft)
+
+
+def deal_xmark(root: Element, k: int, name: str = "xmark") -> list[Document]:
+    """The fragments :func:`xmark_fragments` makes of ``Document(name,
+    root)``, made by moving each entity subtree of the detached tree
+    ``root`` (from :func:`xmark_tree`) into its fragment instead of copying
+    it: the same texts and the same node ids, and ``root`` is left as an
+    empty skeleton."""
+    if root.parent is not None or root.document is not None:
+        raise XMLModelError("deal_xmark needs a detached, unowned tree")
+    return _deal(root, name, k, _move)
+
+
+def _move(fragment: Document, entity: Element, container: Element) -> None:
+    container.append(entity.detach())
+
+
+def _deal(
+    root: Element, name: str, k: int,
+    attach: Callable[[Document, Element, Element], object],
+) -> list[Document]:
+    """The one dealing rule: register ``k`` skeleton documents, then
+    ``attach`` each entity under its container in fragment ``counter % k``,
+    in document order. Either way of attaching numbers an entity's nodes
+    with its fragment's next ids in pre-order, so the ids depend only on
+    the deal order."""
     if k < 1:
         raise ValueError("k must be >= 1")
 
     frags: list[Document] = []
     skeletons: list[dict[tuple[str, ...], Element]] = []
     for i in range(k):
-        root = E("site")
         containers: dict[tuple[str, ...], Element] = {}
-        for top in doc.root.children:
-            top_copy = E(top.tag)
-            root.append(top_copy)
-            containers[(top.tag,)] = top_copy
+        tops = []
+        for top in root:
             if top.tag == "regions":
-                for region in top.children:
-                    region_copy = E(region.tag)
-                    top_copy.append(region_copy)
-                    containers[(top.tag, region.tag)] = region_copy
-        frags.append(Document(f"{doc.name}#{i}", root))
+                regions = [E(region.tag) for region in top]
+                for region in regions:
+                    containers[(top.tag, region.tag)] = region
+                top_copy = E(top.tag, *regions)
+            else:
+                top_copy = E(top.tag)
+            containers[(top.tag,)] = top_copy
+            tops.append(top_copy)
+        frags.append(Document(f"{name}#{i}", E("site", *tops)))
         skeletons.append(containers)
 
     counter = 0
-    for top in doc.root:
+    for top in root:
         if top.tag == "regions":
             for region in top:
-                for item in region:
+                for item in region.children:
                     i = counter % k
-                    frags[i].graft(item, skeletons[i][(top.tag, region.tag)])
+                    attach(frags[i], item, skeletons[i][(top.tag, region.tag)])
                     counter += 1
         else:
-            for entity in top:
+            for entity in top.children:
                 i = counter % k
-                frags[i].graft(entity, skeletons[i][(top.tag,)])
+                attach(frags[i], entity, skeletons[i][(top.tag,)])
                 counter += 1
     return frags

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction
+from repro.config import CostConfig
 from repro.errors import ConfigError, ReproError
 from repro.update import ChangeOp, InsertOp
 from repro.update.applier import apply_update
@@ -329,6 +330,38 @@ class TestMaintenance:
         cluster.env.run(until=130.0)
         assert [o.status for o in outcomes] == ["committed"] * 2
         assert host.stats.view_reads_served >= 1
+
+
+class TestSlowFallback:
+    def test_a_site_that_ran_a_timed_out_attempt_is_settled(self):
+        """Lease mode bounds an op round by ``_round_timeout_ms`` (12 ms
+        here). The first query finds the view not hydrated yet and falls
+        back to s1, the coordinator's own copy, whose participant takes
+        about 20 ms: it takes its locks, but the round settles without it.
+        The retry and the second query are served by the now hydrated
+        view. So every operation was view-served, yet s1 executed one
+        attempt: the commit must still settle s1, or s1 keeps the
+        transaction's locks and context for good."""
+        config = VIEWS.with_(
+            failure_detector="lease",
+            max_restarts=0,
+            costs=CostConfig(node_visit_ms=1.0),
+        )
+        cluster = views_cluster(config)
+        tx = Transaction(
+            [Operation.query("d1", "//person"), Operation.query("d1", "//person")],
+            label="r",
+        )
+        cluster.add_client("c0", "s1", [tx])
+        result = cluster.run()
+        assert [r.status for r in result.records] == ["committed"]
+        s1 = cluster.sites["s1"]
+        assert s1.stats.view_read_fallbacks == 1
+        assert s1.stats.view_reads_routed == 2
+        assert tx.sites_involved == {"s1"}
+        for site in cluster.sites.values():
+            assert site.lock_manager.table.lock_count() == 0, site.site_id
+            assert not site.tx_contexts, site.site_id
 
 
 class TestCrashFallback:

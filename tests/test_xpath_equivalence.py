@@ -365,22 +365,32 @@ WORKLOAD_PATHS = 1173
 WORKLOAD_AST_DIGEST = "f3e8ca8ee730a4a89c51abfa130026811f285272606fb2541f8f52f4dabaef2b"
 
 
+def _generated_paths(cluster):
+    """Every path object the cluster's transactions carry, in stream order."""
+    for client in cluster.clients:
+        for tx in client.transactions:
+            for op in tx.operations:
+                payload = op.payload
+                if isinstance(payload, LocationPath):
+                    yield payload
+                else:
+                    yield from (
+                        value for value in vars(payload).values()
+                        if isinstance(value, LocationPath)
+                    )
+
+
 def _workload_paths():
-    texts = set()
+    """Per workload shape, one build's distinct paths by text."""
+    builds = []
     for config in WORKLOAD_SHAPES.values():
         cluster, _ = build_cluster(config)
-        for client in cluster.clients:
-            for tx in client.transactions:
-                for op in tx.operations:
-                    payload = op.payload
-                    if isinstance(payload, LocationPath):
-                        texts.add(str(payload))
-                    else:
-                        texts.update(
-                            str(value) for value in vars(payload).values()
-                            if isinstance(value, LocationPath)
-                        )
-    return sorted(texts)
+        by_text = {}
+        for path in _generated_paths(cluster):
+            # Equal texts within one build are one object.
+            assert by_text.setdefault(str(path), path) is path, str(path)
+        builds.append(by_text)
+    return builds
 
 
 class TestParseRoundTrip:
@@ -395,7 +405,17 @@ class TestParseRoundTrip:
         assert _fresh_parse(str(parsed)) == parsed
 
     def test_every_path_the_workloads_generate(self):
-        texts = _workload_paths()
+        builds = _workload_paths()
+        for by_text in builds:
+            # The object that runs, not only its text: a template that
+            # built Literal("20") where the parser makes Literal(20.0)
+            # renders the same text, but is neither equal to the parse nor
+            # of the same repr.
+            for text, path in by_text.items():
+                fresh = _fresh_parse(text)
+                assert path == fresh, text
+                assert repr(path) == repr(fresh), text
+        texts = sorted({text for by_text in builds for text in by_text})
         assert len(texts) == WORKLOAD_PATHS
         parsed = [_fresh_parse(text) for text in texts]
         for text, path in zip(texts, parsed):
