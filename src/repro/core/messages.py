@@ -211,9 +211,10 @@ class FailNotice:
     """Coordinator -> all involved sites: transaction failed (Alg. 6 l. 7).
 
     A receiving site that still holds the transaction keeps its effects
-    and writes them through to storage. ``persist`` is set when the
-    failure happened *after* the replica sync: the site then also logs
-    them, so primary and secondaries stay durably identical.
+    and writes them through to storage: ``DTXSite._settle`` with outcome
+    ``"fail"``. ``persist`` is set when the failure happened *after* the
+    replica sync: the site then also logs them, so primary and
+    secondaries stay durably identical.
     """
 
     tid: TxId

@@ -670,8 +670,8 @@ class DTXSite:
             UndoOpRequest: self._handle_undo_request,
             ReplicaSyncBatch: self._handle_replica_sync_batch,
             ReplicaSyncBatchAck: self._on_round_reply,
-            CommitRequest: self._handle_commit_request,
-            AbortRequest: self._handle_abort_request,
+            CommitRequest: self._handle_end_request,
+            AbortRequest: self._handle_end_request,
             UndoOpAck: self._on_ack,
             CommitAck: self._on_ack,
             AbortAck: self._on_ack,
@@ -900,59 +900,39 @@ class DTXSite:
     # transaction end at this site (participant side of Algorithms 5 and 6)
     # ------------------------------------------------------------------
 
-    def _commit_at_site(self, tid: TxId) -> float:
-        """Persist effects and release locks. Returns the simulated cost."""
+    def _settle(self, tid: TxId, outcome: str, persist: bool = False) -> float:
+        """End ``tid`` here: ``"commit"``, ``"abort"`` or ``"fail"``.
+
+        A commit persists its effects, an abort reverts them newest first,
+        and a fail keeps them without undoing (paper: the application is
+        alerted): they are committed state here from now on, so they are
+        written through, and ``persist`` also logs them like a commit
+        (post-sync failures must leave primary and secondaries durably
+        identical). Then the locks release and the waiters wake. Returns
+        the simulated cost; a fail charges none, so its callers drop it.
+        """
         ctx = self.tx_contexts.pop(tid, None)
         cost = 0.0
-        if ctx is not None:
+        if ctx is not None and outcome == "abort":
+            for op_index in sorted(ctx.op_entries, reverse=True):
+                cost += self._revert(ctx.op_entries[op_index])
+        elif ctx is not None:
             logged_during_sync = set(ctx.stable_applied)
             persisted = 0
             for name in ctx.touched_doc_names():
                 persisted += self._persist_kept(ctx, name)
             cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
-            # Before the locks release, so log order = commit order.
-            self._log_and_queue_lazy(tid, ctx, logged_during_sync)
-        released, lock_ops = self.lock_manager.release_transaction(tid)
-        cost += lock_ops * self.costs.lock_op_ms
-        self.finished.add(tid)
-        self.waiters.pop(tid, None)
-        self._notify_lock_release(released)
-        return cost
-
-    def _abort_at_site(self, tid: TxId) -> float:
-        """Undo all effects of ``tid`` at this site and release its locks."""
-        ctx = self.tx_contexts.pop(tid, None)
-        cost = 0.0
-        if ctx is not None:
-            for op_index in sorted(ctx.op_entries, reverse=True):
-                cost += self._revert(ctx.op_entries[op_index])
-        released, lock_ops = self.lock_manager.release_transaction(tid)
-        cost += lock_ops * self.costs.lock_op_ms
-        self.finished.add(tid)
-        self.waiters.pop(tid, None)
-        self._notify_lock_release(released)
-        return cost
-
-    def _fail_at_site(self, tid: TxId, persist: bool = False) -> None:
-        """Transaction failed: keep its effects without undoing (paper: the
-        application is alerted; recovery is future work). They are
-        committed state here from now on — later transactions build on
-        them — so they are written through. ``persist`` also logs them
-        (post-sync failures must leave primary and secondaries durably
-        identical)."""
-        ctx = self.tx_contexts.pop(tid, None)
-        if ctx is not None:
-            logged_during_sync = set(ctx.stable_applied)
-            for name in ctx.touched_doc_names():
-                self._persist_kept(ctx, name)
-            if persist:
-                # Kept effects behave like a commit for replication.
+            if outcome == "commit" or persist:
+                # Before the locks release, so log order = commit order.
                 self._log_and_queue_lazy(tid, ctx, logged_during_sync)
-        released, _ = self.lock_manager.release_transaction(tid)
+        released, lock_ops = self.lock_manager.release_transaction(tid)
+        cost += lock_ops * self.costs.lock_op_ms
         self.finished.add(tid)
         self.waiters.pop(tid, None)
-        self.stats.fails += 1
+        if outcome == "fail":
+            self.stats.fails += 1
         self._notify_lock_release(released)
+        return cost
 
     # ------------------------------------------------------------------
     # wake management
@@ -1068,11 +1048,7 @@ class DTXSite:
     def _handle_undo_request(self, msg: UndoOpRequest):
         if not self.alive:
             return
-        cost = self._undo_operation(msg.tid, msg.op_index)
-        if cost:
-            yield (cost)
-        else:
-            yield (0)
+        yield self._undo_operation(msg.tid, msg.op_index)
         self.network.send(
             self.site_id, msg.coordinator,
             UndoOpAck(tid=msg.tid, site=self.site_id, op_index=msg.op_index, attempt=msg.attempt),
@@ -1307,40 +1283,23 @@ class DTXSite:
         if lazy:
             self._stage("lazy", doc_name, entry)
 
-    def _handle_commit_request(self, msg: CommitRequest):
+    def _handle_end_request(self, msg: CommitRequest | AbortRequest):
+        """Commit or abort at a participant (Algorithms 5 and 6): settle,
+        then ack. A refused request settles nothing and acks not ok."""
         if not self.alive:
             return
-        if self.should_refuse(msg.tid, self.refuse_commit):
-            yield (0)
-            self.network.send(
-                self.site_id, msg.coordinator, CommitAck(tid=msg.tid, site=self.site_id, ok=False)
-            )
-            return
-        cost = self._commit_at_site(msg.tid)
-        yield (cost)
-        self.network.send(
-            self.site_id, msg.coordinator, CommitAck(tid=msg.tid, site=self.site_id, ok=True)
-        )
-
-    def _handle_abort_request(self, msg: AbortRequest):
-        if not self.alive:
-            return
-        if self.should_refuse(msg.tid, self.refuse_abort):
-            yield (0)
-            self.network.send(
-                self.site_id, msg.coordinator, AbortAck(tid=msg.tid, site=self.site_id, ok=False)
-            )
-            return
-        cost = self._abort_at_site(msg.tid)
-        yield (cost)
-        self.network.send(
-            self.site_id, msg.coordinator, AbortAck(tid=msg.tid, site=self.site_id, ok=True)
-        )
+        commit = msg.__class__ is CommitRequest
+        ok = not self.should_refuse(msg.tid, self.refuse_commit if commit else self.refuse_abort)
+        yield self._settle(msg.tid, "commit" if commit else "abort") if ok else 0
+        if commit:
+            ack = CommitAck(tid=msg.tid, site=self.site_id, ok=ok)
+        else:
+            ack = AbortAck(tid=msg.tid, site=self.site_id, ok=ok)
+        self.network.send(self.site_id, msg.coordinator, ack)
 
     def _handle_fail_notice(self, msg: FailNotice) -> None:
-        if not self.alive:
-            return
-        self._fail_at_site(msg.tid, persist=msg.persist)
+        if self.alive:
+            self._settle(msg.tid, "fail", msg.persist)
 
     # ------------------------------------------------------------------
     # coordinator response/ack plumbing
@@ -1376,7 +1335,8 @@ class DTXSite:
         slow — its queue or the operation itself took longer. Waiting
         longer cannot help the first two. In the third the peer did
         execute and holds the operation's locks: the round settles
-        without it, and the caller must still settle that site.
+        without it, and the caller must still end the transaction at that
+        site through its ``_settle`` (the 2PC round, or a fail notice).
         """
         return 2 * self.config.lease_timeout_ms + ELECTION_TIMEOUT_MS
 
@@ -1463,19 +1423,22 @@ class DTXSite:
                     tx.state = TxState.FAILED
                     status = "failed"
         except _SiteCrashed:
-            # This site died under the coordinator: crash() already
-            # delivered the (failed) outcome and wiped the volatile state.
-            return
-        finally:
-            self.coordinators.pop(tid, None)
-            self.finished.add(tid)
-        tx.stats.finished_ts = self.env.now
-        deliver(
+            return  # crash() finished the transaction
+        self._finish(rec, status, reason)
+
+    def _finish(self, rec: CoordinatorRecord, status: str, reason: str) -> None:
+        """End a coordinated transaction: forget its record and deliver its
+        outcome. The one place a coordinator ends a transaction, from
+        ``_run_transaction`` or, for every one in flight, from ``crash``."""
+        self.coordinators.pop(rec.tid, None)
+        self.finished.add(rec.tid)
+        rec.tx.stats.finished_ts = self.env.now
+        rec.deliver(
             TxOutcome(
-                tid=tid,
+                tid=rec.tid,
                 status=status,
                 reason=reason,
-                submitted_ts=tx.stats.submitted_ts,
+                submitted_ts=rec.tx.stats.submitted_ts,
                 finished_ts=self.env.now,
             )
         )
@@ -2301,7 +2264,6 @@ class DTXSite:
             # still have executed there): no site holds any state for the
             # transaction, so there are no locks to release, nothing to
             # sync and no 2PC round.
-            self.finished.add(rec.tid)
             return True
         if self.replication.syncs_at_commit:
             synced_ok = yield from self._span(
@@ -2346,9 +2308,9 @@ class DTXSite:
                 if ambiguous and not refused:
                     rec.abort_reason = "participant-crashed"
                 return False
-        cost = self._commit_at_site(rec.tid)
+        cost = self._settle(rec.tid, "commit")
         if cost:
-            yield (cost)
+            yield cost
             self._check_alive()
         return True
 
@@ -2360,23 +2322,17 @@ class DTXSite:
             (s for s in rec.tx.sites_involved if s != self.site_id), key=str
         )
         live = [s for s in others if self._peer_up(s)]
-        if rec.synced or rec.partial_commit:
-            # The commit-time sync already recorded the updates durably
-            # beyond the primary (or part of the commit round already
-            # applied), and there is no replica-wide undo: undoing at the
-            # primary alone would diverge the replicas. Keep the effects
-            # everywhere and fail the transaction instead (the paper's
-            # fail semantics: state is kept, the application is alerted).
-            # Every involved site persists its kept effects so the primary
-            # — which may be a remote participant — stays durably
-            # identical to the secondaries that persisted during the sync.
-            for site in live:
-                self.network.send(
-                    self.site_id, site, FailNotice(tid=rec.tid, persist=True)
-                )
-            self._fail_at_site(rec.tid, persist=True)
-            return False
-        if live:
+        # Once the commit-time sync recorded the updates durably beyond the
+        # primary (or part of the commit round applied), there is no
+        # replica-wide undo: undoing at the primary alone would diverge the
+        # replicas. Keep the effects everywhere and fail the transaction
+        # instead (the paper's fail semantics: state is kept, the
+        # application is alerted). Every involved site persists its kept
+        # effects so the primary — which may be a remote participant —
+        # stays durably identical to the secondaries that persisted during
+        # the sync. A refused abort fails too, persisting nothing.
+        persist = failed = rec.synced or rec.partial_commit
+        if live and not persist:
             rec.round = Round(self.env, "abort", live, tag="abort")
             for site in live:
                 self._send_in_span(site, rec.op_span, AbortRequest(
@@ -2384,14 +2340,15 @@ class DTXSite:
                 ))
             acks = yield from self._await_coordinator_round(rec)
             self._check_alive()
-            if not all(a.ok for a in acks.values()):
-                for site in live:
-                    self.network.send(self.site_id, site, FailNotice(tid=rec.tid))
-                self._fail_at_site(rec.tid)
-                return False
-        cost = self._abort_at_site(rec.tid)
+            failed = not all(a.ok for a in acks.values())
+        if failed:
+            for site in live:
+                self.network.send(self.site_id, site, FailNotice(tid=rec.tid, persist=persist))
+            self._settle(rec.tid, "fail", persist)
+            return False
+        cost = self._settle(rec.tid, "abort")
         if cost:
-            yield (cost)
+            yield cost
             self._check_alive()
         return True
 
@@ -2423,25 +2380,15 @@ class DTXSite:
         # ambiguous from the client's point of view. The pending events are
         # triggered so the coordinator generators resume, observe the crash
         # (_check_alive) and unwind without further effects.
-        for tid, rec in list(self.coordinators.items()):
+        for rec in list(self.coordinators.values()):
             rec.tx.state = TxState.FAILED
             rec.tx.abort_reason = "site-crashed"
-            rec.deliver(
-                TxOutcome(
-                    tid=tid,
-                    status="failed",
-                    reason="site-crashed",
-                    submitted_ts=rec.tx.stats.submitted_ts,
-                    finished_ts=self.env.now,
-                )
-            )
-            self.finished.add(tid)
+            self._finish(rec, "failed", "site-crashed")
             self.stats.fails += 1
             if rec.round is not None:
                 rec.round.cancel()
             if rec.wake_event is not None and not rec.wake_event.triggered:
                 rec.wake_event.succeed({})
-        self.coordinators.clear()
         self.tx_contexts.clear()
         self.waiters.clear()
         self._deferred_wake_keys.clear()
@@ -2580,10 +2527,7 @@ class DTXSite:
         for tid, ctx in list(self.tx_contexts.items()):
             if ctx.coordinator != down or tid in self.coordinators:
                 continue
-            if ctx.synced:
-                self._commit_at_site(tid)
-            else:
-                self._abort_at_site(tid)
+            self._settle(tid, "commit" if ctx.synced else "abort")
             self.stats.orphans_resolved += 1
 
     def _on_site_up(self, msg: SiteUpNotice) -> None:

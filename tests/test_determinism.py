@@ -8,21 +8,23 @@ seed is fixed at startup), so one test runs the same contended scenario in
 subprocesses under three different ``PYTHONHASHSEED`` values and asserts the
 final state digest *and* the simulated duration are identical.
 
-The other pins the message schedule of seven small runs: per cluster, the
+The other pins the message schedule of eight small runs: per cluster, the
 number and SHA-256 of the ``Network._deliver`` items of its dispatch trace
-(time, source, destination, message class). Five are one-cell sweeps; the
-other two cover the lease-mode promotions, an election under a partition
-and a migration cutover with writers. Unlike a full trace these
+(time, source, destination, message class). Five are one-cell sweeps; two
+cover the lease-mode promotions, an election under a partition and a
+migration cutover with writers; the last, the refusal run, covers refused
+commits and aborts and the fails they lead to. Unlike a full trace these
 name no process, so renaming or merging generators leaves them alone while
 any moved, added or dropped message changes them — the check for a
 refactor that must keep every schedule.
 
-The last pins what storage holds at the end of three runs: per site, the
+The last pins what storage holds at the end of four runs: per site, the
 text ``InMemoryStore.raw`` gives back for every document and the store's
 counters. A crash flush with transactions in flight, a view hydration from
-a snapshot taken while writes were in flight, and many commits of a
-write-only workload each reach the committed state a different way; a
-refactor of how it is kept must leave all three unchanged.
+a snapshot taken while writes were in flight, many commits of a write-only
+workload, and kept effects written through by a fail each reach the
+committed state a different way; a refactor of how it is kept must leave
+all four unchanged.
 """
 
 from __future__ import annotations
@@ -35,14 +37,17 @@ from pathlib import Path
 
 import pytest
 
-from repro import DTXCluster, SystemConfig
+from repro import DTXCluster, Operation, SystemConfig, Transaction
 from repro.experiments import ExperimentConfig, build_cluster, run_sweep
 from repro.sim.environment import Environment
+from repro.update import ChangeOp, InsertOp
 from repro.verify import TraceRecorder, trace_digest
 from repro.workload import WorkloadSpec
 
-from .conftest import make_people_doc
+from .conftest import make_people_doc, make_products_doc
+from .test_core_distributed import two_site_cluster
 from .test_migration import LEASE, insert_tx, migration_cluster, settle_migrations
+from .test_replication import rowa_cluster
 from .test_snapshot_handover import views_under_faults
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -129,6 +134,32 @@ def _lease_cutover():
     assert cluster.migration.history[-1].cutover_epoch > 0
 
 
+def refusal_run():
+    """The refusal paths, one cluster each: a refused commit aborts; a
+    refused commit and a refused abort fail it (``FailNotice`` without
+    ``persist``); a commit refused after the sync, with the primary a
+    remote participant, fails it keeping the effects (``FailNotice`` with
+    ``persist``)."""
+    statuses = []
+    for refuse_abort in (False, True):
+        cluster = two_site_cluster()
+        cluster.site("s2").refuse_commit.add("*")
+        if refuse_abort:
+            cluster.site("s2").refuse_abort.add("*")
+        cluster.add_client("c1", "s1", [Transaction(
+            [Operation.update("d1", ChangeOp("/people/person[id=1]/name", "V"))]
+        )])
+        statuses.append(cluster.run().records[0].status)
+    cluster = rowa_cluster(n_sites=3, replicate_at=["s2", "s3"])  # primary s2
+    cluster.host_document("s1", make_products_doc())
+    cluster.site("s2").refuse_commit.add("*")
+    cluster.add_client("c1", "s1", [Transaction(
+        [Operation.update("d1", InsertOp("<person><id>9</id></person>", "/people"))]
+    )])
+    statuses.append(cluster.run().records[0].status)
+    assert statuses == ["aborted", "failed", "failed"]
+
+
 #: run -> one (deliveries, digest) per cluster it built.
 _PINNED_DELIVERIES = [
     ("availability", _sweep("availability", mode=("lazy",), crashes=(1,)), [
@@ -155,6 +186,13 @@ _PINNED_DELIVERIES = [
     ]),
     ("lease-cutover", _lease_cutover, [
         (2288, "e4e7a97f4d9985f78ff11adb467197db0f3d8909367153f43da64fa13b72443e"),
+    ]),
+    # Refused commits and aborts: an abort round, and a FailNotice with and
+    # without persist.
+    ("refusals", refusal_run, [
+        (8, "3777922cb9566e232c27ff609f5dbf1c536fec8ba2c2b971422ef362824af542"),
+        (9, "d6b529f024e2c759fe20c859ec9d34d2f9a64c017280e0efef5564da9ea29e96"),
+        (9, "562e29ac3a6d075502baa7aa2d848bb178fd486b1ef3df361f3b16a0470c473c"),
     ]),
 ]
 
@@ -213,6 +251,12 @@ _PINNED_STORES = [
     ]),
     ("write_heavy", _write_heavy, [
         "603bea9fd0a1d0a7f0e5057ddceb2c7d1d94c97f0987d551d1bc7315978cbd8f",
+    ]),
+    # A refused commit's abort, and kept effects persisted by a fail.
+    ("refusals", refusal_run, [
+        "af7f9667cbe8780e66f7caeef427f1c27e6cca4e4a29b610e1bb66b115cb0b4a",
+        "9a8278be29262d61a983d243faf86d6210f181be8bd97240654cc8a93186ddbe",
+        "02c4c7902e7e6a537291213693a9bef45450e840d6f8479623bd70b34683b432",
     ]),
 ]
 

@@ -319,8 +319,7 @@ class TestTargetedWakeups:
             site.crash()
             assert not site.waiters
         else:
-            {"commit": site._commit_at_site, "abort": site._abort_at_site,
-             "fail": site._fail_at_site}[end](gone)
+            site._settle(gone, end)
             assert list(site.waiters) == [stays]
         # It held nothing: nobody is woken...
         assert not [n for _, n in sent if isinstance(n, WakeNotice)]

@@ -183,7 +183,7 @@ class TestDataGuideProperties:
     @given(st.lists(revertible_ops(), min_size=1, max_size=8))
     @settings(max_examples=example_budget(60), suppress_health_check=[HealthCheck.too_slow])
     def test_rollback_restores_document_and_guide(self, ops):
-        """The revert law. Mirrors DTXSite._abort_at_site: every change
+        """The revert law. Mirrors an abort in DTXSite._settle: every change
         record is reverted newest first and the guide synced with the
         reverse record. That restores the document (bytes, every node id,
         the tag extents, the serialized size) and the guide; each reverse

@@ -134,6 +134,34 @@ class TestXDGLUpdateLocks:
         self.proto.after_apply("d2", [revert(c) for c in reversed(changes)])
         self.proto.guide("d2").validate_against(products_doc)
 
+    @pytest.mark.xfail(strict=True, reason="Bug A, ROADMAP item 1")
+    def test_remove_of_the_last_node_conflicts_after_the_guide_prunes(self):
+        """Two removes of the same node conflict: each can change the
+        other's effect (Dekeyser et al., instance-independent conflicts),
+        so a second remover must block until the first ends. Once the first
+        removes the last node of its label path the guide prunes that path,
+        and the second's spec must still name it: an abort of the first
+        brings the node back."""
+        from repro.locking.modes import XDGL_MATRIX
+        from repro.xml import E, doc
+
+        d = doc("d", E("site", E("closed_auctions", *[
+            E("closed_auction", id=f"a{i}") for i in (8, 9)
+        ])))
+        self.proto.register_document(d)
+        first = RemoveOp('/site/closed_auctions/closed_auction[@id="a8"]')
+        self.proto.after_apply("d", apply_update(first, d))
+        last = RemoveOp('/site/closed_auctions/closed_auction[@id="a9"]')
+        held = self.proto.lock_spec_for_update("d", last)
+        assert LockMode.XT in modes_for(held, ("d", ("site", "closed_auctions", "closed_auction")))
+        self.proto.after_apply("d", apply_update(last, d))
+        again = self.proto.lock_spec_for_update("d", last)
+        assert any(
+            a.key == b.key and a.mode in XDGL_MATRIX.conflicts_with[b.mode]
+            for a in held.requests
+            for b in again.requests
+        )
+
     def test_structure_size_is_guide_size(self, products_doc):
         self.proto.register_document(products_doc)
         # products, products/product, and the three leaf paths
