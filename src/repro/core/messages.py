@@ -165,19 +165,17 @@ class ReplicaSyncBatch:
     pulls missing entries from the primary when it sees a gap, and
     refuses entries stamped with an epoch older than the current primary
     election (a deposed primary cannot overwrite the new timeline).
-    ``log_only`` marks the copy sent to the document's *primary* when the
-    coordinator is elsewhere: the primary executed the updates already
-    and only needs the log entries recorded. A ``log_only`` entry with
-    ``lsn=0`` asks the primary to *assign* the LSN at record time:
-    allocation and recording are then atomic at the primary, so a batch
-    lost in flight can never orphan an allocated slot and punch a
-    permanent hole into the primary's log.
+    Entries with ``lsn=0`` are the copy sent to the document's *primary*
+    when the coordinator is elsewhere: the primary executed the updates
+    already, and its log mints each LSN when it records the entry. Picking
+    and recording a number are then one step at the primary, so a batch
+    lost in flight can never orphan a slot and punch a permanent hole into
+    the primary's log.
     """
 
     coordinator: Hashable
     doc_name: str
     batch_id: int
-    log_only: bool = False
     entries: list = field(default_factory=list)  # UpdateLogEntry, LSN order
     span: int = 0  # parent span id (repro.obs); never counted in size_bytes
 
@@ -193,7 +191,9 @@ class ReplicaSyncBatchAck:
     'stale-epoch' | 'refused' | 'gap' | 'not-hosted' | 'finished' when not
     ok — so the outbox can settle every waiting coordinator individually
     (one refused entry must not fail its batch-mates). ``assigned`` maps
-    tids to primary-assigned LSNs when the batch carried ``lsn=0`` entries.
+    tids to the LSNs the primary's log minted when the batch carried
+    ``lsn=0`` entries; the coordinator copies them onto the secondaries'
+    copies.
     """
 
     site: Hashable

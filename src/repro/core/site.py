@@ -459,10 +459,6 @@ class DTXSite:
             # snapshot base at the tip so catch-up serving keeps working.
             log.reset_to_snapshot(log.max_recorded_lsn, epoch)
         self.catalog.apply_primary(doc_name, self.site_id, epoch)
-        # The new epoch's LSNs continue above everything recorded here;
-        # allocations a deposed primary keeps making live under its own
-        # (fenced) epoch and cannot punch holes in the new timeline.
-        self.catalog.reset_lsn(doc_name, log.max_recorded_lsn)
         self.faults.record_promotion(doc_name, old, self.site_id, epoch)
         if self.membership is None:
             for site_id in self.catalog.sites_for(doc_name):
@@ -1080,16 +1076,13 @@ class DTXSite:
                 yield (0)
                 results[entry.tid] = (False, "refused")
                 continue
-            result = yield from self._ingest_sync_entry(
-                entry.doc_name, entry.tid, entry.lsn, entry.epoch,
-                list(entry.ops), msg.log_only,
-            )
+            result = yield from self._ingest_sync_entry(entry)
             if result is None:
                 return  # crashed mid-batch: no ack
             ok, reason, lsn = result
             results[entry.tid] = (ok, reason)
             if ok and entry.lsn == 0:
-                assigned[entry.tid] = lsn  # primary-assigned
+                assigned[entry.tid] = lsn  # minted by this primary's log
         if tr is not None:
             tr.add(
                 "sync_apply", "sync", self.site_id, tr.live_parent(msg.span),
@@ -1106,7 +1099,7 @@ class DTXSite:
             ),
         )
 
-    def _ingest_sync_entry(self, doc_name, tid, lsn, epoch, ops, log_only):
+    def _ingest_sync_entry(self, entry: UpdateLogEntry):
         """Incorporate one committed update batch; ``(ok, reason, lsn)`` or
         ``None`` when the site crashed mid-ingest (the caller must not ack).
 
@@ -1117,12 +1110,14 @@ class DTXSite:
         applied before any simulated time passes, so a sync is atomic with
         respect to concurrent local reads.
 
-        A ``log_only`` ingest with ``lsn=0`` (a coordinator that is not
-        the primary) *assigns* the LSN here, after the epoch fence passed:
-        allocation and recording are atomic at the primary, so no slot can
-        be orphaned by a message lost in flight. The assigned LSN rides
-        back in the third tuple element.
+        An entry with no LSN (``lsn=0``, shipped by a coordinator that is
+        not the primary) is a record request at the primary: this site's
+        log mints the LSN when it records the entry, after the epoch fence
+        passed, so no slot can be orphaned by a message lost in flight.
+        The minted LSN rides back in the third tuple element. The phantom,
+        duplicate and gap checks concern shipped LSNs only.
         """
+        doc_name = entry.doc_name
         # Serialize with an in-flight catch-up on the same document.
         while doc_name in self._catchup_gates:
             yield self._catchup_gates[doc_name]
@@ -1135,12 +1130,14 @@ class DTXSite:
             self.stats.syncs_refused += 1
             yield (0)
             return False, "not-hosted", 0
-        if epoch < self.catalog.epoch(doc_name):
+        if entry.epoch < self.catalog.epoch(doc_name):
             self.stats.syncs_refused += 1
             yield (0)
             return False, "stale-epoch", 0
-        if log_only and lsn == 0:
-            if tid in self.finished:
+        cost = self.costs.scheduler_dispatch_ms
+        lsn = entry.lsn
+        if not lsn:
+            if entry.tid in self.finished:
                 # Stale record request: the transaction already settled at
                 # this site — its coordinator's round gave up on this
                 # message long ago, and the local commit/abort/fail
@@ -1150,49 +1147,13 @@ class DTXSite:
                 self.stats.syncs_refused += 1
                 yield (0)
                 return False, "finished", 0
-            lsn = self.catalog.allocate_lsn(doc_name)
-        log = self.log_for(doc_name)
-        cost = self.costs.scheduler_dispatch_ms
-        existing = log.entries.get(lsn)
-        if existing is not None and existing.epoch != epoch:
-            # This LSN slot is occupied by a *phantom*: a batch of a
-            # deposed timeline this replica applied while the rest of the
-            # cluster moved on (promotions restart the LSN sequence at the
-            # new primary's tip, so slots can be reused across epochs).
-            # The phantom's data is in our document; log replay cannot
-            # reconcile that — heal by snapshot transfer first.
-            yield from self._traced_catch_up(doc_name, force_snapshot=True)
-            if not self.alive:
-                return None
-            log = self.log_for(doc_name)
-            existing = log.entries.get(lsn)
-            if existing is not None and existing.epoch != epoch:
-                # Heal did not complete (primary down / mid-flight holes):
-                # refuse and stay behind; the next trigger retries.
-                self.stats.syncs_refused += 1
-                yield (0)
-                return False, "gap", 0
-        if log.has(lsn):
-            # Duplicate delivery or replayed log entry: idempotent no-op.
-            yield (cost)
-            return True, "", lsn
-        entry = UpdateLogEntry(
-            lsn=lsn, epoch=epoch, tid=tid,
-            doc_name=doc_name, ops=tuple(ops),
-        )
-        if log_only:
-            # This site is the document's primary and executed the updates
-            # itself, so only the log entry is recorded — together with a
-            # persist, so log and data stay durably consistent. Holes below
-            # this LSN are records of non-conflicting racing commits still
-            # in flight to us (conflicting predecessors were acked before
-            # this transaction could even lock): safe to record over.
-            ctx = self.tx_contexts.get(tid)
+            ctx = self.tx_contexts.get(entry.tid)
             if ctx is not None:
-                self._record(entry)
-                # Once synced the batch can only commit or fail-keep, never
-                # undo: settle it into the committed state and persist, so
-                # the durable log entry and the durable data move together.
+                # This primary executed the updates itself: record the
+                # entry only. Once synced the batch can only commit or
+                # fail-keep, never undo: settle it into the committed state
+                # and persist, so the durable log entry and data move together.
+                lsn = self._record(entry).lsn
                 persisted = self._persist_kept(ctx, doc_name)
                 cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
                 ctx.synced = True  # a dead coordinator now resolves to commit
@@ -1203,21 +1164,42 @@ class DTXSite:
                 return True, "", lsn
             # No execution state: this primary crashed and recovered while
             # the transaction was in flight. Its effects are gone from
-            # memory, so fall through and incorporate the batch the way a
-            # secondary would — by applying the shipped operations.
-        if lsn > log.applied_lsn + 1:
-            # Batches below this one are missing: either non-conflicting
-            # racing writers whose syncs are still in flight to us (they
-            # commute with this batch and fill in on arrival), or batches
-            # produced while this replica was down. If *we* are the
-            # primary, every predecessor that could conflict with this
-            # batch committed — and was therefore recorded — here, so the
-            # remaining holes commute and it is safe to proceed. Otherwise
-            # ask the primary: its answer (as of after this batch was
-            # sent) contains every conflicting predecessor, so once a
-            # response arrived it is safe to apply even if commuting holes
-            # remain.
-            if self.catalog.replica_set(doc_name).primary != self.site_id:
+            # memory, so incorporate the batch the way a secondary would —
+            # by applying the shipped operations.
+        else:
+            log = self.log_for(doc_name)
+            existing = log.entries.get(lsn)
+            if existing is not None and existing.epoch != entry.epoch:
+                # This LSN slot is occupied by a *phantom*: a batch of a
+                # deposed timeline this replica applied while the rest of
+                # the cluster moved on (a promoted primary mints above its
+                # own tip, so slots can be reused across epochs). The
+                # phantom's data is in our document; log replay cannot
+                # reconcile that — heal by snapshot transfer first.
+                yield from self._traced_catch_up(doc_name, force_snapshot=True)
+                if not self.alive:
+                    return None
+                log = self.log_for(doc_name)
+                existing = log.entries.get(lsn)
+                if existing is not None and existing.epoch != entry.epoch:
+                    # Heal did not complete (primary down / mid-flight
+                    # holes): refuse; the next trigger retries.
+                    self.stats.syncs_refused += 1
+                    yield (0)
+                    return False, "gap", 0
+            if log.has(lsn):
+                # Duplicate delivery or replayed log entry: idempotent no-op.
+                yield (cost)
+                return True, "", lsn
+            primary = self.catalog.replica_set(doc_name).primary
+            if lsn > log.applied_lsn + 1 and primary != self.site_id:
+                # Batches below this one are missing: non-conflicting
+                # racing writers still in flight to us (they commute), or
+                # batches produced while this replica was down. (At the
+                # primary every conflicting predecessor was recorded here.)
+                # The primary's answer, as of after this batch was sent,
+                # holds every conflicting predecessor, so once it arrived
+                # the apply is safe even if commuting holes remain.
                 caught_up = yield from self._traced_catch_up(doc_name)
                 if not self.alive:
                     return None
@@ -1230,15 +1212,17 @@ class DTXSite:
                     # or recovery trigger retries.
                     self.stats.syncs_refused += 1
                     return False, "gap", 0
-        cost += self._apply_log_entry(entry)
+        applied, entry = self._apply_log_entry(entry)
+        cost += applied
         self.stats.replica_syncs_served += 1
         yield (cost)
         if self._maybe_crash("sync-applied"):
             return None  # crashed after the durable apply, before the ack
-        return True, "", lsn
+        return True, "", entry.lsn
 
-    def _apply_log_entry(self, entry: UpdateLogEntry) -> float:
-        """Apply one update batch and record it durably; returns the cost.
+    def _apply_log_entry(self, entry: UpdateLogEntry) -> tuple[float, UpdateLogEntry]:
+        """Apply one update batch and record it durably; returns the cost
+        and the recorded entry (an ``lsn=0`` entry is minted by the log).
 
         The data mutation, persist and log append happen without yielding,
         so the batch is atomic even against a concurrently scheduled crash.
@@ -1262,17 +1246,19 @@ class DTXSite:
             )
         persisted = self.data_manager.commit(entry.doc_name)
         cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
-        self._record(entry)
-        return cost
+        return cost, self._record(entry)
 
-    def _record(self, entry: UpdateLogEntry, lazy: bool = False, persist: bool = False) -> None:
-        """Record a committed entry in this site's log and offer it to the
-        subscribers: view hosts get every entry the current primary
-        records, the secondaries (``lazy``) only what no sync round ships.
-        The order is schedule: the view stage may start the push loop, the
-        lazy stage the flush."""
+    def _record(self, entry: UpdateLogEntry, lazy: bool = False,
+                persist: bool = False) -> UpdateLogEntry:
+        """Record a committed entry in this site's log (the log mints an
+        ``lsn=0`` entry's LSN) and offer the recorded entry, which is
+        returned, to the subscribers: view hosts get every entry the
+        current primary records, the secondaries (``lazy``) only what no
+        sync round ships. The order is schedule: the view stage may start
+        the push loop, the lazy stage the flush."""
         doc_name = entry.doc_name
-        self.log_for(doc_name).record(entry)
+        log = self.log_for(doc_name)
+        entry = log.record(entry) if entry.lsn else log.append(entry)
         if (
             self.catalog.has_views(doc_name)
             and self.catalog.replica_set(doc_name).primary == self.site_id
@@ -1282,6 +1268,7 @@ class DTXSite:
             self.data_manager.commit(doc_name)
         if lazy:
             self._stage("lazy", doc_name, entry)
+        return entry
 
     def _handle_end_request(self, msg: CommitRequest | AbortRequest):
         """Commit or abort at a participant (Algorithms 5 and 6): settle,
@@ -2004,12 +1991,12 @@ class DTXSite:
         yield from self._flush_sequenced_batch(box, incarnation, rset, valid)
 
     def _sync_batch(self, doc_name: str, batch_id: int, entries: list,
-                    log_only: bool = False, span: int = 0) -> ReplicaSyncBatch:
+                    span: int = 0) -> ReplicaSyncBatch:
         """The replica wire format, built here for the commit-time rounds
         and the lazy push alike."""
         return ReplicaSyncBatch(
             coordinator=self.site_id, doc_name=doc_name, batch_id=batch_id,
-            log_only=log_only, entries=list(entries), span=span,
+            entries=list(entries), span=span,
         )
 
     def _ship_batch_round(self, doc_name: str, targets: list, entries: list,
@@ -2023,9 +2010,7 @@ class DTXSite:
         oracle contract: wait for every ack, or for the SiteDownNotice
         that unsticks the round. Returns the acks that arrived, by site.
         """
-        batch_id, rnd = self._open_round(
-            "sync", [site for site, _ in targets], needed or None
-        )
+        batch_id, rnd = self._open_round("sync", targets, needed or None)
         tr = self.tracer
         batch_span = (
             tr.begin(
@@ -2035,9 +2020,9 @@ class DTXSite:
             if tr is not None
             else 0
         )
-        for site, log_only in targets:
+        for site in targets:
             self._send_in_span(site, batch_span, self._sync_batch(
-                doc_name, batch_id, entries, log_only, batch_span,
+                doc_name, batch_id, entries, batch_span,
             ))
             self.stats.group_batches_sent += 1
         yield from rnd.wait(self._round_timeout_ms() if bounded else None)
@@ -2058,12 +2043,12 @@ class DTXSite:
         applied at a secondary while the primary (which never got its
         log-only record) orphan-aborts the transaction and undoes the
         effects: permanent divergence no anti-entropy could repair,
-        because catch-up serves from the primary's log. LSNs are
-        primary-assigned for the same reason (allocation = recording,
-        atomic at the primary): allocated with the local append when this
-        coordinator is the primary, or assigned at record time by the
-        remote primary (entries ship with lsn=0) — a pre-allocated slot
-        whose record message died in flight would punch a permanent hole
+        because catch-up serves from the primary's log. For the same
+        reason the entries are built with ``lsn=0`` and the primary's log
+        mints each LSN when it records the entry — here when this
+        coordinator is the primary, at the remote primary otherwise, which
+        returns the numbers in its ack. A number picked before the record
+        whose message then died in flight would punch a permanent hole
         into the primary's log and wedge its applied watermark, and every
         catch-up above it, forever.
 
@@ -2118,31 +2103,24 @@ class DTXSite:
 
         epoch = self.catalog.epoch(doc_name)
         primary_ok: dict = {}  # tid -> (ok, reason)
-        entries: list = []
+        entries = [
+            UpdateLogEntry(
+                lsn=0, epoch=epoch, tid=rec.tid,
+                doc_name=doc_name, ops=tuple(ops),
+            )
+            for rec, ops, _ in valid
+        ]
         if rset.primary == self.site_id:
-            # Batched local log append; allocation and record are one
-            # atomic step per entry (no yield separates them, so no slot
-            # can be orphaned).
-            for rec, ops, _ in valid:
-                entry = UpdateLogEntry(
-                    lsn=self.catalog.allocate_lsn(doc_name), epoch=epoch,
-                    tid=rec.tid, doc_name=doc_name, ops=tuple(ops),
-                )
-                entries.append(entry)
-                self._record(entry)
-                self._persist_kept(self.tx_contexts.get(entry.tid), doc_name)
+            # Batched local log append, one entry at a time: record (the
+            # log mints the LSN), persist, mark synced.
+            for i, (rec, _, _) in enumerate(valid):
+                entries[i] = self._record(entries[i])
+                self._persist_kept(self.tx_contexts.get(rec.tid), doc_name)
                 rec.synced = True
-                primary_ok[entry.tid] = (True, "")
+                primary_ok[rec.tid] = (True, "")
         else:
-            entries = [
-                UpdateLogEntry(
-                    lsn=0, epoch=epoch, tid=rec.tid,
-                    doc_name=doc_name, ops=tuple(ops),
-                )
-                for rec, ops, _ in valid
-            ]
             acks = yield from self._ship_batch_round(
-                doc_name, [(rset.primary, True)], entries,
+                doc_name, [rset.primary], entries,
                 needed={}, bounded=bounded, parent_span=round_parent(entries),
             )
             if self._outbox_died(box, incarnation):
@@ -2188,7 +2166,7 @@ class DTXSite:
                 if primary_ok[rec.tid][0]:
                     rec.synced = True
         sec_targets = [
-            (target, False)
+            target
             for target in self.replication.sync_targets(rset)
             if self._peer_up(target)
         ]
@@ -2930,7 +2908,7 @@ class DTXSite:
                         break
                     if log.has(entry.lsn):
                         continue  # already applied (e.g. by a concurrent sync)
-                    cost += self._apply_log_entry(entry)
+                    cost += self._apply_log_entry(entry)[0]
                     replayed += 1
                 self.stats.catchup_entries_replayed += replayed
                 self.stats.catchups += 1
@@ -3058,7 +3036,7 @@ class DTXSite:
             if doc_name in already_logged:
                 continue  # the sync round already recorded this batch
             entry = UpdateLogEntry(
-                lsn=self.catalog.allocate_lsn(doc_name),
+                lsn=0,
                 epoch=self.catalog.epoch(doc_name),
                 tid=tid,
                 doc_name=doc_name,

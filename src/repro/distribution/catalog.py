@@ -9,7 +9,7 @@ synchronization cost even for read-only workloads (Fig. 9).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable
 
 from ..errors import DistributionError
 from .replication import ReplicaSet
@@ -25,15 +25,6 @@ class Catalog:
         # change, carried by replica-sync traffic, and used to fence
         # deposed primaries (a sync stamped with an older epoch is refused).
         self._epochs: dict[str, int] = {}
-        # Per-document LSN allocator. Allocation happens while the
-        # document's primary-copy write locks are held, so LSN order equals
-        # commit order and per-document LSNs are gapless.
-        self._next_lsn: dict[str, int] = {}
-        # Lease-mode allocator: one counter per (document, epoch). Views
-        # at different epochs (a deposed primary vs the re-elected one)
-        # allocate independently, so a fenced stale primary cannot punch
-        # holes into the new timeline's LSN sequence.
-        self._epoch_lsn: dict[tuple[str, int], int] = {}
         # Highest election epoch ever *claimed* per document.
         # Claiming is the uniqueness RPC: no two election winners can be
         # handed the same epoch, so equal-epoch split-brain (two primaries
@@ -115,7 +106,7 @@ class Catalog:
         self._epochs[doc_name] = epoch
         return True
 
-    # -- epochs and log sequence numbers -----------------------------------
+    # -- epochs -------------------------------------------------------------
 
     def epoch(self, doc_name: str) -> int:
         """Current primary-election epoch of ``doc_name`` (0 = never elected)."""
@@ -125,9 +116,8 @@ class Catalog:
         """Hand out the next election epoch — unique across all claimants.
 
         Every promotion's "epoch RPC" (a stand-in for an epoch CAS at a
-        coordination service, the same way ``allocate_lsn`` stands in for
-        the primary's LSN counter); under the perfect detector it is simply
-        the next epoch. Under the lease detector two concurrent electors
+        coordination service); under the perfect detector it is simply the
+        next epoch. Under the lease detector two concurrent electors
         that both reach a majority — possible under asymmetric message
         loss with replica degree >= 5 — receive *different* epochs, so
         the lower one is fenced on first contact with any site that
@@ -144,46 +134,6 @@ class Catalog:
         )
         self._claimed_epochs[doc_name] = epoch
         return epoch
-
-    def allocate_lsn(self, doc_name: str, epoch: Optional[int] = None) -> int:
-        """Hand out the next log sequence number for ``doc_name``.
-
-        Called only while the document's primary-copy write locks are held,
-        which serializes allocations with commits (in a real deployment this
-        counter lives at the primary; the shared catalog stands in for that
-        RPC the same way it stands in for placement lookups). With
-        ``epoch`` (lease mode, via :class:`CatalogView`) the sequence is
-        per (document, epoch): the RPC goes to whoever the caller's view
-        *believes* is the primary, and a deposed view's allocations stay
-        on its own fenced timeline.
-        """
-        if epoch is None:
-            lsn = self._next_lsn.get(doc_name, 0) + 1
-            self._next_lsn[doc_name] = lsn
-            return lsn
-        key = (doc_name, epoch)
-        lsn = self._epoch_lsn.get(key, self._next_lsn.get(doc_name, 0)) + 1
-        self._epoch_lsn[key] = lsn
-        return lsn
-
-    def reset_lsn(
-        self, doc_name: str, from_lsn: int, epoch: Optional[int] = None
-    ) -> None:
-        """Restart the LSN sequence after a promotion.
-
-        The new primary may not have seen the deposed primary's tail; the
-        next allocation continues above everything the new primary has
-        *recorded* (its compacted log tip), so no slot it already holds is
-        re-allocated at the serving primary — orphaned tail entries
-        elsewhere are fenced by the epoch bump that accompanied the
-        promotion and healed by snapshot transfer on contact. ``epoch``
-        seeds the per-(document, epoch) counter of the *new* regime
-        (lease mode).
-        """
-        if epoch is None:
-            self._next_lsn[doc_name] = from_lsn
-        else:
-            self._epoch_lsn[(doc_name, epoch)] = from_lsn
 
     def replication_degree(self, doc_name: str) -> int:
         return len(self.sites_for(doc_name))
@@ -238,10 +188,8 @@ class CatalogView:
     sees the change instantly. Lease mode removes that oracle — each site
     holds a view whose **primary/epoch facts advance only by messages**
     (:class:`~repro.core.messages.PrimaryAnnounce`, or the view summaries
-    heartbeats carry). Placement (which sites hold a copy) and the LSN
-    allocator stay delegated to the shared catalog: placement is static
-    during a run, and the allocator already stands in for an RPC to the
-    believed primary (mis-directed allocations are fenced by epochs).
+    heartbeats carry). Placement (which sites hold a copy) stays delegated
+    to the shared catalog: it is static during a run.
 
     Views at different sites can disagree — that is the point: a deposed
     primary that has not heard the announce still believes it leads, and
@@ -299,15 +247,6 @@ class CatalogView:
 
     def has_document(self, doc_name: str) -> bool:
         return self._shared.has_document(doc_name)
-
-    def allocate_lsn(self, doc_name: str) -> int:
-        # The allocation RPC goes to the primary *this view believes in*:
-        # keyed by the view's epoch, so a deposed view's allocations stay
-        # on its own fenced timeline.
-        return self._shared.allocate_lsn(doc_name, self.epoch(doc_name))
-
-    def reset_lsn(self, doc_name: str, from_lsn: int) -> None:
-        self._shared.reset_lsn(doc_name, from_lsn, self.epoch(doc_name))
 
     def has_views(self, doc_name: str) -> bool:
         return self._shared.has_views(doc_name)

@@ -43,15 +43,16 @@ tradeoff the ``availability`` experiment measures.
 
 The :class:`UpdateLog` is also what crash recovery is built on: every
 replica (primary and secondaries alike) logs each applied update batch
-under a per-document log sequence number (LSN) assigned by the current
-primary's regime, so a recovering replica can ask the primary for the
-entries it missed, and a deposed primary can detect that its log diverged
-(same LSN, different epoch) and fall back to a snapshot transfer.
+under a per-document log sequence number (LSN) that the primary's log
+mints when it records the batch (:meth:`UpdateLog.append`), so a
+recovering replica can ask the primary for the entries it missed, and a
+deposed primary can detect that its log diverged (same LSN, different
+epoch) and fall back to a snapshot transfer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Hashable, Optional
 
 from ..errors import ConfigError, DistributionError
@@ -335,13 +336,14 @@ class ReplicationPolicy:
 class UpdateLogEntry:
     """One committed update batch of one transaction on one document.
 
-    ``lsn`` is the per-document log sequence number assigned by the
-    primary's regime while the primary's write locks were still held, so
-    LSN order equals commit order and per-document LSNs are gapless.
-    ``epoch`` is the primary-election epoch the entry was produced under;
-    a recovering replica whose entry at some LSN carries a different epoch
-    than the current primary's knows its log diverged (it applied writes
-    of a deposed primary) and must fall back to a snapshot transfer.
+    ``lsn`` is the per-document log sequence number, 0 until the primary's
+    log records the entry and mints it (:meth:`UpdateLog.append`). That
+    happens while the primary's write locks are still held, so LSN order
+    equals commit order and per-document LSNs are gapless. ``epoch`` is
+    the primary-election epoch the entry was produced under; a recovering
+    replica whose entry at some LSN carries a different epoch than the
+    current primary's knows its log diverged (it applied writes of a
+    deposed primary) and must fall back to a snapshot transfer.
     """
 
     lsn: int
@@ -365,14 +367,18 @@ class UpdateLog:
     after a snapshot transfer the entries are discarded and the base is
     moved forward, so the watermark stays meaningful.
 
+    The primary's log is the one place an LSN is picked (:meth:`append`):
+    a promoted primary continues above its own tip, a deposed one on its
+    own fenced timeline, and every other replica records entries as shipped.
+
     Entries are keyed by LSN and may arrive **out of order**: conflicting
     writers are serialized by the primary's lock table (their batches can
     never race), but *non-conflicting* writers on the same document commit
-    — and therefore allocate LSNs and ship their batches — concurrently.
-    Their data effects commute (disjoint lock scopes), so replicas apply
-    them in arrival order; the log records them under their allocated LSNs
-    and ``applied_lsn`` reports the highest *contiguous* watermark, which
-    is what catch-up requests and promotion decisions are based on.
+    — and therefore ship their batches — concurrently. Their data effects
+    commute (disjoint lock scopes), so replicas apply them in arrival
+    order; the log records them under their minted LSNs and
+    ``applied_lsn`` reports the highest *contiguous* watermark, which is
+    what catch-up requests and promotion decisions are based on.
     Transient holes above the watermark (batches still in flight) fill in
     as their entries arrive.
     """
@@ -382,13 +388,15 @@ class UpdateLog:
     base_lsn: int = 0
     base_epoch: int = 0
     # Maintained incrementally by record()/reset_to_snapshot so the
-    # hot-path reads below stay O(1) instead of re-walking the prefix.
+    # hot-path reads below stay O(1) instead of re-walking the log.
     _watermark: int = 0
+    _tip: int = 0
 
     def __post_init__(self) -> None:
         self._watermark = max(self._watermark, self.base_lsn)
         while self._watermark + 1 in self.entries:
             self._watermark += 1
+        self._tip = max(self.entries, default=self.base_lsn)
 
     @property
     def applied_lsn(self) -> int:
@@ -405,21 +413,31 @@ class UpdateLog:
     @property
     def max_recorded_lsn(self) -> int:
         """Highest LSN recorded (equals ``applied_lsn`` iff hole-free)."""
-        return max(self.entries, default=self.base_lsn)
+        return self._tip
 
     def has(self, lsn: int) -> bool:
         """Whether ``lsn``'s batch is already incorporated here (recorded as
         an entry, or subsumed by the snapshot base)."""
         return lsn <= self.base_lsn or lsn in self.entries
 
-    def record(self, entry: UpdateLogEntry) -> None:
+    def record(self, entry: UpdateLogEntry) -> UpdateLogEntry:
+        """Record an entry under the LSN it carries; returns it."""
         if self.has(entry.lsn):
             raise DistributionError(
                 f"log of {self.doc_name!r}: lsn {entry.lsn} recorded twice"
             )
         self.entries[entry.lsn] = entry
+        self._tip = max(self._tip, entry.lsn)
         while self._watermark + 1 in self.entries:
             self._watermark += 1
+        return entry
+
+    def append(self, entry: UpdateLogEntry) -> UpdateLogEntry:
+        """Record an entry built with ``lsn=0`` under the next LSN above
+        everything recorded here; returns the recorded entry."""
+        if entry.lsn:
+            raise DistributionError(f"log of {self.doc_name!r}: append of lsn {entry.lsn}")
+        return self.record(replace(entry, lsn=self._tip + 1))
 
     def contiguous_entries_after(self, lsn: int) -> list:
         """The gapless run of entries directly above ``lsn``, in LSN order.
@@ -451,7 +469,7 @@ class UpdateLog:
         self.entries.clear()
         self.base_lsn = lsn
         self.base_epoch = epoch
-        self._watermark = lsn
+        self._watermark = self._tip = lsn
 
     def compact_to(self, lsn: int) -> int:
         """Fold entries at or below ``lsn`` into the snapshot base.

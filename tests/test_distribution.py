@@ -106,7 +106,7 @@ class TestCatalog:
         rset = cat.replica_set("d")
         assert rset == ReplicaSet("d", "s1", ("s2", "s3"))
         cat.add("e", ["s2"])
-        cat.allocate_lsn("d")
+        cat.claim_epoch("d")  # an election RPC, not a placement change
         assert cat.replica_set("d") is rset  # nothing about d's placement moved
         cat.set_primary("d", "s2")
         promoted = cat.replica_set("d")

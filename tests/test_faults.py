@@ -126,6 +126,49 @@ class TestUpdateLog:
         assert log.epoch_at(2) == 2
         assert log.epoch_at(9) is None
 
+    def test_append_mints_above_the_tip(self):
+        log = UpdateLog("d")
+        assert log.append(self.entry(0)).lsn == 1
+        assert log.append(self.entry(0)).lsn == 2
+        log.record(self.entry(9))  # out of order, above a hole
+        recorded = log.append(self.entry(0))
+        assert recorded.lsn == 10 and log.entries[10] is recorded
+        log.reset_to_snapshot(20, epoch=1)
+        assert log.append(self.entry(0, epoch=1)).lsn == 21
+        log.append(self.entry(0, epoch=1))
+        assert log.compact_to(21) == 1 and log.max_recorded_lsn == 22
+        assert log.append(self.entry(0, epoch=1)).lsn == 23
+        with pytest.raises(DistributionError):
+            log.append(self.entry(24))  # a shipped LSN is recorded, not minted
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(("record", "append", "reset", "compact")),
+                st.integers(min_value=0, max_value=30),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=example_budget(60), deadline=None)
+    def test_tip_is_the_highest_recorded_lsn(self, steps):
+        log = UpdateLog("d")
+        for action, lsn in steps:
+            if action == "record":
+                if log.has(lsn):
+                    with pytest.raises(DistributionError):
+                        log.record(self.entry(lsn))
+                else:
+                    log.record(self.entry(lsn))
+            elif action == "append":
+                tip = log.max_recorded_lsn
+                assert log.append(self.entry(0)).lsn == tip + 1
+            elif action == "reset":
+                log.reset_to_snapshot(lsn, epoch=0)
+            else:
+                log.compact_to(lsn)
+            assert log.max_recorded_lsn == max(log.entries, default=log.base_lsn)
+
 
 class TestNetworkLiveness:
     def test_down_endpoint_drops_messages(self):
@@ -158,11 +201,24 @@ class TestCatalogEpochsAndLsns:
         assert cluster.catalog.epoch("d1") == epoch0 + 1
 
     def test_lsn_allocation_and_reset(self):
+        """The primary's log mints each LSN; a promoted primary's log
+        continues above the tip it had at promotion, under the new epoch."""
         cluster = ft_cluster()
-        assert cluster.catalog.allocate_lsn("d1") == 1
-        assert cluster.catalog.allocate_lsn("d1") == 2
-        cluster.catalog.reset_lsn("d1", 5)
-        assert cluster.catalog.allocate_lsn("d1") == 6
+        for site in ("s2", "s3"):  # both secondaries hold LSNs 1 and 2
+            for lsn in (1, 2):
+                cluster.site(site).log_for("d1").record(
+                    UpdateLogEntry(lsn=lsn, epoch=0, tid=f"t{lsn}", doc_name="d1")
+                )
+        epoch0 = cluster.catalog.epoch("d1")
+        cluster.crash_site("s1")
+        assert cluster.catalog.replica_set("d1").primary == "s2"
+        tx = insert_tx(9)
+        cluster.add_client("c1", "s4", [tx])
+        assert len(cluster.run().committed) == 1
+        for site in ("s2", "s3"):
+            entry = cluster.site(site).log_for("d1").entries[3]
+            assert (entry.epoch, entry.tid) == (epoch0 + 1, tx.tid)
+            assert cluster.site(site).log_for("d1").max_recorded_lsn == 3
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +293,6 @@ class TestFailover:
             cluster.site("s3").log_for("d1").record(
                 UpdateLogEntry(lsn=lsn, epoch=0, tid=f"t{lsn}", doc_name="d1")
             )
-        cluster.catalog.reset_lsn("d1", 2)
         epoch0 = cluster.catalog.epoch("d1")
         cluster.crash_site("s1")
         rset = cluster.catalog.replica_set("d1")

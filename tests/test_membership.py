@@ -244,14 +244,31 @@ class TestCatalogView:
         assert v1.replica_set("d").primary == "s2"
         assert v2.replica_set("d").primary == "s1"  # never heard the announce
 
-    def test_epoch_keyed_lsn_allocation_is_independent(self):
+    def test_deposed_and_new_primary_logs_mint_on_their_own_timelines(self):
+        """A deposed primary's log keeps minting above its own tip under its
+        stale epoch; the new primary's log continues above the tip it had
+        at promotion. The slot both minted differs by epoch — the phantom
+        a replica heals by snapshot."""
         shared = self.shared()
-        stale, fresh = CatalogView(shared), CatalogView(shared)
-        fresh.apply_primary("d", "s2", epoch=1)
-        fresh.reset_lsn("d", 4)  # the new primary's log tip
-        assert stale.allocate_lsn("d") == 1  # old epoch: own counter
-        assert fresh.allocate_lsn("d") == 5  # new epoch: continues above tip
-        assert stale.allocate_lsn("d") == 2  # unperturbed by the new regime
+        stale_view, fresh_view = CatalogView(shared), CatalogView(shared)
+        fresh_view.apply_primary("d", "s2", epoch=1)
+        stale_log, fresh_log = UpdateLog("d"), UpdateLog("d")
+        for lsn in (1, 2, 3, 4):
+            entry = UpdateLogEntry(lsn=lsn, epoch=0, tid=f"t{lsn}", doc_name="d")
+            stale_log.record(entry)
+            if lsn < 4:
+                fresh_log.record(entry)  # LSN 4 never reached s2
+
+        def mint(log, view, tid):
+            return log.append(
+                UpdateLogEntry(lsn=0, epoch=view.epoch("d"), tid=tid, doc_name="d")
+            ).lsn
+
+        assert mint(fresh_log, fresh_view, "new1") == 4  # above its own tip 3
+        assert mint(stale_log, stale_view, "old1") == 5  # above its own tip 4
+        assert mint(fresh_log, fresh_view, "new2") == 5
+        assert (stale_log.epoch_at(4), fresh_log.epoch_at(4)) == (0, 1)
+        assert (stale_log.epoch_at(5), fresh_log.epoch_at(5)) == (0, 1)
 
     def test_claimed_epochs_are_unique_across_concurrent_electors(self):
         """Two electors that both reach a majority (asymmetric loss,
