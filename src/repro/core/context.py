@@ -126,11 +126,9 @@ class CoordinatorRecord:
     # (max_read_staleness_ms): the retry re-routes these to the primary.
     stale_read_docs: set = field(default_factory=set)
 
-    # documents this transaction has updated (primary-copy ROWA pins
-    # subsequent reads of them to the primary: read-your-writes)
-    written_docs: set = field(default_factory=set)
-
-    # doc -> sites where its updates executed; at commit the sync layer
+    # doc -> sites where its updates executed; its keys are the documents
+    # this transaction has updated (primary-copy ROWA pins subsequent reads
+    # of them to the primary: read-your-writes). At commit the sync layer
     # verifies the executing site still is the live primary (a promotion in
     # between means the uncommitted effects died with the old primary)
     write_sites: dict = field(default_factory=dict)

@@ -1506,7 +1506,7 @@ class DTXSite:
                 if (
                     self.replication.is_quorum_read
                     and rset.is_replicated
-                    and op.doc_name not in rec.written_docs
+                    and op.doc_name not in rec.write_sites
                 ):
                     # Versioned quorum read: probe R replicas, execute at
                     # the freshest provably-complete responder, repair the
@@ -1518,7 +1518,7 @@ class DTXSite:
                         rset,
                         origin=self.site_id,
                         rng=self._route_rng,
-                        wrote_before=op.doc_name in rec.written_docs,
+                        wrote_before=op.doc_name in rec.write_sites,
                     )
                     if op.doc_name in rec.stale_read_docs:
                         # An earlier attempt bounced off the follower-read
@@ -1595,7 +1595,6 @@ class DTXSite:
                 op.executed = True
                 rec.executed_sites.update(sites)
                 if op.kind is OpKind.UPDATE:
-                    rec.written_docs.add(op.doc_name)
                     rec.write_sites.setdefault(op.doc_name, set()).update(sites)
                 elif len(sites) < rset.degree:
                     self.stats.reads_routed += 1  # once per routed query
