@@ -16,6 +16,11 @@ Lock rules (paper §2, reconstructed details in DESIGN.md):
 * **transpose p INTO q** — XT on the source + IX ancestors; SI on the
   destination + IS ancestors; X + IX-ancestors on the relocated path.
 
+A query, remove, rename, change or transpose source that matches no guide
+node still locks what it *names* (:func:`_named_path`) in its rule's mode:
+conflicts are the operations', not the current instance's (Dekeyser et
+al.) — a pruned path returns when its remover aborts, or an insert makes it.
+
 Lock keys are ``(doc_name, label_path)`` — stable across guide-node pruning
 and re-creation, so a lock can name a path that does not exist yet (inserts).
 
@@ -61,7 +66,7 @@ from ..update.operations import (
     UpdateOperation,
 )
 from ..xml.model import Document
-from ..xpath.ast import LocationPath
+from ..xpath.ast import Axis, LocationPath, NodeTestKind
 from ..xpath.evaluator import EvalStats
 from ..xpath.guide import GuideMatch, match_structure
 from ..xpath.parser import parse_xpath
@@ -70,6 +75,24 @@ from .base import ConcurrencyProtocol
 #: Bound on the spec memo, queries and updates together, over all
 #: documents: the parse memo's.
 SPEC_MEMO_MAX = 4096
+
+#: The intention mode each primary mode puts on the ancestors.
+_INTENTION = {LockMode.ST: LockMode.IS, LockMode.XT: LockMode.IX, LockMode.X: LockMode.IX}
+
+
+def _named_path(path: LocationPath, root) -> tuple[str, ...]:
+    """The label path ``path`` spells: its leading run of child-axis name
+    steps (``//``, ``*``, ``@`` or ``text()`` ends it), below the document
+    element if relative; the document element's path when the run is empty."""
+    if root is None:
+        return ()
+    names = [] if path.absolute else [root.tag]
+    for step in path.steps:
+        test = step.test
+        if step.axis is not Axis.CHILD or test.kind is not NodeTestKind.NAME or test.name == "*":
+            break
+        names.append(test.name)
+    return tuple(names) or (root.tag,)
 
 
 def _update_key(op: UpdateOperation) -> tuple:
@@ -148,12 +171,9 @@ class XDGLProtocol(ConcurrencyProtocol):
         key = (doc_name, path.shape)
         spec = self._recall(key, guide.version)
         if spec is None:
-            stats = EvalStats()
-            match = match_structure(path, guide.root, stats)
-            spec = LockSpec(nodes_visited=stats.nodes_visited)
-            self._shared_tree_locks(spec, doc_name, match.targets)
-            self._shared_tree_locks(spec, doc_name, match.predicate_targets)
-            spec = self._remember(key, guide.version, spec.deduplicated())
+            spec = self._remember(
+                key, guide.version, self._compute_query_spec(doc_name, path)
+            )
         return spec
 
     def lock_spec_for_update(self, doc_name: str, op: UpdateOperation) -> LockSpec:
@@ -182,6 +202,16 @@ class XDGLProtocol(ConcurrencyProtocol):
         memo[key] = (version, spec)
         return spec
 
+    def _compute_query_spec(self, doc_name: str, path: LocationPath) -> LockSpec:
+        """The query rule computed from scratch against the current guide."""
+        guide = self.guide(doc_name)
+        stats = EvalStats()
+        match = match_structure(path, guide.root, stats)
+        spec = LockSpec(nodes_visited=stats.nodes_visited)
+        self._target_locks(spec, doc_name, guide, path, match, LockMode.ST)
+        self._shared_tree_locks(spec, doc_name, match.predicate_targets)
+        return spec.deduplicated()
+
     def _compute_update_spec(self, doc_name: str, op: UpdateOperation) -> LockSpec:
         """The update rule computed from scratch against the current guide.
 
@@ -194,31 +224,30 @@ class XDGLProtocol(ConcurrencyProtocol):
             self._insert_locks(spec, doc_name, guide, op, stats)
         elif isinstance(op, RemoveOp):
             match = match_structure(op.target, guide.root, stats)
-            self._exclusive_tree_locks(spec, doc_name, match.targets)
+            self._target_locks(spec, doc_name, guide, op.target, match, LockMode.XT)
             self._shared_tree_locks(spec, doc_name, match.predicate_targets)
         elif isinstance(op, RenameOp):
             match = match_structure(op.target, guide.root, stats)
-            self._exclusive_tree_locks(spec, doc_name, match.targets)
+            self._target_locks(spec, doc_name, guide, op.target, match, LockMode.XT)
             for t in match.targets:
                 parent_path = t.label_path()[:-1]
                 new_path = parent_path + (op.new_name,)
-                self._exclusive_node_lock(spec, doc_name, new_path)
+                self._path_locks(spec, doc_name, new_path, LockMode.X)
             self._shared_tree_locks(spec, doc_name, match.predicate_targets)
         elif isinstance(op, ChangeOp):
             match = match_structure(op.target, guide.root, stats)
-            for t in match.targets:
-                self._exclusive_node_lock(spec, doc_name, t.label_path())
+            self._target_locks(spec, doc_name, guide, op.target, match, LockMode.X)
             self._shared_tree_locks(spec, doc_name, match.predicate_targets)
         elif isinstance(op, TransposeOp):
             src = match_structure(op.source, guide.root, stats)
             dst = match_structure(op.destination, guide.root, stats)
-            self._exclusive_tree_locks(spec, doc_name, src.targets)
+            self._target_locks(spec, doc_name, guide, op.source, src, LockMode.XT)
             for d in dst.targets:
                 spec.add((doc_name, d.label_path()), LockMode.SI)
                 self._intention_locks(spec, doc_name, d, LockMode.IS)
                 for s in src.targets:
                     new_path = d.label_path() + (s.tag,)
-                    self._exclusive_node_lock(spec, doc_name, new_path)
+                    self._path_locks(spec, doc_name, new_path, LockMode.X)
             self._shared_tree_locks(spec, doc_name, src.predicate_targets)
             self._shared_tree_locks(spec, doc_name, dst.predicate_targets)
         else:
@@ -234,17 +263,27 @@ class XDGLProtocol(ConcurrencyProtocol):
             spec.add((doc, node.label_path()), LockMode.ST)
             self._intention_locks(spec, doc, node, LockMode.IS)
 
-    def _exclusive_tree_locks(self, spec: LockSpec, doc: str, nodes: list[DataGuideNode]) -> None:
-        """XT on each node, IX on each ancestor (remove/rename/transpose)."""
-        for node in nodes:
-            spec.add((doc, node.label_path()), LockMode.XT)
-            self._intention_locks(spec, doc, node, LockMode.IX)
+    def _target_locks(self, spec: LockSpec, doc: str, guide: DataGuide, path: LocationPath,
+                      match: GuideMatch, mode: LockMode) -> None:
+        """``mode`` on each target of ``match`` + its intention mode on each
+        ancestor; with no target, the same on the path ``path`` names."""
+        if not match.targets:
+            named = _named_path(path, guide.root)
+            if named:
+                self._path_locks(spec, doc, named, mode)
+            return
+        intention = _INTENTION[mode]
+        for node in match.targets:
+            spec.add((doc, node.label_path()), mode)
+            self._intention_locks(spec, doc, node, intention)
 
-    def _exclusive_node_lock(self, spec: LockSpec, doc: str, path: tuple[str, ...]) -> None:
-        """X on a label path (which may not exist yet) + IX on its prefixes."""
-        spec.add((doc, path), LockMode.X)
+    def _path_locks(self, spec: LockSpec, doc: str, path: tuple[str, ...], mode: LockMode) -> None:
+        """``mode`` on a label path (which may not exist yet) + its intention
+        mode on the path's prefixes."""
+        spec.add((doc, path), mode)
+        intention = _INTENTION[mode]
         for depth in range(len(path) - 1, 0, -1):
-            spec.add((doc, path[:depth]), LockMode.IX)
+            spec.add((doc, path[:depth]), intention)
 
     def _intention_locks(
         self, spec: LockSpec, doc: str, node: DataGuideNode, mode: LockMode
@@ -276,5 +315,5 @@ class XDGLProtocol(ConcurrencyProtocol):
             spec.add((doc_name, connecting.label_path()), LockMode.SI)
             self._intention_locks(spec, doc_name, connecting, LockMode.IS)
             new_path = connecting.label_path() + (op.fragment.tag,)
-            self._exclusive_node_lock(spec, doc_name, new_path)
+            self._path_locks(spec, doc_name, new_path, LockMode.X)
         self._shared_tree_locks(spec, doc_name, match.predicate_targets)

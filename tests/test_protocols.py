@@ -50,10 +50,37 @@ class TestXDGLQueryLocks:
         with pytest.raises(StorageError):
             self.proto.lock_spec_for_query("ghost", "/a")
 
-    def test_query_no_structural_match_locks_nothing(self, products_doc):
+    def test_query_no_structural_match_locks_the_named_path(self, products_doc):
+        """A query that matches nothing reads "absent", so it must conflict
+        with the insert that would make it match: ST on the label path it
+        names, IS on the prefixes."""
+        from repro.locking.modes import XDGL_MATRIX
+
         self.proto.register_document(products_doc)
         spec = self.proto.lock_spec_for_query("d2", "/products/ghost")
-        assert len(spec) == 0
+        assert modes_for(spec, ("d2", ("products", "ghost"))) == {LockMode.ST}
+        assert modes_for(spec, ("d2", ("products",))) == {LockMode.IS}
+        insert = self.proto.lock_spec_for_update("d2", InsertOp("<ghost/>", "/products"))
+        assert LockMode.X in modes_for(insert, ("d2", ("products", "ghost")))
+        assert any(
+            a.key == b.key and a.mode in XDGL_MATRIX.conflicts_with[b.mode]
+            for a in spec.requests
+            for b in insert.requests
+        )
+
+    def test_descendant_query_with_no_match_locks_its_leading_child_steps(
+        self, products_doc
+    ):
+        self.proto.register_document(products_doc)
+        spec = self.proto.lock_spec_for_query("d2", "/products//ghost")
+        assert [(r.key, r.mode) for r in spec.requests] == [
+            (("d2", ("products",)), LockMode.ST)
+        ]
+        # No leading child step at all: the document element's path.
+        spec = self.proto.lock_spec_for_query("d2", "//ghost")
+        assert [(r.key, r.mode) for r in spec.requests] == [
+            (("d2", ("products",)), LockMode.ST)
+        ]
 
 
 class TestXDGLUpdateLocks:
@@ -134,7 +161,6 @@ class TestXDGLUpdateLocks:
         self.proto.after_apply("d2", [revert(c) for c in reversed(changes)])
         self.proto.guide("d2").validate_against(products_doc)
 
-    @pytest.mark.xfail(strict=True, reason="Bug A, ROADMAP item 1")
     def test_remove_of_the_last_node_conflicts_after_the_guide_prunes(self):
         """Two removes of the same node conflict: each can change the
         other's effect (Dekeyser et al., instance-independent conflicts),

@@ -540,11 +540,6 @@ class TestQuorumProbe:
         notes = result.sweep.check(result)
         assert any("partition" in note for note in notes)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known divergence: with W = N = 3 and a primary crash, one "
-        "replica pair still differs after recovery and the drain",
-    )
     def test_r1w3_crash_cell_leaves_no_divergent_replica(self):
         from repro.experiments import run_sweep
 

@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.deadlock.wfg import WaitForGraph
 from repro.errors import ReproError
-from repro.locking import LockManager, LockSpec
+from repro.locking import LockManager
 from repro.locking.table import LockTable
 from repro.protocols import XDGLProtocol
 from repro.protocols.xdgl import SPEC_MEMO_MAX, _update_key
@@ -43,7 +43,7 @@ from repro.update import (
     revert,
 )
 from repro.xml import Document, Element, parse_document, serialize_element
-from repro.xpath import EvalStats, parse_xpath
+from repro.xpath import parse_xpath
 from repro.xpath.ast import (
     Axis,
     BoolExpr,
@@ -58,7 +58,6 @@ from repro.xpath.ast import (
     Position,
     Step,
 )
-from repro.xpath.guide import match_structure
 
 from .conftest import example_budget
 from .test_xpath_equivalence import TAGS, VALUES, elements, paths, updates
@@ -70,13 +69,9 @@ from .test_xpath_equivalence import TAGS, VALUES, elements, paths, updates
 
 def fresh_spec(protocol, doc_name, path):
     """The query rule computed from scratch against the current guide."""
-    guide = protocol.guide(doc_name)
-    stats = EvalStats()
-    match = match_structure(path, guide.root, stats)
-    spec = LockSpec(nodes_visited=stats.nodes_visited)
-    protocol._shared_tree_locks(spec, doc_name, match.targets)
-    protocol._shared_tree_locks(spec, doc_name, match.predicate_targets)
-    return spec.deduplicated()
+    if isinstance(path, str):
+        path = parse_xpath(path)
+    return protocol._compute_query_spec(doc_name, path)
 
 
 def _assert_same(spec, fresh, label):
@@ -382,14 +377,15 @@ class TestMemoRules:
         protocol = XDGLProtocol()
         document = parse_document("<r><a id='1'/></r>", "d")
         protocol.register_document(document)
-        assert _lock_paths(assert_memo_is_fresh(protocol, "d", "//b")) == set()
+        # No match: the query locks the document element's path.
+        assert _lock_paths(assert_memo_is_fresh(protocol, "d", "//b")) == {("r",)}
 
         changes = apply_update(InsertOp("<b/>", "/r", InsertPosition.INTO), document)
         protocol.after_apply("d", changes)
         assert ("r", "b") in _lock_paths(assert_memo_is_fresh(protocol, "d", "//b"))
 
         protocol.after_apply("d", [revert(c) for c in reversed(changes)])
-        assert _lock_paths(assert_memo_is_fresh(protocol, "d", "//b")) == set()
+        assert _lock_paths(assert_memo_is_fresh(protocol, "d", "//b")) == {("r",)}
 
     def test_a_target_only_change_keeps_every_entry(self):
         """Another node under a label path that already exists changes no
