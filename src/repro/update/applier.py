@@ -83,7 +83,7 @@ def revert(change: AppliedChange) -> AppliedChange:
     node, kind = change.node, change.kind
     if kind == "change":
         before, text = own_size(node), node.text
-        node.text = change.old_text
+        node.set_text(change.old_text)
         return AppliedChange(
             "change", node, byte_delta=own_size(node) - before, old_text=text
         )
@@ -219,7 +219,7 @@ def _apply_change(
     for target in evaluate(op.target, doc, stats):
         old = target.text
         before = own_size(target)
-        target.text = op.new_value
+        target.set_text(op.new_value)
         changes.append(
             AppliedChange(
                 kind="change", node=target, byte_delta=own_size(target) - before,

@@ -18,8 +18,11 @@ documents' pools) parses each pattern once and builds every instance from
 that parse with its own ``Literal``. An instance is kept per (pattern,
 literal) for as long as the tester lives, so within one build equal paths
 are one object and their plan, ``str`` and ``shape`` are computed once;
-nothing is kept at module level, so nothing outlives the build. Insert
-fragments are built with :func:`~repro.xml.builder.E`, not parsed.
+nothing is kept at module level, so nothing outlives the build. Instances
+of one pattern share its other steps, so each compiles only its predicate
+step, and its ``shape`` (which erases the literal) and its text come from
+the pattern. Insert fragments are built with
+:func:`~repro.xml.builder.E`, not parsed.
 """
 
 from __future__ import annotations
@@ -74,7 +77,9 @@ class TemplatePaths:
     ``Literal``, every other node shared with the parse — and keeps it per
     (pattern, literal). It equals the parse of the pattern formatted with
     the literal: the literal takes the stand-in's type, so a threshold is a
-    ``float`` as the parser makes it.
+    ``float`` as the parser makes it. It takes the parse's ``shape``, and
+    its text is the pattern around the literal's own rendering when the
+    pattern renders the stand-in as ``str()`` of the parse does.
     """
 
     def __init__(self) -> None:
@@ -88,9 +93,13 @@ class TemplatePaths:
             parts = self._parts.get(template)
             if parts is None:
                 parts = self._parts[template] = _split(template)
-            absolute, head, axis, test, left, op, kind, tail = parts
-            step = Step(axis, test, (Comparison(left, op, Literal(kind(value))),))
+            absolute, head, axis, test, left, op, kind, tail, shape, text = parts
+            literal = Literal(kind(value))
+            step = Step(axis, test, (Comparison(left, op, literal),))
             path = self._paths[key] = LocationPath(absolute, (*head, step, *tail))
+            object.__setattr__(path, "_shape", shape)  # LocationPath is frozen
+            if text is not None:
+                object.__setattr__(path, "_text", text.format(literal))
         return path
 
 
@@ -100,9 +109,15 @@ def _split(template: str) -> tuple:
     for i, step in enumerate(steps):
         if step.predicates:
             (cmp,) = step.predicates
+            stand_in = cmp.right
+            # The pattern with the literal's rendering (quotes included) as
+            # its one field, kept only if it renders the stand-in exactly.
+            text = template.replace('"{}"', "{}")
+            if text.format(stand_in) != str(parsed):
+                text = None
             return (
                 parsed.absolute, steps[:i], step.axis, step.test,
-                cmp.left, cmp.op, type(cmp.right.value), steps[i + 1:],
+                cmp.left, cmp.op, type(stand_in.value), steps[i + 1:], parsed.shape, text,
             )
     raise ValueError(f"template {template!r} has no predicate")
 

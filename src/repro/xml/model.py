@@ -19,7 +19,18 @@ query layers need:
   way to retag a node, and the XPath evaluator recovers document order with
   one descent pruned to the extent's ancestors. They belong to the document,
   not to the DataGuide, because queries also run on trees that have no guide
-  (view shadows, snapshots, the Node2PL and DocLock protocols).
+  (view shadows, snapshots, the Node2PL and DocLock protocols);
+* **answers** — a document also keeps, for the XPath evaluator, the answer
+  of every plan evaluated on it (:mod:`repro.xpath.evaluator` reads and
+  fills them). An answer describes one state of the tree, so **an attached
+  element's text, tag and structure change only through the methods
+  here**: :meth:`Element.insert`, :meth:`~Element.remove`,
+  :meth:`~Element.rename` and :meth:`~Element.set_text`, and
+  :meth:`Document.set_root` and :meth:`~Document.graft`. Each drops the
+  document's answers. Nothing changes an attached element's attributes.
+  Assigning ``text``, ``tag`` or ``attrib`` of an attached element by hand
+  leaves stale answers behind; only detached trees (the parser's, the
+  builder's) are written that way.
 
 Mixed content is simplified: an element carries a single optional ``text``
 payload plus element children, which covers the XMark-style data-management
@@ -115,7 +126,16 @@ class Element:
             if not old:
                 del extents[self.tag]
             extents.setdefault(new_tag, {})[self.node_id] = self
+            doc._answers.clear()
         self.tag = new_tag
+
+    def set_text(self, text: Optional[str]) -> None:
+        """Replace this element's text: the one way to change the text of an
+        attached element, since its document's answers may depend on it."""
+        self.text = text
+        doc = self.document
+        if doc is not None:
+            doc._answers.clear()
 
     def detach(self) -> "Element":
         """Detach this element from its parent; no-op for parentless nodes."""
@@ -204,7 +224,7 @@ class Document:
     never reused, so stale references can be detected).
     """
 
-    __slots__ = ("name", "root", "_nodes", "_next_id", "_extents")
+    __slots__ = ("name", "root", "_nodes", "_next_id", "_extents", "_answers")
 
     def __init__(self, name: str, root: Optional[Element] = None):
         if not name:
@@ -214,6 +234,8 @@ class Document:
         self._nodes: dict[int, Element] = {}
         self._next_id = 0
         self._extents: dict[str, dict[int, Element]] = {}
+        #: Owned by the XPath evaluator: plan -> (elements, nodes charged).
+        self._answers: dict = {}
         if root is not None:
             self.set_root(root)
 
@@ -245,6 +267,7 @@ class Document:
             if extent is None:
                 extent = extents[n.tag] = {}
             extent[n.node_id] = n
+        self._answers.clear()
 
     def _unregister_subtree(self, node: Element) -> None:
         nodes, extents = self._nodes, self._extents
@@ -255,6 +278,7 @@ class Document:
                 if not extent:
                     del extents[n.tag]
             n.document = None
+        self._answers.clear()
 
     def node(self, node_id: int) -> Element:
         """Look up a live node by id."""
@@ -359,6 +383,7 @@ class Document:
             parent._children.append(top)
         else:
             parent._children.insert(index, top)
+        self._answers.clear()
         return top
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

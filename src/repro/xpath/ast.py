@@ -53,6 +53,12 @@ class Literal:
 
     value: Union[str, float]
 
+    def __str__(self) -> str:
+        value = self.value
+        if isinstance(value, str):
+            return f'"{value}"'
+        return str(int(value)) if float(value).is_integer() else str(value)
+
 
 @dataclass(frozen=True)
 class PathOperand:
@@ -101,6 +107,10 @@ class Step:
     axis: Axis
     test: NodeTest
     predicates: tuple[Predicate, ...] = ()
+    #: ``(at_document, is_last, compiled step)``, kept by
+    #: :mod:`repro.xpath.evaluator` for the position it was last compiled
+    #: at, so that paths sharing this object compile it once.
+    plan: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         preds = "".join(f"[{_pred_str(p)}]" for p in self.predicates)
@@ -219,12 +229,7 @@ def _operand_shape(operand: Operand, out: list) -> None:
 
 
 def _operand_str(o: Operand) -> str:
-    if isinstance(o, Literal):
-        if isinstance(o.value, str):
-            return f'"{o.value}"'
-        v = o.value
-        return str(int(v)) if float(v).is_integer() else str(v)
-    return str(o.path)
+    return str(o) if isinstance(o, Literal) else str(o.path)
 
 
 def _pred_str(p: Predicate) -> str:

@@ -4,14 +4,30 @@ A parsed :class:`~repro.xpath.ast.LocationPath` is compiled once into a
 *plan* — one small object per step, predicate and operand, each a direct loop
 over ``Element._children`` / ``attrib`` — and the plan is kept on the parsed
 object, so it lives and dies with the parse memo of
-:func:`~repro.xpath.parser.parse_xpath`. Three shapes get more than the plain
-loop:
+:func:`~repro.xpath.parser.parse_xpath`. Each compiled step is also kept on
+its :class:`~repro.xpath.ast.Step`, so paths that share step objects (the
+workload's template instances) compile only the steps they do not share.
+
+**One answer per document state.** A plan evaluated on a :class:`Document`
+keeps its answer there — the elements and the nodes charged — until the tree
+changes: every model method that changes an attached element's text, tag or
+structure drops the document's answers (:mod:`repro.xml.model`). A repeated
+evaluation returns a copy of the kept list and charges the kept count, so the
+meter reads as if it had walked again. A document keeps at most
+:data:`ANSWER_MEMO_MAX` answers and drops the oldest first. Evaluations from
+an element (predicate sub-paths, relative paths) are not kept.
+
+Some shapes get more than the plain loop:
 
 * a first-step ``//name`` of an absolute path takes the document's **tag
   extent** (:meth:`repro.xml.model.Document.extent`) and puts it in document
   order with one descent from the root pruned to the extent's ancestors —
   the nodes that do not match are never touched;
-* a child step without predicates filters each context's children in place;
+* a child step without predicates filters each context's children in place,
+  and one whose only predicate is ``@a = "lit"`` or ``@a != "lit"`` (a literal
+  ``float()`` rejects) tests the attribute in the same loop;
+* a predicate ``[name op number]`` (either way round) compares the ``name``
+  children's text in one loop over the children;
 * a predicate operand that is a one-step relative path (``@id``, ``price``,
   ``text()``) is read off the candidate instead of being evaluated as a path
   of its own.
@@ -87,7 +103,23 @@ def evaluate(
     """
     if isinstance(path, str):
         path = parse_xpath(path)
-    return _plan_for(path).run(context, stats if stats is not None else EvalStats())
+    plan = _plan_for(path)
+    if stats is None:
+        stats = EvalStats()
+    if not isinstance(context, Document):
+        return plan.run(context, stats)
+    answers = context._answers
+    answer = answers.get(plan)
+    if answer is None:
+        before = stats.nodes_visited
+        elements = plan.run(context, stats)
+        if len(answers) >= ANSWER_MEMO_MAX:
+            del answers[next(iter(answers))]  # the oldest
+        answers[plan] = (elements, stats.nodes_visited - before)
+    else:
+        elements, charged = answer
+        stats.nodes_visited += charged
+    return elements.copy()
 
 
 def evaluate_values(
@@ -120,6 +152,9 @@ def _values(path: LocationPath, nodes: list[Element]) -> list[Optional[Scalar]]:
 # keeps up to 4,096 paths alive and most differ only in a literal, so what a
 # plan weighs is paid thousands of times over.
 
+#: Bound on the answers one document keeps: the parse memo's.
+ANSWER_MEMO_MAX = 4096
+
 
 def _plan_for(path: LocationPath) -> "_Plan":
     plan = path.plan
@@ -128,7 +163,7 @@ def _plan_for(path: LocationPath) -> "_Plan":
         plan = _Plan(
             path.absolute,
             tuple(
-                _compile_step(step, path.absolute and i == 0, i == last)
+                _step_plan(step, path.absolute and i == 0, i == last)
                 for i, step in enumerate(path.steps)
             ),
         )
@@ -136,7 +171,17 @@ def _plan_for(path: LocationPath) -> "_Plan":
     return plan
 
 
-@dataclass(slots=True)
+def _step_plan(step: Step, at_document: bool, is_last: bool):
+    """``step`` compiled for its position, kept on the step."""
+    kept = step.plan
+    if kept is not None and kept[0] == at_document and kept[1] == is_last:
+        return kept[2]
+    compiled = _compile_step(step, at_document, is_last)
+    object.__setattr__(step, "plan", (at_document, is_last, compiled))  # Step is frozen
+    return compiled
+
+
+@dataclass(slots=True, eq=False)  # a document's answers are keyed by identity
 class _Plan:
     absolute: bool
     steps: tuple
@@ -181,6 +226,11 @@ def _compile_step(step: Step, at_document: bool, is_last: bool):
                 return _ExtentStep(name, filters)
             if not at_document and not descend and not filters:
                 return _ChildStep(name)
+            if not at_document and not descend and len(filters) == 1:
+                (only,) = filters
+                if only.__class__ is _Where and only.test.__class__ is _AttributeIs:
+                    test = only.test
+                    return _ChildAttributeStep(name, test.name, test.literal, test.equal)
         if at_document:
             expand = _subtree if descend else _self
         else:
@@ -223,6 +273,35 @@ class _ChildStep:
             for c in children:
                 if c.tag == name:
                     out.append(c)
+        stats.nodes_visited += visited
+        return out
+
+
+@dataclass(slots=True)
+class _ChildAttributeStep:
+    """``/name[@a = "lit"]`` / ``/name[@a != "lit"]`` for a literal
+    ``float()`` rejects: one pass over each context's children, charged as
+    the child step (their number) and the attribute probe of each ``name``
+    child (1 each) are. The test is :class:`_AttributeIs`'s."""
+
+    name: str
+    attribute: str
+    literal: str
+    equal: bool
+
+    def run(self, current: list[Element], stats: EvalStats) -> list[Element]:
+        name, attribute, literal, equal = self.name, self.attribute, self.literal, self.equal
+        out: list[Element] = []
+        visited = 0
+        for ctx in current:
+            children = ctx._children
+            visited += len(children)
+            for c in children:
+                if c.tag == name:
+                    visited += 1
+                    value = c.attrib.get(attribute)
+                    if value is not None and (value == literal) is equal:
+                        out.append(c)
         stats.nodes_visited += visited
         return out
 
@@ -351,6 +430,12 @@ def _compile_test(pred: Predicate):
                 left, right = right, left  # = and != are symmetric
             if isinstance(left, _AttributeValue) and _non_numeric(right):
                 return _AttributeIs(left.name, right.values[0], pred.op is CompareOp.EQ)
+        child, number, op = left, right, pred.op
+        if isinstance(left, _Constant):
+            child, number, op = right, left, _MIRRORED[op]
+        if isinstance(child, _ChildValues) and _is_number(number):
+            value = number.values[0]
+            return _ChildCompare(child.name, _OPERATORS[op], value, str(value))
         return _AnyPair(left, _OPERATORS[pred.op], right)
     if isinstance(pred, Exists):
         return _NonEmpty(_plan_for(pred.path))
@@ -390,6 +475,45 @@ def _non_numeric(operand) -> bool:
     except ValueError:
         return True
     return False
+
+
+def _is_number(operand) -> bool:
+    """A number literal, as the parser makes it."""
+    return isinstance(operand, _Constant) and operand.values[0].__class__ is float
+
+
+@dataclass(slots=True)
+class _ChildCompare:
+    """``[name op number]``, or ``[number op name]`` with ``op`` mirrored:
+    one pass over the candidate's children, charged their number as the
+    operand read is. It answers what :class:`_AnyPair` would: a ``name``
+    child's text compares as a number when ``float()`` takes it and as a
+    string against ``str(number)`` when not, as :func:`_compare` coerces,
+    and a child without text has no value."""
+
+    name: str
+    compare: Callable[[object, object], bool]
+    number: float
+    number_text: str
+
+    def holds(self, node: Element, stats: EvalStats) -> bool:
+        children = node._children
+        stats.nodes_visited += len(children)
+        name, compare = self.name, self.compare
+        for c in children:
+            if c.tag == name:
+                text = c.text
+                if text is None:
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    if compare(text, self.number_text):
+                        return True
+                else:
+                    if compare(value, self.number):
+                        return True
+        return False
 
 
 @dataclass(slots=True)
@@ -531,4 +655,13 @@ _OPERATORS: dict[CompareOp, Callable[[object, object], bool]] = {
     CompareOp.LE: operator.le,
     CompareOp.GT: operator.gt,
     CompareOp.GE: operator.ge,
+}
+#: ``a op b`` holds exactly when ``b mirrored(op) a`` does.
+_MIRRORED: dict[CompareOp, CompareOp] = {
+    CompareOp.EQ: CompareOp.EQ,
+    CompareOp.NEQ: CompareOp.NEQ,
+    CompareOp.LT: CompareOp.GT,
+    CompareOp.LE: CompareOp.GE,
+    CompareOp.GT: CompareOp.LT,
+    CompareOp.GE: CompareOp.LE,
 }

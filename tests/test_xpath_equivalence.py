@@ -44,6 +44,13 @@ from repro.xml import (
     serialized_size,
 )
 from repro.xpath import EvalStats, LocationPath, evaluate, evaluate_values, parse_xpath
+from repro.xpath.evaluator import (
+    _ChildAttributeStep,
+    _ChildCompare,
+    _plan_for,
+    _WalkingStep,
+    _Where,
+)
 from repro.xpath.parser import _Parser
 
 from .conftest import example_budget
@@ -292,15 +299,173 @@ class TestCompiledPlansEqualOracle:
     def test_every_attribute_value_against_every_literal(self, op):
         """The raw-string test for ``@id = "lit"`` must agree with the
         coercing comparison on every value the strategies know, including
-        the ones ``float()`` accepts oddly ("nan", " 1", "1_0", ...)."""
+        the ones ``float()`` accepts oddly ("nan", " 1", "1_0", ...). Below
+        the first step a non-numeric literal fuses the test into the child
+        step."""
         root = Element("r")
         for value in VALUES:
             root.append(Element("a", {"id": value}))
         root.append(Element("a"))  # no attribute: no pair, so both ops fail
+        root.append(Element("b", {"id": "x"}))  # another tag: never probed
         document = Document("d", root)
         for literal in LITERALS:
             assert_same_evaluation(f"//a[@id{op}{literal}]", document)
             assert_same_evaluation(f"/r/a[{literal}{op}@id]", document)
+            assert_same_evaluation(f"/r/a[@id{op}{literal}]", document)
+            fused = isinstance(_step(f"/r/a[@id{op}{literal}]", 1), _ChildAttributeStep)
+            assert fused is (literal in ('"x"', '""', '"1x"')), literal  # float() rejects
+
+
+def _step(path, index):
+    """The compiled step at ``index`` of ``path``'s plan."""
+    return _plan_for(parse_xpath(path)).steps[index]
+
+
+# ---------------------------------------------------------------------------
+# fused steps: one loop each, the same nodes and the same charge
+# ---------------------------------------------------------------------------
+
+#: ``b`` children of every kind a ``[b op number]`` test can meet: numeric
+#: text, text ``float()`` takes oddly or rejects, ``''`` and no text, none
+#: at all, several, and other tags beside them.
+CHILD_TEXTS = [["1"], ["x"], [], ["1", "30"], ["30", "x"], [""], [None], ["nan"],
+               [" 1"], ["1e1"], ["inf"], ["-0"], ["10", "", None], ["2"]]
+NUMBERS = ["0", "1", "1.5", "2", "10", "30"]
+
+
+def _child_compare_document():
+    root = Element("r")
+    for texts in CHILD_TEXTS:
+        a = root.append(Element("a"))
+        a.append(Element("c", text="5"))
+        for text in texts:
+            a.append(Element("b", text=text))
+    return Document("d", root)
+
+
+class TestFusedSteps:
+    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+    def test_a_child_compared_with_a_number(self, op):
+        document = _child_compare_document()
+        for number in NUMBERS:
+            for path in (f"/r/a[b{op}{number}]", f"/r/a[{number}{op}b]", f"//a[b{op}{number}]"):
+                assert_same_evaluation(path, document)
+                (where,) = _step(path, 1 if path.startswith("/r") else 0).filters
+                assert isinstance(where, _Where) and isinstance(where.test, _ChildCompare)
+
+    def test_what_is_not_fused(self):
+        """A string literal, a wildcard, a second predicate or a `//` keeps
+        the general step; a numeric literal keeps the coercing test."""
+        for path in ('/r/a[b="1"]', "/r/a[*>1]", "/r/a[b>c]"):
+            (where,) = _step(path, 1).filters
+            assert not isinstance(where.test, _ChildCompare), path
+        for path in ('/r/*[@id="x"]', '/r/a[@id="x"][1]', '/r//a[@id="x"]', '/r/a[@id="1"]'):
+            assert isinstance(_step(path, 1), _WalkingStep), path
+        assert isinstance(_step('/r/a[@id!="x"]', 1), _ChildAttributeStep)
+
+    @settings(max_examples=example_budget(100), deadline=None)
+    @given(documents, tags, tags, compare_ops, st.sampled_from(NUMBERS), st.booleans())
+    def test_child_comparisons_over_random_trees(self, document, tag, child, op, number, flip):
+        test = f"{number}{op}{child}" if flip else f"{child}{op}{number}"
+        assert_same_evaluation(f"/*/{tag}[{test}]", document)
+        assert_same_evaluation(f"//{tag}[{test}]", document)
+        assert_same_evaluation(f"{tag}[{test}]", document)
+
+    @settings(max_examples=example_budget(100), deadline=None)
+    @given(documents, tags, attribute_tests())
+    def test_attribute_tests_over_random_trees(self, document, tag, test):
+        assert_same_evaluation(f"/*/{tag}[{test}]", document)
+        assert_same_evaluation(f"{tag}[{test}]", document)
+
+
+# ---------------------------------------------------------------------------
+# one answer per document state
+# ---------------------------------------------------------------------------
+
+#: Paths whose answers hang on text (a child's or the node's own), on tags
+#: and on structure.
+STATE_PATHS = [
+    "//a[b>=2]", '//*[c="x"]', '/*/*[text()="x"]', "//*[d<10]", '//b[text()!="y"]',
+    "//b", "//*", "/*//c", "/*/*/a", '//*[@id="x"]',
+]
+mutations = st.one_of(
+    st.builds(ChangeOp, target_paths(), st.sampled_from(VALUES)),
+    st.builds(RenameOp, target_paths(), tags),
+    st.builds(InsertOp, fragments, target_paths(), st.sampled_from(InsertPosition)),
+    st.builds(RemoveOp, target_paths()),
+    st.builds(TransposeOp, target_paths(), target_paths()),
+)
+
+
+class TestAnswersFollowTheDocument:
+    """A document keeps each plan's answer until its tree changes: every
+    mutation, and every revert of one, must drop what it invalidates, or
+    the next evaluation of the same path object is stale."""
+
+    @settings(
+        max_examples=example_budget(150),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(documents, st.lists(paths(), max_size=3), st.lists(mutations, min_size=1, max_size=4))
+    def test_no_answer_outlives_its_state(self, document, drawn, ops):
+        queries = [_fresh_parse(text) for text in STATE_PATHS + drawn]  # kept throughout
+
+        def check():
+            for query in queries:
+                assert _outcome(evaluate, query, document) == _outcome(
+                    xpath_oracle.evaluate, query, document
+                ), str(query)
+
+        check()
+        for op in ops:
+            try:
+                changes = apply_update(op, document)
+            except ReproError:
+                continue
+            check()
+            for change in reversed(changes):
+                revert(change)
+                check()
+            assert_extents_match_walk(document)
+
+    def test_each_mutator_drops_the_answers(self):
+        document = parse_document("<r><a><b>1</b></a><a><b>5</b></a></r>")
+        query = parse_xpath("/r/a[b>=2]")
+        second = document.root.children[0]
+
+        def answer():
+            return [n.node_id for n in evaluate(query, document)]
+
+        assert answer() == [3]
+        assert query.plan in document._answers
+        second_b = second.children[0]
+        second_b.set_text("7")
+        assert answer() == [1, 3]
+        second_b.rename("c")
+        assert answer() == [3]
+        second.append(Element("b", text="9"))
+        assert answer() == [1, 3]
+        second.remove(second.children[-1])
+        assert answer() == [3]
+        document.graft(Element("b", text="3"), second)
+        assert answer() == [1, 3]
+
+    def test_the_memo_is_bounded_and_drops_the_oldest(self, monkeypatch):
+        import repro.xpath.evaluator as evaluator
+
+        monkeypatch.setattr(evaluator, "ANSWER_MEMO_MAX", 2)
+        document = parse_document("<r><a/><b/><c/></r>")
+        first, second, third = (_fresh_parse(f"/r/{tag}") for tag in "abc")
+        for path in (first, second, third):
+            evaluate(path, document)
+        assert list(document._answers) == [second.plan, third.plan]
+
+    def test_an_element_context_keeps_no_answer(self):
+        document = parse_document("<r><a><b/></a></r>")
+        evaluate("b", document.root.children[0])
+        evaluate("/r/a", document.root.children[0])
+        assert document._answers == {}
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +659,21 @@ class TestMeterIsPinned:
 
     @pytest.mark.parametrize("path,context,expected,charged", METER_TABLE)
     def test_result_and_charge(self, document, path, context, expected, charged):
+        """Each row runs twice on one document: from the document, the
+        second run is an answer kept from the first, charged the same."""
         start = document if context is None else document.node(context)
-        for evaluator in (evaluate, xpath_oracle.evaluate):
+        runs = []
+        for evaluator in (evaluate, evaluate, xpath_oracle.evaluate):
             stats = EvalStats()
-            assert [n.node_id for n in evaluator(path, start, stats)] == expected
+            result = evaluator(path, start, stats)
+            assert [n.node_id for n in result] == expected
             assert stats.nodes_visited == charged
+            runs.append(result)
+        assert all(a is b for a, b in zip(runs[0], runs[1]))
+        if context is None:
+            assert parse_xpath(path).plan in document._answers
+            runs[1].clear()  # a kept answer is handed out as a copy
+            assert [n.node_id for n in evaluate(path, start)] == expected
 
     @pytest.mark.parametrize("path,context,message,charged", METER_ERRORS)
     def test_errors_and_what_was_charged_before_them(
