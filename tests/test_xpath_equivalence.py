@@ -432,23 +432,23 @@ class TestAnswersFollowTheDocument:
     def test_each_mutator_drops_the_answers(self):
         document = parse_document("<r><a><b>1</b></a><a><b>5</b></a></r>")
         query = parse_xpath("/r/a[b>=2]")
-        second = document.root.children[0]
+        first = document.root.children[0]  # id 1, whose only b reads 1
 
         def answer():
             return [n.node_id for n in evaluate(query, document)]
 
         assert answer() == [3]
         assert query.plan in document._answers
-        second_b = second.children[0]
-        second_b.set_text("7")
+        b = first.children[0]
+        b.set_text("7")
         assert answer() == [1, 3]
-        second_b.rename("c")
+        b.rename("c")
         assert answer() == [3]
-        second.append(Element("b", text="9"))
+        first.append(Element("b", text="9"))
         assert answer() == [1, 3]
-        second.remove(second.children[-1])
+        first.remove(first.children[-1])
         assert answer() == [3]
-        document.graft(Element("b", text="3"), second)
+        document.graft(Element("b", text="3"), first)
         assert answer() == [1, 3]
 
     def test_the_memo_is_bounded_and_drops_the_oldest(self, monkeypatch):
