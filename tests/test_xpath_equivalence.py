@@ -388,13 +388,6 @@ STATE_PATHS = [
     "//a[b>=2]", '//*[c="x"]', '/*/*[text()="x"]', "//*[d<10]", '//b[text()!="y"]',
     "//b", "//*", "/*//c", "/*/*/a", '//*[@id="x"]',
 ]
-mutations = st.one_of(
-    st.builds(ChangeOp, target_paths(), st.sampled_from(VALUES)),
-    st.builds(RenameOp, target_paths(), tags),
-    st.builds(InsertOp, fragments, target_paths(), st.sampled_from(InsertPosition)),
-    st.builds(RemoveOp, target_paths()),
-    st.builds(TransposeOp, target_paths(), target_paths()),
-)
 
 
 class TestAnswersFollowTheDocument:
@@ -407,7 +400,7 @@ class TestAnswersFollowTheDocument:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    @given(documents, st.lists(paths(), max_size=3), st.lists(mutations, min_size=1, max_size=4))
+    @given(documents, st.lists(paths(), max_size=3), st.lists(updates, min_size=1, max_size=4))
     def test_no_answer_outlives_its_state(self, document, drawn, ops):
         queries = [_fresh_parse(text) for text in STATE_PATHS + drawn]  # kept throughout
 
