@@ -29,6 +29,7 @@ from ..sim.network import Network
 from ..storage.memory import InMemoryStore
 from ..xml.model import Document
 from ..xml.serializer import serialize_document
+from ..xpath.parser import parse_cache_stats
 from .client import Client
 from .detector import DeadlockDetector
 from .faults import MembershipService
@@ -190,6 +191,9 @@ class DTXCluster:
         )
         for client in self.clients:
             result.records.extend(client.records)
+        parse_counts = parse_cache_stats()
+        for site in self.sites.values():
+            site.stats.parse_cache_hits, site.stats.parse_cache_misses = parse_counts
         result.site_stats = {sid: site.stats for sid, site in self.sites.items()}
         result.network_messages = self.network.stats.messages
         result.network_bytes = self.network.stats.bytes

@@ -35,7 +35,7 @@ class DeadlockDetector:
         self.config = config
         self.stats = DetectorStats()
         # The WFG collection in flight (None between sweeps). The site's
-        # listener hands it each WfgResponse; the site's failure handling
+        # dispatch hands it each WfgResponse; the site's failure handling
         # drops crashed sites from it.
         self.round = None
         site.detector = self

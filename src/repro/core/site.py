@@ -3,8 +3,9 @@ DataManager, at one site.
 
 The architecture follows Fig. 1 of the paper:
 
-* the **Listener** process receives client requests and inter-scheduler
-  messages from the site's network inbox and dispatches them;
+* the **Listener** role is the site's dispatch function, which its network
+  inbox calls once per client request or inter-scheduler message, in
+  arrival order (no process of its own: see :class:`~repro.sim.queues.Inbox`);
 * the **Scheduler** role is split between (a) one coordinator coroutine per
   locally submitted transaction (Algorithm 1, plus commit/abort procedures,
   Algorithms 5–6) and (b) a participant loop executing remote operations in
@@ -43,7 +44,7 @@ from ..locking.table import LockTable
 from ..protocols.base import ConcurrencyProtocol
 from ..sim.environment import Environment
 from ..sim.network import Network
-from ..sim.queues import Store
+from ..sim.queues import Inbox, Store
 from ..sim.rng import substream
 from ..storage.datamanager import DataManager
 from ..storage.memory import InMemoryStore
@@ -53,7 +54,6 @@ from ..xml.model import Document, Element
 # harness's self-test rebinds and calls it through this module.
 from ..xml.serializer import serialize_document  # noqa: F401
 from ..xpath.evaluator import EvalStats, evaluate
-from ..xpath.parser import parse_cache_stats
 from .context import CoordinatorRecord, OpEntry, SiteTxContext, _AbortTx, _SiteCrashed
 from .faults import MembershipService, SiteMembership
 from .messages import (
@@ -193,9 +193,9 @@ class SiteStats:
     # Online migration (distribution.migration.MigrationManager).
     migrations_admitted: int = 0  # placeholder replicas adopted (join phase)
     migrations_retired: int = 0  # replica copies dropped (retire phase)
-    # XPath parse memo (process-wide LRU): snapshots of the global counters
-    # as of this site's last operation — read the max across sites, not the
-    # sum.
+    # XPath parse memo (process-wide LRU): snapshots of the global counters,
+    # taken when the cluster collects its results — read the max across
+    # sites, not the sum.
     parse_cache_hits: int = 0
     parse_cache_misses: int = 0
     # Materialized views (repro.views; routed when view_staleness_ms > 0).
@@ -267,7 +267,7 @@ class DTXSite:
         self.replication = replication or ReplicationPolicy.from_config(config)
         self._route_rng = substream(config.seed, "route", str(site_id))
 
-        self.inbox: Store = network.register(site_id)
+        self.inbox: Inbox = network.register(site_id)
         self.data_manager = DataManager(backend)
         self.wfg = WaitForGraph()
         self.lock_manager = LockManager(LockTable(protocol.matrix), self.wfg)
@@ -335,7 +335,8 @@ class DTXSite:
         # site, built on first use (None everywhere else).
         self._views = None
 
-        env.process(self._listener())
+        self._handlers = self._dispatch_table()
+        self.inbox.serve(self._dispatch)
         env.process(self._participant_loop())
         if config.failure_detector == "lease":
             self.membership = SiteMembership(lease_timeout_ms=config.lease_timeout_ms)
@@ -635,7 +636,7 @@ class DTXSite:
         tx._deliver = deliver  # stashed until the coordinator record exists
 
     # ------------------------------------------------------------------
-    # listener (Fig. 1: receives requests and inter-scheduler messages)
+    # dispatch (Fig. 1's Listener: requests and inter-scheduler messages)
     # ------------------------------------------------------------------
 
     def _on_wfg_request(self, msg: WfgRequest) -> None:
@@ -659,7 +660,8 @@ class DTXSite:
     def _dispatch_table(self) -> dict:
         """Exact-class message dispatch (message classes are never
         subclassed). Generator handlers run as processes of their own."""
-        return {
+        process = self.env.process
+        table = {
             ClientRequest: self._run_transaction,
             RemoteOpRequest: self.remote_ops.put,
             RemoteOpResult: self._on_op_result,
@@ -691,26 +693,19 @@ class DTXSite:
             WfgResponse: self._on_wfg_response,
             AbortOrder: self._order_abort,
         }
+        for cls, handler in table.items():
+            if isgeneratorfunction(handler):
+                table[cls] = lambda msg, _spawn=handler: process(_spawn(msg))
+        return table
 
-    def _listener(self):
-        handlers = self._dispatch_table()
-        spawned = {
-            cls: handlers.pop(cls)
-            for cls in list(handlers)
-            if isgeneratorfunction(handlers[cls])
-        }
-        process = self.env.process
-        inbox_get = self.inbox.get
-        while True:
-            msg = yield inbox_get()
-            handler = handlers.get(msg.__class__)
-            if handler is not None:
-                handler(msg)
-                continue
-            spawn = spawned.get(msg.__class__)
-            if spawn is None:  # pragma: no cover - defensive
-                raise ReproError(f"site {self.site_id}: unknown message {msg!r}")
-            process(spawn(msg))
+    def _dispatch(self, msg) -> None:
+        """Hand one delivered message to its handler (the inbox calls this
+        once per message, in arrival order)."""
+        try:
+            handler = self._handlers[msg.__class__]
+        except KeyError:  # pragma: no cover - defensive
+            raise ReproError(f"site {self.site_id}: unknown message {msg!r}") from None
+        handler(msg)
 
     # ------------------------------------------------------------------
     # operation execution against the local lock manager (Algorithm 3 caller)
@@ -934,7 +929,7 @@ class DTXSite:
     # wake management
     # ------------------------------------------------------------------
 
-    def _notify_lock_release(self, released_keys) -> None:
+    def _notify_lock_release(self, released: dict) -> None:
         """Wake waiting transactions after a transaction ended here.
 
         Paper §2.2: "When a transaction commits, those that entered wait mode
@@ -945,16 +940,26 @@ class DTXSite:
         wakes nobody at the time); the others provably could not make
         progress from this release. A woken waiter that blocks again
         re-registers.
+
+        ``released`` is ``{key: modes}`` and becomes this sweep's own: the
+        deferred pairs are merged into it.
         """
-        released = {key: set(modes) for key, modes in released_keys.items()}
-        for key, modes in self._deferred_wake_keys.items():
-            released.setdefault(key, set()).update(modes)
-        self._deferred_wake_keys.clear()
-        matrix = self.lock_manager.table.matrix
+        deferred = self._deferred_wake_keys
+        if not self.waiters:
+            deferred.clear()
+            return
+        if deferred:
+            for key, modes in deferred.items():
+                own = released.get(key)
+                if own is None:
+                    released[key] = modes
+                else:
+                    own |= modes
+            self._deferred_wake_keys = {}
+        conflicts_with = self.lock_manager.table.matrix.conflicts_with
         for tid, (coordinator, wait_set) in list(self.waiters.items()):
             if not any(
-                key in released
-                and not matrix.compatible_with_all(released[key], mode)
+                key in released and not conflicts_with[mode].isdisjoint(released[key])
                 for key, mode in wait_set
             ):
                 continue
@@ -1011,9 +1016,6 @@ class DTXSite:
             exec_start = self.env.now if tr is not None else 0.0
             result = self._execute_operation(req.tid, coordinator, req.op)
             self.stats.remote_ops_served += 1
-            self.stats.parse_cache_hits, self.stats.parse_cache_misses = (
-                parse_cache_stats()
-            )
             if result.cost_ms:
                 yield result.cost_ms
             if tr is not None:

@@ -784,7 +784,7 @@ def _write_tx(rng, p, label: str, fresh_id: int) -> Transaction:
 
 def _view_counters(cluster) -> dict:
     sites = list(cluster.sites.values())
-    totals = aggregate_site_stats(s.stats for s in sites)
+    totals = aggregate_site_stats(cluster.collect_results().site_stats.values())
     return {
         "lock_ops": sum(s.lock_manager.table.lock_ops for s in sites),
         "commit_requests": cluster.network.stats.by_kind.get("CommitRequest", 0),

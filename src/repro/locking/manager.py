@@ -48,47 +48,42 @@ class LockManager:
     def process_operation(self, tx: Hashable, spec: LockSpec) -> AcquireOutcome:
         """Try to take every lock in ``spec`` for ``tx`` (Algorithm 3)."""
         spec = spec.deduplicated()
-        ops_before = self.table.lock_ops
-        new_pairs: list = []
-        for req in spec:
-            conflicts, is_new = self.table.try_acquire(req.key, tx, req.mode)
-            if conflicts:
-                # Back out this operation's partial grants (Alg. 3 l. 12).
-                for key, mode in reversed(new_pairs):
-                    self.table.release_one(key, tx, mode)
-                for other in conflicts:
-                    self.wfg.add_edge(tx, other)
-                cycle = self.wfg.find_cycle_from(tx)
-                return AcquireOutcome(
-                    granted=False,
-                    conflicts=conflicts,
-                    deadlock=cycle is not None,
-                    cycle=cycle,
-                    lock_ops=self.table.lock_ops - ops_before,
-                    blocked_pairs=frozenset((r.key, r.mode) for r in spec),
-                )
-            if is_new:
-                new_pairs.append((req.key, req.mode))
+        table = self.table
+        ops_before = table.lock_ops
+        # One pass over the spec; on a conflict the table has already
+        # backed out this operation's partial grants (Alg. 3 l. 12).
+        conflicts, new_pairs = table.acquire(tx, spec.requests)
+        if conflicts:
+            for other in conflicts:
+                self.wfg.add_edge(tx, other)
+            cycle = self.wfg.find_cycle_from(tx)
+            return AcquireOutcome(
+                granted=False,
+                conflicts=conflicts,
+                deadlock=cycle is not None,
+                cycle=cycle,
+                lock_ops=table.lock_ops - ops_before,
+                blocked_pairs=frozenset((r.key, r.mode) for r in spec),
+            )
         # All granted: the transaction no longer waits on anyone.
         self.wfg.clear_waits(tx)
         return AcquireOutcome(
             granted=True,
-            lock_ops=self.table.lock_ops - ops_before,
+            lock_ops=table.lock_ops - ops_before,
             new_pairs=new_pairs,
         )
 
     def release_transaction(self, tx: Hashable) -> tuple[dict, int]:
         """Release all of ``tx``'s locks and drop it from the wait-for graph.
 
-        Returns the released locks as ``{key: frozenset(modes)}`` (the
-        site's wake sweep tests waiters' requested pairs against them)
-        and the number of table operations (for cost accounting). Called on
-        commit and on abort — strict 2PL holds every lock until
-        transaction end.
+        Returns the released locks as ``{key: modes}`` — the table's own
+        map, now the caller's (the site's wake sweep tests waiters'
+        requested pairs against it) — and the number of table operations
+        (for cost accounting). Called on commit and on abort — strict 2PL
+        holds every lock until transaction end.
         """
         ops_before = self.table.lock_ops
-        released = self.table.held_by(tx)
-        self.table.release_transaction(tx)
+        released = self.table.release_transaction(tx)
         self.wfg.remove_node(tx)
         return released, self.table.lock_ops - ops_before
 

@@ -8,10 +8,13 @@ The table counts every check/insert/release in ``lock_ops`` — the paper's
 "lock management overhead" — which the simulation converts to CPU time.
 
 Hot-path layout: the two indexes share one mode-set object per (key, tx)
-pair, the conflict test uses the matrix's precomputed ``conflicts_with``
-frozensets (one C-level ``isdisjoint`` per holder), and a live grant counter
-makes :meth:`lock_count` O(1) — it is read once per executed operation for
-the peak-lock-count statistic.
+pair; :meth:`acquire` takes a whole operation's requests in one loop (the
+one grant rule, with no method call per request); the conflict test uses
+the matrix's precomputed ``conflicts_with`` frozensets (one C-level
+``isdisjoint`` per holder); :meth:`release_transaction` hands back the
+transaction's own map instead of copying it; and a live grant counter makes
+:meth:`lock_count` O(1) — it is read once per executed operation for the
+peak-lock-count statistic.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from typing import Hashable, Iterable
 
 from ..errors import LockError
 from .modes import CompatibilityMatrix
-from .requests import LockKey
+from .requests import LockKey, LockRequest
 
-#: Shared empty result for the granted paths of :meth:`LockTable.try_acquire`
+#: Shared empty result for the granted paths of :meth:`LockTable.acquire`
 #: (callers only read it; compares equal to ``set()``).
 _NO_CONFLICTS: frozenset = frozenset()
 
@@ -42,44 +45,87 @@ class LockTable:
 
     # -- acquisition ------------------------------------------------------
 
-    def try_acquire(self, key: LockKey, tx: Hashable, mode) -> tuple[set, bool]:
-        """Attempt to take ``mode`` on ``key`` for ``tx``.
+    def acquire(
+        self, tx: Hashable, requests: Iterable[LockRequest]
+    ) -> tuple[set, list]:
+        """Take every request for ``tx`` in order, or none of the new ones.
 
-        Returns ``(conflicts, is_new)``: ``conflicts`` is the set of *other*
-        transactions holding an incompatible mode (empty means granted);
-        ``is_new`` is True when the grant added a (key, mode) pair ``tx`` did
-        not already hold (callers track new pairs to back out one operation).
+        Returns ``(conflicts, new_pairs)``. ``conflicts`` is the set of
+        *other* transactions holding a mode incompatible with the first
+        request that cannot be granted; it is empty when all were granted.
+        ``new_pairs`` lists the ``(key, mode)`` pairs the call added, in
+        order (callers keep them to back out one operation); on a conflict
+        those pairs are released again, newest first, before returning.
+
+        Counts one table operation per request examined and one per
+        backed-out pair. A mode of the wrong vocabulary raises
+        :class:`LockError`; the requests before it stay granted.
         """
-        self.lock_ops += 1
-        if not isinstance(mode, self._modes_cls):
-            raise LockError(
-                f"{self.matrix.name} table cannot hold {mode!r} "
-                f"(expected a {self._modes_cls.__name__})"
-            )
-        holders = self._held.get(key)
-        if holders:
-            bad = self._conflicts_with[mode]
-            conflicts = {
-                other
-                for other, modes in holders.items()
-                if other != tx and not bad.isdisjoint(modes)
-            }
-            if conflicts:
-                return conflicts, False
-        by_tx = self._by_tx
-        keys = by_tx.get(tx)
-        if keys is None:
-            keys = by_tx[tx] = {}
-        own = keys.get(key)
-        if own is None:
-            if holders is None:
-                holders = self._held[key] = {}
-            own = keys[key] = holders[tx] = set()
-        elif mode in own:
-            return _NO_CONFLICTS, False
-        own.add(mode)
-        self._grants += 1
-        return _NO_CONFLICTS, True
+        held = self._held
+        conflicts_with = self._conflicts_with
+        modes_cls = self._modes_cls
+        # tx's map of held keys; a new one joins the index at its first grant.
+        keys = self._by_tx.get(tx) or {}
+        new_pairs: list = []
+        ops = 0
+        for req in requests:
+            ops += 1
+            key = req.key
+            mode = req.mode
+            if not isinstance(mode, modes_cls):
+                self.lock_ops += ops
+                self._grants += len(new_pairs)
+                raise LockError(
+                    f"{self.matrix.name} table cannot hold {mode!r} "
+                    f"(expected a {modes_cls.__name__})"
+                )
+            own = keys.get(key)
+            if own is not None and mode in own:
+                # Already held: no other transaction can hold a mode that
+                # conflicts with it, so the holder scan would find nothing.
+                continue
+            holders = held.get(key)
+            if holders:
+                bad = conflicts_with[mode]
+                for other, modes in holders.items():
+                    if other != tx and not bad.isdisjoint(modes):
+                        return self._refuse(tx, holders, bad, ops, new_pairs)
+            if own is None:
+                if not keys:
+                    self._by_tx[tx] = keys
+                if holders is None:
+                    holders = held[key] = {}
+                keys[key] = holders[tx] = {mode}
+            else:
+                own.add(mode)
+            new_pairs.append((key, mode))
+        self.lock_ops += ops
+        self._grants += len(new_pairs)
+        return _NO_CONFLICTS, new_pairs
+
+    def _refuse(
+        self, tx: Hashable, holders: dict, bad: frozenset, ops: int, new_pairs: list
+    ) -> tuple[set, list]:
+        """:meth:`acquire`'s conflict exit: name every holder of a mode in
+        ``bad``, count the ``ops`` requests examined, and release this
+        call's grants again, newest first (Algorithm 3, line 12)."""
+        conflicts = {
+            other
+            for other, modes in holders.items()
+            if other != tx and not bad.isdisjoint(modes)
+        }
+        self.lock_ops += ops
+        self._grants += len(new_pairs)
+        for key, mode in reversed(new_pairs):
+            self.release_one(key, tx, mode)
+        return conflicts, []
+
+    def try_acquire(self, key: LockKey, tx: Hashable, mode) -> tuple[set, bool]:
+        """:meth:`acquire` of the single request ``(key, mode)``: returns
+        ``(conflicts, is_new)``, ``is_new`` being True when the grant added
+        a pair ``tx`` did not already hold."""
+        conflicts, new_pairs = self.acquire(tx, (LockRequest(key, mode),))
+        return conflicts, bool(new_pairs)
 
     # -- release -----------------------------------------------------------
 
@@ -100,14 +146,18 @@ class LockTable:
             if not self._held[key]:
                 del self._held[key]
 
-    def release_transaction(self, tx: Hashable) -> list[LockKey]:
-        """Release everything ``tx`` holds (strict 2PL: at commit/abort only)."""
+    def release_transaction(self, tx: Hashable) -> dict[LockKey, set]:
+        """Release everything ``tx`` holds (strict 2PL: at commit/abort only).
+
+        Returns what was released as ``{key: modes}``: the table's own map
+        for ``tx``, handed over (the table keeps no reference to it, so the
+        caller may change it), or a new empty dict if ``tx`` held nothing.
+        """
         held = self._by_tx.pop(tx, None)
         if held is None:
             self.lock_ops += 1
-            return []
-        keys = list(held)
-        self.lock_ops += max(1, len(keys))
+            return {}
+        self.lock_ops += max(1, len(held))
         _held = self._held
         released = 0
         for key, modes in held.items():
@@ -117,7 +167,7 @@ class LockTable:
             if not holders:
                 del _held[key]
         self._grants -= released
-        return keys
+        return held
 
     # -- inspection ----------------------------------------------------------
 

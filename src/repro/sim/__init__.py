@@ -3,7 +3,7 @@
 from .environment import Environment
 from .events import AllOf, AnyOf, Event, Process, Timeout
 from .network import Network, NetworkStats
-from .queues import Store
+from .queues import Inbox, Store
 from .rng import substream
 
 __all__ = [
@@ -11,6 +11,7 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
+    "Inbox",
     "Network",
     "NetworkStats",
     "Process",

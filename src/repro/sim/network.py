@@ -5,10 +5,11 @@ Ethernet hub): per-message cost = base latency + size/bandwidth + jitter.
 Same-site delivery (coordinator sending to itself as a participant) costs a
 small constant.
 
-The network owns one inbox :class:`~repro.sim.queues.Store` per registered
-site and keeps delivery statistics that the experiment reports surface
-(message counts and bytes are how "synchronization overhead in all the
-sites" shows up in the numbers).
+The network owns one :class:`~repro.sim.queues.Inbox` per registered site
+(the site serves it with its dispatch function) and keeps delivery
+statistics that the experiment reports surface (message counts and bytes
+are how "synchronization overhead in all the sites" shows up in the
+numbers).
 
 Besides fail-stop endpoints (``set_down``), the network models the faults a
 lease-based failure detector exists for: **partitions** (``partition`` splits
@@ -27,7 +28,7 @@ from typing import Any, Hashable, Iterable, Optional
 from ..config import NetworkConfig
 from ..errors import SimulationError
 from .environment import Environment
-from .queues import Store
+from .queues import Inbox
 from .rng import substream
 
 
@@ -41,19 +42,12 @@ class NetworkStats:
     partition_drops: int = 0  # messages lost to a partition cut
     loss_drops: int = 0  # messages lost to per-link loss
 
-    def record(self, kind: str, size: int, local: bool) -> None:
-        self.messages += 1
-        self.bytes += size
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-        if local:
-            self.local_messages += 1
-
 
 class Network:
     def __init__(self, env: Environment, config: NetworkConfig, seed: int = 0):
         self.env = env
         self.config = config
-        self._inboxes: dict[Hashable, Store] = {}
+        self._inboxes: dict[Hashable, Inbox] = {}
         self._rng = substream(seed, "network")
         self._down: set = set()
         # Partition state: site -> group index. Sites mapped to different
@@ -69,14 +63,14 @@ class Network:
 
     # -- topology -----------------------------------------------------------
 
-    def register(self, site_id: Hashable) -> Store:
+    def register(self, site_id: Hashable) -> Inbox:
         if site_id in self._inboxes:
             raise SimulationError(f"site {site_id!r} already registered")
-        inbox = Store(self.env)
+        inbox = Inbox(self.env)
         self._inboxes[site_id] = inbox
         return inbox
 
-    def inbox(self, site_id: Hashable) -> Store:
+    def inbox(self, site_id: Hashable) -> Inbox:
         try:
             return self._inboxes[site_id]
         except KeyError:
@@ -152,13 +146,18 @@ class Network:
     # -- transmission ----------------------------------------------------------
 
     def delay_for(self, src: Hashable, dst: Hashable, size_bytes: int) -> float:
+        """The modelled delay of one message: ``local_ms`` on the same
+        site, else ``latency_ms + size/1024 * per_kb_ms + jitter`` with
+        jitter uniform in ``[0, jitter_ms]`` (one draw from the network
+        RNG). ``jitter_ms * random()`` is ``uniform(0.0, jitter_ms)`` bit
+        for bit, from the same draw."""
+        cfg = self.config
         if src == dst:
-            return self.config.local_ms
-        jitter = self._rng.uniform(0.0, self.config.jitter_ms)
+            return cfg.local_ms
         return (
-            self.config.latency_ms
-            + (size_bytes / 1024.0) * self.config.per_kb_ms
-            + jitter
+            cfg.latency_ms
+            + (size_bytes / 1024.0) * cfg.per_kb_ms
+            + cfg.jitter_ms * self._rng.random()
         )
 
     def send(
@@ -170,27 +169,41 @@ class Network:
     ) -> float:
         """Deliver ``payload`` to ``dst``'s inbox after the modelled delay.
 
-        Returns the delay used (tests assert on it). ``size_bytes`` defaults
-        to ``payload.size_bytes()`` when the payload provides it.
+        Returns the delay used (:meth:`delay_for`; tests assert on it).
+        ``size_bytes`` defaults to ``payload.size_bytes()`` when the
+        payload provides it. A message to or from a down site, across a
+        partition or lost on its link is dropped, counted, and returns 0.0.
+        Each check is skipped while its structure is empty.
         """
-        if src in self._down or dst in self._down:
+        stats = self.stats
+        down = self._down
+        if down and (src in down or dst in down):
             # A crashed endpoint neither transmits nor receives; the message
             # silently disappears (timeouts / failure notices recover).
-            self.stats.dropped += 1
+            stats.dropped += 1
             return 0.0
-        if not self.reachable(src, dst):
-            self.stats.partition_drops += 1
+        if self._partition and not self.reachable(src, dst):
+            stats.partition_drops += 1
             return 0.0
-        loss = self._link_loss.get((src, dst))
-        if loss is not None and self._loss_rng.random() < loss:
-            self.stats.loss_drops += 1
-            return 0.0
-        inbox = self.inbox(dst)
+        if self._link_loss:
+            loss = self._link_loss.get((src, dst))
+            if loss is not None and self._loss_rng.random() < loss:
+                stats.loss_drops += 1
+                return 0.0
+        inbox = self._inboxes.get(dst)
+        if inbox is None:
+            raise SimulationError(f"unknown site {dst!r}")
         if size_bytes is None:
-            size_bytes = getattr(payload, "size_bytes", lambda: 64)()
+            sizer = getattr(payload, "size_bytes", None)
+            size_bytes = sizer() if sizer is not None else 64
         delay = self.delay_for(src, dst, size_bytes)
+        if src == dst:
+            stats.local_messages += 1
+        stats.messages += 1
+        stats.bytes += size_bytes
+        by_kind = stats.by_kind
         kind = payload.__class__.__name__
-        self.stats.record(kind, size_bytes, local=(src == dst))
+        by_kind[kind] = by_kind.get(kind, 0) + 1
         # Flat scheduling: no Event or closure per message. All deliveries
         # landing on the same tick share one kernel bucket and are drained
         # in a single dispatch pass.
@@ -202,10 +215,10 @@ class Network:
         # or a partition may have cut the link — while the message was
         # in flight.
         src, dst, inbox, payload = args
-        if dst in self._down:
+        if self._down and dst in self._down:
             self.stats.dropped += 1
             return
-        if not self.reachable(src, dst):
+        if self._partition and not self.reachable(src, dst):
             self.stats.partition_drops += 1
             return
         inbox.put(payload)

@@ -1,6 +1,8 @@
 """Unit tests for the generic lock table and the Algorithm 3 lock manager."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.deadlock import WaitForGraph
 from repro.errors import LockError
@@ -10,7 +12,10 @@ from repro.locking import (
     LockMode,
     LockSpec,
     LockTable,
+    TreeLockMode,
 )
+
+from .conftest import example_budget
 
 K1 = ("d1", ("people",))
 K2 = ("d1", ("people", "person"))
@@ -72,7 +77,10 @@ class TestLockTable:
         assert table.holders(K3) == {"t2": frozenset({LockMode.X})}
 
     def test_release_unknown_transaction_is_noop(self, table):
-        assert table.release_transaction("ghost") == []
+        before = table.lock_ops
+        assert table.release_transaction("ghost") == {}
+        assert table.lock_ops == before + 1
+        assert table.is_empty()
 
     def test_wrong_mode_type_rejected(self, table):
         from repro.locking import TreeLockMode
@@ -174,3 +182,144 @@ class TestLockManager:
         keys, ops = mgr.release_transaction("t1")
         assert K1 in keys and ops >= 1
         assert "t1" not in wfg.nodes()
+
+
+# ---------------------------------------------------------------------------
+# one-pass acquisition against the request-by-request rule
+# ---------------------------------------------------------------------------
+
+
+class NaiveTable:
+    """Algorithm 3 spelled out one request at a time: scan the holders for
+    a conflict, then grant unless the mode is already held; on a conflict
+    release this operation's new grants, newest first. One table operation
+    per request examined and per pair released."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.held: dict = {}  # key -> tx -> set of modes
+        self.lock_ops = 0
+
+    def try_one(self, key, tx, mode):
+        self.lock_ops += 1
+        if not isinstance(mode, self.matrix.modes):
+            raise LockError(f"wrong mode {mode!r}")
+        holders = self.held.get(key, {})
+        conflicts = {
+            other
+            for other, modes in holders.items()
+            if other != tx and any(not self.matrix.compatible(m, mode) for m in modes)
+        }
+        if conflicts:
+            return conflicts, False
+        own = self.held.setdefault(key, {}).setdefault(tx, set())
+        if mode in own:
+            return set(), False
+        own.add(mode)
+        return set(), True
+
+    def release_one(self, key, tx, mode):
+        self.lock_ops += 1
+        self.held[key][tx].remove(mode)
+        if not self.held[key][tx]:
+            del self.held[key][tx]
+        if not self.held[key]:
+            del self.held[key]
+
+    def process_operation(self, tx, requests):
+        new_pairs = []
+        for req in requests:
+            conflicts, is_new = self.try_one(req.key, tx, req.mode)
+            if conflicts:
+                for key, mode in reversed(new_pairs):
+                    self.release_one(key, tx, mode)
+                return False, conflicts, []
+            if is_new:
+                new_pairs.append((req.key, req.mode))
+        return True, set(), new_pairs
+
+    def release_transaction(self, tx):
+        released = {}
+        for key in list(self.held):
+            modes = self.held[key].pop(tx, None)
+            if modes:
+                released[key] = set(modes)
+            if not self.held[key]:
+                del self.held[key]
+        self.lock_ops += max(1, len(released))
+        return released
+
+    def holders(self, key):
+        return {tx: frozenset(m) for tx, m in self.held.get(key, {}).items()}
+
+    def held_by(self, tx):
+        return {
+            key: frozenset(h[tx]) for key, h in self.held.items() if tx in h
+        }
+
+
+_KEYS = ("k1", "k2", "k3")
+_TXS = ("t1", "t2", "t3")
+#: Mostly XDGL modes; now and then one of another protocol's vocabulary.
+_MODES = list(LockMode) * 4 + [TreeLockMode.S]
+_step = st.one_of(
+    st.tuples(
+        st.just("acquire"),
+        st.sampled_from(_TXS),
+        st.lists(
+            st.tuples(
+                st.sampled_from(_KEYS),
+                st.sampled_from(_MODES),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    ),
+    st.tuples(st.just("release"), st.sampled_from(_TXS), st.none()),
+)
+
+
+class TestOnePassAcquisition:
+    @settings(max_examples=example_budget(300), deadline=None)
+    @given(steps=st.lists(_step, max_size=25))
+    def test_one_pass_matches_the_request_by_request_rule(self, steps):
+        """Random specs, holders and modes — re-requests of held modes,
+        conflicts that back out partial grants, and wrong-mode requests
+        that raise part-way through: the manager reports the same outcome
+        as the naive rule, and leaves the same two indexes behind."""
+        manager = LockManager(LockTable(XDGL_MATRIX), WaitForGraph())
+        table = manager.table
+        naive = NaiveTable(XDGL_MATRIX)
+        for what, tx, pairs in steps:
+            if what == "release":
+                released, ops = manager.release_transaction(tx)
+                before = naive.lock_ops
+                assert released == naive.release_transaction(tx)
+                assert ops == naive.lock_ops - before
+            else:
+                spec = LockSpec()
+                for key, mode in pairs:
+                    spec.add(key, mode)
+                requests = spec.deduplicated().requests
+                before = naive.lock_ops
+                try:
+                    expected = naive.process_operation(tx, requests)
+                except LockError:
+                    with pytest.raises(LockError):
+                        manager.process_operation(tx, spec)
+                else:
+                    outcome = manager.process_operation(tx, spec)
+                    granted, conflicts, new_pairs = expected
+                    assert outcome.granted == granted
+                    assert outcome.conflicts == conflicts
+                    assert outcome.new_pairs == new_pairs
+                    assert outcome.lock_ops == naive.lock_ops - before
+            assert table.lock_ops == naive.lock_ops
+            table.check_consistency()
+            for key in _KEYS:
+                assert table.holders(key) == naive.holders(key)
+            for tx in _TXS:
+                assert table.held_by(tx) == naive.held_by(tx)
+            assert table.lock_count() == sum(
+                len(m) for h in naive.held.values() for m in h.values()
+            )

@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event kernel: events, processes, conditions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Event, Store
+from repro.sim import Environment, Event, Inbox, Store
+
+from .conftest import example_budget
 
 
 class TestClockAndTimeouts:
@@ -446,3 +450,107 @@ class TestStore:
         store.put(2)
         assert len(store) == 2
         assert store.waiting_getters == 0
+
+
+# ---------------------------------------------------------------------------
+# the function-served inbox: same queue positions as a listener process
+# ---------------------------------------------------------------------------
+
+#: A message is (kind, n): "plain" is only logged, "echo" puts a follow-up
+#: into the same mailbox while it is handled, "spawn" starts a process that
+#: logs at once and puts a follow-up after a flat timer.
+_MSG_KINDS = ("plain", "echo", "spawn")
+_TIMES = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def _mailbox_run(use_inbox: bool, early: list, actions: list) -> list:
+    """Drive one mailbox through a schedule; return every observation,
+    with its time, in the order it happened.
+
+    ``early`` is put before the mailbox starts being served; ``actions``
+    are ``(time, what, arg)`` kernel calls: ``put`` a message, ``clear``
+    the mailbox, or ``mark`` the log (an unrelated same-time item, so
+    queue positions relative to other work show).
+    """
+    env = Environment()
+    log = []
+    box = Inbox(env) if use_inbox else Store(env)
+
+    def child(n):
+        log.append((env.now, "child", n))
+        yield 0.5
+        box.put(("plain", n + 2000))
+
+    def handler(msg):
+        log.append((env.now, "handle", msg))
+        kind, n = msg
+        if kind == "echo":
+            box.put(("plain", n + 1000))
+        elif kind == "spawn":
+            env.process(child(n))
+
+    def act(what, arg):
+        if what == "put":
+            box.put(arg)
+        elif what == "clear":
+            log.append((env.now, "clear", box.clear()))
+        else:
+            log.append((env.now, "mark", arg))
+
+    for msg in early:
+        box.put(msg)
+    if use_inbox:
+        box.serve(handler)
+    else:
+
+        def listener():
+            while True:
+                handler((yield box.get()))
+
+        env.process(listener())
+    for when, what, arg in actions:
+        env.schedule_call(when, act, what, arg)
+    env.run()
+    log.append((env.now, "left", len(box)))
+    return log
+
+
+_messages = st.tuples(st.sampled_from(_MSG_KINDS), st.integers(0, 99))
+_actions = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(_TIMES), st.just("put"), _messages),
+        st.tuples(st.sampled_from(_TIMES), st.just("clear"), st.none()),
+        st.tuples(st.sampled_from(_TIMES), st.just("mark"), st.integers(0, 9)),
+    ),
+    max_size=14,
+)
+
+
+class TestInbox:
+    @settings(max_examples=example_budget(300), deadline=None)
+    @given(early=st.lists(_messages, max_size=3), actions=_actions)
+    def test_inbox_dispatches_like_a_listener_process(self, early, actions):
+        """Puts at random times, puts during a handler, puts before the
+        bootstrap, clears with an item in flight and a handler that spawns
+        a process: the ``(time, message)`` sequence, and everything else
+        that happens around it, is the same as a Store drained by one
+        process looping ``handler((yield store.get()))``."""
+        expected = _mailbox_run(False, early, actions)
+        assert _mailbox_run(True, early, actions) == expected
+
+    def test_items_put_before_serving_wait_for_the_bootstrap(self):
+        env = Environment()
+        box = Inbox(env)
+        got = []
+        box.put("early")
+        env.run()
+        assert got == [] and len(box) == 1  # nobody serves it yet
+        box.serve(lambda msg: got.append((env.now, msg)))
+        env.run()
+        assert got == [(0.0, "early")] and len(box) == 0
+
+    def test_served_once(self):
+        box = Inbox(Environment())
+        box.serve(print)
+        with pytest.raises(SimulationError):
+            box.serve(print)

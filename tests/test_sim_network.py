@@ -1,5 +1,7 @@
 """Unit tests for the network model and RNG substreams."""
 
+import random
+
 import pytest
 
 from repro.config import NetworkConfig
@@ -51,12 +53,7 @@ class TestDelivery:
         inbox = net.register("s2")
         net.register("s1")
         got = []
-
-        def listener():
-            msg = yield inbox.get()
-            got.append((env.now, msg))
-
-        env.process(listener())
+        inbox.serve(lambda msg: got.append((env.now, msg)))
         net.send("s1", "s2", {"op": "hello"}, size_bytes=1024)
         env.run()
         assert len(got) == 1
@@ -103,17 +100,72 @@ class TestDelivery:
         inbox = net.register("b")
         net.register("a")
         got = []
-
-        def listener():
-            for _ in range(3):
-                msg = yield inbox.get()
-                got.append(msg)
-
-        env.process(listener())
+        inbox.serve(got.append)
         for i in range(3):
             net.send("a", "b", i, size_bytes=10)
         env.run()
         assert got == [0, 1, 2]
+
+
+class TestSendArithmetic:
+    """``send`` returns ``latency + size/1024 * per_kb + uniform(0, jitter)``
+    exactly — compared with ``==``, against a twin of the network RNG — and
+    draws jitter only for remote messages it actually sends."""
+
+    CFG = NetworkConfig(latency_ms=0.25, per_kb_ms=0.08, jitter_ms=0.05, local_ms=0.01)
+
+    def _check(self, net, twin, draws, dropped=(), lossy=None):
+        sizes = random.Random(3)
+        for i in range(draws):
+            size = sizes.randrange(0, 200_000)
+            if lossy is not None and i % 11 == 0:
+                # b -> a loses half its messages, from the loss substream.
+                delay = net.send("b", "a", "m", size_bytes=size)
+                if lossy.random() < 0.5:
+                    assert delay == 0.0
+                    continue
+                assert delay == (
+                    self.CFG.latency_ms
+                    + size / 1024 * self.CFG.per_kb_ms
+                    + twin.uniform(0, self.CFG.jitter_ms)
+                )
+                continue
+            if dropped and i % 5 == 0:
+                src, dst = dropped[i % len(dropped)]
+                assert net.send(src, dst, "m", size_bytes=size) == 0.0
+                continue
+            if i % 7 == 0:
+                assert net.send("a", "a", "m", size_bytes=size) == self.CFG.local_ms
+                continue
+            expected = (
+                self.CFG.latency_ms
+                + size / 1024 * self.CFG.per_kb_ms
+                + twin.uniform(0, self.CFG.jitter_ms)
+            )
+            assert net.send("a", "b", "m", size_bytes=size) == expected
+
+    def _net(self, seed):
+        env = Environment()
+        net = Network(env, self.CFG, seed=seed)
+        for site in "abcd":
+            net.register(site)
+        return net, substream(seed, "network")
+
+    def test_send_delay_is_the_formula_exactly(self):
+        net, twin = self._net(seed=11)
+        self._check(net, twin, draws=2000)
+
+    def test_down_site_partition_and_lossy_link_change_no_delay(self):
+        net, twin = self._net(seed=12)
+        net.set_down("d")
+        net.partition(["a", "b"], ["c"])
+        net.set_link_loss("a", "c", 1.0)
+        net.set_link_loss("b", "a", 0.5, symmetric=False)
+        dropped = [("a", "d"), ("d", "b"), ("a", "c"), ("c", "b")]
+        lossy = substream(12, "network", "loss")
+        self._check(net, twin, draws=2000, dropped=dropped, lossy=lossy)
+        stats = net.stats
+        assert stats.dropped and stats.partition_drops and stats.loss_drops
 
 
 class TestSubstream:

@@ -16,6 +16,7 @@ from repro.config import CostConfig
 from repro.errors import ConfigError, ReproError
 from repro.update import ChangeOp, InsertOp
 from repro.update.applier import apply_update
+from repro.xpath.parser import clear_parse_cache, parse_cache_stats
 from repro import views
 from repro.views import ViewDefinition, subsumes
 from repro.xml import parse_document, serialize_document
@@ -243,6 +244,7 @@ class TestRouting:
 
 class TestMaintenance:
     def test_deltas_keep_shadow_identical_to_primary(self):
+        clear_parse_cache()
         cluster = views_cluster()
         cluster.start()
         cluster.env.run(until=10.0)
@@ -257,10 +259,15 @@ class TestMaintenance:
         assert serialize_document(shadow) == doc_at(cluster, "s1")
         assert host.views.states["d1"].applied_lsn == 3
         assert host.stats.view_deltas_applied == 3
-        # Parse-cache counters surface through SiteStats.
-        assert any(
-            s.stats.parse_cache_hits + s.stats.parse_cache_misses > 0
-            for s in cluster.sites.values()
+        # Parse-cache counters surface through SiteStats: collecting the
+        # results snapshots this run's process-wide memo counters at every
+        # site.
+        counts = parse_cache_stats()
+        assert counts[0] > 0 and counts[1] > 0
+        result = cluster.collect_results()
+        assert all(
+            (s.parse_cache_hits, s.parse_cache_misses) == counts
+            for s in result.site_stats.values()
         )
 
     def test_hydrated_view_is_byte_identical_to_the_primary(self):
