@@ -182,16 +182,6 @@ class SystemConfig:
         eager regime (reads are free, commits pay every replica),
         ``W=majority, R=majority`` balances both, larger ``R`` shifts
         cost from writers to readers.
-    max_read_staleness_ms:
-        Follower-read fence for lease-mode secondary reads (``0`` = off,
-        the pre-existing behaviour). A secondary serving a read under
-        ``failure_detector="lease"`` refuses it when nothing was heard
-        from the document's primary for longer than this bound — inside
-        a false-suspicion window (primary partitioned away, lease not yet
-        expired) the secondary can no longer bound its staleness, so the
-        coordinator re-routes the read to the primary instead of serving
-        possibly-ancient data. Quorum reads carry their own freshness
-        proof and are exempt.
     group_commit_window_ms:
         How long a commit-time sync outbox waits before it flushes — a
         delay, not a switch: every commit under the eager and quorum
@@ -226,15 +216,14 @@ class SystemConfig:
         ``HEARTBEAT_INTERVAL_MS`` plus network jitter, or live sites get
         falsely suspected under load.
     view_staleness_ms:
-        Default staleness bound for materialized-view reads (``0`` = view
-        routing off, the default). When positive and a registered view's
-        pattern subsumes a read-only transaction's query, the coordinator
-        answers the query from the view host — no locks, no 2PC — as long
-        as the view's shadow provably matched the primary's committed log
-        within the last ``view_staleness_ms``. Per-transaction overridable
-        via ``Transaction.view_staleness_ms`` (like the quorum overrides);
-        any refusal, epoch change or view-host crash falls back to the
-        normal locked read path, so correctness never depends on a view.
+        Staleness bound for materialized-view reads (``0`` = view routing
+        off, the default). When positive and a registered view's pattern
+        subsumes a read-only transaction's query, the coordinator answers
+        the query from the view host — no locks, no 2PC — as long as the
+        view's shadow provably matched the primary's committed log within
+        the last ``view_staleness_ms``. Any refusal, epoch change or
+        view-host crash falls back to the normal locked read path, so
+        correctness never depends on a view.
     view_refresh_ms:
         Period of the primary's view push. Every log entry the primary
         records is staged in the document's view outbox; each tick drains
@@ -270,7 +259,6 @@ class SystemConfig:
     replica_write_policy: str = "all"
     read_quorum_r: int = 0
     write_quorum_w: int = 0
-    max_read_staleness_ms: float = 0.0
     group_commit_window_ms: float = 0.0
     failure_detector: str = "perfect"
     lease_timeout_ms: float = 4.0
@@ -295,8 +283,6 @@ class SystemConfig:
             raise ConfigError("lock_wait_timeout_ms must be >= 0")
         if self.max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
-        if self.max_read_staleness_ms < 0:
-            raise ConfigError("max_read_staleness_ms must be >= 0")
         if self.group_commit_window_ms < 0:
             raise ConfigError("group_commit_window_ms must be >= 0")
         if self.failure_detector not in ("perfect", "lease"):

@@ -122,10 +122,6 @@ class CoordinatorRecord:
     attempt: int = 0
     round: Optional[Round] = None
 
-    # Documents whose routed secondary refused a read as unboundably stale
-    # (max_read_staleness_ms): the retry re-routes these to the primary.
-    stale_read_docs: set = field(default_factory=set)
-
     # doc -> sites where its updates executed; its keys are the documents
     # this transaction has updated (primary-copy ROWA pins subsequent reads
     # of them to the primary: read-your-writes). At commit the sync layer

@@ -57,10 +57,6 @@ class RemoteOpResult:
     deadlock: bool  # local wait-for cycle closed at the participant
     failed: bool  # execution error
     result_size: int = 0  # bytes of query answer shipped back
-    # Follower-read fence (max_read_staleness_ms): the participant could
-    # not bound its staleness against the primary and refused the read.
-    # The coordinator re-routes to the primary instead of aborting.
-    stale: bool = False
 
     def size_bytes(self) -> int:
         return _HEADER_BYTES + 16 + self.result_size
@@ -565,7 +561,7 @@ class ViewReadRequest:
     ``epoch`` is the coordinator's catalog epoch for the document — the
     host refuses on mismatch in either direction, so a fenced shadow never
     serves and a stale coordinator never trusts a newer timeline blindly.
-    ``bound_ms`` is the transaction's effective staleness bound.
+    ``bound_ms`` is the cluster's ``view_staleness_ms``.
     """
 
     tid: TxId

@@ -138,7 +138,6 @@ class LocalResult:
     executed: bool = False
     deadlock: bool = False
     failed: bool = False
-    stale: bool = False  # follower-read fence refusal (re-route, not abort)
     result_size: int = 0
     cost_ms: float = 0.0
 
@@ -189,7 +188,6 @@ class SiteStats:
     read_repairs_received: int = 0  # nudges that actually triggered catch-up
     sync_acks_awaited: int = 0  # ok remote acks counted at quorum-commit time
     quorum_read_retries: int = 0  # probe rounds re-run (silent/short reports)
-    stale_reads_refused: int = 0  # follower reads bounced by the staleness fence
     # Online migration (distribution.migration.MigrationManager).
     migrations_admitted: int = 0  # placeholder replicas adopted (join phase)
     migrations_retired: int = 0  # replica copies dropped (retire phase)
@@ -583,18 +581,7 @@ class DTXSite:
     # ------------------------------------------------------------------
 
     def submit(self, tx: Transaction, deliver: Callable[[TxOutcome], None]) -> None:
-        """Accept a transaction from a locally connected client.
-
-        A transaction carrying per-transaction quorum overrides is
-        validated here, at the submission boundary, against the same
-        intersection laws as the cluster-wide knobs — an unlawful (R, W)
-        is a programming error and raises immediately rather than
-        surfacing as a runtime abort.
-        """
-        if tx.read_quorum_r or tx.write_quorum_w:
-            self.replication.validate_tx_quorums(tx.read_quorum_r, tx.write_quorum_w)
-        if tx.view_staleness_ms < 0:
-            raise ReproError("view_staleness_ms must be >= 0")
+        """Accept a transaction from a locally connected client."""
         tx.stats.submitted_ts = self.env.now
         if not self.alive:
             # Connection refused: the site is down. The outcome is
@@ -736,29 +723,6 @@ class DTXSite:
             ):
                 self.stats.lease_refusals += 1
                 return LocalResult(acquired=True, executed=False, failed=True)
-        if (
-            op.kind is OpKind.QUERY
-            and self.membership is not None
-            and self.config.max_read_staleness_ms > 0
-            and self.replication.is_primary_copy
-            and not self.replication.is_quorum_read
-        ):
-            # Lease-mode follower-read fence: inside a false-suspicion
-            # window (the primary partitioned away but its lease not yet
-            # expired) a secondary cannot bound how stale its copy is.
-            # When the primary's heartbeat is older than the configured
-            # bound, refuse the read with ``stale`` set — the coordinator
-            # re-routes it to the primary instead of aborting. Quorum
-            # reads carry their own freshness proof and are exempt.
-            rset = self.catalog.replica_set(op.doc_name)
-            if rset.is_replicated and rset.primary != self.site_id:
-                heard = self.membership.last_heard.get(rset.primary)
-                if (
-                    heard is None
-                    or self.env.now - heard > self.config.max_read_staleness_ms
-                ):
-                    self.stats.stale_reads_refused += 1
-                    return LocalResult(acquired=True, executed=False, stale=True)
         ctx = self.tx_contexts.get(tid)
         if ctx is not None:
             prior = ctx.op_entries.get(op.index)
@@ -1036,7 +1000,6 @@ class DTXSite:
                 deadlock=result.deadlock,
                 failed=result.failed,
                 result_size=result.result_size,
-                stale=result.stale,
             )
             delay = self.network.send(self.site_id, coordinator, reply)
             if tr is not None:
@@ -1304,17 +1267,6 @@ class DTXSite:
         if rec is not None and rec.round is not None:
             rec.round.reply(msg.site, msg, _ACK_PHASE[msg.__class__])
 
-    def _quorum_spec(self, rec: CoordinatorRecord, degree: int):
-        """The (N, R, W) governing ``rec``'s transaction at ``degree``.
-
-        Per-transaction overrides (validated at submission) take
-        precedence over the cluster knobs; with none set this is exactly
-        ``replication.quorum_for(degree)``.
-        """
-        return self.replication.quorum_for(
-            degree, rec.tx.read_quorum_r, rec.tx.write_quorum_w
-        )
-
     def _round_timeout_ms(self) -> float:
         """Upper bound on a lease-mode protocol round.
 
@@ -1489,14 +1441,13 @@ class DTXSite:
                 # (the host never joins sites_involved). Every refusal,
                 # timeout or host crash falls through to the locked path
                 # below, so correctness never depends on a view.
-                view_bound = tx.view_staleness_ms or self.config.view_staleness_ms
                 if (
-                    view_bound > 0
+                    self.config.view_staleness_ms > 0
                     and self.catalog.has_views(op.doc_name)
                     and not tx.is_update_transaction
                 ):
                     served = yield from self._span(
-                        self._try_view_read(rec, op, view_bound), "view_read",
+                        self._try_view_read(rec, op), "view_read",
                         "view", rec.op_span, rec, op.doc_name,
                     )
                     if served:
@@ -1522,11 +1473,6 @@ class DTXSite:
                         rng=self._route_rng,
                         wrote_before=op.doc_name in rec.write_sites,
                     )
-                    if op.doc_name in rec.stale_read_docs:
-                        # An earlier attempt bounced off the follower-read
-                        # staleness fence: serve this document's reads from
-                        # the primary for the rest of the transaction.
-                        sites = [rset.primary]
             else:
                 sites = self.replication.route_write(rset)
             # Route around crashed replicas. Under primary-copy the routed
@@ -1586,14 +1532,13 @@ class DTXSite:
             acquired_all = not missing and all(r.acquired for r in results.values())
             any_failed = any(r.failed for r in results.values())
             any_deadlock = any(r.deadlock for r in results.values())
-            any_stale = any(r.stale for r in results.values())
             executed_sites = [
                 r.site
                 for r in results.values()
                 if r.executed and self._peer_up(r.site)
             ]
 
-            if acquired_all and not any_failed and not any_stale:
+            if acquired_all and not any_failed:
                 op.executed = True
                 rec.executed_sites.update(sites)
                 if op.kind is OpKind.UPDATE:
@@ -1622,12 +1567,6 @@ class DTXSite:
                 raise _AbortTx("operation-failed")
             if any_deadlock:
                 raise _AbortTx("local-deadlock")
-            if any_stale:
-                # Follower-read fence: the routed secondary could not bound
-                # its staleness against the primary. Not an error — retry
-                # immediately with the document pinned to the primary.
-                rec.stale_read_docs.add(op.doc_name)
-                continue
             if missing:
                 # A routed site crashed before answering. Earlier
                 # operations that executed there are gone for good — the
@@ -1714,7 +1653,7 @@ class DTXSite:
             if rec.abort_requested:
                 raise _AbortTx(rec.abort_reason or "abort-ordered")
             rset = self.catalog.replica_set(doc_name)
-            spec = self._quorum_spec(rec, rset.degree)
+            spec = self.replication.quorum_for(rset.degree)
             order = [s for s in rset.all_sites if s != self.site_id]
             if self.site_id in rset:
                 order.insert(0, self.site_id)
@@ -2070,17 +2009,7 @@ class DTXSite:
         """
         doc_name = box.doc_name
         is_quorum = self.replication.is_quorum_write
-        # Each transaction settles against its own (N, R, W): a
-        # per-transaction write_quorum_w shares the batch with default-W
-        # batch-mates.
-        quorum_w = (
-            {
-                rec.tid: self._quorum_spec(rec, rset.degree).write_quorum
-                for rec, _, _ in valid
-            }
-            if is_quorum
-            else {}
-        )
+        quorum_w = self.replication.quorum_for(rset.degree).write_quorum if is_quorum else 0
         # Bounded rounds belong to the lease detector (messages can be
         # silently lost) and to the quorum regime (bounded under either
         # detector, by design: when a partition keeps W out of reach the
@@ -2175,7 +2104,7 @@ class DTXSite:
         # The primary's record is one of the W copies; eager rounds leave
         # ``needed`` empty and wait for every live secondary.
         needed = (
-            {e.tid: max(1, quorum_w[e.tid] - 1) for e in good_entries}
+            {e.tid: max(1, quorum_w - 1) for e in good_entries}
             if is_quorum
             else {}
         )
@@ -2203,7 +2132,7 @@ class DTXSite:
             durable += sec_oks
             if is_quorum:
                 self.stats.sync_acks_awaited += sec_oks
-                quorum_lost = durable < quorum_w[rec.tid]
+                quorum_lost = durable < quorum_w
             elif self.membership is not None:
                 # Eager lease-mode sync quorum (the no-split-brain rule):
                 # a durable majority of the replica set, with the
@@ -3233,7 +3162,7 @@ class DTXSite:
 
     # -- coordinator side: routing -----------------------------------------
 
-    def _try_view_read(self, rec: CoordinatorRecord, op: Operation, bound_ms: float):
+    def _try_view_read(self, rec: CoordinatorRecord, op: Operation):
         """Try to answer a read-only query from a registered view host.
 
         One bounded round per covering live host, in registration order.
@@ -3256,7 +3185,7 @@ class DTXSite:
             read_id, rnd = self._open_round("view_read", (host,))
             self._send_in_span(host, rec.op_span, ViewReadRequest(
                 tid=rec.tid, coordinator=self.site_id, op=op, read_id=read_id,
-                epoch=epoch, bound_ms=bound_ms, span=rec.op_span,
+                epoch=epoch, bound_ms=self.config.view_staleness_ms, span=rec.op_span,
             ))
             got = yield from rnd.wait(CATCHUP_TIMEOUT_MS)
             self._rounds.pop(read_id, None)

@@ -154,20 +154,6 @@ class Transaction:
     sites_involved: set = field(default_factory=set)
     stats: TxStats = field(default_factory=TxStats)
     abort_reason: str = ""
-    # Per-transaction quorum overrides (0 = inherit the cluster knobs).
-    # Validated on submission against the same intersection laws as the
-    # cluster-wide read_quorum_r/write_quorum_w (R + W > N, W > N/2); only
-    # meaningful under the "quorum" read/write policies. A transaction can
-    # thus buy stronger reads (larger R) or cheaper commits (smaller W,
-    # within the laws) without reconfiguring the cluster.
-    read_quorum_r: int = 0
-    write_quorum_w: int = 0
-    # Per-transaction materialized-view staleness bound in ms (0 = inherit
-    # the cluster's view_staleness_ms). Only read-only transactions are
-    # ever view-routed; a transaction can thus accept more staleness for a
-    # cheaper lock-free read, or demand less, without reconfiguring the
-    # cluster. Validated >= 0 on submission.
-    view_staleness_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.operations:
@@ -195,14 +181,7 @@ class Transaction:
             Operation(doc_name=o.doc_name, kind=o.kind, payload=o.payload)
             for o in self.operations
         ]
-        fresh = Transaction(
-            operations=ops,
-            client_id=self.client_id,
-            label=self.label,
-            read_quorum_r=self.read_quorum_r,
-            write_quorum_w=self.write_quorum_w,
-            view_staleness_ms=self.view_staleness_ms,
-        )
+        fresh = Transaction(operations=ops, client_id=self.client_id, label=self.label)
         fresh.stats.restarts = self.stats.restarts + 1
         return fresh
 

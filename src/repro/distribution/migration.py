@@ -66,6 +66,17 @@ from ..errors import ConfigError, DistributionError
 #: Phase names, in order; ``done``/``stalled`` are terminal.
 PHASES = ("join", "catchup", "cutover", "drain", "retire", "done", "stalled")
 
+#: Cadence of the catch-up / readiness / quiescence polls (ms).
+POLL_INTERVAL_MS = 2.0
+#: How long the placement shrink rests before copies are dropped (ms) —
+#: must comfortably exceed one network round so in-flight requests routed
+#: against the old placement land before their copy vanishes.
+DRAIN_MS = 5.0
+#: Patience per waiting phase; a migration that cannot make progress (e.g.
+#: its target never recovers) parks as ``stalled`` with the placement left
+#: as a safe superset — data is never dropped on a stalled move.
+MAX_POLL_ROUNDS = 500
+
 
 @dataclass
 class Migration:
@@ -107,29 +118,9 @@ class MigrationManager:
     shrinks the shared placement directly (the in-process stand-in for the
     admin RPCs of a real deployment). The promotion itself runs at the
     target site, reached by a message under the lease detector.
-
-    Parameters
-    ----------
-    poll_interval_ms:
-        Cadence of the catch-up / readiness / quiescence polls.
-    drain_ms:
-        How long the placement shrink rests before copies are dropped —
-        must comfortably exceed one network round so in-flight requests
-        routed against the old placement land before their copy vanishes.
-    max_poll_rounds:
-        Patience per waiting phase; a migration that cannot make progress
-        (e.g. its target never recovers) parks as ``stalled`` with the
-        placement left as a safe superset — data is never dropped on a
-        stalled move.
     """
 
-    def __init__(
-        self,
-        cluster,
-        poll_interval_ms: float = 2.0,
-        drain_ms: float = 5.0,
-        max_poll_rounds: int = 500,
-    ):
+    def __init__(self, cluster):
         if cluster.replication.write_policy == "all":
             raise ConfigError(
                 "online migration requires a primary-copy write regime "
@@ -141,9 +132,6 @@ class MigrationManager:
         self.env = cluster.env
         self.catalog = cluster.catalog  # the shared catalog (placement truth)
         self.sites = cluster.sites
-        self.poll_interval_ms = poll_interval_ms
-        self.drain_ms = drain_ms
-        self.max_poll_rounds = max_poll_rounds
         self.stats = MigrationStats()
         self.active: dict[str, Migration] = {}  # doc -> in-flight migration
         self.history: list[Migration] = []
@@ -226,7 +214,7 @@ class MigrationManager:
         # -- JOIN: grow the placement; dual-write window opens -------------
         joiners = [s for s in mig.targets if s not in self.catalog.sites_for(doc)]
         pending = list(joiners)
-        for _ in range(self.max_poll_rounds):
+        for _ in range(MAX_POLL_ROUNDS):
             still = []
             for s in pending:
                 site = self.sites[s]
@@ -244,7 +232,7 @@ class MigrationManager:
             pending = still
             if not pending:
                 break
-            yield (self.poll_interval_ms)
+            yield POLL_INTERVAL_MS
         if pending:
             self._finish(mig, "stalled")
             return
@@ -274,7 +262,7 @@ class MigrationManager:
             self._finish(mig, "stalled")
             return
         self.catalog.add(doc, mig.targets)  # new operations stop routing out
-        yield (self.drain_ms)
+        yield DRAIN_MS
         mig.phase = "retire"
         retired, inert = yield from self._retire(doc, leavers)
         mig.retired = tuple(retired)
@@ -299,7 +287,7 @@ class MigrationManager:
         reaches the live recorded tip. The goal is recomputed each round:
         traffic keeps flowing, but the joiners ride the sync fan-out, so
         the gap closes once the snapshot lands."""
-        for _ in range(self.max_poll_rounds):
+        for _ in range(MAX_POLL_ROUNDS):
             goal = self._live_recorded_tip(doc)
             lagging = []
             for s in joiners:
@@ -316,7 +304,7 @@ class MigrationManager:
                 site = self.sites[s]
                 if site.alive:
                     site.nudge_catch_up(doc)
-            yield (self.poll_interval_ms)
+            yield POLL_INTERVAL_MS
         return False
 
     def _current_primary_in(self, doc: str, targets: tuple) -> bool:
@@ -333,7 +321,7 @@ class MigrationManager:
         to it first."""
         doc = mig.doc_name
         target = self.sites[new_primary]
-        for _ in range(self.max_poll_rounds):
+        for _ in range(MAX_POLL_ROUNDS):
             goal = self._live_recorded_tip(doc)
             epoch = target.catalog.epoch(doc)
             if self.cluster.config.failure_detector == "lease":
@@ -349,7 +337,7 @@ class MigrationManager:
                 return True
             if target.alive:
                 target.nudge_catch_up(doc)
-            yield (self.poll_interval_ms)
+            yield POLL_INTERVAL_MS
         return False
 
     def _retire(self, doc: str, leavers: list):
@@ -359,14 +347,14 @@ class MigrationManager:
         for s in leavers:
             site = self.sites[s]
             dropped = False
-            for _ in range(self.max_poll_rounds):
+            for _ in range(MAX_POLL_ROUNDS):
                 if site.alive and not site.has_active_work_on(doc):
                     site.drop_document(doc)
                     self.stats.replicas_retired += 1
                     retired.append(s)
                     dropped = True
                     break
-                yield (self.poll_interval_ms)
+                yield POLL_INTERVAL_MS
             if not dropped:
                 inert.append(s)
         return retired, inert

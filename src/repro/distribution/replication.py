@@ -273,7 +273,7 @@ class ReplicationPolicy:
         durable copies under ``"quorum"``)."""
         return self.write_policy in COMMIT_SYNC_POLICIES
 
-    def quorum_for(self, degree: int, r: int = 0, w: int = 0) -> QuorumSpec:
+    def quorum_for(self, degree: int) -> QuorumSpec:
         """The effective (N, R, W) for a replica set of ``degree`` copies.
 
         Documents can be replicated at fewer sites than the configured
@@ -281,48 +281,8 @@ class ReplicationPolicy:
         :meth:`QuorumSpec.resolve` re-anchors the configured quorums to
         the actual degree, falling back to majorities where the
         configured values would break the intersection laws.
-
-        ``r``/``w`` are per-transaction overrides (0 = use the cluster
-        knobs): a transaction submitted with its own ``(R, W)`` trades
-        read cost against write cost for *its* operations only, under the
-        same intersection laws.
         """
-        return QuorumSpec.resolve(
-            degree, r=r or self.read_quorum_r, w=w or self.write_quorum_w
-        )
-
-    def validate_tx_quorums(self, r: int, w: int) -> None:
-        """Validate a transaction's ``(R, W)`` override against the same
-        intersection laws as the cluster-wide knobs (N = ``factor``).
-
-        ``0`` inherits the corresponding cluster knob. Raises
-        :class:`~repro.errors.ConfigError` exactly like
-        :meth:`validate` does for cluster-wide values.
-        """
-        if r == 0 and w == 0:
-            return
-        if r < 0 or w < 0:
-            raise ConfigError(
-                f"per-transaction quorums must be >= 0, got (R={r}, W={w})"
-            )
-        n = self.factor
-        r_eff = r or self.read_quorum_r or _majority(n)
-        w_eff = w or self.write_quorum_w or _majority(n)
-        if r_eff > n or w_eff > n:
-            raise ConfigError(
-                f"per-transaction quorums must fit the replica set: "
-                f"(R={r_eff}, W={w_eff}) with N={n}"
-            )
-        if r_eff + w_eff <= n:
-            raise ConfigError(
-                f"per-transaction R + W must exceed N "
-                f"(R={r_eff}, W={w_eff}, N={n}): read/write quorums must intersect"
-            )
-        if 2 * w_eff <= n:
-            raise ConfigError(
-                f"per-transaction W must exceed N/2 "
-                f"(W={w_eff}, N={n}): write quorums must intersect each other"
-            )
+        return QuorumSpec.resolve(degree, r=self.read_quorum_r, w=self.write_quorum_w)
 
     def describe(self) -> str:
         out = f"factor={self.factor} read={self.read_policy} write={self.write_policy}"

@@ -577,7 +577,12 @@ def _quorum_cell(p, regime: str, fault: str) -> dict:
 
 
 def _check_quorum(result) -> list[str]:
-    """Quorums intersect, stragglers converge, eager stalls under the cut."""
+    """Quorums intersect, stragglers converge, eager stalls under the cut.
+
+    The cut isolates one site, so every document keeps at least N - 1
+    replicas reachable. Only a regime whose W fits in those can commit a
+    write during the cut; a W = N regime (``quorum-r1w3`` at N = 3) has no
+    in-window write to show and is not asked for one."""
     p, cells = result.params, result.cells
     notes = []
     for (regime, fault), cell in cells.items():
@@ -594,10 +599,11 @@ def _check_quorum(result) -> list[str]:
     quorums = [r for r in p.regime if r.startswith("quorum-")]
     if "partition" in p.fault and "eager" in p.regime:
         eager, n = cells[("eager", "partition")], p.replication_factor
+        reachable = n - 1
         for regime in quorums:
             r, w = _rw(regime)
             cell = cells[(regime, "partition")]
-            assert cell["window_update_committed"] > 0, (
+            assert w > reachable or cell["window_update_committed"] > 0, (
                 f"{regime}: no write committed during the cut"
             )
             # The headline: an eager commit waits on the cut (not yet
@@ -610,7 +616,9 @@ def _check_quorum(result) -> list[str]:
                 f"eager's {eager['update_response_ms']:.2f} ms under the partition"
             )
         notes.append(
-            f"partition: eager write-tx response {eager['update_response_ms']:.2f} ms "
+            f"partition: in-window writes required where W <= {reachable} "
+            f"(the replicas reachable during the cut); eager write-tx response "
+            f"{eager['update_response_ms']:.2f} ms "
             f"({eager['window_update_committed']} writes in-window) vs "
             + ", ".join(
                 f"{regime[len('quorum-'):]} "
@@ -896,8 +904,15 @@ def _views_cell(p, regime: str) -> dict:
 
 
 def _check_views(result) -> list[str]:
-    """The receipt: view-served reads take no locks and run no 2PC."""
+    """The receipt: view-served reads take no locks and run no 2PC.
+
+    A shadow is refreshed once per ``view_refresh_ms`` and each refresh
+    takes one delivery (latency plus jitter) to land, so a read can meet a
+    shadow that old. Every readonly read must be view-served only where the
+    staleness bound covers that age; below it a read may fall back."""
     cells = result.cells
+    net = SystemConfig().network
+    oldest_ms = result.params.view_refresh_ms + net.latency_ms + net.jitter_ms
     for (regime, phase), cell in cells.items():
         where = f"{regime}/{phase}"
         resolved = cell["committed"] + cell["aborted"] + cell["failed"]
@@ -920,17 +935,18 @@ def _check_views(result) -> list[str]:
         assert ro["committed"] == ro["expected"], (
             f"{regime}/readonly: only {ro['committed']}/{ro['expected']} committed"
         )
-        assert ro["view_hit_rate"] == 1.0, (
+        assert _staleness(regime) < oldest_ms or ro["view_hit_rate"] == 1.0, (
             f"{regime}/readonly: hit rate {ro['view_hit_rate']:.2f} < 1.0"
         )
-        assert ro["lock_ops"] == 0, (
-            f"{regime}/readonly: {ro['lock_ops']} lock-table operations "
-            "during a phase that should be entirely view-served"
-        )
-        assert ro["commit_requests"] == 0, (
-            f"{regime}/readonly: {ro['commit_requests']} CommitRequests "
-            "during a phase that should involve no 2PC at all"
-        )
+        if ro["view_hit_rate"] == 1.0:
+            assert ro["lock_ops"] == 0, (
+                f"{regime}/readonly: {ro['lock_ops']} lock-table operations "
+                "during a phase that was entirely view-served"
+            )
+            assert ro["commit_requests"] == 0, (
+                f"{regime}/readonly: {ro['commit_requests']} CommitRequests "
+                "during a phase that was entirely view-served"
+            )
         assert ro["staleness_ms"] <= _staleness(regime), (
             f"{regime}/readonly: mean staleness at serve {ro['staleness_ms']:.2f} ms "
             f"exceeds the {_staleness(regime):g} ms bound"
@@ -948,8 +964,9 @@ def _check_views(result) -> list[str]:
             f"mean staleness {sample['staleness_ms']:.2f} ms)"
         )
     notes.append(
-        f"{len(cells)} cells; every views readonly phase hit rate 1.0 "
-        "with zero primary lock-table operations and zero 2PC participation"
+        f"{len(cells)} cells; readonly hit rate 1.0 wherever the bound is at least "
+        f"refresh + latency + jitter = {oldest_ms:g} ms, and zero primary lock-table "
+        "operations and zero 2PC participation wherever every read was view-served"
     )
     return notes
 

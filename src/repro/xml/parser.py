@@ -58,25 +58,25 @@ class _Scanner:
         return XMLParseError(message, position=self.pos, line=line, column=col)
 
 
-def parse_document(text: str, name: str = "document", keep_whitespace: bool = False) -> Document:
+def parse_document(text: str, name: str = "document") -> Document:
     """Parse ``text`` into a :class:`Document` called ``name``.
 
-    Whitespace-only text between elements is dropped unless
-    ``keep_whitespace`` is true. Text interleaved with child elements (mixed
-    content) is concatenated into the parent's single ``text`` slot, which is
-    sufficient for the data-centric documents used throughout the paper.
+    Whitespace-only text between elements is dropped and other character
+    data is stripped. Text interleaved with child elements (mixed content)
+    is joined with single spaces into the parent's one ``text`` slot, which
+    is sufficient for the data-centric documents used throughout the paper.
     """
-    return Document(name, _parse_root(text, keep_whitespace))
+    return Document(name, _parse_root(text))
 
 
-def _parse_root(text: str, keep_ws: bool) -> Element:
+def _parse_root(text: str) -> Element:
     """The one root element of ``text``, between a prolog and trailing misc."""
     sc = _Scanner(text)
     _skip_prolog(sc)
     sc.skip_ws()
     if sc.eof() or sc.peek() != "<":
         raise sc.error("expected root element")
-    root = _parse_element(sc, keep_ws)
+    root = _parse_element(sc)
     # Trailing misc: whitespace, comments, PIs only.
     while True:
         sc.skip_ws()
@@ -103,7 +103,7 @@ def parse_fragment_prefix(text: str, start: int = 0) -> tuple[Element, int]:
     sc.skip_ws()
     if sc.eof() or sc.peek() != "<":
         raise sc.error("expected an XML fragment")
-    elem = _parse_element(sc, keep_ws=False)
+    elem = _parse_element(sc)
     return elem, sc.pos
 
 
@@ -114,7 +114,7 @@ def parse_fragment(text: str) -> Element:
     carries a fragment, not a document. The element comes back detached and
     unregistered (``node_id`` -1 throughout), ready to be inserted or cloned.
     """
-    return _parse_root(text, keep_ws=False)
+    return _parse_root(text)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def _parse_attributes(sc: _Scanner) -> dict[str, str]:
         attrib[key] = _decode_entities(raw, sc)
 
 
-def _parse_element(sc: _Scanner, keep_ws: bool) -> Element:
+def _parse_element(sc: _Scanner) -> Element:
     if sc.peek() != "<":
         raise sc.error("expected '<'")
     sc.advance()
@@ -240,7 +240,7 @@ def _parse_element(sc: _Scanner, keep_ws: bool) -> Element:
         elif sc.starts_with("<?"):
             _skip_pi(sc)
         elif sc.peek() == "<":
-            child = _parse_element(sc, keep_ws)
+            child = _parse_element(sc)
             elem._children.append(child)
             child.parent = elem
         else:
@@ -250,11 +250,11 @@ def _parse_element(sc: _Scanner, keep_ws: bool) -> Element:
                 raise sc.error(f"unexpected end of input inside <{tag}>")
             raw = sc.data[start:nxt]
             sc.pos = nxt
-            decoded = _decode_entities(raw, sc)
-            if keep_ws or decoded.strip():
-                text_parts.append(decoded if keep_ws else decoded.strip())
+            decoded = _decode_entities(raw, sc).strip()
+            if decoded:
+                text_parts.append(decoded)
     if text_parts:
-        elem.text = " ".join(p for p in text_parts if p) if not keep_ws else "".join(text_parts)
+        elem.text = " ".join(p for p in text_parts if p)
         if elem.text == "":
             elem.text = None
     return elem

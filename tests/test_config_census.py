@@ -6,13 +6,15 @@ up in every ``repr`` and still doubles the configurations a reader must
 consider — it is merely dead. This guard (the sibling of
 ``test_message_census.py``) walks the three config dataclasses and fails on
 a field nothing under ``src/repro`` reads, or that its class docstring does
-not describe. The ``SystemConfig`` field count is pinned so that the next
-knob is a visible diff here.
+not describe. The ``SystemConfig`` field count, the ``Transaction`` fields
+and the parameters of the other constructors that once took settings are
+pinned, so that the next knob is a visible diff here.
 """
 
 import ast
 import dataclasses
 import functools
+import inspect
 import re
 from pathlib import Path
 
@@ -20,6 +22,9 @@ import pytest
 
 import repro
 from repro.config import CostConfig, NetworkConfig, SystemConfig
+from repro.core.transaction import Transaction
+from repro.distribution.migration import MigrationManager
+from repro.xml import parse_document
 
 SRC = Path(repro.__file__).resolve().parent
 CONFIG_CLASSES = (SystemConfig, CostConfig, NetworkConfig)
@@ -51,7 +56,19 @@ def documented_fields(cls) -> set[str]:
 
 
 def test_system_config_field_count_is_pinned():
-    assert len(dataclasses.fields(SystemConfig)) == 20
+    assert len(dataclasses.fields(SystemConfig)) == 19
+
+
+def test_transaction_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(Transaction)] == [
+        "operations", "client_id", "label", "tid", "state", "sites_involved", "stats",
+        "abort_reason",
+    ]
+
+
+def test_constructor_parameters_are_pinned():
+    assert list(inspect.signature(MigrationManager.__init__).parameters) == ["self", "cluster"]
+    assert list(inspect.signature(parse_document).parameters) == ["text", "name"]
 
 
 @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)

@@ -168,40 +168,6 @@ class TestPresets:
             SystemConfig.preset("quorum", read_quorum_r=9)
 
 
-class TestPerTxQuorums:
-    def _cluster(self):
-        cluster = DTXCluster(protocol="xdgl", config=QUORUM)
-        for s in ("s1", "s2", "s3"):
-            cluster.add_site(s)
-        cluster.replicate_document(make_people_doc(), ["s1", "s2", "s3"])
-        return cluster
-
-    def test_unlawful_override_raises_at_submission(self):
-        cluster = self._cluster()
-        tx = insert_tx(900)
-        tx.read_quorum_r, tx.write_quorum_w = 1, 1  # R + W <= N
-        with pytest.raises(ConfigError, match="R \\+ W"):
-            cluster.sites["s1"].submit(tx, lambda outcome: None)
-
-    def test_negative_override_rejected(self):
-        cluster = self._cluster()
-        tx = insert_tx(901)
-        tx.read_quorum_r = -1
-        with pytest.raises(ConfigError, match=">= 0"):
-            cluster.sites["s1"].submit(tx, lambda outcome: None)
-
-    def test_lawful_override_commits_and_converges(self):
-        cluster = self._cluster()
-        tx = insert_tx(321)
-        tx.read_quorum_r, tx.write_quorum_w = 3, 3  # buy the strongest cell
-        cluster.add_client("c1", "s1", [tx])
-        result = cluster.run(drain_ms=100.0)
-        assert len(result.committed) == 1
-        for s in ("s1", "s2", "s3"):
-            text = serialize_document(cluster.document_at(s, "d1"))
-            assert text.count("<id>321</id>") == 1
-
-
 # ---------------------------------------------------------------------------
 # online migration: basics under both detectors
 # ---------------------------------------------------------------------------

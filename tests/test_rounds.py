@@ -300,9 +300,7 @@ def _scenario_view_fetch():
 
 def _scenario_view_read():
     cluster = _scenario_view_fetch()
-    cluster.add_client("c", "s2", [
-        Transaction([Operation.query("d1", "/people/person")], view_staleness_ms=50.0)
-    ])
+    cluster.add_client("c", "s2", [Transaction([Operation.query("d1", "/people/person")])])
     return cluster
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction
 from repro.config import CostConfig
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.update import ChangeOp, InsertOp
 from repro.update.applier import apply_update
 from repro.xpath.parser import clear_parse_cache, parse_cache_stats
@@ -54,12 +54,8 @@ def insert_tx(marker, label=""):
     )
 
 
-def read_tx(label="r", staleness_ms=0.0):
-    return Transaction(
-        [Operation.query("d1", "/people/person")],
-        label=label,
-        view_staleness_ms=staleness_ms,
-    )
+def read_tx(label="r"):
+    return Transaction([Operation.query("d1", "/people/person")], label=label)
 
 
 def doc_at(cluster, site):
@@ -193,23 +189,6 @@ class TestRouting:
         assert [o.status for o in outcomes] == ["committed"]
         assert cluster.sites["s1"].stats.view_reads_routed == 0
         assert cluster.sites["s3"].stats.view_reads_served == 0
-
-    def test_per_tx_staleness_override_enables_routing(self):
-        # Cluster default off; the transaction opts in with its own bound.
-        cluster = views_cluster(VIEWS.with_(view_staleness_ms=0.0))
-        cluster.start()
-        cluster.env.run(until=10.0)
-        outcomes = []
-        cluster.sites["s1"].submit(read_tx(staleness_ms=50.0), outcomes.append)
-        cluster.env.run(until=40.0)
-        assert [o.status for o in outcomes] == ["committed"]
-        assert cluster.sites["s3"].stats.view_reads_served == 1
-
-    def test_negative_per_tx_bound_rejected_at_submit(self):
-        cluster = views_cluster()
-        cluster.start()
-        with pytest.raises(ReproError, match="view_staleness_ms"):
-            cluster.sites["s1"].submit(read_tx(staleness_ms=-1.0), lambda o: None)
 
     def test_update_transactions_never_view_routed(self):
         cluster = views_cluster()
