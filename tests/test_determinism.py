@@ -8,23 +8,25 @@ seed is fixed at startup), so one test runs the same contended scenario in
 subprocesses under three different ``PYTHONHASHSEED`` values and asserts the
 final state digest *and* the simulated duration are identical.
 
-The other pins the message schedule of eight small runs: per cluster, the
+The other pins the message schedule of nine small runs: per cluster, the
 number and SHA-256 of the ``Network._deliver`` items of its dispatch trace
 (time, source, destination, message class). Five are one-cell sweeps; two
 cover the lease-mode promotions, an election under a partition and a
-migration cutover with writers; the last, the refusal run, covers refused
-commits and aborts and the fails they lead to. Unlike a full trace these
+migration cutover with writers; the refusal run covers refused commits and
+aborts and the fails they lead to; the last runs materialized views under
+the lease detector, a view host crashing and recovering with writers in
+flight. Unlike a full trace these
 name no process, so renaming or merging generators leaves them alone while
 any moved, added or dropped message changes them — the check for a
 refactor that must keep every schedule.
 
-The last pins what storage holds at the end of four runs: per site, the
+The last pins what storage holds at the end of five runs: per site, the
 text ``InMemoryStore.raw`` gives back for every document and the store's
 counters. A crash flush with transactions in flight, a view hydration from
 a snapshot taken while writes were in flight, many commits of a write-only
-workload, and kept effects written through by a fail each reach the
-committed state a different way; a refactor of how it is kept must leave
-all four unchanged.
+workload, kept effects written through by a fail, and the lease-mode view
+run each reach the committed state a different way; a refactor of how it is
+kept must leave all five unchanged.
 """
 
 from __future__ import annotations
@@ -160,6 +162,30 @@ def refusal_run():
     assert statuses == ["aborted", "failed", "failed"]
 
 
+def lease_views_run():
+    """dtxbench's ``regimes`` shape, smaller: the quorum preset (lease
+    detector), one ``//*`` view per fragment hosted at the one site outside
+    its replica set, and writers in flight when the first view host crashes
+    and recovers (it re-hydrates while the others keep serving)."""
+    system = SystemConfig.preset("quorum", seed=17, view_staleness_ms=20.0)
+    workload = WorkloadSpec(
+        n_clients=8, seed=17, tx_per_client=6, ops_per_tx=3, update_tx_ratio=0.5,
+    )
+    cluster, _ = build_cluster(
+        ExperimentConfig(n_sites=4, db_bytes=20_000, workload=workload, system=system)
+    )
+    hosts = []
+    for name in cluster.catalog.all_documents():
+        (host,) = set(cluster.sites) - set(cluster.catalog.sites_for(name))
+        cluster.register_view(f"view-{name}", "//*", [name], host=host)
+        hosts.append(host)
+    cluster.schedule_crash(hosts[0], at_ms=4.0, recover_at_ms=10.0)
+    cluster.run(drain_ms=100.0)
+    stats = cluster.site(hosts[0]).stats
+    assert stats.crashes == 1 and stats.view_hydrations >= 2
+    assert stats.view_reads_served > 0
+
+
 #: run -> one (deliveries, digest) per cluster it built.
 _PINNED_DELIVERIES = [
     ("availability", _sweep("availability", mode=("lazy",), crashes=(1,)), [
@@ -193,6 +219,11 @@ _PINNED_DELIVERIES = [
         (8, "3777922cb9566e232c27ff609f5dbf1c536fec8ba2c2b971422ef362824af542"),
         (9, "d6b529f024e2c759fe20c859ec9d34d2f9a64c017280e0efef5564da9ea29e96"),
         (9, "562e29ac3a6d075502baa7aa2d848bb178fd486b1ef3df361f3b16a0470c473c"),
+    ]),
+    # Views under leases: deltas, beacons, hydration, routed reads and
+    # fallbacks, and a view host's crash, wipe and re-hydration.
+    ("lease-views", lease_views_run, [
+        (2444, "78c6ea5ecb76d360d0ce3768365aa04cba6f897d22f995d0054791fede7a2c48"),
     ]),
 ]
 
@@ -257,6 +288,9 @@ _PINNED_STORES = [
         "af7f9667cbe8780e66f7caeef427f1c27e6cca4e4a29b610e1bb66b115cb0b4a",
         "9a8278be29262d61a983d243faf86d6210f181be8bd97240654cc8a93186ddbe",
         "02c4c7902e7e6a537291213693a9bef45450e840d6f8479623bd70b34683b432",
+    ]),
+    ("lease-views", lease_views_run, [
+        "773444b1b63359a602b3da13e53566ebf11730d9ee89547955b6a40465f0bf18",
     ]),
 ]
 
