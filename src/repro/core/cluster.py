@@ -226,12 +226,6 @@ class DTXCluster:
             self._migration = MigrationManager(self)
         return self._migration
 
-    def migrate_document(self, doc_name: str, targets: Sequence[Hashable], label: str = ""):
-        """Start moving ``doc_name``'s replica set to ``targets`` (first =
-        new primary) while traffic keeps flowing. Returns the
-        :class:`Migration` record; its ``done`` event fires on completion."""
-        return self.migration.migrate(doc_name, targets, label=label)
-
     def schedule_migration(
         self, doc_name: str, targets: Sequence[Hashable], at_ms: float, label: str = ""
     ) -> None:
@@ -285,15 +279,15 @@ class DTXCluster:
                     "its commits bypass the update log"
                 )
         self.catalog.register_view(view)
-        host_site = self.sites[host]
+        host_views = self.sites[host].views
         for doc_name in view.doc_names:
-            host_site.host_view(doc_name)
+            host_views.add_doc(doc_name)
             # Open the view outbox, and with it the push loop, at every
             # replica-set member: any of them may be (or become) the
             # document's primary.
             for sid in self.catalog.sites_for(doc_name):
-                self.sites[sid]._stage("view", doc_name)
-            host_site.hydrate_view(doc_name)
+                self.sites[sid].views.open_outbox(doc_name)
+            host_views.hydrate(doc_name)
         return view
 
     # -- fault injection ---------------------------------------------------

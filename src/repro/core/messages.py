@@ -529,8 +529,8 @@ class ViewDeltaBatch:
     """Primary -> view host: committed log entries since the last push.
 
     The view host's share of the primary's update stream, sent every
-    ``view_refresh_ms`` by the same push that ships the lazy
-    :class:`ReplicaSyncBatch` (``DTXSite._push``): entries are committed
+    ``view_refresh_ms`` by the primary's ``ViewManager`` (the secondaries'
+    lazy share is a :class:`ReplicaSyncBatch`): entries are committed
     ``UpdateLogEntry`` objects in LSN order, ``watermark`` is the
     primary's gapless ``applied_lsn`` at push time. An *empty* batch is a
     freshness beacon — it proves the host's shadow still matches the

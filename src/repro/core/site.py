@@ -23,7 +23,7 @@ All CPU work is charged to the simulated clock through the cost model in
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from inspect import isgeneratorfunction
 from operator import attrgetter
 from typing import Callable, Hashable, Optional
@@ -48,6 +48,8 @@ from ..sim.queues import Inbox, Store
 from ..sim.rng import substream
 from ..storage.datamanager import DataManager
 from ..storage.memory import InMemoryStore
+from ..update.applier import apply_charged
+from ..views import ViewManager
 from ..xml.model import Document, Element
 
 # Not called here. Kept as a module global because the dtxbench span
@@ -91,24 +93,6 @@ from .messages import (
 )
 from .rounds import NEVER, Round
 from .transaction import Operation, OpKind, Transaction, TxId, TxState
-
-
-@dataclass
-class _Outbox:
-    """One staging area of the update stream (``DTXSite._outboxes``).
-
-    ``kind`` is ``"sync"`` (a coordinator's commit-time batch for one
-    (document, primary) pair, items ``(rec, ops, waiter)``), ``"lazy"``
-    (committed entries no sync round ships, for the secondaries) or
-    ``"view"`` (committed entries for the view hosts). A sync or lazy box
-    is flushed, and closed, once after its kind's delay; a view box lives
-    as long as the push loop that drains it.
-    """
-
-    kind: str
-    doc_name: str
-    primary: Hashable
-    items: list = field(default_factory=list)
 
 
 #: The ack round (by its tag) each ack class answers.
@@ -286,9 +270,13 @@ class DTXSite:
         # folded into the *next* end-of-transaction wake sweep so the
         # wake-up owed for them is not lost.
         self._deferred_wake_keys: dict = {}
-        # The update stream's staging areas, every kind in one table keyed
-        # by (kind, document, primary): see _Outbox and _stage.
-        self._outboxes: dict[tuple, _Outbox] = {}
+        # The update stream's staging areas, one table per subscriber
+        # (the view hosts' are the ViewManager's). Commit-time sync batches
+        # by (document, primary), items (rec, ops, waiter); the committed
+        # entries no sync round ships, for the lazy secondaries, by
+        # document. Each box is flushed, and closed, once after its delay.
+        self._sync_outboxes: dict[tuple, list] = {}
+        self._lazy_outboxes: dict[str, list] = {}
         # In-flight reply rounds other than a coordinator's op/ack round
         # (that one is ``CoordinatorRecord.round``), by the id their reply
         # messages carry. One counter numbers them, and the unacknowledged
@@ -329,9 +317,9 @@ class DTXSite:
         self.membership: Optional[SiteMembership] = None
         self._elections: dict[str, int] = {}  # doc -> active election id
         self._heartbeat_seq = 0
-        # Materialized views (repro.views): the ViewManager of a *hosting*
-        # site, built on first use (None everywhere else).
-        self._views = None
+        # Materialized views (repro.views): pushing to view hosts, hosting
+        # shadows and routing reads are all the ViewManager's.
+        self.views = ViewManager(self)
 
         self._handlers = self._dispatch_table()
         self.inbox.serve(self._dispatch)
@@ -406,7 +394,7 @@ class DTXSite:
         (dropping the copy would lose them — the new primary serves
         catch-up from *its* log).
         """
-        if ("lazy", doc_name, self.site_id) in self._outboxes:
+        if doc_name in self._lazy_outboxes:
             return True
         for ctx in self.tx_contexts.values():
             for entry in ctx.op_entries.values():
@@ -672,8 +660,8 @@ class DTXSite:
             VersionProbe: self._on_version_probe,
             VersionReport: self._on_round_reply,
             ReadRepairNudge: self._on_read_repair,
-            ViewDeltaBatch: self._handle_view_delta,
-            ViewReadRequest: self._handle_view_read,
+            ViewDeltaBatch: self.views.on_delta,
+            ViewReadRequest: self.views.on_read,
             ViewReadResult: self._on_round_reply,
             WakeNotice: self._on_wake_notice,
             WfgRequest: self._on_wfg_request,
@@ -788,9 +776,9 @@ class DTXSite:
             )
 
         entry = OpEntry(doc_name=op.doc_name, lock_pairs=outcome.new_pairs, op=op)
-        eval_stats = EvalStats()
         try:
             if op.kind is OpKind.QUERY:
+                eval_stats = EvalStats()
                 result = evaluate(op.payload, doc, eval_stats)
                 entry.executed = True
                 size = 96 * len(result)
@@ -801,14 +789,13 @@ class DTXSite:
                 return LocalResult(
                     acquired=True, executed=True, result_size=size, cost_ms=cost
                 )
-            changes = self.data_manager.write(op.doc_name, op.payload, eval_stats)
+            changes, charge = apply_charged(
+                costs, self.data_manager.write, op.doc_name, op.payload
+            )
             self.protocol.after_apply(op.doc_name, changes)
             entry.changes = changes
             entry.executed = True
-            cost += (
-                eval_stats.nodes_visited * costs.node_visit_ms
-                + max(1, len(changes)) * costs.update_apply_ms
-            )
+            cost += charge
             ctx.op_entries[op.index] = entry
             self.stats.ops_executed += 1
             return LocalResult(acquired=True, executed=True, cost_ms=cost)
@@ -1194,10 +1181,10 @@ class DTXSite:
         """
         cost = 0.0
         for op in entry.ops:
-            eval_stats = EvalStats()
             try:
-                changes = self.data_manager.apply_replicated(
-                    entry.doc_name, op.payload, eval_stats
+                changes, charge = apply_charged(
+                    self.costs, self.data_manager.apply_replicated,
+                    entry.doc_name, op.payload,
                 )
             except UpdateError as exc:  # pragma: no cover - replica divergence
                 raise ReproError(
@@ -1205,10 +1192,7 @@ class DTXSite:
                     f"on {entry.doc_name!r}: {exc}"
                 ) from exc
             self.protocol.after_apply(entry.doc_name, changes)
-            cost += (
-                eval_stats.nodes_visited * self.costs.node_visit_ms
-                + max(1, len(changes)) * self.costs.update_apply_ms
-            )
+            cost += charge
         persisted = self.data_manager.commit(entry.doc_name)
         cost += (persisted / 1024.0) * self.costs.persist_per_kb_ms
         return cost, self._record(entry)
@@ -1219,20 +1203,21 @@ class DTXSite:
         ``lsn=0`` entry's LSN) and offer the recorded entry, which is
         returned, to the subscribers: view hosts get every entry the
         current primary records, the secondaries (``lazy``) only what no
-        sync round ships. The order is schedule: the view stage may start
+        sync round ships. The order is schedule: the view offer may start
         the push loop, the lazy stage the flush."""
         doc_name = entry.doc_name
         log = self.log_for(doc_name)
         entry = log.record(entry) if entry.lsn else log.append(entry)
-        if (
-            self.catalog.has_views(doc_name)
-            and self.catalog.replica_set(doc_name).primary == self.site_id
-        ):
-            self._stage("view", doc_name, entry)
+        if self.catalog.has_views(doc_name):
+            self.views.offer(entry)
         if persist:
             self.data_manager.commit(doc_name)
         if lazy:
-            self._stage("lazy", doc_name, entry)
+            box = self._lazy_outboxes.get(doc_name)
+            if box is None:
+                box = self._lazy_outboxes[doc_name] = []
+                self.env.process(self._push(doc_name, box, self.incarnation))
+            box.append(entry)
         return entry
 
     def _handle_end_request(self, msg: CommitRequest | AbortRequest):
@@ -1435,27 +1420,11 @@ class DTXSite:
                 raise _AbortTx(rec.abort_reason or "abort-ordered")
             rset = self.catalog.replica_set(op.doc_name)
             if op.kind is OpKind.QUERY:
-                # Materialized-view routing: a read-only transaction whose
-                # query a registered view subsumes is answered from the
-                # view host within the staleness bound — no locks, no 2PC
-                # (the host never joins sites_involved). Every refusal,
-                # timeout or host crash falls through to the locked path
-                # below, so correctness never depends on a view.
-                if (
-                    self.config.view_staleness_ms > 0
-                    and self.catalog.has_views(op.doc_name)
-                    and not tx.is_update_transaction
-                ):
-                    served = yield from self._span(
-                        self._try_view_read(rec, op), "view_read",
-                        "view", rec.op_span, rec, op.doc_name,
-                    )
-                    if served:
-                        op.executed = True
-                        rec.view_served_ops += 1
-                        self.stats.view_reads_routed += 1
-                        return
-                    self.stats.view_read_fallbacks += 1
+                # A read-only transaction's query goes to a covering view
+                # host first; a refusal, timeout or host crash falls
+                # through to the locked path below.
+                if (yield from self.views.route_read(rec, op)):
+                    return
                 if (
                     self.replication.is_quorum_read
                     and rset.is_replicated
@@ -1855,28 +1824,16 @@ class DTXSite:
         site crashed while the batch was pending.
         """
         waiter = self.env.event()
-        primary = self.catalog.replica_set(doc_name).primary
-        self._stage("sync", doc_name, (rec, ops, waiter), primary)
+        key = (doc_name, self.catalog.replica_set(doc_name).primary)
+        box = self._sync_outboxes.get(key)
+        if box is None:
+            # The first stage opens the box and starts its one flush.
+            box = self._sync_outboxes[key] = []
+            self.env.process(self._flush_sync_outbox(key, box, self.incarnation))
+        box.append((rec, ops, waiter))
         return waiter
 
-    def _stage(self, kind: str, doc_name: str, item=None, primary=None) -> None:
-        """Append ``item`` (if any) to this site's ``kind`` outbox for
-        ``doc_name``, shipping for ``primary`` (default: this site). The
-        first stage opens the box and starts what drains it: one
-        :meth:`_flush_outbox` for sync and lazy, :meth:`_view_push_loop`
-        for view."""
-        key = (kind, doc_name, self.site_id if primary is None else primary)
-        box = self._outboxes.get(key)
-        if box is None:
-            box = self._outboxes[key] = _Outbox(*key)
-            if kind == "view":
-                self.env.process(self._view_push_loop(box))
-            else:
-                self.env.process(self._flush_outbox(key, box, self.incarnation))
-        if item is not None:
-            box.items.append(item)
-
-    def _outbox_died(self, box: _Outbox, incarnation: int) -> bool:
+    def _outbox_died(self, box: list, incarnation: int) -> bool:
         """Whether this sync box belongs to a crashed (or crashed-and-
         restarted) incarnation of the site; if so its unsettled waiters
         fire with None. ``crash()`` settles every box through here and
@@ -1885,32 +1842,27 @@ class DTXSite:
         transactions already reported failed."""
         if self.alive and self.incarnation == incarnation:
             return False
-        for _, _, waiter in box.items:
+        for _, _, waiter in box:
             if not waiter.triggered:
                 waiter.succeed(None)
         return True
 
-    def _flush_outbox(self, key, box: _Outbox, incarnation: int):
-        """Close a sync or lazy box after ``group_commit_window_ms`` or
-        ``LAZY_STALENESS_MS`` and ship what it holds. A lazy box goes
-        through :meth:`_push`; a sync box's transactions are re-validated
-        one by one (a failover or crash during the window fails that
-        transaction, not the batch) and the rest ride
+    def _flush_sync_outbox(self, key: tuple, box: list, incarnation: int):
+        """Close the sync box of ``key`` = (document, primary) after
+        ``group_commit_window_ms`` and ship what it holds: its transactions
+        are re-validated one by one (a failover or crash during the window
+        fails that transaction, not the batch) and the rest ride
         :meth:`_flush_sequenced_batch`, which settles every waiter."""
-        sync = box.kind == "sync"
-        yield (self.config.group_commit_window_ms if sync else LAZY_STALENESS_MS)
-        if self._outboxes.get(key) is box:
-            del self._outboxes[key]
-        if not sync:
-            self._push(box, incarnation)
-            return
+        yield (self.config.group_commit_window_ms)
+        if self._sync_outboxes.get(key) is box:
+            del self._sync_outboxes[key]
         if self._outbox_died(box, incarnation):
             return
-        doc_name = box.doc_name
+        doc_name, primary = key
         rset = self.catalog.replica_set(doc_name)
         valid: list = []
-        for rec, ops, waiter in box.items:
-            if rset.primary == box.primary and self._wrote_at(rec, doc_name, rset.primary):
+        for rec, ops, waiter in box:
+            if rset.primary == primary and self._wrote_at(rec, doc_name, rset.primary):
                 valid.append((rec, ops, waiter))
             else:
                 waiter.succeed(
@@ -1928,7 +1880,7 @@ class DTXSite:
         if not valid:
             return
         self.stats.group_batched_syncs += len(valid)
-        yield from self._flush_sequenced_batch(box, incarnation, rset, valid)
+        yield from self._flush_sequenced_batch(doc_name, box, incarnation, rset, valid)
 
     def _sync_batch(self, doc_name: str, batch_id: int, entries: list,
                     span: int = 0) -> ReplicaSyncBatch:
@@ -1971,8 +1923,8 @@ class DTXSite:
         self._rounds.pop(batch_id, None)
         return rnd.replies
 
-    def _flush_sequenced_batch(self, box: _Outbox, incarnation: int, rset,
-                               valid: list):
+    def _flush_sequenced_batch(self, doc_name: str, box: list, incarnation: int,
+                               rset, valid: list):
         """Commit-time sync settlement, primary first (eager and quorum).
 
         Two sub-rounds instead of a single fan-out, and the ordering is
@@ -2007,7 +1959,6 @@ class DTXSite:
         logged* — an unlogged kept effect at the primary would be
         invisible to catch-up and diverge the replicas permanently.
         """
-        doc_name = box.doc_name
         is_quorum = self.replication.is_quorum_write
         quorum_w = self.replication.quorum_for(rset.degree).write_quorum if is_quorum else 0
         # Bounded rounds belong to the lease detector (messages can be
@@ -2301,17 +2252,12 @@ class DTXSite:
         self.waiters.clear()
         self._deferred_wake_keys.clear()
         # Outboxes are volatile: a sync batch's waiter fires with None so
-        # its (already-failed) coordinator unwinds; lazy entries are lost
-        # (the lazy regime's documented loss window); view hosts see the
-        # watermark gap and re-hydrate. A view box stays, emptied, for its
-        # push loop.
-        for key, box in list(self._outboxes.items()):
-            if box.kind == "view":
-                box.items.clear()
-                continue
-            del self._outboxes[key]
-            if box.kind == "sync":
-                self._outbox_died(box, self.incarnation)
+        # its (already-failed) coordinator unwinds, in staging order; lazy
+        # entries are lost (the lazy regime's documented loss window).
+        for box in self._sync_outboxes.values():
+            self._outbox_died(box, self.incarnation)
+        self._sync_outboxes.clear()
+        self._lazy_outboxes.clear()
         # Every in-flight round dies with the site; its waiter resumes,
         # sees the crash and unwinds (view reads fall back to the locked
         # path). The kinds settle in a fixed order, catch-up after the
@@ -2319,10 +2265,8 @@ class DTXSite:
         for kind in ("sync", "probe", "view_read", "view_fetch"):
             for rnd in self._rounds_of(kind):
                 rnd.cancel()
-        # A hosting site's view shadows are volatile too: recovery
-        # re-hydrates them from the current primaries.
-        if self._views is not None:
-            self._views.wipe()
+        # Staged view entries and hosted shadows are volatile too.
+        self.views.crash()
         if self.membership is not None:
             # The lease table and election state are volatile: a recovered
             # site re-learns the world from the heartbeats that greet it.
@@ -2391,13 +2335,7 @@ class DTXSite:
                 rset = self.catalog.replica_set(name)
                 if rset.primary == self.site_id:
                     break
-        # Hosted view shadows were wiped by the crash: re-hydrate each from
-        # its document's current primary so the views go back to serving.
-        if self._views is not None:
-            for doc_name in sorted(self._views.states):
-                if not self.alive:
-                    return
-                yield from self._view_fetch(doc_name)
+        yield from self.views.recover()
 
     def _on_site_down(self, msg: SiteDownNotice) -> None:
         """React to the failure monitor's crash announcement (or, in lease
@@ -2799,29 +2737,16 @@ class DTXSite:
         try:
             for _ in range(2):  # second round only to escalate to snapshot
                 log = self.log_for(doc_name)
-                req_id, rnd = self._open_round("catchup", (primary,))
-                self.network.send(
-                    self.site_id,
-                    primary,
-                    CatchUpRequest(
-                        doc_name=doc_name,
-                        requester=self.site_id,
-                        req_id=req_id,
-                        after_lsn=log.applied_lsn,
-                        # The sentinel epoch never matches: the primary's
-                        # divergence branch answers with a snapshot.
-                        last_epoch=-1 if force_snapshot else log.last_epoch,
-                    ),
+                resp = yield from self._pull(
+                    "catchup", doc_name, primary, log.applied_lsn,
+                    # The sentinel epoch never matches: the primary's
+                    # divergence branch answers with a snapshot.
+                    -1 if force_snapshot else log.last_epoch,
                 )
-                got = yield from rnd.wait(CATCHUP_TIMEOUT_MS)
-                self._rounds.pop(req_id, None)
-                if not self.alive:
+                if resp is None or not self.data_manager.is_loaded(doc_name):
+                    # Crashed, timed out, the primary is mid-election (retry
+                    # later) or the copy retired while the request flew.
                     return False
-                if not self.data_manager.is_loaded(doc_name):
-                    return False  # retired while the request was in flight
-                resp = got.get(primary) if got else None
-                if resp is None or not resp.ok:
-                    return False  # timed out / primary mid-election: retry later
                 cost = self.costs.scheduler_dispatch_ms
                 if resp.snapshot is not None:
                     cost += self._install_snapshot(doc_name, resp)
@@ -2853,6 +2778,29 @@ class DTXSite:
             self._catchup_gates.pop(doc_name, None)
             if not gate.triggered:
                 gate.succeed(None)
+
+    def _pull(self, kind: str, doc_name: str, primary: Hashable,
+              after_lsn: Optional[int] = None, last_epoch: int = 0):
+        """Ask ``primary`` for ``doc_name`` in one round of ``kind`` and wait
+        up to ``CATCHUP_TIMEOUT_MS``: the :class:`CatchUpResponse`, or None
+        when none came, it was not ok, or this site crashed meanwhile.
+
+        The one pull of a replica's catch-up (kind ``catchup``, naming its
+        log tip) and a view host's hydration (``view_fetch``, no tip: a
+        snapshot). The two kinds stay apart because a crash cancels them
+        at different points of its fixed order.
+        """
+        req_id, rnd = self._open_round(kind, (primary,))
+        self.network.send(self.site_id, primary, CatchUpRequest(
+            doc_name=doc_name, requester=self.site_id, req_id=req_id,
+            after_lsn=after_lsn, last_epoch=last_epoch,
+        ))
+        got = yield from rnd.wait(CATCHUP_TIMEOUT_MS)
+        self._rounds.pop(req_id, None)
+        resp = got.get(primary) if got else None
+        if not self.alive or resp is None or not resp.ok:
+            return None
+        return resp
 
     def _install_snapshot(self, doc_name: str, resp: CatchUpResponse) -> float:
         """Replace the local replica with the primary's committed state.
@@ -2937,7 +2885,7 @@ class DTXSite:
         return snapshot, size, log.applied_lsn
 
     # ------------------------------------------------------------------
-    # asynchronous subscribers: lazy secondaries and view hosts
+    # the lazy secondaries' subscription (the view hosts': repro.views)
     # ------------------------------------------------------------------
 
     def _log_and_queue_lazy(self, tid: TxId, ctx: SiteTxContext,
@@ -2974,225 +2922,33 @@ class DTXSite:
             )
             self._record(entry, lazy=True, persist=persist)
 
-    def _push(self, box: _Outbox, incarnation: int) -> None:
-        """Ship a lazy or view box's entries, one batch per live target.
+    def _push(self, doc_name: str, box: list, incarnation: int):
+        """Close the lazy box of ``doc_name`` after ``LAZY_STALENESS_MS``
+        and ship its entries to the secondaries: one
+        :class:`ReplicaSyncBatch` per live secondary, only when non-empty
+        (a secondary that misses it heals through gap catch-up).
 
         Fire-and-forget and fenced: only while alive in the staging
         incarnation and still leading the document, and only entries of
-        the current epoch. Lazy: a :class:`ReplicaSyncBatch` per secondary,
-        only when non-empty (a secondary that misses it heals through gap
-        catch-up). View: a :class:`ViewDeltaBatch` per view host, this site
-        included, in ``str`` order, with the log's gapless watermark — even
-        empty, as the freshness beacon that keeps an idle document
-        serveable. Both count entries × batches sent.
+        the current epoch.
         """
+        yield (LAZY_STALENESS_MS)
+        if self._lazy_outboxes.get(doc_name) is box:
+            del self._lazy_outboxes[doc_name]
         if not self.alive or self.incarnation != incarnation:
             return
-        entries, box.items = box.items, []
-        doc_name = box.doc_name
         rset = self.catalog.replica_set(doc_name)
         if rset.primary != self.site_id:
             return  # deposed while the entries waited: fenced
         epoch = self.catalog.epoch(doc_name)
-        entries = [e for e in entries if e.epoch >= epoch]
-        lazy = box.kind == "lazy"
-        if lazy and not entries:
+        entries = [e for e in box if e.epoch >= epoch]
+        if not entries:
             return
-        if lazy:
-            targets = rset.secondaries
-        else:
-            targets = sorted({v.host for v in self.catalog.views_for(doc_name)}, key=str)
-            watermark = self.log_for(doc_name).applied_lsn
-        live = [target for target in targets if self._peer_up(target)]
+        live = [target for target in rset.secondaries if self._peer_up(target)]
         batch_id = self._new_round_id()  # no round: the acks find none
         for target in live:
-            self.network.send(self.site_id, target, (
-                self._sync_batch(doc_name, batch_id, entries) if lazy
-                else ViewDeltaBatch(
-                    primary=self.site_id, doc_name=doc_name, batch_id=batch_id,
-                    epoch=epoch, watermark=watermark, entries=list(entries),
-                )
-            ))
-        if lazy:
-            self.stats.lazy_batches_propagated += len(live)
-            self.stats.lazy_entries_coalesced += len(live) * len(entries)
-        else:
-            self.stats.view_delta_batches += len(live)
-            self.stats.view_deltas_coalesced += len(live) * len(entries)
-
-    def _view_push_loop(self, box: _Outbox):
-        """Push ``box`` every ``view_refresh_ms``, for good: the loop
-        survives crashes (heartbeat-loop idiom), and :meth:`_push` keeps
-        it quiet while this site is down or does not lead."""
-        while True:
-            yield (self.config.view_refresh_ms)
-            self._push(box, self.incarnation)
-
-    # ------------------------------------------------------------------
-    # materialized views (repro.views)
-    # ------------------------------------------------------------------
-
-    @property
-    def views(self):
-        """This site's :class:`~repro.views.ViewManager`, built on first use.
-
-        Lazy like ``DTXCluster.migration``: a site that hosts no view never
-        constructs one, so default schedules stay bit-identical.
-        """
-        if self._views is None:
-            from ..views import ViewManager
-
-            self._views = ViewManager(self)
-        return self._views
-
-    def host_view(self, doc_name: str) -> None:
-        """Start hosting a view shadow of ``doc_name`` (cluster wiring)."""
-        self.views.add_doc(doc_name)
-
-    def hydrate_view(self, doc_name: str) -> None:
-        """Schedule the initial snapshot fetch for a hosted view shadow."""
-        self.env.process(self._hydrate_view_proc(doc_name))
-
-    def _hydrate_view_proc(self, doc_name: str):
-        yield (self.costs.scheduler_dispatch_ms)
-        if self.alive:
-            yield from self._view_fetch(doc_name)
-
-    # -- host side: maintenance and serving --------------------------------
-
-    def _handle_view_delta(self, msg: ViewDeltaBatch):
-        if not self.alive or self._views is None:
-            return
-        cost, need_fetch = self._views.ingest_delta(msg)
-        yield (cost)
-        if not self.alive:
-            return
-        if need_fetch:
-            yield from self._view_fetch(msg.doc_name)
-
-    def _view_fetch(self, doc_name: str):
-        """(Re)materialize one hosted shadow from the current primary.
-
-        Serialized per document (one fetch in flight); a refusal or
-        timeout simply leaves the shadow unhydrated — the next delta that
-        needs hydration retries, and reads fall back meanwhile. A host
-        that leads the document itself materializes locally.
-        """
-        mgr = self._views
-        if mgr is None:
-            return
-        state = mgr.states.get(doc_name)
-        if state is None or state.fetching:
-            return
-        state.fetching = True
-        try:
-            if not self.catalog.has_document(doc_name):
-                return
-            primary = self.catalog.replica_set(doc_name).primary
-            if primary == self.site_id:
-                snap = self._committed_snapshot(doc_name)
-                if snap is None:
-                    return  # racing batches in flight; retry later
-                cost = mgr.install_snapshot(doc_name, *snap, self.catalog.epoch(doc_name))
-                yield (cost)
-                return
-            if not self._peer_up(primary):
-                return
-            req_id, rnd = self._open_round("view_fetch", (primary,))
             self.network.send(
-                self.site_id,
-                primary,
-                CatchUpRequest(doc_name=doc_name, requester=self.site_id, req_id=req_id),
+                self.site_id, target, self._sync_batch(doc_name, batch_id, entries)
             )
-            got = yield from rnd.wait(CATCHUP_TIMEOUT_MS)
-            self._rounds.pop(req_id, None)
-            if not self.alive:
-                return
-            resp = got.get(primary) if got else None
-            if resp is None or not resp.ok:
-                return
-            cost = mgr.install_snapshot(
-                doc_name, resp.snapshot, resp.snapshot_size,
-                resp.snapshot_lsn, resp.snapshot_epoch,
-            )
-            yield (cost)
-        finally:
-            state.fetching = False
-
-    def _handle_view_read(self, msg: ViewReadRequest):
-        """Serve one routed read from the local shadow — no locks, no tx.
-
-        The refusal reasons (``no-view`` / ``epoch-fenced`` / ``stale``)
-        all make the coordinator fall back; only a hydrated, same-epoch,
-        within-bound shadow answers.
-        """
-        if not self.alive:
-            return
-        if self._views is None:
-            ok, reason, size, staleness, lsn, cost = False, "no-view", 0, 0.0, 0, 0.0
-        else:
-            ok, reason, size, staleness, lsn, cost = self._views.serve(
-                msg.op, msg.epoch, msg.bound_ms
-            )
-        tr = self.tracer
-        serve_start = self.env.now if tr is not None else 0.0
-        yield (self.costs.scheduler_dispatch_ms + cost)
-        if not self.alive:
-            return
-        if tr is not None:
-            tr.add(
-                "view_serve", "view", self.site_id, tr.live_parent(msg.span),
-                serve_start, self.env.now,
-                {"doc": msg.op.doc_name, "ok": "1" if ok else "0"},
-            )
-        self.network.send(
-            self.site_id,
-            msg.coordinator,
-            ViewReadResult(
-                tid=msg.tid,
-                read_id=msg.read_id,
-                site=self.site_id,
-                ok=ok,
-                reason=reason,
-                result_size=size,
-                staleness_ms=staleness,
-                lsn=lsn,
-            ),
-        )
-
-    # -- coordinator side: routing -----------------------------------------
-
-    def _try_view_read(self, rec: CoordinatorRecord, op: Operation):
-        """Try to answer a read-only query from a registered view host.
-
-        One bounded round per covering live host, in registration order.
-        True on success — the answer came entirely from the view host,
-        which never joins ``sites_involved`` (zero lock-table operations,
-        zero 2PC participation for this read). False when every candidate
-        refused or timed out: the caller falls back to the locked path.
-        """
-        epoch = self.catalog.epoch(op.doc_name)
-        tried: set = set()
-        for view in self.catalog.views_for(op.doc_name):
-            host = view.host
-            if host in tried:  # per-doc shadow: same answer as before
-                continue
-            if not view.covers(op.doc_name, op.payload):
-                continue
-            tried.add(host)
-            if not self._peer_up(host):
-                continue
-            read_id, rnd = self._open_round("view_read", (host,))
-            self._send_in_span(host, rec.op_span, ViewReadRequest(
-                tid=rec.tid, coordinator=self.site_id, op=op, read_id=read_id,
-                epoch=epoch, bound_ms=self.config.view_staleness_ms, span=rec.op_span,
-            ))
-            got = yield from rnd.wait(CATCHUP_TIMEOUT_MS)
-            self._rounds.pop(read_id, None)
-            self._check_alive()
-            if rec.abort_requested:
-                raise _AbortTx(rec.abort_reason or "abort-ordered")
-            resp = got.get(host) if got else None
-            if resp is not None and resp.ok:
-                return True
-        return False
+        self.stats.lazy_batches_propagated += len(live)
+        self.stats.lazy_entries_coalesced += len(live) * len(entries)

@@ -18,7 +18,7 @@ ids and regains them when reattached.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import UpdateError
 from ..xml.model import Document, Element, _is_name
@@ -67,6 +67,20 @@ def apply_update(
             revert(change)
         raise
     return changes
+
+
+def apply_charged(costs, apply: Callable, *args) -> tuple[list[AppliedChange], float]:
+    """Apply one update as ``apply(*args, stats)`` and price it in
+    simulated ms from ``costs`` (a :class:`~repro.config.CostConfig`): the
+    nodes its paths visited, plus one apply per change record and at least
+    one. The one apply-and-charge step of a participant's write, a log
+    replay (sync or catch-up) and a view host's delta."""
+    stats = EvalStats()
+    changes = apply(*args, stats)
+    return changes, (
+        stats.nodes_visited * costs.node_visit_ms
+        + max(1, len(changes)) * costs.update_apply_ms
+    )
 
 
 def revert(change: AppliedChange) -> AppliedChange:

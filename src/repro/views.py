@@ -1,18 +1,19 @@
 """Materialized XPath views: asynchronous read replicas for query traffic.
 
 A :class:`ViewDefinition` names an XPath pattern over one or more documents
-and a hosting site. The host's :class:`ViewManager` materializes each source
-document from a primary snapshot — pulled the way a lagging replica pulls
-one, by a :class:`~repro.core.messages.CatchUpRequest` that names no log
-tip — and then maintains it incrementally by
-consuming committed :class:`~repro.replication.log.UpdateLogEntry` batches
-pushed off the primary (``ViewDeltaBatch`` — a view host is one more
-subscriber of the primary's update stream, next to the secondaries, and is
-pushed to by the same code as lazy replication). A coordinator routes a
-read-only query to a view host when a registered view's pattern
-*subsumes* the query and the view's freshness is
-within the transaction's staleness bound; the served read takes no locks and
-joins no 2PC round.
+and a hosting site. A view host is one more subscriber of each document's
+update stream, next to the secondaries, as ViP2P's view peers are: every
+site's :class:`ViewManager` holds all of this subsystem's behaviour, and the
+site only calls its hooks. The host materializes each source document from
+a primary snapshot — pulled the way a lagging replica pulls one, by a
+:class:`~repro.core.messages.CatchUpRequest` that names no log tip — and
+then maintains it incrementally from the committed
+:class:`~repro.distribution.replication.UpdateLogEntry` batches the primary
+pushes (``ViewDeltaBatch``, every ``view_refresh_ms``). A coordinator routes
+a read-only query to a view host when a registered view's pattern
+*subsumes* the query and the view's freshness is within
+``view_staleness_ms``; the served read takes no locks and joins no 2PC
+round.
 
 Correctness never depends on a view being alive: any refusal (not hydrated,
 stale, epoch-fenced), timeout or host crash falls back to the normal locked
@@ -35,8 +36,11 @@ import hashlib
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
+from .config import CATCHUP_TIMEOUT_MS
+from .core.context import _AbortTx
+from .core.messages import ViewDeltaBatch, ViewReadRequest, ViewReadResult
 from .errors import ConfigError, UpdateError
-from .update.applier import apply_update
+from .update.applier import apply_charged, apply_update
 from .xml.model import Document
 from .xml.serializer import serialize_document
 from .xpath.ast import Axis, LocationPath, NodeTest, NodeTestKind, Step
@@ -160,29 +164,159 @@ class _ViewState:
 
 
 class ViewManager:
-    """Maintains and serves the view shadows hosted at one site.
+    """One site's part in the materialized views (``DTXSite.views``).
 
-    Built lazily by :attr:`DTXSite.views` — a site that hosts no view never
-    constructs one, so default schedules are untouched.
+    A view host is one more subscriber of a primary's update stream, next
+    to the secondaries; every site has a manager, which plays up to three
+    parts and holds state only for those it plays:
+
+    * **publisher**, at a replica of a viewed document: one outbox per
+      document and the push loop that drains it for good, shipping what
+      this site records while it leads the document to every view host;
+    * **host**: the shadows (``states``), hydrated by a tip-less catch-up
+      pull, maintained from the pushed deltas and served to routed reads;
+    * **router**, at a coordinator: a read-only transaction's query goes to
+      a covering view host first, and falls back to the locked path.
+
+    The site calls in through its hooks only: :meth:`offer` (an entry it
+    recorded), the message handlers :meth:`on_delta` and :meth:`on_read`,
+    :meth:`route_read`, :meth:`crash` and :meth:`recover`. The rounds this
+    opens are the site's (its registry and id counter), so a crash settles
+    them in the site's fixed order.
     """
 
     def __init__(self, site) -> None:
         self.site = site
         self.states: dict[str, _ViewState] = {}
         self.trace = None  # tests set a list to record every serve
+        self._outboxes: dict[str, list] = {}  # doc -> entries not yet pushed
 
     def add_doc(self, doc_name: str) -> _ViewState:
         return self.states.setdefault(doc_name, _ViewState())
 
-    def wipe(self) -> None:
-        """Crash: the shadows are volatile, recovery re-hydrates."""
+    # -- site hooks --------------------------------------------------------
+
+    def offer(self, entry) -> None:
+        """Stage an entry the site just recorded, while it leads the
+        entry's document (the caller checked that the document has views)."""
+        site = self.site
+        if site.catalog.replica_set(entry.doc_name).primary == site.site_id:
+            self.open_outbox(entry.doc_name).append(entry)
+
+    def crash(self) -> None:
+        """The site crashed: staged entries are lost (the hosts see the
+        watermark gap and re-hydrate), each outbox stays, emptied, for its
+        push loop; the shadows are volatile, recovery re-hydrates them."""
+        for box in self._outboxes.values():
+            box.clear()
         for state in self.states.values():
             state.invalidate()
             state.applied_lsn = 0
             state.epoch = 0
             state.fetching = False
 
-    # -- maintenance -------------------------------------------------------
+    def recover(self):
+        """Re-hydrate every hosted shadow from its document's current
+        primary (run by the site's recovery process, after its catch-ups)."""
+        for doc_name in sorted(self.states):
+            if not self.site.alive:
+                return
+            yield from self._fetch(doc_name)
+
+    # -- publisher: the view half of the update stream -----------------------
+
+    def open_outbox(self, doc_name: str) -> list:
+        """The outbox of ``doc_name``, opened with its push loop on first
+        use (at registration, at every replica: any may come to lead)."""
+        box = self._outboxes.get(doc_name)
+        if box is None:
+            box = self._outboxes[doc_name] = []
+            self.site.env.process(self._push_loop(doc_name, box))
+        return box
+
+    def _push_loop(self, doc_name: str, box: list):
+        """Push ``box`` every ``view_refresh_ms``, for good: the loop
+        survives crashes (heartbeat-loop idiom) and keeps quiet while the
+        site is down or does not lead the document."""
+        site = self.site
+        while True:
+            yield (site.config.view_refresh_ms)
+            if site.alive:
+                self._push(doc_name, box)
+
+    def _push(self, doc_name: str, box: list) -> None:
+        """Ship ``box``'s entries of the current epoch to every live view
+        host, this site included, in ``str`` order: one
+        :class:`~repro.core.messages.ViewDeltaBatch` each with the log's
+        gapless watermark, even empty, as the freshness beacon that keeps
+        an idle document serveable. A deposed site drops the entries."""
+        site = self.site
+        entries = box.copy()
+        box.clear()
+        catalog = site.catalog
+        if catalog.replica_set(doc_name).primary != site.site_id:
+            return
+        epoch = catalog.epoch(doc_name)
+        entries = [e for e in entries if e.epoch >= epoch]
+        targets = sorted({v.host for v in catalog.views_for(doc_name)}, key=str)
+        watermark = site.log_for(doc_name).applied_lsn
+        live = [target for target in targets if site._peer_up(target)]
+        batch_id = site._new_round_id()  # no round: the batches are not acked
+        for target in live:
+            site.network.send(site.site_id, target, ViewDeltaBatch(
+                primary=site.site_id, doc_name=doc_name, batch_id=batch_id,
+                epoch=epoch, watermark=watermark, entries=list(entries),
+            ))
+        site.stats.view_delta_batches += len(live)
+        site.stats.view_deltas_coalesced += len(live) * len(entries)
+
+    # -- host: hydration and maintenance ---------------------------------------
+
+    def hydrate(self, doc_name: str) -> None:
+        """Schedule the first snapshot pull of a hosted shadow."""
+        self.site.env.process(self._hydrate(doc_name))
+
+    def _hydrate(self, doc_name: str):
+        site = self.site
+        yield (site.costs.scheduler_dispatch_ms)
+        if site.alive:
+            yield from self._fetch(doc_name)
+
+    def _fetch(self, doc_name: str):
+        """(Re)materialize one hosted shadow from the current primary.
+
+        One fetch in flight per document; a refusal or timeout leaves the
+        shadow unhydrated (the next delta that needs hydration retries, and
+        reads fall back meanwhile). A host that leads the document itself
+        materializes locally.
+        """
+        site = self.site
+        state = self.states.get(doc_name)
+        if state is None or state.fetching:
+            return
+        state.fetching = True
+        try:
+            if not site.catalog.has_document(doc_name):
+                return
+            primary = site.catalog.replica_set(doc_name).primary
+            if primary == site.site_id:
+                snap = site._committed_snapshot(doc_name)
+                if snap is None:
+                    return  # racing batches in flight; retry later
+                cost = self.install_snapshot(doc_name, *snap, site.catalog.epoch(doc_name))
+            else:
+                if not site._peer_up(primary):
+                    return
+                resp = yield from site._pull("view_fetch", doc_name, primary)
+                if resp is None:
+                    return
+                cost = self.install_snapshot(
+                    doc_name, resp.snapshot, resp.snapshot_size,
+                    resp.snapshot_lsn, resp.snapshot_epoch,
+                )
+            yield (cost)
+        finally:
+            state.fetching = False
 
     def install_snapshot(
         self, doc_name: str, snapshot: Document, size: int, lsn: int, epoch: int
@@ -202,6 +336,17 @@ class ViewManager:
         state.synced_at = self.site.env.now
         self.site.stats.view_hydrations += 1
         return (size / 1024.0) * self.site.costs.parse_per_kb_ms
+
+    def on_delta(self, msg):
+        """Handle one ``ViewDeltaBatch``: apply it, then re-hydrate if it
+        left the shadow behind its primary."""
+        site = self.site
+        if not site.alive:
+            return
+        cost, need_fetch = self.ingest_delta(msg)
+        yield (cost)
+        if site.alive and need_fetch:
+            yield from self._fetch(msg.doc_name)
 
     def ingest_delta(self, msg) -> tuple[float, bool]:
         """Apply one ``ViewDeltaBatch``; returns ``(cost_ms, need_hydrate)``.
@@ -248,21 +393,46 @@ class ViewManager:
     def _apply_entry(self, state: _ViewState, entry) -> float:
         cost = 0.0
         for op in entry.ops:
-            eval_stats = EvalStats()
             try:
-                changes = apply_update(op.payload, state.doc, eval_stats)
+                _, charge = apply_charged(
+                    self.site.costs, apply_update, op.payload, state.doc
+                )
             except UpdateError:
                 # The shadow diverged (lost the replay invariant): drop it
                 # and re-hydrate rather than ever serving a wrong answer.
                 state.invalidate()
                 return cost
-            cost += (
-                eval_stats.nodes_visited * self.site.costs.node_visit_ms
-                + max(1, len(changes)) * self.site.costs.update_apply_ms
-            )
+            cost += charge
         return cost
 
-    # -- serving -----------------------------------------------------------
+    # -- host: serving -------------------------------------------------------
+
+    def on_read(self, msg):
+        """Serve one routed read from the local shadow — no locks, no tx.
+
+        The refusal reasons (``no-view`` / ``epoch-fenced`` / ``stale``)
+        all make the coordinator fall back; only a hydrated, same-epoch,
+        within-bound shadow answers.
+        """
+        site = self.site
+        if not site.alive:
+            return
+        ok, reason, size, staleness, lsn, cost = self.serve(msg.op, msg.epoch, msg.bound_ms)
+        tr = site.tracer
+        serve_start = site.env.now if tr is not None else 0.0
+        yield (site.costs.scheduler_dispatch_ms + cost)
+        if not site.alive:
+            return
+        if tr is not None:
+            tr.add(
+                "view_serve", "view", site.site_id, tr.live_parent(msg.span),
+                serve_start, site.env.now,
+                {"doc": msg.op.doc_name, "ok": "1" if ok else "0"},
+            )
+        site.network.send(site.site_id, msg.coordinator, ViewReadResult(
+            tid=msg.tid, read_id=msg.read_id, site=site.site_id, ok=ok,
+            reason=reason, result_size=size, staleness_ms=staleness, lsn=lsn,
+        ))
 
     def serve(
         self, op, epoch: int, bound_ms: float
@@ -306,3 +476,61 @@ class ViewManager:
                 }
             )
         return True, "", 96 * len(result), staleness, state.applied_lsn, cost
+
+    # -- router: the coordinator side ----------------------------------------
+
+    def route_read(self, rec, op):
+        """Answer a query of a read-only transaction from a view host, when
+        views are routed (``view_staleness_ms`` > 0) and the document has
+        some. True when served; the caller then skips the locked path. The
+        host never joins ``sites_involved``: no lock-table operation and no
+        2PC round for this read."""
+        site = self.site
+        if (
+            site.config.view_staleness_ms <= 0
+            or not site.catalog.has_views(op.doc_name)
+            or rec.tx.is_update_transaction
+        ):
+            return False
+        served = yield from site._span(
+            self._read(rec, op), "view_read", "view", rec.op_span, rec, op.doc_name,
+        )
+        if served:
+            op.executed = True
+            rec.view_served_ops += 1
+            site.stats.view_reads_routed += 1
+            return True
+        site.stats.view_read_fallbacks += 1
+        return False
+
+    def _read(self, rec, op):
+        """One bounded round per covering live host, in registration order,
+        until one answers; False when every candidate refused or timed out
+        (every refusal, timeout or host crash falls back to the locked
+        path, so correctness never depends on a view)."""
+        site = self.site
+        epoch = site.catalog.epoch(op.doc_name)
+        tried: set = set()
+        for view in site.catalog.views_for(op.doc_name):
+            host = view.host
+            if host in tried:  # per-doc shadow: same answer as before
+                continue
+            if not view.covers(op.doc_name, op.payload):
+                continue
+            tried.add(host)
+            if not site._peer_up(host):
+                continue
+            read_id, rnd = site._open_round("view_read", (host,))
+            site._send_in_span(host, rec.op_span, ViewReadRequest(
+                tid=rec.tid, coordinator=site.site_id, op=op, read_id=read_id,
+                epoch=epoch, bound_ms=site.config.view_staleness_ms, span=rec.op_span,
+            ))
+            got = yield from rnd.wait(CATCHUP_TIMEOUT_MS)
+            site._rounds.pop(read_id, None)
+            site._check_alive()
+            if rec.abort_requested:
+                raise _AbortTx(rec.abort_reason or "abort-ordered")
+            resp = got.get(host) if got else None
+            if resp is not None and resp.ok:
+                return True
+        return False

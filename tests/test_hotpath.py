@@ -442,7 +442,7 @@ class TestGroupCommit:
         assert len(set(states.values())) == 1
         for site in cluster.sites.values():
             assert site.lock_manager.table.is_empty()
-            assert not site._outboxes and not site._rounds
+            assert not (site._sync_outboxes or site._lazy_outboxes or site._rounds)
 
     def test_window_zero_is_a_batch_of_one_with_no_added_delay(self):
         """Window 0 is the same path with no wait: one one-entry batch per

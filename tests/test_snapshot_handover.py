@@ -246,6 +246,6 @@ def test_the_scenarios_reach_every_producer_with_the_live_tree_ahead(recorder):
         for make in DOCUMENTS.values():
             scenario(make())
     assert set(recorder.producers) == {
-        "_handle_catchup_request", "_handle_catchup_request/view-host", "_view_fetch",
+        "_handle_catchup_request", "_handle_catchup_request/view-host", "_fetch",
     }
     assert recorder.live_ahead > 0
