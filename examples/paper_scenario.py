@@ -4,99 +4,23 @@ Two sites, three transactions, one distributed deadlock: t1 and t2 block
 each other crosswise (each needs an IX lock under the other's held ST), the
 periodic detector unions the two wait-for graphs, finds the cycle, and rolls
 back the most recent transaction (t2). t1 then completes; client c2 discards
-t2 and runs t3.
+t2 and runs t3. The scenario itself is ``repro.experiments.scenario``, which
+``python -m repro scenario`` runs too.
 
 Run:  python examples/paper_scenario.py
 """
 
-from repro import DTXCluster, Operation, SystemConfig, Transaction
-from repro.update import InsertOp
-from repro.xml import E, doc, serialize_document
-
-
-def build_documents():
-    d1 = doc(
-        "d1",
-        E(
-            "people",
-            E("person", E("id", text="1"), E("name", text="Carlos")),
-            E("person", E("id", text="4"), E("name", text="Maria")),
-        ),
-    )
-    d2 = doc(
-        "d2",
-        E(
-            "products",
-            E("product", E("id", text="4"), E("description", text="Monitor"),
-              E("price", text="250.00")),
-            E("product", E("id", text="14"), E("description", text="Webcam"),
-              E("price", text="35.50")),
-        ),
-    )
-    return d1, d2
+from repro.experiments.scenario import paper_scenario
 
 
 def main() -> None:
-    cfg = SystemConfig().with_(
-        client_think_ms=0.0, detector_interval_ms=50.0, detector_initial_delay_ms=10.0
-    )
-    cluster = DTXCluster(protocol="xdgl", config=cfg)
-    d1, d2 = build_documents()
-    cluster.add_site("s1", [d1])           # s1 holds a copy of d1
-    cluster.add_site("s2", [d1, d2])       # s2 holds d1 and d2 (Fig. 4)
-
-    t1 = Transaction(
-        [
-            Operation.query("d1", "/people/person[id=4]"),  # t1op1
-            Operation.update("d2", InsertOp(                # t1op2
-                "<product><id>13</id><description>Mouse</description>"
-                "<price>10.30</price></product>", "/products")),
-        ],
-        label="t1",
-    )
-    t2 = Transaction(
-        [
-            Operation.query("d2", "/products/product"),     # t2op1
-            Operation.update("d1", InsertOp(                # t2op2
-                "<person><id>22</id><name>Patricia</name></person>", "/people")),
-        ],
-        label="t2",
-    )
-    t3 = Transaction(
-        [
-            Operation.query("d2", "/products/product[id=14]"),  # t3op1
-            Operation.update("d2", InsertOp(                    # t3op2
-                "<product><id>32</id><description>Keyboard</description>"
-                "<price>9.90</price></product>", "/products")),
-        ],
-        label="t3",
-    )
-
-    cluster.add_client("c1", "s1", [t1])
-    cluster.add_client("c2", "s2", [t2, t3])
-
-    # Show the DataGuides the locks live on (paper Fig. 5).
-    cluster.start()
-    print("DataGuide of d1 at s1 (locks are taken on these nodes):")
-    print(cluster.site("s1").protocol.guide("d1").pretty())
-    print()
-
-    result = cluster.run()
-
-    print("outcomes:")
-    for r in sorted(result.records, key=lambda r: r.label):
-        reason = f" ({r.reason})" if r.reason else ""
-        print(f"  {r.label}: {r.status}{reason}  response={r.response_ms:.2f} ms")
-    print(f"\ndistributed deadlocks detected: {result.distributed_deadlocks}")
-    print(f"detector sweeps: {result.detector_sweeps}")
-
-    print("\nd2 after the scenario (Mouse and Keyboard in, no Patricia anywhere):")
-    print(serialize_document(cluster.document_at("s2", "d2"), indent=2))
-
-    same = serialize_document(cluster.document_at("s1", "d1")) == serialize_document(
-        cluster.document_at("s2", "d1")
-    )
-    print(f"\nd1 replicas identical across sites: {same}")
+    result = paper_scenario()
+    outcome = {r.label: (r.status, r.reason) for r in result.records}
+    assert outcome == {
+        "t1": ("committed", ""),
+        "t2": ("aborted", "distributed-deadlock"),
+        "t3": ("committed", ""),
+    }, outcome
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from .experiments import (
     granularity,
 )
 from .experiments import report as report_mod
+from .experiments.scenario import paper_scenario
 from .experiments.sweeps import SWEEPS, Sweep, emit, run_sweep
 
 _FIGURES = {
@@ -87,46 +88,6 @@ def _run_figures(names: list[str], full: bool, out=sys.stdout) -> int:
                 print(f"  SHAPE CHECK FAILED: {exc}", file=out)
         print(file=out)
     return failures
-
-
-def _run_scenario(out=sys.stdout) -> int:
-    # Import lazily: the example module is self-contained and printable.
-    import contextlib
-    import importlib.util
-    import os
-
-    path = os.path.join(os.path.dirname(__file__), "..", "..", "examples", "paper_scenario.py")
-    path = os.path.normpath(path)
-    if not os.path.exists(path):  # installed without examples: inline fallback
-        from .config import SystemConfig
-        from .core import DTXCluster, Operation, Transaction
-        from .update import InsertOp
-        from .xml import E, doc
-
-        cfg = SystemConfig().with_(client_think_ms=0.0, detector_interval_ms=50.0,
-                                   detector_initial_delay_ms=10.0)
-        cluster = DTXCluster(protocol="xdgl", config=cfg)
-        d1 = doc("d1", E("people", E("person", E("id", text="4"), E("name", text="Maria"))))
-        d2 = doc("d2", E("products", E("product", E("id", text="14"))))
-        cluster.add_site("s1", [d1])
-        cluster.add_site("s2", [d1, d2])
-        t1 = Transaction([Operation.query("d1", "/people/person[id=4]"),
-                          Operation.update("d2", InsertOp("<product><id>13</id></product>", "/products"))],
-                         label="t1")
-        t2 = Transaction([Operation.query("d2", "/products/product"),
-                          Operation.update("d1", InsertOp("<person><id>22</id></person>", "/people"))],
-                         label="t2")
-        cluster.add_client("c1", "s1", [t1])
-        cluster.add_client("c2", "s2", [t2])
-        res = cluster.run()
-        print(res.summary(), file=out)
-        return 0
-    spec = importlib.util.spec_from_file_location("paper_scenario", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    with contextlib.redirect_stdout(out):
-        mod.main()
-    return 0
 
 
 def _add_sweep(sub, sweep: Sweep) -> None:
@@ -202,7 +163,8 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     if args.command == "figures":
         return _run_figures(list(args.only), args.full, out)
     if args.command == "scenario":
-        return _run_scenario(out)
+        paper_scenario(out)
+        return 0
     if args.command == "protocols":
         for name in available_protocols():
             print(name, file=out)

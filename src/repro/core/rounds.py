@@ -65,8 +65,9 @@ class Round:
     ========== ================================ ===========================
 
     ``view_fetch`` (a view host's hydration) and ``catchup`` rounds both
-    send a ``CatchUpRequest``; they stay two kinds because a crash cancels
-    them at different points of its fixed order, which is schedule.
+    send a ``CatchUpRequest``, through the one ``DTXSite._pull``; they stay
+    two kinds because a crash cancels them at different points of its
+    fixed order, which is schedule.
 
     The round bound is ``DTXSite._round_timeout_ms`` (2 x lease timeout +
     election timeout); the two upper-case constants live in

@@ -15,6 +15,11 @@ The architecture follows Fig. 1 of the paper:
 * the **DataManager** bridges the in-memory documents and the storage
   backend.
 
+Every log append goes through ``_record``, which feeds the update stream's
+subscribers, each on its own path: the sync and lazy outboxes here, the
+view hosts through :class:`~repro.views.ViewManager` (``self.views``),
+which holds the view subsystem and is called through hooks only.
+
 All CPU work is charged to the simulated clock through the cost model in
 :class:`repro.config.CostConfig`; all remote interaction flows through
 :class:`repro.sim.network.Network`.

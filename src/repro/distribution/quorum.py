@@ -125,10 +125,6 @@ class VersionVector:
     applied_lsn: int  # highest gapless LSN (every earlier batch applied)
     max_recorded_lsn: int  # highest LSN recorded at all (holes allowed)
 
-    @property
-    def order_key(self) -> tuple:
-        return (self.epoch, self.applied_lsn)
-
 
 def version_frontier(reports: dict) -> tuple:
     """``(top_epoch, frontier)`` of a probe round's reports.

@@ -2,8 +2,8 @@
 
 Every error raised by :mod:`repro` derives from :class:`ReproError` so callers
 can catch library failures with a single handler while still being able to
-discriminate subsystems (XML parsing, XPath, updates, locking, transactions,
-storage, distribution).
+discriminate subsystems (XML parsing, XPath, updates, locking, storage,
+distribution, configuration, the simulation kernel).
 """
 
 from __future__ import annotations
@@ -71,37 +71,6 @@ class UpdateSyntaxError(UpdateError):
 
 class LockError(ReproError):
     """Base class for locking subsystem errors."""
-
-
-class LockUpgradeError(LockError):
-    """Raised when a lock upgrade is requested outside the mode lattice."""
-
-
-class DeadlockDetected(ReproError):
-    """Internal signal: acquiring a lock would close a wait-for cycle."""
-
-    def __init__(self, message: str, victim=None):
-        super().__init__(message)
-        self.victim = victim
-
-
-class TransactionError(ReproError):
-    """Base class for transaction lifecycle errors."""
-
-
-class TransactionAborted(TransactionError):
-    """The transaction was aborted (deadlock victim or explicit abort)."""
-
-    def __init__(self, message: str, reason: str = "abort"):
-        super().__init__(message)
-        self.reason = reason
-
-
-class TransactionFailed(TransactionError):
-    """The transaction failed: an abort could not be executed at some site.
-
-    Mirrors the paper's three terminal states: *commit*, *abort*, *fail*.
-    """
 
 
 class StorageError(ReproError):

@@ -152,10 +152,6 @@ class Process(Event):
         self._tick_cbs = cbs
         env._schedule(tick, 0.0)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def _resume(self, trigger: Event) -> None:
         generator = self._generator
         while True:

@@ -166,23 +166,14 @@ class _ViewState:
 class ViewManager:
     """One site's part in the materialized views (``DTXSite.views``).
 
-    A view host is one more subscriber of a primary's update stream, next
-    to the secondaries; every site has a manager, which plays up to three
-    parts and holds state only for those it plays:
-
-    * **publisher**, at a replica of a viewed document: one outbox per
-      document and the push loop that drains it for good, shipping what
-      this site records while it leads the document to every view host;
-    * **host**: the shadows (``states``), hydrated by a tip-less catch-up
-      pull, maintained from the pushed deltas and served to routed reads;
-    * **router**, at a coordinator: a read-only transaction's query goes to
-      a covering view host first, and falls back to the locked path.
-
-    The site calls in through its hooks only: :meth:`offer` (an entry it
-    recorded), the message handlers :meth:`on_delta` and :meth:`on_read`,
-    :meth:`route_read`, :meth:`crash` and :meth:`recover`. The rounds this
-    opens are the site's (its registry and id counter), so a crash settles
-    them in the site's fixed order.
+    Every site has one, and it plays up to three parts: **publisher** at a
+    replica of a viewed document (an outbox per document, drained by a push
+    loop while the site leads it), **host** of the shadows (``states``) and
+    **router** of its coordinators' read-only queries. The site calls in
+    through its hooks only: :meth:`offer`, the handlers :meth:`on_delta`
+    and :meth:`on_read`, :meth:`route_read`, :meth:`crash` and
+    :meth:`recover`. The rounds this opens are the site's (its registry
+    and id counter), so a crash settles them in the site's fixed order.
     """
 
     def __init__(self, site) -> None:
@@ -235,40 +226,36 @@ class ViewManager:
         return box
 
     def _push_loop(self, doc_name: str, box: list):
-        """Push ``box`` every ``view_refresh_ms``, for good: the loop
-        survives crashes (heartbeat-loop idiom) and keeps quiet while the
-        site is down or does not lead the document."""
+        """Every ``view_refresh_ms``, for good (the loop survives crashes,
+        heartbeat-loop idiom), while the site is up: ship ``box``'s entries
+        of the current epoch to every live view host, this site included,
+        in ``str`` order — one :class:`~repro.core.messages.ViewDeltaBatch`
+        each with the log's gapless watermark, even empty, as the freshness
+        beacon that keeps an idle document serveable. A site that does not
+        lead the document drops the entries."""
         site = self.site
+        catalog = site.catalog
         while True:
             yield (site.config.view_refresh_ms)
-            if site.alive:
-                self._push(doc_name, box)
-
-    def _push(self, doc_name: str, box: list) -> None:
-        """Ship ``box``'s entries of the current epoch to every live view
-        host, this site included, in ``str`` order: one
-        :class:`~repro.core.messages.ViewDeltaBatch` each with the log's
-        gapless watermark, even empty, as the freshness beacon that keeps
-        an idle document serveable. A deposed site drops the entries."""
-        site = self.site
-        entries = box.copy()
-        box.clear()
-        catalog = site.catalog
-        if catalog.replica_set(doc_name).primary != site.site_id:
-            return
-        epoch = catalog.epoch(doc_name)
-        entries = [e for e in entries if e.epoch >= epoch]
-        targets = sorted({v.host for v in catalog.views_for(doc_name)}, key=str)
-        watermark = site.log_for(doc_name).applied_lsn
-        live = [target for target in targets if site._peer_up(target)]
-        batch_id = site._new_round_id()  # no round: the batches are not acked
-        for target in live:
-            site.network.send(site.site_id, target, ViewDeltaBatch(
-                primary=site.site_id, doc_name=doc_name, batch_id=batch_id,
-                epoch=epoch, watermark=watermark, entries=list(entries),
-            ))
-        site.stats.view_delta_batches += len(live)
-        site.stats.view_deltas_coalesced += len(live) * len(entries)
+            if not site.alive:
+                continue
+            entries = box.copy()
+            box.clear()
+            if catalog.replica_set(doc_name).primary != site.site_id:
+                continue
+            epoch = catalog.epoch(doc_name)
+            entries = [e for e in entries if e.epoch >= epoch]
+            targets = sorted({v.host for v in catalog.views_for(doc_name)}, key=str)
+            watermark = site.log_for(doc_name).applied_lsn
+            live = [target for target in targets if site._peer_up(target)]
+            batch_id = site._new_round_id()  # no round: the batches are not acked
+            for target in live:
+                site.network.send(site.site_id, target, ViewDeltaBatch(
+                    primary=site.site_id, doc_name=doc_name, batch_id=batch_id,
+                    epoch=epoch, watermark=watermark, entries=list(entries),
+                ))
+            site.stats.view_delta_batches += len(live)
+            site.stats.view_deltas_coalesced += len(live) * len(entries)
 
     # -- host: hydration and maintenance ---------------------------------------
 
@@ -462,19 +449,11 @@ class ViewManager:
         stats.view_reads_served += 1
         stats.view_staleness_sum_ms += staleness
         if self.trace is not None:
-            digest = hashlib.sha256(
-                serialize_document(state.doc).encode()
-            ).hexdigest()
-            self.trace.append(
-                {
-                    "doc": op.doc_name,
-                    "lsn": state.applied_lsn,
-                    "epoch": state.epoch,
-                    "staleness_ms": staleness,
-                    "digest": digest,
-                    "at_ms": site.env.now,
-                }
-            )
+            self.trace.append({
+                "doc": op.doc_name, "lsn": state.applied_lsn, "epoch": state.epoch,
+                "staleness_ms": staleness, "at_ms": site.env.now,
+                "digest": hashlib.sha256(serialize_document(state.doc).encode()).hexdigest(),
+            })
         return True, "", 96 * len(result), staleness, state.applied_lsn, cost
 
     # -- router: the coordinator side ----------------------------------------

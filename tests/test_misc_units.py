@@ -353,7 +353,10 @@ class TestCLI:
         buf = io.StringIO()
         assert cli_main(["scenario"], out=buf) == 0
         out = buf.getvalue()
-        assert "t1" in out and "t2" in out
+        # The paper's outcome: t2 is the deadlock victim, t1 and t3 commit.
+        assert "t2: aborted (distributed-deadlock)" in out
+        assert "t1: committed" in out and "t3: committed" in out
+        assert "distributed deadlocks detected: 1" in out
 
     def test_fig8_via_cli(self):
         buf = io.StringIO()
