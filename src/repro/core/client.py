@@ -8,7 +8,7 @@ sequentially, records response times and — like client c2 in the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from ..config import SystemConfig

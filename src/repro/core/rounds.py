@@ -147,5 +147,6 @@ class Round:
             return None
         if timeout_ms is None:
             return (yield self.event)
-        fired = yield env.any_of([self.event, env.timeout(timeout_ms, value=None)])
-        return fired.get(self.event)
+        event = self.event
+        won = yield env.first_of(event, env.timeout(timeout_ms))
+        return won._value if won is event else None

@@ -322,6 +322,12 @@ class DTXSite:
         self.membership: Optional[SiteMembership] = None
         self._elections: dict[str, int] = {}  # doc -> active election id
         self._heartbeat_seq = 0
+        self._peers: tuple = (None, [])  # (site count, _membership_peers)
+        # Per peer, the views of the last heartbeat whose facts this site
+        # adopted. Epochs only grow and the catalog view outlives a crash,
+        # so a fact adopted or found stale once is stale for good: equal
+        # views carry nothing to adopt.
+        self._views_heard: dict = {}
         # Materialized views (repro.views): pushing to view hosts, hosting
         # shadows and routing reads are all the ViewManager's.
         self.views = ViewManager(self)
@@ -1586,17 +1592,19 @@ class DTXSite:
         if rec.wake_pending or rec.abort_requested:
             rec.wake_pending = False
             return
-        rec.wake_event = self.env.event()
-        waits = [rec.wake_event]
-        timeout_ev = None
-        if self.config.lock_wait_timeout_ms > 0:
-            timeout_ev = self.env.timeout(self.config.lock_wait_timeout_ms, value="timeout")
-            waits.append(timeout_ev)
-        fired = yield self.env.any_of(waits)
+        env = self.env
+        wake = rec.wake_event = env.event()
+        timeout_ms = self.config.lock_wait_timeout_ms
+        if timeout_ms > 0:
+            won = yield env.first_of(wake, env.timeout(timeout_ms))
+        else:
+            # Not a bare ``yield wake``: the relay resumes one queue item
+            # after the wake, which is schedule.
+            won = yield env.first_of(wake)
         rec.wake_event = None
         rec.wake_pending = False
         self._check_alive()
-        if timeout_ev is not None and timeout_ev in fired and not rec.abort_requested:
+        if won is not wake and not rec.abort_requested:
             raise _AbortTx("lock-wait-timeout")
 
     # ------------------------------------------------------------------
@@ -2399,10 +2407,15 @@ class DTXSite:
     # ------------------------------------------------------------------
 
     def _membership_peers(self) -> list:
-        """Every other registered site, in deterministic order."""
-        return sorted(
-            (s for s in self.network.site_ids if s != self.site_id), key=str
-        )
+        """Every other registered site, in deterministic order: one list,
+        sorted again only when another site registers."""
+        count, peers = self._peers
+        if count != self.network.site_count:
+            peers = sorted(
+                (s for s in self.network.site_ids if s != self.site_id), key=str
+            )
+            self._peers = (self.network.site_count, peers)
+        return peers
 
     def _heartbeat_loop(self):
         """Broadcast this site's liveness (and membership facts) forever.
@@ -2413,19 +2426,28 @@ class DTXSite:
         results keep disseminating after the one-shot announce). A dead
         site simply skips its beats — silence *is* the failure signal.
         """
+        catalog = self.catalog
+        live = self.data_manager
+        # The documents a beat covers (hosted, catalogued, replicated, in
+        # name order) move only with the live set and the placement.
+        seen = None
         while True:
             yield (HEARTBEAT_INTERVAL_MS)
             if not self.alive:
                 continue
+            version = (live.live_version, catalog.placement_version)
+            if version != seen:
+                seen = version
+                names = [
+                    name for name in live.live_documents()
+                    if catalog.has_document(name)
+                    and catalog.replica_set(name).is_replicated
+                ]
             watermarks: dict = {}
             views: dict = {}
-            for name in sorted(self.data_manager.live_documents()):
-                if not self.catalog.has_document(name):
-                    continue
-                if not self.catalog.replica_set(name).is_replicated:
-                    continue
+            for name in names:
                 watermarks[name] = self.log_for(name).applied_lsn
-                views[name] = self.catalog.view_of(name)
+                views[name] = catalog.view_of(name)
             self._heartbeat_seq += 1
             beat = HeartbeatMessage(
                 sender=self.site_id,
@@ -2434,14 +2456,23 @@ class DTXSite:
                 watermarks=watermarks,
                 views=views,
             )
-            for peer in self._membership_peers():
+            peers = self._membership_peers()
+            for peer in peers:
                 self.network.send(self.site_id, peer, beat)
-                self.stats.heartbeats_sent += 1
+            self.stats.heartbeats_sent += len(peers)
 
     def _lease_check_loop(self):
         """Expire peers' leases; suspicion is the lease-mode 'down' event."""
+        # Grace only adds the peers a lease table lacks and nothing removes
+        # one, so it is a no-op until the table (a crash replaces it) or
+        # the peer list changes.
+        graced = (None, None)
         while True:
-            self.membership.grace(self._membership_peers(), self.env.now)
+            membership = self.membership
+            peers = self._membership_peers()
+            if graced[0] is not membership or graced[1] is not peers:
+                membership.grace(peers, self.env.now)
+                graced = (membership, peers)
             yield (HEARTBEAT_INTERVAL_MS)
             if not self.alive:
                 continue
@@ -2479,25 +2510,27 @@ class DTXSite:
     def _on_heartbeat(self, msg: HeartbeatMessage) -> None:
         if not self.alive or self.membership is None:
             return
-        came_back = self.membership.heard_from(
-            msg.sender, self.env.now, msg.incarnation
-        )
-        self.membership.watermarks[msg.sender] = dict(msg.watermarks)
-        for doc_name, (epoch, primary) in sorted(msg.views.items()):
-            self._adopt_view(doc_name, primary, epoch)
+        sender = msg.sender
+        came_back = self.membership.heard_from(sender, self.env.now, msg.incarnation)
+        # Kept as sent: every beat builds its own dicts and nothing
+        # changes them.
+        watermarks = self.membership.watermarks[sender] = msg.watermarks
+        views = msg.views
+        if views != self._views_heard.get(sender):
+            for doc_name, (epoch, primary) in sorted(views.items()):
+                self._adopt_view(doc_name, primary, epoch)
+            self._views_heard[sender] = views
         # Anti-entropy: the primary's heartbeat advertises its applied
         # watermark. A replica that sees itself behind reconciles by
         # catch-up — this is what heals a batch whose sync fell into a cut
         # too short to trigger suspicion (no election, no gap-detecting
         # next write: without this nudge the divergence would be silent
         # and permanent).
-        for doc_name, watermark in sorted(msg.watermarks.items()):
-            if not self.catalog.has_document(doc_name):
-                continue
-            rset = self.catalog.replica_set(doc_name)
+        for rset in self.catalog.led_by(self.site_id).get(sender, ()):
+            doc_name = rset.doc_name
+            watermark = watermarks.get(doc_name)
             if (
-                rset.primary == msg.sender
-                and self.site_id in rset
+                watermark is not None
                 and watermark > self.log_for(doc_name).applied_lsn
             ):
                 self.nudge_catch_up(doc_name)
@@ -2520,11 +2553,9 @@ class DTXSite:
         just-received heartbeat ``advertised`` are rechecked: nothing
         else's floor can have moved.
         """
-        for name in advertised:
-            if not self.catalog.has_document(name) or name not in self.logs:
-                continue
-            rset = self.catalog.replica_set(name)
-            if not rset.is_replicated or rset.primary != self.site_id:
+        for rset in self.catalog.led_by(self.site_id).get(self.site_id, ()):
+            name = rset.doc_name
+            if name not in advertised or name not in self.logs:
                 continue
             floor = min(
                 self.membership.watermark_of(peer, name)

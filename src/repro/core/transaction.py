@@ -163,7 +163,13 @@ class Transaction:
 
     @property
     def is_update_transaction(self) -> bool:
-        return any(op.is_update for op in self.operations)
+        """Whether any operation is an update. Decided on the first call
+        and kept: every routed query asks, and the operations never change."""
+        try:
+            return self._is_update
+        except AttributeError:
+            flag = self._is_update = any(op.is_update for op in self.operations)
+            return flag
 
     @property
     def done(self) -> bool:

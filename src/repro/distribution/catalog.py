@@ -37,6 +37,9 @@ class Catalog:
         # default schedules never touch it.
         self._views: dict[str, object] = {}
         self._views_by_doc: dict[str, tuple] = {}
+        # Bumped by every placement change (``_place``), so a caller can
+        # keep what it derives from the placement until it moves.
+        self.placement_version = 0
 
     def add(self, doc_name: str, site_ids: Iterable[Hashable]) -> None:
         sites = tuple(site_ids)
@@ -48,6 +51,7 @@ class Catalog:
 
     def _place(self, doc_name: str, sites: tuple[Hashable, ...]) -> None:
         self._placement[doc_name] = sites
+        self.placement_version += 1
         self._replica_sets[doc_name] = ReplicaSet(
             doc_name=doc_name, primary=sites[0], secondaries=sites[1:]
         )
@@ -200,6 +204,10 @@ class CatalogView:
     def __init__(self, shared: Catalog) -> None:
         self._shared = shared
         self._overrides: dict[str, tuple[Hashable, int]] = {}  # doc -> (primary, epoch)
+        # Facts adopted so far: with the shared placement's version, the
+        # version of everything :meth:`replica_set` answers.
+        self._adopted = 0
+        self._led: tuple = (None, None, {})  # (version, site, led_by's answer)
 
     # -- membership facts: view-local ---------------------------------------
 
@@ -230,7 +238,23 @@ class CatalogView:
                 f"announced primary {primary!r} holds no replica of {doc_name!r}"
             )
         self._overrides[doc_name] = (primary, epoch)
+        self._adopted += 1
         return True
+
+    def led_by(self, site_id: Hashable) -> dict:
+        """The replicated documents ``site_id`` holds, as leader -> their
+        replica sets in name order, as this view sees them. Kept until the
+        placement changes or the view adopts a fact."""
+        version = (self._shared.placement_version, self._adopted)
+        seen, site, led = self._led
+        if seen != version or site != site_id:
+            led = {}
+            for name in self._shared.all_documents():
+                rset = self.replica_set(name)
+                if rset.is_replicated and site_id in rset:
+                    led.setdefault(rset.primary, []).append(rset)
+            self._led = (version, site_id, led)
+        return led
 
     def view_of(self, doc_name: str) -> tuple[int, Hashable]:
         """The ``(epoch, primary)`` fact heartbeats disseminate."""
@@ -241,6 +265,10 @@ class CatalogView:
         return self._shared.claim_epoch(doc_name, at_least=self.epoch(doc_name))
 
     # -- everything else: delegated -----------------------------------------
+
+    @property
+    def placement_version(self) -> int:
+        return self._shared.placement_version
 
     def sites_for(self, doc_name: str) -> tuple[Hashable, ...]:
         return self._shared.sites_for(doc_name)

@@ -13,11 +13,10 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..config import SystemConfig
 from ..core.results import RunResult
-from ..distribution.catalog import Catalog
 from ..workload.generator import WorkloadSpec
 from ..workload.metrics import FigureData, point_from_run
 from ..workload.xmark import generate_xmark, xmark_fragments

@@ -13,7 +13,6 @@ Runs with equal configs are bit-identical (everything is seeded).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..config import SystemConfig
 from ..core.cluster import DTXCluster

@@ -18,7 +18,7 @@ key=value strings. Nothing here touches the simulation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
 
 def _label_key(labels: dict) -> tuple:

@@ -1,16 +1,16 @@
 """Discrete-event simulation substrate (the paper's cluster, in software)."""
 
 from .environment import Environment
-from .events import AllOf, AnyOf, Event, Process, Timeout
+from .events import AllOf, Event, FirstOf, Process, Timeout
 from .network import Network, NetworkStats
 from .queues import Inbox, Store
 from .rng import substream
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
+    "FirstOf",
     "Inbox",
     "Network",
     "NetworkStats",

@@ -27,7 +27,7 @@ from math import inf as _INF
 from typing import Any, Callable, Iterable, Optional
 
 from ..errors import SimulationError
-from .events import AllOf, AnyOf, Event, Process, Timeout
+from .events import AllOf, Event, FirstOf, Process, Timeout
 
 
 class Environment:
@@ -94,8 +94,10 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
+    def first_of(self, *events: Event) -> FirstOf:
+        """An event that fires with whichever of ``events`` is processed
+        first (see :class:`FirstOf`)."""
+        return FirstOf(self, events)
 
     def schedule_call(self, delay: float, fn, *args) -> Event:
         """Invoke ``fn(*args)`` after ``delay`` simulated units.

@@ -207,8 +207,9 @@ class Process(Event):
             return
 
 
-class Condition(Event):
-    """Base for AllOf/AnyOf: composite events over a set of children."""
+class AllOf(Event):
+    """Fires when every child has fired (with their values by child);
+    fails fast on the first failure."""
 
     __slots__ = ("events", "_pending")
 
@@ -229,8 +230,8 @@ class Condition(Event):
                     self._consume(ev)
             else:
                 ev.callbacks.append(self._on_child)
-        if not self.triggered:
-            self._check_initial()
+        if self._pending == 0 and not self.triggered:
+            self.succeed(self.results())
 
     def _on_child(self, ev: Event) -> None:
         self._pending -= 1
@@ -241,10 +242,12 @@ class Condition(Event):
         self._consume(ev)
 
     def _consume(self, ev: Event) -> None:
-        raise NotImplementedError
-
-    def _check_initial(self) -> None:
-        pass
+        if not ev._ok:
+            ev.defuse()
+            self.fail(ev._value)
+            return
+        if self._pending == 0 and not self.triggered:
+            self.succeed(self.results())
 
     def results(self) -> dict[Event, Any]:
         """Outcome values of the children that have already *fired*.
@@ -256,38 +259,44 @@ class Condition(Event):
         return {ev: ev._value for ev in self.events if ev.processed}
 
 
-class AllOf(Condition):
-    """Fires when every child has fired; fails fast on the first failure."""
+class FirstOf(Event):
+    """Fires with the first of its children to be *processed*: succeeds
+    with that child (the event object itself), or fails with its
+    exception. A child already processed at construction decides it at
+    once, the earliest in argument order first; otherwise the winning
+    child's callback triggers it, so it joins the queue when that child is
+    processed, not when it is triggered (a Timeout is triggered at
+    creation). A child that fails after the decision is defused: its
+    outcome is no longer anyone's to handle. The losers keep the callback,
+    which does nothing else."""
 
     __slots__ = ()
 
-    def _consume(self, ev: Event) -> None:
-        if not ev._ok:
-            ev.defuse()
+    def __init__(self, env, events: tuple):
+        if not events:
+            raise SimulationError("first_of needs at least one event")
+        for ev in events:
+            if ev.env is not env:
+                raise SimulationError("condition mixes events from different environments")
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        for ev in events:
+            cbs = ev.callbacks
+            if cbs is not None:
+                cbs.append(self._on_child)
+            elif self._value is _PENDING:
+                self._on_child(ev)
+
+    def _on_child(self, ev: Event) -> None:
+        if self._value is not _PENDING:
+            if not ev._ok:
+                ev._defused = True
+            return
+        if ev._ok:
+            self.succeed(ev)
+        else:
+            ev._defused = True
             self.fail(ev._value)
-            return
-        if self._pending == 0 and not self.triggered:
-            self.succeed(self.results())
-
-    def _check_initial(self) -> None:
-        if self._pending == 0 and not self.triggered:
-            self.succeed(self.results())
-
-
-class AnyOf(Condition):
-    """Fires as soon as one child fires (with that child's outcome)."""
-
-    __slots__ = ()
-
-    def _consume(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev._ok:
-            ev.defuse()
-            self.fail(ev._value)
-            return
-        self.succeed(self.results())
-
-    def _check_initial(self) -> None:
-        if not self.events:
-            raise SimulationError("AnyOf needs at least one event")

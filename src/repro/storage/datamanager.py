@@ -67,6 +67,9 @@ class DataManager:
         # Exact serialized byte length of each live tree: measured when the
         # tree was adopted, moved by every change record's byte delta since.
         self._sizes: dict[str, int] = {}
+        # Bumped by every change to the live set (load, _adopt, evict), so
+        # a caller can keep what it derives from the set until it moves.
+        self.live_version = 0
 
     # -- loading -----------------------------------------------------------
 
@@ -81,6 +84,7 @@ class DataManager:
         size = self.backend.size_bytes(name)
         doc = self.backend.load(name)
         self._live[name] = doc
+        self.live_version += 1
         self._pending[name] = []
         # Measured, not taken from the stored text: parsing normalises
         # (surrounding whitespace, '' text), so the two can differ.
@@ -188,6 +192,7 @@ class DataManager:
 
     def _adopt(self, doc: Document, text: Optional[str] = None) -> int:
         self._live[doc.name] = doc
+        self.live_version += 1
         self._pending[doc.name] = []
         size = self._sizes[doc.name] = self.backend.store(doc, text)
         return size
@@ -195,6 +200,7 @@ class DataManager:
     def evict(self, name: str) -> None:
         """Drop the in-memory state (storage keeps the last persisted state)."""
         self._live.pop(name, None)
+        self.live_version += 1
         self._pending.pop(name, None)
         self._sizes.pop(name, None)
 

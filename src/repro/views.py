@@ -136,7 +136,19 @@ class ViewDefinition:
         return cls(name=name, pattern=pattern, doc_names=names, host=host, path=path)
 
     def covers(self, doc_name: str, query_path: LocationPath) -> bool:
-        return doc_name in self.doc_names and subsumes(self.path, query_path)
+        """Whether this view answers ``query_path`` on ``doc_name``; the
+        subsumption is decided once per (pattern, query path) object."""
+        if doc_name not in self.doc_names:
+            return False
+        memo = query_path._subsumed
+        if memo is None:
+            memo = {}
+            object.__setattr__(query_path, "_subsumed", memo)  # frozen
+        path = self.path
+        hit = memo.get(id(path))
+        if hit is None or hit[0] is not path:
+            hit = memo[id(path)] = (path, subsumes(path, query_path))
+        return hit[1]
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,10 @@ class LocationPath:
     #: text, and every XDGL query looks its lock spec up by its shape.
     _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _shape: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    #: Whether a view pattern subsumes this path (:mod:`repro.views`),
+    #: decided once per pattern and kept as ``id(pattern) -> (pattern,
+    #: answer)``; holding the pattern keeps its id from being reused.
+    _subsumed: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         text = self._text

@@ -16,7 +16,7 @@ from repro import DTXCluster, Operation, SystemConfig, Transaction
 from repro.core.messages import ReplicaSyncBatchAck
 from repro.core.rounds import NEVER, Round
 from repro.sim.environment import Environment
-from repro.sim.events import Condition
+from repro.sim.events import AllOf, FirstOf
 from repro.update import ChangeOp, InsertOp
 
 from .conftest import make_people_doc
@@ -343,13 +343,13 @@ def _owner(cluster, rnd):
 
 def _still_waited_on(rnd):
     """Whether some process still blocks on ``rnd``'s event (a fired
-    condition's leftover callback does not count)."""
+    condition's or ``first_of``'s leftover callback does not count)."""
     event = rnd.event
     if event is None or event.triggered:
         return False
     for callback in event.callbacks:
         owner = getattr(callback, "__self__", None)
-        if isinstance(owner, Condition) and owner.triggered:
+        if isinstance(owner, (AllOf, FirstOf)) and owner.triggered:
             continue
         return True
     return False

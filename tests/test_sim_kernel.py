@@ -328,19 +328,19 @@ class TestConditions:
         env.run()
         assert done == [(5.0, ["a", "b"])]
 
-    def test_any_of_fires_on_first(self):
+    def test_first_of_fires_on_first(self):
         env = Environment()
         done = []
 
         def proc():
             slow = env.timeout(10, value="slow")
             fast = env.timeout(1, value="fast")
-            results = yield env.any_of([slow, fast])
-            done.append((env.now, list(results.values())))
+            won = yield env.first_of(slow, fast)
+            done.append((env.now, won is fast, won.value))
 
         env.process(proc())
         env.run()
-        assert done == [(1.0, ["fast"])]
+        assert done == [(1.0, True, "fast")]
 
     def test_all_of_empty_fires_immediately(self):
         env = Environment()
@@ -354,10 +354,10 @@ class TestConditions:
         env.run()
         assert done == [0.0]
 
-    def test_any_of_empty_rejected(self):
+    def test_first_of_empty_rejected(self):
         env = Environment()
         with pytest.raises(SimulationError):
-            env.any_of([])
+            env.first_of()
 
     def test_all_of_with_already_processed_children(self):
         env = Environment()
@@ -554,3 +554,203 @@ class TestInbox:
         box.serve(print)
         with pytest.raises(SimulationError):
             box.serve(print)
+
+
+# ---------------------------------------------------------------------------
+# first_of: the queue positions of the any-of condition it replaced
+# ---------------------------------------------------------------------------
+
+
+class _AnyOfReference(Event):
+    """The any-of condition ``first_of`` replaced, as it was: fires with
+    the outcomes of the children processed so far when the first one is
+    (a failing one fails it), triggered from that child's callback."""
+
+    def __init__(self, env, events):
+        super().__init__(env)
+        self.events = list(events)
+        if not self.events:
+            raise SimulationError("AnyOf needs at least one event")
+        for ev in self.events:
+            if ev.processed:
+                if not self.triggered:
+                    self._consume(ev)
+            else:
+                ev.callbacks.append(self._on_child)
+
+    def _on_child(self, ev):
+        if self.triggered:
+            if not ev._ok:
+                ev.defuse()
+            return
+        self._consume(ev)
+
+    def _consume(self, ev):
+        if not ev._ok:
+            ev.defuse()
+            self.fail(ev._value)
+            return
+        self.succeed({e: e._value for e in self.events if e.processed})
+
+
+#: A child is (kind, delay): a timeout of ``delay``; an event triggered by
+#: a kernel call ``delay`` after the condition is made, with a value or an
+#: exception; one already processed (ok or failed) when it is made; one
+#: that never fires.
+_CHILD_KINDS = ("timeout", "succeed", "fail", "processed", "processed_fail", "never")
+_MADE_AT = 1.0
+
+
+def _first_of_run(use_reference: bool, children: list, marks: list, watched: list) -> list:
+    """Wait on one condition over ``children``; return what the waiter saw
+    and the kernel trace, every dispatched item named by its role."""
+    env = Environment()
+    log: list = []
+    names: dict = {}
+    keep: list = []  # named objects stay alive, so no id is reused
+
+    def name(obj, label):
+        names[id(obj)] = label
+        keep.append(obj)
+        return obj
+
+    def describe(item):
+        if item.__class__ is tuple:
+            return "call"
+        label = names.get(id(item))
+        if label is not None:
+            return label
+        outcome = "ok" if item._ok else "fail"
+        return f"{item.__class__.__name__}:{outcome}"
+
+    env._tracer = lambda t, item: log.append((t, "item", describe(item)))
+
+    made: dict = {}
+    for i, (kind, delay) in enumerate(children):
+        if kind == "timeout":
+            continue
+        ev = made[i] = name(env.event(), f"child{i}")
+        if kind == "processed":
+            ev.succeed(f"v{i}")
+        elif kind == "processed_fail":
+            ev.fail(RuntimeError(f"e{i}"))
+            ev.defuse()
+        elif kind == "succeed":
+            env.schedule_call(_MADE_AT + delay, ev.succeed, f"v{i}")
+        elif kind == "fail":
+            env.schedule_call(_MADE_AT + delay, ev.fail, RuntimeError(f"e{i}"))
+    for i in watched:
+        if i in made:
+
+            def watcher(ev=made[i], i=i):
+                try:
+                    yield ev
+                    log.append((env.now, "watcher", i, "ok"))
+                except RuntimeError:
+                    log.append((env.now, "watcher", i, "failed"))
+
+            proc = name(env.process(watcher()), f"watcher{i}")
+            name(proc._tick, f"watcher{i}.tick")
+    for delay, n in marks:
+        env.schedule_call(_MADE_AT + delay, log.append, (_MADE_AT + delay, "mark", n))
+
+    def waiter():
+        yield _MADE_AT
+        kids = []
+        for i, (kind, delay) in enumerate(children):
+            if kind == "timeout":
+                kids.append(name(env.timeout(delay, f"v{i}"), f"child{i}"))
+            else:
+                kids.append(made[i])
+        if use_reference:
+            cond = _AnyOfReference(env, kids)
+        else:
+            cond = env.first_of(*kids)
+        name(cond, "condition")
+        try:
+            got = yield cond
+        except RuntimeError as exc:
+            log.append((env.now, "failed", str(exc)))
+            return
+        if use_reference:
+            # The one child a waiter read: the first, in argument order,
+            # among the outcomes (the only one unless several children
+            # were processed before the condition was made).
+            won = next(i for i, kid in enumerate(kids) if kid in got)
+        else:
+            won = next(i for i, kid in enumerate(kids) if kid is got)
+        log.append((env.now, "won", won, kids[won].value))
+
+    proc = name(env.process(waiter()), "waiter")
+    name(proc._tick, "waiter.tick")
+    env.run()
+    return log
+
+
+_children = st.lists(
+    st.tuples(st.sampled_from(_CHILD_KINDS), st.sampled_from(_TIMES)),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestFirstOf:
+    @settings(max_examples=example_budget(300), deadline=None)
+    @given(
+        children=_children,
+        marks=st.lists(st.tuples(st.sampled_from(_TIMES), st.integers(0, 9)), max_size=4),
+        watched=st.lists(st.integers(0, 2), max_size=2, unique=True),
+    )
+    def test_first_of_dispatches_like_any_of(self, children, marks, watched):
+        """Children firing at random times with same-time ties, already
+        processed ones, failing ones (winning, or failing after the
+        decision), other work at the same times and other processes
+        waiting on the same children: the waiter sees the same child win
+        (or the same failure) at the same time, and every queue item is
+        dispatched at the same position, as with the any-of condition."""
+        expected = _first_of_run(True, children, marks, watched)
+        assert _first_of_run(False, children, marks, watched) == expected
+
+    def test_two_children_settle_in_processing_order(self):
+        env = Environment()
+        done = []
+
+        def proc():
+            late = env.timeout(2, "late")
+            tied_first = env.timeout(1, "a")
+            tied_second = env.timeout(1, "b")
+            won = yield env.first_of(late, tied_first, tied_second)
+            done.append((env.now, won.value))
+
+        env.process(proc())
+        env.run()
+        assert done == [(1.0, "a")]
+
+    def test_a_loser_that_fails_later_is_defused(self):
+        env = Environment()
+        loser = env.event()
+        env.schedule_call(3, loser.fail, RuntimeError("late"))
+        done = []
+
+        def proc():
+            won = yield env.first_of(env.timeout(1, "fast"), loser)
+            done.append(won.value)
+
+        env.process(proc())
+        env.run()  # the late failure does not crash the run
+        assert done == ["fast"] and loser.processed
+
+    def test_a_processed_child_decides_at_once(self):
+        env = Environment()
+        ready = env.event()
+        ready.succeed("ready")
+        env.run()
+        done = []
+
+        def proc():
+            won = yield env.first_of(env.timeout(1), ready)
+            done.append((env.now, won is ready))
+
+        env.process(proc())
+        env.run()
+        assert done == [(0.0, True)]

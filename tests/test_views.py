@@ -119,6 +119,15 @@ class TestViewDefinition:
         assert view.covers("d1", q)
         assert not view.covers("d2", q)
 
+    def test_covers_keeps_one_answer_per_pattern(self):
+        """The answer kept on a query path is per pattern: two views
+        asking about one path in turn each get their own, every time."""
+        q = parse_xpath("/people/person")
+        wide = ViewDefinition.define("w", "//person", ["d1"], host="s1")
+        narrow = ViewDefinition.define("n", "/people/person[id=4]", ["d1"], host="s1")
+        for _ in range(2):
+            assert wide.covers("d1", q) and not narrow.covers("d1", q)
+
 
 class TestRegistration:
     def test_unknown_host_rejected(self):
