@@ -87,7 +87,7 @@ class DTXCluster:
         # and heartbeat-carried views, never by another site's mutation.
         # The perfect detector keeps the shared object (the oracle).
         catalog = (
-            CatalogView(self.catalog)
+            CatalogView(self.catalog, site_id)
             if self.config.failure_detector == "lease"
             else self.catalog
         )

@@ -322,7 +322,6 @@ class DTXSite:
         self.membership: Optional[SiteMembership] = None
         self._elections: dict[str, int] = {}  # doc -> active election id
         self._heartbeat_seq = 0
-        self._peers: tuple = (None, [])  # (site count, _membership_peers)
         # Per peer, the views of the last heartbeat whose facts this site
         # adopted. Epochs only grow and the catalog view outlives a crash,
         # so a fact adopted or found stale once is stale for good: equal
@@ -2407,15 +2406,10 @@ class DTXSite:
     # ------------------------------------------------------------------
 
     def _membership_peers(self) -> list:
-        """Every other registered site, in deterministic order: one list,
-        sorted again only when another site registers."""
-        count, peers = self._peers
-        if count != self.network.site_count:
-            peers = sorted(
-                (s for s in self.network.site_ids if s != self.site_id), key=str
-            )
-            self._peers = (self.network.site_count, peers)
-        return peers
+        """Every other registered site, in deterministic order."""
+        return sorted(
+            (s for s in self.network.site_ids if s != self.site_id), key=str
+        )
 
     def _heartbeat_loop(self):
         """Broadcast this site's liveness (and membership facts) forever.
@@ -2463,16 +2457,8 @@ class DTXSite:
 
     def _lease_check_loop(self):
         """Expire peers' leases; suspicion is the lease-mode 'down' event."""
-        # Grace only adds the peers a lease table lacks and nothing removes
-        # one, so it is a no-op until the table (a crash replaces it) or
-        # the peer list changes.
-        graced = (None, None)
         while True:
-            membership = self.membership
-            peers = self._membership_peers()
-            if graced[0] is not membership or graced[1] is not peers:
-                membership.grace(peers, self.env.now)
-                graced = (membership, peers)
+            self.membership.grace(self._membership_peers(), self.env.now)
             yield (HEARTBEAT_INTERVAL_MS)
             if not self.alive:
                 continue
@@ -2526,7 +2512,7 @@ class DTXSite:
         # too short to trigger suspicion (no election, no gap-detecting
         # next write: without this nudge the divergence would be silent
         # and permanent).
-        for rset in self.catalog.led_by(self.site_id).get(sender, ()):
+        for rset in self.catalog.led_by().get(sender, ()):
             doc_name = rset.doc_name
             watermark = watermarks.get(doc_name)
             if (
@@ -2553,7 +2539,7 @@ class DTXSite:
         just-received heartbeat ``advertised`` are rechecked: nothing
         else's floor can have moved.
         """
-        for rset in self.catalog.led_by(self.site_id).get(self.site_id, ()):
+        for rset in self.catalog.led_by().get(self.site_id, ()):
             name = rset.doc_name
             if name not in advertised or name not in self.logs:
                 continue

@@ -201,13 +201,14 @@ class CatalogView:
     object.
     """
 
-    def __init__(self, shared: Catalog) -> None:
+    def __init__(self, shared: Catalog, owner: Hashable = None) -> None:
         self._shared = shared
+        self._owner = owner  # the site this view serves
         self._overrides: dict[str, tuple[Hashable, int]] = {}  # doc -> (primary, epoch)
         # Facts adopted so far: with the shared placement's version, the
         # version of everything :meth:`replica_set` answers.
         self._adopted = 0
-        self._led: tuple = (None, None, {})  # (version, site, led_by's answer)
+        self._led: tuple = (None, {})  # (version, led_by's answer)
 
     # -- membership facts: view-local ---------------------------------------
 
@@ -241,19 +242,19 @@ class CatalogView:
         self._adopted += 1
         return True
 
-    def led_by(self, site_id: Hashable) -> dict:
-        """The replicated documents ``site_id`` holds, as leader -> their
-        replica sets in name order, as this view sees them. Kept until the
-        placement changes or the view adopts a fact."""
+    def led_by(self) -> dict:
+        """The replicated documents the owning site holds, as leader ->
+        their replica sets in name order, as this view sees them. Kept
+        until the placement changes or the view adopts a fact."""
         version = (self._shared.placement_version, self._adopted)
-        seen, site, led = self._led
-        if seen != version or site != site_id:
+        seen, led = self._led
+        if seen != version:
             led = {}
             for name in self._shared.all_documents():
                 rset = self.replica_set(name)
-                if rset.is_replicated and site_id in rset:
+                if rset.is_replicated and self._owner in rset:
                     led.setdefault(rset.primary, []).append(rset)
-            self._led = (version, site_id, led)
+            self._led = (version, led)
         return led
 
     def view_of(self, doc_name: str) -> tuple[int, Hashable]:

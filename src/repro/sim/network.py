@@ -80,11 +80,6 @@ class Network:
     def site_ids(self) -> list:
         return list(self._inboxes)
 
-    @property
-    def site_count(self) -> int:
-        """How many sites have registered (it only grows)."""
-        return len(self._inboxes)
-
     # -- liveness -----------------------------------------------------------
 
     def set_down(self, site_id: Hashable) -> None:

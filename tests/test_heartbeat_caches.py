@@ -114,7 +114,7 @@ def _run(monkeypatch, receive) -> tuple[dict, dict]:
 
     def checked_receive(self, msg):
         if self.alive and self.membership is not None:
-            assert self.catalog.led_by(self.site_id) == reference_led_by(self)
+            assert self.catalog.led_by() == reference_led_by(self)
             seen["receipts"] += 1
         receive(self, msg)
 
@@ -207,17 +207,18 @@ def test_placement_and_adopted_facts_move_led_by():
     shared = Catalog()
     shared.add("d1", ("s1", "s2"))
     shared.add("d2", ("s2", "s3"))
-    view = CatalogView(shared)
-    assert view.led_by("s2") == {
+    view = CatalogView(shared, "s2")
+    assert view.led_by() == {
         "s1": [shared.replica_set("d1")], "s2": [shared.replica_set("d2")],
     }
     version = shared.placement_version
     shared.add("d3", ("s3", "s2"))
     assert shared.placement_version > version
-    assert [r.doc_name for r in view.led_by("s2")["s3"]] == ["d3"]
+    assert [r.doc_name for r in view.led_by()["s3"]] == ["d3"]
     assert view.apply_primary("d1", "s2", 1)
-    assert [r.doc_name for r in view.led_by("s2")["s2"]] == ["d1", "d2"]
-    assert "s1" not in view.led_by("s2")
+    assert [r.doc_name for r in view.led_by()["s2"]] == ["d1", "d2"]
+    assert "s1" not in view.led_by()
     assert not view.apply_primary("d1", "s1", 1)  # stale: nothing adopted
-    assert [r.doc_name for r in view.led_by("s2")["s2"]] == ["d1", "d2"]
-    assert view.led_by("s3") == {"s2": [view.replica_set("d2")], "s3": [view.replica_set("d3")]}
+    assert [r.doc_name for r in view.led_by()["s2"]] == ["d1", "d2"]
+    other = CatalogView(shared, "s3")  # each view answers for its own site
+    assert other.led_by() == {"s2": [view.replica_set("d2")], "s3": [view.replica_set("d3")]}
