@@ -2456,12 +2456,14 @@ class DTXSite:
             self.stats.heartbeats_sent += len(peers)
 
     def _lease_check_loop(self):
-        """Expire peers' leases; suspicion is the lease-mode 'down' event."""
+        """Expire peers' leases; suspicion is the lease-mode 'down' event.
+        A lease starts at the first tick the site is up (a recovered site
+        owes each peer one full lease from its recovery)."""
         while True:
-            self.membership.grace(self._membership_peers(), self.env.now)
             yield (HEARTBEAT_INTERVAL_MS)
             if not self.alive:
                 continue
+            self.membership.grace(self._membership_peers(), self.env.now)
             for peer in self._membership_peers():
                 if self.membership.is_live(peer) and self.membership.lease_expired(
                     peer, self.env.now
@@ -2556,6 +2558,8 @@ class DTXSite:
         """Apply a newer (epoch, primary) fact to this site's catalog view."""
         if not self.catalog.has_document(doc_name):
             return
+        if primary not in self.catalog.sites_for(doc_name):
+            return  # stale: a migration has moved the document off it since
         if not self.catalog.apply_primary(doc_name, primary, epoch):
             return  # stale fact: an older election we already know about
         self.stats.announces_applied += 1

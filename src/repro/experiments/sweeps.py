@@ -45,11 +45,11 @@ from ..distribution.placement import HashRing, ring_rebalance
 from ..errors import ConfigError
 from ..sim.rng import substream
 from ..update.operations import ChangeOp, InsertOp
+from ..verify.quiescent import quiescent
 from ..workload.generator import DTXTester, WorkloadSpec
 from ..workload.xmark import deal_xmark, xmark_tree
 from ..xml.parser import parse_document
-from ..xml.serializer import serialize_document
-from .runner import ExperimentConfig, build_cluster, run_experiment
+from .runner import ExperimentConfig, build_cluster
 
 #: Parameters every sweep has; each is on the command line as ``--<name>``.
 SHARED = ("sites", "clients", "seed")
@@ -266,7 +266,7 @@ def _outcome(result) -> dict:
 
 def _assert_accounted(cell: dict, submitted: int) -> None:
     resolved = cell["committed"] + cell["aborted"] + cell.get("failed", 0)
-    assert resolved <= submitted, f"{resolved} transactions resolved, {submitted} submitted"
+    assert resolved == submitted, f"{resolved} transactions resolved, {submitted} submitted"
 
 
 def _rank_primaries(cluster) -> list:
@@ -281,24 +281,14 @@ def _rank_primaries(cluster) -> list:
     return ranked or sorted(cluster.sites, key=str)
 
 
-def _divergent_pairs(cluster) -> int:
-    """Replicas whose serialized document differs from their primary's: the
-    one with the highest epoch in the live sites' own catalog views (under
-    the lease detector ``cluster.catalog`` never learns of an election)."""
-    views = [site.catalog for site in cluster.sites.values() if site.alive]
-    divergent = 0
-    for doc_name in cluster.catalog.all_documents():
-        rset = cluster.catalog.replica_set(doc_name)
-        if not rset.is_replicated:
-            continue
-        texts = {
-            site: serialize_document(cluster.document_at(site, doc_name))
-            for site in rset.all_sites
-        }
-        newest = max(views or [cluster.catalog], key=lambda view: view.epoch(doc_name))
-        reference = texts[newest.replica_set(doc_name).primary]
-        divergent += sum(1 for text in texts.values() if text != reference)
-    return divergent
+def _settle(cluster, lazy: bool = False) -> int:
+    """The settle check after a cell's drain (:func:`repro.verify.quiescent`):
+    any violation stops the sweep, except that a lazy cell may keep
+    divergent replicas (its documented loss window). Returns how many."""
+    found = quiescent(cluster)
+    others = [v for v in found if not (lazy and v.kind == "divergent")]
+    assert not others, f"{len(others)} settle violations after the drain: {others[:5]}"
+    return len(found)
 
 
 # --------------------------------------------------------------------------
@@ -311,7 +301,9 @@ def _replication_cell(p, factor: int, update_ratio: float) -> dict:
         replica_write_policy="primary" if factor > 1 else "all",
     )
     label = f"replication/f{factor}/u{update_ratio}"
-    result = run_experiment(_experiment(p, system, label, update_ratio))
+    cluster, _ = build_cluster(_experiment(p, system, label, update_ratio))
+    result = cluster.run(label=label)
+    _settle(cluster)
     return {
         "response_ms": result.mean_response_ms(),
         "committed": len(result.committed),
@@ -387,7 +379,7 @@ def _availability_cell(p, mode: str, crashes: int) -> dict:
         "recoveries": result.site_recoveries,
         "catchups": totals["catchups"],
         "catchup_entries": totals["catchup_entries_replayed"],
-        "divergent_replicas": _divergent_pairs(cluster),
+        "divergent_replicas": _settle(cluster, lazy=mode == "lazy"),
         "site_totals": totals,
     }
 
@@ -405,9 +397,6 @@ def _check_availability(result) -> list[str]:
         assert cell["recoveries"] == crashes
         assert not crashes or cell["promotions"] >= 1, (
             f"{where}: primary crashed but nothing was promoted"
-        )
-        assert mode != "eager" or cell["divergent_replicas"] == 0, (
-            f"{where}: {cell['divergent_replicas']} replicas diverged after quiesce"
         )
     if {"eager", "lazy"} <= set(p.mode):
         for crashes in p.crashes:
@@ -453,7 +442,7 @@ def _partitions_cell(p, lease_timeout: float) -> dict:
         "heartbeats": totals["heartbeats_sent"],
         "compacted_entries": totals["log_entries_compacted"],
         "partition_drops": cluster.network.stats.partition_drops,
-        "divergent_replicas": _divergent_pairs(cluster),
+        "divergent_replicas": _settle(cluster),
         "site_totals": totals,
     }
 
@@ -464,10 +453,6 @@ def _check_partitions(result) -> list[str]:
     for (lease,), cell in cells.items():
         _assert_accounted(cell, p.clients * p.tx_per_client)
         assert cell["partition_drops"] > 0, f"lease={lease}: the partition cut no traffic at all"
-        assert cell["divergent_replicas"] == 0, (
-            f"lease={lease}: {cell['divergent_replicas']} replicas "
-            f"still divergent after heal + drain"
-        )
         assert lease >= p.partition_ms / 2 or cell["suspicions"] >= 1, (
             f"lease={lease}: nobody suspected anybody across a {p.partition_ms} ms cut"
         )
@@ -571,7 +556,7 @@ def _quorum_cell(p, regime: str, fault: str) -> dict:
         "read_repairs": totals["read_repairs_sent"],
         "read_repair_rate": totals["read_repairs_sent"] / max(1, totals["quorum_reads"]),
         "lease_refusals": totals["lease_refusals"],
-        "divergent_replicas": _divergent_pairs(cluster),
+        "divergent_replicas": _settle(cluster, lazy=regime == "lazy"),
         "site_totals": totals,
     }
 
@@ -588,10 +573,10 @@ def _check_quorum(result) -> list[str]:
     for (regime, fault), cell in cells.items():
         where = f"{regime}/{fault}"
         _assert_accounted(cell, p.clients * p.tx_per_client)
-        # Eager and quorum regimes reconcile to identical bytes once the
-        # cluster quiesced (lazy keeps its loss window).
-        assert regime == "lazy" or cell["divergent_replicas"] == 0, (
-            f"{where}: {cell['divergent_replicas']} replica pairs divergent after heal + drain"
+        # A recovered site owes each peer one full lease before it judges
+        # it, so a crash alone makes no false suspicion.
+        assert fault != "crash" or cell["site_totals"]["false_suspicions"] == 0, (
+            f"{where}: {cell['site_totals']['false_suspicions']} false suspicions"
         )
         if regime.startswith("quorum-"):
             assert cell["version_probes"] > 0, f"{where}: no reads probed"
@@ -709,7 +694,7 @@ def _scale_cell(p, n_sites: int, n_clients: int) -> dict:
         "cutovers": stats.cutovers,
         "leaver_residual_docs": len(cluster.sites[leaver].documents_hosted()),
         "spare_docs": len(cluster.sites[spare].documents_hosted()),
-        "divergent_replicas": _divergent_pairs(cluster),
+        "divergent_replicas": _settle(cluster),
     }
 
 
@@ -737,9 +722,6 @@ def _check_scale(result) -> list[str]:
             f"{where}: decommissioned site still hosts {cell['leaver_residual_docs']} documents"
         )
         assert cell["spare_docs"] > 0, f"{where}: the joining site never received a document"
-        assert cell["divergent_replicas"] == 0, (
-            f"{where}: {cell['divergent_replicas']} replica pairs divergent after settle"
-        )
     moved = "; ".join(
         f"{ns}x{nc}: join {c['moved_join']}/{c['docs']}, leave {c['moved_leave']}/{c['docs']}"
         for (ns, nc), c in cells.items()
@@ -900,6 +882,7 @@ def _views_cell(p, regime: str) -> dict:
             # Cumulative (not per-phase) cluster totals at phase end.
             "site_totals": after["site_totals"],
         }
+    _settle(cluster)
     return cells
 
 

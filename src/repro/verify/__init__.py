@@ -1,14 +1,18 @@
 """Correctness verifiers usable by tests and downstream users."""
 
+from .quiescent import KINDS, Violation, quiescent
 from .schedule_digest import ReferenceEnvironment, TraceRecorder, describe_item, trace_digest
 from .serial import final_state_serializable, find_equivalent_serial_order, replay_serial
 
 __all__ = [
+    "KINDS",
     "ReferenceEnvironment",
     "TraceRecorder",
+    "Violation",
     "describe_item",
     "final_state_serializable",
     "find_equivalent_serial_order",
+    "quiescent",
     "replay_serial",
     "trace_digest",
 ]

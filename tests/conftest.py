@@ -1,4 +1,5 @@
-"""Shared fixtures: the paper's example documents and small helpers.
+"""Shared fixtures: the paper's example documents, the replicated test
+cluster and small helpers.
 
 Also registers the Hypothesis profiles:
 
@@ -16,7 +17,9 @@ import os
 import pytest
 from hypothesis import settings as hyp_settings
 
+from repro import DTXCluster, Operation, Transaction
 from repro.storage import InMemoryStore
+from repro.update import InsertOp
 from repro.xml import E, doc, parse_document, serialize_document
 
 hyp_settings.register_profile("default", hyp_settings())
@@ -138,6 +141,51 @@ def make_products_doc(name: str = "d2"):
         ),
     )
     return doc(name, root)
+
+
+def replicated_cluster(config, n_sites=4, replicate_at=None, document=None, run_until=None,
+                       **cluster_options):
+    """Sites s1..s<n_sites> under ``config``, with ``document`` (default:
+    ``make_people_doc``'s d1) replicated at ``replicate_at`` (default: s1
+    primary, s2, s3), started and run until ``run_until`` if given;
+    ``cluster_options`` go to ``DTXCluster`` (XDGL unless ``protocol``)."""
+    cluster = DTXCluster(config=config, **cluster_options)
+    sites = [f"s{i + 1}" for i in range(n_sites)]
+    for s in sites:
+        cluster.add_site(s)
+    cluster.replicate_document(document or make_people_doc(), replicate_at or sites[:3])
+    if run_until is not None:
+        cluster.start()
+        cluster.env.run(until=run_until)
+    return cluster
+
+
+def insert_op(marker):
+    """Insert ``<person><id>marker</id></person>`` into d1's people."""
+    return Operation.update("d1", InsertOp(f"<person><id>{marker}</id></person>", "/people"))
+
+
+def insert_tx(marker, label=""):
+    return Transaction([insert_op(marker)], label=label or f"w{marker}")
+
+
+def read_tx(label="r"):
+    return Transaction([Operation.query("d1", "/people/person")], label=label)
+
+
+def settle_migrations(cluster, budget_ms=3000.0, drain_ms=0.0):
+    """Run until no migration is in flight (at most ``budget_ms``), then
+    ``drain_ms`` more."""
+    deadline = cluster.env.now + budget_ms
+    while not cluster.migration.quiesced() and cluster.env.now < deadline:
+        cluster.env.run(until=cluster.env.now + 25.0)
+    if drain_ms:
+        cluster.env.run(until=cluster.env.now + drain_ms)
+
+
+def doc_at(cluster, site, doc_name="d1") -> str:
+    """The rendering of ``site``'s live copy of ``doc_name``."""
+    return serialize_document(cluster.document_at(site, doc_name))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ distributed deadlock detection, commit/abort/fail messaging."""
 import pytest
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction
+from repro.verify import quiescent
 from repro.config import NetworkConfig
 from repro.update import ChangeOp, InsertOp, RemoveOp, TransposeOp
 from repro.xml import serialize_document
@@ -77,8 +78,7 @@ class TestReplication:
         tx = Transaction([Operation.update("d1", ChangeOp("/people/person[id=4]/name", "W"))])
         cluster.add_client("c1", "s1", [tx])
         cluster.run()
-        assert cluster.site("s1").lock_manager.table.is_empty()
-        assert cluster.site("s2").lock_manager.table.is_empty()
+        assert quiescent(cluster) == []
 
     def test_total_replication_more_messages_than_partial(self):
         # Same logical workload against a replicated vs a single-home doc.
@@ -156,11 +156,7 @@ class TestDistributedDeadlock:
         cluster.add_client("c1", "s1", [t1])
         cluster.add_client("c2", "s2", [t2])
         cluster.run()
-        assert serialize_document(cluster.document_at("s1", "d1")) == serialize_document(
-            cluster.document_at("s2", "d1")
-        )
-        assert cluster.site("s1").lock_manager.table.is_empty()
-        assert cluster.site("s2").lock_manager.table.is_empty()
+        assert quiescent(cluster) == []
         for sid in ("s1", "s2"):
             site = cluster.site(sid)
             for name in site.data_manager.live_documents():
@@ -216,8 +212,7 @@ class TestCommitAbortFaults:
         res = cluster.run()
         assert len(res.failed) == 1
         # Locks must not leak even on failure.
-        assert cluster.site("s1").lock_manager.table.is_empty()
-        assert cluster.site("s2").lock_manager.table.is_empty()
+        assert quiescent(cluster) == []
 
     def test_fail_counts_in_site_stats(self):
         cluster = two_site_cluster()

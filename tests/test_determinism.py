@@ -46,9 +46,9 @@ from repro.update import ChangeOp, InsertOp
 from repro.verify import TraceRecorder, trace_digest
 from repro.workload import WorkloadSpec
 
-from .conftest import make_people_doc, make_products_doc
+from .conftest import insert_tx, make_people_doc, make_products_doc, settle_migrations
 from .test_core_distributed import two_site_cluster
-from .test_migration import LEASE, insert_tx, migration_cluster, settle_migrations
+from .test_migration import LEASE, migration_cluster
 from .test_replication import rowa_cluster
 from .test_snapshot_handover import views_under_faults
 
@@ -192,7 +192,7 @@ _PINNED_DELIVERIES = [
         (327, "c814ad2450e9d97b490827eea5d378af6cdd19373d2fd0f82b1047d2c392326c"),
     ]),
     ("quorum", _sweep("quorum", regime=("quorum-r2w2",), fault=("crash",)), [
-        (3709, "8638dd861b495a162865832799a8915033009e5f55a4fc93fdff5e6897731f55"),
+        (3698, "6ae5bff5533eeaa2b352605051ecee06d16f4a3df8b198ae977ec061e8046f82"),
     ]),
     ("views", _sweep("views"), [
         (440, "349a63863f597a47e3c018b92eb2378050a5445abc9a21c14d9a7cbdf3959100"),
@@ -223,7 +223,7 @@ _PINNED_DELIVERIES = [
     # Views under leases: deltas, beacons, hydration, routed reads and
     # fallbacks, and a view host's crash, wipe and re-hydration.
     ("lease-views", lease_views_run, [
-        (2444, "78c6ea5ecb76d360d0ce3768365aa04cba6f897d22f995d0054791fede7a2c48"),
+        (2433, "7dbebd1c6295a6dd6aced5ee419380f47a2a392cab5f57d6a7daeb0fc6c8d8c3"),
     ]),
 ]
 

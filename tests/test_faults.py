@@ -1,6 +1,8 @@
 """Fault tolerance: crash/recovery, primary failover, update-log catch-up,
 epoch fencing, lazy propagation, and crash-during-2PC edge cases."""
 
+from functools import partial
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,10 +13,20 @@ from repro.distribution import UpdateLog, UpdateLogEntry
 from repro.errors import ConfigError, DistributionError
 from repro.sim.queues import Store
 from repro.update import ChangeOp, InsertOp, InsertPosition, RemoveOp
-from repro.verify import final_state_serializable
+from repro.verify import final_state_serializable, quiescent
 from repro.xml import parse_document, serialize_document
 
-from .conftest import EagerReferenceStore, example_budget, make_people_doc, make_products_doc
+from .conftest import (
+    EagerReferenceStore,
+    doc_at,
+    example_budget,
+    insert_op,
+    insert_tx,
+    make_people_doc,
+    make_products_doc,
+    replicated_cluster,
+    settle_migrations,
+)
 
 FT = SystemConfig().with_(
     client_think_ms=0.0,
@@ -27,26 +39,7 @@ FT = SystemConfig().with_(
 LAZY = FT.with_(replica_write_policy="lazy")
 
 
-def ft_cluster(config=FT, n_sites=4, replicate_at=None):
-    """d1 replicated at ``replicate_at`` (default: s1 primary, s2, s3)."""
-    cluster = DTXCluster(protocol="xdgl", config=config)
-    sites = [f"s{i + 1}" for i in range(n_sites)]
-    for s in sites:
-        cluster.add_site(s)
-    cluster.replicate_document(make_people_doc(), replicate_at or sites[:3])
-    return cluster
-
-
-def insert_op(marker):
-    return Operation.update("d1", InsertOp(f"<person><id>{marker}</id></person>", "/people"))
-
-
-def insert_tx(marker, label=""):
-    return Transaction([insert_op(marker)], label=label or f"w{marker}")
-
-
-def doc_at(cluster, site):
-    return serialize_document(cluster.document_at(site, "d1"))
+ft_cluster = partial(replicated_cluster, config=FT)
 
 
 def one_entry_batch(coordinator, tid, lsn, epoch, ops):
@@ -266,8 +259,7 @@ class TestCrashBasics:
         res = cluster.run(drain_ms=20.0)
         assert len(res.failed) == 1
         assert res.failed[0].reason in ("site-crashed", "site-down")
-        for s in ("s2", "s3"):
-            assert cluster.site(s).lock_manager.table.is_empty()
+        assert quiescent(cluster) == []
 
     def test_schedule_crash_validation(self):
         cluster = ft_cluster()
@@ -392,7 +384,7 @@ class TestPrimaryCrashMidWorkload:
                     f"appears {text.count(marker)} times"
                 )
         # Replicas byte-identical after recovery + catch-up.
-        assert len(set(texts.values())) == 1
+        assert quiescent(cluster) == []
         # The recovered site reconciled through the catch-up machinery —
         # by log replay when its tip is on the survivors' timeline, by
         # snapshot when it crashed holding records the fan-out never
@@ -428,9 +420,7 @@ class TestCrashDuring2PC:
         # s2 (primary) got the CommitRequest or resolved the orphan as
         # synced; s3 applied the eager sync: identical, durable, unlocked.
         assert "<id>9</id>" in doc_at(cluster, "s2")
-        assert doc_at(cluster, "s2") == doc_at(cluster, "s3")
-        for s in ("s2", "s3"):
-            assert cluster.site(s).lock_manager.table.is_empty()
+        assert quiescent(cluster) == []
 
     def test_coordinator_crashes_before_sync_aborts_orphans(self):
         """Crash before any replication: participants abort the orphan and
@@ -467,7 +457,7 @@ class TestCrashDuring2PC:
         assert "<id>9</id>" not in doc_at(cluster, "s3")
         cluster.recover_site("s3")
         cluster.env.run(until=cluster.env.now + 120.0)
-        assert doc_at(cluster, "s3") == doc_at(cluster, "s1")
+        assert quiescent(cluster) == []
         assert cluster.site("s3").stats.catchup_entries_replayed == 1
 
     def test_secondary_crashes_after_apply_before_ack(self):
@@ -535,10 +525,7 @@ class TestTwoDocumentSync:
         record, so the transaction cannot unwind cleanly: it fails with
         its effects kept — on *both* documents — and every replica pair
         is identical once the kept d2 effect has been pushed."""
-        cluster = DTXCluster(protocol="xdgl", config=FT.with_(replication_factor=2))
-        for i in range(4):
-            cluster.add_site(f"s{i + 1}")
-        cluster.replicate_document(make_people_doc(), ["s1", "s3"])
+        cluster = ft_cluster(config=FT.with_(replication_factor=2), replicate_at=["s1", "s3"])
         cluster.replicate_document(make_products_doc(), ["s2", "s3"])
         cluster.site("s2").refuse_sync.add("*")  # d2's primary; no d1 copy
         tx = Transaction(
@@ -552,16 +539,9 @@ class TestTwoDocumentSync:
         (record,) = res.records
         assert (record.status, record.reason) == ("failed", "sync-quorum-lost")
         assert cluster.site("s2").stats.syncs_refused == 1
-        texts = {
-            (d, s): serialize_document(cluster.document_at(s, d))
-            for d, sites in (("d1", ("s1", "s3")), ("d2", ("s2", "s3")))
-            for s in sites
-        }
-        assert texts["d1", "s1"] == texts["d1", "s3"]
-        assert texts["d2", "s2"] == texts["d2", "s3"]
-        assert "<id>9</id>" in texts["d1", "s1"] and "<id>99</id>" in texts["d2", "s2"]
-        for site in cluster.sites.values():
-            assert site.lock_manager.table.is_empty()
+        assert quiescent(cluster) == []
+        assert "<id>9</id>" in doc_at(cluster, "s1")
+        assert "<id>99</id>" in doc_at(cluster, "s2", "d2")
 
 
 class TestLazyPropagation:
@@ -597,7 +577,7 @@ class TestLazyPropagation:
         cluster.recover_site("s1")
         cluster.env.run(until=cluster.env.now + 120.0)
         # The deposed primary discarded its phantom tail (snapshot heal).
-        assert doc_at(cluster, "s1") == doc_at(cluster, "s2")
+        assert quiescent(cluster) == []
         assert "<id>9</id>" not in doc_at(cluster, "s1")
 
 
@@ -657,7 +637,7 @@ class TestPhantomLsnReuse:
         # The deposed primary converges too once it comes back.
         cluster.recover_site("s1")
         env.run(until=env.now + 120.0)
-        assert doc_at(cluster, "s1") == doc_at(cluster, "s3")
+        assert quiescent(cluster) == []
 
 
 class TestWhatAPromotionLeavesBehind:
@@ -707,7 +687,7 @@ class TestWhatAPromotionLeavesBehind:
         assert log.max_recorded_lsn == 7
         assert log.entries[7].epoch == epoch
         assert "<id>777</id>" in doc_at(cluster, "s2")
-        assert doc_at(cluster, "s3") == doc_at(cluster, "s2")
+        assert quiescent(cluster) == []
 
 
 # ---------------------------------------------------------------------------
@@ -718,11 +698,7 @@ class TestWhatAPromotionLeavesBehind:
 def _checked_cluster(config):
     """``ft_cluster`` on stores that compare every persist and read with an
     eager ``store(committed tree)`` (see ``EagerReferenceStore``)."""
-    cluster = DTXCluster(protocol="xdgl", config=config, backend_factory=EagerReferenceStore)
-    for i in range(4):
-        cluster.add_site(f"s{i + 1}")
-    cluster.replicate_document(make_people_doc(), ["s1", "s2", "s3"])
-    return cluster
+    return replicated_cluster(config, backend_factory=EagerReferenceStore)
 
 
 def _recover_and_check(cluster, site_id):
@@ -822,28 +798,19 @@ class TestDeferredDurability:
             cluster.schedule_migration("d1", ("s3", "s4"), at_ms=migrate_at)
 
         result = cluster.run(drain_ms=0.0)
-        deadline = cluster.env.now + 3000.0
-        while (
-            migrate_at is not None
-            and not cluster.migration.quiesced()
-            and cluster.env.now < deadline
-        ):
-            cluster.env.run(until=cluster.env.now + 25.0)
+        if migrate_at is not None:
+            settle_migrations(cluster)
         cluster.env.run(until=cluster.env.now + 400.0)
         probe()
 
         assert any(r.status == "committed" for r in result.records)
         assert not any(r.label.startswith("a") and r.status == "committed" for r in result.records)
         assert sum(store.persists for store in stores.values()) > 0
-        texts = {
-            s: doc_at(cluster, s)
-            for s in cluster.catalog.sites_for("d1")
-            if cluster.site(s).alive and not cluster.site(s).holds_placeholder("d1")
-        }
-        assert len(set(texts.values())) == 1, f"replicas diverged: {sorted(texts)}"
-        for s in texts:
-            # Quiesced: what storage holds is what the site serves.
-            assert serialize_document(parse_document(stores[s].raw("d1"))) == texts[s]
+        assert quiescent(cluster) == []
+        for s in cluster.catalog.sites_for("d1"):
+            if cluster.site(s).alive and not cluster.site(s).holds_placeholder("d1"):
+                # Quiesced: what storage holds is what the site serves.
+                assert serialize_document(parse_document(stores[s].raw("d1"))) == doc_at(cluster, s)
 
 
 class TestFailKeepsState:

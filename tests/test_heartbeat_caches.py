@@ -16,7 +16,7 @@ kept below.
 
 from __future__ import annotations
 
-from repro import DTXCluster, Operation, Transaction
+from repro import Operation, Transaction
 from repro.core.messages import HeartbeatMessage, SiteUpNotice
 from repro.core.site import DTXSite
 from repro.distribution.catalog import Catalog, CatalogView
@@ -25,8 +25,8 @@ from repro.storage.datamanager import DataManager
 from repro.storage.memory import InMemoryStore
 from repro.update import InsertOp
 
-from .conftest import make_people_doc, make_products_doc
-from .test_migration import LEASE, settle_migrations
+from .conftest import make_people_doc, make_products_doc, replicated_cluster, settle_migrations
+from .test_migration import LEASE
 
 
 def reference_beat(site) -> tuple[dict, dict]:
@@ -137,10 +137,7 @@ def _run(monkeypatch, receive) -> tuple[dict, dict]:
     monkeypatch.setattr(DTXSite, "_adopt_view", recorded_adopt)
     monkeypatch.setattr(DTXSite, "nudge_catch_up", recorded_nudge)
 
-    cluster = holder["cluster"] = DTXCluster(protocol="xdgl", config=LEASE)
-    for i in range(1, 6):
-        cluster.add_site(f"s{i}")
-    cluster.replicate_document(make_people_doc(), ["s1", "s2"])
+    cluster = holder["cluster"] = replicated_cluster(LEASE, 5, ["s1", "s2"])
     cluster.replicate_document(make_products_doc(), ["s5", "s3", "s2"])
     cluster.add_client("c1", "s1", [_insert("d1", "/people", "person", 200 + k) for k in range(6)])
     cluster.add_client("c2", "s2", [_insert("d1", "/people", "person", 300 + k) for k in range(6)])

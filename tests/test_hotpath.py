@@ -37,11 +37,11 @@ from repro.locking.requests import LockSpec
 from repro.locking.table import LockTable
 from repro.deadlock import WaitForGraph
 from repro.update import ChangeOp, InsertOp, RemoveOp
-from repro.verify import final_state_serializable
+from repro.verify import final_state_serializable, quiescent
 from repro.xml import E, doc, serialize_document
 from repro.xpath.parser import clear_parse_cache, parse_cache_stats, parse_xpath
 
-from .conftest import example_budget
+from .conftest import doc_at, example_budget, replicated_cluster
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +134,9 @@ def high_write_cluster(window_ms: float, seed: int = 0xD7C5, clients: int = 8,
         replica_write_policy="primary", replica_read_policy="nearest",
         group_commit_window_ms=window_ms,
     )
-    cluster = DTXCluster(protocol="xdgl", config=cfg)
     hot = doc("hot", E("hot", *[E(f"c{i}") for i in range(clients)]))
     initial = {"hot": hot.clone()}
-    for sid in ("s1", "s2", "s3"):
-        cluster.add_site(sid)
-    cluster.replicate_document(hot, ["s1", "s2", "s3"])
+    cluster = replicated_cluster(cfg, 3, document=hot)
     by_label = {}
     for i in range(clients):
         txs = [
@@ -153,10 +150,6 @@ def high_write_cluster(window_ms: float, seed: int = 0xD7C5, clients: int = 8,
             by_label[tx.label] = tx
         cluster.add_client(f"cl{i}", "s2", txs)  # coordinators off the primary
     return cluster, initial, by_label
-
-
-def replica_states(cluster, sites, doc_name="hot") -> dict:
-    return {sid: serialize_document(cluster.document_at(sid, doc_name)) for sid in sites}
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +340,8 @@ class TestTargetedWakeups:
             result = cluster.run()  # a lost wake-up starves the run -> SimulationError
             assert len(result.records) == total
             assert len(result.committed) == total  # chain waits: nothing can abort
-            for site in cluster.sites.values():
-                assert not site.waiters
-            states[serial] = replica_states(cluster, ("s1",))
+            assert quiescent(cluster) == []
+            states[serial] = doc_at(cluster, "s1", "hot")
             blocked[serial] = sum(s.ops_blocked for s in result.site_stats.values())
         assert blocked[True] == 0 < blocked[False]  # the oracle never waited
         assert states[False] == states[True]
@@ -365,20 +357,17 @@ class TestGroupCommit:
         ru = cu.run()
         cb, _, _ = high_write_cluster(0.75)
         rb = cb.run()
-        states_u = replica_states(cu, ("s1", "s2", "s3"))
-        states_b = replica_states(cb, ("s1", "s2", "s3"))
         # Replicas never diverge in either mode...
-        assert len(set(states_u.values())) == 1
-        assert len(set(states_b.values())) == 1
+        assert quiescent(cu) == [] and quiescent(cb) == []
         # ...and the two modes commit the same transactions to the same bytes.
         assert sorted(r.label for r in ru.committed) == sorted(
             r.label for r in rb.committed
         )
-        assert states_u == states_b
+        assert doc_at(cu, "s1", "hot") == doc_at(cb, "s1", "hot")
         # Both verdicts: final state reachable by a serial order. The
         # workload is commutative, so checking a handful of orders is exact.
         committed = [by_label[r.label] for r in rb.committed]
-        assert final_state_serializable(initial, committed, {"hot": states_b["s1"]})
+        assert final_state_serializable(initial, committed, {"hot": doc_at(cb, "s1", "hot")})
         # The batched run actually batched (and saved sync messages).
         batches = sum(s.group_batches_sent for s in rb.site_stats.values())
         assert batches > 0
@@ -388,14 +377,8 @@ class TestGroupCommit:
 
     def test_lsn_sequences_stay_contiguous(self):
         cb, _, _ = high_write_cluster(0.75)
-        rb = cb.run()
-        assert rb.committed
-        for site in cb.sites.values():
-            log = site.logs.get("hot")
-            if log is None:
-                continue
-            # No holes at quiescence: catch-up replay (PR 2) is untouched.
-            assert log.applied_lsn == log.max_recorded_lsn
+        assert cb.run().committed
+        assert quiescent(cb) == []  # no log holes, among the rest
 
     @pytest.mark.parametrize("window", [0.0, 0.75])
     def test_primary_crash_mid_window(self, window):
@@ -404,16 +387,14 @@ class TestGroupCommit:
         cluster, initial, by_label = high_write_cluster(window, clients=6, tx_per_client=4)
         cluster.schedule_crash("s1", at_ms=3.0)  # inside the commit storm
         result = cluster.run()
-        survivors = ("s2", "s3")
-        states = replica_states(cluster, survivors)
-        assert len(set(states.values())) == 1, "survivors diverged"
+        assert quiescent(cluster) == [], "the survivors did not settle"
         committed = [by_label[r.label] for r in result.committed]
         # Commutative workload: every committed insert must be present in
         # its own container, which is exactly the final-state
         # serializability condition here (failed-with-state-kept
         # transactions may add extras on top, so committed effects are
         # checked individually).
-        final = states["s2"]
+        final = doc_at(cluster, "s2", "hot")
         for tx in committed:
             i, t = re.match(r"c(\d+)t(\d+)", tx.label).groups()
             section = re.search(rf"<c{i}>.*?</c{i}>", final, re.DOTALL)
@@ -438,11 +419,7 @@ class TestGroupCommit:
             r.status in ("committed", "aborted", "failed") for r in result.records
         )
         # Whatever survived is consistent: replicas identical, locks clear.
-        states = replica_states(cluster, ("s1", "s2", "s3"))
-        assert len(set(states.values())) == 1
-        for site in cluster.sites.values():
-            assert site.lock_manager.table.is_empty()
-            assert not (site._sync_outboxes or site._lazy_outboxes or site._rounds)
+        assert quiescent(cluster) == []
 
     def test_window_zero_is_a_batch_of_one_with_no_added_delay(self):
         """Window 0 is the same path with no wait: one one-entry batch per

@@ -29,7 +29,8 @@ from repro.update import ChangeOp, InsertOp
 from repro.verify import ReferenceEnvironment, TraceRecorder, trace_digest
 from repro.xml import E, doc, serialize_document
 
-from .conftest import make_people_doc
+from .conftest import replicated_cluster
+from .test_faults import FT
 
 KERNELS = (Environment, ReferenceEnvironment)
 
@@ -103,12 +104,8 @@ def _high_write_workload(env):
         replica_write_policy="primary",
         replica_read_policy="nearest",
     )
-    cluster = DTXCluster(protocol="xdgl", config=cfg, env=env)
     hot = doc("hot", E("hot", *[E(f"c{i}") for i in range(4)]))
-    sites = ["s1", "s2", "s3"]
-    for sid in sites:
-        cluster.add_site(sid)
-    cluster.replicate_document(hot, sites)
+    cluster = replicated_cluster(cfg, 3, document=hot, env=env)
     for i in range(4):
         txs = [
             Transaction(
@@ -121,24 +118,13 @@ def _high_write_workload(env):
     result = cluster.run()
     return {
         "committed": len(result.committed),
-        "docs": [serialize_document(cluster.document_at(s, "hot")) for s in sites],
+        "docs": [serialize_document(cluster.document_at(s, "hot")) for s in cluster.sites],
     }
 
 
 def _crash_failover_workload(env):
     """Primary crash + recovery mid-workload (schedule_call fault path)."""
-    cfg = SystemConfig().with_(
-        client_think_ms=0.0,
-        detector_interval_ms=50.0,
-        detector_initial_delay_ms=10.0,
-        replication_factor=3,
-        replica_read_policy="nearest",
-        replica_write_policy="primary",
-    )
-    cluster = DTXCluster(protocol="xdgl", config=cfg, env=env)
-    for i in range(4):
-        cluster.add_site(f"s{i + 1}")
-    cluster.replicate_document(make_people_doc(), ["s1", "s2", "s3"])
+    cluster = replicated_cluster(FT, env=env)
     for i, site in enumerate(("s2", "s3", "s4")):
         txs = [
             Transaction(
@@ -176,12 +162,8 @@ def _quorum_workload(env):
         read_quorum_r=3,
         write_quorum_w=2,
     )
-    cluster = DTXCluster(protocol="xdgl", config=cfg, env=env)
     hot = doc("hot", E("hot", *[E(f"c{i}") for i in range(2)]))
-    sites = ["s1", "s2", "s3"]
-    for sid in sites:
-        cluster.add_site(sid)
-    cluster.replicate_document(hot, sites)
+    cluster = replicated_cluster(cfg, 3, document=hot, env=env)
     cluster.start()
     outcomes: list = []
     cluster.sites["s3"].refuse_sync.add("*")
@@ -200,7 +182,7 @@ def _quorum_workload(env):
     cluster.env.run(until=cluster.env.now + 60.0)
     return {
         "committed": sum(1 for o in outcomes if o.committed),
-        "docs": [serialize_document(cluster.document_at(s, "hot")) for s in sites],
+        "docs": [serialize_document(cluster.document_at(s, "hot")) for s in cluster.sites],
     }
 
 

@@ -277,38 +277,30 @@ class TestRunResult:
         assert "1 committed" in out and "demo" in out
 
 
+def _one_client(think_ms: float, n_tx: int):
+    """One client of ``n_tx`` queries (labels t0, t1, ...) on a one-site
+    cluster; returns the run's result and the client."""
+    cluster = DTXCluster(protocol="xdgl", config=SystemConfig().with_(client_think_ms=think_ms))
+    cluster.add_site("s1", [make_people_doc()])
+    txs = [Transaction([Operation.query("d1", "/people")], label=f"t{i}") for i in range(n_tx)]
+    client = cluster.add_client("c1", "s1", txs)
+    return cluster.run(), client
+
+
 class TestClientBehaviour:
     def test_think_time_spaces_transactions(self):
-        cfg = SystemConfig().with_(client_think_ms=50.0)
-        cluster = DTXCluster(protocol="xdgl", config=cfg)
-        cluster.add_site("s1", [make_people_doc()])
-        txs = [Transaction([Operation.query("d1", "/people")]) for _ in range(3)]
-        cluster.add_client("c1", "s1", txs)
-        res = cluster.run()
+        res, _ = _one_client(50.0, 3)
         assert len(res.committed) == 3
         # With mean think 50 ms between 3 txs, the run cannot be instantaneous.
         assert res.duration_ms > 20.0
 
     def test_zero_think_time_runs_back_to_back(self):
-        cfg = SystemConfig().with_(client_think_ms=0.0)
-        cluster = DTXCluster(protocol="xdgl", config=cfg)
-        cluster.add_site("s1", [make_people_doc()])
-        txs = [Transaction([Operation.query("d1", "/people")]) for _ in range(3)]
-        cluster.add_client("c1", "s1", txs)
-        res = cluster.run()
+        res, _ = _one_client(0.0, 3)
         assert len(res.committed) == 3
         assert res.duration_ms < 20.0
 
     def test_client_records_order_matches_submission(self):
-        cfg = SystemConfig().with_(client_think_ms=0.0)
-        cluster = DTXCluster(protocol="xdgl", config=cfg)
-        cluster.add_site("s1", [make_people_doc()])
-        txs = [
-            Transaction([Operation.query("d1", "/people")], label=f"t{i}")
-            for i in range(4)
-        ]
-        client = cluster.add_client("c1", "s1", txs)
-        cluster.run()
+        _, client = _one_client(0.0, 4)
         assert [r.label for r in client.records] == ["t0", "t1", "t2", "t3"]
 
 

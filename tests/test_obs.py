@@ -32,7 +32,7 @@ from repro.workload import DTXTester, WorkloadSpec
 from repro.obs.critical_path import PHASES
 from repro.xml.builder import E, doc
 
-from .conftest import make_people_doc
+from .conftest import make_people_doc, replicated_cluster
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +430,8 @@ def _batch_round_parents(window_ms):
         client_think_ms=0.0, tracing=True, group_commit_window_ms=window_ms,
         replica_write_policy="primary", replica_read_policy="nearest",
     )
-    cluster = DTXCluster(protocol="xdgl", config=cfg)
-    for s in ("s1", "s2", "s3"):
-        cluster.add_site(s)
-    cluster.replicate_document(
-        doc("hot", E("hot", *[E(f"c{i}") for i in range(4)])), ["s1", "s2", "s3"]
-    )
+    hot = doc("hot", E("hot", *[E(f"c{i}") for i in range(4)]))
+    cluster = replicated_cluster(cfg, 3, document=hot)
     for i in range(4):
         tx = Transaction([Operation.update("hot", InsertOp("<e/>", f"/hot/c{i}"))])
         cluster.add_client(f"cl{i}", "s2", [tx])

@@ -18,7 +18,7 @@ from repro.update import (
     apply_update,
     revert,
 )
-from repro.verify import final_state_serializable
+from repro.verify import final_state_serializable, quiescent
 from repro.workload import DTXTester, WorkloadSpec, xmark_fragments
 from repro.xml import (
     Document,
@@ -30,7 +30,7 @@ from repro.xml import (
     serialized_size,
 )
 
-from .conftest import example_budget, make_people_doc, make_products_doc
+from .conftest import doc_at, example_budget, make_people_doc, make_products_doc, replicated_cluster
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -472,14 +472,7 @@ class TestReplicatedSerializability:
             assert final_state_serializable(site_initial, committed, observed), (
                 f"{protocol} seed={seed}: state at {sid} matches no serial order"
             )
-        assert serialize_document(cluster.document_at("s1", "d1")) == serialize_document(
-            cluster.document_at("s2", "d1")
-        )
-        assert serialize_document(cluster.document_at("s2", "d2")) == serialize_document(
-            cluster.document_at("s3", "d2")
-        )
-        for sid in ("s1", "s2", "s3"):
-            assert cluster.site(sid).lock_manager.table.is_empty()
+        assert quiescent(cluster) == []
 
 
 class TestPartitionProperties:
@@ -522,10 +515,7 @@ class TestPartitionProperties:
             max_restarts=2,
             seed=seed,
         )
-        cluster = DTXCluster(protocol="xdgl", config=config)
-        for s in ("s1", "s2", "s3", "s4"):
-            cluster.add_site(s)
-        cluster.replicate_document(make_people_doc(), ["s1", "s2", "s3"])
+        cluster = replicated_cluster(config)
         txs = []
         for i, site in enumerate(("s1", "s2", "s3")):
             mine = [
@@ -549,12 +539,15 @@ class TestPartitionProperties:
         )
         result = cluster.run(drain_ms=300.0)
 
-        texts = {s: serialize_document(cluster.document_at(s, "d1"))
-                 for s in ("s1", "s2", "s3")}
-        assert len(set(texts.values())) == 1, (
+        # Replicas only: a CommitRequest lost to a cut shorter than the
+        # lease leaves its participant's context and locks behind
+        # (test_membership.py::TestLostCommitRequest, a strict xfail).
+        divergent = [v for v in quiescent(cluster) if v.kind == "divergent"]
+        assert divergent == [], (
             f"replicas diverged after heal (seed={seed}, lease={lease_timeout}, "
             f"cut={cut_at}+{cut_ms}, isolated={isolated})"
         )
+        text = doc_at(cluster, "s1")
         # Committed labels come from the run *records*: with max_restarts
         # set, an aborted writer is resubmitted as a fresh clone sharing
         # the label and the original object keeps its failed state — a
@@ -565,11 +558,10 @@ class TestPartitionProperties:
         assert committed_labels <= {t.label for t in txs}
         for label in sorted(committed_labels):
             marker = f"<id>{label[1:]}</id>"
-            for site, text in texts.items():
-                assert text.count(marker) == 1, (
-                    f"committed {label} at {site}: {text.count(marker)} copies "
-                    f"(seed={seed}, lease={lease_timeout})"
-                )
+            assert text.count(marker) == 1, (
+                f"committed {label}: {text.count(marker)} copies "
+                f"(seed={seed}, lease={lease_timeout})"
+            )
 
 
 class TestFragmentationProperties:

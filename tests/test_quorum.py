@@ -2,6 +2,7 @@
 quorums, read repair, and the intersection property under random crash +
 partition schedules."""
 
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -18,10 +19,11 @@ from repro.distribution import (
 )
 from repro.errors import ConfigError
 from repro.update import InsertOp
+from repro.verify import quiescent
 from repro.xml import serialize_document
 from repro.xml.builder import E, doc
 
-from .conftest import example_budget, make_people_doc
+from .conftest import doc_at, example_budget, insert_tx, read_tx, replicated_cluster
 
 QUORUM = SystemConfig().with_(
     client_think_ms=1.0,
@@ -40,29 +42,7 @@ LEASE_QUORUM = QUORUM.with_(
 )
 
 
-def quorum_cluster(config=QUORUM, n_sites=4, replicate_at=None):
-    """d1 replicated at ``replicate_at`` (default: s1 primary, s2, s3)."""
-    cluster = DTXCluster(protocol="xdgl", config=config)
-    sites = [f"s{i + 1}" for i in range(n_sites)]
-    for s in sites:
-        cluster.add_site(s)
-    cluster.replicate_document(make_people_doc(), replicate_at or sites[:3])
-    return cluster
-
-
-def insert_tx(marker, label=""):
-    return Transaction(
-        [Operation.update("d1", InsertOp(f"<person><id>{marker}</id></person>", "/people"))],
-        label=label or f"w{marker}",
-    )
-
-
-def read_tx(label="r"):
-    return Transaction([Operation.query("d1", "/people/person")], label=label)
-
-
-def doc_at(cluster, site):
-    return serialize_document(cluster.document_at(site, "d1"))
+quorum_cluster = partial(replicated_cluster, config=QUORUM)
 
 
 def stat_sum(cluster, name):
@@ -254,9 +234,8 @@ class TestQuorumWrites:
         cluster.add_client("c", "s4", [insert_tx(42), read_tx()])
         result = cluster.run(drain_ms=60.0)
         assert len(result.committed) == 2
-        texts = {s: doc_at(cluster, s) for s in ("s1", "s2", "s3")}
-        assert len(set(texts.values())) == 1
-        assert all(t.count("<id>42</id>") == 1 for t in texts.values())
+        assert quiescent(cluster) == []
+        assert doc_at(cluster, "s1").count("<id>42</id>") == 1
         assert stat_sum(cluster, "sync_acks_awaited") >= 1
 
     def test_commit_survives_one_dead_secondary(self):
@@ -271,7 +250,7 @@ class TestQuorumWrites:
         assert "<id>55</id>" in doc_at(cluster, "s2")
         cluster.recover_site("s3")
         cluster.env.run(until=90.0)
-        assert doc_at(cluster, "s3") == doc_at(cluster, "s1")
+        assert quiescent(cluster) == []
 
     def test_no_write_quorum_without_w_copies(self):
         # Both secondaries dead: W=2 is unreachable and the write must
@@ -294,10 +273,9 @@ class TestQuorumWrites:
             cluster.add_client(f"c{i}", "s1", [insert_tx(70 + i)])
         result = cluster.run(drain_ms=60.0)
         assert len(result.committed) == 4
-        texts = {s: doc_at(cluster, s) for s in ("s1", "s2", "s3")}
-        assert len(set(texts.values())) == 1
+        assert quiescent(cluster) == []
         for i in range(4):
-            assert texts["s1"].count(f"<id>{70 + i}</id>") == 1
+            assert doc_at(cluster, "s1").count(f"<id>{70 + i}</id>") == 1
         assert stat_sum(cluster, "group_batches_sent") >= 1
 
     def test_a_shared_batch_settles_each_entry_on_its_own(self):
@@ -388,7 +366,7 @@ class TestQuorumReads:
         assert all(o.status == "committed" for o in outcomes)
         assert stat_sum(cluster, "read_repairs_sent") >= 1
         assert stat_sum(cluster, "read_repairs_received") >= 1
-        assert doc_at(cluster, "s3") == doc_at(cluster, "s1")
+        assert quiescent(cluster) == []
 
     def test_read_aborts_without_r_live_replicas(self):
         cfg = QUORUM.with_(read_quorum_r=3, write_quorum_w=2, max_restarts=0)
@@ -428,10 +406,9 @@ class TestQuorumReads:
         result = cluster.run(drain_ms=300.0)
         committed = {r.label for r in result.committed}
         assert committed  # the cut never starves the write path
-        texts = {s: doc_at(cluster, s) for s in ("s1", "s2", "s3")}
-        assert len(set(texts.values())) == 1
+        assert quiescent(cluster) == []
         for label in committed:
-            assert texts["s1"].count(f"<id>{label[1:]}</id>") == 1
+            assert doc_at(cluster, "s1").count(f"<id>{label[1:]}</id>") == 1
 
     def test_perfect_detector_quorum_converges_via_read_repair(self):
         # Under the perfect detector there is no heartbeat anti-entropy:
@@ -447,7 +424,7 @@ class TestQuorumReads:
         cluster.sites["s3"].submit(read_tx(), outcomes.append)
         cluster.env.run(until=80.0)
         assert all(o.status == "committed" for o in outcomes)
-        assert doc_at(cluster, "s2") == doc_at(cluster, "s1")
+        assert quiescent(cluster) == []
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +450,16 @@ class TestQuorumProbe:
         from repro.experiments import run_sweep
 
         result = run_sweep("quorum", full=True, regime=("quorum-r1w3",), fault=("crash",))
+        (cell,) = result.cells.values()
+        assert cell["divergent_replicas"] == 0
+
+    def test_r3w2_cell_at_seed_3_leaves_no_divergent_replica(self):
+        """An operation matching no guide node left unlocked (Bug A) leaves
+        two replicas divergent here. The crash cell above stopped showing
+        it once a recovered site no longer suspects its peers."""
+        from repro.experiments import run_sweep
+
+        result = run_sweep("quorum", full=True, seed=3, regime=("quorum-r3w2",), fault=("none",))
         (cell,) = result.cells.values()
         assert cell["divergent_replicas"] == 0
 
@@ -516,10 +503,7 @@ class TestQuorumIntersectionProperties:
         self, seed, isolate, cut_at, cut_ms, crash_site, crash_at
     ):
         config = LEASE_QUORUM.with_(client_think_ms=2.0, seed=seed)
-        cluster = DTXCluster(protocol="xdgl", config=config)
-        for s in ("s1", "s2", "s3", "s4"):
-            cluster.add_site(s)
-        cluster.replicate_document(make_people_doc(), ["s1", "s2", "s3"])
+        cluster = replicated_cluster(config)
         txs = []
         for i, site in enumerate(("s1", "s2", "s3")):
             mine = [insert_tx(100 + 10 * i + k) for k in range(3)]
@@ -536,22 +520,16 @@ class TestQuorumIntersectionProperties:
         cluster.env.run(until=cluster.env.now + 400.0)
         self.check_every_quorum_read(cluster, committed, seed, "post-drain")
 
-        texts = {
-            s: serialize_document(cluster.document_at(s, "d1"))
-            for s in ("s1", "s2", "s3")
-            if cluster.sites[s].alive
-        }
-        assert len(set(texts.values())) == 1, (
-            f"replicas diverged after drain (seed={seed}, isolate={isolate}, "
+        assert quiescent(cluster) == [], (
+            f"unsettled after drain (seed={seed}, isolate={isolate}, "
             f"cut={cut_at}+{cut_ms}, crash={crash_site}@{crash_at})"
         )
+        text = doc_at(cluster, "s1")
         for label in sorted(committed):
             marker = f"<id>{label[1:]}</id>"
-            for site, text in texts.items():
-                assert text.count(marker) == 1, (
-                    f"committed {label} at {site}: {text.count(marker)} copies "
-                    f"(seed={seed}, isolate={isolate})"
-                )
+            assert text.count(marker) == 1, (
+                f"committed {label}: {text.count(marker)} copies (seed={seed}, isolate={isolate})"
+            )
 
     def check_every_quorum_read(self, cluster, committed, seed, phase):
         """Every R-subset of live replicas must resolve to a complete doc.

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import DTXCluster, Operation, SystemConfig, Transaction
+from repro import Operation, SystemConfig, Transaction
 from repro.core.messages import ReplicaSyncBatchAck
 from repro.core.rounds import NEVER, Round
 from repro.sim.environment import Environment
 from repro.sim.events import AllOf, FirstOf
-from repro.update import ChangeOp, InsertOp
+from repro.update import ChangeOp
+from repro.verify import quiescent
 
-from .conftest import make_people_doc
+from .conftest import insert_tx, replicated_cluster
 
 
 def _ack(site, **results):
@@ -216,23 +217,9 @@ VIEWS = PERFECT.with_(
 )
 
 
-def _cluster(config, sites, placement):
-    cluster = DTXCluster(protocol="xdgl", config=config)
-    for s in sites:
-        cluster.add_site(s)
-    cluster.replicate_document(make_people_doc(), placement)
-    return cluster
-
-
-def _insert(marker):
-    return Transaction(
-        [Operation.update("d1", InsertOp(f"<person><id>{marker}</id></person>", "/people"))]
-    )
-
-
 def _scenario_op():
-    cluster = _cluster(PERFECT, ["s1", "s2"], ["s2"])
-    cluster.add_client("c", "s1", [_insert(1)])
+    cluster = replicated_cluster(PERFECT, 2, ["s2"])
+    cluster.add_client("c", "s1", [insert_tx(1)])
     return cluster
 
 
@@ -243,7 +230,7 @@ def _scenario_undo():
     # partial execution is backed out (Alg. 1 l. 16).
     cfg = PERFECT.with_(replica_write_policy="all", replica_read_policy="all",
                         lock_wait_timeout_ms=50.0, max_restarts=3)
-    cluster = _cluster(cfg, ["s1", "s2", "s3"], ["s1", "s2", "s3"])
+    cluster = replicated_cluster(cfg, 3)
     change = "/people/person[id='1']/name"
     for client, site in (("a", "s1"), ("b", "s2")):
         cluster.add_client(client, site, [
@@ -254,8 +241,8 @@ def _scenario_undo():
 
 
 def _scenario_commit():
-    cluster = _cluster(PERFECT, ["s1", "s2"], ["s2"])
-    cluster.add_client("c", "s1", [_insert(1)])
+    cluster = replicated_cluster(PERFECT, 2, ["s2"])
+    cluster.add_client("c", "s1", [insert_tx(1)])
     return cluster
 
 
@@ -266,13 +253,13 @@ def _scenario_abort():
 
 
 def _scenario_sync():
-    cluster = _cluster(PERFECT, ["s1", "s2", "s3"], ["s1", "s2", "s3"])
-    cluster.add_client("c", "s1", [_insert(1)])
+    cluster = replicated_cluster(PERFECT, 3)
+    cluster.add_client("c", "s1", [insert_tx(1)])
     return cluster
 
 
 def _scenario_probe():
-    cluster = _cluster(QUORUM, ["s1", "s2", "s3", "s4"], ["s1", "s2", "s3"])
+    cluster = replicated_cluster(QUORUM)
     cluster.add_client("c", "s4", [Transaction([Operation.query("d1", "/people/person")])])
     return cluster
 
@@ -280,20 +267,19 @@ def _scenario_probe():
 def _scenario_election():
     # Five replicas: with the primary and one more site down, three of
     # five still elect, so every election ends.
-    sites = ["s1", "s2", "s3", "s4", "s5"]
-    cluster = _cluster(LEASE, sites, sites)
+    cluster = replicated_cluster(LEASE, 5, ["s1", "s2", "s3", "s4", "s5"])
     cluster.schedule_crash("s1", at_ms=20.0)
     return cluster
 
 
 def _scenario_catchup():
-    cluster = _cluster(PERFECT, ["s1", "s2", "s3"], ["s1", "s2", "s3"])
+    cluster = replicated_cluster(PERFECT, 3)
     cluster.schedule_crash("s3", at_ms=5.0, recover_at_ms=30.0)
     return cluster
 
 
 def _scenario_view_fetch():
-    cluster = _cluster(VIEWS, ["s1", "s2", "s3"], ["s1", "s2"])
+    cluster = replicated_cluster(VIEWS, 3, ["s1", "s2"])
     cluster.register_view("v", "//person", ["d1"], host="s3")
     return cluster
 
@@ -306,7 +292,7 @@ def _scenario_view_read():
 
 def _scenario_wfg():
     cfg = PERFECT.with_(detector_initial_delay_ms=10.0, detector_interval_ms=200.0)
-    return _cluster(cfg, ["s1", "s2"], ["s1"])
+    return replicated_cluster(cfg, 2, ["s1"])
 
 
 SCENARIOS = {
@@ -390,9 +376,8 @@ def test_no_round_left_behind(kind, victim, monkeypatch):
     assert rnd is not None, f"the scenario opened no {kind} round"
     if victim == "peer":
         assert struck["target"] not in rnd.replies
-    for site in cluster.sites.values():
-        assert not site._rounds, f"{site.site_id} keeps {list(site._rounds)}"
-        assert all(rec.round is None for rec in site.coordinators.values())
+    assert quiescent(cluster) == []
+    # A crashed site's rounds resume and unregister too.
+    assert not [(s.site_id, list(s._rounds)) for s in cluster.sites.values() if s._rounds]
     assert cluster.detector.round is None
     assert not [r.kind for r in made if _still_waited_on(r)]
-    assert all(client.process.triggered for client in cluster.clients)

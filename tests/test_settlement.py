@@ -4,11 +4,10 @@ Every end of a transaction at a site — commit, abort, fail, an orphan
 resolved after its coordinator died — goes through ``DTXSite._settle``,
 which drops the context, the locks and the waiter together. So right after
 each ``_settle`` the site holds none of them for that transaction, and
-after a run has drained every site holds no ``SiteTxContext`` at all and
-no waiter or lock-table holder that its ``finished`` set names. The check
-runs over every cluster of the default grids of five sweeps (crashes,
-partitions, quorums, hash-ring rebalances, replication) and of the refusal
-run, whose fails reach sites through ``FailNotice``.
+after a run has drained the cluster has settled (``repro.verify.quiescent``).
+The check runs over every cluster of the default grids of five sweeps
+(crashes, partitions, quorums, hash-ring rebalances, replication) and of
+the refusal run, whose fails reach sites through ``FailNotice``.
 
 Both checks are needed: a waiter left behind by an end is woken, and so
 dropped, by the next release of what it waited for, which the drain
@@ -22,33 +21,12 @@ import pytest
 from repro import DTXCluster
 from repro.core.site import DTXSite
 from repro.experiments import run_sweep
+from repro.verify.quiescent import leftovers, quiescent
 
 from .test_determinism import refusal_run
 
-
-def held(site, tids) -> list[str]:
-    """What ``site`` still holds for any of ``tids``."""
-    locked = site.lock_manager.table.transactions()
-    return [
-        f"{site.site_id}: {what} of {tid!r}"
-        for tid in tids
-        for what, kept in (
-            ("context", tid in site.tx_contexts),
-            ("waiter", tid in site.waiters),
-            ("locks", tid in locked),
-        )
-        if kept
-    ]
-
-
-def held_after_drain(cluster) -> list[str]:
-    """Every context left anywhere, and what finished transactions hold."""
-    out = []
-    for sid in sorted(cluster.sites, key=str):
-        site = cluster.site(sid)
-        out += held(site, site.finished | set(site.tx_contexts))
-    return out
-
+#: What ``_settle`` drops (the coordinator's record outlives its own share).
+_ENDED = ("context", "waiter", "lock", "wait_edge")
 
 _RUNS = {
     name: (lambda name=name: run_sweep(name))
@@ -68,7 +46,7 @@ def test_finished_transactions_hold_nothing(monkeypatch, run):
 
     def checked_settle(site, tid, *args, **kwargs):
         cost = settle(site, tid, *args, **kwargs)
-        at_settle.extend(held(site, [tid]))
+        at_settle.extend(v for v in leftovers(site) if v.tid == tid and v.kind in _ENDED)
         return cost
 
     monkeypatch.setattr(DTXCluster, "__init__", recording_init)
@@ -76,5 +54,5 @@ def test_finished_transactions_hold_nothing(monkeypatch, run):
     run()
     assert clusters
     assert not at_settle, f"held right after _settle: {at_settle}"
-    after = {i: h for i, cluster in enumerate(clusters) if (h := held_after_drain(cluster))}
-    assert not after, f"held after the drain, by cluster: {after}"
+    after = {i: found for i, cluster in enumerate(clusters) if (found := quiescent(cluster))}
+    assert not after, f"unsettled after the drain, by cluster: {after}"

@@ -28,14 +28,21 @@ import sys
 
 import pytest
 
-from repro import DTXCluster, Operation, SystemConfig, Transaction
+from repro import Operation, SystemConfig, Transaction
 from repro.core.site import DTXSite
 from repro.storage import DataManager
 from repro.update import ChangeOp, InsertOp
+from repro.verify import quiescent
 from repro.views import ViewManager
 from repro.xml import E, doc, parse_document, serialize_document, serialized_size
 
-from .conftest import make_people_doc, make_unnormalised_people_doc
+from .conftest import (
+    doc_at,
+    make_people_doc,
+    make_unnormalised_people_doc,
+    replicated_cluster,
+    settle_migrations,
+)
 
 
 def make_non_ascii_people_doc(name="d1"):
@@ -155,20 +162,12 @@ def reads(n):
     ]
 
 
-def _cluster(config, n_sites, document, placement):
-    cluster = DTXCluster(protocol="xdgl", config=config)
-    for i in range(n_sites):
-        cluster.add_site(f"s{i + 1}")
-    cluster.replicate_document(document, placement)
-    return cluster
-
-
 def views_under_faults(document):
     """A remote view at s3 and one at the primary (hydrated in place),
     writers, two view host crashes, and a primary crash after which the new
     primary serves the re-hydrations."""
     config = BASE.with_(view_staleness_ms=50.0, view_refresh_ms=2.0)
-    cluster = _cluster(config, 3, document, ["s1", "s2"])
+    cluster = replicated_cluster(config, 3, ["s1", "s2"], document)
     cluster.register_view("v-remote", "//person", ["d1"], host="s3")
     cluster.register_view("v-local", "//name", ["d1"], host="s1")
     cluster.add_client("c1", "s1", writes(100) + reads(4))
@@ -182,14 +181,12 @@ def views_under_faults(document):
 
 def migration_under_writes(document):
     """The placement moves to spare sites while writers run at the primary."""
-    cluster = _cluster(BASE, 4, document, ["s1", "s2"])
+    cluster = replicated_cluster(BASE, 4, ["s1", "s2"], document)
     cluster.add_client("c1", "s1", writes(100))
     cluster.add_client("c2", "s2", writes(200))
     cluster.schedule_migration("d1", ("s3", "s4"), at_ms=1.0)
     cluster.run(drain_ms=0.0)
-    deadline = cluster.env.now + 3000.0
-    while not cluster.migration.quiesced() and cluster.env.now < deadline:
-        cluster.env.run(until=cluster.env.now + 25.0)
+    settle_migrations(cluster)
     return cluster
 
 
@@ -201,7 +198,7 @@ def deposed_primary_heals(document):
         replication_factor=3, replica_read_policy="nearest",
         replica_write_policy="lazy",
     )
-    cluster = _cluster(config, 3, document, ["s1", "s2", "s3"])
+    cluster = replicated_cluster(config, 3, document=document)
     cluster.add_client("c1", "s1", writes(100)[:2])
     cluster.run(drain_ms=0.0)
     cluster.crash_site("s1")
@@ -220,23 +217,22 @@ SCENARIOS = {
 }
 
 
-def _replicas_agree(cluster):
-    """Compared as a parse gives them back: crash recovery reloads through
-    the parser, which normalises text (the storage format's business; the
-    handover itself adopts trees as they are)."""
-    texts = {
-        s: serialize_document(parse_document(serialize_document(cluster.document_at(s, "d1"))))
-        for s in cluster.catalog.sites_for("d1")
-        if cluster.site(s).alive and not cluster.site(s).holds_placeholder("d1")
-    }
-    assert len(set(texts.values())) == 1, sorted(texts)
+def _parsed(cluster, site):
+    return serialize_document(parse_document(doc_at(cluster, site)))
 
 
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_every_snapshot_is_the_persisted_state(recorder, scenario, kind):
     cluster = SCENARIOS[scenario](DOCUMENTS[kind]())
-    _replicas_agree(cluster)
+    found = quiescent(cluster)
+    if kind == "unnormalised":
+        # Crash recovery reloads through the parser, which normalises text
+        # (the storage format's business; the handover adopts trees as they
+        # are): a recovered copy may differ from its primary in that alone.
+        primary = _parsed(cluster, cluster.catalog.replica_set("d1").primary)
+        found = [v for v in found if v.kind != "divergent" or _parsed(cluster, v.site) != primary]
+    assert found == []
     assert recorder.producers, "the scenario took no snapshot"
     assert recorder.installs, "no snapshot was installed"
 

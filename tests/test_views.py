@@ -11,19 +11,28 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import DTXCluster, Operation, SystemConfig, Transaction
+from repro import Operation, SystemConfig, Transaction
 from repro.config import CostConfig
 from repro.errors import ConfigError
-from repro.update import ChangeOp, InsertOp
+from repro.update import ChangeOp
 from repro.update.applier import apply_update
 from repro.xpath.parser import clear_parse_cache, parse_cache_stats
 from repro import views
 from repro.views import ViewDefinition, subsumes
+from repro.verify import quiescent
 from repro.xml import parse_document, serialize_document
 from repro.xpath import EvalStats, evaluate, parse_xpath
 from repro.xpath.parser import _Parser
 
-from .conftest import example_budget, make_people_doc, make_unnormalised_people_doc
+from .conftest import (
+    doc_at,
+    example_budget,
+    insert_tx,
+    make_people_doc,
+    make_unnormalised_people_doc,
+    read_tx,
+    replicated_cluster,
+)
 
 VIEWS = SystemConfig().with_(
     client_think_ms=0.0,
@@ -37,29 +46,15 @@ VIEWS = SystemConfig().with_(
 )
 
 
-def views_cluster(config=VIEWS, pattern="//person", document=None):
-    """d1 replicated at s1 (primary) + s2; the view hosted at s3."""
-    cluster = DTXCluster(protocol="xdgl", config=config)
-    for s in ("s1", "s2", "s3"):
-        cluster.add_site(s)
-    cluster.replicate_document(document or make_people_doc(), ["s1", "s2"])
+def views_cluster(config=VIEWS, pattern="//person", document=None, hydrated_at=None):
+    """d1 replicated at s1 (primary) + s2; the view hosted at s3 (run until
+    ``hydrated_at``, if given)."""
+    cluster = replicated_cluster(config, 3, ["s1", "s2"], document)
     cluster.register_view("v-people", pattern, ["d1"], host="s3")
+    if hydrated_at is not None:
+        cluster.start()
+        cluster.env.run(until=hydrated_at)
     return cluster
-
-
-def insert_tx(marker, label=""):
-    return Transaction(
-        [Operation.update("d1", InsertOp(f"<person><id>{marker}</id></person>", "/people"))],
-        label=label or f"w{marker}",
-    )
-
-
-def read_tx(label="r"):
-    return Transaction([Operation.query("d1", "/people/person")], label=label)
-
-
-def doc_at(cluster, site):
-    return serialize_document(cluster.document_at(site, "d1"))
 
 
 def lock_ops(cluster):
@@ -131,34 +126,23 @@ class TestViewDefinition:
 
 class TestRegistration:
     def test_unknown_host_rejected(self):
-        cluster = DTXCluster(protocol="xdgl", config=VIEWS)
-        cluster.add_site("s1")
-        cluster.add_site("s2")
-        cluster.replicate_document(make_people_doc(), ["s1", "s2"])
+        cluster = replicated_cluster(VIEWS, 2, ["s1", "s2"])
         with pytest.raises(ConfigError, match="not a site"):
             cluster.register_view("v", "//person", ["d1"], host="nope")
 
     def test_write_all_regime_rejected(self):
         cfg = SystemConfig().with_(replication_factor=2, replica_write_policy="all")
-        cluster = DTXCluster(protocol="xdgl", config=cfg)
-        for s in ("s1", "s2", "s3"):
-            cluster.add_site(s)
-        cluster.replicate_document(make_people_doc(), ["s1", "s2"])
+        cluster = replicated_cluster(cfg, 3, ["s1", "s2"])
         with pytest.raises(ConfigError, match="primary-copy"):
             cluster.register_view("v", "//person", ["d1"], host="s3")
 
     def test_unreplicated_document_rejected(self):
-        cluster = DTXCluster(protocol="xdgl", config=VIEWS)
-        for s in ("s1", "s2"):
-            cluster.add_site(s)
-        cluster.replicate_document(make_people_doc(), ["s1"])
+        cluster = replicated_cluster(VIEWS, 2, ["s1"])
         with pytest.raises(ConfigError, match="unreplicated"):
             cluster.register_view("v", "//person", ["d1"], host="s2")
 
     def test_unplaced_document_rejected(self):
-        cluster = DTXCluster(protocol="xdgl", config=VIEWS)
-        for s in ("s1", "s2"):
-            cluster.add_site(s)
+        cluster = replicated_cluster(VIEWS, 2, ["s1", "s2"])
         with pytest.raises(ConfigError, match="unplaced"):
             cluster.register_view("v", "//person", ["ghost"], host="s2")
 
@@ -170,9 +154,7 @@ class TestRegistration:
 
 class TestRouting:
     def test_view_read_takes_no_locks_and_joins_no_2pc(self):
-        cluster = views_cluster()
-        cluster.start()
-        cluster.env.run(until=10.0)
+        cluster = views_cluster(hydrated_at=10.0)
         host = cluster.sites["s3"]
         assert host.stats.view_hydrations == 1
         locks_before = lock_ops(cluster)
@@ -189,9 +171,7 @@ class TestRouting:
         assert cluster.sites["s1"].stats.view_reads_routed == 1
 
     def test_routing_off_by_default(self):
-        cluster = views_cluster(VIEWS.with_(view_staleness_ms=0.0))
-        cluster.start()
-        cluster.env.run(until=10.0)
+        cluster = views_cluster(VIEWS.with_(view_staleness_ms=0.0), hydrated_at=10.0)
         outcomes = []
         cluster.sites["s1"].submit(read_tx(), outcomes.append)
         cluster.env.run(until=40.0)
@@ -200,9 +180,7 @@ class TestRouting:
         assert cluster.sites["s3"].stats.view_reads_served == 0
 
     def test_update_transactions_never_view_routed(self):
-        cluster = views_cluster()
-        cluster.start()
-        cluster.env.run(until=10.0)
+        cluster = views_cluster(hydrated_at=10.0)
         outcomes = []
         tx = Transaction(
             [
@@ -219,9 +197,7 @@ class TestRouting:
     def test_uncovered_query_falls_back(self):
         # The view materializes //person; a query over another subtree is
         # not subsumed and takes the locked path.
-        cluster = views_cluster(pattern="/people/person/name")
-        cluster.start()
-        cluster.env.run(until=10.0)
+        cluster = views_cluster(pattern="/people/person/name", hydrated_at=10.0)
         outcomes = []
         cluster.sites["s1"].submit(read_tx(), outcomes.append)
         cluster.env.run(until=40.0)
@@ -233,9 +209,7 @@ class TestRouting:
 class TestMaintenance:
     def test_deltas_keep_shadow_identical_to_primary(self):
         clear_parse_cache()
-        cluster = views_cluster()
-        cluster.start()
-        cluster.env.run(until=10.0)
+        cluster = views_cluster(hydrated_at=10.0)
         outcomes = []
         for marker in (21, 22, 23):
             cluster.sites["s1"].submit(insert_tx(marker), outcomes.append)
@@ -243,8 +217,7 @@ class TestMaintenance:
         cluster.env.run(until=80.0)
         assert [o.status for o in outcomes] == ["committed"] * 3
         host = cluster.sites["s3"]
-        shadow = host.views.states["d1"].doc
-        assert serialize_document(shadow) == doc_at(cluster, "s1")
+        assert quiescent(cluster) == []  # the shadow too is the primary's bytes
         assert host.views.states["d1"].applied_lsn == 3
         assert host.stats.view_deltas_applied == 3
         # Parse-cache counters surface through SiteStats: collecting the
@@ -264,9 +237,7 @@ class TestMaintenance:
         empty note would come back as ``<note/>``. (Crash recovery still
         reloads through the parser and so still normalises: that is the
         storage format's business, not the handover's.)"""
-        cluster = views_cluster(document=make_unnormalised_people_doc())
-        cluster.start()
-        cluster.env.run(until=10.0)
+        cluster = views_cluster(document=make_unnormalised_people_doc(), hydrated_at=10.0)
         host = cluster.sites["s3"]
         assert host.stats.view_hydrations == 1
         primary = doc_at(cluster, "s1")
@@ -277,10 +248,8 @@ class TestMaintenance:
         # Refresh far apart: by read time the shadow's last proof of
         # freshness exceeds the 0.5 ms bound and the host refuses.
         cluster = views_cluster(
-            VIEWS.with_(view_staleness_ms=0.5, view_refresh_ms=500.0)
+            VIEWS.with_(view_staleness_ms=0.5, view_refresh_ms=500.0), hydrated_at=30.0
         )
-        cluster.start()
-        cluster.env.run(until=30.0)
         outcomes = []
         cluster.sites["s1"].submit(read_tx(), outcomes.append)
         cluster.env.run(until=80.0)
@@ -291,9 +260,7 @@ class TestMaintenance:
         assert cluster.sites["s1"].stats.view_read_fallbacks == 1
 
     def test_epoch_mismatch_refuses_serve(self):
-        cluster = views_cluster()
-        cluster.start()
-        cluster.env.run(until=10.0)
+        cluster = views_cluster(hydrated_at=10.0)
         mgr = cluster.sites["s3"].views
         op = Operation.query("d1", "/people/person")
         ok, reason, *_ = mgr.serve(
@@ -303,9 +270,7 @@ class TestMaintenance:
         assert cluster.sites["s3"].stats.view_epoch_refusals == 1
 
     def test_primary_change_fences_then_rehydrates(self):
-        cluster = views_cluster(VIEWS.with_(view_refresh_ms=20.0))
-        cluster.start()
-        cluster.env.run(until=10.0)
+        cluster = views_cluster(VIEWS.with_(view_refresh_ms=20.0), hydrated_at=10.0)
         host = cluster.sites["s3"]
         assert host.stats.view_hydrations == 1
         # Promotion bumps the epoch: the shadow was materialized under the
@@ -354,16 +319,12 @@ class TestSlowFallback:
         assert s1.stats.view_read_fallbacks == 1
         assert s1.stats.view_reads_routed == 2
         assert tx.sites_involved == {"s1"}
-        for site in cluster.sites.values():
-            assert site.lock_manager.table.lock_count() == 0, site.site_id
-            assert not site.tx_contexts, site.site_id
+        assert quiescent(cluster) == []
 
 
 class TestCrashFallback:
     def test_host_crash_falls_back_then_recovery_rehydrates(self):
-        cluster = views_cluster()
-        cluster.start()
-        cluster.env.run(until=10.0)
+        cluster = views_cluster(hydrated_at=10.0)
         cluster.crash_site("s3")
         outcomes = []
         cluster.sites["s1"].submit(read_tx("r1"), outcomes.append)
