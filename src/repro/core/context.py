@@ -152,9 +152,10 @@ class CoordinatorRecord:
     # Open span ids at this coordinator (repro.obs, config.tracing): the
     # transaction's root span, the current operation round's span, and the
     # current operation's blocked-period span (one lock_wait span per
-    # blocked period — it is *extended* across spurious wakes and retry
-    # rounds rather than re-opened, so wasted wake churn reads as lock
-    # wait, not coordinator work). All stay 0 when tracing is off.
+    # blocked period — it is *extended* across retry rounds that block
+    # again rather than re-opened, so a wake that cannot be satisfied
+    # reads as lock wait, not coordinator work). All stay 0 when tracing
+    # is off.
     root_span: int = 0
     op_span: int = 0
     wait_span: int = 0

@@ -450,10 +450,15 @@ class ReadRepairNudge:
 
 @dataclass(slots=True)
 class WakeNotice:
-    """Participant -> coordinator: locks were released, retry waiting tx."""
+    """Participant -> coordinator: locks were released, retry waiting tx.
+
+    ``attempt`` is the operation attempt the participant refused; the
+    coordinator drops a notice for an attempt it has already superseded.
+    """
 
     tid: TxId
     site: Hashable
+    attempt: int
 
     def size_bytes(self) -> int:
         return _HEADER_BYTES

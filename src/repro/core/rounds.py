@@ -49,9 +49,10 @@ class Round:
     ========== ================================ ===========================
     kind       timeout                          also settled by
     ========== ================================ ===========================
-    op, undo,  the round bound in lease mode;   ``drop`` on the peer's
-    commit,    none under the perfect detector  ``SiteDownNotice``,
-    abort                                       ``cancel`` on a crash
+    op, undo,  the round bound in lease mode    ``drop`` on the peer's
+    commit,    (commit and abort resend their   ``SiteDownNotice``,
+    abort      decision then, and wait again);  ``cancel`` on a crash
+               none under the perfect detector
     sync       the round bound in lease mode    ``drop``, ``cancel``
                and for quorum writes; none for
                eager writes, perfect detector

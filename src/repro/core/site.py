@@ -263,12 +263,12 @@ class DTXSite:
         self.coordinators: dict[TxId, CoordinatorRecord] = {}
         self.finished: set[TxId] = set()
         # Conflict-indexed wait registry: waiting tid -> (coordinator site,
-        # the (key, mode) pairs its blocked operation requested). A release
-        # wakes only the waiters with a requested pair that is
-        # *incompatible* with something actually released — a merely
-        # shared key (e.g. the root's intention locks, which every
-        # operation touches in compatible modes) wakes nobody.
-        self.waiters: dict[TxId, tuple[Hashable, frozenset]] = {}
+        # the (key, mode) pairs its blocked operation requested, the attempt
+        # that was refused). A release wakes only the waiters with a
+        # requested pair that is *incompatible* with something actually
+        # released — a merely shared key (e.g. the root's intention locks,
+        # which every operation touches in compatible modes) wakes nobody.
+        self.waiters: dict[TxId, tuple[Hashable, frozenset, int]] = {}
         # Locks released outside end-of-transaction (single-operation undo
         # backs locks out without waking anyone, per the paper's
         # end-of-transaction wake rule), as key -> set of modes. They are
@@ -696,7 +696,9 @@ class DTXSite:
     # operation execution against the local lock manager (Algorithm 3 caller)
     # ------------------------------------------------------------------
 
-    def _execute_operation(self, tid: TxId, coordinator: Hashable, op: Operation) -> LocalResult:
+    def _execute_operation(
+        self, tid: TxId, coordinator: Hashable, op: Operation, attempt: int
+    ) -> LocalResult:
         if not self.data_manager.is_loaded(op.doc_name):
             # A migration retired this replica while the request was in
             # flight (the coordinator routed against an older placement):
@@ -779,8 +781,9 @@ class DTXSite:
                 self.stats.local_deadlocks += 1
             # Register the coordinator for a wake notice, together with the
             # lock pairs the blocked spec wanted (only a conflicting release
-            # wakes it).
-            self.waiters[tid] = (coordinator, outcome.blocked_pairs)
+            # wakes it) and the refused attempt (the notice carries it, so
+            # the coordinator can tell a wake for a superseded attempt).
+            self.waiters[tid] = (coordinator, outcome.blocked_pairs, attempt)
             return LocalResult(
                 acquired=False, deadlock=outcome.deadlock, cost_ms=cost
             )
@@ -902,6 +905,15 @@ class DTXSite:
         progress from this release. A woken waiter that blocks again
         re-registers.
 
+        Each wake carries the attempt this site refused. The coordinator
+        ignores a wake for an attempt it has already superseded: under
+        write-all one commit releases the lock at every replica, and only
+        the first replica's wake should cost the waiter a retry. Nothing is
+        lost by that: a registration still naming attempt k when the lock
+        is released means this site had not yet refused attempt k + 1
+        (a refusal overwrites it), so attempt k + 1 runs against the
+        released state here.
+
         ``released`` is ``{key: modes}`` and becomes this sweep's own: the
         deferred pairs are merged into it.
         """
@@ -918,7 +930,7 @@ class DTXSite:
                     own |= modes
             self._deferred_wake_keys = {}
         conflicts_with = self.lock_manager.table.matrix.conflicts_with
-        for tid, (coordinator, wait_set) in list(self.waiters.items()):
+        for tid, (coordinator, wait_set, attempt) in list(self.waiters.items()):
             if not any(
                 key in released and not conflicts_with[mode].isdisjoint(released[key])
                 for key, mode in wait_set
@@ -928,17 +940,18 @@ class DTXSite:
             self.stats.waiter_wakes += 1
             if coordinator == self.site_id:
                 rec = self.coordinators.get(tid)
-                if rec is not None:
+                if rec is not None and attempt >= rec.attempt:
                     self._wake(rec)
             else:
                 self.stats.wake_notices_sent += 1
                 self.network.send(
-                    self.site_id, coordinator, WakeNotice(tid=tid, site=self.site_id)
+                    self.site_id, coordinator,
+                    WakeNotice(tid=tid, site=self.site_id, attempt=attempt),
                 )
 
     def _on_wake_notice(self, msg: WakeNotice) -> None:
         rec = self.coordinators.get(msg.tid)
-        if rec is not None:
+        if rec is not None and msg.attempt >= rec.attempt:
             self._wake(rec)
 
     def _wake(self, rec: CoordinatorRecord) -> None:
@@ -975,7 +988,7 @@ class DTXSite:
             coordinator = req.coordinator
             tr = self.tracer
             exec_start = self.env.now if tr is not None else 0.0
-            result = self._execute_operation(req.tid, coordinator, req.op)
+            result = self._execute_operation(req.tid, coordinator, req.op, req.attempt)
             self.stats.remote_ops_served += 1
             if result.cost_ms:
                 yield result.cost_ms
@@ -1286,23 +1299,29 @@ class DTXSite:
         rnd = self._rounds[round_id] = Round(self.env, kind, sites, need)
         return round_id, rnd
 
-    def _await_coordinator_round(self, rec: CoordinatorRecord):
+    def _await_coordinator_round(self, rec: CoordinatorRecord, resend=None):
         """Wait out ``rec``'s op or ack round; the replies it settled with.
 
         The perfect detector guarantees every reply arrives or a
         SiteDownNotice unsticks the round. Without the oracle a message
         lost to a partition *shorter than the lease* has no such backstop
         — nobody gets suspected, so nothing would ever fire: the wait is
-        bounded, and on timeout the round settles with what did arrive.
-        Peers that never answered stay in ``round.pending``; the op path
-        retries them, the ack paths treat them like crashed-mid-round
-        participants (outcome unknown), which they know how to degrade
-        safely.
+        bounded. An op or undo round then settles with what did arrive:
+        peers that never answered stay in ``round.pending``, and the op
+        path retries them. A commit or abort round passes its decision as
+        ``resend`` and sends it again to every silent peer, once per
+        bound, until each acks or is suspected (which drops it from the
+        round): a participant that never hears the decision would keep
+        the transaction's context and locks for good. A duplicate decision
+        settles nothing twice, and its second ack is ignored.
         """
         rnd = rec.round
-        replies = yield from rnd.wait(
-            None if self.membership is None else self._round_timeout_ms()
-        )
+        bound = None if self.membership is None else self._round_timeout_ms()
+        replies = yield from rnd.wait(bound)
+        while replies is None and resend is not None:
+            for site in sorted(rnd.pending, key=str):
+                self._send_in_span(site, rec.op_span, resend)
+            replies = yield from rnd.wait(bound)
         rec.round = None
         if replies is None:
             replies = dict(rnd.replies)
@@ -2157,13 +2176,12 @@ class DTXSite:
             return False
         if live:
             rnd = rec.round = Round(self.env, "commit", live, tag="commit")
+            request = CommitRequest(tid=rec.tid, coordinator=self.site_id, span=rec.op_span)
             for site in live:
-                self._send_in_span(site, rec.op_span, CommitRequest(
-                    tid=rec.tid, coordinator=self.site_id, span=rec.op_span,
-                ))
+                self._send_in_span(site, rec.op_span, request)
             if self._maybe_crash("commit-request-sent"):
                 raise _SiteCrashed()
-            acks = yield from self._await_coordinator_round(rec)
+            acks = yield from self._await_coordinator_round(rec, resend=request)
             self._check_alive()
             ok_acks = [a for a in acks.values() if a.ok]
             refused = [a for a in acks.values() if not a.ok]
@@ -2205,11 +2223,10 @@ class DTXSite:
         persist = failed = rec.synced or rec.partial_commit
         if live and not persist:
             rec.round = Round(self.env, "abort", live, tag="abort")
+            request = AbortRequest(tid=rec.tid, coordinator=self.site_id, span=rec.op_span)
             for site in live:
-                self._send_in_span(site, rec.op_span, AbortRequest(
-                    tid=rec.tid, coordinator=self.site_id, span=rec.op_span,
-                ))
-            acks = yield from self._await_coordinator_round(rec)
+                self._send_in_span(site, rec.op_span, request)
+            acks = yield from self._await_coordinator_round(rec, resend=request)
             self._check_alive()
             failed = not all(a.ok for a in acks.values())
         if failed:

@@ -94,8 +94,10 @@ def leftovers(site) -> Iterator[Violation]:
     sid, table = site.site_id, site.lock_manager.table
     for tid in site.tx_contexts:
         yield Violation("context", sid, tid=tid)
-    for tid, (coordinator, _) in site.waiters.items():
-        yield Violation("waiter", sid, tid=tid, detail=f"coordinator {coordinator}")
+    for tid, (coordinator, _, attempt) in site.waiters.items():
+        yield Violation(
+            "waiter", sid, tid=tid, detail=f"coordinator {coordinator}, attempt {attempt}"
+        )
     for tid in sorted(table.transactions(), key=repr):
         yield Violation("lock", sid, tid=tid, detail=f"{len(table.held_by(tid))} keys")
     for waiter, holder in site.wfg.edges():

@@ -3,7 +3,8 @@
 Three families:
 
 * **no-lost-wakeup** — waiters are woken only by a conflicting release,
-  yet every blocked transaction still reaches a terminal state, and (for
+  and a coordinator drops a wake for an attempt it has superseded, yet
+  every blocked transaction still reaches a terminal state, and (for
   a commutative workload, where any serial order yields the same bytes)
   the final committed state matches a one-client serial run;
 * **group-commit equivalence** — batched and unbatched propagation yield
@@ -27,7 +28,8 @@ from hypothesis import HealthCheck, given, settings
 from repro import DTXCluster, SystemConfig
 from repro import protocols as protocol_registry
 from repro.config import DEFAULT_CONFIG
-from repro.core.messages import WakeNotice
+from repro.core.context import CoordinatorRecord
+from repro.core.messages import AbortOrder, SiteDownNotice, WakeNotice
 from repro.core.transaction import Operation, Transaction, TxId
 from repro.dataguide import DataGuide
 from repro.errors import ConfigError
@@ -83,6 +85,39 @@ def contended_cluster(seed: int, serial: bool = False, groups: int = 4,
     else:
         for n, txs in enumerate(per_client):
             cluster.add_client(f"c{n}", "s2" if n % 2 else "s3", txs)
+    return cluster
+
+
+def write_all_cluster(seed: int, clients: int, leaves: int, ops_per_tx: int,
+                      local_coordinator: bool) -> DTXCluster:
+    """A hot document replicated write-all at s1 and s2; clients coordinate
+    at s3 (one at s1 if ``local_coordinator``), two transactions each, every
+    operation a write of its client's leaf at both replicas.
+
+    One commit releases the leaf at both replicas, and each replica wakes
+    the waiter: the second wake finds its attempt superseded. Lock waits
+    never time out (``lock_wait_timeout_ms`` 0), so a lost wake-up starves
+    its transaction. Replicas can deadlock crosswise; the detector aborts a
+    victim, so a transaction ends committed or aborted.
+    """
+    cfg = SystemConfig().with_(client_think_ms=0.0, seed=seed)
+    assert cfg.lock_wait_timeout_ms == 0 and cfg.replica_write_policy == "all"
+    cluster = DTXCluster(protocol="xdgl", config=cfg)
+    for site in ("s1", "s2", "s3"):
+        cluster.add_site(site)
+    hot = doc("hot", E("hot", *[E(f"v{i}", text="0") for i in range(leaves)]))
+    cluster.replicate_document(hot, ["s1", "s2"])
+    for c in range(clients):
+        txs = [
+            Transaction(
+                [Operation.update("hot", ChangeOp(f"/hot/v{c % leaves}", "x"))
+                 for _ in range(ops_per_tx)],
+                label=f"c{c}t{t}",
+            )
+            for t in range(2)
+        ]
+        site = "s1" if local_coordinator and c == 0 else "s3"
+        cluster.add_client(f"c{c}", site, txs)
     return cluster
 
 
@@ -194,6 +229,18 @@ class TestBlockedPairs:
         outcome = mgr.process_operation("t1", self.spec(("k1", LockMode.ST)))
         assert outcome.granted and outcome.blocked_pairs == frozenset()
 
+    def test_a_spec_refused_again_hands_out_the_pairs_built_once(self):
+        """The pairs live on the deduplicated spec: every refusal of it
+        (every retry of a blocked operation) shares one frozenset."""
+        mgr = self.make()
+        assert mgr.process_operation("t1", self.spec(("k1", LockMode.X))).granted
+        spec = self.spec(("k1", LockMode.X), ("k2", LockMode.IX), ("k1", LockMode.X))
+        first = mgr.process_operation("t2", spec)
+        again = mgr.process_operation("t2", spec)
+        assert not first.granted and not again.granted
+        assert first.blocked_pairs is again.blocked_pairs is spec.deduplicated().pairs
+        assert first.blocked_pairs == frozenset({("k1", LockMode.X), ("k2", LockMode.IX)})
+
     def test_release_transaction_reports_modes(self):
         mgr = self.make()
         mgr.process_operation(
@@ -236,7 +283,7 @@ class TestTargetedWakeups:
         cluster.add_client("c1", "s1", [t_a1])
         cluster.add_client("c2", "s1", [t_a2])
         cluster.add_client("c3", "s1", [t_b])
-        result = cluster.run()
+        result = cluster.run(until=1000.0)  # a horizon, as in the property below
         assert len(result.committed) == 3
         done = {r.label: r.finished_ts for r in result.records}
         # t_a2 waited right through t_b's commit and ran after t_a1's...
@@ -277,12 +324,12 @@ class TestTargetedWakeups:
             (t5, {("root", IX), ("b", X), ("a", IX)}),  # hit through two keys, woken once
             (t6, {("root", IX), ("c", X)}),
         ]:
-            site.waiters[tid] = (tid.site, frozenset(pairs))
+            site.waiters[tid] = (tid.site, frozenset(pairs), tid.seq)
         # An earlier single-operation undo gave up X on b without waking anyone.
         site._deferred_wake_keys["b"] = {X}
         site._notify_lock_release({"a": frozenset({X}), "root": frozenset({IX})})
-        assert [(dst, n.tid) for dst, n in sent] == [
-            ("s3", t1), ("s2", t2), ("s3", t3), ("s3", t5),
+        assert [(dst, n.tid, n.attempt) for dst, n in sent] == [
+            ("s3", t1, 1), ("s2", t2, 2), ("s3", t3, 3), ("s3", t5, 5),
         ]
         assert all(isinstance(n, WakeNotice) and n.site == "s1" for _, n in sent)
         assert list(site.waiters) == [t4, t6] and not site._deferred_wake_keys
@@ -292,11 +339,11 @@ class TestTargetedWakeups:
         # asleep; one that re-blocks while still registered (it was woken
         # at another site) keeps its place and waits for its new pairs.
         del sent[:]
-        site.waiters[t1] = (t1.site, frozenset({("root", IX), ("a", X)}))
-        site.waiters[t4] = (t4.site, frozenset({("root", IS), ("a", ST)}))
+        site.waiters[t1] = (t1.site, frozenset({("root", IX), ("a", X)}), 7)
+        site.waiters[t4] = (t4.site, frozenset({("root", IS), ("a", ST)}), 8)
         assert list(site.waiters) == [t4, t6, t1]
         site._notify_lock_release({"a": frozenset({X})})
-        assert [n.tid for _, n in sent] == [t4, t1]
+        assert [(n.tid, n.attempt) for _, n in sent] == [(t4, 8), (t1, 7)]
         site._notify_lock_release({"c": frozenset({ST})})  # t4 no longer waits on c
         assert [n.tid for _, n in sent] == [t4, t1, t6]
         assert not site.waiters
@@ -306,8 +353,8 @@ class TestTargetedWakeups:
         site, sent = self.wake_site(monkeypatch)
         gone, stays = TxId("s2", 1, 1.0), TxId("s3", 2, 2.0)
         pairs = frozenset({("root", LockMode.IX), ("a", LockMode.X)})
-        site.waiters[gone] = ("s2", pairs)
-        site.waiters[stays] = ("s3", pairs)
+        site.waiters[gone] = ("s2", pairs, 1)
+        site.waiters[stays] = ("s3", pairs, 1)
         if end == "crash":
             site.crash()
             assert not site.waiters
@@ -337,7 +384,9 @@ class TestTargetedWakeups:
         states, blocked = {}, {}
         for serial in (True, False):
             cluster = contended_cluster(seed=seed, serial=serial)
-            result = cluster.run()  # a lost wake-up starves the run -> SimulationError
+            # A horizon: the detector's sweeps never let the queue drain, so
+            # a run starved by a lost wake-up would otherwise spin forever.
+            result = cluster.run(until=5000.0)
             assert len(result.records) == total
             assert len(result.committed) == total  # chain waits: nothing can abort
             assert quiescent(cluster) == []
@@ -345,6 +394,116 @@ class TestTargetedWakeups:
             blocked[serial] = sum(s.ops_blocked for s in result.site_stats.values())
         assert blocked[True] == 0 < blocked[False]  # the oracle never waited
         assert states[False] == states[True]
+
+
+# ---------------------------------------------------------------------------
+# attempt-fenced wakes: one retry per release, and still no lost wake-up
+# ---------------------------------------------------------------------------
+
+class TestAttemptFencedWakes:
+    """A wake carries the attempt the participant refused; the coordinator
+    drops one whose attempt it has already superseded, so one release costs
+    a waiter one retry, not one per replica."""
+
+    @staticmethod
+    def coordinator_site(attempt: int):
+        """Site s2 coordinating a blocked transaction at ``attempt``, asleep
+        on its wake event."""
+        cluster = DTXCluster(protocol="xdgl", config=SystemConfig())
+        cluster.add_site("s1", [doc("hot", E("hot", E("a")))])
+        cluster.add_site("s2")
+        site = cluster.sites["s2"]
+        tid = TxId("s2", 1, 0.0)
+        tx = Transaction([Operation.update("hot", ChangeOp("/hot/a", "x"))])
+        rec = CoordinatorRecord(tx=tx, tid=tid, deliver=lambda outcome: None)
+        rec.attempt = attempt
+        rec.wake_event = cluster.env.event()
+        site.coordinators[tid] = rec
+        return site, rec
+
+    @staticmethod
+    def woken(rec) -> bool:
+        assert rec.wake_pending is rec.wake_event.triggered
+        return rec.wake_pending
+
+    def test_a_stale_notice_neither_wakes_nor_leaves_a_pending_wake(self):
+        site, rec = self.coordinator_site(attempt=3)
+        site._on_wake_notice(WakeNotice(tid=rec.tid, site="s1", attempt=2))
+        assert not self.woken(rec)
+        site._on_wake_notice(WakeNotice(tid=rec.tid, site="s1", attempt=3))
+        assert self.woken(rec)
+
+    def test_the_coordinator_as_participant_fences_its_own_wakes(self):
+        """A waiter registered here for its own coordinator is woken in
+        place, through the same fence; the sweep still counts and
+        unregisters it."""
+        site, rec = self.coordinator_site(attempt=3)
+        pairs = frozenset({("a", LockMode.X)})
+        site.waiters[rec.tid] = ("s2", pairs, 2)
+        site._notify_lock_release({"a": frozenset({LockMode.X})})
+        assert not self.woken(rec)
+        assert not site.waiters and site.stats.waiter_wakes == 1
+        assert site.stats.wake_notices_sent == 0
+        site.waiters[rec.tid] = ("s2", pairs, 3)
+        site._notify_lock_release({"a": frozenset({LockMode.X})})
+        assert self.woken(rec) and site.stats.waiter_wakes == 2
+
+    @pytest.mark.parametrize("wake", ["site-down", "abort-order"])
+    def test_site_down_and_abort_order_wake_whatever_the_attempt(self, wake):
+        site, rec = self.coordinator_site(attempt=3)
+        site._on_wake_notice(WakeNotice(tid=rec.tid, site="s1", attempt=1))
+        if wake == "site-down":
+            site._on_site_down(SiteDownNotice(site="s1"))
+        else:
+            site._order_abort(AbortOrder(tid=rec.tid))
+            assert rec.abort_requested
+        assert self.woken(rec)
+
+    def test_a_write_all_release_costs_one_retry(self, monkeypatch):
+        """Two writers of one leaf replicated at two sites: a blocked
+        writer waits at both replicas, and the holder's commit wakes it
+        from both. Only the first wake of an attempt reaches it."""
+        cluster = write_all_cluster(
+            seed=3, clients=2, leaves=1, ops_per_tx=1, local_coordinator=False
+        )
+        coordinator, wakes = cluster.site("s3"), []
+        wake = coordinator._wake
+        monkeypatch.setattr(coordinator, "_wake", lambda rec: wakes.append(rec) or wake(rec))
+        result = cluster.run(until=1000.0)  # a horizon: see the property below
+        assert len(result.committed) == 4 and quiescent(cluster) == []
+        notices = cluster.site("s1").stats.wake_notices_sent + (
+            cluster.site("s2").stats.wake_notices_sent
+        )
+        txs = [tx for client in cluster.clients for tx in client.transactions]
+        waits = sum(tx.stats.waits for tx in txs)
+        assert notices == 2 * waits > 0  # each release wakes from both replicas...
+        assert len(wakes) == waits  # ...one wake per wait gets through...
+        assert sum(tx.stats.op_attempts for tx in txs) == len(txs) + waits  # ...one retry
+
+    @settings(
+        max_examples=example_budget(12),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        clients=st.integers(min_value=2, max_value=6),
+        leaves=st.integers(min_value=1, max_value=3),
+        ops_per_tx=st.integers(min_value=1, max_value=3),
+        local_coordinator=st.booleans(),
+    )
+    def test_no_lost_wakeups_under_write_all_property(
+        self, seed, clients, leaves, ops_per_tx, local_coordinator
+    ):
+        """Every transaction ends and the cluster settles. The run has a
+        horizon far past its natural end, because the detector's sweeps
+        never let the event queue drain: a transaction starved by a lost
+        wake-up shows as a client that never ended."""
+        cluster = write_all_cluster(seed, clients, leaves, ops_per_tx, local_coordinator)
+        result = cluster.run(until=5000.0)
+        assert len(result.records) == 2 * clients
+        assert all(r.status in ("committed", "aborted") for r in result.records)
+        assert quiescent(cluster) == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 
 from repro import SystemConfig
 from repro.core.faults import SiteMembership
-from repro.core.messages import CommitRequest
+from repro.core.messages import AbortRequest, CommitRequest
+from repro.core.transaction import Operation, Transaction
 from repro.distribution import (
     Catalog,
     CatalogView,
@@ -21,9 +22,10 @@ from repro.distribution import (
 from repro.errors import ConfigError, SimulationError
 from repro.sim.environment import Environment
 from repro.sim.network import Network
+from repro.update import RenameOp
 from repro.verify import quiescent
 
-from .conftest import doc_at, example_budget, insert_tx, replicated_cluster
+from .conftest import doc_at, example_budget, insert_op, insert_tx, replicated_cluster
 
 LEASE = SystemConfig().with_(
     client_think_ms=2.0,
@@ -613,30 +615,54 @@ class TestFalseSuspicionRecovery:
 
 
 class TestLostCommitRequest:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a CommitRequest lost to a cut shorter than the lease is never resent: "
-        "the participant keeps the context and its locks for good",
-    )
-    def test_a_commit_request_lost_to_a_short_cut_still_settles(self):
-        """The primary s1 executed s2's write; the CommitRequest leaves as a
-        6 ms cut isolates s1, inside the 8 ms lease. Nobody is suspected,
-        so s1 never resolves the orphan, and the coordinator's ack round
-        times out and reports the commit without sending again."""
-        cluster = lease_cluster(config=LEASE.with_(lease_timeout_ms=8.0))
-        send, cut = cluster.network.send, []
+    """A decision lost to a cut shorter than the lease: nobody is suspected,
+    so the participant never resolves the orphan on its own. The
+    coordinator's ack round times out and sends the decision again."""
 
-        def cut_at_commit(src, dst, msg, *args, **kwargs):
-            if isinstance(msg, CommitRequest) and dst == "s1" and not cut:
-                cut.append(cluster.env.now)
-                cluster.partition_network(["s1"], ["s2", "s3", "s4"])
-                cluster.env.schedule_call(6.0, cluster.heal_network)
+    @staticmethod
+    def cut_first(cluster, kind):
+        """Isolate s1 for 6 ms (inside its 8 ms lease) as the first ``kind``
+        request leaves for it; returns the send times of every ``kind``
+        request to s1."""
+        send, sent = cluster.network.send, []
+
+        def cut_at_decision(src, dst, msg, *args, **kwargs):
+            if isinstance(msg, kind) and dst == "s1":
+                if not sent:
+                    cluster.partition_network(["s1"], ["s2", "s3", "s4"])
+                    cluster.env.schedule_call(6.0, cluster.heal_network)
+                sent.append(cluster.env.now)
             return send(src, dst, msg, *args, **kwargs)
 
-        cluster.network.send = cut_at_commit
+        cluster.network.send = cut_at_decision
+        return sent
+
+    def test_a_commit_request_lost_to_a_short_cut_still_settles(self):
+        """The primary s1 executed s2's write; the resent CommitRequest
+        reaches it after the heal, and it commits and releases its locks."""
+        cluster = lease_cluster(config=LEASE.with_(lease_timeout_ms=8.0))
+        sent = self.cut_first(cluster, CommitRequest)
         cluster.add_client("c1", "s2", [insert_tx(9)])
         res = cluster.run(drain_ms=300.0)
-        assert cut and [r.status for r in res.records] == ["committed"]
+        assert [r.status for r in res.records] == ["committed"]
+        bound = cluster.site("s2")._round_timeout_ms()
+        assert sent == [sent[0], sent[0] + bound]  # lost, then resent once
+        assert quiescent(cluster) == []
+
+    def test_an_abort_request_lost_to_a_short_cut_still_settles(self):
+        """s1 executed the insert, the rename then fails, and the
+        AbortRequest is lost: without the resend s1 keeps the uncommitted
+        insert (its replicas diverge) and the locks."""
+        cluster = lease_cluster(config=LEASE.with_(lease_timeout_ms=8.0, max_restarts=0))
+        sent = self.cut_first(cluster, AbortRequest)
+        bad_rename = Operation.update("d1", RenameOp("/people", "1bad"))
+        cluster.add_client("c1", "s2", [Transaction([insert_op(9), bad_rename])])
+        res = cluster.run(drain_ms=300.0)
+        assert [(r.status, r.reason) for r in res.records] == [
+            ("aborted", "operation-failed")
+        ]
+        bound = cluster.site("s2")._round_timeout_ms()
+        assert sent == [sent[0], sent[0] + bound]
         assert quiescent(cluster) == []
 
 

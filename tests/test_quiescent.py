@@ -48,7 +48,7 @@ PLANTS = {
     "context": (("s2", None, TID),
                 lambda c: c.site("s2").tx_contexts.update({TID: SiteTxContext(TID, "s1")})),
     "waiter": (("s2", None, TID),
-               lambda c: c.site("s2").waiters.update({TID: ("s1", frozenset())})),
+               lambda c: c.site("s2").waiters.update({TID: ("s1", frozenset(), 1)})),
     "lock": (("s1", None, TID),
              lambda c: c.site("s1").lock_manager.table.try_acquire("d1:/", TID, LockMode.X)),
     "wait_edge": (("s3", None, TID), lambda c: c.site("s3").wfg.add_edge(TID, OTHER)),
