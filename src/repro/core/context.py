@@ -109,6 +109,9 @@ class CoordinatorRecord:
     # wake signalling (wait mode)
     wake_event: Optional[Any] = None
     wake_pending: bool = False
+    # The highest refused attempt a release wake has woken this
+    # coordinator for (see answer_release).
+    answered_attempt: int = 0
 
     # abort signalling (deadlock detector / timeouts)
     abort_requested: bool = False
@@ -159,3 +162,23 @@ class CoordinatorRecord:
     root_span: int = 0
     op_span: int = 0
     wait_span: int = 0
+
+    def answer_release(self, attempt: int) -> bool:
+        """Whether a participant's release of a lock this transaction's
+        ``attempt`` was refused owes it a wake; if so, ``attempt`` counts
+        as answered.
+
+        It does not when the wake is a duplicate: ``attempt`` is
+        superseded, and a release wake has already answered it or a later
+        attempt. The retry that wake started covers this release too: a
+        participant's registration still naming attempt k when it releases
+        means it had not yet refused attempt k + 1 (a refusal overwrites
+        it), so attempt k + 1 runs against the released state there. A
+        superseded attempt no release wake has answered (the coordinator
+        moved on because a peer was suspected or did not answer) is still
+        owed one, as is the current attempt.
+        """
+        if attempt < self.attempt and attempt <= self.answered_attempt:
+            return False
+        self.answered_attempt = max(self.answered_attempt, attempt)
+        return True

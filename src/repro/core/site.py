@@ -905,14 +905,11 @@ class DTXSite:
         progress from this release. A woken waiter that blocks again
         re-registers.
 
-        Each wake carries the attempt this site refused. The coordinator
-        ignores a wake for an attempt it has already superseded: under
+        Each wake carries the attempt this site refused, and the
+        coordinator drops a duplicate
+        (:meth:`CoordinatorRecord.answer_release`): under
         write-all one commit releases the lock at every replica, and only
-        the first replica's wake should cost the waiter a retry. Nothing is
-        lost by that: a registration still naming attempt k when the lock
-        is released means this site had not yet refused attempt k + 1
-        (a refusal overwrites it), so attempt k + 1 runs against the
-        released state here.
+        the first replica's wake should cost the waiter a retry.
 
         ``released`` is ``{key: modes}`` and becomes this sweep's own: the
         deferred pairs are merged into it.
@@ -940,7 +937,7 @@ class DTXSite:
             self.stats.waiter_wakes += 1
             if coordinator == self.site_id:
                 rec = self.coordinators.get(tid)
-                if rec is not None and attempt >= rec.attempt:
+                if rec is not None and rec.answer_release(attempt):
                     self._wake(rec)
             else:
                 self.stats.wake_notices_sent += 1
@@ -951,7 +948,7 @@ class DTXSite:
 
     def _on_wake_notice(self, msg: WakeNotice) -> None:
         rec = self.coordinators.get(msg.tid)
-        if rec is not None and msg.attempt >= rec.attempt:
+        if rec is not None and rec.answer_release(msg.attempt):
             self._wake(rec)
 
     def _wake(self, rec: CoordinatorRecord) -> None:

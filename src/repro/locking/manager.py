@@ -63,7 +63,7 @@ class LockManager:
                 deadlock=cycle is not None,
                 cycle=cycle,
                 lock_ops=table.lock_ops - ops_before,
-                blocked_pairs=spec.pairs,
+                blocked_pairs=frozenset((r.key, r.mode) for r in spec),
             )
         # All granted: the transaction no longer waits on anyone.
         self.wfg.clear_waits(tx)

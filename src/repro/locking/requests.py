@@ -52,10 +52,6 @@ class LockSpec:
     _dedup: "LockSpec | None" = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: On the deduplicated copy: its (key, mode) pairs, which a refused
-    #: operation registers for its wake. Kept here so a spec refused again
-    #: and again builds them once. Empty on a spec not yet deduplicated.
-    pairs: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     def add(self, key: LockKey, mode) -> None:
         self.requests.append(LockRequest(key, mode))
@@ -79,7 +75,6 @@ class LockSpec:
             transient_ops=self.transient_ops,
         )
         memo._dedup = memo  # a deduplicated spec is its own fixed point
-        memo.pairs = frozenset(seen)
         self._dedup = memo
         return memo
 

@@ -191,10 +191,8 @@ _PINNED_DELIVERIES = [
     ("availability", _sweep("availability", mode=("lazy",), crashes=(1,)), [
         (327, "c814ad2450e9d97b490827eea5d378af6cdd19373d2fd0f82b1047d2c392326c"),
     ]),
-    # Re-recorded when wake notices became attempt-fenced: the same count,
-    # moved deliveries (a superseded wake no longer retries).
     ("quorum", _sweep("quorum", regime=("quorum-r2w2",), fault=("crash",)), [
-        (3698, "893de1f9987334b0260b12d3a567b820051fce5053426d595b9960654ac740c9"),
+        (3698, "6ae5bff5533eeaa2b352605051ecee06d16f4a3df8b198ae977ec061e8046f82"),
     ]),
     ("views", _sweep("views"), [
         (440, "349a63863f597a47e3c018b92eb2378050a5445abc9a21c14d9a7cbdf3959100"),

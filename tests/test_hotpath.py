@@ -102,11 +102,8 @@ def write_all_cluster(seed: int, clients: int, leaves: int, ops_per_tx: int,
     """
     cfg = SystemConfig().with_(client_think_ms=0.0, seed=seed)
     assert cfg.lock_wait_timeout_ms == 0 and cfg.replica_write_policy == "all"
-    cluster = DTXCluster(protocol="xdgl", config=cfg)
-    for site in ("s1", "s2", "s3"):
-        cluster.add_site(site)
     hot = doc("hot", E("hot", *[E(f"v{i}", text="0") for i in range(leaves)]))
-    cluster.replicate_document(hot, ["s1", "s2"])
+    cluster = replicated_cluster(cfg, n_sites=3, replicate_at=["s1", "s2"], document=hot)
     for c in range(clients):
         txs = [
             Transaction(
@@ -228,18 +225,6 @@ class TestBlockedPairs:
         mgr = self.make()
         outcome = mgr.process_operation("t1", self.spec(("k1", LockMode.ST)))
         assert outcome.granted and outcome.blocked_pairs == frozenset()
-
-    def test_a_spec_refused_again_hands_out_the_pairs_built_once(self):
-        """The pairs live on the deduplicated spec: every refusal of it
-        (every retry of a blocked operation) shares one frozenset."""
-        mgr = self.make()
-        assert mgr.process_operation("t1", self.spec(("k1", LockMode.X))).granted
-        spec = self.spec(("k1", LockMode.X), ("k2", LockMode.IX), ("k1", LockMode.X))
-        first = mgr.process_operation("t2", spec)
-        again = mgr.process_operation("t2", spec)
-        assert not first.granted and not again.granted
-        assert first.blocked_pairs is again.blocked_pairs is spec.deduplicated().pairs
-        assert first.blocked_pairs == frozenset({("k1", LockMode.X), ("k2", LockMode.IX)})
 
     def test_release_transaction_reports_modes(self):
         mgr = self.make()
@@ -401,14 +386,16 @@ class TestTargetedWakeups:
 # ---------------------------------------------------------------------------
 
 class TestAttemptFencedWakes:
-    """A wake carries the attempt the participant refused; the coordinator
-    drops one whose attempt it has already superseded, so one release costs
+    """A wake carries the attempt the participant refused; once a release
+    wake has answered an attempt and the coordinator has moved past it,
+    another wake for it is a duplicate and is dropped, so one release costs
     a waiter one retry, not one per replica."""
 
     @staticmethod
-    def coordinator_site(attempt: int):
+    def coordinator_site(attempt: int, answered: int = 0):
         """Site s2 coordinating a blocked transaction at ``attempt``, asleep
-        on its wake event."""
+        on its wake event; release wakes have answered attempts up to
+        ``answered``."""
         cluster = DTXCluster(protocol="xdgl", config=SystemConfig())
         cluster.add_site("s1", [doc("hot", E("hot", E("a")))])
         cluster.add_site("s2")
@@ -416,28 +403,57 @@ class TestAttemptFencedWakes:
         tid = TxId("s2", 1, 0.0)
         tx = Transaction([Operation.update("hot", ChangeOp("/hot/a", "x"))])
         rec = CoordinatorRecord(tx=tx, tid=tid, deliver=lambda outcome: None)
-        rec.attempt = attempt
+        rec.attempt, rec.answered_attempt = attempt, answered
         rec.wake_event = cluster.env.event()
         site.coordinators[tid] = rec
         return site, rec
+
+    @staticmethod
+    def retry(site, rec) -> None:
+        """The woken coordinator runs its next attempt and blocks again."""
+        rec.attempt += 1
+        rec.wake_pending, rec.wake_event = False, site.env.event()
 
     @staticmethod
     def woken(rec) -> bool:
         assert rec.wake_pending is rec.wake_event.triggered
         return rec.wake_pending
 
-    def test_a_stale_notice_neither_wakes_nor_leaves_a_pending_wake(self):
-        site, rec = self.coordinator_site(attempt=3)
+    def test_a_duplicate_notice_neither_wakes_nor_leaves_a_pending_wake(self):
+        """Both replicas refused attempt 2. The first release wake starts
+        attempt 3; the second replica's, arriving after, is dropped."""
+        site, rec = self.coordinator_site(attempt=2)
         site._on_wake_notice(WakeNotice(tid=rec.tid, site="s1", attempt=2))
+        assert self.woken(rec)
+        self.retry(site, rec)
+        site._on_wake_notice(WakeNotice(tid=rec.tid, site="s3", attempt=2))
         assert not self.woken(rec)
         site._on_wake_notice(WakeNotice(tid=rec.tid, site="s1", attempt=3))
         assert self.woken(rec)
+
+    def test_a_second_notice_for_the_current_attempt_still_wakes(self):
+        site, rec = self.coordinator_site(attempt=2)
+        for _ in range(2):
+            site._on_wake_notice(WakeNotice(tid=rec.tid, site="s1", attempt=2))
+            assert self.woken(rec)
+            rec.wake_pending, rec.wake_event = False, site.env.event()
+
+    def test_an_unanswered_superseded_attempt_still_wakes_once(self):
+        """The coordinator moved from attempt 2 to 3 without a release wake
+        (a peer was suspected): a release of attempt 2's lock is still owed
+        its wake, and only one."""
+        site, rec = self.coordinator_site(attempt=3, answered=1)
+        site._on_wake_notice(WakeNotice(tid=rec.tid, site="s1", attempt=2))
+        assert self.woken(rec)
+        self.retry(site, rec)
+        site._on_wake_notice(WakeNotice(tid=rec.tid, site="s3", attempt=2))
+        assert not self.woken(rec)
 
     def test_the_coordinator_as_participant_fences_its_own_wakes(self):
         """A waiter registered here for its own coordinator is woken in
         place, through the same fence; the sweep still counts and
         unregisters it."""
-        site, rec = self.coordinator_site(attempt=3)
+        site, rec = self.coordinator_site(attempt=3, answered=2)
         pairs = frozenset({("a", LockMode.X)})
         site.waiters[rec.tid] = ("s2", pairs, 2)
         site._notify_lock_release({"a": frozenset({LockMode.X})})
@@ -450,8 +466,9 @@ class TestAttemptFencedWakes:
 
     @pytest.mark.parametrize("wake", ["site-down", "abort-order"])
     def test_site_down_and_abort_order_wake_whatever_the_attempt(self, wake):
-        site, rec = self.coordinator_site(attempt=3)
+        site, rec = self.coordinator_site(attempt=3, answered=2)
         site._on_wake_notice(WakeNotice(tid=rec.tid, site="s1", attempt=1))
+        assert not self.woken(rec)
         if wake == "site-down":
             site._on_site_down(SiteDownNotice(site="s1"))
         else:
