@@ -330,10 +330,12 @@ class DTXCluster:
         stays alive — with ``failure_detector="lease"`` each side suspects
         the other once leases expire, and only a side holding a majority
         of a document's replicas can elect a new primary for it."""
+        self.faults.stats.fault_log.append((self.env.now, "partition", None))
         self.network.partition(*groups)
 
     def heal_network(self) -> None:
         """Reconnect all partition groups (in-flight cut messages stay lost)."""
+        self.faults.stats.fault_log.append((self.env.now, "heal", None))
         self.network.heal_partition()
 
     def schedule_partition(

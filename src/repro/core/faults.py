@@ -60,6 +60,9 @@ class FaultStats:
     promotions: int = 0
     orphaned_docs: int = 0  # primary crashed with no live secondary
     promotion_log: list = field(default_factory=list)  # (time, doc, old, new, epoch)
+    # (time, event, site): "crash" / "recover" of a site, "partition" /
+    # "heal" of the network (site None); repro.verify.progress reads it.
+    fault_log: list = field(default_factory=list)
 
 
 class MembershipService:
@@ -95,6 +98,7 @@ class MembershipService:
     def on_site_crashed(self, site_id: Hashable) -> None:
         """Called by the crashing site after it wiped its volatile state."""
         self.stats.crashes += 1
+        self.stats.fault_log.append((self.env.now, "crash", site_id))
         self.network.set_down(site_id)
         if self.is_lease:
             # No oracle: the crash is physical only. Peers notice when the
@@ -137,6 +141,7 @@ class MembershipService:
         documents they host) retries once the primary is back. Lease mode
         leaves that to the resuming heartbeats."""
         self.stats.recoveries += 1
+        self.stats.fault_log.append((self.env.now, "recover", site_id))
         self.network.set_up(site_id)
         if self.is_lease:
             return

@@ -113,6 +113,9 @@ _ROUND_ID = {
     ViewReadResult: attrgetter("read_id"),
 }
 
+#: What a key nobody holds (or has a turn on) maps to in the wake walk.
+_NO_HOLDERS: dict = {}
+
 #: Root element of the placeholder a joining replica hosts until its first
 #: snapshot transfer arrives (never queried: quorum probes rank the empty
 #: log last, and primary-copy routing never prefers a brand-new secondary).
@@ -275,6 +278,11 @@ class DTXSite:
         # folded into the *next* end-of-transaction wake sweep so the
         # wake-up owed for them is not lost.
         self._deferred_wake_keys: dict = {}
+        # Turns: waiter tid -> the blocked pairs it was woken for here,
+        # until its next request runs here or it settles here. A waiter
+        # wakes only past the turns of those woken before it (see
+        # ``_notify_lock_release``).
+        self._turns: dict[TxId, frozenset] = {}
         # The update stream's staging areas, one table per subscriber
         # (the view hosts' are the ViewManager's). Commit-time sync batches
         # by (document, primary), items (rec, ops, waiter); the committed
@@ -767,23 +775,36 @@ class DTXSite:
             if version is not None:
                 ctx.spec_cache[op.index] = (version, spec)
         outcome = self.lock_manager.process_operation(tid, spec)
+        table = self.lock_manager.table
         cost = (
             spec.nodes_visited * costs.node_visit_ms
             + (outcome.lock_ops + spec.transient_ops) * costs.lock_op_ms
         )
-        self.stats.peak_lock_count = max(
-            self.stats.peak_lock_count, self.lock_manager.table.lock_count()
-        )
-
-        if not outcome.granted:
-            self.stats.ops_blocked += 1
-            if outcome.deadlock:
-                self.stats.local_deadlocks += 1
+        self.stats.peak_lock_count = max(self.stats.peak_lock_count, table.lock_count())
+        if outcome.granted:
+            self.waiters.pop(tid, None)  # a refusal of an earlier attempt
+        else:
             # Register the coordinator for a wake notice, together with the
             # lock pairs the blocked spec wanted (only a conflicting release
             # wakes it) and the refused attempt (the notice carries it, so
             # the coordinator can tell a wake for a superseded attempt).
             self.waiters[tid] = (coordinator, outcome.blocked_pairs, attempt)
+        turn = self._turns.pop(tid, None)
+        if turn is not None:
+            # The retry came back: the turn's pairs this request did not
+            # take are free for the waiters the turn kept asleep.
+            held = table.held_by(tid)
+            freed: dict = {}
+            for key, mode in turn:
+                if mode not in held.get(key, ()):
+                    freed.setdefault(key, set()).add(mode)
+            if freed:
+                self._notify_lock_release(freed)
+
+        if not outcome.granted:
+            self.stats.ops_blocked += 1
+            if outcome.deadlock:
+                self.stats.local_deadlocks += 1
             return LocalResult(
                 acquired=False, deadlock=outcome.deadlock, cost_ms=cost
             )
@@ -884,6 +905,10 @@ class DTXSite:
         cost += lock_ops * self.costs.lock_op_ms
         self.finished.add(tid)
         self.waiters.pop(tid, None)
+        turn = self._turns.pop(tid, None)
+        if turn is not None:
+            for key, mode in turn:
+                released.setdefault(key, set()).add(mode)
         if outcome == "fail":
             self.stats.fails += 1
         self._notify_lock_release(released)
@@ -894,28 +919,40 @@ class DTXSite:
     # ------------------------------------------------------------------
 
     def _notify_lock_release(self, released: dict) -> None:
-        """Wake waiting transactions after a transaction ended here.
+        """Wake, oldest first, the waiters that a release here lets start.
 
-        Paper §2.2: "When a transaction commits, those that entered wait mode
-        waiting for the locks of the one that committed, start executing
-        again." A waiter is woken when a (key, mode) pair its blocked
-        operation requested is *incompatible* with something just released
-        (including locks released earlier by single-operation undo, which
-        wakes nobody at the time); the others provably could not make
-        progress from this release. A woken waiter that blocks again
-        re-registers.
+        Paper §2.2 wakes every transaction that waits for a lock of the one
+        that ended; this walk wakes only those that can start (README,
+        "Grant-order wakes"). The candidates are the waiters with a
+        requested (key, mode) pair *incompatible* with something just
+        released (including locks given back earlier by single-operation
+        undo, which wakes nobody at the time); the others provably could
+        not make progress from this release. They are walked in ``TxId``
+        order, oldest first, and one wakes only if every pair of its
+        blocked spec is compatible with the other holders in the lock
+        table and with the *turns* here: the pairs of the waiters woken
+        before it whose next request has not run here yet. A woken
+        waiter's pairs become its turn; the turn ends when its next
+        request runs here or it settles here, and its pairs not then held
+        count as released for one more walk. A candidate that stays asleep
+        gets a wait-for edge to every holder and turn owner that blocks
+        it, so the detector sees a cycle through a turn too. A woken
+        waiter that blocks again re-registers.
 
         Each wake carries the attempt this site refused, and the
         coordinator drops a duplicate
         (:meth:`CoordinatorRecord.answer_release`): under
         write-all one commit releases the lock at every replica, and only
-        the first replica's wake should cost the waiter a retry.
+        the first replica's wake should cost the waiter a retry. A waiter
+        coordinated here whose wake is dropped, or whose transaction has
+        ended, takes no turn.
 
-        ``released`` is ``{key: modes}`` and becomes this sweep's own: the
+        ``released`` is ``{key: modes}`` and becomes this walk's own: the
         deferred pairs are merged into it.
         """
         deferred = self._deferred_wake_keys
-        if not self.waiters:
+        waiters = self.waiters
+        if not waiters:
             deferred.clear()
             return
         if deferred:
@@ -926,25 +963,54 @@ class DTXSite:
                 else:
                     own |= modes
             self._deferred_wake_keys = {}
-        conflicts_with = self.lock_manager.table.matrix.conflicts_with
-        for tid, (coordinator, wait_set, attempt) in list(self.waiters.items()):
-            if not any(
+        table = self.lock_manager.table
+        conflicts_with = table.matrix.conflicts_with
+        candidates = sorted(
+            tid
+            for tid, (_, wait_set, _) in waiters.items()
+            if any(
                 key in released and not conflicts_with[mode].isdisjoint(released[key])
                 for key, mode in wait_set
-            ):
+            )
+        )
+        if not candidates:
+            return
+        turns = self._turns
+        # key -> {owner: modes} over the turns, the way the table keeps holders
+        in_turn: dict = {}
+        for owner, pairs in turns.items():
+            for key, mode in pairs:
+                in_turn.setdefault(key, {}).setdefault(owner, set()).add(mode)
+        indexes = (table._held, in_turn)
+        for tid in candidates:
+            coordinator, wait_set, attempt = waiters[tid]
+            blockers = {
+                other
+                for key, mode in wait_set
+                for index in indexes
+                for other, modes in index.get(key, _NO_HOLDERS).items()
+                if other != tid and not conflicts_with[mode].isdisjoint(modes)
+            }
+            if blockers:
+                for other in blockers:
+                    self.wfg.add_edge(tid, other)
                 continue
-            del self.waiters[tid]
+            del waiters[tid]
             self.stats.waiter_wakes += 1
             if coordinator == self.site_id:
                 rec = self.coordinators.get(tid)
-                if rec is not None and rec.answer_release(attempt):
-                    self._wake(rec)
+                if rec is None or not rec.answer_release(attempt):
+                    continue
+                self._wake(rec)
             else:
                 self.stats.wake_notices_sent += 1
                 self.network.send(
                     self.site_id, coordinator,
                     WakeNotice(tid=tid, site=self.site_id, attempt=attempt),
                 )
+            turns[tid] = wait_set
+            for key, mode in wait_set:
+                in_turn.setdefault(key, {}).setdefault(tid, set()).add(mode)
 
     def _on_wake_notice(self, msg: WakeNotice) -> None:
         rec = self.coordinators.get(msg.tid)
@@ -2276,6 +2342,7 @@ class DTXSite:
                 rec.wake_event.succeed({})
         self.tx_contexts.clear()
         self.waiters.clear()
+        self._turns.clear()
         self._deferred_wake_keys.clear()
         # Outboxes are volatile: a sync batch's waiter fires with None so
         # its (already-failed) coordinator unwinds, in staging order; lazy

@@ -45,6 +45,7 @@ from ..distribution.placement import HashRing, ring_rebalance
 from ..errors import ConfigError
 from ..sim.rng import substream
 from ..update.operations import ChangeOp, InsertOp
+from ..verify.progress import progress
 from ..verify.quiescent import quiescent
 from ..workload.generator import DTXTester, WorkloadSpec
 from ..workload.xmark import deal_xmark, xmark_tree
@@ -281,14 +282,21 @@ def _rank_primaries(cluster) -> list:
     return ranked or sorted(cluster.sites, key=str)
 
 
-def _settle(cluster, lazy: bool = False) -> int:
-    """The settle check after a cell's drain (:func:`repro.verify.quiescent`):
-    any violation stops the sweep, except that a lazy cell may keep
-    divergent replicas (its documented loss window). Returns how many."""
+def _settle(cluster, result, lazy: bool = False) -> dict:
+    """The settle and progress checks after a cell's drain
+    (:func:`repro.verify.quiescent`, :func:`repro.verify.progress` over the
+    cell's ``result``). A settle violation or a parked waiter, turn or wake
+    stops the sweep, except that a lazy cell may keep divergent replicas
+    (its documented loss window). Returns the cell's ``divergent_replicas``
+    and ``stalled`` (lock-wait timeouts no fault explains: ROADMAP item 17
+    keeps the cells where it is not 0)."""
+    stalls = progress(cluster, result)
+    parked = [v for v in stalls if v.kind == "parked"]
+    assert not parked, f"{len(parked)} parked after the drain: {parked[:5]}"
     found = quiescent(cluster)
     others = [v for v in found if not (lazy and v.kind == "divergent")]
     assert not others, f"{len(others)} settle violations after the drain: {others[:5]}"
-    return len(found)
+    return {"divergent_replicas": len(found), "stalled": len(stalls)}
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +311,7 @@ def _replication_cell(p, factor: int, update_ratio: float) -> dict:
     label = f"replication/f{factor}/u{update_ratio}"
     cluster, _ = build_cluster(_experiment(p, system, label, update_ratio))
     result = cluster.run(label=label)
-    _settle(cluster)
+    settled = _settle(cluster, result)
     return {
         "response_ms": result.mean_response_ms(),
         "committed": len(result.committed),
@@ -312,6 +320,7 @@ def _replication_cell(p, factor: int, update_ratio: float) -> dict:
         "messages": result.network_messages,
         "bytes": result.network_bytes,
         "deadlocks": result.total_deadlocks,
+        **settled,
     }
 
 
@@ -379,7 +388,7 @@ def _availability_cell(p, mode: str, crashes: int) -> dict:
         "recoveries": result.site_recoveries,
         "catchups": totals["catchups"],
         "catchup_entries": totals["catchup_entries_replayed"],
-        "divergent_replicas": _settle(cluster, lazy=mode == "lazy"),
+        **_settle(cluster, result, lazy=mode == "lazy"),
         "site_totals": totals,
     }
 
@@ -442,7 +451,7 @@ def _partitions_cell(p, lease_timeout: float) -> dict:
         "heartbeats": totals["heartbeats_sent"],
         "compacted_entries": totals["log_entries_compacted"],
         "partition_drops": cluster.network.stats.partition_drops,
-        "divergent_replicas": _settle(cluster),
+        **_settle(cluster, result),
         "site_totals": totals,
     }
 
@@ -556,7 +565,10 @@ def _quorum_cell(p, regime: str, fault: str) -> dict:
         "read_repairs": totals["read_repairs_sent"],
         "read_repair_rate": totals["read_repairs_sent"] / max(1, totals["quorum_reads"]),
         "lease_refusals": totals["lease_refusals"],
-        "divergent_replicas": _settle(cluster, lazy=regime == "lazy"),
+        "lock_wait_timeouts": len(
+            [r for r in result.records if r.reason == "lock-wait-timeout"]
+        ),
+        **_settle(cluster, result, lazy=regime == "lazy"),
         "site_totals": totals,
     }
 
@@ -694,7 +706,7 @@ def _scale_cell(p, n_sites: int, n_clients: int) -> dict:
         "cutovers": stats.cutovers,
         "leaver_residual_docs": len(cluster.sites[leaver].documents_hosted()),
         "spare_docs": len(cluster.sites[spare].documents_hosted()),
-        "divergent_replicas": _settle(cluster),
+        **_settle(cluster, result),
     }
 
 
@@ -845,6 +857,7 @@ def _views_cell(p, regime: str) -> dict:
             mixed.append((_read_tx(rng, p, f"r{i}"), home(i)))
 
     cells: dict = {}
+    outcomes_seen: list = []
     for phase in ("mixed", "readonly"):
         if phase == "readonly":
             cluster.env.run(until=cluster.env.now + p.settle_ms)
@@ -854,6 +867,7 @@ def _views_cell(p, regime: str) -> dict:
         before = _view_counters(cluster)
         t0 = cluster.env.now
         outcomes = _run_phase(cluster, txs, p.submit_gap_ms)
+        outcomes_seen += outcomes
         after = _view_counters(cluster)
         committed = [o for o in outcomes if o.status == "committed"]
         served, routed, fallbacks = (
@@ -882,7 +896,9 @@ def _views_cell(p, regime: str) -> dict:
             # Cumulative (not per-phase) cluster totals at phase end.
             "site_totals": after["site_totals"],
         }
-    _settle(cluster)
+    settled = _settle(cluster, outcomes_seen)
+    for cell in cells.values():
+        cell.update(settled)
     return cells
 
 

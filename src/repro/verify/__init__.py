@@ -1,5 +1,6 @@
 """Correctness verifiers usable by tests and downstream users."""
 
+from .progress import progress
 from .quiescent import KINDS, Violation, quiescent
 from .schedule_digest import ReferenceEnvironment, TraceRecorder, describe_item, trace_digest
 from .serial import final_state_serializable, find_equivalent_serial_order, replay_serial
@@ -12,6 +13,7 @@ __all__ = [
     "describe_item",
     "final_state_serializable",
     "find_equivalent_serial_order",
+    "progress",
     "quiescent",
     "replay_serial",
     "trace_digest",

@@ -10,7 +10,7 @@ document and transaction where it has one. Only live sites are judged:
 * ``divergent``, ``shadow``: each loaded copy (a migration placeholder
   aside) and view shadow renders that primary's bytes;
 * a site keeps nothing of a transaction or update stream: ``context``,
-  ``waiter``, ``lock``, ``wait_edge``, ``deferred_wake``, ``outbox``,
+  ``waiter``, ``turn``, ``lock``, ``wait_edge``, ``deferred_wake``, ``outbox``,
   ``round``, ``coordinator``, ``catchup_gate``, ``pending_change``, or an
   update log that is not contiguous to its tip (``log_hole``);
 * no ``client`` process or ``migration`` is still running.
@@ -26,7 +26,7 @@ from typing import Hashable, Iterator, Optional
 from ..xml.serializer import serialize_document as _text
 
 KINDS = (
-    "catalog", "divergent", "shadow", "context", "waiter", "lock", "wait_edge",
+    "catalog", "divergent", "shadow", "context", "waiter", "turn", "lock", "wait_edge",
     "deferred_wake", "outbox", "round", "coordinator", "catchup_gate",
     "pending_change", "log_hole", "client", "migration",
 )
@@ -98,6 +98,8 @@ def leftovers(site) -> Iterator[Violation]:
         yield Violation(
             "waiter", sid, tid=tid, detail=f"coordinator {coordinator}, attempt {attempt}"
         )
+    for tid in site._turns:
+        yield Violation("turn", sid, tid=tid)
     for tid in sorted(table.transactions(), key=repr):
         yield Violation("lock", sid, tid=tid, detail=f"{len(table.held_by(tid))} keys")
     for waiter, holder in site.wfg.edges():

@@ -20,6 +20,7 @@ from hypothesis import settings as hyp_settings
 from repro import DTXCluster, Operation, Transaction
 from repro.storage import InMemoryStore
 from repro.update import InsertOp
+from repro.verify import progress
 from repro.xml import E, doc, parse_document, serialize_document
 
 hyp_settings.register_profile("default", hyp_settings())
@@ -181,6 +182,18 @@ def settle_migrations(cluster, budget_ms=3000.0, drain_ms=0.0):
         cluster.env.run(until=cluster.env.now + 25.0)
     if drain_ms:
         cluster.env.run(until=cluster.env.now + drain_ms)
+
+
+def run_to_horizon(cluster, until=5000.0):
+    """Run ``cluster`` to a simulated horizon and return its result, failing
+    with the run's ``progress`` violations if any. With
+    ``lock_wait_timeout_ms`` 0 a lost wake-up never ends: the deadlock
+    detector's sweeps keep the event queue alive, so ``cluster.run()``
+    would spin; a horizon turns the stall into a list of parked waiters,
+    turns and wakes."""
+    result = cluster.run(until=until)
+    assert progress(cluster, result) == []
+    return result
 
 
 def doc_at(cluster, site, doc_name="d1") -> str:

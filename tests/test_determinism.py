@@ -192,7 +192,7 @@ _PINNED_DELIVERIES = [
         (327, "c814ad2450e9d97b490827eea5d378af6cdd19373d2fd0f82b1047d2c392326c"),
     ]),
     ("quorum", _sweep("quorum", regime=("quorum-r2w2",), fault=("crash",)), [
-        (3698, "6ae5bff5533eeaa2b352605051ecee06d16f4a3df8b198ae977ec061e8046f82"),
+        (3693, "d536c9565cc42e9098a05bcb39721d605f860d77a27e4c76ed649b67f96efa37"),
     ]),
     ("views", _sweep("views"), [
         (440, "349a63863f597a47e3c018b92eb2378050a5445abc9a21c14d9a7cbdf3959100"),
@@ -200,7 +200,7 @@ _PINNED_DELIVERIES = [
         (600, "a6cbde64f78d070deea4a9816df7894392ad266a46df5a960a5d9af0397e928f"),
     ]),
     ("replication", _sweep("replication", factor=(2,), update_ratio=(0.5,)), [
-        (797, "803326570034737df855b8a58d4b086a6e4505b6dda2207b6d97909becf7967e"),
+        (753, "e68196d0fb5e06277ad3563753ab0ac8da268b73c5de205c9e1f4f490e5d9db9"),
     ]),
     # Hash-ring placement plus its join and leave rebalances: 3 migrations,
     # 2 cutovers.
@@ -281,7 +281,7 @@ _PINNED_STORES = [
         "281348939e9a36a78334e4008404bbe39f1f4f2113a5adbd2740e579ae42b5df",
     ]),
     ("write_heavy", _write_heavy, [
-        "603bea9fd0a1d0a7f0e5057ddceb2c7d1d94c97f0987d551d1bc7315978cbd8f",
+        "c7954a88797c8cfe3c66620d681b1be7904e86844c827eb2bcdf28f458025388",
     ]),
     # A refused commit's abort, and kept effects persisted by a fail.
     ("refusals", refusal_run, [

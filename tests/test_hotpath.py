@@ -19,6 +19,7 @@ Three families:
 
 from __future__ import annotations
 
+import random
 import re
 
 import hypothesis.strategies as st
@@ -33,6 +34,7 @@ from repro.core.messages import AbortOrder, SiteDownNotice, WakeNotice
 from repro.core.transaction import Operation, Transaction, TxId
 from repro.dataguide import DataGuide
 from repro.errors import ConfigError
+from repro.experiments import ExperimentConfig, build_cluster
 from repro.locking import XDGL_MATRIX, LockMode
 from repro.locking.manager import LockManager
 from repro.locking.requests import LockSpec
@@ -40,10 +42,11 @@ from repro.locking.table import LockTable
 from repro.deadlock import WaitForGraph
 from repro.update import ChangeOp, InsertOp, RemoveOp
 from repro.verify import final_state_serializable, quiescent
+from repro.workload import WorkloadSpec
 from repro.xml import E, doc, serialize_document
 from repro.xpath.parser import clear_parse_cache, parse_cache_stats, parse_xpath
 
-from .conftest import doc_at, example_budget, replicated_cluster
+from .conftest import doc_at, example_budget, replicated_cluster, run_to_horizon
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +135,21 @@ def unversioned(monkeypatch, base: type) -> str:
     return "unversioned"
 
 
-def retry_run(protocol: str, ops_per_tx: int, tx_per_client: int):
+def retry_run(protocol: str, ops_per_tx: int, tx_per_client: int, readers: int = 0):
     """Three writers on one hot leaf, so every operation but the lock
-    holder's blocks and retries. Returns (spec-reuse hits, records)."""
+    holder's blocks and retries, and ``readers`` more clients that only read
+    it (a reader's end changes nothing, so a writer it held up retries
+    against an unchanged structure). Returns (spec-reuse hits, records)."""
     cluster = DTXCluster(
         protocol=protocol, config=SystemConfig().with_(client_think_ms=0.0)
     )
     hot = doc("hot", E("hot", E("v", text="0")))
     cluster.add_site("s1", [hot])
-    for c in range(3):
+    for c in range(3 + readers):
         txs = [
             Transaction(
-                [Operation.update("hot", ChangeOp("/hot/v", "x"))
+                [Operation.update("hot", ChangeOp("/hot/v", "x")) if c < 3
+                 else Operation.query("hot", "/hot/v")
                  for _ in range(ops_per_tx)],
                 label=f"c{c}t{t}",
             )
@@ -268,7 +274,7 @@ class TestTargetedWakeups:
         cluster.add_client("c1", "s1", [t_a1])
         cluster.add_client("c2", "s1", [t_a2])
         cluster.add_client("c3", "s1", [t_b])
-        result = cluster.run(until=1000.0)  # a horizon, as in the property below
+        result = run_to_horizon(cluster, until=1000.0)
         assert len(result.committed) == 3
         done = {r.label: r.finished_ts for r in result.records}
         # t_a2 waited right through t_b's commit and ran after t_a1's...
@@ -292,46 +298,53 @@ class TestTargetedWakeups:
         )
         return cluster.sites["s1"], sent
 
-    def test_wakes_exactly_the_conflicting_waiters_in_registration_order(
-        self, monkeypatch
-    ):
-        """Remote wake notices draw network jitter in send order, so the
-        order of one sweep's wakes is part of the schedule: registration
-        order, whatever order the released keys come in."""
+    def test_wakes_the_waiters_a_release_lets_start_oldest_first(self, monkeypatch):
+        """One walk over the waiters a release reaches, oldest first,
+        whatever order they registered in: one wakes only past the live
+        holders and the turns of those woken before it, and one kept asleep
+        waits for each of them in the wait-for graph. Remote wake notices
+        draw network jitter in send order, so the order is schedule too.
+
+        Mutations it catches: walking in registration order (t3 before
+        t1), waking past a turn (t3, t5 woken), waking past a live holder
+        (t0 woken), no edges for a sleeper, a turn not recorded, the
+        deferred undo keys not merged (t2 asleep)."""
         site, sent = self.wake_site(monkeypatch)
         IS, IX, ST, X = LockMode.IS, LockMode.IX, LockMode.ST, LockMode.X
-        t1, t2, t3, t4, t5, t6 = (TxId(f"s{2 + n % 2}", n, float(n)) for n in range(1, 7))
-        for tid, pairs in [
-            (t1, {("root", IX), ("a", X)}),
-            (t2, {("root", IX), ("b", X)}),  # only the deferred key reaches it
-            (t3, {("root", IX), ("a", X)}),
-            (t4, {("root", IS), ("c", ST)}),  # root overlaps compatibly, c is not released
-            (t5, {("root", IX), ("b", X), ("a", IX)}),  # hit through two keys, woken once
-            (t6, {("root", IX), ("c", X)}),
-        ]:
-            site.waiters[tid] = (tid.site, frozenset(pairs), tid.seq)
+        t0, t1, t2, t3, t4, t5, t6 = (TxId(f"s{2 + n % 2}", n, float(n)) for n in range(7))
+        holder = TxId("s1", 99, 99.0)
+        site.lock_manager.table.try_acquire("e", holder, IX)
+        pairs = {
+            t3: {("root", IX), ("a", X)},  # behind t1's turn on a
+            t6: {("root", IX), ("c", X)},  # nothing on c was released
+            t1: {("root", IX), ("a", X)},  # the oldest waiter on a: wakes
+            t5: {("root", IX), ("b", X), ("a", IX)},  # behind t1 (a) and t2 (b)
+            t0: {("root", IX), ("e", X)},  # e is still held (IX): stays asleep
+            t4: {("root", IS), ("c", ST)},  # root overlaps compatibly only
+            t2: {("root", IX), ("b", X)},  # only the deferred key reaches it
+        }
+        for tid, wanted in pairs.items():  # registration order is not age
+            site.waiters[tid] = (tid.site, frozenset(wanted), tid.seq)
         # An earlier single-operation undo gave up X on b without waking anyone.
         site._deferred_wake_keys["b"] = {X}
-        site._notify_lock_release({"a": frozenset({X}), "root": frozenset({IX})})
-        assert [(dst, n.tid, n.attempt) for dst, n in sent] == [
-            ("s3", t1, 1), ("s2", t2, 2), ("s3", t3, 3), ("s3", t5, 5),
-        ]
+        site._notify_lock_release({"a": {X}, "e": {IX}, "root": {IX}})
+        assert [(dst, n.tid, n.attempt) for dst, n in sent] == [("s3", t1, 1), ("s2", t2, 2)]
         assert all(isinstance(n, WakeNotice) and n.site == "s1" for _, n in sent)
-        assert list(site.waiters) == [t4, t6] and not site._deferred_wake_keys
-        assert (site.stats.waiter_wakes, site.stats.wake_notices_sent) == (4, 4)
+        assert site._turns == {t1: frozenset(pairs[t1]), t2: frozenset(pairs[t2])}
+        assert set(site.waiters) == {t0, t3, t4, t5, t6} and not site._deferred_wake_keys
+        waits = {tid: site.wfg.successors(tid) for tid in pairs}
+        assert waits == {
+            t0: {holder}, t1: set(), t2: set(), t3: {t1}, t4: set(), t5: {t1, t2}, t6: set(),
+        }
+        assert (site.stats.waiter_wakes, site.stats.wake_notices_sent) == (2, 2)
 
-        # A woken waiter that blocks again queues up behind everyone still
-        # asleep; one that re-blocks while still registered (it was woken
-        # at another site) keeps its place and waits for its new pairs.
+        # t1's transaction ends before its retry: its turn counts as
+        # released, so t3 wakes, and t5 now waits behind t3's turn and t2's.
         del sent[:]
-        site.waiters[t1] = (t1.site, frozenset({("root", IX), ("a", X)}), 7)
-        site.waiters[t4] = (t4.site, frozenset({("root", IS), ("a", ST)}), 8)
-        assert list(site.waiters) == [t4, t6, t1]
-        site._notify_lock_release({"a": frozenset({X})})
-        assert [(n.tid, n.attempt) for _, n in sent] == [(t4, 8), (t1, 7)]
-        site._notify_lock_release({"c": frozenset({ST})})  # t4 no longer waits on c
-        assert [n.tid for _, n in sent] == [t4, t1, t6]
-        assert not site.waiters
+        site._settle(t1, "abort")
+        assert [n.tid for _, n in sent] == [t3]
+        assert set(site._turns) == {t2, t3}
+        assert site.wfg.successors(t5) == {t2, t3}
 
     @pytest.mark.parametrize("end", ["commit", "abort", "fail", "crash"])
     def test_ended_waiter_is_forgotten(self, monkeypatch, end):
@@ -369,9 +382,7 @@ class TestTargetedWakeups:
         states, blocked = {}, {}
         for serial in (True, False):
             cluster = contended_cluster(seed=seed, serial=serial)
-            # A horizon: the detector's sweeps never let the queue drain, so
-            # a run starved by a lost wake-up would otherwise spin forever.
-            result = cluster.run(until=5000.0)
+            result = run_to_horizon(cluster)
             assert len(result.records) == total
             assert len(result.committed) == total  # chain waits: nothing can abort
             assert quiescent(cluster) == []
@@ -379,6 +390,133 @@ class TestTargetedWakeups:
             blocked[serial] = sum(s.ops_blocked for s in result.site_stats.values())
         assert blocked[True] == 0 < blocked[False]  # the oracle never waited
         assert states[False] == states[True]
+
+
+# ---------------------------------------------------------------------------
+# grant-order wakes: how a turn passes
+# ---------------------------------------------------------------------------
+
+class TestTurns:
+    """A woken waiter's blocked pairs are its turn at the site: later
+    waiters wake only past it, and wait for its owner meanwhile. The turn
+    passes when the owner's next request runs there (granted or refused),
+    when the owner settles there, or at once when its own coordinator drops
+    the wake. Each test runs real operations through one site's participant
+    path: ``hold`` writes /hot/a, then the older ``w1`` and the newer
+    ``w2`` are refused; ``hold``'s commit wakes ``w1`` alone.
+
+    Mutations they catch: a walk that ignores turns (w2 woken with w1),
+    a turn that does not end at the owner's next request (the granted and
+    the refused retry), a turn that outlives its owner's end (w2 never
+    wakes), a turn taken for a dropped local wake (w2 asleep), a sleeper
+    with no edge to a turn owner (the first test), a granted retry that
+    leaves its refusal registered (a stale wake)."""
+
+    HOLD, W1, W2, NEW = (TxId(site, n, float(n)) for n, site in
+                         ((1, "s2"), (2, "s3"), (3, "s2"), (4, "s3")))
+
+    def build(self, monkeypatch):
+        """A fresh s1 whose outgoing messages are recorded, not sent."""
+        cluster = DTXCluster(protocol="xdgl", config=SystemConfig())
+        cluster.add_site("s1", [doc("hot", E("hot", E("a"), E("b")))])
+        cluster.add_site("s2")
+        cluster.add_site("s3")
+        self.site, self.sent = cluster.sites["s1"], []
+        monkeypatch.setattr(
+            cluster.network, "send",
+            lambda src, dst, payload, size_bytes=None: self.sent.append(payload) or 0.0,
+        )
+        return self.site
+
+    def start(self, monkeypatch=None):
+        """The set-up: ``hold`` writes, ``w1`` and ``w2`` are refused,
+        ``hold`` commits. Returns the site."""
+        if monkeypatch is not None:
+            self.build(monkeypatch)
+        assert self.run(self.HOLD).acquired
+        assert not self.run(self.W1).acquired and not self.run(self.W2).acquired
+        self.site._settle(self.HOLD, "commit")
+        return self.site
+
+    def run(self, tid, attempt=1):
+        op = Operation.update("hot", ChangeOp("/hot/a", str(tid.seq)))
+        op.index = 0
+        return self.site._execute_operation(tid, tid.site, op, attempt)
+
+    def woken(self) -> list:
+        return [(n.tid, n.attempt) for n in self.sent if isinstance(n, WakeNotice)]
+
+    def test_the_oldest_waiter_wakes_and_the_next_waits_for_its_turn(self, monkeypatch):
+        site = self.start(monkeypatch)
+        assert self.woken() == [(self.W1, 1)]
+        assert set(site._turns) == {self.W1} and set(site.waiters) == {self.W2}
+        assert site.wfg.successors(self.W2) == {self.W1}
+
+    def test_a_granted_retry_ends_the_turn_and_holds_the_lock(self, monkeypatch):
+        site = self.start(monkeypatch)
+        assert self.run(self.W1, attempt=2).acquired
+        assert not site._turns and self.woken() == [(self.W1, 1)]  # w2 waits for w1's lock
+        assert site.wfg.successors(self.W2) == {self.W1}
+        site._settle(self.W1, "commit")
+        assert self.woken() == [(self.W1, 1), (self.W2, 1)]
+
+    def test_a_refused_retry_ends_the_turn(self, monkeypatch):
+        """A newcomer took the lock before w1's retry (the lock table knows
+        no turns): w1 blocks again, and both wait for the newcomer, whose
+        commit wakes w1 first again, for its refused attempt."""
+        site = self.start(monkeypatch)
+        assert self.run(self.NEW).acquired
+        assert not self.run(self.W1, attempt=2).acquired
+        assert not site._turns and set(site.waiters) == {self.W1, self.W2}
+        assert self.NEW in site.wfg.successors(self.W1) & site.wfg.successors(self.W2)
+        site._settle(self.NEW, "commit")
+        assert self.woken() == [(self.W1, 1), (self.W1, 2)]
+
+    def test_a_retry_granted_before_a_wake_here_drops_the_registration(self, monkeypatch):
+        """Another replica's wake started w1's retry, and it ran here after
+        hold's operation was undone (an undo wakes nobody): the retry is
+        granted, so the refusal registered here is gone, and hold's end
+        sends w1 no stale wake."""
+        self.build(monkeypatch)
+        assert self.run(self.HOLD).acquired and not self.run(self.W1).acquired
+        self.site._undo_operation(self.HOLD, 0)
+        assert self.run(self.W1, attempt=2).acquired
+        assert not self.site.waiters
+        self.site._settle(self.HOLD, "abort")
+        assert self.woken() == []
+
+    @pytest.mark.parametrize("end", ["commit", "abort", "fail"])
+    def test_the_owner_ending_passes_the_turn(self, monkeypatch, end):
+        site = self.start(monkeypatch)
+        site._settle(self.W1, end)
+        assert self.woken() == [(self.W1, 1), (self.W2, 1)]
+        assert set(site._turns) == {self.W2}
+
+    def test_a_dropped_local_wake_takes_no_turn(self, monkeypatch):
+        """w1 is coordinated here and had moved past its refused attempt on
+        another replica's wake: the fence drops this one, and w2 wakes in
+        the same walk."""
+        self.W1 = TxId("s1", 2, 2.0)
+        tx = Transaction([Operation.update("hot", ChangeOp("/hot/a", "x"))])
+        rec = CoordinatorRecord(tx=tx, tid=self.W1, deliver=lambda outcome: None)
+        rec.attempt, rec.answered_attempt = 2, 1
+        self.build(monkeypatch).coordinators[self.W1] = rec
+        site = self.start()
+        assert not rec.wake_pending
+        assert self.woken() == [(self.W2, 1)] and set(site._turns) == {self.W2}
+        assert not site.waiters and site.stats.waiter_wakes == 2
+
+    def test_a_read_routed_elsewhere_keeps_its_turn_until_it_settles(self, monkeypatch):
+        """A quorum read picks its replica again on each retry, so the
+        owner may never come back here: w2 then waits for the turn owner
+        in the wait-for graph (the detector sees a cycle through it) until
+        the owner settles here."""
+        site = self.start(monkeypatch)
+        assert site.wfg.successors(self.W2) == {self.W1}
+        site._notify_lock_release({"elsewhere": {LockMode.X}})  # other releases pass it by
+        assert self.woken() == [(self.W1, 1)] and set(site._turns) == {self.W1}
+        site._settle(self.W1, "commit")
+        assert self.woken() == [(self.W1, 1), (self.W2, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +624,7 @@ class TestAttemptFencedWakes:
         coordinator, wakes = cluster.site("s3"), []
         wake = coordinator._wake
         monkeypatch.setattr(coordinator, "_wake", lambda rec: wakes.append(rec) or wake(rec))
-        result = cluster.run(until=1000.0)  # a horizon: see the property below
+        result = run_to_horizon(cluster, until=1000.0)
         assert len(result.committed) == 4 and quiescent(cluster) == []
         notices = cluster.site("s1").stats.wake_notices_sent + (
             cluster.site("s2").stats.wake_notices_sent
@@ -517,9 +655,110 @@ class TestAttemptFencedWakes:
         never let the event queue drain: a transaction starved by a lost
         wake-up shows as a client that never ended."""
         cluster = write_all_cluster(seed, clients, leaves, ops_per_tx, local_coordinator)
-        result = cluster.run(until=5000.0)
+        result = run_to_horizon(cluster)
         assert len(result.records) == 2 * clients
         assert all(r.status in ("committed", "aborted") for r in result.records)
+        assert quiescent(cluster) == []
+
+
+# ---------------------------------------------------------------------------
+# grant-order wakes under intention modes and shared readers
+# ---------------------------------------------------------------------------
+
+#: Leaf writes and reads over two subtrees: a write takes IX on its
+#: ancestors and X on its leaf, a query IS on its ancestors and ST on what it
+#: reads, so writers and readers meet at every level of the DataGuide.
+_LEAVES = ("/hot/left/x", "/hot/left/y", "/hot/right/z")
+_READS = ("/hot/left", "/hot/right/z", "//y", "/hot")
+
+
+def intention_cluster(seed: int, readers: int, writers: int, ops_per_tx: int,
+                      local_coordinator: bool) -> DTXCluster:
+    """One XDGL document at s1; ``readers`` clients run queries only and
+    ``writers`` clients mix leaf writes with reads, two transactions each,
+    coordinated at s2 and s3 (and the first at s1 if
+    ``local_coordinator``). Lock waits never time out, so a lost wake-up
+    starves its transaction; the detector aborts deadlock victims."""
+    cfg = SystemConfig().with_(client_think_ms=0.0, seed=seed)
+    assert cfg.lock_wait_timeout_ms == 0
+    cluster = DTXCluster(protocol="xdgl", config=cfg)
+    hot = doc("hot", E("hot", E("left", E("x", text="0"), E("y", text="0")),
+                       E("right", E("z", text="0"))))
+    cluster.add_site("s1", [hot])
+    cluster.add_site("s2")
+    cluster.add_site("s3")
+    rng = random.Random(seed)
+
+    def op(writer: bool) -> Operation:
+        if writer and rng.random() < 0.7:
+            return Operation.update("hot", ChangeOp(rng.choice(_LEAVES), "x"))
+        return Operation.query("hot", rng.choice(_READS))
+
+    for c in range(readers + writers):
+        txs = [
+            Transaction([op(c >= readers) for _ in range(ops_per_tx)], label=f"c{c}t{t}")
+            for t in range(2)
+        ]
+        site = "s1" if local_coordinator and c == 0 else ("s2", "s3")[c % 2]
+        cluster.add_client(f"c{c}", site, txs)
+    return cluster
+
+
+def regimes_shaped_cluster(seed: int, tx_per_client: int) -> DTXCluster:
+    """The quorum preset (factor 3 of 4 sites, leases, quorum reads) over a
+    120 KB XMark base, 12 clients of five-operation transactions (30 %
+    update), one ``//*`` view per fragment at the site that holds no copy
+    of it."""
+    system = SystemConfig.preset("quorum", seed=seed, view_staleness_ms=20.0)
+    cluster, _ = build_cluster(ExperimentConfig(
+        n_sites=4, db_bytes=120_000, system=system,
+        workload=WorkloadSpec(n_clients=12, seed=seed, tx_per_client=tx_per_client,
+                              ops_per_tx=5, update_tx_ratio=0.3),
+    ))
+    for name in cluster.catalog.all_documents():
+        (host,) = set(cluster.sites) - set(cluster.catalog.sites_for(name))
+        cluster.register_view(f"view-{name}", "//*", [name], host=host)
+    return cluster
+
+
+class TestGrantOrderProgress:
+    @settings(
+        max_examples=example_budget(12),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        readers=st.integers(min_value=1, max_value=4),
+        writers=st.integers(min_value=1, max_value=4),
+        ops_per_tx=st.integers(min_value=1, max_value=3),
+        local_coordinator=st.booleans(),
+    )
+    def test_no_lost_wakeups_under_intention_modes_property(
+        self, seed, readers, writers, ops_per_tx, local_coordinator
+    ):
+        """Shared readers wake together past each other's turns and wait
+        behind a writer's; every transaction still ends and the cluster
+        settles. Mutations it catches: a turn that never ends, a sleeper
+        with no wait-for edges (a cycle through it stays invisible and the
+        run parks)."""
+        cluster = intention_cluster(seed, readers, writers, ops_per_tx, local_coordinator)
+        result = run_to_horizon(cluster)
+        assert len(result.records) == 2 * (readers + writers)
+        assert all(r.status in ("committed", "aborted") for r in result.records)
+        assert quiescent(cluster) == []
+
+    def test_a_read_routed_elsewhere_does_not_park_its_sleepers(self):
+        """A quorum read picks its replica again on each retry, so a woken
+        reader may never come back to the site that woke it. Its turn then
+        lasts until it settles there, and the waiters behind the turn wait
+        for it in the wait-for graph: without those edges this run parks
+        (seed 4: clients wait for good with no cycle visible to the
+        detector). Mutation it catches: edges to live holders only."""
+        cluster = regimes_shaped_cluster(seed=4, tx_per_client=5)
+        assert cluster.config.lock_wait_timeout_ms == 0
+        result = run_to_horizon(cluster, until=3000.0)
+        assert len(result.records) == 60
         assert quiescent(cluster) == []
 
 
@@ -715,17 +954,21 @@ class TestRetryCaching:
         through its tree-version clock — same contended workload, versioned
         vs not, hits recorded and schedules bit-identical.
 
-        Single-operation writers: Node2PL must bump its version on *every*
-        applied change (text edits move predicate matches, unlike the
-        DataGuide's structural summary), so a waiter's cached spec
-        survives only when the lock holder applies nothing after the
-        waiter blocked — exactly the 1-op shape.
+        Single-operation writers and a reader: Node2PL must bump its
+        version on *every* applied change (text edits move predicate
+        matches, unlike the DataGuide's structural summary), so a waiter's
+        cached spec survives only when nothing was applied between its
+        refusal and its retry. A release wakes a waiter only once it can
+        start, so a writer's commit always changes the version first; a
+        writer held up by the reader, whose end applies nothing, retries
+        against the same version.
         """
         from repro.protocols.node2pl import Node2PLProtocol
 
-        hits, records = retry_run("node2pl", ops_per_tx=1, tx_per_client=3)
+        hits, records = retry_run("node2pl", ops_per_tx=1, tx_per_client=3, readers=1)
         ref_hits, ref_records = retry_run(
-            unversioned(monkeypatch, Node2PLProtocol), ops_per_tx=1, tx_per_client=3
+            unversioned(monkeypatch, Node2PLProtocol), ops_per_tx=1, tx_per_client=3,
+            readers=1,
         )
         assert hits > 0  # contended retries reused their specs
         assert ref_hits == 0

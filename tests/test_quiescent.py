@@ -49,6 +49,8 @@ PLANTS = {
                 lambda c: c.site("s2").tx_contexts.update({TID: SiteTxContext(TID, "s1")})),
     "waiter": (("s2", None, TID),
                lambda c: c.site("s2").waiters.update({TID: ("s1", frozenset(), 1)})),
+    "turn": (("s3", None, TID),
+             lambda c: c.site("s3")._turns.update({TID: frozenset()})),
     "lock": (("s1", None, TID),
              lambda c: c.site("s1").lock_manager.table.try_acquire("d1:/", TID, LockMode.X)),
     "wait_edge": (("s3", None, TID), lambda c: c.site("s3").wfg.add_edge(TID, OTHER)),

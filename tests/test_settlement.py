@@ -26,7 +26,7 @@ from repro.verify.quiescent import leftovers, quiescent
 from .test_determinism import refusal_run
 
 #: What ``_settle`` drops (the coordinator's record outlives its own share).
-_ENDED = ("context", "waiter", "lock", "wait_edge")
+_ENDED = ("context", "waiter", "turn", "lock", "wait_edge")
 
 _RUNS = {
     name: (lambda name=name: run_sweep(name))
