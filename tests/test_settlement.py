@@ -2,9 +2,10 @@
 
 Every end of a transaction at a site — commit, abort, fail, an orphan
 resolved after its coordinator died — goes through ``DTXSite._settle``,
-which drops the context, the locks and the waiter together. So right after
-each ``_settle`` the site holds none of them for that transaction, and
-after a run has drained the cluster has settled (``repro.verify.quiescent``).
+which drops the context, the locks, the waiter and the turn together. So
+right after each ``_settle`` the site holds none of them for that
+transaction, and after a run has drained the cluster has settled
+(``repro.verify.quiescent``).
 The check runs over every cluster of the default grids of five sweeps
 (crashes, partitions, quorums, hash-ring rebalances, replication) and of
 the refusal run, whose fails reach sites through ``FailNotice``.
