@@ -30,7 +30,10 @@ from repro.xml import (
     serialized_size,
 )
 
-from .conftest import doc_at, example_budget, make_people_doc, make_products_doc, replicated_cluster
+from .conftest import (
+    doc_at, example_budget, make_people_doc, make_products_doc, replicated_cluster,
+    run_to_horizon,
+)
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -459,7 +462,7 @@ class TestReplicatedSerializability:
             txs = tester.transactions_for_client(c)
             all_txs.extend(txs)
             cluster.add_client(f"c{c}", site, txs)
-        cluster.run()
+        run_to_horizon(cluster)  # lock waits never time out: a lost wake-up parks
 
         committed = [t for t in all_txs if t.state is TxState.COMMITTED]
         for sid in ("s1", "s2", "s3"):
