@@ -10,8 +10,10 @@ The architecture follows Fig. 1 of the paper:
   locally submitted transaction (Algorithm 1, plus commit/abort procedures,
   Algorithms 5–6) and (b) a participant loop executing remote operations in
   arrival order (Algorithm 2);
-* the **LockManager** holds the protocol's lock table plus the site's
-  wait-for graph and implements Algorithm 3;
+* the **LockManager** (:class:`~repro.locking.manager.LockManager`) holds
+  the protocol's lock table plus the site's wait-for graph, implements
+  Algorithm 3 and decides which waiters a release wakes; the site only
+  delivers each wake (``_deliver_wake``);
 * the **DataManager** bridges the in-memory documents and the storage
   backend.
 
@@ -113,9 +115,6 @@ _ROUND_ID = {
     ViewReadResult: attrgetter("read_id"),
 }
 
-#: What a key nobody holds (or has a turn on) maps to in the wake walk.
-_NO_HOLDERS: dict = {}
-
 #: Root element of the placeholder a joining replica hosts until its first
 #: snapshot transfer arrives (never queried: quorum probes rank the empty
 #: log last, and primary-copy routing never prefers a brand-new secondary).
@@ -139,9 +138,7 @@ class SiteStats:
     ops_executed: int = 0
     ops_blocked: int = 0
     local_deadlocks: int = 0
-    remote_ops_served: int = 0
     commits: int = 0
-    aborts: int = 0
     fails: int = 0
     wake_notices_sent: int = 0
     waiter_wakes: int = 0  # waiters woken at this site (local + remote)
@@ -149,7 +146,6 @@ class SiteStats:
     group_batches_sent: int = 0  # commit-time ReplicaSyncBatch messages sent from here
     group_batched_syncs: int = 0  # per-tx, per-document syncs shipped at commit time
     undo_ops: int = 0
-    coordinated: int = 0
     peak_lock_count: int = 0
     replica_syncs_served: int = 0  # sync entries recorded/applied at this site
     reads_routed: int = 0  # queries this coordinator routed to one replica
@@ -161,12 +157,10 @@ class SiteStats:
     syncs_refused: int = 0  # stale-epoch / fault-hook sync refusals served
     lazy_batches_propagated: int = 0  # lazy ReplicaSyncBatch messages sent
     lazy_entries_coalesced: int = 0  # log entries x lazy batches that carried them
-    orphans_resolved: int = 0  # transactions of dead coordinators settled
     # Lease-mode membership (failure_detector="lease").
     heartbeats_sent: int = 0
     suspicions: int = 0  # peers whose lease expired at this site
     false_suspicions: int = 0  # suspected peers that turned out alive
-    elections_started: int = 0
     elections_won: int = 0  # this site assumed primacy of a document
     elections_no_quorum: int = 0  # rounds abandoned for lack of a majority
     announces_applied: int = 0  # newer (epoch, primary) facts adopted
@@ -179,10 +173,6 @@ class SiteStats:
     read_repairs_sent: int = 0  # laggards this coordinator nudged to heal
     read_repairs_received: int = 0  # nudges that actually triggered catch-up
     sync_acks_awaited: int = 0  # ok remote acks counted at quorum-commit time
-    quorum_read_retries: int = 0  # probe rounds re-run (silent/short reports)
-    # Online migration (distribution.migration.MigrationManager).
-    migrations_admitted: int = 0  # placeholder replicas adopted (join phase)
-    migrations_retired: int = 0  # replica copies dropped (retire phase)
     # XPath parse memo (process-wide LRU): snapshots of the global counters,
     # taken when the cluster collects its results — read the max across
     # sites, not the sum.
@@ -194,7 +184,6 @@ class SiteStats:
     view_reads_served: int = 0  # ViewReadRequests this host answered ok
     view_stale_refusals: int = 0  # serves refused: staleness bound exceeded
     view_epoch_refusals: int = 0  # serves refused: epoch mismatch (fenced)
-    view_fenced_deltas: int = 0  # delta batches dropped: older epoch
     view_deltas_applied: int = 0  # log entries applied to hosted shadows
     view_delta_batches: int = 0  # ViewDeltaBatch messages pushed from here
     view_deltas_coalesced: int = 0  # log entries that rode a pushed batch
@@ -260,29 +249,11 @@ class DTXSite:
         self.inbox: Inbox = network.register(site_id)
         self.data_manager = DataManager(backend)
         self.wfg = WaitForGraph()
-        self.lock_manager = LockManager(LockTable(protocol.matrix), self.wfg)
+        self.lock_manager = LockManager(LockTable(protocol.matrix), self.wfg, self._deliver_wake)
 
         self.tx_contexts: dict[TxId, SiteTxContext] = {}
         self.coordinators: dict[TxId, CoordinatorRecord] = {}
         self.finished: set[TxId] = set()
-        # Conflict-indexed wait registry: waiting tid -> (coordinator site,
-        # the (key, mode) pairs its blocked operation requested, the attempt
-        # that was refused). A release wakes only the waiters with a
-        # requested pair that is *incompatible* with something actually
-        # released — a merely shared key (e.g. the root's intention locks,
-        # which every operation touches in compatible modes) wakes nobody.
-        self.waiters: dict[TxId, tuple[Hashable, frozenset, int]] = {}
-        # Locks released outside end-of-transaction (single-operation undo
-        # backs locks out without waking anyone, per the paper's
-        # end-of-transaction wake rule), as key -> set of modes. They are
-        # folded into the *next* end-of-transaction wake sweep so the
-        # wake-up owed for them is not lost.
-        self._deferred_wake_keys: dict = {}
-        # Turns: waiter tid -> the blocked pairs it was woken for here,
-        # until its next request runs here or it settles here. A waiter
-        # wakes only past the turns of those woken before it (see
-        # ``_notify_lock_release``).
-        self._turns: dict[TxId, frozenset] = {}
         # The update stream's staging areas, one table per subscriber
         # (the view hosts' are the ViewManager's). Commit-time sync batches
         # by (document, primary), items (rec, ops, waiter); the committed
@@ -375,7 +346,6 @@ class DTXSite:
         if self.data_manager.is_loaded(doc_name):
             return
         self.host_document(Document(doc_name, Element(MIGRATION_PLACEHOLDER)))
-        self.stats.migrations_admitted += 1
 
     def holds_placeholder(self, doc_name: str) -> bool:
         """Whether this site's copy is still the migration stand-in.
@@ -400,7 +370,6 @@ class DTXSite:
         """
         self.data_manager.drop(doc_name)
         self.logs.pop(doc_name, None)
-        self.stats.migrations_retired += 1
 
     def has_active_work_on(self, doc_name: str) -> bool:
         """Whether any in-flight transaction touched ``doc_name`` here.
@@ -774,33 +743,13 @@ class DTXSite:
                 spec = self.protocol.lock_spec_for_update(op.doc_name, op.payload)
             if version is not None:
                 ctx.spec_cache[op.index] = (version, spec)
-        outcome = self.lock_manager.process_operation(tid, spec)
+        outcome = self.lock_manager.process_operation(tid, spec, coordinator, attempt)
         table = self.lock_manager.table
         cost = (
             spec.nodes_visited * costs.node_visit_ms
             + (outcome.lock_ops + spec.transient_ops) * costs.lock_op_ms
         )
         self.stats.peak_lock_count = max(self.stats.peak_lock_count, table.lock_count())
-        if outcome.granted:
-            self.waiters.pop(tid, None)  # a refusal of an earlier attempt
-        else:
-            # Register the coordinator for a wake notice, together with the
-            # lock pairs the blocked spec wanted (only a conflicting release
-            # wakes it) and the refused attempt (the notice carries it, so
-            # the coordinator can tell a wake for a superseded attempt).
-            self.waiters[tid] = (coordinator, outcome.blocked_pairs, attempt)
-        turn = self._turns.pop(tid, None)
-        if turn is not None:
-            # The retry came back: the turn's pairs this request did not
-            # take are free for the waiters the turn kept asleep.
-            held = table.held_by(tid)
-            freed: dict = {}
-            for key, mode in turn:
-                if mode not in held.get(key, ()):
-                    freed.setdefault(key, set()).add(mode)
-            if freed:
-                self._notify_lock_release(freed)
-
         if not outcome.granted:
             self.stats.ops_blocked += 1
             if outcome.deadlock:
@@ -837,31 +786,6 @@ class DTXSite:
             # Locks are held (released at abort); the data effect failed.
             ctx.op_entries[op.index] = entry
             return LocalResult(acquired=True, executed=False, failed=True, cost_ms=cost)
-
-    def _undo_operation(self, tid: TxId, op_index: int) -> float:
-        """Back out one operation's data effects and its locks."""
-        ctx = self.tx_contexts.get(tid)
-        if ctx is None or op_index not in ctx.op_entries:
-            return 0.0
-        entry = ctx.op_entries.pop(op_index)
-        cost = self._revert(entry)
-        for key, mode in reversed(entry.lock_pairs):
-            self.lock_manager.table.release_one(key, tid, mode)
-        # Remember the pairs for the next end-of-transaction wake sweep:
-        # they will not appear in the owner's release set any more, and the
-        # wake-up owed to whoever waits on them must not be lost.
-        for key, mode in entry.lock_pairs:
-            self._deferred_wake_keys.setdefault(key, set()).add(mode)
-        cost += len(entry.lock_pairs) * self.costs.lock_op_ms
-        self.stats.undo_ops += 1
-        # Deliberately NO wake notification here: waiters are woken only when
-        # a transaction *ends* (paper §2.2: "those that entered wait mode
-        # waiting for the locks of the one that committed, start executing
-        # again"). Waking on partial-operation undo makes two crosswise
-        # writers ping-pong (win locally, fail remotely, undo, wake each
-        # other) — a livelock the end-of-transaction rule avoids; the
-        # detector resolves the resulting wait cycle instead.
-        return cost
 
     def _revert(self, entry: OpEntry) -> float:
         """Revert one operation's changes and re-sync the protocol's
@@ -901,121 +825,38 @@ class DTXSite:
             if outcome == "commit" or persist:
                 # Before the locks release, so log order = commit order.
                 self._log_and_queue_lazy(tid, ctx, logged_during_sync)
-        released, lock_ops = self.lock_manager.release_transaction(tid)
+        _, lock_ops = self.lock_manager.release_transaction(tid)
         cost += lock_ops * self.costs.lock_op_ms
         self.finished.add(tid)
-        self.waiters.pop(tid, None)
-        turn = self._turns.pop(tid, None)
-        if turn is not None:
-            for key, mode in turn:
-                released.setdefault(key, set()).add(mode)
         if outcome == "fail":
             self.stats.fails += 1
-        self._notify_lock_release(released)
         return cost
 
     # ------------------------------------------------------------------
     # wake management
     # ------------------------------------------------------------------
 
-    def _notify_lock_release(self, released: dict) -> None:
-        """Wake, oldest first, the waiters that a release here lets start.
+    def _deliver_wake(self, tid: TxId, coordinator: Hashable, attempt: int) -> bool:
+        """The lock manager's ``wake``: a release here lets ``tid``'s refused
+        ``attempt`` start. A remote coordinator gets a WakeNotice, one here
+        is woken in place; either drops a duplicate for a superseded
+        attempt (:meth:`CoordinatorRecord.answer_release`: under write-all
+        only the first replica's wake should cost a retry). Returns whether
+        the wake was delivered (a dropped one takes no turn)."""
+        self.stats.waiter_wakes += 1
+        notice = WakeNotice(tid=tid, site=self.site_id, attempt=attempt)
+        if coordinator == self.site_id:
+            return self._on_wake_notice(notice)
+        self.stats.wake_notices_sent += 1
+        self.network.send(self.site_id, coordinator, notice)
+        return True
 
-        Paper §2.2 wakes every transaction that waits for a lock of the one
-        that ended; this walk wakes only those that can start (README,
-        "Grant-order wakes"). The candidates are the waiters with a
-        requested (key, mode) pair *incompatible* with something just
-        released (including locks given back earlier by single-operation
-        undo, which wakes nobody at the time); the others provably could
-        not make progress from this release. They are walked in ``TxId``
-        order, oldest first, and one wakes only if every pair of its
-        blocked spec is compatible with the other holders in the lock
-        table and with the *turns* here: the pairs of the waiters woken
-        before it whose next request has not run here yet. A woken
-        waiter's pairs become its turn; the turn ends when its next
-        request runs here or it settles here, and its pairs not then held
-        count as released for one more walk. A candidate that stays asleep
-        gets a wait-for edge to every holder and turn owner that blocks
-        it, so the detector sees a cycle through a turn too. A woken
-        waiter that blocks again re-registers.
-
-        Each wake carries the attempt this site refused, and the
-        coordinator drops a duplicate
-        (:meth:`CoordinatorRecord.answer_release`): under
-        write-all one commit releases the lock at every replica, and only
-        the first replica's wake should cost the waiter a retry. A waiter
-        coordinated here whose wake is dropped, or whose transaction has
-        ended, takes no turn.
-
-        ``released`` is ``{key: modes}`` and becomes this walk's own: the
-        deferred pairs are merged into it.
-        """
-        deferred = self._deferred_wake_keys
-        waiters = self.waiters
-        if not waiters:
-            deferred.clear()
-            return
-        if deferred:
-            for key, modes in deferred.items():
-                own = released.get(key)
-                if own is None:
-                    released[key] = modes
-                else:
-                    own |= modes
-            self._deferred_wake_keys = {}
-        table = self.lock_manager.table
-        conflicts_with = table.matrix.conflicts_with
-        candidates = sorted(
-            tid
-            for tid, (_, wait_set, _) in waiters.items()
-            if any(
-                key in released and not conflicts_with[mode].isdisjoint(released[key])
-                for key, mode in wait_set
-            )
-        )
-        if not candidates:
-            return
-        turns = self._turns
-        # key -> {owner: modes} over the turns, the way the table keeps holders
-        in_turn: dict = {}
-        for owner, pairs in turns.items():
-            for key, mode in pairs:
-                in_turn.setdefault(key, {}).setdefault(owner, set()).add(mode)
-        indexes = (table._held, in_turn)
-        for tid in candidates:
-            coordinator, wait_set, attempt = waiters[tid]
-            blockers = {
-                other
-                for key, mode in wait_set
-                for index in indexes
-                for other, modes in index.get(key, _NO_HOLDERS).items()
-                if other != tid and not conflicts_with[mode].isdisjoint(modes)
-            }
-            if blockers:
-                for other in blockers:
-                    self.wfg.add_edge(tid, other)
-                continue
-            del waiters[tid]
-            self.stats.waiter_wakes += 1
-            if coordinator == self.site_id:
-                rec = self.coordinators.get(tid)
-                if rec is None or not rec.answer_release(attempt):
-                    continue
-                self._wake(rec)
-            else:
-                self.stats.wake_notices_sent += 1
-                self.network.send(
-                    self.site_id, coordinator,
-                    WakeNotice(tid=tid, site=self.site_id, attempt=attempt),
-                )
-            turns[tid] = wait_set
-            for key, mode in wait_set:
-                in_turn.setdefault(key, {}).setdefault(tid, set()).add(mode)
-
-    def _on_wake_notice(self, msg: WakeNotice) -> None:
+    def _on_wake_notice(self, msg: WakeNotice) -> bool:
         rec = self.coordinators.get(msg.tid)
-        if rec is not None and rec.answer_release(msg.attempt):
-            self._wake(rec)
+        if rec is None or not rec.answer_release(msg.attempt):
+            return False
+        self._wake(rec)
+        return True
 
     def _wake(self, rec: CoordinatorRecord) -> None:
         rec.wake_pending = True
@@ -1052,7 +893,6 @@ class DTXSite:
             tr = self.tracer
             exec_start = self.env.now if tr is not None else 0.0
             result = self._execute_operation(req.tid, coordinator, req.op, req.attempt)
-            self.stats.remote_ops_served += 1
             if result.cost_ms:
                 yield result.cost_ms
             if tr is not None:
@@ -1080,9 +920,20 @@ class DTXSite:
                        self.env.now, self.env.now + delay)
 
     def _handle_undo_request(self, msg: UndoOpRequest):
+        """Back out one operation's data effects and its locks. The lock
+        manager wakes nobody for the locks now; its next walk counts them
+        as released."""
         if not self.alive:
             return
-        yield self._undo_operation(msg.tid, msg.op_index)
+        ctx = self.tx_contexts.get(msg.tid)
+        entry = None if ctx is None else ctx.op_entries.pop(msg.op_index, None)
+        cost = 0.0
+        if entry is not None:
+            cost = self._revert(entry)
+            self.lock_manager.give_back(msg.tid, entry.lock_pairs)
+            cost += len(entry.lock_pairs) * self.costs.lock_op_ms
+            self.stats.undo_ops += 1
+        yield cost
         self.network.send(
             self.site_id, msg.coordinator,
             UndoOpAck(tid=msg.tid, site=self.site_id, op_index=msg.op_index, attempt=msg.attempt),
@@ -1408,7 +1259,6 @@ class DTXSite:
             if rec.root_span:
                 self.tracer.set_label(rec.root_span, "tx", str(tid))
         self.coordinators[tid] = rec
-        self.stats.coordinated += 1
 
         status, reason = "committed", ""
         try:
@@ -1436,7 +1286,6 @@ class DTXSite:
                 if aborted_ok:
                     tx.state = TxState.ABORTED
                     status = "aborted"
-                    self.stats.aborts += 1
                 else:
                     tx.state = TxState.FAILED
                     status = "failed"
@@ -1756,7 +1605,6 @@ class DTXSite:
                 # Crashed or partitioned-away responders: strike them from
                 # the candidate pool and re-probe over the rest.
                 excluded |= set(candidates) - set(reports)
-                self.stats.quorum_read_retries += 1
                 continue
             winner, laggards = choose_read_replica(
                 reports,
@@ -1784,14 +1632,12 @@ class DTXSite:
                 # the announce/heartbeat stream updates the view within a
                 # round or two.
                 top_epoch, _ = version_frontier(reports)
-                if (
+                if not (
                     self._peer_up(rset.primary)
                     and self.catalog.epoch(doc_name) >= top_epoch
                 ):
-                    winner = rset.primary
-                else:
-                    self.stats.quorum_read_retries += 1
                     continue
+                winner = rset.primary
             self.stats.quorum_reads += 1
             return [winner]
         raise _AbortTx("no-read-quorum")
@@ -2341,9 +2187,6 @@ class DTXSite:
             if rec.wake_event is not None and not rec.wake_event.triggered:
                 rec.wake_event.succeed({})
         self.tx_contexts.clear()
-        self.waiters.clear()
-        self._turns.clear()
-        self._deferred_wake_keys.clear()
         # Outboxes are volatile: a sync batch's waiter fires with None so
         # its (already-failed) coordinator unwinds, in staging order; lazy
         # entries are lost (the lazy regime's documented loss window).
@@ -2368,7 +2211,9 @@ class DTXSite:
             )
             self._elections.clear()
         self.wfg = WaitForGraph()
-        self.lock_manager = LockManager(LockTable(self.protocol.matrix), self.wfg)
+        self.lock_manager = LockManager(
+            LockTable(self.protocol.matrix), self.wfg, self._deliver_wake
+        )
         self.inbox.clear()
         self.remote_ops.clear()
         for gate in list(self._catchup_gates.values()):
@@ -2467,7 +2312,6 @@ class DTXSite:
             if ctx.coordinator != down or tid in self.coordinators:
                 continue
             self._settle(tid, "commit" if ctx.synced else "abort")
-            self.stats.orphans_resolved += 1
 
     def _on_site_up(self, msg: SiteUpNotice) -> None:
         """A site recovered: if it leads a document we replicate, nudge our
@@ -2713,7 +2557,6 @@ class DTXSite:
         """
         eid = self._new_round_id()
         self._elections[doc_name] = eid
-        self.stats.elections_started += 1
         try:
             while self.alive:
                 rset = self.catalog.replica_set(doc_name)

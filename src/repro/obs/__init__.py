@@ -1,4 +1,4 @@
-"""Observability: causal tracing, labeled metrics, critical-path analysis.
+"""Observability: causal tracing and critical-path analysis.
 
 Everything here is wall-clock-only instrumentation over the simulator:
 with ``SystemConfig.tracing`` off (the default) nothing in this package
@@ -17,21 +17,15 @@ from .critical_path import (
     spans_from_chrome,
     tx_breakdown,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, registry_from_run
 from .tracer import Span, Tracer, span_forest_errors, transaction_trees
 
 __all__ = [
     "PHASES",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Span",
     "Tracer",
     "chrome_trace",
     "critical_path_report",
     "diff_reports",
-    "registry_from_run",
     "render_diff",
     "render_report",
     "span_forest_errors",

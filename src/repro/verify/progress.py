@@ -33,13 +33,9 @@ def progress(cluster, result) -> list[Violation]:
         if not site.alive:
             continue
         sid = site.site_id
-        for tid, (coordinator, _, attempt) in site.waiters.items():
-            found.append(Violation(
-                "parked", sid, tid=tid,
-                detail=f"waiter of {coordinator}, attempt {attempt}",
-            ))
-        for tid in site._turns:
-            found.append(Violation("parked", sid, tid=tid, detail="turn"))
+        for kind, tid, detail in site.lock_manager.pending():
+            if kind != "deferred_wake":
+                found.append(Violation("parked", sid, tid=tid, detail=f"{kind} {detail}".rstrip()))
         for tid, rec in site.coordinators.items():
             if rec.wake_event is not None and not rec.wake_event.triggered:
                 found.append(Violation("parked", sid, tid=tid, detail="waits for a wake"))

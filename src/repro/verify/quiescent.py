@@ -94,18 +94,12 @@ def leftovers(site) -> Iterator[Violation]:
     sid, table = site.site_id, site.lock_manager.table
     for tid in site.tx_contexts:
         yield Violation("context", sid, tid=tid)
-    for tid, (coordinator, _, attempt) in site.waiters.items():
-        yield Violation(
-            "waiter", sid, tid=tid, detail=f"coordinator {coordinator}, attempt {attempt}"
-        )
-    for tid in site._turns:
-        yield Violation("turn", sid, tid=tid)
+    for kind, tid, detail in site.lock_manager.pending():
+        yield Violation(kind, sid, tid=tid, detail=detail)
     for tid in sorted(table.transactions(), key=repr):
         yield Violation("lock", sid, tid=tid, detail=f"{len(table.held_by(tid))} keys")
     for waiter, holder in site.wfg.edges():
         yield Violation("wait_edge", sid, tid=waiter, detail=f"waits for {holder!r}")
-    for key in site._deferred_wake_keys:
-        yield Violation("deferred_wake", sid, detail=repr(key))
     for (doc, primary), box in site._sync_outboxes.items():
         yield Violation("outbox", sid, doc, detail=f"{len(box)} for sync to {primary}")
     for doc, box in site._lazy_outboxes.items():

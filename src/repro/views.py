@@ -359,9 +359,7 @@ class ViewManager:
         state = self.states.get(msg.doc_name)
         if state is None:
             return 0.0, False
-        stats = self.site.stats
         if msg.epoch < state.epoch:
-            stats.view_fenced_deltas += 1
             return 0.0, False
         if state.doc is None:
             return 0.0, True  # awaiting first hydration (or post-crash)
@@ -381,7 +379,7 @@ class ViewManager:
                 break
             state.applied_lsn = entry.lsn
             applied += 1
-        stats.view_deltas_applied += applied
+        self.site.stats.view_deltas_applied += applied
         if state.doc is None:
             return cost, True
         if state.applied_lsn >= msg.watermark:

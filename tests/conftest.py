@@ -18,6 +18,7 @@ import pytest
 from hypothesis import settings as hyp_settings
 
 from repro import DTXCluster, Operation, Transaction
+from repro.locking import LockMode, LockSpec
 from repro.storage import InMemoryStore
 from repro.update import InsertOp
 from repro.verify import progress
@@ -194,6 +195,37 @@ def run_to_horizon(cluster, until=5000.0):
     result = cluster.run(until=until)
     assert progress(cluster, result) == []
     return result
+
+
+def x_spec() -> LockSpec:
+    """A lock spec of one request: X on one key."""
+    spec = LockSpec()
+    spec.add("d1:/", LockMode.X)
+    return spec
+
+
+def refuse(manager, tid, holder, coordinator="s1", attempt=1):
+    """``holder`` takes :func:`x_spec` from ``manager`` and ``tid`` is
+    refused it, for ``coordinator``'s ``attempt``; returns the manager."""
+    spec = x_spec()
+    assert manager.process_operation(holder, spec).granted
+    assert not manager.process_operation(tid, spec, coordinator, attempt).granted
+    return manager
+
+
+def plant_waiter(manager, tid, holder, coordinator="s1", attempt=1) -> None:
+    """Leave ``tid`` registered as a waiter and nothing else: it is refused,
+    and its holder is then released behind the wait policy's back (no
+    walk), the way a lost wake-up leaves it."""
+    refuse(manager, tid, holder, coordinator, attempt)
+    manager.table.release_transaction(holder)
+    manager.wfg.remove_node(holder)
+
+
+def plant_turn(manager, tid, holder, coordinator="s1") -> None:
+    """Leave ``tid`` a turn and nothing else: its holder's release wakes it,
+    and its retry never comes."""
+    refuse(manager, tid, holder, coordinator).release_transaction(holder)
 
 
 def doc_at(cluster, site, doc_name="d1") -> str:

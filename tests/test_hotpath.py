@@ -30,7 +30,7 @@ from repro import DTXCluster, SystemConfig
 from repro import protocols as protocol_registry
 from repro.config import DEFAULT_CONFIG
 from repro.core.context import CoordinatorRecord
-from repro.core.messages import AbortOrder, SiteDownNotice, WakeNotice
+from repro.core.messages import AbortOrder, SiteDownNotice, UndoOpRequest, WakeNotice
 from repro.core.transaction import Operation, Transaction, TxId
 from repro.dataguide import DataGuide
 from repro.errors import ConfigError
@@ -46,7 +46,9 @@ from repro.workload import WorkloadSpec
 from repro.xml import E, doc, serialize_document
 from repro.xpath.parser import clear_parse_cache, parse_cache_stats, parse_xpath
 
-from .conftest import doc_at, example_budget, replicated_cluster, run_to_horizon
+from .conftest import (
+    doc_at, example_budget, refuse, replicated_cluster, run_to_horizon, x_spec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +219,30 @@ class TestBlockedPairs:
         return s
 
     def test_blocked_pairs_record_full_request(self):
+        """t2 is refused at k1, before its request reaches k2, yet the
+        registry keeps k2 too: once t1's release frees k1, t2 stays asleep
+        behind t3's X on k2 and waits for t3."""
         mgr = self.make()
         assert mgr.process_operation("t1", self.spec(("k1", LockMode.X))).granted
         outcome = mgr.process_operation(
-            "t2", self.spec(("k1", LockMode.X), ("k2", LockMode.IX))
+            "t2", self.spec(("k1", LockMode.X), ("k2", LockMode.IX)), "s2", 1
         )
         assert not outcome.granted
-        assert outcome.blocked_pairs == frozenset(
-            {("k1", LockMode.X), ("k2", LockMode.IX)}
-        )
+        assert mgr.process_operation("t3", self.spec(("k2", LockMode.X))).granted
+        mgr.release_transaction("t1")
+        assert mgr.pending() == [("waiter", "t2", "coordinator s2, attempt 1")]
+        assert mgr.wfg.successors("t2") == {"t3"}
 
     def test_granted_outcome_has_no_blocked_pairs(self):
+        """A grant registers nothing, and a granted retry drops the
+        refusal of the earlier attempt."""
         mgr = self.make()
-        outcome = mgr.process_operation("t1", self.spec(("k1", LockMode.ST)))
-        assert outcome.granted and outcome.blocked_pairs == frozenset()
+        assert mgr.process_operation("t1", self.spec(("k1", LockMode.ST))).granted
+        assert mgr.pending() == []
+        assert not mgr.process_operation("t2", self.spec(("k1", LockMode.X)), "s2", 1).granted
+        mgr.table.release_transaction("t1")  # behind the policy's back: no walk
+        assert mgr.process_operation("t2", self.spec(("k1", LockMode.X)), "s2", 2).granted
+        assert mgr.pending() == []
 
     def test_release_transaction_reports_modes(self):
         mgr = self.make()
@@ -308,33 +320,49 @@ class TestTargetedWakeups:
         Mutations it catches: walking in registration order (t3 before
         t1), waking past a turn (t3, t5 woken), waking past a live holder
         (t0 woken), no edges for a sleeper, a turn not recorded, the
-        deferred undo keys not merged (t2 asleep)."""
+        pairs undo gave back not merged (t2 asleep)."""
         site, sent = self.wake_site(monkeypatch)
+        manager = site.lock_manager
         IS, IX, ST, X = LockMode.IS, LockMode.IX, LockMode.ST, LockMode.X
         t0, t1, t2, t3, t4, t5, t6 = (TxId(f"s{2 + n % 2}", n, float(n)) for n in range(7))
-        holder = TxId("s1", 99, 99.0)
-        site.lock_manager.table.try_acquire("e", holder, IX)
-        pairs = {
-            t3: {("root", IX), ("a", X)},  # behind t1's turn on a
-            t6: {("root", IX), ("c", X)},  # nothing on c was released
-            t1: {("root", IX), ("a", X)},  # the oldest waiter on a: wakes
-            t5: {("root", IX), ("b", X), ("a", IX)},  # behind t1 (a) and t2 (b)
-            t0: {("root", IX), ("e", X)},  # e is still held (IX): stays asleep
-            t4: {("root", IS), ("c", ST)},  # root overlaps compatibly only
-            t2: {("root", IX), ("b", X)},  # only the deferred key reaches it
+        # ``hold`` ends below; ``holder`` keeps e and c; ``undoer`` takes b
+        # in one operation and undoes it.
+        hold, holder, undoer = (TxId("s1", n, float(n)) for n in (97, 98, 99))
+
+        def spec(*pairs):
+            wanted = LockSpec()
+            for key, mode in pairs:
+                wanted.add(key, mode)
+            return wanted
+
+        assert manager.process_operation(hold, spec(("root", IX), ("a", X), ("e", IX))).granted
+        assert manager.process_operation(holder, spec(("e", IX), ("c", X))).granted
+        taken = manager.process_operation(undoer, spec(("b", X))).new_pairs
+        pairs = {  # each is refused at its first conflicting key
+            t3: [("root", IX), ("a", X)],  # behind t1's turn on a
+            t6: [("root", IX), ("c", X)],  # nothing on c is released
+            t1: [("root", IX), ("a", X)],  # the oldest waiter on a: wakes
+            t5: [("root", IX), ("a", IX), ("b", X)],  # behind t1 (a) and t2 (b)
+            t0: [("root", IX), ("e", X)],  # e is still held (IX): stays asleep
+            t4: [("root", IS), ("c", ST)],  # root overlaps compatibly only
+            t2: [("root", IX), ("b", X)],  # only the given-back b reaches it
         }
         for tid, wanted in pairs.items():  # registration order is not age
-            site.waiters[tid] = (tid.site, frozenset(wanted), tid.seq)
-        # An earlier single-operation undo gave up X on b without waking anyone.
-        site._deferred_wake_keys["b"] = {X}
-        site._notify_lock_release({"a": {X}, "e": {IX}, "root": {IX}})
+            assert not manager.process_operation(tid, spec(*wanted), tid.site, tid.seq).granted
+        # A single-operation undo gives up X on b without waking anyone.
+        manager.give_back(undoer, taken)
+        assert sent == []
+        site._settle(hold, "abort")
         assert [(dst, n.tid, n.attempt) for dst, n in sent] == [("s3", t1, 1), ("s2", t2, 2)]
         assert all(isinstance(n, WakeNotice) and n.site == "s1" for _, n in sent)
-        assert site._turns == {t1: frozenset(pairs[t1]), t2: frozenset(pairs[t2])}
-        assert set(site.waiters) == {t0, t3, t4, t5, t6} and not site._deferred_wake_keys
-        waits = {tid: site.wfg.successors(tid) for tid in pairs}
+        assert {(kind, tid) for kind, tid, _ in manager.pending()} == {
+            ("turn", t1), ("turn", t2),
+            ("waiter", t0), ("waiter", t3), ("waiter", t4), ("waiter", t5), ("waiter", t6),
+        }
+        waits = {tid: manager.wfg.successors(tid) for tid in pairs}
         assert waits == {
-            t0: {holder}, t1: set(), t2: set(), t3: {t1}, t4: set(), t5: {t1, t2}, t6: set(),
+            t0: {holder}, t1: set(), t2: {undoer}, t3: {t1}, t4: {holder}, t5: {t1, t2},
+            t6: {holder},
         }
         assert (site.stats.waiter_wakes, site.stats.wake_notices_sent) == (2, 2)
 
@@ -343,30 +371,32 @@ class TestTargetedWakeups:
         del sent[:]
         site._settle(t1, "abort")
         assert [n.tid for _, n in sent] == [t3]
-        assert set(site._turns) == {t2, t3}
-        assert site.wfg.successors(t5) == {t2, t3}
+        assert {tid for kind, tid, _ in manager.pending() if kind == "turn"} == {t2, t3}
+        assert manager.wfg.successors(t5) == {t2, t3}
 
     @pytest.mark.parametrize("end", ["commit", "abort", "fail", "crash"])
     def test_ended_waiter_is_forgotten(self, monkeypatch, end):
         site, sent = self.wake_site(monkeypatch)
         gone, stays = TxId("s2", 1, 1.0), TxId("s3", 2, 2.0)
-        pairs = frozenset({("root", LockMode.IX), ("a", LockMode.X)})
-        site.waiters[gone] = ("s2", pairs, 1)
-        site.waiters[stays] = ("s3", pairs, 1)
+        holder = TxId("s1", 0, 0.0)
+        refuse(site.lock_manager, gone, holder, "s2")
+        assert not site.lock_manager.process_operation(stays, x_spec(), "s3", 1).granted
         if end == "crash":
             site.crash()
-            assert not site.waiters
+            assert site.lock_manager.pending() == []
         else:
             site._settle(gone, end)
-            assert list(site.waiters) == [stays]
+            assert [(kind, tid) for kind, tid, _ in site.lock_manager.pending()] == [
+                ("waiter", stays)
+            ]
         # It held nothing: nobody is woken...
         assert not [n for _, n in sent if isinstance(n, WakeNotice)]
-        # ...and a later release of what it waited for passes it by.
-        site._notify_lock_release({"a": frozenset({LockMode.X})})
+        # ...and the release of what it waited for passes it by.
+        site._settle(holder, "commit")
         assert [n.tid for _, n in sent if isinstance(n, WakeNotice)] == (
             [] if end == "crash" else [stays]
         )
-        assert not site.waiters
+        assert "waiter" not in {kind for kind, _, _ in site.lock_manager.pending()}
 
     @settings(
         max_examples=example_budget(8),
@@ -438,24 +468,29 @@ class TestTurns:
         self.site._settle(self.HOLD, "commit")
         return self.site
 
-    def run(self, tid, attempt=1):
-        op = Operation.update("hot", ChangeOp("/hot/a", str(tid.seq)))
+    def run(self, tid, attempt=1, path="/hot/a"):
+        op = Operation.update("hot", ChangeOp(path, str(tid.seq)))
         op.index = 0
         return self.site._execute_operation(tid, tid.site, op, attempt)
 
     def woken(self) -> list:
         return [(n.tid, n.attempt) for n in self.sent if isinstance(n, WakeNotice)]
 
+    def waits(self, kind) -> set:
+        """The transactions the site's lock manager keeps as ``kind``
+        (``"waiter"`` or ``"turn"``)."""
+        return {tid for k, tid, _ in self.site.lock_manager.pending() if k == kind}
+
     def test_the_oldest_waiter_wakes_and_the_next_waits_for_its_turn(self, monkeypatch):
         site = self.start(monkeypatch)
         assert self.woken() == [(self.W1, 1)]
-        assert set(site._turns) == {self.W1} and set(site.waiters) == {self.W2}
+        assert self.waits("turn") == {self.W1} and self.waits("waiter") == {self.W2}
         assert site.wfg.successors(self.W2) == {self.W1}
 
     def test_a_granted_retry_ends_the_turn_and_holds_the_lock(self, monkeypatch):
         site = self.start(monkeypatch)
         assert self.run(self.W1, attempt=2).acquired
-        assert not site._turns and self.woken() == [(self.W1, 1)]  # w2 waits for w1's lock
+        assert not self.waits("turn") and self.woken() == [(self.W1, 1)]  # w2 waits for w1's lock
         assert site.wfg.successors(self.W2) == {self.W1}
         site._settle(self.W1, "commit")
         assert self.woken() == [(self.W1, 1), (self.W2, 1)]
@@ -467,7 +502,7 @@ class TestTurns:
         site = self.start(monkeypatch)
         assert self.run(self.NEW).acquired
         assert not self.run(self.W1, attempt=2).acquired
-        assert not site._turns and set(site.waiters) == {self.W1, self.W2}
+        assert not self.waits("turn") and self.waits("waiter") == {self.W1, self.W2}
         assert self.NEW in site.wfg.successors(self.W1) & site.wfg.successors(self.W2)
         site._settle(self.NEW, "commit")
         assert self.woken() == [(self.W1, 1), (self.W1, 2)]
@@ -479,9 +514,11 @@ class TestTurns:
         sends w1 no stale wake."""
         self.build(monkeypatch)
         assert self.run(self.HOLD).acquired and not self.run(self.W1).acquired
-        self.site._undo_operation(self.HOLD, 0)
+        next(self.site._handle_undo_request(
+            UndoOpRequest(tid=self.HOLD, coordinator="s2", op_index=0, attempt=1)
+        ))
         assert self.run(self.W1, attempt=2).acquired
-        assert not self.site.waiters
+        assert not self.waits("waiter")
         self.site._settle(self.HOLD, "abort")
         assert self.woken() == []
 
@@ -490,7 +527,7 @@ class TestTurns:
         site = self.start(monkeypatch)
         site._settle(self.W1, end)
         assert self.woken() == [(self.W1, 1), (self.W2, 1)]
-        assert set(site._turns) == {self.W2}
+        assert self.waits("turn") == {self.W2}
 
     def test_a_dropped_local_wake_takes_no_turn(self, monkeypatch):
         """w1 is coordinated here and had moved past its refused attempt on
@@ -503,8 +540,8 @@ class TestTurns:
         self.build(monkeypatch).coordinators[self.W1] = rec
         site = self.start()
         assert not rec.wake_pending
-        assert self.woken() == [(self.W2, 1)] and set(site._turns) == {self.W2}
-        assert not site.waiters and site.stats.waiter_wakes == 2
+        assert self.woken() == [(self.W2, 1)] and self.waits("turn") == {self.W2}
+        assert not self.waits("waiter") and site.stats.waiter_wakes == 2
 
     def test_a_read_routed_elsewhere_keeps_its_turn_until_it_settles(self, monkeypatch):
         """A quorum read picks its replica again on each retry, so the
@@ -513,8 +550,10 @@ class TestTurns:
         the owner settles here."""
         site = self.start(monkeypatch)
         assert site.wfg.successors(self.W2) == {self.W1}
-        site._notify_lock_release({"elsewhere": {LockMode.X}})  # other releases pass it by
-        assert self.woken() == [(self.W1, 1)] and set(site._turns) == {self.W1}
+        # Other releases pass it by.
+        assert self.run(self.NEW, path="/hot/b").acquired
+        site._settle(self.NEW, "commit")
+        assert self.woken() == [(self.W1, 1)] and self.waits("turn") == {self.W1}
         site._settle(self.W1, "commit")
         assert self.woken() == [(self.W1, 1), (self.W2, 1)]
 
@@ -592,14 +631,12 @@ class TestAttemptFencedWakes:
         place, through the same fence; the sweep still counts and
         unregisters it."""
         site, rec = self.coordinator_site(attempt=3, answered=2)
-        pairs = frozenset({("a", LockMode.X)})
-        site.waiters[rec.tid] = ("s2", pairs, 2)
-        site._notify_lock_release({"a": frozenset({LockMode.X})})
+        manager, holder = site.lock_manager, TxId("s1", 0, 0.0)
+        refuse(manager, rec.tid, holder, "s2", 2).release_transaction(holder)
         assert not self.woken(rec)
-        assert not site.waiters and site.stats.waiter_wakes == 1
+        assert manager.pending() == [] and site.stats.waiter_wakes == 1
         assert site.stats.wake_notices_sent == 0
-        site.waiters[rec.tid] = ("s2", pairs, 3)
-        site._notify_lock_release({"a": frozenset({LockMode.X})})
+        refuse(manager, rec.tid, holder, "s2", 3).release_transaction(holder)
         assert self.woken(rec) and site.stats.waiter_wakes == 2
 
     @pytest.mark.parametrize("wake", ["site-down", "abort-order"])

@@ -1,4 +1,4 @@
-"""Observability stack: tracer, span-forest checks, metrics registry,
+"""Observability stack: tracer, span-forest checks, site-stats aggregation,
 critical-path analyzer, Chrome-trace export, and the ``trace`` CLI."""
 
 import io
@@ -9,16 +9,11 @@ import pytest
 from repro import DTXCluster, Operation, SystemConfig, Transaction
 from repro.core.site import SNAPSHOT_STAT_FIELDS, SiteStats, aggregate_site_stats
 from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     Span,
     Tracer,
     chrome_trace,
     critical_path_report,
     diff_reports,
-    registry_from_run,
     render_diff,
     render_report,
     span_forest_errors,
@@ -164,98 +159,8 @@ class TestSpanForestErrors:
 
 
 # ---------------------------------------------------------------------------
-# metrics registry
+# site-stats aggregation
 # ---------------------------------------------------------------------------
-
-
-class TestMetrics:
-    def test_counter_and_gauge(self):
-        reg = MetricsRegistry()
-        reg.counter("tx", site="s1").inc()
-        reg.counter("tx", site="s1").inc(2)
-        reg.counter("tx", site="s2").inc()
-        reg.gauge("depth", site="s1").set(7)
-        assert reg.counter("tx", site="s1").value == 3
-        assert reg.total("tx") == 4
-        assert reg.total("tx", site="s2") == 1
-        assert reg.gauge("depth", site="s1").value == 7
-
-    def test_label_order_does_not_split_series(self):
-        reg = MetricsRegistry()
-        reg.counter("m", a="1", b="2").inc()
-        reg.counter("m", b="2", a="1").inc()
-        assert len(reg.collect("m")) == 1
-        assert reg.total("m") == 2
-
-    def test_type_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-
-    def test_histogram_quantiles_and_mean(self):
-        h = Histogram()
-        for v in (0.5, 1.0, 2.0, 100.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.mean == pytest.approx(25.875)
-        assert h.max == 100.0
-        assert h.quantile(0.5) <= h.quantile(0.95)
-        assert h.quantile(1.0) >= 100.0
-        assert Histogram().quantile(0.5) == 0.0
-
-    def test_histogram_bucket_edges(self):
-        h = Histogram()
-        h.observe(2.0**-10)  # lowest bound
-        h.observe(2.0**20)  # beyond the top bound: overflow bucket
-        d = h.to_dict()
-        assert d["count"] == 2
-        assert "inf" in d["buckets"]
-
-    def test_to_dict_shapes(self):
-        reg = MetricsRegistry()
-        reg.counter("c", site="s1").inc()
-        reg.histogram("h").observe(1.0)
-        dumped = reg.to_dict()
-        assert dumped["c{site=s1}"]["type"] == "counter"
-        assert dumped["h{}"]["type"] == "histogram"
-        assert json.dumps(dumped)  # JSON-ready
-
-    def test_ingest_site_stats_is_fields_driven(self):
-        import dataclasses
-
-        reg = MetricsRegistry()
-        stats = SiteStats(commits=3, ops_executed=9)
-        reg.ingest_site_stats({"s1": stats, "s2": SiteStats(commits=1)})
-        assert reg.total("site_commits") == 4
-        assert reg.total("site_ops_executed", site="s1") == 9
-        # Every dataclass field made it in — nothing hand-enumerated.
-        names = {name for name, _, _ in reg.collect()}
-        for f in dataclasses.fields(SiteStats):
-            assert f"site_{f.name}" in names
-
-    def test_ingest_records_and_spans(self):
-        class Rec:
-            def __init__(self, status, response_ms, restarts=0):
-                self.status = status
-                self.response_ms = response_ms
-                self.restarts = restarts
-
-        reg = MetricsRegistry()
-        reg.ingest_records(
-            [Rec("committed", 2.0), Rec("aborted", 1.0, restarts=2)],
-            protocol="xdgl",
-        )
-        assert reg.total("tx_total", status="committed") == 1
-        assert reg.total("tx_restarts") == 2
-        spans = [
-            Span(1, 0, "lock_wait", "lock_wait", "s1", 0.0, 2.0, {"doc": "d1"}),
-            Span(2, 0, "op", "op", "s1", 0.0, None, None),  # open: skipped
-        ]
-        reg.ingest_spans(spans)
-        assert reg.total("span_total", cat="lock_wait") == 1
-        (_, labels, hist) = reg.collect("span_ms")[0]
-        assert labels["doc"] == "d1" and hist.count == 1
 
 
 class TestAggregateSiteStats:
@@ -414,13 +319,6 @@ class TestTracedRun:
         assert report["committed"] >= 1
         for b in report["per_tx"]:
             assert sum(b["shares"].values()) == pytest.approx(1.0)
-
-    def test_registry_from_run(self):
-        result = _run(tracing=True)
-        reg = registry_from_run(result, protocol="xdgl")
-        assert reg.total("site_commits") >= 1
-        assert reg.total("span_total") == len(result.spans)
-        assert reg.total("tx_total", protocol="xdgl") == len(result.records)
 
 
 def _batch_round_parents(window_ms):

@@ -15,13 +15,14 @@ import pytest
 
 from repro import DTXCluster, Operation, SystemConfig, Transaction
 from repro.core.context import CoordinatorRecord
-from repro.core.site import DTXSite
 from repro.core.transaction import TxId
 from repro.experiments import SWEEPS, run_sweep
+from repro.locking import LockManager
 from repro.update import ChangeOp
 from repro.verify import progress
 from repro.xml import E, doc
 
+from .conftest import plant_turn, plant_waiter
 from .test_hotpath import contended_cluster
 
 TID = TxId("s2", 7, 1.0)
@@ -55,10 +56,11 @@ def test_each_parked_item_is_one_violation(plant):
     cluster = contended_cluster(seed=1)
     result = cluster.run()
     site = cluster.site("s1")
+    holder = TxId("s1", 8, 2.0)
     if plant == "waiter":
-        site.waiters[TID] = ("s2", frozenset(), 3)
+        plant_waiter(site.lock_manager, TID, holder, "s2", 3)
     elif plant == "turn":
-        site._turns[TID] = frozenset()
+        plant_turn(site.lock_manager, TID, holder, "s2")
     else:
         tx = Transaction([Operation.update("hot", ChangeOp("/hot/v0", "x"))])
         rec = CoordinatorRecord(tx=tx, tid=TID, deliver=lambda outcome: None)
@@ -72,7 +74,7 @@ def test_a_lost_wake_up_parks_instead_of_spinning(monkeypatch):
     """With the wake walk removed, a contended run with no lock-wait
     timeout never ends; run to a horizon, the judge lists what is parked:
     the waiters at the data site and their coordinators' wakes."""
-    monkeypatch.setattr(DTXSite, "_notify_lock_release", lambda site, released: None)
+    monkeypatch.setattr(LockManager, "_walk", lambda manager, released: None)
     cluster = contended_cluster(seed=1)
     result = cluster.run(until=2000.0)
     found = progress(cluster, result)

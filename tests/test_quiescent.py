@@ -17,7 +17,7 @@ from repro.locking import LockMode
 from repro.update import ChangeOp
 from repro.verify import KINDS, quiescent
 
-from .conftest import replicated_cluster
+from .conftest import plant_turn, plant_waiter, replicated_cluster, x_spec
 from .test_membership import LEASE
 
 TID, OTHER = TxId("s1", 9, 1.0), TxId("s2", 3, 0.5)
@@ -38,6 +38,12 @@ def _stale_view(cluster):
         catalog.apply_primary("d1", "s1", catalog.epoch("d1") + 1)
 
 
+def _given_back(cluster):
+    """An undo gave a lock back at s1, and no release has walked since."""
+    manager = cluster.site("s1").lock_manager
+    manager.give_back(TID, manager.process_operation(TID, x_spec()).new_pairs)
+
+
 #: kind -> (the violation's site, document and tid; what plants it)
 PLANTS = {
     "catalog": (("s4", "d1", None), _stale_view),
@@ -47,15 +53,12 @@ PLANTS = {
                lambda c: c.site("s4").views.states["d1"].doc.root.attrib.update(stray="1")),
     "context": (("s2", None, TID),
                 lambda c: c.site("s2").tx_contexts.update({TID: SiteTxContext(TID, "s1")})),
-    "waiter": (("s2", None, TID),
-               lambda c: c.site("s2").waiters.update({TID: ("s1", frozenset(), 1)})),
-    "turn": (("s3", None, TID),
-             lambda c: c.site("s3")._turns.update({TID: frozenset()})),
+    "waiter": (("s2", None, TID), lambda c: plant_waiter(c.site("s2").lock_manager, TID, OTHER)),
+    "turn": (("s3", None, TID), lambda c: plant_turn(c.site("s3").lock_manager, TID, OTHER)),
     "lock": (("s1", None, TID),
              lambda c: c.site("s1").lock_manager.table.try_acquire("d1:/", TID, LockMode.X)),
     "wait_edge": (("s3", None, TID), lambda c: c.site("s3").wfg.add_edge(TID, OTHER)),
-    "deferred_wake": (("s1", None, None),
-                      lambda c: c.site("s1")._deferred_wake_keys.update({"d1:/": {LockMode.X}})),
+    "deferred_wake": (("s1", None, None), _given_back),
     "outbox": (("s2", "d1", None),
                lambda c: c.site("s2")._sync_outboxes.update({("d1", "s1"): []})),
     "round": (("s1", None, None), lambda c: c.site("s1")._open_round("sync", ["s2"])),
